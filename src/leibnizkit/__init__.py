@@ -17,6 +17,7 @@ from .algebras import (
 from .dgla import (
     Cochain,
     balavoine_bracket,
+    bracket_square,
     check_maurer_cartan,
     coboundary,
     dgla_bracket,

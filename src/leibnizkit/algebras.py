@@ -13,12 +13,11 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from itertools import product
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .errors import FieldMismatch, NotLeibniz, NotRepresentation, ShapeMismatch
 from .fields import FieldSpec
-from .linalg import Matrix, Vector, basis_vec, vec_add, vec_is_zero, vec_zero
+from .linalg import Matrix, Vector, _flat, vec_zero
 from .reports import CheckReport, Violation
 
 
@@ -209,10 +208,6 @@ class Representation:
 
     def __repr__(self):
         return f"Representation(algebra dim {self.algebra.dim}, module dim {self.mdim})"
-
-
-def _flat(m: Matrix) -> Tuple:
-    return tuple(v for row in m.entries for v in row)
 
 
 def check_representation(rep: Representation) -> CheckReport:

@@ -1,40 +1,19 @@
 """The bundled instance catalog: concrete algebras, operators, forms and
 twilled contexts with their expected check verdicts.
 
-Entries are built programmatically here (the authoritative construction) and
-shipped as canonical JSON under ``leibnizkit/catalog/``; a test pins the two
-against each other, so the JSON doubles as golden serialization data.
+The packaged JSON under ``leibnizkit/catalog/`` is the only source of truth;
+every ``*.json`` file there is one entry, named after the file.  A new entry
+is one file in the canonical serialization (``serialize_spec`` output), so it
+must pass ``test_round_trip_byte_stable`` and the ``expected-verdicts`` suite.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from importlib import resources
 from typing import Dict, List
 
-from .algebras import (
-    LeibnizAlgebra,
-    Representation,
-    check_matched_pair,
-    dual_representation,
-    regular_representation,
-    semidirect_sum,
-)
-from .fields import RATIONALS, prime_field
-from .io import (
-    SCHEMA,
-    SpecFile,
-    algebra_doc,
-    matrix_doc,
-    kn_doc,
-    parse_spec,
-    representation_doc,
-    serialize_spec,
-)
-from .linalg import Matrix
-from .operators import LinearOperator, as_operator, lifted_algebra
-from .pairs import dual_kn_from_compatible
+from .io import SpecFile, parse_spec
 
 
 @dataclass
@@ -43,291 +22,24 @@ class CatalogEntry:
     spec: SpecFile
 
 
-def _expected(obj, check, ok, **args):
-    out = {"object": obj, "check": check, "ok": ok}
-    if args:
-        out["args"] = args
-    return out
-
-
-def _algebra_only(name_c_dim, field=RATIONALS, extra=None, expected=None):
-    dim, brackets = name_c_dim
-    alg = LeibnizAlgebra.from_brackets(field, dim, brackets)
-    objects = {"alg": algebra_doc(field, alg)}
-    if extra:
-        objects.update(extra)
-    exp = [_expected("alg", "leibniz", True)]
-    if expected:
-        exp += expected
-    return SpecFile(field, objects, exp)
-
-
-def build_l2() -> SpecFile:
-    f = RATIONALS
-    alg = LeibnizAlgebra.from_brackets(f, 2, {(1, 0): [1, 0], (1, 1): [1, 0]})
-    reg = regular_representation(alg)
-    dual = dual_representation(reg)
-
-    def Rmat(a):
-        return Matrix(f, [[0, a], [0, -a]])
-
-    N23 = Matrix(f, [[2, -1], [0, 3]])
-    N05 = Matrix(f, [[0, -5], [0, 5]])
-    NpIqE = Matrix(f, [[2, 5], [0, 2]])
-    B = Matrix(f, [[0, 1], [1, 1]])
-    Bsharp = Matrix(f, [[-1, 1], [1, 0]])  # inverse of B
-    NBsharp = NpIqE * Bsharp
-    K1 = LinearOperator(Bsharp, "dual:alg", "algebra:alg")
-    K2 = LinearOperator(NBsharp, "dual:alg", "algebra:alg")
-    kn_dual, _ = dual_kn_from_compatible(K1, K2, dual)
-    lift = lifted_algebra(as_operator(Rmat(1)), reg)
-
-    objects = {
-        "alg": algebra_doc(f, alg),
-        "regular": representation_doc(f, reg, "alg"),
-        "dual": representation_doc(f, dual, "alg"),
-        "R": matrix_doc(f, Rmat(1), "algebra:alg", "algebra:alg"),
-        "R2": matrix_doc(f, Rmat(2), "algebra:alg", "algebra:alg"),
-        "R32": matrix_doc(f, Rmat(f.of("-3/2")), "algebra:alg", "algebra:alg"),
-        "E01": matrix_doc(f, Matrix(f, [[0, 1], [0, 0]]), "algebra:alg", "algebra:alg"),
-        "N23": matrix_doc(f, N23, "algebra:alg", "algebra:alg"),
-        "N11": matrix_doc(f, Matrix.identity(f, 2), "algebra:alg", "algebra:alg"),
-        "N05": matrix_doc(f, N05, "algebra:alg", "algebra:alg"),
-        "NpIqE": matrix_doc(f, NpIqE, "algebra:alg", "algebra:alg"),
-        "zero": matrix_doc(f, Matrix.zeros(f, 2, 2), "algebra:alg", "algebra:alg"),
-        "ident": matrix_doc(f, Matrix.identity(f, 2), "algebra:alg", "algebra:alg"),
-        "Bsharp": matrix_doc(f, Bsharp, "dual:alg", "algebra:alg"),
-        "NBsharp": matrix_doc(f, NBsharp, "dual:alg", "algebra:alg"),
-        "B": {"type": "form", "algebra": "alg",
-              "matrix": [[f.format(v) for v in row] for row in B.entries],
-              "symmetry": "symmetric"},
-        "q_skew": {"type": "form", "algebra": "alg",
-                   "matrix": [["0", "1"], ["-1", "0"]], "symmetry": "skew"},
-        "pi0": {"type": "tensor2", "algebra": "alg", "matrix": [["0", "0"], ["0", "0"]]},
-        "pi_e0": {"type": "tensor2", "algebra": "alg", "matrix": [["1", "0"], ["0", "0"]]},
-        "pi_e1": {"type": "tensor2", "algebra": "alg", "matrix": [["0", "0"], ["0", "1"]]},
-        "kn_dual": kn_doc(f, kn_dual, "alg", "dual"),
-        "lift": algebra_doc(f, lift),
-        "tw_lift": {"type": "twilled", "algebra": "lift", "n1": 2, "n2": 2},
-        "theta_strong": matrix_doc(f, Matrix(f, [[1, 1], [0, 0]]), "algebra:alg", "module:regular"),
-        "theta0": matrix_doc(f, Matrix.zeros(f, 2, 2), "algebra:alg", "module:regular"),
-    }
-    expected = [
-        _expected("alg", "leibniz", True),
-        _expected("lift", "leibniz", True),
-        _expected("regular", "representation", True),
-        _expected("dual", "representation", True),
-        _expected("R", "rota-baxter", True),
-        _expected("R2", "rota-baxter", True),
-        _expected("R32", "rota-baxter", True),
-        _expected("E01", "rota-baxter", True),
-        _expected("R", "kupershmidt", True, rep="regular"),
-        _expected("ident", "kupershmidt", False, rep="regular"),
-        _expected("N23", "nijenhuis", True),
-        _expected("N11", "nijenhuis", True),
-        _expected("N05", "nijenhuis", True),
-        _expected("NpIqE", "nijenhuis", True),
-        _expected("R", "rbn-structure", True, N="N23"),
-        _expected("B", "bn-structure", True, N="NpIqE"),
-        _expected("q_skew", "quadratic", False),
-        _expected("pi0", "ybe", True),
-        _expected("pi_e0", "ybe", True),
-        _expected("pi_e1", "ybe", False),
-        _expected("pi_e0", "rn-structure", False, N="N23"),
-        _expected("Bsharp", "kupershmidt", True, rep="dual"),
-        _expected("NBsharp", "kupershmidt", True, rep="dual"),
-        _expected("Bsharp", "compatible", True, other="NBsharp", rep="dual"),
-        _expected("R", "compatible", False, other="E01", rep="regular"),
-        _expected("kn_dual", "kn-structure", True),
-        _expected("theta_strong", "maurer-cartan-strong", True, ctx="tw_lift"),
-        _expected("theta0", "maurer-cartan-strong", True, ctx="tw_lift"),
-        _expected("N23", "nijenhuis-pair", True, S="zero", rep="regular"),
-        _expected("N11", "nijenhuis-pair", True, S="ident", rep="regular"),
-        _expected("N23", "nk-condition", True, K="R", rep="regular"),
-        _expected("NpIqE", "nk-condition", False, K="R", rep="regular"),
-    ]
-    return SpecFile(f, objects, expected)
-
-
-def build_l2_single() -> SpecFile:
-    f = RATIONALS
-    alg = LeibnizAlgebra.from_brackets(f, 2, {(1, 0): [1, 0]})
-    objects = {
-        "alg": algebra_doc(f, alg),
-        "R": matrix_doc(f, Matrix(f, [[0, 1], [0, -1]]), "algebra:alg", "algebra:alg"),
-    }
-    expected = [
-        _expected("alg", "leibniz", True),
-        _expected("R", "rota-baxter", False),
-    ]
-    return SpecFile(f, objects, expected)
-
-
-def build_quad4() -> SpecFile:
-    f = RATIONALS
-    l2 = LeibnizAlgebra.from_brackets(f, 2, {(1, 0): [1, 0], (1, 1): [1, 0]})
-    dual = dual_representation(regular_representation(l2))
-    alg = semidirect_sum(dual)
-    qmat = Matrix(f, [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]])
-
-    def block_lift(K):
-        z = [[0] * 4 for _ in range(4)]
-        for i in range(2):
-            for j in range(2):
-                z[2 + i][j] = K[i, j]
-        return Matrix(f, z)
-
-    N_block = Matrix(f, [[2, 0, 0, 0], [5, 2, 0, 0], [0, 0, 2, 5], [0, 0, 0, 2]])
-    objects = {
-        "alg": algebra_doc(f, alg),
-        "q": {"type": "form", "algebra": "alg",
-              "matrix": [[f.format(v) for v in row] for row in qmat.entries],
-              "symmetry": "skew"},
-        "R_pi": matrix_doc(f, block_lift(Matrix(f, [[1, 0], [0, 0]])), "algebra:alg", "algebra:alg"),
-        "R_B": matrix_doc(f, block_lift(Matrix(f, [[-1, 1], [1, 0]])), "algebra:alg", "algebra:alg"),
-        "R_bad": matrix_doc(f, block_lift(Matrix.identity(f, 2)), "algebra:alg", "algebra:alg"),
-        "N2": matrix_doc(f, Matrix.identity(f, 4).scale(2), "algebra:alg", "algebra:alg"),
-        "N_block": matrix_doc(f, N_block, "algebra:alg", "algebra:alg"),
-        "tw": {"type": "twilled", "algebra": "alg", "n1": 2, "n2": 2},
-    }
-    expected = [
-        _expected("alg", "leibniz", True),
-        _expected("q", "quadratic", True),
-        _expected("R_pi", "rota-baxter", True),
-        _expected("R_B", "rota-baxter", True),
-        _expected("R_bad", "rota-baxter", False),
-        _expected("N2", "nijenhuis", True),
-        _expected("N_block", "nijenhuis", True),
-        _expected("R_pi", "rbn-structure", True, N="N2"),
-    ]
-    return SpecFile(f, objects, expected)
-
-
-def build_sum4() -> SpecFile:
-    f = RATIONALS
-    l2 = LeibnizAlgebra.from_brackets(f, 2, {(1, 0): [1, 0], (1, 1): [1, 0]})
-    alg = semidirect_sum(regular_representation(l2))
-    objects = {
-        "alg": algebra_doc(f, alg),
-        "tw": {"type": "twilled", "algebra": "alg", "n1": 2, "n2": 2},
-    }
-    return SpecFile(f, objects, [_expected("alg", "leibniz", True)])
-
-
-def build_prod4() -> SpecFile:
-    f = RATIONALS
-    l2 = LeibnizAlgebra.from_brackets(f, 2, {(1, 0): [1, 0], (1, 1): [1, 0]})
-    report, prod = check_matched_pair(
-        l2, l2, Representation.zero(l2, 2), Representation.zero(l2, 2)
-    )
-    objects = {
-        "alg": algebra_doc(f, prod),
-        "tw": {"type": "twilled", "algebra": "alg", "n1": 2, "n2": 2},
-        "theta_id": matrix_doc(f, Matrix.identity(f, 2), "g1", "g2"),
-    }
-    expected = [
-        _expected("alg", "leibniz", True),
-        _expected("theta_id", "maurer-cartan", True, ctx="tw"),
-        _expected("theta_id", "maurer-cartan-strong", False, ctx="tw"),
-    ]
-    return SpecFile(f, objects, expected)
-
-
-def build_abelian4() -> SpecFile:
-    f = RATIONALS
-    alg = LeibnizAlgebra.abelian(f, 4)
-    qmat = [["0", "0", "1", "0"], ["0", "0", "0", "1"], ["-1", "0", "0", "0"], ["0", "-1", "0", "0"]]
-    # two equal symmetric diagonal blocks commute with the symplectic sharp map
-    N_sym = Matrix(f, [[1, 2, 0, 0], [2, 1, 0, 0], [0, 0, 1, 2], [0, 0, 2, 1]])
-    J = Matrix(f, [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]])
-    objects = {
-        "alg": algebra_doc(f, alg),
-        "q": {"type": "form", "algebra": "alg", "matrix": qmat, "symmetry": "skew"},
-        "B": {"type": "form", "algebra": "alg",
-              "matrix": [["1", "0", "0", "0"], ["0", "1", "0", "0"],
-                          ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
-              "symmetry": "symmetric"},
-        "N_sym": matrix_doc(f, N_sym, "algebra:alg", "algebra:alg"),
-        "R_J": matrix_doc(f, J, "algebra:alg", "algebra:alg"),
-    }
-    expected = [
-        _expected("alg", "leibniz", True),
-        _expected("q", "quadratic", True),
-        _expected("B", "bn-structure", True, N="N_sym"),
-        _expected("R_J", "rota-baxter", True),
-    ]
-    return SpecFile(f, objects, expected)
-
-
-def build_l2_f2() -> SpecFile:
-    f = prime_field(2)
-    alg = LeibnizAlgebra.from_brackets(f, 2, {(1, 0): [1, 0], (1, 1): [1, 0]})
-    objects = {
-        "alg": algebra_doc(f, alg),
-        "R": matrix_doc(f, Matrix(f, [[0, 1], [0, 1]]), "algebra:alg", "algebra:alg"),
-    }
-    expected = [
-        _expected("alg", "leibniz", True),
-        _expected("R", "rota-baxter", True),
-    ]
-    return SpecFile(f, objects, expected)
-
-
-def build_abelian2_f2() -> SpecFile:
-    f = prime_field(2)
-    return SpecFile(f, {"alg": algebra_doc(f, LeibnizAlgebra.abelian(f, 2))},
-                    [_expected("alg", "leibniz", True)])
-
-
-BUILDERS = {
-    "l2": build_l2,
-    "l2_single": build_l2_single,
-    "abelian1": lambda: _algebra_only((1, {})),
-    "abelian2": lambda: _algebra_only((2, {})),
-    "abelian4": build_abelian4,
-    "n2": lambda: _algebra_only((2, {(1, 1): [1, 0]})),
-    "solv2": lambda: _algebra_only((2, {(0, 1): [1, 0], (1, 0): [-1, 0]})),
-    "heis3": lambda: _algebra_only((3, {(0, 1): [0, 0, 1], (1, 0): [0, 0, -1]})),
-    "sl3": lambda: _algebra_only((3, {
-        (0, 1): [0, 0, 1], (1, 0): [0, 0, -1],
-        (2, 0): [2, 0, 0], (0, 2): [-2, 0, 0],
-        (2, 1): [0, -2, 0], (1, 2): [0, 2, 0],
-    })),
-    "leib3": lambda: _algebra_only((3, {(2, 2): [0, 1, 0]})),
-    "sum4": build_sum4,
-    "quad4": build_quad4,
-    "prod4": build_prod4,
-    "l2_f2": build_l2_f2,
-    "abelian2_f2": build_abelian2_f2,
-}
-
-
-def build_catalog() -> Dict[str, SpecFile]:
-    return {name: fn() for name, fn in BUILDERS.items()}
+def _catalog_dir():
+    return resources.files("leibnizkit") / "catalog"
 
 
 def catalog_names() -> List[str]:
-    return sorted(BUILDERS)
+    return sorted(
+        p.name.removesuffix(".json") for p in _catalog_dir().iterdir() if p.name.endswith(".json")
+    )
 
 
 def load_entry(name: str) -> CatalogEntry:
     """Load a bundled catalog entry from the packaged JSON."""
-    data = resources.files("leibnizkit").joinpath(f"catalog/{name}.json").read_text("utf-8")
+    data = _catalog_dir().joinpath(f"{name}.json").read_text("utf-8")
     return CatalogEntry(name, parse_spec(data))
 
 
 def load_catalog() -> Dict[str, CatalogEntry]:
     return {name: load_entry(name) for name in catalog_names()}
-
-
-def write_catalog(directory) -> None:
-    """Emit the canonical JSON files (used to generate the packaged data)."""
-    import os
-
-    os.makedirs(directory, exist_ok=True)
-    for name, spec in build_catalog().items():
-        with open(os.path.join(directory, f"{name}.json"), "w", encoding="utf-8") as fh:
-            fh.write(serialize_spec(spec))
 
 
 def catalog_algebras():

@@ -61,6 +61,12 @@ def _operator(spec: SpecFile, name: str) -> LinearOperator:
     return obj
 
 
+def _flag(args: Dict, key: str, check: str) -> str:
+    if not args.get(key):
+        raise ParseError(f"check {check!r} needs --{key}")
+    return args[key]
+
+
 def _resolve_algebra(spec: SpecFile, op: LinearOperator, args: Dict) -> LeibnizAlgebra:
     if "algebra" in args:
         return spec.build(args["algebra"])
@@ -115,15 +121,15 @@ def run_check(spec: SpecFile, object_name: str, check: str, args: Optional[Dict]
         return check_rota_baxter(op, _resolve_algebra(spec, op, args))
     if check == "compatible":
         op = _operator(spec, object_name)
-        other = _operator(spec, args["other"])
+        other = _operator(spec, _flag(args, "other", check))
         return check_compatible(op, other, _resolve_rep(spec, op, args))
     if check == "nk-condition":
         N = _operator(spec, object_name)
-        K = _operator(spec, args["K"])
+        K = _operator(spec, _flag(args, "K", check))
         return check_nk_condition(N, K, _resolve_rep(spec, K, args))
     if check in ("nijenhuis-pair", "dual-nijenhuis-pair", "perfect-pair"):
         N = _operator(spec, object_name)
-        S = _operator(spec, args["S"])
+        S = _operator(spec, _flag(args, "S", check))
         rep = _resolve_rep(spec, None, args)
         pair = OperatorPair(N, S)
         fn = {
@@ -141,9 +147,10 @@ def run_check(spec: SpecFile, object_name: str, check: str, args: Optional[Dict]
         return check_kn_structure(obj, spec.rep_for(rep_name), consequences=consequences)
     if check in ("maurer-cartan", "maurer-cartan-strong"):
         op = _operator(spec, object_name)
-        ctx = spec.build(args["ctx"])
+        ctx_name = _flag(args, "ctx", check)
+        ctx = spec.build(ctx_name)
         if not isinstance(ctx, TwilledContext):
-            raise ParseError(f"{args['ctx']!r} is not a twilled context")
+            raise ParseError(f"{ctx_name!r} is not a twilled context")
         return check_maurer_cartan(ctx, op.matrix, strong=check.endswith("strong"))
     if check == "ybe":
         if not isinstance(obj, Tensor2):
@@ -152,11 +159,11 @@ def run_check(spec: SpecFile, object_name: str, check: str, args: Optional[Dict]
     if check == "rn-structure":
         if not isinstance(obj, Tensor2):
             raise ParseError(f"{object_name!r} is not a 2-tensor")
-        N = _operator(spec, args["N"])
+        N = _operator(spec, _flag(args, "N", check))
         return check_rn_structure(obj.algebra, obj, N, consequences=consequences)
     if check == "rbn-structure":
         R = _operator(spec, object_name)
-        N = _operator(spec, args["N"])
+        N = _operator(spec, _flag(args, "N", check))
         return check_rbn_structure(_resolve_algebra(spec, R, args), R, N)
     if check == "quadratic":
         if not isinstance(obj, BilinearForm):
@@ -165,12 +172,12 @@ def run_check(spec: SpecFile, object_name: str, check: str, args: Optional[Dict]
     if check == "bn-structure":
         if not isinstance(obj, BilinearForm):
             raise ParseError(f"{object_name!r} is not a form")
-        N = _operator(spec, args["N"])
+        N = _operator(spec, _flag(args, "N", check))
         return check_bn_structure(obj.algebra, obj, N, consequences=consequences)
     if check == "transfer":
         if not isinstance(obj, BilinearForm):
             raise ParseError(f"{object_name!r} is not a form")
-        R = _operator(spec, args["R"])
-        N = _operator(spec, args["N"])
+        R = _operator(spec, _flag(args, "R", check))
+        N = _operator(spec, _flag(args, "N", check))
         return rbn_rn_transfer(obj.algebra, obj, R, N)
     raise ParseError(f"unhandled check {check!r}")

@@ -18,13 +18,12 @@ from .algebras import (
     regular_representation,
     semidirect_sum,
 )
-from .catalog import catalog_names, load_catalog, load_entry
+from .catalog import catalog_names, load_catalog
 from .checks import CHECK_NAMES, run_check
 from .dgla import dual_kn_from_mc, mc_from_dual_kn, theta_twist
 from .errors import LeibnizKitError, ParseError
-from .fields import FieldSpec, prime_field
+from .fields import FieldSpec
 from .io import (
-    SCHEMA,
     SpecFile,
     algebra_doc,
     kn_doc,
@@ -38,7 +37,6 @@ from .io import (
 from .linalg import Matrix
 from .operators import (
     LinearOperator,
-    as_operator,
     deformed_bracket,
     lifted_algebra,
     subadjacent_algebra,
@@ -50,8 +48,6 @@ from .search import (
     SearchSpec,
     enumerate_bn_pairs,
     enumerate_operators,
-    mc_solutions_from_linear_layer,
-    solve_mc_linear_layer,
 )
 from .suites import SUITES, run_suites, suite_expected_verdicts
 from .twilled import TwilledContext
@@ -287,7 +283,10 @@ def cmd_search(args) -> int:
             return _fail_usage("no search target (need an algebra, rep or context)")
         if args.shape:
             rows, _, cols = args.shape.partition("x")
-            shape = (int(rows), int(cols))
+            try:
+                shape = (int(rows), int(cols))
+            except ValueError:
+                raise ParseError(f"--shape must look like 2x3, got {args.shape!r}") from None
         sspec = SearchSpec(fieldspec, shape, predicate, algebra=algebra, rep=rep,
                            ctx=ctx, budget=args.budget)
         if predicate == "bn_pair":
@@ -412,15 +411,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--shape")
     p_search.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_search.add_argument("--workers", type=int, default=1)
-    p_search.add_argument("--seed", type=int, default=0)
-    p_search.add_argument("--format", choices=("text", "json"), default="json")
     p_search.set_defaults(fn=cmd_search)
 
     p_suite = sub.add_parser("suite", help="run theorem suites over the bundled catalog")
     p_suite.add_argument("names", nargs="*")
     p_suite.add_argument("--all", action="store_true")
     p_suite.add_argument("--format", choices=("text", "json"), default="text")
-    p_suite.add_argument("--no-consequences", action="store_true")
     p_suite.set_defaults(fn=cmd_suite)
     return parser
 

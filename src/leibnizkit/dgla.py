@@ -18,7 +18,7 @@ with f of arity m+1, g of arity n+1.  The graded bracket is
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from typing import Sequence, Tuple
 
 from .algebras import LeibnizAlgebra, Representation, check_leibniz
@@ -32,7 +32,7 @@ from .errors import (
     SpaceMismatch,
 )
 from .fields import FieldSpec
-from .linalg import Matrix, is_invertible, mat_inverse, vec_add, vec_sub
+from .linalg import Matrix, is_invertible, mat_inverse, vec_add
 from .operators import (
     LinearOperator,
     as_operator,
@@ -237,8 +237,22 @@ def _circ_bar(phi1: Cochain, phi2: Cochain) -> Cochain:
     return Cochain(f, dim, out_arity, [tuple(norm(v) for v in row) for row in out])
 
 
+def bracket_square(phi: Cochain) -> Cochain:
+    """phi ob phi: the quadratic refinement of {phi, phi} for odd-degree phi,
+    which equals twice it in characteristic != 2."""
+    return _circ_bar(phi, phi)
+
+
 def balavoine_bracket(phi1: Cochain, phi2: Cochain) -> Cochain:
-    """{phi1, phi2} = phi1 ob phi2 - (-1)^{deg1 deg2} phi2 ob phi1."""
+    """{phi1, phi2} = phi1 ob phi2 - (-1)^{deg1 deg2} phi2 ob phi1.
+
+    For odd-degree phi the diagonal {phi, phi} = 2 (phi ob phi) vanishes
+    identically in characteristic 2, so there it is defined as the square
+    phi ob phi instead (the convention of a graded Lie algebra with a
+    quadratic refinement); {mu, mu} = 0 then still says mu is Leibniz."""
+    if phi1.degree % 2 and phi1 == phi2:
+        sq = bracket_square(phi1)
+        return sq if phi1.field.char == 2 else sq + sq
     a = _circ_bar(phi1, phi2)
     b = _circ_bar(phi2, phi1)
     if (phi1.degree * phi2.degree) % 2:

@@ -12,7 +12,6 @@ x -> form(x, .), i.e. the transpose of the form's matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 from .algebras import (
     LeibnizAlgebra,
@@ -30,7 +29,7 @@ from .errors import (
     NotSymmetric,
     ShapeMismatch,
 )
-from .linalg import Matrix, is_invertible, mat_inverse, vec_add
+from .linalg import Matrix, _flat, basis_vec, is_invertible, mat_inverse, vec_add
 from .operators import (
     LinearOperator,
     as_operator,
@@ -305,9 +304,9 @@ def check_quadratic(
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                lhs = sum_pairing(q, _basis(f, n, i), alg.bracket_basis(j, k))
+                lhs = sum_pairing(q, basis_vec(f, n, i), alg.bracket_basis(j, k))
                 sym = vec_add(f, alg.bracket_basis(i, k), alg.bracket_basis(k, i))
-                rhs = sum_pairing(q, sym, _basis(f, n, j))
+                rhs = sum_pairing(q, sym, basis_vec(f, n, j))
                 if lhs != rhs:
                     violations.append(
                         Violation("quadratic-invariance", (i, j, k), (lhs,), (rhs,))
@@ -437,11 +436,11 @@ def _closedness_violations(alg: LeibnizAlgebra, bmat: Matrix, name: str):
         return f.normalize(acc)
 
     for i in range(n):
-        ei = _basis(f, n, i)
+        ei = basis_vec(f, n, i)
         for j in range(n):
-            ej = _basis(f, n, j)
+            ej = basis_vec(f, n, j)
             for k in range(n):
-                ek = _basis(f, n, k)
+                ek = basis_vec(f, n, k)
                 lhs = pair(ek, alg.bracket_basis(i, j))
                 rhs = f.add(
                     f.sub(pair(ei, alg.bracket_basis(j, k)), pair(ej, alg.bracket_basis(i, k))),
@@ -450,11 +449,3 @@ def _closedness_violations(alg: LeibnizAlgebra, bmat: Matrix, name: str):
                 if lhs != rhs:
                     out.append(Violation(name, (i, j, k), (lhs,), (rhs,)))
     return out
-
-
-def _basis(f, n, i):
-    return tuple(f.one() if t == i else f.zero() for t in range(n))
-
-
-def _flat(m: Matrix) -> Tuple:
-    return tuple(v for row in m.entries for v in row)

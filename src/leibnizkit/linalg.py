@@ -151,6 +151,10 @@ class Matrix:
         return mat_mul(self, other) - mat_mul(other, self)
 
 
+def _flat(m: Matrix) -> Tuple:
+    return tuple(v for row in m.entries for v in row)
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     f = a._join(b)
     if a.cols != b.rows:

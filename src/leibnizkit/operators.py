@@ -10,15 +10,12 @@ is [K(u), K(v)] = K(rhoL(Ku) v + rhoR(Kv) u) on all basis pairs.  Rota-Baxter
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .algebras import (
     LeibnizAlgebra,
     Representation,
-    check_leibniz,
     check_matched_pair,
-    check_representation,
-    regular_representation,
 )
 from .errors import (
     NotCompatible,
@@ -28,7 +25,7 @@ from .errors import (
     Singular,
 )
 from .fields import FieldSpec
-from .linalg import Matrix, Vector, is_invertible, mat_inverse, vec_add, vec_sub
+from .linalg import Matrix, Vector, is_invertible, mat_inverse, vec_add
 from .reports import CheckReport, Violation
 
 

@@ -7,19 +7,17 @@ pair through NK = KS and the agreement of the two deformed module brackets).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Optional, Sequence, Tuple
+from typing import Literal, Sequence, Tuple
 
 from .algebras import (
     LeibnizAlgebra,
     Representation,
     check_leibniz,
-    check_matched_pair,
     check_representation,
     dual_representation,
     semidirect_sum,
 )
 from .errors import (
-    LeibnizKitError,
     NeitherPairKind,
     NotCompatible,
     NotDualKN,
@@ -29,7 +27,7 @@ from .errors import (
     ShapeMismatch,
     Singular,
 )
-from .linalg import Matrix, is_invertible, mat_inverse, vec_add
+from .linalg import Matrix, _flat, is_invertible, mat_inverse
 from .operators import (
     LinearOperator,
     as_operator,
@@ -61,10 +59,6 @@ class OperatorPair:
 
 def make_pair(N, S) -> OperatorPair:
     return OperatorPair(as_operator(N), as_operator(S))
-
-
-def _flat(m: Matrix) -> Tuple:
-    return tuple(v for row in m.entries for v in row)
 
 
 def _require_shapes(pair: OperatorPair, rep: Representation):

@@ -17,12 +17,10 @@ from .algebras import (
     LeibnizAlgebra,
     Representation,
     check_leibniz,
-    check_representation,
-    regular_representation,
 )
 from .dgla import check_maurer_cartan
 from .errors import BudgetExceeded, NotFound, ShapeMismatch, UnknownIdentity
-from .fields import FieldSpec, RATIONALS
+from .fields import FieldSpec
 from .forms import BilinearForm, check_bn_structure
 from .linalg import Matrix, LinearSolution, solve_linear, vec_add
 from .operators import (

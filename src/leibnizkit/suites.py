@@ -16,8 +16,6 @@ from .algebras import (
     check_leibniz,
     check_matched_pair,
     check_representation,
-    dual_representation,
-    regular_representation,
 )
 from .checks import run_check
 from .dgla import (
@@ -44,7 +42,6 @@ from .operators import (
 )
 from .pairs import (
     KNStructure,
-    OperatorPair,
     check_dual_nijenhuis_pair,
     check_kn_structure,
     check_nijenhuis_pair,

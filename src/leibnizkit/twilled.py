@@ -9,7 +9,7 @@ is the action of g1 on g2's space, ``rho2`` the action of g2 on g1's space
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from .algebras import LeibnizAlgebra, Representation, check_representation
 from .errors import NotLeibniz, NotRepresentation, ShapeMismatch
@@ -132,7 +132,3 @@ class TwilledContext:
 
     def __repr__(self):
         return f"TwilledContext(n1={self.n1}, n2={self.n2}, field={self.field})"
-
-
-def twilled_from_sum(total: LeibnizAlgebra, n1: int) -> TwilledContext:
-    return TwilledContext(total, n1, total.dim - n1)

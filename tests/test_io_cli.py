@@ -5,9 +5,18 @@ from pathlib import Path
 
 import pytest
 
-from leibnizkit.catalog import build_catalog, catalog_names, load_catalog
+from leibnizkit.algebras import (
+    Representation,
+    check_matched_pair,
+    dual_representation,
+    regular_representation,
+    semidirect_sum,
+)
+from leibnizkit.catalog import catalog_names, load_catalog
 from leibnizkit.errors import ParseError
 from leibnizkit.io import load_spec, parse_spec, serialize_spec
+from leibnizkit.operators import lifted_algebra
+from leibnizkit.pairs import dual_kn_from_compatible
 
 CATALOG_DIR = Path(__file__).resolve().parent.parent / "src" / "leibnizkit" / "catalog"
 
@@ -19,12 +28,27 @@ def run_cli(*args, **kw):
     )
 
 
-def test_packaged_catalog_matches_builders():
-    """The shipped JSON is exactly the canonical serialization of the
-    programmatic constructions (golden files)."""
-    for name, spec in build_catalog().items():
-        on_disk = (CATALOG_DIR / f"{name}.json").read_text("utf-8")
-        assert serialize_spec(spec) == on_disk, name
+def test_catalog_derived_objects_match_constructions():
+    """Golden check: each derived catalog object equals what the library
+    constructs from the same entry's base objects."""
+    cat = load_catalog()
+    l2 = cat["l2"].spec
+    alg, regular, dual = l2.build("alg"), l2.rep_for("regular"), l2.rep_for("dual")
+
+    def same_rep(a, b):
+        return a.algebra == b.algebra and a.rhoL == b.rhoL and a.rhoR == b.rhoR
+
+    assert same_rep(regular, regular_representation(alg))
+    assert same_rep(dual, dual_representation(regular))
+    Bsharp, NBsharp = l2.build("Bsharp"), l2.build("NBsharp")
+    assert NBsharp.matrix == l2.build("NpIqE").matrix * Bsharp.matrix
+    kn, packaged = dual_kn_from_compatible(Bsharp, NBsharp, dual)[0], l2.build("kn_dual")
+    assert (kn.K.matrix, kn.N, kn.S) == (packaged.K.matrix, packaged.N, packaged.S)
+    assert l2.build("lift") == lifted_algebra(l2.build("R"), regular)
+    assert cat["sum4"].spec.build("alg") == semidirect_sum(regular)
+    assert cat["quad4"].spec.build("alg") == semidirect_sum(dual)
+    zero = Representation.zero(alg, 2)
+    assert cat["prod4"].spec.build("alg") == check_matched_pair(alg, alg, zero, zero)[1]
 
 
 @pytest.mark.parametrize("name", catalog_names())
@@ -93,6 +117,22 @@ def test_cli_usage_errors(tmp_path):
     assert unknown_check.returncode == 2
     unknown_obj = run_cli("check", str(CATALOG_DIR / "l2.json"), "nope", "leibniz")
     assert unknown_obj.returncode == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "l2.json", "R", "compatible"),
+    ("check", "l2.json", "N23", "nk-condition"),
+    ("check", "l2.json", "N23", "nijenhuis-pair"),
+    ("check", "l2.json", "theta0", "maurer-cartan"),
+    ("check", "l2.json", "R", "rbn-structure"),
+    ("check", "l2.json", "B", "transfer"),
+    ("search", "l2.json", "--predicate", "nijenhuis", "--field", "F2", "--shape", "2x"),
+])
+def test_cli_missing_or_malformed_flag_is_usage_error(argv):
+    command, file, *rest = argv
+    out = run_cli(command, str(CATALOG_DIR / file), *rest)
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
 
 
 def test_cli_check_json_format():

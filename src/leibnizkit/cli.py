@@ -285,6 +285,8 @@ def cmd_search(args) -> int:
             rows, _, cols = args.shape.partition("x")
             try:
                 shape = (int(rows), int(cols))
+                if min(shape) < 0:
+                    raise ValueError
             except ValueError:
                 raise ParseError(f"--shape must look like 2x3, got {args.shape!r}") from None
         sspec = SearchSpec(fieldspec, shape, predicate, algebra=algebra, rep=rep,
@@ -410,7 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--ctx")
     p_search.add_argument("--shape")
     p_search.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p_search.add_argument("--workers", type=int, default=1)
+    p_search.add_argument("--workers", type=int, default=1,
+                          help="accepted for compatibility; the scan runs in one thread "
+                               "and its results are the same for every value")
     p_search.set_defaults(fn=cmd_search)
 
     p_suite = sub.add_parser("suite", help="run theorem suites over the bundled catalog")

@@ -97,6 +97,10 @@ class BudgetExceeded(LeibnizKitError):
     pass
 
 
+class SearchMismatch(LeibnizKitError):
+    """A compiled search kernel and the general check disagree on a candidate."""
+
+
 class NotFound(LeibnizKitError):
     pass
 

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leibnizkit.algebras import (
     Representation,
@@ -215,3 +219,42 @@ def test_cli_suite_json():
     payload = json.loads(out.stdout)
     assert payload["ok"] is True
     assert payload["suites"]["kn-consequences"]["failed"] == 0
+
+
+@pytest.mark.parametrize("extra, code, message", [
+    (("--predicate", "bn-pair"), 1,
+     "search failed: ShapeMismatch: exhaustive enumeration needs a prime field\n"),
+    (("--predicate", "nijenhuis", "--field", "F3", "--shape", "2x-1"), 2,
+     "error: --shape must look like 2x3, got '2x-1'\n"),
+    (("--predicate", "nijenhuis", "--field", "F3", "--shape", "99x99"), 1,
+     "search failed: BudgetExceeded: 3^9801 candidates exceed budget 1000000\n"),
+])
+def test_cli_search_bad_space_is_one_line(extra, code, message):
+    """A rational bn-pair search, a negative shape and a space too large to
+    print each end in one line on stderr, not a traceback."""
+    out = run_cli("search", str(CATALOG_DIR / "l2.json"), *extra)
+    assert (out.returncode, out.stdout, out.stderr) == (code, "", message)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    predicate=st.sampled_from(["kupershmidt", "nijenhuis", "rota-baxter", "mc-strong",
+                               "bn-pair"]),
+    target=st.sampled_from([(), ("--rep", "regular"), ("--rep", "dual"),
+                            ("--ctx", "tw_lift"), ("--rep", "nosuch")]),
+    field=st.sampled_from(["Q", "F2", "F3", "F4", "junk"]),
+    shape=st.sampled_from([None, "2x2", "1x2", "0x0", "2x", "x3", "2x3x4", "abc", "",
+                           "-1x2", "2x-1", "99x99", "99999999999x99999999999"]),
+    budget=st.integers(-5, 300),
+    workers=st.integers(-3, 10 ** 6),
+)
+def test_cli_search_fuzz_never_raises(predicate, target, field, shape, budget, workers):
+    """Any search argv ends with an exit code of 0, 1 or 2, never an exception."""
+    from leibnizkit import cli
+
+    argv = ["search", str(CATALOG_DIR / "l2.json"), "--predicate", predicate, *target,
+            "--field", field, "--budget", str(budget), "--workers", str(workers)]
+    if shape is not None:
+        argv += ["--shape", shape]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) in (0, 1, 2)

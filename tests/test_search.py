@@ -1,4 +1,9 @@
+from itertools import product
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leibnizkit import (
     LeibnizAlgebra,
@@ -7,11 +12,13 @@ from leibnizkit import (
     SearchSpec,
     as_operator,
     check_bn_structure,
+    check_kupershmidt,
     check_leibniz,
     check_maurer_cartan,
     check_nijenhuis,
     check_quadratic,
     check_rota_baxter,
+    dual_representation,
     enumerate_bn_pairs,
     enumerate_operators,
     lifted_algebra,
@@ -23,8 +30,14 @@ from leibnizkit import (
 )
 from leibnizkit.errors import BudgetExceeded, NotFound
 from leibnizkit.forms import BilinearForm
-from leibnizkit.oracles import eval_nijenhuis, eval_rota_baxter
-from leibnizkit.search import closed_symmetric_forms, invariant_skew_forms
+from leibnizkit.oracles import (
+    eval_bn_structure,
+    eval_kupershmidt,
+    eval_maurer_cartan,
+    eval_nijenhuis,
+    eval_rota_baxter,
+)
+from leibnizkit.search import _predicate_fn, closed_symmetric_forms, invariant_skew_forms
 from leibnizkit.twilled import TwilledContext
 from leibnizkit.linalg import is_invertible
 
@@ -32,6 +45,7 @@ from conftest import rb_matrix
 
 F2 = prime_field(2)
 F3 = prime_field(3)
+CATALOG_DIR = Path(__file__).resolve().parent.parent / "src" / "leibnizkit" / "catalog"
 
 
 @pytest.fixture(scope="module")
@@ -195,3 +209,93 @@ def test_invariant_form_solvers(l2):
     for b in closed:
         assert b[0, 0] == 0
         assert b == b.transpose()
+
+
+def test_workers_start_no_thread(monkeypatch, l2_f2, capsys):
+    """Any worker count gives the one-thread result, and no thread starts."""
+    import threading
+
+    from leibnizkit import cli
+
+    spec = SearchSpec(F2, (2, 2), "nijenhuis", algebra=l2_f2)
+    argv = ["search", str(CATALOG_DIR / "l2.json"), "--predicate", "nijenhuis",
+            "--field", "F2", "--workers"]
+    base = enumerate_operators(spec, workers=1)
+    assert cli.main(argv + ["1"]) == 0
+    base_out = capsys.readouterr().out
+
+    def refuse(self):
+        raise AssertionError("search started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert enumerate_operators(spec, workers=10 ** 6) == base
+    assert cli.main(argv + ["1000000"]) == 0
+    assert capsys.readouterr().out == base_out
+
+
+def _space(f, rows, cols):
+    """Every candidate as (flat entries, matrix), in lexicographic order."""
+    return [(flat, Matrix(f, [flat[r * cols:(r + 1) * cols] for r in range(rows)]))
+            for flat in product(range(f.p), repeat=rows * cols)]
+
+
+def _agreed_hits(spec, check, oracle):
+    space = _space(spec.field, *spec.shape)
+    holds = _predicate_fn(spec)
+    compiled = [m for flat, m in space if holds(flat)]
+    assert compiled == [m for _, m in space if check(m).ok], spec.predicate
+    assert compiled == [m for _, m in space if oracle(m).ok], spec.predicate
+    assert enumerate_operators(spec) == compiled, spec.predicate
+    return compiled
+
+
+def _oracle_form_ok(b):
+    """Symmetric and nondegenerate, by direct formulas (dim <= 2)."""
+    e, p = b.entries, b.field.p
+    det = e[0][0] if len(e) == 1 else e[0][0] * e[1][1] - e[0][1] * e[1][0]
+    return all(e[i][j] == e[j][i] for i in range(len(e)) for j in range(len(e))) and det % p
+
+
+@settings(max_examples=10, deadline=None)
+@given(p=st.sampled_from((2, 3)), n=st.integers(1, 2), seed=st.integers(0, 10 ** 6))
+def test_compiled_kernels_match_checks_and_oracles(p, n, seed):
+    """Over every candidate, the compiled kernel, the check_* report and the
+    independent oracle accept the same matrices, in the same order."""
+    f = prime_field(p)
+    alg = random_instance("leibniz", n, f, seed)
+    regular = regular_representation(alg)
+    dual = dual_representation(regular)
+    _agreed_hits(SearchSpec(f, (n, n), "nijenhuis", algebra=alg),
+                 lambda m: check_nijenhuis(as_operator(m), alg),
+                 lambda m: eval_nijenhuis(m, alg))
+    _agreed_hits(SearchSpec(f, (n, n), "rota_baxter", algebra=alg),
+                 lambda m: check_rota_baxter(as_operator(m), alg),
+                 lambda m: eval_rota_baxter(m, alg))
+    _agreed_hits(SearchSpec(f, (n, n), "kupershmidt", rep=dual),
+                 lambda m: check_kupershmidt(as_operator(m), dual),
+                 lambda m: eval_kupershmidt(m, dual))
+    kupershmidt = _agreed_hits(SearchSpec(f, (n, n), "kupershmidt", rep=regular),
+                               lambda m: check_kupershmidt(as_operator(m), regular),
+                               lambda m: eval_kupershmidt(m, regular))
+    ctx = TwilledContext(lifted_algebra(as_operator(kupershmidt[-1]), regular), n, n)
+    _agreed_hits(SearchSpec(f, (n, n), "mc_strong", ctx=ctx),
+                 lambda m: check_maurer_cartan(ctx, m, strong=True),
+                 lambda m: eval_maurer_cartan(ctx, m, strong=True))
+
+    # bn_pair: the form-only and operator-only verdicts are computed once,
+    # the coupling once per (form, operator) candidate.
+    space = [m for _, m in _space(f, n, n)]
+    forms = [b for b in space if b == b.transpose() and is_invertible(b)]
+    assert forms == [b for b in space if _oracle_form_ok(b)]
+    nijenhuis = [m for m in space if check_nijenhuis(as_operator(m), alg).ok]
+    assert nijenhuis == [m for m in space if eval_nijenhuis(m, alg).ok]
+    checked, oracled = [], []
+    for b in forms:
+        form = BilinearForm(alg, b, "symmetric")
+        for m in nijenhuis:
+            if check_bn_structure(alg, form, as_operator(m), consequences=False).ok:
+                checked.append((b, m))
+            if eval_bn_structure(alg, form, m).ok:
+                oracled.append((b, m))
+    assert enumerate_bn_pairs(SearchSpec(f, (n, n), "bn_pair", algebra=alg)) == checked
+    assert checked == oracled

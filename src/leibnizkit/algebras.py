@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Tuple
 
 from .errors import FieldMismatch, NotLeibniz, NotRepresentation, ShapeMismatch
 from .fields import FieldSpec
-from .linalg import Matrix, Vector, _flat, vec_zero
+from .linalg import Matrix, Vector, _flat, lin_comb, vec_zero
 from .reports import CheckReport, Violation
 
 
@@ -79,11 +79,11 @@ class LeibnizAlgebra:
 
     def left_mult(self, i: int) -> Matrix:
         """Matrix of x -> [e_i, x]."""
-        return Matrix.from_cols(self.field, [self.c[i][j] for j in range(self.dim)])
+        return Matrix._trusted(self.field, tuple(zip(*self.c[i])))
 
     def right_mult(self, j: int) -> Matrix:
         """Matrix of x -> [x, e_j]."""
-        return Matrix.from_cols(self.field, [self.c[i][j] for i in range(self.dim)])
+        return Matrix._trusted(self.field, tuple(zip(*(row[j] for row in self.c))))
 
     @property
     def is_leibniz(self) -> bool:
@@ -181,20 +181,10 @@ class Representation:
 
     def actL(self, x: Sequence) -> Matrix:
         """Action matrix of the algebra vector x from the left."""
-        f = self.algebra.field
-        acc = Matrix.zeros(f, self.mdim, self.mdim)
-        for i, xi in enumerate(x):
-            if not f.is_zero(xi):
-                acc = acc + self.rhoL[i].scale(xi)
-        return acc
+        return lin_comb(self.algebra.field, x, self.rhoL, self.mdim, self.mdim)
 
     def actR(self, x: Sequence) -> Matrix:
-        f = self.algebra.field
-        acc = Matrix.zeros(f, self.mdim, self.mdim)
-        for i, xi in enumerate(x):
-            if not f.is_zero(xi):
-                acc = acc + self.rhoR[i].scale(xi)
-        return acc
+        return lin_comb(self.algebra.field, x, self.rhoR, self.mdim, self.mdim)
 
     @property
     def is_representation(self) -> bool:

@@ -39,6 +39,7 @@ from .operators import (
     check_compatible,
     check_kupershmidt,
     deformed_bracket,
+    induced_action,
     induced_representation,
     module_bracket_tensor,
     subadjacent_algebra,
@@ -355,20 +356,7 @@ def theta_twist(
     g_theta = LeibnizAlgebra(f, twisted)
     g_theta.require_leibniz()
 
-    rhoTL, rhoTR = [], []
-    for i in range(n):
-        ti = theta.col(i)
-        MR = Matrix.from_cols(f, [vr.rhoR[t].col(i) for t in range(m)])
-        ML = Matrix.from_cols(f, [vr.rhoL[t].col(i) for t in range(m)])
-        left = Matrix.from_cols(
-            f, [subalg.bracket(ti, [1 if s == t else 0 for s in range(m)]) for t in range(m)]
-        )
-        right = Matrix.from_cols(
-            f, [subalg.bracket([1 if s == t else 0 for s in range(m)], ti) for t in range(m)]
-        )
-        rhoTL.append(left - theta * MR)
-        rhoTR.append(right - theta * ML)
-    rho_theta = Representation(g_theta, rhoTL, rhoTR)
+    rho_theta = Representation(g_theta, *induced_action(theta, vr))
     rho_theta.require_representation()
 
     report, total = check_matched_pair(subalg, g_theta, vr, rho_theta)

@@ -10,6 +10,12 @@ Raw values are what the rest of the package computes with:
 ``Scalar`` is the tagged wrapper used at API boundaries and in serialized
 files; internal kernels (matrices, tensors) hold raw values plus one shared
 ``FieldSpec``.
+
+Invariant: every value a kernel stores is normalized, i.e. is what
+``FieldSpec.normalize`` returns for it.  ``normalize`` is the one coercion
+from outside values (an F_p ``Fraction`` maps through the inverse of its
+denominator); the raw arithmetic below expects normalized operands.  Moduli
+are bounded by ``MAX_MODULUS`` so that primality is decided exactly and fast.
 """
 
 from __future__ import annotations
@@ -23,17 +29,20 @@ from .errors import DivisionByZero, FieldMismatch, ParseError
 RawScalar = Union[int, Fraction]
 
 
+# Miller-Rabin with the prime bases 2..41 is deterministic below this bound
+# (Sorenson and Webster, 2015); larger moduli are refused, not guessed at.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_MODULUS = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    if p < 2 or any(p % a == 0 for a in _MR_BASES):
+        return p in _MR_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2**s with d odd
+    d = (p - 1) >> s
+    # p is a strong probable prime to base a iff a^d = 1 or a^(d 2^r) = -1 for some r < s
+    return all(pow(a, d, p) == 1 or any(pow(a, d << r, p) == p - 1 for r in range(s))
+               for a in _MR_BASES)
 
 
 @dataclass(frozen=True)
@@ -43,6 +52,8 @@ class FieldSpec:
     p: Optional[int] = None
 
     def __post_init__(self):
+        if self.p is not None and self.p >= MAX_MODULUS:
+            raise ValueError(f"modulus {self.p} is too large (limit {MAX_MODULUS})")
         if self.p is not None and not _is_prime(self.p):
             raise ValueError(f"modulus must be prime, got {self.p}")
 
@@ -60,8 +71,15 @@ class FieldSpec:
     # -- raw value arithmetic -------------------------------------------
 
     def normalize(self, v: RawScalar) -> RawScalar:
-        if self.p is not None:
-            return int(v) % self.p
+        p = self.p
+        if type(v) is int:
+            return v if p is None else v % p
+        if p is not None:
+            if isinstance(v, Fraction):
+                if v.denominator % p == 0:
+                    raise DivisionByZero(f"denominator of {v} vanishes mod {p}")
+                return v.numerator * pow(v.denominator, -1, p) % p
+            return int(v) % p
         if isinstance(v, Fraction):
             return v.numerator if v.denominator == 1 else v
         return v
@@ -70,13 +88,9 @@ class FieldSpec:
         """Coerce an int/Fraction/string into a raw field value."""
         if isinstance(v, str):
             return self.parse(v)
-        if self.p is not None:
-            if isinstance(v, Fraction):
-                if v.denominator % self.p == 0:
-                    raise DivisionByZero(f"denominator of {v} vanishes mod {self.p}")
-                return v.numerator * pow(v.denominator, self.p - 2, self.p) % self.p
-            return int(v) % self.p
-        return self.normalize(Fraction(v) if not isinstance(v, int) else v)
+        if self.p is None and not isinstance(v, int):
+            v = Fraction(v)
+        return self.normalize(v)
 
     def zero(self) -> RawScalar:
         return 0
@@ -100,18 +114,18 @@ class FieldSpec:
         if self.is_zero(a):
             raise DivisionByZero("inverse of zero")
         if self.p is not None:
-            return pow(int(a) % self.p, self.p - 2, self.p)
+            return pow(self.normalize(a), self.p - 2, self.p)
         return self.normalize(Fraction(1) / Fraction(a))
 
     def div(self, a: RawScalar, b: RawScalar) -> RawScalar:
         if self.is_zero(b):
             raise DivisionByZero("division by zero")
         if self.p is not None:
-            return a * pow(int(b) % self.p, self.p - 2, self.p) % self.p
+            return a * pow(self.normalize(b), self.p - 2, self.p) % self.p
         return self.normalize(Fraction(a) / Fraction(b))
 
     def is_zero(self, a: RawScalar) -> bool:
-        return (int(a) % self.p == 0) if self.p is not None else a == 0
+        return a == 0 if self.p is None else self.normalize(a) == 0
 
     def eq(self, a: RawScalar, b: RawScalar) -> bool:
         return self.normalize(a) == self.normalize(b)

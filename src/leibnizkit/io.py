@@ -31,7 +31,7 @@ KINDS = ("algebra", "representation", "operator", "cochain", "tensor2", "form",
 def parse_field(tag: str) -> FieldSpec:
     if tag == "Q":
         return RATIONALS
-    if tag.startswith("F"):
+    if isinstance(tag, str) and tag.startswith("F"):
         try:
             return prime_field(int(tag[1:]))
         except ValueError as exc:
@@ -114,6 +114,8 @@ class SpecFile:
                 flat: List = []
 
                 def walk(node, depth):
+                    if not isinstance(node, list):
+                        raise ParseError(f"{name}: coefficients must nest {arity} lists deep")
                     if depth == arity:
                         flat.append(tuple(f.parse(str(v)) for v in node))
                         return
@@ -148,6 +150,8 @@ class SpecFile:
             raise
         except KeyError as exc:
             raise ParseError(f"{name}: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{name}: {exc}") from None
         self._cache[name] = built
         return built
 
@@ -172,7 +176,9 @@ def parse_spec(text: str) -> SpecFile:
     if not isinstance(objects, dict):
         raise ParseError("'objects' must be a name -> object map")
     for name, obj in objects.items():
-        if not isinstance(obj, dict) or obj.get("type") not in KINDS:
+        if not isinstance(obj, dict):
+            raise ParseError(f"object {name!r} must be a JSON object")
+        if obj.get("type") not in KINDS:
             raise ParseError(f"object {name!r} has unknown type {obj.get('type')!r}")
     return SpecFile(fieldspec, objects, doc.get("expected", []))
 

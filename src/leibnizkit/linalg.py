@@ -4,10 +4,17 @@ Dimensions stay small (<= ~8 throughout), so everything is dense row-major.
 Elimination is Bareiss-style (fraction-free cross-multiplication with exact
 division by the previous pivot), which keeps intermediate entries bounded by
 minors of the input.
+
+Invariant: a ``Matrix`` holds normalized raw values only (see ``fields``).
+The public constructor ``Matrix(field, entries)`` normalizes every entry.
+``Matrix._trusted`` skips that and is reserved for producers inside the
+package whose values are already normalized: each result entry is computed
+from normalized entries and normalized once, and nothing else is stored.
 """
 
 from __future__ import annotations
 
+from operator import add, mul, sub
 from typing import Optional, Sequence, Tuple
 
 from .errors import FieldMismatch, ShapeMismatch, Singular
@@ -20,20 +27,8 @@ def vec_add(f: FieldSpec, a: Sequence, b: Sequence) -> Vector:
     return tuple(f.add(x, y) for x, y in zip(a, b))
 
 
-def vec_sub(f: FieldSpec, a: Sequence, b: Sequence) -> Vector:
-    return tuple(f.sub(x, y) for x, y in zip(a, b))
-
-
-def vec_scale(f: FieldSpec, s: RawScalar, a: Sequence) -> Vector:
-    return tuple(f.mul(s, x) for x in a)
-
-
 def vec_zero(f: FieldSpec, n: int) -> Vector:
     return (f.zero(),) * n
-
-
-def vec_is_zero(f: FieldSpec, a: Sequence) -> bool:
-    return all(f.is_zero(x) for x in a)
 
 
 def basis_vec(f: FieldSpec, n: int, i: int) -> Vector:
@@ -46,7 +41,8 @@ class Matrix:
     __slots__ = ("field", "rows", "cols", "entries")
 
     def __init__(self, field: FieldSpec, entries: Sequence[Sequence]):
-        rows = tuple(tuple(field.normalize(v) for v in row) for row in entries)
+        norm = field.normalize
+        rows = tuple(tuple(map(norm, row)) for row in entries)
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ShapeMismatch("ragged rows")
         self.field = field
@@ -54,17 +50,27 @@ class Matrix:
         self.cols = len(rows[0]) if rows else 0
         self.entries = rows
 
+    @classmethod
+    def _trusted(cls, field: FieldSpec, rows: Tuple[Vector, ...]) -> "Matrix":
+        """Wrap a tuple of equal-length tuples of normalized values as is."""
+        m = object.__new__(cls)
+        m.field = field
+        m.rows = len(rows)
+        m.cols = len(rows[0]) if rows else 0
+        m.entries = rows
+        return m
+
     # -- constructors ----------------------------------------------------
 
     @staticmethod
     def zeros(field: FieldSpec, rows: int, cols: int) -> "Matrix":
-        z = field.zero()
-        return Matrix(field, [[z] * cols for _ in range(rows)])
+        return Matrix._trusted(field, ((field.zero(),) * cols,) * rows)
 
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "Matrix":
         o, z = field.one(), field.zero()
-        return Matrix(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return Matrix._trusted(field, tuple(tuple(o if i == j else z for j in range(n))
+                                            for i in range(n)))
 
     @staticmethod
     def from_cols(field: FieldSpec, cols: Sequence[Sequence]) -> "Matrix":
@@ -101,41 +107,37 @@ class Matrix:
         f = self._join(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch(f"{self.rows}x{self.cols} + {other.rows}x{other.cols}")
-        return Matrix(f, [vec_add(f, a, b) for a, b in zip(self.entries, other.entries)])
+        norm = f.normalize
+        return Matrix._trusted(f, tuple(tuple(map(norm, map(add, a, b)))
+                                        for a, b in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         f = self._join(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch(f"{self.rows}x{self.cols} - {other.rows}x{other.cols}")
-        return Matrix(f, [vec_sub(f, a, b) for a, b in zip(self.entries, other.entries)])
+        norm = f.normalize
+        return Matrix._trusted(f, tuple(tuple(map(norm, map(sub, a, b)))
+                                        for a, b in zip(self.entries, other.entries)))
 
     def __neg__(self) -> "Matrix":
         f = self.field
-        return Matrix(f, [tuple(f.neg(v) for v in row) for row in self.entries])
+        return Matrix._trusted(f, tuple(tuple(map(f.neg, row)) for row in self.entries))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         return mat_mul(self, other)
 
     def scale(self, s) -> "Matrix":
-        f = self.field
-        s = f.of(s)
-        return Matrix(f, [vec_scale(f, s, row) for row in self.entries])
+        return lin_comb(self.field, (self.field.of(s),), (self,), self.rows, self.cols)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, list(zip(*self.entries)) if self.entries else [])
+        return Matrix._trusted(self.field, tuple(zip(*self.entries)))
 
     def apply(self, vec: Sequence) -> Vector:
         """Matrix times coordinate column, returned as a tuple."""
         if len(vec) != self.cols:
             raise ShapeMismatch(f"{self.rows}x{self.cols} applied to length-{len(vec)} vector")
-        f = self.field
-        out = []
-        for row in self.entries:
-            acc = 0
-            for a, x in zip(row, vec):
-                acc += a * x
-            out.append(f.normalize(acc))
-        return tuple(out)
+        norm = self.field.normalize
+        return tuple(norm(sum(map(mul, row, vec))) for row in self.entries)
 
     def col(self, j: int) -> Vector:
         return tuple(row[j] for row in self.entries)
@@ -143,9 +145,6 @@ class Matrix:
     def is_zero(self) -> bool:
         f = self.field
         return all(f.is_zero(v) for row in self.entries for v in row)
-
-    def is_identity(self) -> bool:
-        return self.rows == self.cols and self == Matrix.identity(self.field, self.rows)
 
     def commutator(self, other: "Matrix") -> "Matrix":
         return mat_mul(self, other) - mat_mul(other, self)
@@ -159,17 +158,28 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     f = a._join(b)
     if a.cols != b.rows:
         raise ShapeMismatch(f"{a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    bt = b.transpose().entries
-    out = []
-    for row in a.entries:
-        out_row = []
-        for col in bt:
-            acc = 0
-            for x, y in zip(row, col):
-                acc += x * y
-            out_row.append(f.normalize(acc))
-        out.append(out_row)
-    return Matrix(f, out)
+    norm = f.normalize
+    bcols = tuple(zip(*b.entries))
+    return Matrix._trusted(f, tuple(tuple(norm(sum(map(mul, row, col))) for col in bcols)
+                                    for row in a.entries))
+
+
+def lin_comb(f: FieldSpec, coeffs: Sequence, mats: Sequence[Matrix], rows: int,
+             cols: int) -> Matrix:
+    """The rows x cols matrix sum of coeffs[i] * mats[i], normalized once per entry."""
+    if len(coeffs) != len(mats):
+        raise ShapeMismatch(f"{len(coeffs)} coefficients for {len(mats)} matrices")
+    norm = f.normalize
+    xs, terms = [], []
+    for x, m in zip(coeffs, mats):
+        x = norm(x)
+        if x != 0:
+            xs.append(x)
+            terms.append(m.entries)
+    if not xs:
+        return Matrix.zeros(f, rows, cols)
+    return Matrix._trusted(f, tuple(tuple(norm(sum(map(mul, xs, entry))) for entry in zip(*row))
+                                    for row in zip(*terms)))
 
 
 def transpose_dual(m: Matrix) -> Matrix:
@@ -234,42 +244,33 @@ def solve_linear(a: Matrix, rhs: Sequence) -> LinearSolution:
     f = a.field
     n = a.cols
     aug = [list(row) + [f.normalize(v)] for row, v in zip(a.entries, rhs)]
-    if a.rows == 0:
-        aug = []
-    m, pivots = _forward_eliminate(f, aug) if aug else ([], [])
+    m, pivots = _forward_eliminate(f, aug)
     pivot_cols = [c for (_, c) in pivots if c < n]
     # a pivot landing in the rhs column means an inconsistent row
     if any(c == n for (_, c) in pivots):
         return LinearSolution(None, ())
     free_cols = [c for c in range(n) if c not in pivot_cols]
-
-    def back_substitute(rhs_col: int, fixed: dict) -> Vector:
-        x = [f.zero()] * n
-        for c, v in fixed.items():
-            x[c] = v
-        for (r, c) in reversed(pivots):
-            acc = m[r][rhs_col] if rhs_col >= 0 else f.zero()
-            row = m[r]
-            for j in range(c + 1, n):
-                if not f.is_zero(row[j]):
-                    acc = f.sub(acc, f.mul(row[j], x[j]))
-            x[c] = f.div(acc, row[c])
-        return tuple(x)
-
-    particular = back_substitute(n, {c: f.zero() for c in free_cols})
+    particular = _back_substitute(f, m, pivots, n, n, [f.zero()] * n)
     nullspace = []
     for free in free_cols:
         xh = [f.zero()] * n
         xh[free] = f.one()
-        for (r, c) in reversed(pivots):
-            acc = f.zero()
-            row = m[r]
-            for j in range(c + 1, n):
-                if not f.is_zero(row[j]):
-                    acc = f.sub(acc, f.mul(row[j], xh[j]))
-            xh[c] = f.div(acc, row[c])
-        nullspace.append(tuple(xh))
+        nullspace.append(_back_substitute(f, m, pivots, n, None, xh))
     return LinearSolution(particular, tuple(nullspace))
+
+
+def _back_substitute(f: FieldSpec, m: list, pivots: list, n: int, rhs_col: Optional[int],
+                     x: list) -> Vector:
+    """Solve the echelon rows of m for the pivot coordinates of x (free ones
+    preset); the right-hand side is column rhs_col of m, or zero if None."""
+    for (r, c) in reversed(pivots):
+        row = m[r]
+        acc = row[rhs_col] if rhs_col is not None else f.zero()
+        for j in range(c + 1, n):
+            if not f.is_zero(row[j]):
+                acc = f.sub(acc, f.mul(row[j], x[j]))
+        x[c] = f.div(acc, row[c])
+    return tuple(x)
 
 
 def mat_inverse(a: Matrix) -> Matrix:
@@ -277,29 +278,16 @@ def mat_inverse(a: Matrix) -> Matrix:
         raise ShapeMismatch(f"inverse of {a.rows}x{a.cols}")
     f = a.field
     n = a.rows
-    aug = [list(row) + list(Matrix.identity(f, n).entries[i]) for i, row in enumerate(a.entries)]
-    m, pivots = _forward_eliminate(f, aug)
+    ident = Matrix.identity(f, n).entries
+    m, pivots = _forward_eliminate(f, [list(row + e) for row, e in zip(a.entries, ident)])
     if len(pivots) < n or any(c >= n for (_, c) in pivots):
         raise Singular(f"matrix of rank {sum(1 for (_, c) in pivots if c < n)} < {n}")
-    cols = []
-    for k in range(n):
-        x = [f.zero()] * n
-        for (r, c) in reversed(pivots):
-            acc = m[r][n + k]
-            row = m[r]
-            for j in range(c + 1, n):
-                if not f.is_zero(row[j]):
-                    acc = f.sub(acc, f.mul(row[j], x[j]))
-            x[c] = f.div(acc, row[c])
-        cols.append(x)
-    return Matrix.from_cols(f, cols)
+    cols = [_back_substitute(f, m, pivots, n, n + k, [f.zero()] * n) for k in range(n)]
+    return Matrix._trusted(f, tuple(zip(*cols)))
 
 
 def rank(a: Matrix) -> int:
-    m = [list(row) for row in a.entries]
-    if not m:
-        return 0
-    _, pivots = _forward_eliminate(a.field, m)
+    _, pivots = _forward_eliminate(a.field, [list(row) for row in a.entries])
     return len(pivots)
 
 

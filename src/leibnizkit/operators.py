@@ -159,25 +159,35 @@ def subadjacent_algebra(
     return DendriformPair(lhd, rhd), alg
 
 
+def induced_action(T: Matrix, rep: Representation) -> Tuple[list, list]:
+    """For a map T: module -> algebra, the matrices on the algebra of
+    x -> [T(v_i),x] - T(rhoR(x)v_i) and x -> [x,T(v_i)] - T(rhoL(x)v_i), one
+    pair per module basis vector v_i."""
+    alg = rep.algebra
+    f = alg.field
+    n = alg.dim
+    vrL, vrR = [], []
+    for i in range(rep.mdim):
+        Ti = T.col(i)
+        # x -> rhoR(x) v_i and x -> rhoL(x) v_i as matrices in x
+        MR = Matrix.from_cols(f, [rep.rhoR[j].col(i) for j in range(n)])
+        ML = Matrix.from_cols(f, [rep.rhoL[j].col(i) for j in range(n)])
+        left = Matrix.from_cols(f, [alg.bracket(Ti, [1 if t == j else 0 for t in range(n)]) for j in range(n)])
+        right = Matrix.from_cols(f, [alg.bracket([1 if t == j else 0 for t in range(n)], Ti) for j in range(n)])
+        vrL.append(left - T * MR)
+        vrR.append(right - T * ML)
+    return vrL, vrR
+
+
 def induced_representation(K: LinearOperator, rep: Representation) -> Representation:
     """The natural action of the sub-adjacent algebra back on the original
     algebra: vrL(v) x = [K(v),x] - K(rhoR(x)v), vrR(v) x = [x,K(v)] - K(rhoL(x)v)."""
     K = as_operator(K)
     _, subalg = subadjacent_algebra(K, rep)
-    alg = rep.algebra
-    f = alg.field
-    n, m = alg.dim, rep.mdim
+    f = rep.algebra.field
+    m = rep.mdim
     Kmat = K.matrix
-    vrL, vrR = [], []
-    for i in range(m):
-        Ki = Kmat.col(i)
-        # x -> rhoR(x) v_i and x -> rhoL(x) v_i as matrices in x
-        MR = Matrix.from_cols(f, [rep.rhoR[j].col(i) for j in range(n)])
-        ML = Matrix.from_cols(f, [rep.rhoL[j].col(i) for j in range(n)])
-        left = Matrix.from_cols(f, [alg.bracket(Ki, [1 if t == j else 0 for t in range(n)]) for j in range(n)])
-        right = Matrix.from_cols(f, [alg.bracket([1 if t == j else 0 for t in range(n)], Ki) for j in range(n)])
-        vrL.append(left - Kmat * MR)
-        vrR.append(right - Kmat * ML)
+    vrL, vrR = induced_action(Kmat, rep)
     out = Representation(subalg, vrL, vrR)
     out.require_representation()
     # equivariance: K intertwines the sub-adjacent bracket with the induced action

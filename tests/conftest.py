@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from leibnizkit import (
@@ -7,6 +9,14 @@ from leibnizkit import (
     dual_representation,
     regular_representation,
 )
+
+
+def pytest_configure(config):
+    """Let `python -m leibnizkit` child processes import the package from this
+    checkout, as the `pythonpath` setting in pyproject.toml does for pytest."""
+    src = str(config.rootpath / "src")
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)
 
 
 @pytest.fixture(scope="session")

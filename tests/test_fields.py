@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leibnizkit import RATIONALS as Q, Scalar, prime_field, scalar_arith
+from leibnizkit import RATIONALS as Q, Matrix, Scalar, prime_field, scalar_arith
 from leibnizkit.errors import DivisionByZero, FieldMismatch, ParseError
+from leibnizkit.fields import MAX_MODULUS
 
 F5 = prime_field(5)
 F7 = prime_field(7)
@@ -38,6 +39,42 @@ def test_field_mismatch():
 def test_non_prime_modulus_rejected():
     with pytest.raises(ValueError):
         prime_field(6)
+
+
+def _accepted(p):
+    try:
+        prime_field(p)
+    except ValueError:
+        return False
+    return True
+
+
+def test_modulus_primality_and_bound():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert all(_accepted(n) == trial(n) for n in range(-3, 5000))
+    # Carmichael numbers and strong pseudoprimes to the first few prime bases
+    for n in (561, 41041, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _accepted(n)
+    for p in (2 ** 61 - 1, 3317044064679887385961813):  # the largest prime below the bound
+        assert prime_field(p).p == p
+    with pytest.raises(ValueError, match="too large"):
+        prime_field(MAX_MODULUS)
+    with pytest.raises(ValueError, match="too large"):
+        prime_field(10 ** 30 + 57)
+
+
+def test_prime_field_normalizes_fractions_through_the_inverse():
+    assert F7.normalize(Fraction(1, 2)) == 4
+    assert F7.normalize(Fraction(-3, 4)) == F7.of(Fraction(-3, 4)) == 1
+    assert not F7.eq(Fraction(1, 2), 0)
+    assert not F7.is_zero(Fraction(1, 2))
+    assert F7.inv(Fraction(1, 2)) == 2
+    assert Matrix(F7, [[Fraction(1, 2)]]).entries == ((4,),)
+    assert Scalar(F7, Fraction(1, 2)).value == 4
+    with pytest.raises(DivisionByZero):
+        F7.normalize(Fraction(1, 7))
 
 
 def test_normalization():

@@ -258,3 +258,77 @@ def test_cli_search_fuzz_never_raises(predicate, target, field, shape, budget, w
         argv += ["--shape", shape]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(argv) in (0, 1, 2)
+
+
+_ALG1 = '"alg": {"type": "algebra", "dim": 1, "c": [[["0"]]]}'
+
+
+@pytest.mark.parametrize("field, objects, target", [
+    ('7', '{}', "alg"),
+    ('null', '{}', "alg"),
+    ('"F1000000000000000000000000000057"', '{}', "alg"),
+    ('"Q"', '{"alg": null}', "alg"),
+    ('"Q"', '{"alg": [1, 2]}', "alg"),
+    ('"Q"', '{"alg": {"type": "algebra", "dim": [], "c": []}}', "alg"),
+    ('"Q"', '{%s, "phi": {"type": "cochain", "algebra": "alg", "arity": 100000, '
+            '"coeffs": ["0"]}}' % _ALG1, "phi"),
+])
+def test_cli_check_malformed_spec_is_usage_error(tmp_path, field, objects, target):
+    """A non-string or oversized field tag, a non-object entry under
+    "objects", a non-integer size and cochain coefficients nested less deep
+    than the arity end in exit 2 and one line on stderr."""
+    spec = tmp_path / "bad.json"
+    spec.write_text(f'{{"schema": "leibniz-spec/1", "field": {field}, "objects": {objects}}}')
+    out = run_cli("check", str(spec), target, "leibniz", timeout=10)
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+
+
+# JSON text, so that each draw is a fresh object the mutations may change
+_JUNK = st.sampled_from(['null', 'true', '0', '7', '-1', '1' + '0' * 30, '""', '"x"', '"1/0"',
+                         '"F4"', '[]', '{}', '[[]]', '[["1"]]', '{"type": "algebra"}']).map(json.loads)
+
+
+@st.composite
+def _mutated_spec(draw):
+    """A catalog document with one to three keys replaced, deleted or renamed,
+    plus the argv of one of its expected verdicts."""
+    name = draw(st.sampled_from(["l2.json", "heis3.json", "l2_f2.json", "sum4.json"]))
+    doc = json.loads((CATALOG_DIR / name).read_text())
+    verdict = draw(st.sampled_from(doc["expected"]))
+    argv = [verdict["object"], verdict["check"]]
+    for key, val in sorted(verdict.get("args", {}).items()):
+        argv += [f"--{key}", val]
+    for _ in range(draw(st.integers(1, 3))):
+        node = doc
+        while True:
+            keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+            if not keys:
+                break
+            key = draw(st.sampled_from(keys))
+            if isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+                node = node[key]
+                continue
+            action = draw(st.sampled_from(["replace", "delete", "rename"]))
+            if action == "replace" or isinstance(node, list):
+                node[key] = draw(_JUNK)
+            elif action == "delete":
+                del node[key]
+            else:
+                node[key + "_"] = node.pop(key)
+            break
+    return doc, argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_mutated_spec())
+def test_cli_check_malformed_spec_fuzz_never_raises(tmp_path_factory, case):
+    """`check` on a catalog spec with mutated keys ends with an exit code of
+    0, 1 or 2, never an exception."""
+    from leibnizkit import cli
+
+    doc, argv = case
+    spec = tmp_path_factory.mktemp("fuzz") / "spec.json"
+    spec.write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["check", str(spec), *argv]) in (0, 1, 2)

@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leibnizkit import (
+    LeibnizAlgebra,
     Matrix,
     RATIONALS as Q,
+    Representation,
     mat_inverse,
     mat_mul,
     prime_field,
@@ -14,6 +16,7 @@ from leibnizkit import (
     transpose_dual,
 )
 from leibnizkit.errors import ShapeMismatch, Singular
+from leibnizkit import oracles
 from leibnizkit.linalg import rank, is_invertible
 
 F5 = prime_field(5)
@@ -128,3 +131,51 @@ def test_prime_field_solving():
     x = sol.particular
     assert a.apply(x) == (1, 2)
     assert mat_mul(a, mat_inverse(a)) == Matrix.identity(F5, 2)
+
+
+def _scalar(f):
+    """Raw scalars as callers pass them: Fractions over Q (some with
+    denominator 1), ints outside [0, p) over F_p."""
+    if f.p is None:
+        return st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    return st.integers(-7, 7)
+
+
+@st.composite
+def _field_case(draw):
+    f = draw(st.sampled_from([Q, prime_field(2), prime_field(3)]))
+    dim = st.integers(1, 3)
+    r, k, c, d, n = (draw(dim) for _ in range(5))
+
+    def mat(rows, cols):
+        return Matrix(f, [[draw(_scalar(f)) for _ in range(cols)] for _ in range(rows)])
+
+    return dict(f=f, a=mat(r, k), b=mat(k, c), a2=mat(r, k), sq=mat(d, d), s=draw(_scalar(f)),
+                x=[draw(_scalar(f)) for _ in range(n)],
+                rhoL=[mat(d, d) for _ in range(n)], rhoR=[mat(d, d) for _ in range(n)])
+
+
+@given(case=_field_case())
+@settings(max_examples=80, deadline=None)
+def test_trusted_results_match_oracles_and_are_normalized(case):
+    """Every producer built on ``Matrix._trusted`` agrees with the oracle
+    helpers and returns entries that ``Matrix(f, entries)`` would not change,
+    value or type (Q keeps integral values as int, F_p keeps [0, p))."""
+    f, a, sq = case["f"], case["a"], case["sq"]
+    rep = Representation(LeibnizAlgebra.abelian(f, len(case["x"])), case["rhoL"], case["rhoR"])
+    results = [
+        (mat_mul(a, case["b"]), oracles._mmul(f, a.entries, case["b"].entries)),
+        (a + case["a2"], oracles._madd(f, a.entries, case["a2"].entries)),
+        (a - case["a2"], oracles._madd(f, a.entries, case["a2"].entries, sign=-1)),
+        (-a, oracles._mneg(f, a.entries)),
+        (sq.scale(case["s"]), oracles._act(f, [sq.entries], [case["s"]])),
+        (a.transpose(), tuple(oracles._col(a.entries, j) for j in range(a.cols))),
+        (rep.actL(case["x"]), oracles._act(f, [m.entries for m in case["rhoL"]], case["x"])),
+        (rep.actR(case["x"]), oracles._act(f, [m.entries for m in case["rhoR"]], case["x"])),
+    ]
+    for got, want in results:
+        assert got.entries == want
+        again = Matrix(f, got.entries)
+        assert got == again
+        assert [type(v) for row in got.entries for v in row] == \
+            [type(v) for row in again.entries for v in row]

@@ -2,8 +2,11 @@
 checkers on verdicts and violation tuples."""
 
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leibnizkit import (
     LeibnizAlgebra,
@@ -24,8 +27,26 @@ from leibnizkit import (
     oracle_eval,
     regular_representation,
 )
-from leibnizkit.errors import UnknownIdentity
-from leibnizkit.pairs import make_pair
+from leibnizkit.errors import LeibnizKitError, UnknownIdentity
+from leibnizkit.fields import prime_field
+from leibnizkit.forms import (
+    BilinearForm,
+    check_bn_structure,
+    check_rbn_structure,
+    check_rn_structure,
+)
+from leibnizkit.linalg import is_invertible
+from leibnizkit.operators import check_compatible
+from leibnizkit.oracles import (
+    eval_bn_structure,
+    eval_compatible,
+    eval_kn_structure,
+    eval_perfect_pair,
+    eval_rbn_structure,
+    eval_rn_structure,
+)
+from leibnizkit.pairs import check_kn_structure, check_perfect_pair, make_kn, make_pair
+from leibnizkit.search import SearchSpec, enumerate_operators, random_instance
 from leibnizkit.checks import run_check
 from leibnizkit.twilled import TwilledContext
 
@@ -132,3 +153,64 @@ def test_mixed_corpus_agreement(l2, l2_regular, l2_dual):
         else:
             main = main_ybe(bindings["algebra"], bindings["pi"])
         same(main, oracle_eval(identity, bindings))
+
+
+def _agree(main, oracle):
+    """Equal verdicts and violation tuples, or both paths raise."""
+    try:
+        got = main()
+    except LeibnizKitError:
+        got = None
+    try:
+        want = oracle()
+    except LeibnizKitError:
+        want = None
+    assert (got is None) == (want is None)
+    if got is not None:
+        same(got, want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=st.sampled_from((2, 3)), n=st.integers(1, 2), seed=st.integers(0, 10 ** 6),
+       data=st.data())
+def test_derived_structures_match_oracles(p, n, seed, data):
+    """KN, RBN, r-n and BN structures, perfect pairs and compatible pairs on a
+    random F2/F3 algebra, with operators drawn from the search hit lists."""
+    f = prime_field(p)
+    alg = random_instance("leibniz", n, f, seed)
+    regular = regular_representation(alg)
+    dual = dual_representation(regular)
+    space = [Matrix(f, [flat[r * n:(r + 1) * n] for r in range(n)])
+             for flat in product(range(p), repeat=n * n)]
+    symmetric = [m for m in space if m == m.transpose()]
+    nijenhuis = enumerate_operators(SearchSpec(f, (n, n), "nijenhuis", algebra=alg))
+    rota_baxter = enumerate_operators(SearchSpec(f, (n, n), "rota_baxter", algebra=alg))
+    kupershmidt = {
+        "regular": enumerate_operators(SearchSpec(f, (n, n), "kupershmidt", rep=regular)),
+        "dual": enumerate_operators(SearchSpec(f, (n, n), "kupershmidt", rep=dual)),
+    }
+    draw = lambda seq: data.draw(st.sampled_from(seq))
+    for _ in range(3):
+        rep_name, mode = draw(("regular", "dual")), draw(("kn", "dual-kn"))
+        rep = regular if rep_name == "regular" else dual
+        N = draw(nijenhuis)
+        S = draw((N, N.transpose(), draw(nijenhuis), draw(space)))
+        kn = make_kn(draw(kupershmidt[rep_name]), N, S, mode)
+        _agree(lambda: check_kn_structure(kn, rep, consequences=False),
+               lambda: eval_kn_structure(kn, rep))
+        pair = make_pair(N, S)
+        _agree(lambda: check_perfect_pair(pair, rep), lambda: eval_perfect_pair(pair, rep))
+        K1, K2 = draw(kupershmidt[rep_name]), draw(kupershmidt[rep_name])
+        _agree(lambda: check_compatible(as_operator(K1), as_operator(K2), rep),
+               lambda: eval_compatible(K1, K2, rep))
+        R = draw(rota_baxter)
+        _agree(lambda: check_rbn_structure(alg, as_operator(R), as_operator(N)),
+               lambda: eval_rbn_structure(alg, R, N))
+        pi = Tensor2(alg, draw([m for m in kupershmidt["dual"] if m == m.transpose()]
+                               + [draw(symmetric)]))
+        _agree(lambda: check_rn_structure(alg, pi, as_operator(N), consequences=False),
+               lambda: eval_rn_structure(alg, pi, N))
+        # the oracle does not check that B is symmetric and nondegenerate
+        B = BilinearForm(alg, draw([m for m in symmetric if is_invertible(m)]))
+        _agree(lambda: check_bn_structure(alg, B, as_operator(N), consequences=False),
+               lambda: eval_bn_structure(alg, B, N))

@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Tuple
 
 from .errors import FieldMismatch, NotLeibniz, NotRepresentation, ShapeMismatch
 from .fields import FieldSpec
-from .linalg import Matrix, Vector, _flat, lin_comb, vec_zero
+from .linalg import Matrix, Vector, _flat, lin_comb
 from .reports import CheckReport, Violation
 
 
@@ -255,6 +255,30 @@ def dual_representation(rep: Representation) -> Representation:
     return out
 
 
+def _sum_bracket(f: FieldSpec, c1, c2, act1: Optional[Representation],
+                 act2: Optional[Representation]):
+    """Bracket tensor on g1 (+) g2, g1 block first, from the two bracket
+    tensors and the two mutual actions: ``act1`` of g1 on g2's space, ``act2``
+    of g2 on g1's space, None for the zero action.
+
+    [x, a] = act2R(a) x  (+)  act1L(x) a,   [a, x] = act2L(a) x  (+)  act1R(x) a
+    """
+    n1, n2 = len(c1), len(c2)
+    z1, z2 = (f.zero(),) * n1, (f.zero(),) * n2
+    rows = []
+    for i in range(n1):
+        row = [c1[i][j] + z2 for j in range(n1)]
+        row += [(act2.rhoR[a].col(i) if act2 else z1) + (act1.rhoL[i].col(a) if act1 else z2)
+                for a in range(n2)]
+        rows.append(tuple(row))
+    for a in range(n2):
+        row = [(act2.rhoL[a].col(j) if act2 else z1) + (act1.rhoR[j].col(a) if act1 else z2)
+               for j in range(n1)]
+        row += [z1 + c2[a][b] for b in range(n2)]
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def semidirect_sum(rep: Representation) -> LeibnizAlgebra:
     """Leibniz structure on module (+) algebra, module coordinates first:
 
@@ -263,22 +287,8 @@ def semidirect_sum(rep: Representation) -> LeibnizAlgebra:
     rep.require_representation()
     alg = rep.algebra
     f = alg.field
-    n, m = alg.dim, rep.mdim
-    total = m + n
-
-    def basis_bracket(i: int, j: int) -> Vector:
-        mod = vec_zero(f, m)
-        ag = vec_zero(f, n)
-        if i >= m and j >= m:
-            ag = alg.bracket_basis(i - m, j - m)
-        elif i >= m and j < m:
-            mod = rep.rhoL[i - m].col(j)
-        elif i < m and j >= m:
-            mod = rep.rhoR[j - m].col(i)
-        return tuple(mod) + tuple(ag)
-
-    c = [[basis_bracket(i, j) for j in range(total)] for i in range(total)]
-    out = LeibnizAlgebra(f, c)
+    module = LeibnizAlgebra.abelian(f, rep.mdim)
+    out = LeibnizAlgebra(f, _sum_bracket(f, module.c, alg.c, None, rep))
     out.require_leibniz()
     return out
 
@@ -304,26 +314,6 @@ def check_matched_pair(
         raise ShapeMismatch("action module dimensions must match the partner algebra")
     if g1.field != g2.field:
         raise FieldMismatch("summands must share a field")
-    f = g1.field
-    n1, n2 = g1.dim, g2.dim
-    total = n1 + n2
-
-    def basis_bracket(i: int, j: int) -> Vector:
-        p1 = vec_zero(f, n1)
-        p2 = vec_zero(f, n2)
-        if i < n1 and j < n1:
-            p1 = g1.bracket_basis(i, j)
-        elif i >= n1 and j >= n1:
-            p2 = g2.bracket_basis(i - n1, j - n1)
-        elif i < n1:  # [x, a] = rho1L(x) a  (+)  rho2R(a) x
-            p2 = rho1.rhoL[i].col(j - n1)
-            p1 = rho2.rhoR[j - n1].col(i)
-        else:  # [a, x] = rho2L(a) x  (+)  rho1R(x) a
-            p1 = rho2.rhoL[i - n1].col(j)
-            p2 = rho1.rhoR[j].col(i - n1)
-        return tuple(p1) + tuple(p2)
-
-    c = [[basis_bracket(i, j) for j in range(total)] for i in range(total)]
-    cand = LeibnizAlgebra(f, c)
+    cand = LeibnizAlgebra(g1.field, _sum_bracket(g1.field, g1.c, g2.c, rho1, rho2))
     report = check_leibniz(cand)
     return report, (cand if report.ok else None)

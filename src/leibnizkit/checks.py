@@ -61,6 +61,13 @@ def _operator(spec: SpecFile, name: str) -> LinearOperator:
     return obj
 
 
+def _algebra(spec: SpecFile, name: str) -> LeibnizAlgebra:
+    obj = spec.build(name)
+    if not isinstance(obj, LeibnizAlgebra):
+        raise ParseError(f"{name!r} is not an algebra")
+    return obj
+
+
 def _flag(args: Dict, key: str, check: str) -> str:
     if not args.get(key):
         raise ParseError(f"check {check!r} needs --{key}")
@@ -69,10 +76,10 @@ def _flag(args: Dict, key: str, check: str) -> str:
 
 def _resolve_algebra(spec: SpecFile, op: LinearOperator, args: Dict) -> LeibnizAlgebra:
     if "algebra" in args:
-        return spec.build(args["algebra"])
+        return _algebra(spec, args["algebra"])
     for tag in (op.codomain, op.domain):
         if tag.startswith("algebra:"):
-            return spec.build(tag.split(":", 1)[1])
+            return _algebra(spec, tag.split(":", 1)[1])
     names = spec.names_of("algebra")
     if len(names) == 1:
         return spec.build(names[0])
@@ -103,9 +110,7 @@ def run_check(spec: SpecFile, object_name: str, check: str, args: Optional[Dict]
     obj = spec.build(object_name)
 
     if check == "leibniz":
-        if not isinstance(obj, LeibnizAlgebra):
-            raise ParseError(f"{object_name!r} is not an algebra")
-        return check_leibniz(obj)
+        return check_leibniz(_algebra(spec, object_name))
     if check == "representation":
         if not isinstance(obj, Representation):
             raise ParseError(f"{object_name!r} is not a representation")

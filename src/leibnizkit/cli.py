@@ -19,7 +19,7 @@ from .algebras import (
     semidirect_sum,
 )
 from .catalog import catalog_names, load_catalog
-from .checks import CHECK_NAMES, run_check
+from .checks import CHECK_NAMES, _algebra, _operator, run_check
 from .dgla import dual_kn_from_mc, mc_from_dual_kn, theta_twist
 from .errors import LeibnizKitError, ParseError
 from .fields import FieldSpec
@@ -42,7 +42,7 @@ from .operators import (
     subadjacent_algebra,
 )
 from .pairs import KNStructure, dual_kn_from_compatible
-from .forms import Tensor2, sharp_map
+from .forms import BilinearForm, Tensor2, sharp_map
 from .search import (
     DEFAULT_BUDGET,
     SearchSpec,
@@ -125,6 +125,14 @@ def _resolve_rep(spec: SpecFile, name: Optional[str], op: Optional[LinearOperato
     raise ParseError("ambiguous representation; pass --rep")
 
 
+def _matrix_of(spec: SpecFile, name: str) -> Matrix:
+    """The matrix of a named operator, 2-tensor or form."""
+    obj = spec.build(name)
+    if not isinstance(obj, (LinearOperator, Tensor2, BilinearForm)):
+        raise ParseError(f"{name!r} is not an operator")
+    return obj.matrix
+
+
 CONSTRUCTIONS = (
     "dual-rep", "semidirect", "subadjacent", "lifted", "deformed",
     "theta-twist", "dual-kn-from-mc", "mc-from-dual-kn", "sharp",
@@ -158,12 +166,12 @@ def cmd_construct(args) -> int:
             rep = spec.rep_for(need("rep"))
             out_objects["semidirect"] = algebra_doc(f, semidirect_sum(rep))
         elif cons == "subadjacent":
-            K = spec.build(need("K"))
+            K = _operator(spec, need("K"))
             rep = _resolve_rep(spec, args.rep, K)
-            pair, alg = subadjacent_algebra(K, rep)
+            _, alg = subadjacent_algebra(K, rep)
             out_objects["subadjacent"] = algebra_doc(f, alg)
         elif cons == "lifted":
-            K = spec.build(need("K"))
+            K = _operator(spec, need("K"))
             rep = _resolve_rep(spec, args.rep, K)
             out_objects["lifted"] = algebra_doc(f, lifted_algebra(K, rep))
             out_objects["tw_lifted"] = {
@@ -171,13 +179,13 @@ def cmd_construct(args) -> int:
                 "n1": rep.algebra.dim, "n2": rep.mdim,
             }
         elif cons == "deformed":
-            N = spec.build(need("N"))
+            N = _operator(spec, need("N"))
             alg_names = spec.names_of("algebra")
-            alg = spec.build(args.algebra) if args.algebra else None
+            alg = _algebra(spec, args.algebra) if args.algebra else None
             if alg is None:
                 for tag in (N.codomain, N.domain):
                     if tag.startswith("algebra:"):
-                        alg = spec.build(tag.split(":", 1)[1])
+                        alg = _algebra(spec, tag.split(":", 1)[1])
                         break
             if alg is None and len(alg_names) == 1:
                 alg = spec.build(alg_names[0])
@@ -187,17 +195,17 @@ def cmd_construct(args) -> int:
                 f, deformed_bracket(N, alg), verified=deformed_bracket(N, alg).is_leibniz
             )
         elif cons == "theta-twist":
-            K = spec.build(need("K"))
+            K = _operator(spec, need("K"))
             rep = _resolve_rep(spec, args.rep, K)
-            theta = spec.build(need("theta")).matrix
+            theta = _matrix_of(spec, need("theta"))
             g_theta, rho_theta, total = theta_twist(K, rep, theta)
             out_objects["twisted"] = algebra_doc(f, g_theta)
             out_objects["twisted_action"] = representation_doc(f, rho_theta, "twisted")
             out_objects["twisted_total"] = algebra_doc(f, total)
         elif cons == "dual-kn-from-mc":
-            K = spec.build(need("K"))
+            K = _operator(spec, need("K"))
             rep = _resolve_rep(spec, args.rep, K)
-            theta = spec.build(need("theta")).matrix
+            theta = _matrix_of(spec, need("theta"))
             kn = dual_kn_from_mc(K, rep, theta)
             out_objects["kn"] = kn_doc(f, kn, "alg", args.rep or "")
         elif cons == "mc-from-dual-kn":
@@ -214,8 +222,8 @@ def cmd_construct(args) -> int:
                 raise ParseError(f"{args.pi!r} is not a 2-tensor")
             out_objects["sharp"] = operator_doc(f, sharp_map(pi))
         elif cons == "dual-kn-from-compatible":
-            K1 = spec.build(need("K1"))
-            K2 = spec.build(need("K2"))
+            K1 = _operator(spec, need("K1"))
+            K2 = _operator(spec, need("K2"))
             rep = _resolve_rep(spec, args.rep, K1)
             kn1, kn2 = dual_kn_from_compatible(K1, K2, rep)
             out_objects["kn_first"] = kn_doc(f, kn1, "alg", args.rep or "")
@@ -261,7 +269,7 @@ def cmd_search(args) -> int:
             alg_name = names[0] if len(names) == 1 else "alg"
         algebra = None
         if alg_name in spec.raw:
-            algebra = _transport_algebra(spec.build(alg_name), fieldspec)
+            algebra = _transport_algebra(_algebra(spec, alg_name), fieldspec)
         rep = None
         if args.rep:
             base = spec.rep_for(args.rep)

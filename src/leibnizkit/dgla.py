@@ -41,15 +41,15 @@ from .operators import (
     deformed_bracket,
     induced_action,
     induced_representation,
-    module_bracket_tensor,
     subadjacent_algebra,
     lifted_algebra,
-    twisted_tensor,
 )
 from .algebras import check_matched_pair
 from .pairs import (
     KNStructure,
     OperatorPair,
+    _deformed_action,
+    _kn_conditions,
     check_kn_structure,
     hat_tilde_representations,
 )
@@ -363,7 +363,7 @@ def theta_twist(
     if total is None:
         raise LeibnizKitError(f"twisted total bracket is not Leibniz: {report.summary()}")
 
-    kup = check_kupershmidt(kn_operator(K, rep), rho_theta)
+    kup = check_kupershmidt(K, rho_theta)
     if not kup.ok:
         raise LeibnizKitError(f"K fails Kupershmidt for the twisted action: {kup.summary()}")
     ctx2 = TwilledContext(total, m, n)
@@ -371,10 +371,6 @@ def theta_twist(
     if not k_mc.ok:
         raise LeibnizKitError(f"K fails strong MC on the twisted sum: {k_mc.summary()}")
     return g_theta, rho_theta, total
-
-
-def kn_operator(K: LinearOperator, rep: Representation) -> LinearOperator:
-    return as_operator(K.matrix if isinstance(K, LinearOperator) else K, "module", "algebra")
 
 
 def dual_kn_from_mc(
@@ -385,7 +381,6 @@ def dual_kn_from_mc(
     representation and the compatibility consequences are re-verified."""
     K = as_operator(K)
     alg = rep.algebra
-    f = alg.field
     lifted = lifted_algebra(K, rep)
     ctx = TwilledContext(lifted, alg.dim, rep.mdim)
     mc = check_maurer_cartan(ctx, theta, strong=True)
@@ -444,20 +439,15 @@ def tilde_varrho_bracket(kn: KNStructure, rep: Representation) -> LeibnizAlgebra
     bracket, the twisted induced action and the tilde action."""
     if kn.mode != "dual-kn":
         raise NotDualKN("input must be in dual KN mode")
-    rpt = check_kn_structure(kn, rep, consequences=False)
-    if not rpt.ok:
-        raise NotDualKN(rpt.summary())
+    violations, _, s_deformed = _kn_conditions(kn, rep)
+    if violations:
+        raise NotDualKN(CheckReport.build(violations).summary())
     alg = rep.algebra
-    f = alg.field
-    n, m = alg.dim, rep.mdim
-    K, N, S = kn.K.matrix, kn.N, kn.S
+    N, S = kn.N, kn.S
     vr = induced_representation(kn.K, rep)
-    sub_K = module_bracket_tensor(K, rep)
-    mod_alg = LeibnizAlgebra(f, twisted_tensor(sub_K, S, f))
+    mod_alg = LeibnizAlgebra(alg.field, s_deformed)
     g_N = deformed_bracket(kn.pair.N, alg)
 
-    tvrL = [vr.actL(S.col(i)) - (vr.rhoL[i] * N - N * vr.rhoL[i]) for i in range(m)]
-    tvrR = [vr.actR(S.col(i)) - (vr.rhoR[i] * N - N * vr.rhoR[i]) for i in range(m)]
     _, tilde = hat_tilde_representations(kn.pair, rep)
     tilde.require_representation()
     kup = check_kupershmidt(kn.K, tilde)
@@ -465,7 +455,7 @@ def tilde_varrho_bracket(kn: KNStructure, rep: Representation) -> LeibnizAlgebra
         raise LeibnizKitError(
             f"K fails Kupershmidt for the tilde action over the deformed algebra: {kup.summary()}"
         )
-    action_on_g = Representation(mod_alg, tvrL, tvrR)
+    action_on_g = Representation(mod_alg, *_deformed_action(vr, S, N, hat=False))
     action_on_mod = Representation(g_N, tilde.rhoL, tilde.rhoR)
     report, total = check_matched_pair(mod_alg, g_N, action_on_g, action_on_mod)
     if total is None:

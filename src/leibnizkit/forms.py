@@ -37,10 +37,8 @@ from .operators import (
     check_kupershmidt,
     check_nijenhuis,
     check_rota_baxter,
-    module_bracket_tensor,
-    twisted_tensor,
 )
-from .pairs import KNStructure, OperatorPair, check_kn_structure
+from .pairs import KNStructure, OperatorPair, _kn_core, check_kn_structure
 from .reports import CheckReport, Violation
 
 
@@ -215,25 +213,10 @@ def check_rn_structure(
         raise NotNijenhuis(nij.summary())
     if not pi.symmetric:
         raise NotSymmetric("r-n structure needs a symmetric r-matrix")
-    f = alg.field
-    n = alg.dim
     P = pi.matrix
     Nt = N.matrix.transpose()
-    violations = []
-    lhs_m = N.matrix * P
-    rhs_m = P * Nt
-    if lhs_m != rhs_m:
-        violations.append(
-            Violation("rn-commute", (), _flat(lhs_m), _flat(rhs_m))
-        )
     dual_reg = dual_regular(alg)
-    base = module_bracket_tensor(P, dual_reg)
-    lhs_t = module_bracket_tensor(N.matrix * P, dual_reg)
-    rhs_t = twisted_tensor(base, Nt, f)
-    for i in range(n):
-        for j in range(n):
-            if lhs_t[i][j] != rhs_t[i][j]:
-                violations.append(Violation("rn-bracket", (i, j), lhs_t[i][j], rhs_t[i][j]))
+    violations, _, _ = _kn_core("rn", P, N.matrix, Nt, dual_reg)
     report = CheckReport.build(violations)
     if report.ok and consequences:
         kn = KNStructure(
@@ -259,21 +242,7 @@ def check_rbn_structure(
     nij = check_nijenhuis(N, alg)
     if not nij.ok:
         raise NotNijenhuis(nij.summary())
-    f = alg.field
-    n = alg.dim
-    violations = []
-    NR = N.matrix * R.matrix
-    RN = R.matrix * N.matrix
-    if NR != RN:
-        violations.append(Violation("rbn-commute", (), _flat(NR), _flat(RN)))
-    reg = regular_representation(alg)
-    base = module_bracket_tensor(R.matrix, reg)
-    lhs_t = module_bracket_tensor(NR, reg)
-    rhs_t = twisted_tensor(base, N.matrix, f)
-    for i in range(n):
-        for j in range(n):
-            if lhs_t[i][j] != rhs_t[i][j]:
-                violations.append(Violation("rbn-bracket", (i, j), lhs_t[i][j], rhs_t[i][j]))
+    violations, _, _ = _kn_core("rbn", R.matrix, N.matrix, N.matrix, regular_representation(alg))
     return CheckReport.build(violations)
 
 
@@ -387,10 +356,8 @@ def check_bn_structure(
     nij = check_nijenhuis(N, alg)
     if not nij.ok:
         raise NotNijenhuis(nij.summary())
-    f = alg.field
     n = alg.dim
-    violations = []
-    violations += _closedness_violations(alg, B.matrix, "bn-closed")
+    violations = _closedness_violations(alg, B.matrix, "bn-closed")
     NtB = N.matrix.transpose() * B.matrix
     BN = B.matrix * N.matrix
     for i in range(n):
@@ -423,28 +390,19 @@ def _closedness_violations(alg: LeibnizAlgebra, bmat: Matrix, name: str):
     """form(x2, [x0,x1]) = -form(x1, [x0,x2]) + form(x0, [x1,x2]) + form(x0, [x2,x1])."""
     f = alg.field
     n = alg.dim
+    form = BilinearForm(alg, bmat)
     out = []
-
-    def pair(x, y):
-        acc = 0
-        for a, xa in enumerate(x):
-            if f.is_zero(xa):
-                continue
-            row = bmat.entries[a]
-            for b, yb in enumerate(y):
-                acc += xa * row[b] * yb
-        return f.normalize(acc)
-
     for i in range(n):
         ei = basis_vec(f, n, i)
         for j in range(n):
             ej = basis_vec(f, n, j)
             for k in range(n):
                 ek = basis_vec(f, n, k)
-                lhs = pair(ek, alg.bracket_basis(i, j))
+                lhs = sum_pairing(form, ek, alg.bracket_basis(i, j))
                 rhs = f.add(
-                    f.sub(pair(ei, alg.bracket_basis(j, k)), pair(ej, alg.bracket_basis(i, k))),
-                    pair(ei, alg.bracket_basis(k, j)),
+                    f.sub(sum_pairing(form, ei, alg.bracket_basis(j, k)),
+                          sum_pairing(form, ej, alg.bracket_basis(i, k))),
+                    sum_pairing(form, ei, alg.bracket_basis(k, j)),
                 )
                 if lhs != rhs:
                     out.append(Violation(name, (i, j, k), (lhs,), (rhs,)))

@@ -124,7 +124,6 @@ def check_kupershmidt(K: LinearOperator, rep: Representation) -> CheckReport:
     K = as_operator(K)
     _require_module_map(K, rep)
     alg = rep.algebra
-    f = alg.field
     m = rep.mdim
     sub = module_bracket_tensor(K.matrix, rep)
     violations = []

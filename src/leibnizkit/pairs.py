@@ -66,53 +66,39 @@ def _require_shapes(pair: OperatorPair, rep: Representation):
         raise ShapeMismatch("pair shapes do not match the representation")
 
 
-def check_nijenhuis_pair(pair: OperatorPair, rep: Representation) -> CheckReport:
+def _pair_report(pair: OperatorPair, rep: Representation, name: str, dual: bool) -> CheckReport:
     """N Nijenhuis plus, for every algebra basis element y = e_i and both
-    action families rho:
+    action families rho, with D = rho(y)S - S rho(y):
 
-    rho(N y) S = S rho(N y) + S rho(y) S - S^2 rho(y)
+    rho(N y) S = S rho(N y) + S D          (Nijenhuis pair)
+    rho(N y) S = S rho(N y) + D S          (dual-Nijenhuis pair)
     """
     rep.require_representation()
     _require_shapes(pair, rep)
     N, S = pair.N.matrix, pair.S.matrix
-    report = check_nijenhuis(pair.N, rep.algebra)
-    violations = list(report.violations)
-    S2 = S * S
+    violations = list(check_nijenhuis(pair.N, rep.algebra).violations)
     for i in range(rep.algebra.dim):
         Ni = N.col(i)
-        for name, rho_i, rho_Ni in (
-            ("pair-left", rep.rhoL[i], rep.actL(Ni)),
-            ("pair-right", rep.rhoR[i], rep.actR(Ni)),
+        for side, rho_i, rho_Ni in (
+            ("left", rep.rhoL[i], rep.actL(Ni)),
+            ("right", rep.rhoR[i], rep.actR(Ni)),
         ):
+            D = rho_i * S - S * rho_i
             lhs = rho_Ni * S
-            rhs = S * rho_Ni + S * rho_i * S - S2 * rho_i
+            rhs = S * rho_Ni + (D * S if dual else S * D)
             if lhs != rhs:
-                violations.append(Violation(name, (i,), _flat(lhs), _flat(rhs)))
+                violations.append(Violation(f"{name}-{side}", (i,), _flat(lhs), _flat(rhs)))
     return CheckReport.build(violations)
+
+
+def check_nijenhuis_pair(pair: OperatorPair, rep: Representation) -> CheckReport:
+    """rho(N y) S = S rho(N y) + S rho(y) S - S^2 rho(y), with N Nijenhuis."""
+    return _pair_report(pair, rep, "pair", dual=False)
 
 
 def check_dual_nijenhuis_pair(pair: OperatorPair, rep: Representation) -> CheckReport:
-    """N Nijenhuis plus the dual coupling identities:
-
-    rho(N y) S = S rho(N y) + rho(y) S^2 - S rho(y) S
-    """
-    rep.require_representation()
-    _require_shapes(pair, rep)
-    N, S = pair.N.matrix, pair.S.matrix
-    report = check_nijenhuis(pair.N, rep.algebra)
-    violations = list(report.violations)
-    S2 = S * S
-    for i in range(rep.algebra.dim):
-        Ni = N.col(i)
-        for name, rho_i, rho_Ni in (
-            ("dual-pair-left", rep.rhoL[i], rep.actL(Ni)),
-            ("dual-pair-right", rep.rhoR[i], rep.actR(Ni)),
-        ):
-            lhs = rho_Ni * S
-            rhs = S * rho_Ni + rho_i * S2 - S * rho_i * S
-            if lhs != rhs:
-                violations.append(Violation(name, (i,), _flat(lhs), _flat(rhs)))
-    return CheckReport.build(violations)
+    """rho(N y) S = S rho(N y) + rho(y) S^2 - S rho(y) S, with N Nijenhuis."""
+    return _pair_report(pair, rep, "dual-pair", dual=True)
 
 
 def check_perfect_pair(pair: OperatorPair, rep: Representation) -> CheckReport:
@@ -132,6 +118,22 @@ def check_perfect_pair(pair: OperatorPair, rep: Representation) -> CheckReport:
             if lhs != rhs:
                 violations.append(Violation(name, (i,), _flat(lhs), _flat(rhs)))
     return CheckReport.build(violations)
+
+
+def _deformed_action(
+    rep: Representation, N: Matrix, S: Matrix, hat: bool
+) -> Tuple[Tuple[Matrix, ...], Tuple[Matrix, ...]]:
+    """The left and right families rho(N e_i) + (rho(e_i) S - S rho(e_i)) for
+    the hat action, and with the commutator reversed for the tilde action."""
+
+    def family(act, rhos):
+        out = []
+        for i, rho in enumerate(rhos):
+            a, b = (rho, S) if hat else (S, rho)
+            out.append(act(N.col(i)) + a * b - b * a)
+        return tuple(out)
+
+    return family(rep.actL, rep.rhoL), family(rep.actR, rep.rhoR)
 
 
 @dataclass
@@ -172,12 +174,7 @@ def deformation_from_pair(
                 raise NotNijenhuisPair(
                     "N applied to the cocycle disagrees with [N.,N.]; N is not Nijenhuis"
                 )
-    varpiL = tuple(
-        rep.actL(N.col(i)) + rep.rhoL[i] * S - S * rep.rhoL[i] for i in range(n)
-    )
-    varpiR = tuple(
-        rep.actR(N.col(i)) + rep.rhoR[i] * S - S * rep.rhoR[i] for i in range(n)
-    )
+    varpiL, varpiR = _deformed_action(rep, N, S, hat=True)
     violations = []
     notes = {}
     for t_raw in t_samples:
@@ -246,17 +243,11 @@ def hat_tilde_representations(
     is_dual = check_dual_nijenhuis_pair(pair, rep).ok
     if not (is_pair or is_dual):
         raise NeitherPairKind("neither the pair nor the dual-pair identities hold")
-    alg = rep.algebra
-    n = alg.dim
     N, S = pair.N.matrix, pair.S.matrix
-    deformed = deformed_bracket(pair.N, alg)
+    deformed = deformed_bracket(pair.N, rep.algebra)
     deformed.require_leibniz()
-    hatL = [rep.actL(N.col(i)) + rep.rhoL[i] * S - S * rep.rhoL[i] for i in range(n)]
-    hatR = [rep.actR(N.col(i)) + rep.rhoR[i] * S - S * rep.rhoR[i] for i in range(n)]
-    tildeL = [rep.actL(N.col(i)) + S * rep.rhoL[i] - rep.rhoL[i] * S for i in range(n)]
-    tildeR = [rep.actR(N.col(i)) + S * rep.rhoR[i] - rep.rhoR[i] * S for i in range(n)]
-    hat = Representation(deformed, hatL, hatR)
-    tilde = Representation(deformed, tildeL, tildeR)
+    hat = Representation(deformed, *_deformed_action(rep, N, S, hat=True))
+    tilde = Representation(deformed, *_deformed_action(rep, N, S, hat=False))
     if is_pair:
         hat.require_representation()
     if is_dual:
@@ -289,6 +280,39 @@ def make_kn(K, N, S, mode: Mode = "kn") -> KNStructure:
     return KNStructure(as_operator(K), make_pair(N, S), mode)
 
 
+def _kn_core(tag: str, T: Matrix, N: Matrix, S: Matrix, rep: Representation):
+    """Violations of NT = TS (``<tag>-commute``) and of
+    [u,v]^{NT} = [u,v]^T twisted by S (``<tag>-bracket``, on module basis
+    pairs), with the T-bracket and its S-twist for reuse.  Serves KN-structures
+    (T = K), RBN (T = R, S = N, regular representation) and r-n structures
+    (T = pi#, S = N^T, dual of the regular representation)."""
+    NT, TS = N * T, T * S
+    violations = [] if NT == TS else [Violation(f"{tag}-commute", (), _flat(NT), _flat(TS))]
+    sub_T = module_bracket_tensor(T, rep)
+    lhs = module_bracket_tensor(NT, rep)
+    rhs = twisted_tensor(sub_T, S, rep.algebra.field)
+    m = rep.mdim
+    violations += [
+        Violation(f"{tag}-bracket", (i, j), lhs[i][j], rhs[i][j])
+        for i in range(m) for j in range(m) if lhs[i][j] != rhs[i][j]
+    ]
+    return violations, sub_T, rhs
+
+
+def _kn_conditions(kn: KNStructure, rep: Representation):
+    """``_kn_core`` with T = K, after raising on the preconditions: K
+    Kupershmidt and the pair identities of the mode."""
+    kup = check_kupershmidt(kn.K, rep)
+    if not kup.ok:
+        raise NotKupershmidt(kup.summary())
+    pair_check = (
+        check_nijenhuis_pair if kn.mode == "kn" else check_dual_nijenhuis_pair
+    )(kn.pair, rep)
+    if not pair_check.ok:
+        raise PairCheckFailed(pair_check.summary())
+    return _kn_core("kn", kn.K.matrix, kn.N, kn.S, rep)
+
+
 def check_kn_structure(
     kn: KNStructure, rep: Representation, consequences: bool = True
 ) -> CheckReport:
@@ -302,36 +326,12 @@ def check_kn_structure(
     hat/tilde action over the deformed algebra, and NK being Kupershmidt for
     the original representation.
     """
-    kup = check_kupershmidt(kn.K, rep)
-    if not kup.ok:
-        raise NotKupershmidt(kup.summary())
-    pair_check = (
-        check_nijenhuis_pair if kn.mode == "kn" else check_dual_nijenhuis_pair
-    )(kn.pair, rep)
-    if not pair_check.ok:
-        raise PairCheckFailed(pair_check.summary())
-    alg = rep.algebra
-    f = alg.field
-    m = rep.mdim
-    K, N, S = kn.K.matrix, kn.N, kn.S
-    violations = []
-    NK = N * K
-    KS = K * S
-    if NK != KS:
-        violations.append(Violation("kn-commute", (), _flat(NK), _flat(KS)))
-    sub_K = module_bracket_tensor(K, rep)
-    nk_bracket = module_bracket_tensor(NK, rep)
-    s_deformed = twisted_tensor(sub_K, S, f)
-    for i in range(m):
-        for j in range(m):
-            if nk_bracket[i][j] != s_deformed[i][j]:
-                violations.append(
-                    Violation("kn-bracket", (i, j), nk_bracket[i][j], s_deformed[i][j])
-                )
+    violations, sub_K, s_deformed = _kn_conditions(kn, rep)
     report = CheckReport.build(violations)
     if not report.ok or not consequences:
         return report
 
+    K, m = kn.K.matrix, rep.mdim
     hat, tilde = hat_tilde_representations(kn.pair, rep)
     hat_bracket = module_bracket_tensor(K, hat)
     tilde_bracket = module_bracket_tensor(K, tilde)
@@ -346,7 +346,7 @@ def check_kn_structure(
                 extra.append(
                     Violation("bracket-agreement-tilde", (i, j), s_deformed[i][j], tilde_bracket[i][j])
                 )
-    subalg = LeibnizAlgebra(f, sub_K)
+    subalg = LeibnizAlgebra(rep.algebra.field, sub_K)
     extra += check_nijenhuis(kn.pair.S, subalg).prefixed("subadjacent-nijenhuis").violations
     deformed_rep = hat if kn.mode == "kn" else tilde
     deformed_rep.require_representation()
@@ -354,7 +354,7 @@ def check_kn_structure(
         "kupershmidt-hat" if kn.mode == "kn" else "kupershmidt-tilde"
     ).violations
     extra += check_kupershmidt(
-        LinearOperator(NK, kn.K.domain, kn.K.codomain), rep
+        LinearOperator(kn.N * K, kn.K.domain, kn.K.codomain), rep
     ).prefixed("composite-kupershmidt").violations
     return report.merged(CheckReport.build(extra))
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from .algebras import LeibnizAlgebra, Representation, check_representation
+from .algebras import LeibnizAlgebra, Representation, _sum_bracket, check_representation
 from .errors import NotLeibniz, NotRepresentation, ShapeMismatch
 from .linalg import Matrix, Vector
 
@@ -81,39 +81,13 @@ class TwilledContext:
     def lift1(self) -> BilinearTensor:
         """The g1-side structure as a bracket on the whole space:
         g1's bracket plus its two actions on g2 (zero on g2 x g2)."""
-        f = self.field
-        n1, n2 = self.n1, self.n2
-        total = n1 + n2
-        z1, z2 = (f.zero(),) * n1, (f.zero(),) * n2
-
-        def at(i: int, j: int) -> Vector:
-            if i < n1 and j < n1:
-                return tuple(self.algebra1.c[i][j]) + z2
-            if i < n1 <= j:
-                return z1 + tuple(self.rho1.rhoL[i].col(j - n1))
-            if j < n1 <= i:
-                return z1 + tuple(self.rho1.rhoR[j].col(i - n1))
-            return z1 + z2
-
-        return tuple(tuple(at(i, j) for j in range(total)) for i in range(total))
+        abelian2 = LeibnizAlgebra.abelian(self.field, self.n2)
+        return _sum_bracket(self.field, self.algebra1.c, abelian2.c, self.rho1, None)
 
     def lift2(self) -> BilinearTensor:
         """The g2-side structure lift (g2's bracket plus its actions on g1)."""
-        f = self.field
-        n1, n2 = self.n1, self.n2
-        total = n1 + n2
-        z1, z2 = (f.zero(),) * n1, (f.zero(),) * n2
-
-        def at(i: int, j: int) -> Vector:
-            if i >= n1 and j >= n1:
-                return z1 + tuple(self.algebra2.c[i - n1][j - n1])
-            if i >= n1 > j:
-                return tuple(self.rho2.rhoL[i - n1].col(j)) + z2
-            if j >= n1 > i:
-                return tuple(self.rho2.rhoR[j - n1].col(i)) + z2
-            return z1 + z2
-
-        return tuple(tuple(at(i, j) for j in range(total)) for i in range(total))
+        abelian1 = LeibnizAlgebra.abelian(self.field, self.n1)
+        return _sum_bracket(self.field, abelian1.c, self.algebra2.c, None, self.rho2)
 
     def embed_map(self, theta: Matrix) -> Matrix:
         """Embed a g1 -> g2 map as an endomorphism of the sum (zero elsewhere)."""

@@ -260,6 +260,56 @@ def test_cli_search_fuzz_never_raises(predicate, target, field, shape, budget, w
         assert cli.main(argv) in (0, 1, 2)
 
 
+_L2 = str(CATALOG_DIR / "l2.json")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["construct", _L2, "subadjacent", "--K", "alg"], "'alg' is not an operator"),
+    (["construct", _L2, "lifted", "--K", "regular"], "'regular' is not an operator"),
+    (["construct", _L2, "deformed", "--N", "alg"], "'alg' is not an operator"),
+    (["construct", _L2, "theta-twist", "--K", "R", "--theta", "alg"], "'alg' is not an operator"),
+    (["construct", _L2, "dual-kn-from-mc", "--K", "R", "--theta", "regular"],
+     "'regular' is not an operator"),
+    (["construct", _L2, "dual-kn-from-compatible", "--K1", "alg", "--K2", "R"],
+     "'alg' is not an operator"),
+    (["search", _L2, "--predicate", "nijenhuis", "--field", "F2", "--algebra", "R"],
+     "'R' is not an algebra"),
+    (["search", _L2, "--predicate", "nijenhuis", "--field", "F2", "--algebra", "regular"],
+     "'regular' is not an algebra"),
+])
+def test_cli_flag_naming_wrong_type_is_usage_error(capsys, argv, message):
+    """A flag that names an object of the wrong type ends in exit 2 and one
+    line on stderr."""
+    from leibnizkit import cli
+
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {message}\n"
+
+
+_L2_NAMES = sorted(json.loads(Path(_L2).read_text())["objects"]) + ["missing"]
+_CONSTRUCT_FLAGS = ("rep", "algebra", "K", "N", "S", "theta", "kn", "pi", "K1", "K2")
+
+
+@settings(max_examples=150, deadline=None)
+@given(construction=st.sampled_from(
+           ("dual-rep", "semidirect", "subadjacent", "lifted", "deformed", "theta-twist",
+            "dual-kn-from-mc", "mc-from-dual-kn", "sharp", "dual-kn-from-compatible")),
+       values=st.fixed_dictionaries(
+           {flag: st.none() | st.sampled_from(_L2_NAMES) for flag in _CONSTRUCT_FLAGS}))
+def test_cli_construct_fuzz_never_raises(construction, values):
+    """Any construct argv whose flags name l2 objects of any type, or a
+    missing object, ends with an exit code of 0, 1 or 2, never an exception."""
+    from leibnizkit import cli
+
+    argv = ["construct", _L2, construction]
+    for flag, name in values.items():
+        if name is not None:
+            argv += [f"--{flag}", name]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) in (0, 1, 2)
+
+
 _ALG1 = '"alg": {"type": "algebra", "dim": 1, "c": [[["0"]]]}'
 
 

@@ -3,6 +3,7 @@ checkers on verdicts and violation tuples."""
 
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -214,3 +215,19 @@ def test_derived_structures_match_oracles(p, n, seed, data):
         B = BilinearForm(alg, draw([m for m in symmetric if is_invertible(m)]))
         _agree(lambda: check_bn_structure(alg, B, as_operator(N), consequences=False),
                lambda: eval_bn_structure(alg, B, N))
+
+
+def test_oracles_import_only_errors_and_reports():
+    """The oracle path shares no code with the main path: its only package
+    imports are the error classes and the report types."""
+    import ast
+    import leibnizkit.oracles
+
+    tree = ast.parse(Path(leibnizkit.oracles.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert imported - {"__future__"} == {".errors", ".reports"}

@@ -13,18 +13,7 @@ from .algebras import (
     dual_representation,
     regular_representation,
 )
-from .dgla import check_maurer_cartan
 from .errors import ParseError
-from .forms import (
-    BilinearForm,
-    Tensor2,
-    check_bn_structure,
-    check_quadratic,
-    check_rbn_structure,
-    check_rn_structure,
-    check_ybe,
-    rbn_rn_transfer,
-)
 from .io import SpecFile
 from .operators import (
     LinearOperator,
@@ -34,16 +23,11 @@ from .operators import (
     check_nk_condition,
     check_rota_baxter,
 )
-from .pairs import (
-    KNStructure,
-    OperatorPair,
-    check_dual_nijenhuis_pair,
-    check_kn_structure,
-    check_nijenhuis_pair,
-    check_perfect_pair,
-)
 from .reports import CheckReport
-from .twilled import TwilledContext
+
+# ``io`` already loads algebras and operators; the checkers of pairs, forms
+# and dgla are imported in their own branch of ``run_check``, so a check loads
+# only the modules it runs.
 
 CHECK_NAMES = (
     "leibniz", "representation", "kupershmidt", "nijenhuis", "rota-baxter",
@@ -133,6 +117,13 @@ def run_check(spec: SpecFile, object_name: str, check: str, args: Optional[Dict]
         K = _operator(spec, _flag(args, "K", check))
         return check_nk_condition(N, K, _resolve_rep(spec, K, args))
     if check in ("nijenhuis-pair", "dual-nijenhuis-pair", "perfect-pair"):
+        from .pairs import (
+            OperatorPair,
+            check_dual_nijenhuis_pair,
+            check_nijenhuis_pair,
+            check_perfect_pair,
+        )
+
         N = _operator(spec, object_name)
         S = _operator(spec, _flag(args, "S", check))
         rep = _resolve_rep(spec, None, args)
@@ -144,6 +135,8 @@ def run_check(spec: SpecFile, object_name: str, check: str, args: Optional[Dict]
         }[check]
         return fn(pair, rep)
     if check == "kn-structure":
+        from .pairs import KNStructure, check_kn_structure
+
         if not isinstance(obj, KNStructure):
             raise ParseError(f"{object_name!r} is not a KN structure")
         rep_name = args.get("rep") or spec.raw[object_name].get("rep")
@@ -151,6 +144,9 @@ def run_check(spec: SpecFile, object_name: str, check: str, args: Optional[Dict]
             raise ParseError("kn-structure check needs a representation")
         return check_kn_structure(obj, spec.rep_for(rep_name), consequences=consequences)
     if check in ("maurer-cartan", "maurer-cartan-strong"):
+        from .dgla import check_maurer_cartan
+        from .twilled import TwilledContext
+
         op = _operator(spec, object_name)
         ctx_name = _flag(args, "ctx", check)
         ctx = spec.build(ctx_name)
@@ -158,28 +154,40 @@ def run_check(spec: SpecFile, object_name: str, check: str, args: Optional[Dict]
             raise ParseError(f"{ctx_name!r} is not a twilled context")
         return check_maurer_cartan(ctx, op.matrix, strong=check.endswith("strong"))
     if check == "ybe":
+        from .forms import Tensor2, check_ybe
+
         if not isinstance(obj, Tensor2):
             raise ParseError(f"{object_name!r} is not a 2-tensor")
         return check_ybe(obj.algebra, obj)
     if check == "rn-structure":
+        from .forms import Tensor2, check_rn_structure
+
         if not isinstance(obj, Tensor2):
             raise ParseError(f"{object_name!r} is not a 2-tensor")
         N = _operator(spec, _flag(args, "N", check))
         return check_rn_structure(obj.algebra, obj, N, consequences=consequences)
     if check == "rbn-structure":
+        from .forms import check_rbn_structure
+
         R = _operator(spec, object_name)
         N = _operator(spec, _flag(args, "N", check))
         return check_rbn_structure(_resolve_algebra(spec, R, args), R, N)
     if check == "quadratic":
+        from .forms import BilinearForm, check_quadratic
+
         if not isinstance(obj, BilinearForm):
             raise ParseError(f"{object_name!r} is not a form")
         return check_quadratic(obj.algebra, obj, consequences=consequences)
     if check == "bn-structure":
+        from .forms import BilinearForm, check_bn_structure
+
         if not isinstance(obj, BilinearForm):
             raise ParseError(f"{object_name!r} is not a form")
         N = _operator(spec, _flag(args, "N", check))
         return check_bn_structure(obj.algebra, obj, N, consequences=consequences)
     if check == "transfer":
+        from .forms import BilinearForm, rbn_rn_transfer
+
         if not isinstance(obj, BilinearForm):
             raise ParseError(f"{object_name!r} is not a form")
         R = _operator(spec, _flag(args, "R", check))

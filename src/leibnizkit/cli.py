@@ -20,7 +20,6 @@ from .algebras import (
 )
 from .catalog import catalog_names, load_catalog
 from .checks import CHECK_NAMES, _algebra, _operator, run_check
-from .dgla import dual_kn_from_mc, mc_from_dual_kn, theta_twist
 from .errors import LeibnizKitError, ParseError
 from .fields import FieldSpec
 from .io import (
@@ -41,16 +40,10 @@ from .operators import (
     lifted_algebra,
     subadjacent_algebra,
 )
-from .pairs import KNStructure, dual_kn_from_compatible
-from .forms import BilinearForm, Tensor2, sharp_map
-from .search import (
-    DEFAULT_BUDGET,
-    SearchSpec,
-    enumerate_bn_pairs,
-    enumerate_operators,
-)
-from .suites import SUITES, run_suites, suite_expected_verdicts
-from .twilled import TwilledContext
+
+# The modules only one command runs (search, suites, and the dgla, forms and
+# pairs constructions) are imported inside its handler, so a `check` process
+# never loads them.
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -125,14 +118,6 @@ def _resolve_rep(spec: SpecFile, name: Optional[str], op: Optional[LinearOperato
     raise ParseError("ambiguous representation; pass --rep")
 
 
-def _matrix_of(spec: SpecFile, name: str) -> Matrix:
-    """The matrix of a named operator, 2-tensor or form."""
-    obj = spec.build(name)
-    if not isinstance(obj, (LinearOperator, Tensor2, BilinearForm)):
-        raise ParseError(f"{name!r} is not an operator")
-    return obj.matrix
-
-
 CONSTRUCTIONS = (
     "dual-rep", "semidirect", "subadjacent", "lifted", "deformed",
     "theta-twist", "dual-kn-from-mc", "mc-from-dual-kn", "sharp",
@@ -141,6 +126,10 @@ CONSTRUCTIONS = (
 
 
 def cmd_construct(args) -> int:
+    from .dgla import dual_kn_from_mc, mc_from_dual_kn, theta_twist
+    from .forms import Tensor2, sharp_map
+    from .pairs import KNStructure, dual_kn_from_compatible
+
     try:
         spec = load_spec(args.file)
     except (OSError, ParseError) as exc:
@@ -197,7 +186,7 @@ def cmd_construct(args) -> int:
         elif cons == "theta-twist":
             K = _operator(spec, need("K"))
             rep = _resolve_rep(spec, args.rep, K)
-            theta = _matrix_of(spec, need("theta"))
+            theta = _operator(spec, need("theta")).matrix
             g_theta, rho_theta, total = theta_twist(K, rep, theta)
             out_objects["twisted"] = algebra_doc(f, g_theta)
             out_objects["twisted_action"] = representation_doc(f, rho_theta, "twisted")
@@ -205,7 +194,7 @@ def cmd_construct(args) -> int:
         elif cons == "dual-kn-from-mc":
             K = _operator(spec, need("K"))
             rep = _resolve_rep(spec, args.rep, K)
-            theta = _matrix_of(spec, need("theta"))
+            theta = _operator(spec, need("theta")).matrix
             kn = dual_kn_from_mc(K, rep, theta)
             out_objects["kn"] = kn_doc(f, kn, "alg", args.rep or "")
         elif cons == "mc-from-dual-kn":
@@ -253,6 +242,9 @@ def _transport_rep(rep: Representation, alg: LeibnizAlgebra, f: FieldSpec) -> Re
 
 
 def cmd_search(args) -> int:
+    from .search import DEFAULT_BUDGET, SearchSpec, enumerate_bn_pairs, enumerate_operators
+    from .twilled import TwilledContext
+
     try:
         spec = load_spec(args.file)
     except (OSError, ParseError) as exc:
@@ -297,8 +289,9 @@ def cmd_search(args) -> int:
                     raise ValueError
             except ValueError:
                 raise ParseError(f"--shape must look like 2x3, got {args.shape!r}") from None
+        budget = DEFAULT_BUDGET if args.budget is None else args.budget
         sspec = SearchSpec(fieldspec, shape, predicate, algebra=algebra, rep=rep,
-                           ctx=ctx, budget=args.budget)
+                           ctx=ctx, budget=budget)
         if predicate == "bn_pair":
             pairs = enumerate_bn_pairs(sspec, workers=args.workers)
             payload = {
@@ -331,6 +324,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    from .suites import SUITES, run_suites, suite_expected_verdicts
+
     try:
         catalog = load_catalog()
     except (OSError, ParseError) as exc:
@@ -419,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--rep")
     p_search.add_argument("--ctx")
     p_search.add_argument("--shape")
-    p_search.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p_search.add_argument("--budget", type=int)  # None: search.DEFAULT_BUDGET
     p_search.add_argument("--workers", type=int, default=1,
                           help="accepted for compatibility; the scan runs in one thread "
                                "and its results are the same for every value")

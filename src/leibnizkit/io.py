@@ -13,14 +13,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from .algebras import LeibnizAlgebra, Representation
-from .dgla import Cochain
 from .errors import ParseError
 from .fields import FieldSpec, RATIONALS, prime_field
-from .forms import BilinearForm, Tensor2
 from .linalg import Matrix
 from .operators import LinearOperator
-from .pairs import KNStructure, OperatorPair
-from .twilled import TwilledContext
+
+# The modules behind cochains, tensors, forms, KN-structures and twilled
+# contexts are imported in the branch of ``SpecFile.build`` that builds them.
 
 SCHEMA = "leibniz-spec/1"
 
@@ -109,6 +108,8 @@ class SpecFile:
                     obj.get("codomain", ""),
                 )
             elif kind == "cochain":
+                from .dgla import Cochain
+
                 alg = self.build(obj["algebra"])
                 arity = int(obj["arity"])
                 flat: List = []
@@ -125,14 +126,20 @@ class SpecFile:
                 walk(obj["coeffs"], 0)
                 built = Cochain(f, alg.dim, arity, flat)
             elif kind == "tensor2":
+                from .forms import Tensor2
+
                 built = Tensor2(self.build(obj["algebra"]), _parse_matrix(f, obj["matrix"], name))
             elif kind == "form":
+                from .forms import BilinearForm
+
                 built = BilinearForm(
                     self.build(obj["algebra"]),
                     _parse_matrix(f, obj["matrix"], name),
                     obj.get("symmetry", "symmetric"),
                 )
             elif kind == "kn":
+                from .pairs import KNStructure, OperatorPair
+
                 built = KNStructure(
                     LinearOperator(_parse_matrix(f, obj["K"], name), "module", "algebra"),
                     OperatorPair(
@@ -142,6 +149,8 @@ class SpecFile:
                     obj.get("mode", "kn"),
                 )
             elif kind == "twilled":
+                from .twilled import TwilledContext
+
                 total = self.build(obj["algebra"])
                 built = TwilledContext(total, int(obj["n1"]), int(obj["n2"]))
             else:
@@ -263,7 +272,8 @@ def matrix_doc(f: FieldSpec, m: Matrix, domain: str = "", codomain: str = "") ->
     return operator_doc(f, LinearOperator(m, domain, codomain))
 
 
-def kn_doc(f: FieldSpec, kn: KNStructure, algebra_name: str, rep_name: str) -> dict:
+def kn_doc(f: FieldSpec, kn, algebra_name: str, rep_name: str) -> dict:
+    """The file object of the KN-structure ``kn``."""
     return {
         "type": "kn",
         "algebra": algebra_name,

@@ -67,16 +67,22 @@ def _require_shapes(pair: OperatorPair, rep: Representation):
 
 
 def _pair_report(pair: OperatorPair, rep: Representation, name: str, dual: bool) -> CheckReport:
-    """N Nijenhuis plus, for every algebra basis element y = e_i and both
-    action families rho, with D = rho(y)S - S rho(y):
+    """N Nijenhuis plus the pair identities of ``_pair_identity``."""
+    rep.require_representation()
+    _require_shapes(pair, rep)
+    violations = list(check_nijenhuis(pair.N, rep.algebra).violations)
+    return CheckReport.build(violations + _pair_identity(pair, rep, name, dual))
+
+
+def _pair_identity(pair: OperatorPair, rep: Representation, name: str, dual: bool):
+    """Violations of, for every algebra basis element y = e_i and both action
+    families rho, with D = rho(y)S - S rho(y):
 
     rho(N y) S = S rho(N y) + S D          (Nijenhuis pair)
     rho(N y) S = S rho(N y) + D S          (dual-Nijenhuis pair)
     """
-    rep.require_representation()
-    _require_shapes(pair, rep)
     N, S = pair.N.matrix, pair.S.matrix
-    violations = list(check_nijenhuis(pair.N, rep.algebra).violations)
+    violations = []
     for i in range(rep.algebra.dim):
         Ni = N.col(i)
         for side, rho_i, rho_Ni in (
@@ -88,7 +94,7 @@ def _pair_report(pair: OperatorPair, rep: Representation, name: str, dual: bool)
             rhs = S * rho_Ni + (D * S if dual else S * D)
             if lhs != rhs:
                 violations.append(Violation(f"{name}-{side}", (i,), _flat(lhs), _flat(rhs)))
-    return CheckReport.build(violations)
+    return violations
 
 
 def check_nijenhuis_pair(pair: OperatorPair, rep: Representation) -> CheckReport:
@@ -237,10 +243,16 @@ def hat_tilde_representations(
     tilde family when (N,S) is a dual-Nijenhuis pair; the applicable one is
     verified here.
     """
-    rep.require_representation()
-    _require_shapes(pair, rep)
     is_pair = check_nijenhuis_pair(pair, rep).ok
     is_dual = check_dual_nijenhuis_pair(pair, rep).ok
+    return _hat_tilde(pair, rep, is_pair, is_dual)
+
+
+def _hat_tilde(
+    pair: OperatorPair, rep: Representation, is_pair: bool, is_dual: bool
+) -> Tuple[Representation, Representation]:
+    """``hat_tilde_representations`` given the verdicts of the Nijenhuis-pair
+    and dual-Nijenhuis-pair checks of ``pair`` on ``rep``."""
     if not (is_pair or is_dual):
         raise NeitherPairKind("neither the pair nor the dual-pair identities hold")
     N, S = pair.N.matrix, pair.S.matrix
@@ -332,7 +344,11 @@ def check_kn_structure(
         return report
 
     K, m = kn.K.matrix, rep.mdim
-    hat, tilde = hat_tilde_representations(kn.pair, rep)
+    # _kn_conditions established the mode's pair identities, N Nijenhuis
+    # included, so the other mode's verdict is its identities alone.
+    dual = kn.mode != "kn"
+    other = not _pair_identity(kn.pair, rep, "", dual=not dual)
+    hat, tilde = _hat_tilde(kn.pair, rep, is_pair=not dual or other, is_dual=dual or other)
     hat_bracket = module_bracket_tensor(K, hat)
     tilde_bracket = module_bracket_tensor(K, tilde)
     extra = []

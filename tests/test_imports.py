@@ -1,0 +1,145 @@
+"""What importing the package and running a command loads: the public
+namespace resolves lazily, and a command imports only the modules it runs."""
+
+import ast
+import importlib
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import leibnizkit
+
+SRC = Path(leibnizkit.__file__).resolve().parent
+CATALOG_DIR = SRC / "catalog"
+
+# Every name the package exported when its __init__ imported them eagerly,
+# by defining module.
+EXPORTED = {
+    "algebras": ["LeibnizAlgebra", "Representation", "check_leibniz", "check_matched_pair",
+                 "check_representation", "dual_representation", "regular_representation",
+                 "semidirect_sum"],
+    "dgla": ["Cochain", "balavoine_bracket", "bracket_square", "check_maurer_cartan",
+             "coboundary", "dgla_bracket", "dual_kn_from_mc", "mc_from_dual_kn", "theta_twist",
+             "tilde_varrho_bracket"],
+    "fields": ["RATIONALS", "FieldSpec", "Scalar", "prime_field", "scalar_arith"],
+    "forms": ["BilinearForm", "Tensor2", "check_bn_structure", "check_quadratic",
+              "check_rbn_structure", "check_rn_structure", "check_ybe", "rbn_rn_transfer",
+              "sharp_map"],
+    "linalg": ["LinearSolution", "Matrix", "mat_inverse", "mat_mul", "solve_linear",
+               "transpose_dual"],
+    "operators": ["DendriformPair", "LinearOperator", "as_operator", "check_compatible",
+                  "check_kupershmidt", "check_nijenhuis", "check_nk_condition",
+                  "check_rota_baxter", "deformed_bracket", "induced_representation",
+                  "lifted_algebra", "nijenhuis_from_compatible", "subadjacent_algebra"],
+    "oracles": ["oracle_eval"],
+    "pairs": ["DeformationTriple", "KNStructure", "OperatorPair", "check_dual_nijenhuis_pair",
+              "check_kn_structure", "check_nijenhuis_pair", "check_perfect_pair",
+              "compatible_from_kn", "deformation_from_pair", "dual_kn_from_compatible",
+              "hat_tilde_representations", "kn_to_dual_kn", "make_kn", "make_pair",
+              "sum_nijenhuis_on_twilled"],
+    "reports": ["CheckReport", "Violation"],
+    "search": ["SearchSpec", "enumerate_bn_pairs", "enumerate_operators",
+               "mc_solutions_from_linear_layer", "random_instance", "solve_mc_linear_layer"],
+    "twilled": ["TwilledContext"],
+}
+ALL_NAMES = sorted(name for names in EXPORTED.values() for name in names)
+
+# Modules a `check` never needs at import time.
+HEAVY = ("search", "suites", "oracles", "dgla", "forms", "pairs")
+
+
+def test_exported_names_are_the_defining_modules_objects():
+    for module, names in EXPORTED.items():
+        mod = importlib.import_module(f"leibnizkit.{module}")
+        for name in names:
+            assert getattr(leibnizkit, name) is getattr(mod, name), name
+    assert leibnizkit.__version__ == "0.1.0"
+
+
+def test_star_import_and_dir_list_every_export():
+    namespace = {}
+    exec("from leibnizkit import *", namespace)
+    assert set(ALL_NAMES) <= set(namespace)
+    assert all(namespace[name] is getattr(leibnizkit, name) for name in ALL_NAMES)
+    assert set(ALL_NAMES) <= set(dir(leibnizkit))
+
+
+def test_unknown_attribute_is_attribute_error():
+    with pytest.raises(AttributeError, match=r"^module 'leibnizkit' has no attribute 'nosuch'$"):
+        leibnizkit.nosuch
+    assert not hasattr(leibnizkit, "check_everything")
+
+
+def _loaded_after(code: str) -> set:
+    """The leibnizkit submodules a fresh interpreter holds after ``code``,
+    which must leave a JSON value on the last line of stdout."""
+    out = subprocess.run([sys.executable, "-c", code + (
+        "\nimport sys, json"
+        "\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('leibnizkit.'))))")],
+        capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return {m.split(".", 1)[1] for m in json.loads(out.stdout.splitlines()[-1])}
+
+
+def _cli_code(*argv) -> str:
+    return ("from leibnizkit.cli import main\n"
+            f"assert main({list(argv)!r}) == 0\n")
+
+
+def test_import_loads_no_submodule():
+    assert _loaded_after("import leibnizkit") == set()
+
+
+def test_check_leibniz_loads_nothing_heavy():
+    loaded = _loaded_after(_cli_code("check", str(CATALOG_DIR / "abelian1.json"), "alg",
+                                     "leibniz"))
+    assert {"algebras", "io", "checks", "cli"} <= loaded
+    assert loaded.isdisjoint(HEAVY + ("twilled",))
+
+
+def test_check_rota_baxter_loads_no_search_suites_or_oracles():
+    loaded = _loaded_after(_cli_code("check", str(CATALOG_DIR / "l2.json"), "R",
+                                     "rota-baxter"))
+    assert "checks" in loaded
+    assert loaded.isdisjoint({"search", "suites", "oracles"})
+
+
+def test_search_and_suite_still_run():
+    search = _loaded_after(_cli_code("search", str(CATALOG_DIR / "l2.json"), "--predicate",
+                                     "nijenhuis", "--field", "F2"))
+    assert "search" in search and "suites" not in search
+    suite = _loaded_after(_cli_code("suite", "abelian1"))
+    assert "suites" in suite
+
+
+def _import_time_imports(path: Path) -> set:
+    """Modules a source file imports when it is itself imported: every import
+    statement outside a function body."""
+    found = set()
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.ImportFrom) and child.module is None:
+                found.update("." * child.level + alias.name for alias in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                found.add("." * child.level + child.module)
+            elif isinstance(child, ast.Import):
+                found.update(alias.name for alias in child.names)
+            visit(child)
+
+    visit(ast.parse(path.read_text()))
+    return found
+
+
+@pytest.mark.parametrize("filename", ["__init__.py", "cli.py", "checks.py", "io.py"])
+def test_check_path_modules_import_nothing_heavy_at_import_time(filename):
+    """The modules every `check` process loads import the heavy modules only
+    inside the functions that use them."""
+    imported = _import_time_imports(SRC / filename)
+    assert imported.isdisjoint(f".{name}" for name in HEAVY)
+    assert imported.isdisjoint(f"leibnizkit.{name}" for name in HEAVY)

@@ -276,6 +276,9 @@ _L2 = str(CATALOG_DIR / "l2.json")
      "'R' is not an algebra"),
     (["search", _L2, "--predicate", "nijenhuis", "--field", "F2", "--algebra", "regular"],
      "'regular' is not an algebra"),
+    # theta is an algebra -> module map: a 2-tensor or a form is refused
+    (["construct", _L2, "theta-twist", "--K", "R", "--theta", "pi0"], "'pi0' is not an operator"),
+    (["construct", _L2, "dual-kn-from-mc", "--K", "R", "--theta", "B"], "'B' is not an operator"),
 ])
 def test_cli_flag_naming_wrong_type_is_usage_error(capsys, argv, message):
     """A flag that names an object of the wrong type ends in exit 2 and one

@@ -165,6 +165,26 @@ def test_kn_consequences_bundled(l2, l2_dual):
     assert check_kn_structure(kn2, l2_dual, consequences=True).ok
 
 
+def test_kn_consequences_check_each_operator_nijenhuis_once(monkeypatch):
+    """With consequences, N is checked Nijenhuis once (by the mode's pair
+    precondition) and S once (on the sub-adjacent algebra)."""
+    from leibnizkit import pairs
+    from leibnizkit.catalog import load_entry
+
+    l2 = load_entry("l2").spec
+    kn = l2.build("kn_dual")
+    checked = []
+    real = pairs.check_nijenhuis
+
+    def counting(op, alg):
+        checked.append(op.matrix)
+        return real(op, alg)
+
+    monkeypatch.setattr(pairs, "check_nijenhuis", counting)
+    assert check_kn_structure(kn, l2.rep_for(l2.raw["kn_dual"]["rep"])).ok
+    assert checked == [kn.N, kn.S]
+
+
 def test_kn_to_dual(l2, l2_dual):
     K, _ = _bsharp_pair(l2, l2_dual)
     out = kn_to_dual_kn(make_kn(K, I2(), I2(), "kn"), l2_dual)

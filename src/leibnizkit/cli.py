@@ -180,9 +180,8 @@ def cmd_construct(args) -> int:
                 alg = spec.build(alg_names[0])
             if alg is None:
                 raise ParseError("pass --algebra")
-            out_objects["deformed"] = algebra_doc(
-                f, deformed_bracket(N, alg), verified=deformed_bracket(N, alg).is_leibniz
-            )
+            deformed = deformed_bracket(N, alg)
+            out_objects["deformed"] = algebra_doc(f, deformed, verified=deformed.is_leibniz)
         elif cons == "theta-twist":
             K = _operator(spec, need("K"))
             rep = _resolve_rep(spec, args.rep, K)

@@ -2,12 +2,15 @@
 maps, and seeded random instance generation.
 
 Every search predicate is a system of quadratic equations in the entries of
-the unknown matrix, with coefficients taken from the structure constants and
-action matrices.  A search compiles that system once into sparse equations
-over F_p on plain int residues, walks the candidate space in lexicographic
-order of the flattened entries in the calling thread, and builds a
-``Matrix`` only for the hits, each confirmed by the general ``check_*``
-report before it is returned.
+the unknown matrix, stated once as residue polynomials whose coefficients are
+raw field values (ints, or Fractions over Q) taken from the structure
+constants and action matrices.  A search compiles that system once into
+sparse equations over F_p on plain int residues, walks the candidate space in
+lexicographic order of the flattened entries in the calling thread, and
+builds a ``Matrix`` only for the hits, each confirmed by the general
+``check_*`` report before it is returned.  The linear layers (the linear
+Maurer-Cartan equations, invariant skew and closed symmetric forms) are
+solved exactly, over any field, from the same kind of residues.
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ from .errors import (
     ShapeMismatch,
     UnknownIdentity,
 )
-from .fields import FieldSpec
+from .fields import FieldSpec, RawScalar
 from .forms import BilinearForm, check_bn_structure
-from .linalg import Matrix, LinearSolution, is_invertible, solve_linear, vec_add
+from .linalg import Matrix, LinearSolution, is_invertible, solve_linear
 from .operators import (
     as_operator,
     check_kupershmidt,
@@ -199,12 +202,15 @@ def enumerate_bn_pairs(spec: SearchSpec, workers: int = 1) -> List[Tuple[Matrix,
 
 # -- compiled kernels ------------------------------------------------------------
 #
-# A polynomial in the unknown entries is a dict {monomial: int coefficient},
-# a monomial being the sorted tuple of its variable indices (degree <= 2).
+# A polynomial in the unknown entries is a dict {monomial: coefficient}, a
+# monomial being the sorted tuple of its variable indices (degree <= 2) and a
+# coefficient a raw field value (an int, or a Fraction over Q), not reduced.
 # Vectors and matrices of such polynomials mirror the check formulas term by
-# term; constants are degree-0 polynomials.
+# term; constants are degree-0 polynomials.  The same residues compile into
+# the F_p search kernels (_kernel) and, when linear, give the exact linear
+# layers (_linear_basis).
 
-Poly = Dict[Tuple[int, ...], int]
+Poly = Dict[Tuple[int, ...], RawScalar]
 
 
 def _unknown_matrix(rows: int, cols: int, first: int = 0) -> List[List[Poly]]:
@@ -309,24 +315,32 @@ def _kupershmidt_residues(rep: Representation, K) -> List[Poly]:
     return out
 
 
+def _mc_linear_residues(ctx: TwilledContext, theta) -> List[Poly]:
+    """theta[x, y] - rho1L(x) theta y - rho1R(y) theta x on g1 basis pairs: the
+    linear Maurer-Cartan residues of check_maurer_cartan with ``strong``."""
+    n1, n2, c1 = ctx.n1, ctx.n2, ctx.algebra1.c
+    T1L, T1R = _action_tensor(ctx.rho1.rhoL), _action_tensor(ctx.rho1.rhoR)
+    out = []
+    for i, j in product(range(n1), repeat=2):
+        lin_rhs = _lincomb((1, _bilinear(T1L, _basis(n1, i), _col(theta, j), n2)),
+                           (1, _bilinear(T1R, _basis(n1, j), _col(theta, i), n2)))
+        out += _lincomb((1, _apply(theta, _const(c1[i][j]))), (-1, lin_rhs))
+    return out
+
+
 def _mc_strong_residues(ctx: TwilledContext, theta) -> List[Poly]:
     """The quadratic and the linear Maurer-Cartan residues of check_maurer_cartan
     with ``strong``, on g1 basis pairs."""
-    n1, n2 = ctx.n1, ctx.n2
-    c1, c2 = ctx.algebra1.c, ctx.algebra2.c
-    T1L, T1R = _action_tensor(ctx.rho1.rhoL), _action_tensor(ctx.rho1.rhoR)
+    n1, n2, c2 = ctx.n1, ctx.n2, ctx.algebra2.c
     T2L, T2R = _action_tensor(ctx.rho2.rhoL), _action_tensor(ctx.rho2.rhoR)
+    linear = _mc_linear_residues(ctx, theta)
     out = []
-    for i in range(n1):
-        ti, ei = _col(theta, i), _basis(n1, i)
-        for j in range(n1):
-            tj, ej = _col(theta, j), _basis(n1, j)
-            lin_rhs = _lincomb((1, _bilinear(T1L, ei, tj, n2)), (1, _bilinear(T1R, ej, ti, n2)))
-            lin_lhs = _apply(theta, _const(c1[i][j]))
-            inner = _lincomb((1, _bilinear(T2L, ti, ej, n1)), (1, _bilinear(T2R, tj, ei, n1)))
-            out += _lincomb((1, _bilinear(c2, ti, tj, n2)), (1, lin_rhs),
-                            (-1, _apply(theta, inner)), (-1, lin_lhs))
-            out += _lincomb((1, lin_lhs), (-1, lin_rhs))
+    for i, j in product(range(n1), repeat=2):
+        ti, ei, tj, ej = _col(theta, i), _basis(n1, i), _col(theta, j), _basis(n1, j)
+        lin = linear[(i * n1 + j) * n2:(i * n1 + j + 1) * n2]
+        inner = _lincomb((1, _bilinear(T2L, ti, ej, n1)), (1, _bilinear(T2R, tj, ei, n1)))
+        out += _lincomb((1, _bilinear(c2, ti, tj, n2)), (-1, _apply(theta, inner)), (-1, lin))
+        out += lin
     return out
 
 
@@ -341,6 +355,17 @@ def _matmul(A, B):
 def _entry_residues(A, B) -> List[Poly]:
     """A - B entrywise: the residues of the matrix identity A = B."""
     return [poly for ra, rb in zip(A, B) for poly in _lincomb((1, ra), (-1, rb))]
+
+
+def _invariance_residues(alg: LeibnizAlgebra, M) -> List[Poly]:
+    """M(x0, [x1,x2]) - M([x0,x2] + [x2,x0], x1) on basis triples: the
+    invariance of a bilinear form with matrix M, as in check_quadratic."""
+    c, cols = alg.c, _transpose(M)
+    out = []
+    for i, j, k in product(range(alg.dim), repeat=3):
+        sym = [a + b for a, b in zip(c[i][k], c[k][i])]
+        out += _lincomb((1, _apply([M[i]], _const(c[j][k]))), (-1, _apply([cols[j]], _const(sym))))
+    return out
 
 
 def _closed_residues(alg: LeibnizAlgebra, M) -> List[Poly]:
@@ -408,40 +433,29 @@ def _kernel(p: int, residues: Iterable[Poly]) -> Callable[[Sequence[int]], bool]
     return holds
 
 
+def _linear_basis(field: FieldSpec, residues: Iterable[Poly], unknowns: int) -> LinearSolution:
+    """Exactly solve "every residue vanishes" for the unknowns 0 .. unknowns-1,
+    each residue giving the row of its degree-1 coefficients.  A residue with
+    a nonzero constant or quadratic term is not linear and raises."""
+    rows = []
+    for poly in residues:
+        row = [0] * unknowns
+        for mono, c in poly.items():
+            if len(mono) == 1:
+                row[mono[0]] = c
+            elif not field.is_zero(c):
+                raise ShapeMismatch(f"residue term {mono} of degree {len(mono)} in a linear layer")
+        rows.append(row)
+    rows = rows or [[0] * unknowns]
+    return solve_linear(Matrix(field, rows), [0] * len(rows))
+
+
 def solve_mc_linear_layer(ctx: TwilledContext) -> LinearSolution:
     """Exactly solve the linear equivariance part of the Maurer-Cartan
     system for theta: g1 -> g2 (unknowns flattened row-major, theta[a][i] at
     a*n1 + i); the quadratic part is then a filter via check_maurer_cartan."""
-    f = ctx.field
-    n1, n2 = ctx.n1, ctx.n2
-    unknowns = n1 * n2
-    rows = []
-    for i in range(n1):
-        for j in range(n1):
-            br = ctx.algebra1.bracket_basis(i, j)
-            for a in range(n2):
-                row = [f.zero()] * unknowns
-                for t in range(n1):
-                    if not f.is_zero(br[t]):
-                        row[a * n1 + t] = f.add(row[a * n1 + t], br[t])
-                # rho1L(e_i) theta(e_j): component a = sum_b rho1L[i][a][b] theta[b][j]
-                for b in range(n2):
-                    v = ctx.rho1.rhoL[i][a, b]
-                    if not f.is_zero(v):
-                        row[b * n1 + j] = f.sub(row[b * n1 + j], v)
-                    w = ctx.rho1.rhoR[j][a, b]
-                    if not f.is_zero(w):
-                        row[b * n1 + i] = f.sub(row[b * n1 + i], w)
-                rows.append(row)
-    if not rows:
-        rows = [[f.zero()] * unknowns]
-    sol = solve_linear(Matrix(f, rows), [f.zero()] * len(rows))
-    return sol
-
-
-def unflatten_theta(ctx: TwilledContext, flat: Sequence) -> Matrix:
-    n1, n2 = ctx.n1, ctx.n2
-    return Matrix(ctx.field, [list(flat[a * n1:(a + 1) * n1]) for a in range(n2)])
+    theta = _unknown_matrix(ctx.n2, ctx.n1)
+    return _linear_basis(ctx.field, _mc_linear_residues(ctx, theta), ctx.n1 * ctx.n2)
 
 
 def mc_solutions_from_linear_layer(
@@ -449,19 +463,12 @@ def mc_solutions_from_linear_layer(
 ) -> List[Matrix]:
     """Span small combinations of the linear-layer basis and keep the ones
     passing the full (weak) Maurer-Cartan check."""
-    sol = solve_mc_linear_layer(ctx)
-    basis = sol.nullspace
+    basis = solve_mc_linear_layer(ctx).nullspace
     f = ctx.field
+    grid = [f.of(v) for v in (-1, 0, 1, 2)]
     seen = set()
     out = []
-    combos = [()]
-    if basis:
-        grid = [f.of(v) for v in (-1, 0, 1, 2)]
-        stack = [[]]
-        for _ in basis:
-            stack = [s + [g] for s in stack for g in grid]
-        combos = stack
-    for combo in combos:
+    for combo in product(grid, repeat=len(basis)):
         flat = [f.zero()] * (ctx.n1 * ctx.n2)
         for coef, vec in zip(combo, basis):
             if f.is_zero(coef):
@@ -471,7 +478,7 @@ def mc_solutions_from_linear_layer(
         if key in seen:
             continue
         seen.add(key)
-        theta = unflatten_theta(ctx, flat)
+        theta = _matrix(f, ctx.n2, ctx.n1, flat)
         if check_maurer_cartan(ctx, theta).ok:
             out.append(theta)
     return out
@@ -499,89 +506,40 @@ def random_instance(kind: str, dims, fieldspec: FieldSpec, seed: int, height: in
                 return alg
         raise NotFound(f"no Leibniz tensor found in {attempts} attempts")
     if kind in ("nijenhuis", "rota_baxter"):
-        alg = dims if isinstance(dims, LeibnizAlgebra) else None
-        if alg is None:
+        if not isinstance(dims, LeibnizAlgebra):
             raise ShapeMismatch("pass the algebra as `dims` for operator kinds")
+        rows = cols = dims.dim
         check = check_nijenhuis if kind == "nijenhuis" else check_rota_baxter
-        n = alg.dim
-        for _ in range(attempts):
-            m = Matrix(f, [[rand_scalar() for _ in range(n)] for _ in range(n)])
-            if check(as_operator(m), alg).ok:
-                return as_operator(m)
-        raise NotFound(f"no {kind} operator found in {attempts} attempts")
-    if kind == "kupershmidt":
-        rep = dims
-        if not isinstance(rep, Representation):
+    elif kind == "kupershmidt":
+        if not isinstance(dims, Representation):
             raise ShapeMismatch("pass the representation as `dims`")
-        for _ in range(attempts):
-            m = Matrix(
-                f, [[rand_scalar() for _ in range(rep.mdim)] for _ in range(rep.algebra.dim)]
-            )
-            if check_kupershmidt(as_operator(m), rep).ok:
-                return as_operator(m)
-        raise NotFound(f"no kupershmidt operator found in {attempts} attempts")
-    raise UnknownIdentity(f"unknown instance kind {kind!r}")
+        rows, cols, check = dims.algebra.dim, dims.mdim, check_kupershmidt
+    else:
+        raise UnknownIdentity(f"unknown instance kind {kind!r}")
+    for _ in range(attempts):
+        op = as_operator(Matrix(f, [[rand_scalar() for _ in range(cols)] for _ in range(rows)]))
+        if check(op, dims).ok:
+            return op
+    raise NotFound(f"no {kind} operator found in {attempts} attempts")
+
+
+def _form_basis(alg: LeibnizAlgebra, sign: int, identity: Callable) -> List[Matrix]:
+    """Basis of the bilinear forms B = sign * B^T on which every residue of
+    ``identity(alg, B)`` vanishes (unknowns row-major, B[a][b] at a*n + b)."""
+    f, n = alg.field, alg.dim
+    B = _unknown_matrix(n, n)
+    signed_bt = [_lincomb((sign, row)) for row in _transpose(B)]
+    sol = _linear_basis(f, _entry_residues(B, signed_bt) + identity(alg, B), n * n)
+    return [_matrix(f, n, n, vec) for vec in sol.nullspace]
 
 
 def invariant_skew_forms(alg: LeibnizAlgebra) -> List[Matrix]:
     """Basis of the space of skew bilinear forms satisfying the quadratic
     invariance condition (a linear system in the form's entries)."""
-    f, n = alg.field, alg.dim
-    unknowns = n * n
-    rows = []
-    for a in range(n):
-        for b in range(a, n):
-            row = [f.zero()] * unknowns
-            row[a * n + b] = f.add(row[a * n + b], f.one())
-            row[b * n + a] = f.add(row[b * n + a], f.one())
-            rows.append(row)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                row = [f.zero()] * unknowns
-                br = alg.bracket_basis(j, k)
-                for b in range(n):
-                    if not f.is_zero(br[b]):
-                        row[i * n + b] = f.add(row[i * n + b], br[b])
-                sym = vec_add(f, alg.bracket_basis(i, k), alg.bracket_basis(k, i))
-                for a in range(n):
-                    if not f.is_zero(sym[a]):
-                        row[a * n + j] = f.sub(row[a * n + j], sym[a])
-                rows.append(row)
-    sol = solve_linear(Matrix(f, rows), [f.zero()] * len(rows))
-    return [
-        Matrix(f, [vec[r * n:(r + 1) * n] for r in range(n)]) for vec in sol.nullspace
-    ]
+    return _form_basis(alg, -1, _invariance_residues)
 
 
 def closed_symmetric_forms(alg: LeibnizAlgebra) -> List[Matrix]:
     """Basis of the space of symmetric bilinear forms satisfying the
     closedness condition (linear in the form)."""
-    f, n = alg.field, alg.dim
-    unknowns = n * n
-    rows = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            row = [f.zero()] * unknowns
-            row[a * n + b] = f.one()
-            row[b * n + a] = f.neg(f.one())
-            rows.append(row)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                row = [f.zero()] * unknowns
-                # B(e_k, [e_i,e_j]) + B(e_j, [e_i,e_k]) - B(e_i, [e_j,e_k]) - B(e_i, [e_k,e_j]) = 0
-                for b, v in enumerate(alg.bracket_basis(i, j)):
-                    if not f.is_zero(v):
-                        row[k * n + b] = f.add(row[k * n + b], v)
-                for b, v in enumerate(alg.bracket_basis(i, k)):
-                    if not f.is_zero(v):
-                        row[j * n + b] = f.add(row[j * n + b], v)
-                for b, v in enumerate(vec_add(f, alg.bracket_basis(j, k), alg.bracket_basis(k, j))):
-                    if not f.is_zero(v):
-                        row[i * n + b] = f.sub(row[i * n + b], v)
-                rows.append(row)
-    sol = solve_linear(Matrix(f, rows), [f.zero()] * len(rows))
-    return [
-        Matrix(f, [vec[r * n:(r + 1) * n] for r in range(n)]) for vec in sol.nullspace
-    ]
+    return _form_basis(alg, 1, _closed_residues)

@@ -19,7 +19,7 @@ from leibnizkit.algebras import (
 from leibnizkit.catalog import catalog_names, load_catalog
 from leibnizkit.errors import ParseError
 from leibnizkit.io import load_spec, parse_spec, serialize_spec
-from leibnizkit.operators import lifted_algebra
+from leibnizkit.operators import deformed_bracket, lifted_algebra
 from leibnizkit.pairs import dual_kn_from_compatible
 
 CATALOG_DIR = Path(__file__).resolve().parent.parent / "src" / "leibnizkit" / "catalog"
@@ -172,6 +172,23 @@ def test_cli_construct_deformed_zero():
     spec = parse_spec(out.stdout)
     alg = spec.build("deformed")
     assert all(v == 0 for row in alg.c for vec in row for v in vec)
+
+
+def test_cli_construct_deformed_builds_the_bracket_once(monkeypatch, capsys):
+    from leibnizkit import cli
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return deformed_bracket(*args)
+
+    monkeypatch.setattr(cli, "deformed_bracket", counted)
+    assert cli.main(["construct", str(CATALOG_DIR / "l2.json"), "deformed", "--N", "N23"]) == 0
+    assert len(calls) == 1
+    spec = parse_spec(capsys.readouterr().out)
+    assert spec.raw["deformed"]["verified"] is True
+    assert spec.build("deformed") == deformed_bracket(*calls[0])
 
 
 def test_cli_construct_failure_suppresses_output():

@@ -9,10 +9,15 @@ Conventions used throughout the package:
   from the left, ``rhoR[i]`` the action from the right.
 * in a direct-sum algebra built from a representation the module block comes
   first (indices ``0..m-1``), the algebra block second.
+
+An algebra caches its nonzero structure constants once, as ``(i, j, k, c)``
+tuples; ``bracket``, ``operators.twisted_tensor`` and ``check_leibniz``
+iterate them instead of walking the dense tensor.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Optional, Sequence, Tuple
 
 from .errors import FieldMismatch, NotLeibniz, NotRepresentation, ShapeMismatch
@@ -21,10 +26,17 @@ from .linalg import Matrix, Vector, _flat, lin_comb
 from .reports import CheckReport, Violation
 
 
+def _nonzero_entries(c: Sequence[Sequence[Sequence]]) -> Tuple[tuple, ...]:
+    """The nonzero entries ``(i, j, k, c[i][j][k])`` of a normalized bilinear
+    tensor, in lexicographic order of ``(i, j, k)``."""
+    return tuple((i, j, k, v) for i, row in enumerate(c) for j, vec in enumerate(row)
+                 for k, v in enumerate(vec) if v)
+
+
 class LeibnizAlgebra:
     """A finite-dimensional algebra given by its structure-constant tensor."""
 
-    __slots__ = ("field", "dim", "c", "_leibniz_report")
+    __slots__ = ("field", "dim", "c", "_entries", "_leibniz_report")
 
     def __init__(self, field: FieldSpec, c: Sequence[Sequence[Sequence]]):
         n = len(c)
@@ -38,6 +50,7 @@ class LeibnizAlgebra:
         self.field = field
         self.dim = n
         self.c = c_norm
+        self._entries = _nonzero_entries(c_norm)
         self._leibniz_report: Optional[CheckReport] = None
 
     @staticmethod
@@ -58,24 +71,16 @@ class LeibnizAlgebra:
         return self.c[i][j]
 
     def bracket(self, x: Sequence, y: Sequence) -> Vector:
-        """Bilinear extension of the structure constants to coordinate vectors."""
-        f = self.field
+        """Bilinear extension of the structure constants to coordinate vectors,
+        normalized once per output coordinate (so the entries of x and y may be
+        any values ``FieldSpec.normalize`` accepts)."""
         n = self.dim
         if len(x) != n or len(y) != n:
             raise ShapeMismatch("vector length does not match algebra dimension")
         acc = [0] * n
-        for i, xi in enumerate(x):
-            if f.is_zero(xi):
-                continue
-            row = self.c[i]
-            for j, yj in enumerate(y):
-                if f.is_zero(yj):
-                    continue
-                coef = xi * yj
-                vec = row[j]
-                for k in range(n):
-                    acc[k] += coef * vec[k]
-        return tuple(f.normalize(v) for v in acc)
+        for i, j, k, c in self._entries:
+            acc[k] += c * x[i] * y[j]
+        return tuple(map(self.field.normalize, acc))
 
     def left_mult(self, i: int) -> Matrix:
         """Matrix of x -> [e_i, x]."""
@@ -110,41 +115,34 @@ class LeibnizAlgebra:
 
 
 def check_leibniz(alg: LeibnizAlgebra) -> CheckReport:
-    """Left Leibniz identity [a,[b,c]] = [[a,b],c] + [b,[a,c]] on all basis triples."""
+    """Left Leibniz identity [a,[b,d]] = [[a,b],d] + [b,[a,d]] on all basis
+    triples, each term summed over pairs of nonzero structure constants."""
     f = alg.field
     n = alg.dim
-    c = alg.c
+    entries = alg._entries
+    by_first = [[] for _ in range(n)]  # entries (m, j, k, v) by m
+    by_second = [[] for _ in range(n)]  # entries (i, m, k, v) by m
+    for e in entries:
+        by_first[e[0]].append(e)
+        by_second[e[1]].append(e)
+    # lhs and rhs of triple (a, b, d), coordinate k, at ((a * n + b) * n + d) * n + k
+    lhs = [0] * n ** 4
+    rhs = [0] * n ** 4
+    for x, y, m, v in entries:
+        for a, _, k, w in by_second[m]:  # [a, [x, y]] with [x, y] = v e_m
+            lhs[((a * n + x) * n + y) * n + k] += v * w
+        for _, d, k, w in by_first[m]:  # [[x, y], d]
+            rhs[((x * n + y) * n + d) * n + k] += v * w
+        for b, _, k, w in by_second[m]:  # [b, [x, y]] with a = x, d = y
+            rhs[((x * n + b) * n + y) * n + k] += v * w
+    norm = f.normalize
+    lhs = tuple(map(norm, lhs))
+    rhs = tuple(map(norm, rhs))
     violations = []
-    for a in range(n):
-        for b in range(n):
-            ca_b = c[a][b]
-            for d in range(n):
-                lhs = [0] * n
-                inner = c[b][d]
-                for m in range(n):
-                    if not f.is_zero(inner[m]):
-                        cm = c[a][m]
-                        coef = inner[m]
-                        for k in range(n):
-                            lhs[k] += coef * cm[k]
-                rhs = [0] * n
-                for m in range(n):
-                    if not f.is_zero(ca_b[m]):
-                        cm = c[m][d]
-                        coef = ca_b[m]
-                        for k in range(n):
-                            rhs[k] += coef * cm[k]
-                inner2 = c[a][d]
-                for m in range(n):
-                    if not f.is_zero(inner2[m]):
-                        cm = c[b][m]
-                        coef = inner2[m]
-                        for k in range(n):
-                            rhs[k] += coef * cm[k]
-                lhs_t = tuple(f.normalize(v) for v in lhs)
-                rhs_t = tuple(f.normalize(v) for v in rhs)
-                if lhs_t != rhs_t:
-                    violations.append(Violation("leibniz", (a, b, d), lhs_t, rhs_t))
+    for t, (a, b, d) in enumerate(product(range(n), repeat=3)):
+        lhs_t, rhs_t = lhs[t * n:(t + 1) * n], rhs[t * n:(t + 1) * n]
+        if lhs_t != rhs_t:
+            violations.append(Violation("leibniz", (a, b, d), lhs_t, rhs_t))
     return CheckReport.build(violations)
 
 

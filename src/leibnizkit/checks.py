@@ -70,16 +70,23 @@ def _resolve_algebra(spec: SpecFile, op: LinearOperator, args: Dict) -> LeibnizA
     raise ParseError("ambiguous algebra; pass --algebra")
 
 
-def _resolve_rep(spec: SpecFile, op: Optional[LinearOperator], args: Dict) -> Representation:
-    if "rep" in args:
-        return spec.rep_for(args["rep"])
+def _resolve_rep(spec: SpecFile, name: Optional[str],
+                 op: Optional[LinearOperator]) -> Representation:
+    """The representation named ``name``; else the one the operator's tags
+    imply: a ``module:R`` domain is R, a ``dual:A`` domain the dual of A's
+    regular representation, an ``algebra:A`` codomain or domain A's regular
+    representation; else the file's only representation."""
+    if name:
+        return spec.rep_for(name)
     if op is not None:
         tag = op.domain
         if tag.startswith("module:"):
             return spec.rep_for(tag.split(":", 1)[1])
         if tag.startswith("dual:"):
-            alg = spec.build(tag.split(":", 1)[1])
-            return dual_representation(regular_representation(alg))
+            return dual_representation(regular_representation(spec.build(tag.split(":", 1)[1])))
+        for t in (op.codomain, op.domain):
+            if t.startswith("algebra:"):
+                return regular_representation(spec.build(t.split(":", 1)[1]))
     names = spec.names_of("representation")
     if len(names) == 1:
         return spec.rep_for(names[0])
@@ -101,7 +108,7 @@ def run_check(spec: SpecFile, object_name: str, check: str, args: Optional[Dict]
         return check_representation(obj)
     if check == "kupershmidt":
         op = _operator(spec, object_name)
-        return check_kupershmidt(op, _resolve_rep(spec, op, args))
+        return check_kupershmidt(op, _resolve_rep(spec, args.get("rep"), op))
     if check == "nijenhuis":
         op = _operator(spec, object_name)
         return check_nijenhuis(op, _resolve_algebra(spec, op, args))
@@ -111,11 +118,11 @@ def run_check(spec: SpecFile, object_name: str, check: str, args: Optional[Dict]
     if check == "compatible":
         op = _operator(spec, object_name)
         other = _operator(spec, _flag(args, "other", check))
-        return check_compatible(op, other, _resolve_rep(spec, op, args))
+        return check_compatible(op, other, _resolve_rep(spec, args.get("rep"), op))
     if check == "nk-condition":
         N = _operator(spec, object_name)
         K = _operator(spec, _flag(args, "K", check))
-        return check_nk_condition(N, K, _resolve_rep(spec, K, args))
+        return check_nk_condition(N, K, _resolve_rep(spec, args.get("rep"), K))
     if check in ("nijenhuis-pair", "dual-nijenhuis-pair", "perfect-pair"):
         from .pairs import (
             OperatorPair,
@@ -126,7 +133,7 @@ def run_check(spec: SpecFile, object_name: str, check: str, args: Optional[Dict]
 
         N = _operator(spec, object_name)
         S = _operator(spec, _flag(args, "S", check))
-        rep = _resolve_rep(spec, None, args)
+        rep = _resolve_rep(spec, args.get("rep"), None)
         pair = OperatorPair(N, S)
         fn = {
             "nijenhuis-pair": check_nijenhuis_pair,

@@ -15,11 +15,10 @@ from .algebras import (
     LeibnizAlgebra,
     Representation,
     dual_representation,
-    regular_representation,
     semidirect_sum,
 )
 from .catalog import catalog_names, load_catalog
-from .checks import CHECK_NAMES, _algebra, _operator, run_check
+from .checks import CHECK_NAMES, _algebra, _operator, _resolve_rep, run_check
 from .errors import LeibnizKitError, ParseError
 from .fields import FieldSpec
 from .io import (
@@ -35,7 +34,6 @@ from .io import (
 )
 from .linalg import Matrix
 from .operators import (
-    LinearOperator,
     deformed_bracket,
     lifted_algebra,
     subadjacent_algebra,
@@ -98,24 +96,6 @@ def cmd_check(args) -> int:
         for key, val in report.notes.items():
             print(f"  note {key}: {val}")
     return 0 if report.ok else CHECK_FAILED
-
-
-def _resolve_rep(spec: SpecFile, name: Optional[str], op: Optional[LinearOperator]):
-    if name:
-        return spec.rep_for(name)
-    if op is not None:
-        tag = op.domain
-        if tag.startswith("module:"):
-            return spec.rep_for(tag.split(":", 1)[1])
-        if tag.startswith("dual:"):
-            return dual_representation(regular_representation(spec.build(tag.split(":", 1)[1])))
-        for t in (op.codomain, op.domain):
-            if t.startswith("algebra:"):
-                return regular_representation(spec.build(t.split(":", 1)[1]))
-    names = spec.names_of("representation")
-    if len(names) == 1:
-        return spec.rep_for(names[0])
-    raise ParseError("ambiguous representation; pass --rep")
 
 
 CONSTRUCTIONS = (

@@ -140,8 +140,9 @@ def _require_field(spec: SearchSpec, field: FieldSpec) -> None:
         raise ShapeMismatch(f"search field {spec.field} differs from the structure's field {field}")
 
 
-def _matrix(f: FieldSpec, rows: int, cols: int, flat: Sequence[int]) -> Matrix:
-    return Matrix(f, [flat[r * cols:(r + 1) * cols] for r in range(rows)])
+def _matrix(f: FieldSpec, rows: int, cols: int, flat: Sequence) -> Matrix:
+    """The rows x cols matrix of the normalized values ``flat``, row-major."""
+    return Matrix._trusted(f, tuple(tuple(flat[r * cols:(r + 1) * cols]) for r in range(rows)))
 
 
 def enumerate_operators(spec: SearchSpec, workers: int = 1) -> List[Matrix]:
@@ -458,11 +459,10 @@ def solve_mc_linear_layer(ctx: TwilledContext) -> LinearSolution:
     return _linear_basis(ctx.field, _mc_linear_residues(ctx, theta), ctx.n1 * ctx.n2)
 
 
-def mc_solutions_from_linear_layer(
-    ctx: TwilledContext, coefficients: Sequence[Sequence] = ((0,), (1,), (2,), (-1,))
-) -> List[Matrix]:
-    """Span small combinations of the linear-layer basis and keep the ones
-    passing the full (weak) Maurer-Cartan check."""
+def mc_solutions_from_linear_layer(ctx: TwilledContext) -> List[Matrix]:
+    """Span the combinations of the linear-layer basis with coefficients in
+    (-1, 0, 1, 2) and keep the ones passing the full (weak) Maurer-Cartan
+    check."""
     basis = solve_mc_linear_layer(ctx).nullspace
     f = ctx.field
     grid = [f.of(v) for v in (-1, 0, 1, 2)]
@@ -488,7 +488,9 @@ def random_instance(kind: str, dims, fieldspec: FieldSpec, seed: int, height: in
                     attempts: int = 4000):
     """Rejection-sample small random tensors/matrices until the named check
     passes; deterministic given the seed.  Raises NotFound when the attempt
-    budget runs out."""
+    budget runs out.  Dense random Leibniz tensors are found at dim <= 2
+    (though a seed can run out at dim 2); at dim 3 the default attempts find
+    none."""
     rng = Random(seed)
     f = fieldspec
 

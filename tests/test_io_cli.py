@@ -17,6 +17,7 @@ from leibnizkit.algebras import (
     semidirect_sum,
 )
 from leibnizkit.catalog import catalog_names, load_catalog
+from leibnizkit.checks import _resolve_rep, run_check
 from leibnizkit.errors import ParseError
 from leibnizkit.io import load_spec, parse_spec, serialize_spec
 from leibnizkit.operators import deformed_bracket, lifted_algebra
@@ -156,6 +157,42 @@ def test_cli_construct_subadjacent():
     assert alg.bracket_basis(1, 1) == (-1, 0)
     assert alg.bracket_basis(1, 0) == (-1, 0)
     assert spec.raw["subadjacent"]["verified"] is True
+
+
+@pytest.mark.parametrize("construction", ["subadjacent", "lifted"])
+def test_cli_algebra_tagged_operator_resolves_the_regular_representation(capsys, construction):
+    """R is tagged ``algebra:alg`` on both sides and l2.json has two
+    representations: with no --rep, construct acts through the regular one."""
+    from leibnizkit import cli
+
+    path = str(CATALOG_DIR / "l2.json")
+    outs = []
+    for extra in ([], ["--rep", "regular"]):
+        assert cli.main(["construct", path, construction, "--K", "R", *extra]) == 0
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1]
+    assert outs[0].out and not outs[0].err
+
+
+def test_check_and_construct_resolve_representations_alike():
+    """One resolver serves check and construct: a module: domain names its
+    representation, dual: the dual of the regular one, algebra: the regular
+    one, and --rep overrides the tags."""
+    spec = load_catalog()["l2"].spec
+    regular, dual = spec.rep_for("regular"), spec.rep_for("dual")
+
+    def actions(rep):
+        return rep.rhoL, rep.rhoR
+
+    for op, rep in (("R", regular), ("theta0", regular), ("Bsharp", dual)):
+        assert actions(_resolve_rep(spec, None, spec.build(op))) == actions(rep)
+    assert actions(_resolve_rep(spec, "dual", spec.build("R"))) == actions(dual)
+    with pytest.raises(ParseError, match="ambiguous representation"):
+        _resolve_rep(spec, None, None)
+    for op in ("R", "ident"):
+        tagged = run_check(spec, op, "kupershmidt")
+        named = run_check(spec, op, "kupershmidt", {"rep": "regular"})
+        assert (tagged.ok, tagged.violations) == (named.ok, named.violations)
 
 
 def test_cli_construct_dual_rep():

@@ -28,6 +28,7 @@ from leibnizkit import (
     oracle_eval,
     regular_representation,
 )
+from leibnizkit.catalog import load_catalog
 from leibnizkit.errors import LeibnizKitError, UnknownIdentity
 from leibnizkit.fields import prime_field
 from leibnizkit.forms import (
@@ -37,13 +38,15 @@ from leibnizkit.forms import (
     check_rn_structure,
 )
 from leibnizkit.linalg import is_invertible
-from leibnizkit.operators import check_compatible
+from leibnizkit.operators import check_compatible, check_nk_condition
 from leibnizkit.oracles import (
     eval_bn_structure,
     eval_compatible,
     eval_kn_structure,
+    eval_nk_condition,
     eval_perfect_pair,
     eval_rbn_structure,
+    eval_representation,
     eval_rn_structure,
 )
 from leibnizkit.pairs import check_kn_structure, check_perfect_pair, make_kn, make_pair
@@ -215,6 +218,46 @@ def test_derived_structures_match_oracles(p, n, seed, data):
         B = BilinearForm(alg, draw([m for m in symmetric if is_invertible(m)]))
         _agree(lambda: check_bn_structure(alg, B, as_operator(N), consequences=False),
                lambda: eval_bn_structure(alg, B, N))
+
+
+def test_representation_and_nk_condition_match_oracles():
+    """eval_representation and eval_nk_condition against the main checks, with
+    equal violation tuples: first the catalog's representations (named, and
+    the regular one of every algebra) and l2's nk-condition pairs, then
+    seeded random F2/F3 algebras with true and perturbed action matrices and
+    operators from the search hit lists and at random."""
+    rng = random.Random(31)
+    reps, nk = [], []
+    catalog = load_catalog()
+    for entry in catalog.values():
+        spec = entry.spec
+        reps += [spec.rep_for(name) for name in spec.names_of("representation")]
+        reps += [regular_representation(spec.build(name)) for name in spec.names_of("algebra")]
+    l2 = catalog["l2"].spec
+    for N in ("N23", "NpIqE", "N11", "ident", "zero", "R"):
+        nk += [(l2.build(N).matrix, l2.build("R").matrix, l2.rep_for("regular")),
+               (l2.build(N).matrix, l2.build("Bsharp").matrix, l2.rep_for("dual"))]
+    for p, n, seed in product((2, 3), (1, 2), (0, 1, 2)):
+        f = prime_field(p)
+        alg = random_instance("leibniz", n, f, seed)
+        randmat = lambda: Matrix(f, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+        regular = regular_representation(alg)
+        dual = dual_representation(regular)
+        reps += [regular, dual,
+                 Representation(alg, [randmat() for _ in range(n)], regular.rhoR),
+                 Representation(alg, dual.rhoL, [randmat() for _ in range(n)])]
+        nijenhuis = enumerate_operators(SearchSpec(f, (n, n), "nijenhuis", algebra=alg))
+        for rep in (regular, dual):
+            kupershmidt = enumerate_operators(SearchSpec(f, (n, n), "kupershmidt", rep=rep))
+            for _ in range(4 * n):
+                nk.append((rng.choice(nijenhuis), rng.choice(kupershmidt), rep))
+            nk += [(randmat(), rng.choice(kupershmidt), rep),
+                   (rng.choice(nijenhuis), randmat(), rep)]
+    for rep in reps:
+        same(check_representation(rep), eval_representation(rep))
+    for N, K, rep in nk:
+        _agree(lambda: check_nk_condition(as_operator(N), as_operator(K), rep),
+               lambda: eval_nk_condition(N, K, rep))
 
 
 def test_oracles_import_only_errors_and_reports():

@@ -3,7 +3,7 @@ corresponding verifier.  Used by the CLI and the expected-verdict runner."""
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from .algebras import (
     LeibnizAlgebra,
@@ -29,13 +29,29 @@ from .reports import CheckReport
 # and dgla are imported in their own branch of ``run_check``, so a check loads
 # only the modules it runs.
 
-CHECK_NAMES = (
-    "leibniz", "representation", "kupershmidt", "nijenhuis", "rota-baxter",
-    "compatible", "nk-condition", "nijenhuis-pair", "dual-nijenhuis-pair",
-    "perfect-pair", "kn-structure", "maurer-cartan", "maurer-cartan-strong",
-    "ybe", "rn-structure", "rbn-structure", "quadratic", "bn-structure",
-    "transfer",
-)
+# Each check with the flags it reads; any other flag is a usage error.
+_CHECK_FLAGS: Dict[str, Tuple[str, ...]] = {
+    "leibniz": (),
+    "representation": (),
+    "kupershmidt": ("rep",),
+    "nijenhuis": ("algebra",),
+    "rota-baxter": ("algebra",),
+    "compatible": ("other", "rep"),
+    "nk-condition": ("K", "rep"),
+    "nijenhuis-pair": ("S", "rep"),
+    "dual-nijenhuis-pair": ("S", "rep"),
+    "perfect-pair": ("S", "rep"),
+    "kn-structure": ("rep",),
+    "maurer-cartan": ("ctx",),
+    "maurer-cartan-strong": ("ctx",),
+    "ybe": (),
+    "rn-structure": ("N",),
+    "rbn-structure": ("N", "algebra"),
+    "quadratic": (),
+    "bn-structure": ("N",),
+    "transfer": ("R", "N"),
+}
+CHECK_NAMES = tuple(_CHECK_FLAGS)
 
 
 def _operator(spec: SpecFile, name: str) -> LinearOperator:
@@ -59,7 +75,7 @@ def _flag(args: Dict, key: str, check: str) -> str:
 
 
 def _resolve_algebra(spec: SpecFile, op: LinearOperator, args: Dict) -> LeibnizAlgebra:
-    if "algebra" in args:
+    if args.get("algebra"):
         return _algebra(spec, args["algebra"])
     for tag in (op.codomain, op.domain):
         if tag.startswith("algebra:"):
@@ -96,8 +112,11 @@ def _resolve_rep(spec: SpecFile, name: Optional[str],
 def run_check(spec: SpecFile, object_name: str, check: str, args: Optional[Dict] = None,
               consequences: bool = True) -> CheckReport:
     args = dict(args or {})
-    if check not in CHECK_NAMES:
+    if check not in _CHECK_FLAGS:
         raise ParseError(f"unknown check {check!r} (known: {', '.join(CHECK_NAMES)})")
+    unread = [f"--{key}" for key in args if key not in _CHECK_FLAGS[check]]
+    if unread:
+        raise ParseError(f"check {check!r} does not take {', '.join(unread)}")
     obj = spec.build(object_name)
 
     if check == "leibniz":

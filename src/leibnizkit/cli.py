@@ -18,7 +18,7 @@ from .algebras import (
     semidirect_sum,
 )
 from .catalog import catalog_names, load_catalog
-from .checks import CHECK_NAMES, _algebra, _operator, _resolve_rep, run_check
+from .checks import CHECK_NAMES, _algebra, _operator, _resolve_algebra, _resolve_rep, run_check
 from .errors import LeibnizKitError, ParseError
 from .fields import FieldSpec
 from .io import (
@@ -149,18 +149,7 @@ def cmd_construct(args) -> int:
             }
         elif cons == "deformed":
             N = _operator(spec, need("N"))
-            alg_names = spec.names_of("algebra")
-            alg = _algebra(spec, args.algebra) if args.algebra else None
-            if alg is None:
-                for tag in (N.codomain, N.domain):
-                    if tag.startswith("algebra:"):
-                        alg = _algebra(spec, tag.split(":", 1)[1])
-                        break
-            if alg is None and len(alg_names) == 1:
-                alg = spec.build(alg_names[0])
-            if alg is None:
-                raise ParseError("pass --algebra")
-            deformed = deformed_bracket(N, alg)
+            deformed = deformed_bracket(N, _resolve_algebra(spec, N, vars(args)))
             out_objects["deformed"] = algebra_doc(f, deformed, verified=deformed.is_leibniz)
         elif cons == "theta-twist":
             K = _operator(spec, need("K"))

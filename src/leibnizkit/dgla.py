@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .algebras import LeibnizAlgebra, Representation, check_leibniz
 from .errors import (
@@ -35,14 +35,14 @@ from .fields import FieldSpec
 from .linalg import Matrix, is_invertible, mat_inverse, vec_add
 from .operators import (
     LinearOperator,
+    _lift,
     as_operator,
     check_compatible,
     check_kupershmidt,
     deformed_bracket,
     induced_action,
     induced_representation,
-    subadjacent_algebra,
-    lifted_algebra,
+    module_bracket_tensor,
 )
 from .algebras import check_matched_pair
 from .pairs import (
@@ -288,7 +288,8 @@ def check_maurer_cartan(
         raise ShapeMismatch(f"theta must be {ctx.n2}x{ctx.n1}")
     f = ctx.field
     g1, g2 = ctx.algebra1, ctx.algebra2
-    rho1, rho2 = ctx.rho1, ctx.rho2
+    rho1 = ctx.rho1
+    sub = module_bracket_tensor(theta, ctx.rho2)
     violations = []
     for i in range(ctx.n1):
         ti = theta.col(i)
@@ -297,11 +298,7 @@ def check_maurer_cartan(
             lin_rhs = vec_add(f, rho1.rhoL[i].apply(tj), rho1.rhoR[j].apply(ti))
             lin_lhs = theta.apply(g1.bracket_basis(i, j))
             quad_lhs = vec_add(f, g2.bracket(ti, tj), lin_rhs)
-            quad_rhs = vec_add(
-                f,
-                theta.apply(vec_add(f, rho2.actL(ti).col(j), rho2.actR(tj).col(i))),
-                lin_lhs,
-            )
+            quad_rhs = vec_add(f, theta.apply(sub[i][j]), lin_lhs)
             if quad_lhs != quad_rhs:
                 violations.append(Violation("maurer-cartan", (i, j), quad_lhs, quad_rhs))
             if strong and lin_lhs != lin_rhs:
@@ -327,6 +324,19 @@ def mc_cochain_defects(ctx: TwilledContext, theta: Matrix) -> Tuple[Cochain, Coc
     return d_theta, quad
 
 
+def _lifted_context(K: LinearOperator, rep: Representation, theta: Optional[Matrix] = None):
+    """The induced representation of (K, rep) and the twilled context of the
+    lifted sum; with ``theta``, raises NotStrongMC unless theta solves the
+    strong Maurer-Cartan equation there."""
+    vr, lifted = _lift(as_operator(K), rep)
+    ctx = TwilledContext(lifted, rep.algebra.dim, rep.mdim)
+    if theta is not None:
+        mc = check_maurer_cartan(ctx, theta, strong=True)
+        if not mc.ok:
+            raise NotStrongMC(mc.summary())
+    return vr, ctx
+
+
 def theta_twist(
     K: LinearOperator, rep: Representation, theta: Matrix
 ) -> Tuple[LeibnizAlgebra, Representation, LeibnizAlgebra]:
@@ -335,31 +345,16 @@ def theta_twist(
     twisted algebra on the module, and the total bracket on module (+) twisted
     algebra.  The transferred Kupershmidt properties of K are re-verified."""
     K = as_operator(K)
-    alg = rep.algebra
-    f = alg.field
-    n, m = alg.dim, rep.mdim
-    lifted = lifted_algebra(K, rep)
-    ctx = TwilledContext(lifted, n, m)
-    mc = check_maurer_cartan(ctx, theta, strong=True)
-    if not mc.ok:
-        raise NotStrongMC(mc.summary())
-    vr = induced_representation(K, rep)
-    _, subalg = subadjacent_algebra(K, rep)
-
-    twisted = tuple(
-        tuple(
-            vec_add(f, vr.actL(theta.col(i)).col(j), vr.actR(theta.col(j)).col(i))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    g_theta = LeibnizAlgebra(f, twisted)
+    f = rep.algebra.field
+    n, m = rep.algebra.dim, rep.mdim
+    vr, _ = _lifted_context(K, rep, theta)
+    g_theta = LeibnizAlgebra(f, module_bracket_tensor(theta, vr))
     g_theta.require_leibniz()
 
     rho_theta = Representation(g_theta, *induced_action(theta, vr))
     rho_theta.require_representation()
 
-    report, total = check_matched_pair(subalg, g_theta, vr, rho_theta)
+    report, total = check_matched_pair(vr.algebra, g_theta, vr, rho_theta)
     if total is None:
         raise LeibnizKitError(f"twisted total bracket is not Leibniz: {report.summary()}")
 
@@ -380,12 +375,7 @@ def dual_kn_from_mc(
     (K, N = K theta, S = theta K); the mirrored structure over the induced
     representation and the compatibility consequences are re-verified."""
     K = as_operator(K)
-    alg = rep.algebra
-    lifted = lifted_algebra(K, rep)
-    ctx = TwilledContext(lifted, alg.dim, rep.mdim)
-    mc = check_maurer_cartan(ctx, theta, strong=True)
-    if not mc.ok:
-        raise NotStrongMC(mc.summary())
+    vr, _ = _lifted_context(K, rep, theta)
     N = K.matrix * theta
     S = theta * K.matrix
     kn = KNStructure(K, OperatorPair(as_operator(N), as_operator(S)), "dual-kn")
@@ -393,7 +383,6 @@ def dual_kn_from_mc(
     if not rpt.ok:
         raise NotDualKN(rpt.summary())
 
-    vr = induced_representation(K, rep)
     mirrored = KNStructure(
         as_operator(theta), OperatorPair(as_operator(S), as_operator(N)), "dual-kn"
     )
@@ -425,11 +414,7 @@ def mc_from_dual_kn(kn: KNStructure, rep: Representation) -> Matrix:
     theta = Kinv * kn.N
     if theta != kn.S * Kinv:
         raise LeibnizKitError("K^{-1} N and S K^{-1} disagree")
-    lifted = lifted_algebra(kn.K, rep)
-    ctx = TwilledContext(lifted, rep.algebra.dim, rep.mdim)
-    mc = check_maurer_cartan(ctx, theta, strong=True)
-    if not mc.ok:
-        raise NotStrongMC(mc.summary())
+    _lifted_context(kn.K, rep, theta)
     return theta
 
 

@@ -5,6 +5,16 @@ compatibility of Kupershmidt operators.
 A Kupershmidt operator maps the module into the algebra; its defining identity
 is [K(u), K(v)] = K(rhoL(Ku) v + rhoR(Kv) u) on all basis pairs.  Rota-Baxter
 (weight zero) is the special case of the regular representation.
+
+``module_bracket_tensor`` is the one home of the bracket that a map T: module
+-> algebra induces on the module, [u,v]^T = rhoL(Tu) v + rhoR(Tv) u; its
+kernel ``_dendriform`` builds each rhoL(Te_i) and rhoR(Te_i) once.  Callers:
+the Kupershmidt, compatible and nk-condition checks and the sub-adjacent
+algebra here; the Maurer-Cartan check and ``theta_twist`` in ``dgla``; the KN
+core and the hat/tilde bracket agreements in ``pairs``; the operator form of
+the Maurer-Cartan equation in ``suites``.  ``_lift`` builds the induced
+representation (its algebra is the sub-adjacent one) and the lifted sum once
+per (K, rep).
 """
 
 from __future__ import annotations
@@ -74,21 +84,29 @@ def _require_module_map(K: LinearOperator, rep: Representation):
         raise ShapeMismatch("operator and representation fields differ")
 
 
+def _dendriform(T: Matrix, rep: Representation) -> DendriformPair:
+    """The halves u <| v = rhoL(Tu) v and u |> v = rhoR(Tv) u on module basis
+    pairs, from one rhoL(Te_i) and one rhoR(Te_i) per basis vector."""
+    m = rep.mdim
+    cols = [T.col(i) for i in range(m)]
+    left = [rep.actL(t) for t in cols]
+    right = [rep.actR(t) for t in cols]
+    return DendriformPair(
+        tuple(tuple(left[i].col(j) for j in range(m)) for i in range(m)),
+        tuple(tuple(right[j].col(i) for j in range(m)) for i in range(m)),
+    )
+
+
+def _summed(f: FieldSpec, halves: DendriformPair):
+    """The tensor u <| v + u |> v."""
+    return tuple(tuple(vec_add(f, a, b) for a, b in zip(l, r))
+                 for l, r in zip(halves.lhd, halves.rhd))
+
+
 def module_bracket_tensor(T: Matrix, rep: Representation):
     """Bracket [u,v]^T = rhoL(Tu) v + rhoR(Tv) u on the module, for any linear
     T: module -> algebra; the sub-adjacent bracket when T is Kupershmidt."""
-    f = rep.algebra.field
-    m = rep.mdim
-    rows = []
-    for i in range(m):
-        Ti = T.col(i)
-        Li = rep.actL(Ti)
-        row = []
-        for j in range(m):
-            Tj = T.col(j)
-            row.append(vec_add(f, Li.col(j), rep.actR(Tj).col(i)))
-        rows.append(tuple(row))
-    return tuple(rows)
+    return _summed(rep.algebra.field, _dendriform(T, rep))
 
 
 def twisted_tensor(c, T: Matrix, f: FieldSpec):
@@ -123,44 +141,49 @@ def _twist(n: int, entries, T: Matrix, f: FieldSpec):
                  for i in range(n))
 
 
-def check_kupershmidt(K: LinearOperator, rep: Representation) -> CheckReport:
-    """[K(u),K(v)] = K(rhoL(Ku) v + rhoR(Kv) u) on all module basis pairs."""
+def _kupershmidt_core(K: LinearOperator, rep: Representation):
+    """The violations of the Kupershmidt identity with the halves of [u,v]^K
+    and the tensor [u,v]^K itself, after the preconditions of
+    ``check_kupershmidt``."""
     rep.require_representation()
     K = as_operator(K)
     _require_module_map(K, rep)
     alg = rep.algebra
     m = rep.mdim
-    sub = module_bracket_tensor(K.matrix, rep)
+    halves = _dendriform(K.matrix, rep)
+    sub = _summed(alg.field, halves)
+    cols = [K.matrix.col(i) for i in range(m)]
     violations = []
     for i in range(m):
-        Ki = K.matrix.col(i)
         for j in range(m):
-            lhs = alg.bracket(Ki, K.matrix.col(j))
+            lhs = alg.bracket(cols[i], cols[j])
             rhs = K.matrix.apply(sub[i][j])
             if lhs != rhs:
                 violations.append(Violation("kupershmidt", (i, j), lhs, rhs))
-    return CheckReport.build(violations)
+    return violations, halves, sub
+
+
+def _require_kupershmidt(K: LinearOperator, rep: Representation):
+    """The halves of [u,v]^K and the tensor, raising NotKupershmidt unless K
+    is Kupershmidt."""
+    violations, halves, sub = _kupershmidt_core(K, rep)
+    if violations:
+        raise NotKupershmidt(CheckReport.build(violations).summary())
+    return halves, sub
+
+
+def check_kupershmidt(K: LinearOperator, rep: Representation) -> CheckReport:
+    """[K(u),K(v)] = K(rhoL(Ku) v + rhoR(Kv) u) on all module basis pairs."""
+    return CheckReport.build(_kupershmidt_core(K, rep)[0])
 
 
 def subadjacent_algebra(
     K: LinearOperator, rep: Representation
 ) -> Tuple[DendriformPair, LeibnizAlgebra]:
-    K = as_operator(K)
-    report = check_kupershmidt(K, rep)
-    if not report.ok:
-        raise NotKupershmidt(report.summary())
-    f = rep.algebra.field
-    m = rep.mdim
-    lhd = tuple(
-        tuple(rep.actL(K.matrix.col(i)).col(j) for j in range(m)) for i in range(m)
-    )
-    rhd = tuple(
-        tuple(rep.actR(K.matrix.col(j)).col(i) for j in range(m)) for i in range(m)
-    )
-    c = [[vec_add(f, lhd[i][j], rhd[i][j]) for j in range(m)] for i in range(m)]
-    alg = LeibnizAlgebra(f, c)
+    halves, sub = _require_kupershmidt(K, rep)
+    alg = LeibnizAlgebra(rep.algebra.field, sub)
     alg.require_leibniz()
-    return DendriformPair(lhd, rhd), alg
+    return halves, alg
 
 
 def induced_action(T: Matrix, rep: Representation) -> Tuple[list, list]:
@@ -206,17 +229,21 @@ def induced_representation(K: LinearOperator, rep: Representation) -> Representa
     return out
 
 
+def _lift(K: LinearOperator, rep: Representation) -> Tuple[Representation, LeibnizAlgebra]:
+    """The induced representation, whose algebra is the sub-adjacent one, and
+    the lifted sum built from it."""
+    induced = induced_representation(K, rep)
+    report, twilled = check_matched_pair(rep.algebra, induced.algebra, rep, induced)
+    if twilled is None:
+        raise NotKupershmidt(f"lifted bracket is not Leibniz: {report.summary()}")
+    return induced, twilled
+
+
 def lifted_algebra(K: LinearOperator, rep: Representation) -> LeibnizAlgebra:
     """The sum algebra on algebra (+) module induced by a Kupershmidt operator;
     algebra block first.  Equals the twilled algebra of the original algebra
     with the sub-adjacent one."""
-    K = as_operator(K)
-    _, subalg = subadjacent_algebra(K, rep)
-    induced = induced_representation(K, rep)
-    report, twilled = check_matched_pair(rep.algebra, subalg, rep, induced)
-    if twilled is None:
-        raise NotKupershmidt(f"lifted bracket is not Leibniz: {report.summary()}")
-    return twilled
+    return _lift(K, rep)[1]
 
 
 def check_nijenhuis(N: LinearOperator, alg: LeibnizAlgebra) -> CheckReport:
@@ -285,10 +312,8 @@ def check_compatible(
     skipped).
     """
     K1, K2 = as_operator(K1), as_operator(K2)
-    for K in (K1, K2):
-        r = check_kupershmidt(K, rep)
-        if not r.ok:
-            raise NotKupershmidt(r.summary())
+    _, sub1 = _require_kupershmidt(K1, rep)
+    _, sub2 = _require_kupershmidt(K2, rep)
     alg = rep.algebra
     f = alg.field
     m = rep.mdim
@@ -298,9 +323,7 @@ def check_compatible(
         for j in range(m):
             K1j, K2j = K1.matrix.col(j), K2.matrix.col(j)
             lhs = vec_add(f, alg.bracket(K1i, K2j), alg.bracket(K2i, K1j))
-            mixed1 = vec_add(f, rep.actL(K2i).col(j), rep.actR(K2j).col(i))
-            mixed2 = vec_add(f, rep.actL(K1i).col(j), rep.actR(K1j).col(i))
-            rhs = vec_add(f, K1.matrix.apply(mixed1), K2.matrix.apply(mixed2))
+            rhs = vec_add(f, K1.matrix.apply(sub2[i][j]), K2.matrix.apply(sub1[i][j]))
             if lhs != rhs:
                 violations.append(Violation("compatible", (i, j), lhs, rhs))
     report = CheckReport.build(violations)
@@ -337,26 +360,24 @@ def check_nk_condition(
     nij = check_nijenhuis(N, alg)
     if not nij.ok:
         raise NotNijenhuis(nij.summary())
-    kup = check_kupershmidt(K, rep)
-    if not kup.ok:
-        raise NotKupershmidt(kup.summary())
+    _, sub_K = _require_kupershmidt(K, rep)
     f = alg.field
     m = rep.mdim
     NK = N.matrix * K.matrix
     NNK = N.matrix * NK
+    composite = LinearOperator(NK, K.domain, K.codomain)
+    direct_violations, _, sub_NK = _kupershmidt_core(composite, rep)
     violations = []
     for i in range(m):
         Ki, NKi = K.matrix.col(i), NK.col(i)
         for j in range(m):
             Kj, NKj = K.matrix.col(j), NK.col(j)
             lhs = N.matrix.apply(vec_add(f, alg.bracket(NKi, Kj), alg.bracket(Ki, NKj)))
-            t1 = NK.apply(vec_add(f, rep.actL(NKi).col(j), rep.actR(NKj).col(i)))
-            t2 = NNK.apply(vec_add(f, rep.actL(Ki).col(j), rep.actR(Kj).col(i)))
-            rhs = vec_add(f, t1, t2)
+            rhs = vec_add(f, NK.apply(sub_NK[i][j]), NNK.apply(sub_K[i][j]))
             if lhs != rhs:
                 violations.append(Violation("nk-condition", (i, j), lhs, rhs))
     report = CheckReport.build(violations)
-    direct = check_kupershmidt(LinearOperator(NK, K.domain, K.codomain), rep)
+    direct = CheckReport.build(direct_violations)
     if report.ok != direct.ok:
         report = report.merged(
             CheckReport.build(

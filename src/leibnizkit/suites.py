@@ -19,6 +19,7 @@ from .algebras import (
 )
 from .checks import run_check
 from .dgla import (
+    _lifted_context,
     check_maurer_cartan,
     dual_kn_from_mc,
     mc_cochain_defects,
@@ -32,12 +33,11 @@ from .io import SpecFile
 from .linalg import Matrix, is_invertible
 from .operators import (
     LinearOperator,
-    as_operator,
     check_compatible,
     check_kupershmidt,
     check_nijenhuis,
     check_nk_condition,
-    lifted_algebra,
+    module_bracket_tensor,
     nijenhuis_from_compatible,
 )
 from .pairs import (
@@ -136,8 +136,7 @@ def suite_mc_equivalence(catalog, nonsolutions: int = 12, seed: int = 20) -> Sui
     rng = Random(seed)
     for label, K, rep in _kupershmidt_cases(catalog):
         f = rep.algebra.field
-        lifted = lifted_algebra(K, rep)
-        ctx = TwilledContext(lifted, rep.algebra.dim, rep.mdim)
+        vr, ctx = _lifted_context(K, rep)
         res.run(f"{label}: zero strong", lambda: check_maurer_cartan(
             ctx, Matrix.zeros(f, ctx.n2, ctx.n1), strong=True).ok)
         solutions = mc_solutions_from_linear_layer(ctx)
@@ -153,14 +152,14 @@ def suite_mc_equivalence(catalog, nonsolutions: int = 12, seed: int = 20) -> Sui
             res.check((d + q).is_zero() == weak, f"{label}: gla-weak agreement #{idx}")
             res.check((d.is_zero() and q.is_zero()) == strong,
                       f"{label}: gla-strong agreement #{idx}")
-            spec_linear = _operator_locality(K, rep, theta)
-            spec_quad = _operator_quadratic(K, rep, theta)
+            spec_linear = _operator_locality(rep, theta)
+            spec_quad = _operator_quadratic(vr, theta)
             res.check((spec_linear and spec_quad) == strong,
                       f"{label}: operator-form agreement #{idx}")
     return res
 
 
-def _operator_locality(K, rep, theta) -> bool:
+def _operator_locality(rep, theta) -> bool:
     """theta([y,z]) = rhoL(y) theta z + rhoR(z) theta y over the base algebra."""
     alg = rep.algebra
     f = alg.field
@@ -176,37 +175,13 @@ def _operator_locality(K, rep, theta) -> bool:
     return True
 
 
-def _operator_quadratic(K, rep, theta) -> bool:
-    """[theta y, theta z]^K = theta(vrL(theta y) z + vrR(theta z) y)."""
-    from .operators import induced_representation, module_bracket_tensor
-
-    alg = rep.algebra
-    f = alg.field
-    sub = module_bracket_tensor(K.matrix if isinstance(K, LinearOperator) else K, rep)
-    vr = induced_representation(as_operator(K), rep)
-    n = alg.dim
-    for i in range(n):
-        ti = theta.col(i)
-        for j in range(n):
-            tj = theta.col(j)
-            lhs = [0] * rep.mdim
-            for a, va in enumerate(ti):
-                if f.is_zero(va):
-                    continue
-                for b, vb in enumerate(tj):
-                    if f.is_zero(vb):
-                        continue
-                    co = va * vb
-                    for k in range(rep.mdim):
-                        lhs[k] += co * sub[a][b][k]
-            lhs = tuple(f.normalize(v) for v in lhs)
-            inner = tuple(
-                f.add(a, b)
-                for a, b in zip(vr.actL(ti).col(j), vr.actR(tj).col(i))
-            )
-            if lhs != theta.apply(inner):
-                return False
-    return True
+def _operator_quadratic(vr, theta) -> bool:
+    """[theta y, theta z]^K = theta(vrL(theta y) z + vrR(theta z) y), with vr
+    the induced representation, whose algebra carries the bracket [,]^K."""
+    inner = module_bracket_tensor(theta, vr)
+    cols = [theta.col(i) for i in range(vr.mdim)]
+    return all(vr.algebra.bracket(ti, tj) == theta.apply(inner[i][j])
+               for i, ti in enumerate(cols) for j, tj in enumerate(cols))
 
 
 def suite_trivial_deformation(catalog) -> SuiteResult:

@@ -1,16 +1,21 @@
 """The checks that read the induced bracket [u,v]^T = rhoL(Tu) v + rhoR(Tv) u
 -- Kupershmidt, compatible, nk-condition and Maurer-Cartan, weak and strong --
-against the oracles, over F2, F3, F5 and Q.
+against the oracles, over F2, F3, F5 and Q; that bracket formed in one
+kernel; and the sub-adjacent algebra built once per lift.
 
 Operators are the l2 Kupershmidt cases carried into each field, their
 scalings and dense random matrices; Maurer-Cartan elements on the lifted sums
 are drawn at random and from the linear layer."""
 
+import ast
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import leibnizkit
 from leibnizkit import (
     LeibnizAlgebra,
     Matrix,
@@ -21,9 +26,12 @@ from leibnizkit import (
     check_kupershmidt,
     check_maurer_cartan,
     check_nk_condition,
+    dual_kn_from_mc,
     lifted_algebra,
+    mc_from_dual_kn,
     mc_solutions_from_linear_layer,
     random_instance,
+    theta_twist,
 )
 from leibnizkit.catalog import load_catalog
 from leibnizkit.errors import DivisionByZero, LeibnizKitError
@@ -34,11 +42,13 @@ from leibnizkit.oracles import (
     eval_maurer_cartan,
     eval_nk_condition,
 )
-from leibnizkit.suites import _kupershmidt_cases
+from leibnizkit import operators
+from leibnizkit.suites import _kupershmidt_cases, suite_mc_equivalence
 from leibnizkit.twilled import TwilledContext
 
+SRC = Path(leibnizkit.__file__).resolve().parent
 FIELDS = (prime_field(2), prime_field(3), prime_field(5), Q)
-NIJENHUIS = ("N23", "N11", "N05", "NpIqE", "zero", "E01")
+ENDOMORPHISMS = ("N23", "N11", "N05", "NpIqE", "zero", "E01")
 
 
 def scalar(rng, f):
@@ -84,7 +94,7 @@ def field_cases(f, rng):
     """For each l2 representation, carried into f: (representation,
     Kupershmidt operators, dense random matrices), the Kupershmidt operators
     being the l2 cases with one scaling each and two dense random ones; and
-    the l2 endomorphisms named in NIJENHUIS with two dense random ones."""
+    the l2 endomorphisms named in ENDOMORPHISMS with two dense random ones."""
     catalog = load_catalog()
     cases = {}
     for _, K, rep in _kupershmidt_cases(catalog):
@@ -98,7 +108,7 @@ def field_cases(f, rng):
     for frep, kup, _ in cases.values():
         kup += [random_instance("kupershmidt", frep, f, seed).matrix for seed in (0, 1)]
     l2 = catalog["l2"].spec
-    endos = [m for m in (moved(l2.build(n).matrix, f) for n in NIJENHUIS) if m is not None]
+    endos = [m for m in (moved(l2.build(n).matrix, f) for n in ENDOMORPHISMS) if m is not None]
     endos += [random_matrix(rng, f, 2, 2) for _ in range(2)]
     return cases, endos
 
@@ -144,3 +154,64 @@ def test_maurer_cartan_matches_oracle_on_lifted_sums(f):
                 strong_ok += strong.ok
                 failed += not weak.ok
     assert weak_ok and strong_ok and failed
+
+
+def _induced_sums(tree):
+    """The ``.actL(...).col(...)`` and ``.actR(...).col(...)`` expressions: one
+    term of the induced bracket written out by hand."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "col" and isinstance(node.func.value, ast.Call)
+            and isinstance(node.func.value.func, ast.Attribute)
+            and node.func.value.func.attr in ("actL", "actR")]
+
+
+def test_induced_bracket_is_formed_in_one_kernel():
+    """Only module_bracket_tensor forms rhoL(Tu) v + rhoR(Tv) u; its kernel
+    builds each action matrix once and reads columns of the stored matrices.
+    oracles.py is a deliberate second implementation and is not scanned."""
+    assert len(_induced_sums(ast.parse("rep.actL(x).col(j) + rep.actR(y).col(i)"))) == 2
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "oracles.py"
+             for node in _induced_sums(ast.parse(path.read_text()))]
+    assert found == []
+
+
+@pytest.fixture
+def subadjacent_builds(monkeypatch):
+    """The argument tuples of every subadjacent_algebra call, under whatever
+    module name the caller looks it up."""
+    calls = []
+    original = operators.subadjacent_algebra
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("leibnizkit.") and getattr(module, "subadjacent_algebra", None) is original:
+            monkeypatch.setattr(module, "subadjacent_algebra", counted)
+    return calls
+
+
+def _l2():
+    return load_catalog()["l2"].spec
+
+
+@pytest.mark.parametrize("label, call", [
+    ("lifted_algebra", lambda l2: lifted_algebra(l2.build("R"), l2.rep_for("regular"))),
+    ("mc_from_dual_kn", lambda l2: mc_from_dual_kn(l2.build("kn_dual"), l2.rep_for("dual"))),
+    ("dual_kn_from_mc", lambda l2: dual_kn_from_mc(
+        l2.build("R"), l2.rep_for("regular"), l2.build("theta_strong").matrix)),
+    ("theta_twist", lambda l2: theta_twist(
+        l2.build("R"), l2.rep_for("regular"), l2.build("theta_strong").matrix)),
+])
+def test_one_lift_builds_the_subadjacent_algebra_once(subadjacent_builds, label, call):
+    call(_l2())
+    assert len(subadjacent_builds) == 1, label
+
+
+def test_mc_equivalence_builds_each_subadjacent_algebra_once(subadjacent_builds):
+    catalog = load_catalog()
+    assert suite_mc_equivalence(catalog).ok
+    assert len(subadjacent_builds) == len(_kupershmidt_cases(catalog)) == 6

@@ -344,6 +344,54 @@ def test_cli_flag_naming_wrong_type_is_usage_error(capsys, argv, message):
     assert out.out == "" and out.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["check", _L2, "N23", "nijenhuis", "--rep", "nosuch"], "check 'nijenhuis' does not take --rep"),
+    (["check", _L2, "N23", "nijenhuis", "--S", "zero", "--ctx", "nosuch"],
+     "check 'nijenhuis' does not take --S, --ctx"),
+    (["check", _L2, "alg", "leibniz", "--algebra", "alg"], "check 'leibniz' does not take --algebra"),
+    (["check", _L2, "R", "kupershmidt", "--other", "R2"], "check 'kupershmidt' does not take --other"),
+    (["check", _L2, "theta0", "maurer-cartan", "--ctx", "tw_lift", "--rep", "regular"],
+     "check 'maurer-cartan' does not take --rep"),
+])
+def test_cli_check_refuses_flags_its_check_does_not_read(capsys, argv, message):
+    from leibnizkit import cli
+
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {message}\n"
+
+
+def test_check_names_are_the_flag_table_keys():
+    from leibnizkit.checks import _CHECK_FLAGS, CHECK_NAMES
+
+    assert CHECK_NAMES == tuple(_CHECK_FLAGS) == (
+        "leibniz", "representation", "kupershmidt", "nijenhuis", "rota-baxter",
+        "compatible", "nk-condition", "nijenhuis-pair", "dual-nijenhuis-pair",
+        "perfect-pair", "kn-structure", "maurer-cartan", "maurer-cartan-strong",
+        "ybe", "rn-structure", "rbn-structure", "quadratic", "bn-structure",
+        "transfer",
+    )
+    for entry in load_catalog().values():
+        for item in entry.spec.expected:
+            assert set(item.get("args") or {}) <= set(_CHECK_FLAGS[item["check"]]), item
+
+
+def test_cli_construct_deformed_without_an_algebra_is_ambiguous(tmp_path, capsys):
+    """construct deformed resolves its algebra as check does: an untagged
+    operator in a file with two algebras needs --algebra."""
+    from leibnizkit import cli
+
+    spec = json.loads(Path(_L2).read_text())
+    spec["objects"]["N"] = {"type": "operator", "matrix": [["1", "0"], ["0", "1"]]}
+    path = tmp_path / "two_algebras.json"
+    path.write_text(json.dumps(spec))
+    assert cli.main(["construct", str(path), "deformed", "--N", "N"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: ambiguous algebra; pass --algebra\n"
+    assert cli.main(["construct", str(path), "deformed", "--N", "N", "--algebra", "alg"]) == 0
+    assert parse_spec(capsys.readouterr().out).build("deformed") == load_spec(_L2).build("alg")
+
+
 _L2_NAMES = sorted(json.loads(Path(_L2).read_text())["objects"]) + ["missing"]
 _CONSTRUCT_FLAGS = ("rep", "algebra", "K", "N", "S", "theta", "kn", "pi", "K1", "K2")
 

@@ -2,7 +2,7 @@
 Maurer-Cartan checks on twilled algebras, and the structure transfer along a
 strong Maurer-Cartan solution.
 
-A cochain of arity k is a dense map from basis k-tuples to coordinate vectors.
+A cochain of arity k is a map from basis k-tuples to coordinate vectors.
 The insertion product sums over (k-1, n)-shuffles of the first k+n-1 inputs,
 feeding the n shuffled slots plus one fixed input to the inner cochain:
 
@@ -13,12 +13,20 @@ feeding the n shuffled slots plus one fixed input to the inner cochain:
 
 with f of arity m+1, g of arity n+1.  The graded bracket is
 {f,g} = f ob g - (-1)^{mn} g ob f with ob = sum_k (-1)^{(k-1)n} o_k.
+
+One kernel, ``_insertion_sum``, evaluates every such product.  It reads the
+nonzero entries of each cochain (cached per ``Cochain``), pairs each entry of
+g with the entries of f whose k-th input is g's output coordinate, and places
+each shuffle's term at an output index given by fixed index weights.  All the
+terms of a bracket, both f ob g and -+ g ob f, go into one flat raw
+accumulator that is normalised once; the result is built through
+``Cochain._trusted``, which skips the validation the public constructor does.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from typing import Optional, Sequence, Tuple
 
 from .algebras import LeibnizAlgebra, Representation, check_leibniz
@@ -75,9 +83,10 @@ def _shuffles(p: int, q: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
 
 
 class Cochain:
-    """Dense multilinear map from arity-many algebra slots to the algebra."""
+    """Multilinear map from arity-many algebra slots to the algebra, stored
+    densely; its nonzero entries are listed once, on first use."""
 
-    __slots__ = ("field", "dim", "arity", "data")
+    __slots__ = ("field", "dim", "arity", "data", "_nonzero")
 
     def __init__(self, field: FieldSpec, dim: int, arity: int, data: Sequence[Sequence]):
         if arity < 1:
@@ -92,6 +101,27 @@ class Cochain:
         )
         if any(len(vec) != dim for vec in self.data):
             raise ShapeMismatch("output vectors must have the algebra dimension")
+        self._nonzero = None
+
+    @classmethod
+    def _trusted(cls, field: FieldSpec, dim: int, arity: int, data: tuple) -> "Cochain":
+        """Wrap a tuple of normalised coordinate tuples of the right shape
+        without checking or normalising it again."""
+        self = cls.__new__(cls)
+        self.field, self.dim, self.arity, self.data = field, dim, arity, data
+        self._nonzero = None
+        return self
+
+    def _entries(self) -> Tuple[Tuple[Tuple[int, ...], int, object], ...]:
+        """The nonzero entries (input index tuple, output coordinate, value),
+        in lexicographic order."""
+        if self._nonzero is None:
+            self._nonzero = tuple(
+                (idx, j, v)
+                for idx, vec in zip(product(range(self.dim), repeat=self.arity), self.data)
+                for j, v in enumerate(vec) if v
+            )
+        return self._nonzero
 
     @property
     def degree(self) -> int:
@@ -106,18 +136,17 @@ class Cochain:
     def from_matrix(m: Matrix) -> "Cochain":
         if m.rows != m.cols:
             raise ShapeMismatch("arity-1 cochain needs a square matrix")
-        return Cochain(m.field, m.rows, 1, [m.col(j) for j in range(m.cols)])
+        return Cochain._trusted(m.field, m.rows, 1, tuple(m.col(j) for j in range(m.cols)))
 
     @staticmethod
     def from_algebra(alg: LeibnizAlgebra) -> "Cochain":
-        data = [alg.c[i][j] for i in range(alg.dim) for j in range(alg.dim)]
-        return Cochain(alg.field, alg.dim, 2, data)
+        return Cochain._trusted(alg.field, alg.dim, 2, tuple(vec for row in alg.c for vec in row))
 
     @staticmethod
     def from_tensor(field: FieldSpec, tensor) -> "Cochain":
-        dim = len(tensor)
-        data = [tensor[i][j] for i in range(dim) for j in range(dim)]
-        return Cochain(field, dim, 2, data)
+        """The arity-2 cochain of a normalised n x n x n bracket tensor."""
+        return Cochain._trusted(field, len(tensor), 2,
+                                tuple(tuple(vec) for row in tensor for vec in row))
 
     def to_algebra(self) -> LeibnizAlgebra:
         if self.arity != 2:
@@ -133,8 +162,7 @@ class Cochain:
         return self.data[flat]
 
     def is_zero(self) -> bool:
-        f = self.field
-        return all(f.is_zero(v) for vec in self.data for v in vec)
+        return not any(map(any, self.data))
 
     def __eq__(self, other) -> bool:
         return (
@@ -148,27 +176,21 @@ class Cochain:
 
     def __add__(self, other: "Cochain") -> "Cochain":
         self._join(other)
-        f = self.field
-        return Cochain(
-            self.field, self.dim, self.arity,
-            [tuple(f.add(a, b) for a, b in zip(u, v)) for u, v in zip(self.data, other.data)],
-        )
+        add = self.field.add
+        return self._like(tuple(tuple(map(add, u, v)) for u, v in zip(self.data, other.data)))
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         self._join(other)
-        f = self.field
-        return Cochain(
-            self.field, self.dim, self.arity,
-            [tuple(f.sub(a, b) for a, b in zip(u, v)) for u, v in zip(self.data, other.data)],
-        )
+        sub = self.field.sub
+        return self._like(tuple(tuple(map(sub, u, v)) for u, v in zip(self.data, other.data)))
 
     def scale(self, s) -> "Cochain":
         f = self.field
         s = f.of(s)
-        return Cochain(
-            self.field, self.dim, self.arity,
-            [tuple(f.mul(s, v) for v in vec) for vec in self.data],
-        )
+        return self._like(tuple(tuple(f.mul(s, v) for v in vec) for vec in self.data))
+
+    def _like(self, data: tuple) -> "Cochain":
+        return Cochain._trusted(self.field, self.dim, self.arity, data)
 
     def _join(self, other: "Cochain"):
         if not isinstance(other, Cochain):
@@ -182,83 +204,73 @@ class Cochain:
         return f"Cochain(dim={self.dim}, arity={self.arity})"
 
 
-def _circ_bar(phi1: Cochain, phi2: Cochain) -> Cochain:
-    """phi1 ob phi2 = sum_k (-1)^{(k-1) deg(phi2)} phi1 o_k phi2."""
-    if phi1.field != phi2.field or phi1.dim != phi2.dim:
-        raise SpaceMismatch("cochains live on different spaces")
-    f = phi1.field
-    dim = phi1.dim
-    m = phi1.degree
-    n = phi2.degree
-    out_arity = m + n + 1
-    size = dim ** out_arity
-    out = [[0] * dim for _ in range(size)]
-    d1 = phi1.data
-    d2 = phi2.data
-    is_zero = f.is_zero
-    for k in range(1, m + 2):
-        ksign = -1 if ((k - 1) * n) % 2 else 1
-        shs = _shuffles(k - 1, n)
-        fixed_inner = k + n - 1
-        tail_start = k + n
-        for flat in range(size):
-            # decode flat index into the input tuple
-            x = []
-            rem = flat
-            for _ in range(out_arity):
-                x.append(rem % dim)
-                rem //= dim
-            x.reverse()
-            acc = out[flat]
-            tail = x[tail_start:]
-            xf = x[fixed_inner]
-            for perm, sign in shs:
-                inner_flat = 0
-                for t in range(n):
-                    inner_flat = inner_flat * dim + x[perm[k - 1 + t]]
-                inner_flat = inner_flat * dim + xf
-                inner_vec = d2[inner_flat]
-                s = ksign * sign
-                prefix = [x[perm[t]] for t in range(k - 1)]
-                for j in range(dim):
-                    cj = inner_vec[j]
-                    if is_zero(cj):
-                        continue
-                    outer_flat = 0
-                    for t in prefix:
-                        outer_flat = outer_flat * dim + t
-                    outer_flat = outer_flat * dim + j
-                    for t in tail:
-                        outer_flat = outer_flat * dim + t
-                    vec = d1[outer_flat]
-                    coef = s * cj
-                    for c_idx in range(dim):
-                        acc[c_idx] += coef * vec[c_idx]
-    norm = f.normalize
-    return Cochain(f, dim, out_arity, [tuple(norm(v) for v in row) for row in out])
+def _ob(coef: int, f: Cochain, g: Cochain):
+    """The terms of coef * (f ob g) = sum_k coef (-1)^{(k-1) deg g} f o_k g."""
+    n = g.degree
+    return [(-coef if (k - 1) * n % 2 else coef, f, g, k) for k in range(1, f.arity + 1)]
+
+
+def _insertion_sum(terms) -> Cochain:
+    """sum coef * (f o_k g) over the terms (coef, f, g, k), which share one
+    space and one output arity, normalised once at the end."""
+    field, dim = terms[0][1].field, terms[0][1].dim
+    arity = terms[0][1].arity + terms[0][2].arity - 1
+    for _, f, g, _ in terms:
+        if (f.field, f.dim) != (field, dim) or (g.field, g.dim) != (field, dim):
+            raise SpaceMismatch("cochains live on different spaces")
+    # Flat output position of (input tuple x, coordinate l) is
+    # (sum_t x_t dim^{arity-1-t}) * dim + l; weights[t] = dim^{arity-t}.
+    weights = [dim ** (arity - t) for t in range(arity)]
+    acc = [0] * (dim ** arity * dim)
+    for coef, f, g, k in terms:
+        n = g.degree
+        g_entries = g._entries()
+        # f's entries by the value of their k-th input, as (prefix inputs,
+        # position of the tail inputs and the coordinate, value)
+        tail_w = weights[k + n:]
+        by_slot = [[] for _ in range(dim)]
+        for idx, l, v in f._entries():
+            tail = sum(a * w for a, w in zip(idx[k:], tail_w)) + l
+            by_slot[idx[k - 1]].append((idx[:k - 1], tail, v))
+        fixed_w = weights[k + n - 1]
+        for perm, sign in _shuffles(k - 1, n):
+            w = [weights[pos] for pos in perm]
+            pre_w, in_w = w[:k - 1], w[k - 1:]
+            outer = [[(sum(a * x for a, x in zip(pre, pre_w)) + tail, v)
+                      for pre, tail, v in bucket] for bucket in by_slot]
+            s = coef * sign
+            for idx, j, c in g_entries:
+                bucket = outer[j]
+                if not bucket:
+                    continue
+                off = sum(b * x for b, x in zip(idx, in_w)) + idx[n] * fixed_w
+                sc = s * c
+                for pos, v in bucket:
+                    acc[pos + off] += sc * v
+    norm = field.normalize
+    vals = iter([norm(v) if v else 0 for v in acc])
+    return Cochain._trusted(field, dim, arity, tuple(zip(*[vals] * dim)))
 
 
 def bracket_square(phi: Cochain) -> Cochain:
-    """phi ob phi: the quadratic refinement of {phi, phi} for odd-degree phi,
-    which equals twice it in characteristic != 2."""
-    return _circ_bar(phi, phi)
+    """phi ob phi.  For odd-degree phi this is the integral half of
+    {phi, phi} = 2 (phi ob phi): its quadratic refinement, defined in every
+    characteristic, characteristic 2 included."""
+    return _insertion_sum(_ob(1, phi, phi))
 
 
 def balavoine_bracket(phi1: Cochain, phi2: Cochain) -> Cochain:
-    """{phi1, phi2} = phi1 ob phi2 - (-1)^{deg1 deg2} phi2 ob phi1.
+    """{phi1, phi2} = phi1 ob phi2 - (-1)^{deg1 deg2} phi2 ob phi1, both
+    terms summed into one accumulator.
 
     For odd-degree phi the diagonal {phi, phi} = 2 (phi ob phi) vanishes
-    identically in characteristic 2, so there it is defined as the square
-    phi ob phi instead (the convention of a graded Lie algebra with a
+    identically in characteristic 2, so there it is defined as the integral
+    half phi ob phi instead (the convention of a graded Lie algebra with a
     quadratic refinement); {mu, mu} = 0 then still says mu is Leibniz."""
     if phi1.degree % 2 and phi1 == phi2:
-        sq = bracket_square(phi1)
-        return sq if phi1.field.char == 2 else sq + sq
-    a = _circ_bar(phi1, phi2)
-    b = _circ_bar(phi2, phi1)
-    if (phi1.degree * phi2.degree) % 2:
-        return a + b
-    return a - b
+        return _insertion_sum(_ob(1 if phi1.field.char == 2 else 2, phi1, phi1))
+    sign = 1 if (phi1.degree * phi2.degree) % 2 else -1
+    return _insertion_sum(_ob(1, phi1, phi2) + _ob(sign, phi2, phi1))
 
 
 def coboundary(mu: Cochain, phi: Cochain) -> Cochain:
@@ -310,17 +322,23 @@ def check_maurer_cartan(
 
 def mc_cochain_defects(ctx: TwilledContext, theta: Matrix) -> Tuple[Cochain, Cochain]:
     """The graded-bracket formulation of the same equations: the differential
-    of theta along the g1-side lift, and half the derived-bracket square along
-    the g2-side lift.  Weak MC is their sum vanishing, strong MC both
-    separately.  Needs characteristic != 2 for the half."""
-    f = ctx.field
-    if f.char == 2:
-        raise LeibnizKitError("graded-bracket route needs characteristic != 2")
-    mu1 = Cochain.from_tensor(f, ctx.lift1())
-    mu2 = Cochain.from_tensor(f, ctx.lift2())
+    {mu1, theta} of theta along the g1-side lift mu1, and half the
+    derived-bracket square (1/2){{mu2, theta}, theta} along the g2-side lift
+    mu2.  Weak MC is their sum vanishing, strong MC both separately.
+
+    The embedded theta squares to zero, so the terms of {{mu2, theta}, theta}
+    come in equal pairs and the half is the integral sum
+
+        q = (mu2 o_1 theta) o_2 theta - theta ob (mu2 ob theta),
+        q(x, y) = mu2(theta x, theta y) - theta mu2(theta x, y) - theta mu2(x, theta y),
+
+    which needs no division and holds in every characteristic."""
+    mu1 = Cochain.from_tensor(ctx.field, ctx.lift1())
+    mu2 = Cochain.from_tensor(ctx.field, ctx.lift2())
     th = Cochain.from_matrix(ctx.embed_map(theta))
     d_theta = balavoine_bracket(mu1, th)
-    quad = balavoine_bracket(balavoine_bracket(mu2, th), th).scale(f.div(f.one(), f.of(2)))
+    first = _insertion_sum([(1, mu2, th, 1)])
+    quad = _insertion_sum([(1, first, th, 2)] + _ob(-1, th, _insertion_sum(_ob(1, mu2, th))))
     return d_theta, quad
 
 

@@ -23,7 +23,7 @@ class TwilledContext:
 
     __slots__ = (
         "total", "n1", "n2",
-        "algebra1", "algebra2", "rho1", "rho2",
+        "algebra1", "algebra2", "rho1", "rho2", "_lifts",
     )
 
     def __init__(self, total: LeibnizAlgebra, n1: int, n2: int):
@@ -73,6 +73,7 @@ class TwilledContext:
             rpt = check_representation(rep)
             if not rpt.ok:
                 raise NotRepresentation(f"action of {tag} fails: {rpt.summary()}")
+        self._lifts = None
 
     @property
     def field(self):
@@ -81,13 +82,23 @@ class TwilledContext:
     def lift1(self) -> BilinearTensor:
         """The g1-side structure as a bracket on the whole space:
         g1's bracket plus its two actions on g2 (zero on g2 x g2)."""
-        abelian2 = LeibnizAlgebra.abelian(self.field, self.n2)
-        return _sum_bracket(self.field, self.algebra1.c, abelian2.c, self.rho1, None)
+        return self._lift_pair()[0]
 
     def lift2(self) -> BilinearTensor:
         """The g2-side structure lift (g2's bracket plus its actions on g1)."""
-        abelian1 = LeibnizAlgebra.abelian(self.field, self.n1)
-        return _sum_bracket(self.field, abelian1.c, self.algebra2.c, None, self.rho2)
+        return self._lift_pair()[1]
+
+    def _lift_pair(self) -> Tuple[BilinearTensor, BilinearTensor]:
+        """Both lifts, built on first use and kept."""
+        if self._lifts is None:
+            f = self.field
+            abelian1 = LeibnizAlgebra.abelian(f, self.n1)
+            abelian2 = LeibnizAlgebra.abelian(f, self.n2)
+            self._lifts = (
+                _sum_bracket(f, self.algebra1.c, abelian2.c, self.rho1, None),
+                _sum_bracket(f, abelian1.c, self.algebra2.c, None, self.rho2),
+            )
+        return self._lifts
 
     def embed_map(self, theta: Matrix) -> Matrix:
         """Embed a g1 -> g2 map as an endomorphism of the sum (zero elsewhere)."""

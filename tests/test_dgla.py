@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -24,15 +25,20 @@ from leibnizkit import (
     dual_representation,
     lifted_algebra,
     mc_from_dual_kn,
+    mc_solutions_from_linear_layer,
     regular_representation,
     theta_twist,
     tilde_varrho_bracket,
 )
+from leibnizkit.catalog import load_catalog
 from leibnizkit.dgla import mc_cochain_defects
-from leibnizkit.errors import NotLeibniz, NotStrongMC, Singular, SpaceMismatch
+from leibnizkit.errors import DivisionByZero, NotLeibniz, NotStrongMC, Singular, SpaceMismatch
+from leibnizkit.fields import prime_field
 from leibnizkit.forms import BilinearForm, form_sharp_matrix
 from leibnizkit.operators import LinearOperator
+from leibnizkit.oracles import eval_maurer_cartan
 from leibnizkit.pairs import make_kn
+from leibnizkit.suites import _kupershmidt_cases
 from leibnizkit.twilled import TwilledContext
 
 from conftest import rb_matrix
@@ -171,6 +177,57 @@ def test_weak_but_not_strong_solution(l2):
     d, q = mc_cochain_defects(ctx, ident)
     assert (d + q).is_zero()
     assert not d.is_zero()
+
+
+def _mc_contexts(f):
+    """Lifted l2 sums carried into f (a case whose constants have a
+    denominator that vanishes in f is left out) and the l2 x l2 direct
+    product; over F2 also the lift of the catalog's l2_f2 operator R."""
+    catalog = load_catalog()
+    out = []
+    for _, K, rep in _kupershmidt_cases(catalog):
+        try:
+            alg = LeibnizAlgebra(f, rep.algebra.c)
+            frep = Representation(alg, [Matrix(f, m.entries) for m in rep.rhoL],
+                                  [Matrix(f, m.entries) for m in rep.rhoR])
+            Kf = as_operator(Matrix(f, K.matrix.entries))
+        except DivisionByZero:
+            continue
+        out.append(TwilledContext(lifted_algebra(Kf, frep), 2, 2))
+    l2f = LeibnizAlgebra(f, catalog["l2"].spec.build("alg").c)
+    _, prod = check_matched_pair(
+        l2f, l2f, Representation.zero(l2f, 2), Representation.zero(l2f, 2)
+    )
+    out.append(TwilledContext(prod, 2, 2))
+    if f.char == 2:
+        spec = catalog["l2_f2"].spec
+        rep = regular_representation(spec.build("alg"))
+        out.append(TwilledContext(lifted_algebra(spec.build("R"), rep), 2, 2))
+    return out
+
+
+@pytest.mark.parametrize("f", (prime_field(2), prime_field(3), prime_field(5), Q), ids=str)
+def test_mc_cochain_route_matches_oracle_in_every_field(f):
+    """The graded-bracket verdicts equal the elementwise oracle's, weak and
+    strong, characteristic 2 included; over F2 every theta is tried."""
+    rng = random.Random(f"mc-route-{f}")
+    contexts = _mc_contexts(f)
+    seen = set()
+    for ctx in contexts:
+        if f.char == 2:
+            thetas = [Matrix(f, [bits[:2], bits[2:]]) for bits in product((0, 1), repeat=4)]
+        else:
+            thetas = mc_solutions_from_linear_layer(ctx)[:3] + [Matrix.identity(f, 2)]
+            thetas += [Matrix(f, [[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)])
+                       for _ in range(5)]
+        for theta in thetas:
+            d, q = mc_cochain_defects(ctx, theta)
+            weak, strong = (d + q).is_zero(), d.is_zero() and q.is_zero()
+            assert weak == eval_maurer_cartan(ctx, theta).ok
+            assert strong == eval_maurer_cartan(ctx, theta, strong=True).ok
+            seen.add((weak, strong))
+    # solutions, non-solutions and, on the direct product, weak-only ones
+    assert seen == {(True, True), (True, False), (False, False)}
 
 
 def test_theta_twist_zero(l2_regular):

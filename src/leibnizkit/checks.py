@@ -30,6 +30,7 @@ from .reports import CheckReport
 # only the modules it runs.
 
 # Each check with the flags it reads; any other flag is a usage error.
+# ``no-consequences`` stands for ``consequences=False``.
 _CHECK_FLAGS: Dict[str, Tuple[str, ...]] = {
     "leibniz": (),
     "representation": (),
@@ -41,14 +42,14 @@ _CHECK_FLAGS: Dict[str, Tuple[str, ...]] = {
     "nijenhuis-pair": ("S", "rep"),
     "dual-nijenhuis-pair": ("S", "rep"),
     "perfect-pair": ("S", "rep"),
-    "kn-structure": ("rep",),
+    "kn-structure": ("rep", "no-consequences"),
     "maurer-cartan": ("ctx",),
     "maurer-cartan-strong": ("ctx",),
     "ybe": (),
-    "rn-structure": ("N",),
+    "rn-structure": ("N", "no-consequences"),
     "rbn-structure": ("N", "algebra"),
-    "quadratic": (),
-    "bn-structure": ("N",),
+    "quadratic": ("no-consequences",),
+    "bn-structure": ("N", "no-consequences"),
     "transfer": ("R", "N"),
 }
 CHECK_NAMES = tuple(_CHECK_FLAGS)
@@ -114,7 +115,8 @@ def run_check(spec: SpecFile, object_name: str, check: str, args: Optional[Dict]
     args = dict(args or {})
     if check not in _CHECK_FLAGS:
         raise ParseError(f"unknown check {check!r} (known: {', '.join(CHECK_NAMES)})")
-    unread = [f"--{key}" for key in args if key not in _CHECK_FLAGS[check]]
+    given = list(args) + ([] if consequences else ["no-consequences"])
+    unread = [f"--{key}" for key in given if key not in _CHECK_FLAGS[check]]
     if unread:
         raise ParseError(f"check {check!r} does not take {', '.join(unread)}")
     obj = spec.build(object_name)

@@ -7,11 +7,20 @@ Dual-side brackets are always formed over the contragredient of the regular
 representation; the sharp map of a symmetric 2-tensor has the tensor's own
 matrix in dual bases, and the inverse sharp of a form is the matrix of
 x -> form(x, .), i.e. the transpose of the form's matrix.
+
+The form identities read the nonzero structure constants ``alg._entries``
+and normalize once.  ``_pairing_table`` is the one kernel of the invariance
+of a skew form and the closedness of a form: the table form(e_a, [e_b, e_c]);
+for a skew form, form([e_b, e_c], e_a) is minus that table.  ``check_ybe``
+adds its four terms from the same entries and the nonzero entries of the
+2-tensor into one flat accumulator.  The coupled structures reuse the
+operator identities of ``operators`` and the KN core of ``pairs``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .algebras import (
     LeibnizAlgebra,
@@ -29,7 +38,7 @@ from .errors import (
     NotSymmetric,
     ShapeMismatch,
 )
-from .linalg import Matrix, _flat, basis_vec, is_invertible, mat_inverse, vec_add
+from .linalg import Matrix, _flat, is_invertible, mat_inverse
 from .operators import (
     LinearOperator,
     as_operator,
@@ -84,18 +93,6 @@ class BilinearForm:
         return is_invertible(self.matrix)
 
 
-def sum_pairing(form: BilinearForm, x, y):
-    f = form.matrix.field
-    acc = 0
-    for i, xi in enumerate(x):
-        if f.is_zero(xi):
-            continue
-        row = form.matrix.entries[i]
-        for j, yj in enumerate(y):
-            acc += xi * row[j] * yj
-    return f.normalize(acc)
-
-
 def check_ybe(alg: LeibnizAlgebra, pi: Tensor2) -> CheckReport:
     """Classical Yang-Baxter equation in the triple tensor power.
 
@@ -115,64 +112,20 @@ def check_ybe(alg: LeibnizAlgebra, pi: Tensor2) -> CheckReport:
     alg.require_leibniz()
     if pi.algebra != alg:
         raise ShapeMismatch("tensor belongs to a different algebra")
-    f = alg.field
-    n = alg.dim
-    P = pi.matrix.entries
-    c = alg.c
-    total = {}
-    for p in range(n):
-        for r in range(n):
-            br = c[p][r]
-            if any(not f.is_zero(v) for v in br):
-                for i in range(n):
-                    a = P[p][i]
-                    if f.is_zero(a):
-                        continue
-                    # bracket in slot 3: legs pass to slots 1 and 2
-                    for j in range(n):
-                        b = P[r][j]
-                        if f.is_zero(b):
-                            continue
-                        coef = a * b
-                        for k in range(n):
-                            v = br[k]
-                            if not f.is_zero(v):
-                                key = (i, j, k)
-                                total[key] = total.get(key, 0) + coef * v
-                    # bracket in slot 2
-                    for k in range(n):
-                        b = P[r][k]
-                        if f.is_zero(b):
-                            continue
-                        coef = a * b
-                        for j in range(n):
-                            v = br[j]
-                            if not f.is_zero(v):
-                                key = (i, j, k)
-                                total[key] = total.get(key, 0) + coef * v
-            # bracket in slot 1, both argument orders, negative
-            sym = [f.add(br[t], c[r][p][t]) for t in range(n)]
-            if all(f.is_zero(v) for v in sym):
-                continue
-            for j in range(n):
-                a = P[p][j]
-                if f.is_zero(a):
-                    continue
-                for k in range(n):
-                    b = P[r][k]
-                    if f.is_zero(b):
-                        continue
-                    coef = a * b
-                    for i in range(n):
-                        v = sym[i]
-                        if not f.is_zero(v):
-                            key = (i, j, k)
-                            total[key] = total.get(key, 0) - coef * v
-    violations = []
-    for key in sorted(total):
-        val = f.normalize(total[key])
-        if not f.is_zero(val):
-            violations.append(Violation("yang-baxter", key, (val,), (f.zero(),)))
+    f, n = alg.field, alg.dim
+    legs = [[(i, a) for i, a in enumerate(row) if a] for row in pi.matrix.entries]
+    acc = [0] * n ** 3  # coordinate (i, j, k) at (i * n + j) * n + k
+    for p, r, t, v in alg._entries:  # [e_p, e_r] = ... + v e_t
+        for i, a in legs[p]:
+            for j, b in legs[r]:
+                w = a * b * v
+                acc[(i * n + j) * n + t] += w  # bracket in slot 3
+                acc[(i * n + t) * n + j] += w  # bracket in slot 2
+                acc[(t * n + i) * n + j] -= w  # bracket in slot 1
+                acc[(t * n + j) * n + i] -= w  # and its other argument order
+    totals = map(f.normalize, acc)
+    violations = [Violation("yang-baxter", key, (val,), (f.zero(),))
+                  for key, val in zip(product(range(n), repeat=3), totals) if val]
     return CheckReport.build(violations)
 
 
@@ -267,19 +220,15 @@ def check_quadratic(
         raise NotSkew("quadratic algebras need a skew-symmetric form")
     if not q.nondegenerate:
         raise Degenerate("form is degenerate")
-    f = alg.field
-    n = alg.dim
+    f, n = alg.field, alg.dim
+    M = _pairing_table(alg, q.matrix)
     violations = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = sum_pairing(q, basis_vec(f, n, i), alg.bracket_basis(j, k))
-                sym = vec_add(f, alg.bracket_basis(i, k), alg.bracket_basis(k, i))
-                rhs = sum_pairing(q, sym, basis_vec(f, n, j))
-                if lhs != rhs:
-                    violations.append(
-                        Violation("quadratic-invariance", (i, j, k), (lhs,), (rhs,))
-                    )
+    for i, j, k in product(range(n), repeat=3):
+        # q skew: q([x0,x2] + [x2,x0], x1) = -q(x1, [x0,x2]) - q(x1, [x2,x0])
+        lhs = M[(i * n + j) * n + k]
+        rhs = f.normalize(-M[(j * n + i) * n + k] - M[(j * n + k) * n + i])
+        if lhs != rhs:
+            violations.append(Violation("quadratic-invariance", (i, j, k), (lhs,), (rhs,)))
     report = CheckReport.build(violations)
     if not report.ok or not consequences:
         return report
@@ -386,24 +335,28 @@ def check_bn_structure(
     return report
 
 
+def _pairing_table(alg: LeibnizAlgebra, bmat: Matrix):
+    """form(e_a, [e_b, e_c]) at (a * n + b) * n + c for the form with matrix
+    ``bmat``, summed over the nonzero structure constants and normalized once:
+    the one kernel of the invariance and closedness identities."""
+    n = alg.dim
+    cols = tuple(zip(*bmat.entries))
+    acc = [0] * n ** 3
+    for b, c, l, v in alg._entries:
+        for a, w in enumerate(cols[l]):
+            if w:
+                acc[(a * n + b) * n + c] += w * v
+    return list(map(alg.field.normalize, acc))
+
+
 def _closedness_violations(alg: LeibnizAlgebra, bmat: Matrix, name: str):
     """form(x2, [x0,x1]) = -form(x1, [x0,x2]) + form(x0, [x1,x2]) + form(x0, [x2,x1])."""
-    f = alg.field
-    n = alg.dim
-    form = BilinearForm(alg, bmat)
+    f, n = alg.field, alg.dim
+    M = _pairing_table(alg, bmat)
     out = []
-    for i in range(n):
-        ei = basis_vec(f, n, i)
-        for j in range(n):
-            ej = basis_vec(f, n, j)
-            for k in range(n):
-                ek = basis_vec(f, n, k)
-                lhs = sum_pairing(form, ek, alg.bracket_basis(i, j))
-                rhs = f.add(
-                    f.sub(sum_pairing(form, ei, alg.bracket_basis(j, k)),
-                          sum_pairing(form, ej, alg.bracket_basis(i, k))),
-                    sum_pairing(form, ei, alg.bracket_basis(k, j)),
-                )
-                if lhs != rhs:
-                    out.append(Violation(name, (i, j, k), (lhs,), (rhs,)))
+    for i, j, k in product(range(n), repeat=3):
+        lhs = M[(k * n + i) * n + j]
+        rhs = f.normalize(M[(i * n + j) * n + k] - M[(j * n + i) * n + k] + M[(i * n + k) * n + j])
+        if lhs != rhs:
+            out.append(Violation(name, (i, j, k), (lhs,), (rhs,)))
     return out

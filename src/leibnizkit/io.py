@@ -176,6 +176,8 @@ def parse_spec(text: str) -> SpecFile:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     if doc.get("schema") != SCHEMA:

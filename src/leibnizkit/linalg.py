@@ -27,10 +27,6 @@ def vec_add(f: FieldSpec, a: Sequence, b: Sequence) -> Vector:
     return tuple(f.add(x, y) for x, y in zip(a, b))
 
 
-def basis_vec(f: FieldSpec, n: int, i: int) -> Vector:
-    return tuple(f.one() if j == i else f.zero() for j in range(n))
-
-
 class Matrix:
     """Immutable exact matrix; rows are tuples of normalized raw values."""
 

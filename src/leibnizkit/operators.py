@@ -2,19 +2,20 @@
 on the module, the induced representation, and the lifted sum algebra; pairwise
 compatibility of Kupershmidt operators.
 
-A Kupershmidt operator maps the module into the algebra; its defining identity
-is [K(u), K(v)] = K(rhoL(Ku) v + rhoR(Kv) u) on all basis pairs.  Rota-Baxter
-(weight zero) is the special case of the regular representation.
+The three operator identities are one image identity
+[T e_i, T e_j] = T(B(e_i, e_j)) for a bilinear map B that depends on T, and
+``_image_violations`` is its one kernel:
 
-``module_bracket_tensor`` is the one home of the bracket that a map T: module
--> algebra induces on the module, [u,v]^T = rhoL(Tu) v + rhoR(Tv) u; its
-kernel ``_dendriform`` builds each rhoL(Te_i) and rhoR(Te_i) once.  Callers:
-the Kupershmidt, compatible and nk-condition checks and the sub-adjacent
-algebra here; the Maurer-Cartan check and ``theta_twist`` in ``dgla``; the KN
-core and the hat/tilde bracket agreements in ``pairs``; the operator form of
-the Maurer-Cartan equation in ``suites``.  ``_lift`` builds the induced
-representation (its algebra is the sub-adjacent one) and the lifted sum once
-per (K, rep).
+- Kupershmidt (T: module -> algebra): B is the induced module bracket
+  [u,v]^T = rhoL(Tu) v + rhoR(Tv) u;
+- Nijenhuis: B(x, y) = [Tx,y] + [x,Ty] - T[x,y], the ``_twist`` of the bracket;
+- Rota-Baxter of weight zero: the same ``_twist`` without its last term, the
+  Kupershmidt case of the regular representation.
+
+``module_bracket_tensor`` is the one home of the induced module bracket; its
+kernel ``_dendriform`` builds each rhoL(Te_i) and rhoR(Te_i) once.  ``_lift``
+builds the induced representation (its algebra is the sub-adjacent one) and
+the lifted sum once per (K, rep).
 """
 
 from __future__ import annotations
@@ -118,10 +119,12 @@ def twisted_tensor(c, T: Matrix, f: FieldSpec):
     return _twist(n, _nonzero_entries(c), T, f)
 
 
-def _twist(n: int, entries, T: Matrix, f: FieldSpec):
+def _twist(n: int, entries, T: Matrix, f: FieldSpec, weight: bool = True):
     """``twisted_tensor`` from the nonzero entries of the tensor: each entry
-    B(e_a, e_b) = v e_l feeds B(Te_i, e_b), B(e_a, Te_j) and T(B(e_a, e_b)),
-    so the pass costs O(nnz * n)."""
+    B(e_a, e_b) = v e_l feeds B(Te_i, e_b), B(e_a, Te_j) and, with
+    ``weight``, T(B(e_a, e_b)), so the pass costs O(nnz * n).  Without
+    ``weight`` it is B(Tx,y) + B(x,Ty), the inner tensor of Rota-Baxter
+    operators of weight zero."""
     rows = T.entries
     cols = tuple(zip(*rows))
     acc = [0] * n ** 3  # coordinate k of B_T(e_i, e_j) at (i * n + j) * n + k
@@ -132,13 +135,29 @@ def _twist(n: int, entries, T: Matrix, f: FieldSpec):
         for j, t in enumerate(rows[b]):
             if t:
                 acc[(a * n + j) * n + l] += t * v
-        base = (a * n + b) * n
-        for k, t in enumerate(cols[l]):
-            if t:
-                acc[base + k] -= t * v
+        if weight:
+            base = (a * n + b) * n
+            for k, t in enumerate(cols[l]):
+                if t:
+                    acc[base + k] -= t * v
     flat = list(map(f.normalize, acc))
     return tuple(tuple(tuple(flat[(i * n + j) * n:(i * n + j + 1) * n]) for j in range(n))
                  for i in range(n))
+
+
+def _image_violations(name: str, alg: LeibnizAlgebra, T: Matrix, inner):
+    """The violations, named ``name``, of the image identity
+    [T e_i, T e_j] = T(inner[i][j]) on basis pairs of T's domain: the one
+    kernel of the Kupershmidt, Nijenhuis and Rota-Baxter checks."""
+    cols = tuple(zip(*T.entries))
+    violations = []
+    for i, ti in enumerate(cols):
+        for j, tj in enumerate(cols):
+            lhs = alg.bracket(ti, tj)
+            rhs = T.apply(inner[i][j])
+            if lhs != rhs:
+                violations.append(Violation(name, (i, j), lhs, rhs))
+    return violations
 
 
 def _kupershmidt_core(K: LinearOperator, rep: Representation):
@@ -148,19 +167,9 @@ def _kupershmidt_core(K: LinearOperator, rep: Representation):
     rep.require_representation()
     K = as_operator(K)
     _require_module_map(K, rep)
-    alg = rep.algebra
-    m = rep.mdim
     halves = _dendriform(K.matrix, rep)
-    sub = _summed(alg.field, halves)
-    cols = [K.matrix.col(i) for i in range(m)]
-    violations = []
-    for i in range(m):
-        for j in range(m):
-            lhs = alg.bracket(cols[i], cols[j])
-            rhs = K.matrix.apply(sub[i][j])
-            if lhs != rhs:
-                violations.append(Violation("kupershmidt", (i, j), lhs, rhs))
-    return violations, halves, sub
+    sub = _summed(rep.algebra.field, halves)
+    return _image_violations("kupershmidt", rep.algebra, K.matrix, sub), halves, sub
 
 
 def _require_kupershmidt(K: LinearOperator, rep: Representation):
@@ -252,17 +261,8 @@ def check_nijenhuis(N: LinearOperator, alg: LeibnizAlgebra) -> CheckReport:
     N = as_operator(N)
     if N.matrix.rows != alg.dim or N.matrix.cols != alg.dim:
         raise ShapeMismatch("Nijenhuis candidate must be an endomorphism of the algebra")
-    n = alg.dim
-    twisted = _twist(n, alg._entries, N.matrix, alg.field)
-    cols = N.matrix.transpose().entries
-    violations = []
-    for i in range(n):
-        for j in range(n):
-            lhs = alg.bracket(cols[i], cols[j])
-            rhs = N.matrix.apply(twisted[i][j])
-            if lhs != rhs:
-                violations.append(Violation("nijenhuis", (i, j), lhs, rhs))
-    return CheckReport.build(violations)
+    twisted = _twist(alg.dim, alg._entries, N.matrix, alg.field)
+    return CheckReport.build(_image_violations("nijenhuis", alg, N.matrix, twisted))
 
 
 def deformed_bracket(N: LinearOperator, alg: LeibnizAlgebra) -> LeibnizAlgebra:
@@ -280,20 +280,8 @@ def check_rota_baxter(R: LinearOperator, alg: LeibnizAlgebra) -> CheckReport:
     R = as_operator(R)
     if R.matrix.rows != alg.dim or R.matrix.cols != alg.dim:
         raise ShapeMismatch("Rota-Baxter candidate must be an endomorphism")
-    f = alg.field
-    n = alg.dim
-    violations = []
-    for i in range(n):
-        Ri = R.matrix.col(i)
-        for j in range(n):
-            Rj = R.matrix.col(j)
-            ej = [1 if t == j else 0 for t in range(n)]
-            ei = [1 if t == i else 0 for t in range(n)]
-            lhs = alg.bracket(Ri, Rj)
-            rhs = R.matrix.apply(vec_add(f, alg.bracket(Ri, ej), alg.bracket(ei, Rj)))
-            if lhs != rhs:
-                violations.append(Violation("rota-baxter", (i, j), lhs, rhs))
-    return CheckReport.build(violations)
+    inner = _twist(alg.dim, alg._entries, R.matrix, alg.field, weight=False)
+    return CheckReport.build(_image_violations("rota-baxter", alg, R.matrix, inner))
 
 
 _COMPAT_SAMPLES = ((1, 1), (2, -1), ("1/2", 3))

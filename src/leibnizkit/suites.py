@@ -37,7 +37,6 @@ from .operators import (
     check_kupershmidt,
     check_nijenhuis,
     check_nk_condition,
-    module_bracket_tensor,
     nijenhuis_from_compatible,
 )
 from .pairs import (
@@ -153,7 +152,8 @@ def suite_mc_equivalence(catalog, nonsolutions: int = 12, seed: int = 20) -> Sui
             res.check((d.is_zero() and q.is_zero()) == strong,
                       f"{label}: gla-strong agreement #{idx}")
             spec_linear = _operator_locality(rep, theta)
-            spec_quad = _operator_quadratic(vr, theta)
+            # [theta y, theta z]^K = theta(vrL(theta y) z + vrR(theta z) y)
+            spec_quad = check_kupershmidt(theta, vr).ok
             res.check((spec_linear and spec_quad) == strong,
                       f"{label}: operator-form agreement #{idx}")
     return res
@@ -173,15 +173,6 @@ def _operator_locality(rep, theta) -> bool:
             if lhs != rhs:
                 return False
     return True
-
-
-def _operator_quadratic(vr, theta) -> bool:
-    """[theta y, theta z]^K = theta(vrL(theta y) z + vrR(theta z) y), with vr
-    the induced representation, whose algebra carries the bracket [,]^K."""
-    inner = module_bracket_tensor(theta, vr)
-    cols = [theta.col(i) for i in range(vr.mdim)]
-    return all(vr.algebra.bracket(ti, tj) == theta.apply(inner[i][j])
-               for i, ti in enumerate(cols) for j, tj in enumerate(cols))
 
 
 def suite_trivial_deformation(catalog) -> SuiteResult:

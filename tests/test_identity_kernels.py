@@ -7,14 +7,17 @@ The algebras are the catalog's, carried into each field and moved to a
 random basis, c'(x, y) = P^-1 [Px, Py], so that their structure constants
 are dense.  The catalog's tensors, forms and operators move along with them
 (pi -> P^-1 pi P^-T, B -> P^T B P, T -> P^-1 T P), so that some inputs pass;
-random ones make most of them fail, so that the violations' sides are
+random ones make many of them fail, so that the violations' sides are
 compared and not only the verdicts."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import leibnizkit
 from leibnizkit import (
     BilinearForm,
     LeibnizAlgebra,
@@ -34,6 +37,7 @@ from leibnizkit.fields import prime_field
 from leibnizkit.linalg import mat_inverse
 from leibnizkit.oracles import eval_bn_structure, eval_quadratic, eval_rota_baxter, eval_ybe
 
+SRC = Path(leibnizkit.__file__).resolve().parent
 FIELDS = (prime_field(2), prime_field(3), prime_field(5), Q)
 
 
@@ -205,3 +209,39 @@ def test_bn_closedness_matches_oracle_on_dense_algebras(f):
                 reports.append(agree(lambda a, b, m: check_bn_structure(a, b, m, consequences=False),
                                      eval_bn_structure, alg, form, as_operator(N)))
     tally(reports, "bn-structure", 30)
+
+
+_IMAGE_IDENTITIES = {"kupershmidt", "nijenhuis", "rota-baxter"}
+
+
+def _named_violations(tree):
+    """The ``Violation(...)`` calls whose identity is a string literal."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "Violation" and node.args
+            and isinstance(node.args[0], ast.Constant)]
+
+
+def test_each_identity_family_has_one_kernel():
+    """Outside oracles.py, which is a deliberate second implementation, no
+    code names a Kupershmidt, Nijenhuis or Rota-Baxter violation itself:
+    operators._image_violations builds them all, and its three callers pass
+    the names.  No module defines the dense pairing helpers the form checks
+    used before they read the structure constants."""
+    found, image_names = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in ("sum_pairing", "basis_vec"):
+                found.append(f"{path.name}:{node.lineno}:{node.name}")
+        if path.name == "oracles.py":
+            continue
+        for node in _named_violations(tree):
+            if node.args[0].value in _IMAGE_IDENTITIES:
+                found.append(f"{path.name}:{node.lineno}:{node.args[0].value}")
+        image_names |= {node.args[0].value for node in ast.walk(tree)
+                        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "_image_violations"
+                        and isinstance(node.args[0], ast.Constant)}
+    assert found == []
+    assert image_names == _IMAGE_IDENTITIES

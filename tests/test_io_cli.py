@@ -228,6 +228,59 @@ def test_cli_construct_deformed_builds_the_bracket_once(monkeypatch, capsys):
     assert spec.build("deformed") == deformed_bracket(*calls[0])
 
 
+def _constructed(capsys, *argv):
+    """The objects that construct emits on l2.json, after checking that its
+    output parses back and re-serializes byte for byte."""
+    from leibnizkit import cli
+
+    assert cli.main(["construct", _L2, *argv]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert serialize_spec(parse_spec(out.out)) == out.out
+    return json.loads(out.out)["objects"]
+
+
+def _check_merged(tmp_path, capsys, objects, *argv):
+    """Exit code of ``check`` on l2.json with ``objects`` added; prints must
+    say ok."""
+    from leibnizkit import cli
+
+    doc = json.loads(Path(_L2).read_text())
+    assert not set(objects) & set(doc["objects"])
+    doc["objects"].update(objects)
+    path = tmp_path / "merged.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["check", str(path), *argv])
+    assert capsys.readouterr().out == f"{argv[0]}: {argv[1]}: ok\n"
+    return code
+
+
+@pytest.mark.parametrize("argv", [
+    ("dual-kn-from-compatible", "--K1", "Bsharp", "--K2", "NBsharp", "--rep", "dual"),
+    ("dual-kn-from-mc", "--K", "R", "--theta", "theta_strong", "--rep", "regular"),
+])
+def test_cli_construct_dual_kn_structures_check_back(tmp_path, capsys, argv):
+    """Each emitted KN object names l2's algebra and representation and
+    passes kn-structure, consequences included."""
+    objects = _constructed(capsys, *argv)
+    assert objects and all(obj["type"] == "kn" for obj in objects.values())
+    for name in objects:
+        assert _check_merged(tmp_path, capsys, objects, name, "kn-structure") == 0
+
+
+def test_cli_construct_mc_from_dual_kn_checks_back(tmp_path, capsys):
+    """The theta built from kn_dual is a strong Maurer-Cartan element of the
+    lifted sum of its K = Bsharp on the dual representation."""
+    l2 = load_catalog()["l2"].spec
+    assert l2.build("kn_dual").K.matrix == l2.build("Bsharp").matrix
+    theta = _constructed(capsys, "mc-from-dual-kn", "--kn", "kn_dual")
+    lifted = _constructed(capsys, "lifted", "--K", "Bsharp", "--rep", "dual")
+    assert list(theta) == ["theta"]
+    code = _check_merged(tmp_path, capsys, {**theta, **lifted},
+                         "theta", "maurer-cartan-strong", "--ctx", "tw_lifted")
+    assert code == 0
+
+
 def test_cli_construct_failure_suppresses_output():
     out = run_cli("construct", str(CATALOG_DIR / "l2.json"), "subadjacent", "--K", "ident")
     assert out.returncode == 1
@@ -352,6 +405,10 @@ def test_cli_flag_naming_wrong_type_is_usage_error(capsys, argv, message):
     (["check", _L2, "R", "kupershmidt", "--other", "R2"], "check 'kupershmidt' does not take --other"),
     (["check", _L2, "theta0", "maurer-cartan", "--ctx", "tw_lift", "--rep", "regular"],
      "check 'maurer-cartan' does not take --rep"),
+    (["check", _L2, "R", "kupershmidt", "--no-consequences"],
+     "check 'kupershmidt' does not take --no-consequences"),
+    (["check", _L2, "pi0", "ybe", "--rep", "dual", "--no-consequences"],
+     "check 'ybe' does not take --rep, --no-consequences"),
 ])
 def test_cli_check_refuses_flags_its_check_does_not_read(capsys, argv, message):
     from leibnizkit import cli
@@ -359,6 +416,23 @@ def test_cli_check_refuses_flags_its_check_does_not_read(capsys, argv, message):
     assert cli.main(argv) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", _L2, "kn_dual", "kn-structure"],
+    ["check", _L2, "pi0", "rn-structure", "--N", "zero"],
+    ["check", str(CATALOG_DIR / "quad4.json"), "q", "quadratic"],
+    ["check", _L2, "B", "bn-structure", "--N", "zero"],
+])
+def test_cli_check_no_consequences_is_taken_by_the_checks_with_consequences(capsys, argv):
+    """kn-structure, rn-structure, quadratic and bn-structure take
+    --no-consequences; on these objects the verdict is ok either way."""
+    from leibnizkit import cli
+
+    for extra in ([], ["--no-consequences"]):
+        assert cli.main(argv + extra) == 0
+        out = capsys.readouterr()
+        assert out.out.endswith(": ok\n") and out.err == ""
 
 
 def test_check_names_are_the_flag_table_keys():
@@ -427,11 +501,14 @@ _ALG1 = '"alg": {"type": "algebra", "dim": 1, "c": [[["0"]]]}'
     ('"Q"', '{"alg": {"type": "algebra", "dim": [], "c": []}}', "alg"),
     ('"Q"', '{%s, "phi": {"type": "cochain", "algebra": "alg", "arity": 100000, '
             '"coeffs": ["0"]}}' % _ALG1, "phi"),
+    pytest.param('"Q"', '{"alg": %s%s}' % ("[" * 100000, "]" * 100000), "alg",
+                 id="arrays-nested-100000-deep"),
 ])
 def test_cli_check_malformed_spec_is_usage_error(tmp_path, field, objects, target):
     """A non-string or oversized field tag, a non-object entry under
-    "objects", a non-integer size and cochain coefficients nested less deep
-    than the arity end in exit 2 and one line on stderr."""
+    "objects", a non-integer size, cochain coefficients nested less deep
+    than the arity and arrays nested too deep for the JSON parser end in
+    exit 2 and one line on stderr."""
     spec = tmp_path / "bad.json"
     spec.write_text(f'{{"schema": "leibniz-spec/1", "field": {field}, "objects": {objects}}}')
     out = run_cli("check", str(spec), target, "leibniz", timeout=10)

@@ -12,23 +12,27 @@ Conventions used throughout the package:
 
 An algebra caches its nonzero structure constants once, as ``(i, j, k, c)``
 tuples; ``bracket``, ``operators.twisted_tensor`` and ``check_leibniz``
-iterate them instead of walking the dense tensor.
+iterate them instead of walking the dense tensor.  A representation lists the
+nonzero entries ``(i, r, c, v)`` of its rhoL and rhoR matrices on first use
+(``Representation._entries``); ``check_representation``,
+``operators._dendriform`` and the pair identities of ``pairs`` iterate them.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from operator import neg, sub
 from typing import Optional, Sequence, Tuple
 
 from .errors import FieldMismatch, NotLeibniz, NotRepresentation, ShapeMismatch
 from .fields import FieldSpec
-from .linalg import Matrix, Vector, _flat, lin_comb
+from .linalg import Matrix, Vector, lin_comb
 from .reports import CheckReport, Violation
 
 
 def _nonzero_entries(c: Sequence[Sequence[Sequence]]) -> Tuple[tuple, ...]:
     """The nonzero entries ``(i, j, k, c[i][j][k])`` of a normalized bilinear
-    tensor, in lexicographic order of ``(i, j, k)``."""
+    tensor or family of matrices, in lexicographic order of ``(i, j, k)``."""
     return tuple((i, j, k, v) for i, row in enumerate(c) for j, vec in enumerate(row)
                  for k, v in enumerate(vec) if v)
 
@@ -149,7 +153,7 @@ def check_leibniz(alg: LeibnizAlgebra) -> CheckReport:
 class Representation:
     """A pair of matrix families (rhoL, rhoR) acting on an m-dimensional module."""
 
-    __slots__ = ("algebra", "mdim", "rhoL", "rhoR", "_rep_report")
+    __slots__ = ("algebra", "mdim", "rhoL", "rhoR", "_nonzero", "_rep_report")
 
     def __init__(
         self,
@@ -170,12 +174,21 @@ class Representation:
         self.mdim = mdims.pop() if mdims else 0
         self.rhoL = tuple(rhoL)
         self.rhoR = tuple(rhoR)
+        self._nonzero = None
         self._rep_report: Optional[CheckReport] = None
 
     @staticmethod
     def zero(algebra: LeibnizAlgebra, mdim: int) -> "Representation":
         z = Matrix.zeros(algebra.field, mdim, mdim)
         return Representation(algebra, [z] * algebra.dim, [z] * algebra.dim)
+
+    def _entries(self) -> Tuple[Tuple[tuple, ...], Tuple[tuple, ...]]:
+        """The nonzero entries ``(i, r, c, rho_i[r][c])`` of rhoL and of rhoR,
+        each family in lexicographic order; listed on first use."""
+        if self._nonzero is None:
+            self._nonzero = tuple(_nonzero_entries(tuple(m.entries for m in family))
+                                  for family in (self.rhoL, self.rhoR))
+        return self._nonzero
 
     def actL(self, x: Sequence) -> Matrix:
         """Action matrix of the algebra vector x from the left."""
@@ -204,26 +217,52 @@ def check_representation(rep: Representation) -> CheckReport:
     rhoL([e_i,e_j]) = [rhoL(e_i), rhoL(e_j)]
     rhoR([e_i,e_j]) = [rhoL(e_i), rhoR(e_j)]
     rhoR(e_j) rhoL(e_i) = -rhoR(e_j) rhoR(e_i)
-    """
+
+    with every side summed from the nonzero structure constants and action
+    entries, and each value normalised once."""
     alg = rep.algebra
-    n = alg.dim
+    n, m = alg.dim, rep.mdim
+    mm = m * m
+    left, right = rep._entries()
+    acted = []  # rhoL([e_i, e_j]) and rhoR([e_i, e_j]), block i * n + j
+    for entries in (left, right):
+        by_index = [[] for _ in range(n)]
+        for k, r, s, v in entries:
+            by_index[k].append((r * m + s, v))
+        acc = [0] * (n * n * mm)
+        for i, j, k, c in alg._entries:
+            base = (i * n + j) * mm
+            for rs, v in by_index[k]:
+                acc[base + rs] += c * v
+        acted.append(acc)
+    LL, LR = _products(left, left, n, m), _products(left, right, n, m)
+    RL, RR = _products(right, left, n, m), _products(right, right, n, m)
+    norm = alg.field.normalize
+    blocks = [slice(b * mm, (b + 1) * mm) for b in range(n * n)]
     violations = []
-    for i in range(n):
-        for j in range(n):
-            cij = alg.c[i][j]
-            lhs1 = rep.actL(cij)
-            rhs1 = rep.rhoL[i].commutator(rep.rhoL[j])
-            if lhs1 != rhs1:
-                violations.append(Violation("rep-left", (i, j), _flat(lhs1), _flat(rhs1)))
-            lhs2 = rep.actR(cij)
-            rhs2 = rep.rhoL[i].commutator(rep.rhoR[j])
-            if lhs2 != rhs2:
-                violations.append(Violation("rep-right", (i, j), _flat(lhs2), _flat(rhs2)))
-            lhs3 = rep.rhoR[j] * rep.rhoL[i]
-            rhs3 = -(rep.rhoR[j] * rep.rhoR[i])
-            if lhs3 != rhs3:
-                violations.append(Violation("rep-swap", (i, j), _flat(lhs3), _flat(rhs3)))
+    for i, j in product(range(n), repeat=2):
+        ij, ji = blocks[i * n + j], blocks[j * n + i]
+        for name, lhs, rhs in (("rep-left", acted[0][ij], map(sub, LL[ij], LL[ji])),
+                               ("rep-right", acted[1][ij], map(sub, LR[ij], RL[ji])),
+                               ("rep-swap", RL[ji], map(neg, RR[ji]))):
+            lhs, rhs = tuple(map(norm, lhs)), tuple(map(norm, rhs))
+            if lhs != rhs:
+                violations.append(Violation(name, (i, j), lhs, rhs))
     return CheckReport.build(violations)
+
+
+def _products(first, second, n: int, m: int) -> list:
+    """The raw products rho_i rho'_j of two action families given by their
+    entries, as m x m blocks i * n + j, row-major: entry (i, r, t, a) of rho_i
+    meets the entries (j, t, s, b) in row t of rho'_j."""
+    by_row = [[] for _ in range(m)]
+    for j, t, s, b in second:
+        by_row[t].append((j, s, b))
+    acc = [0] * (n * n * m * m)
+    for i, r, t, a in first:
+        for j, s, b in by_row[t]:
+            acc[((i * n + j) * m + r) * m + s] += a * b
+    return acc
 
 
 def regular_representation(alg: LeibnizAlgebra) -> Representation:

@@ -123,12 +123,16 @@ def cmd_construct(args) -> int:
             raise ParseError(f"construction {args.construction!r} needs --{flag}")
         return val
 
+    def named_rep():
+        """The representation that --rep names, and the name of its algebra."""
+        name = need("rep")
+        return spec.rep_for(name), spec.raw[name]["algebra"]
+
     try:
         cons = args.construction
         if cons == "dual-rep":
-            rep = spec.rep_for(need("rep"))
+            rep, alg_name = named_rep()
             dual = dual_representation(rep)
-            alg_name = spec.raw[args.rep]["algebra"]
             out_objects[alg_name] = algebra_doc(f, rep.algebra)
             out_objects["dual_rep"] = representation_doc(f, dual, alg_name)
         elif cons == "semidirect":
@@ -161,10 +165,10 @@ def cmd_construct(args) -> int:
             out_objects["twisted_total"] = algebra_doc(f, total)
         elif cons == "dual-kn-from-mc":
             K = _operator(spec, need("K"))
-            rep = _resolve_rep(spec, args.rep, K)
             theta = _operator(spec, need("theta")).matrix
+            rep, alg_name = named_rep()
             kn = dual_kn_from_mc(K, rep, theta)
-            out_objects["kn"] = kn_doc(f, kn, "alg", args.rep or "")
+            out_objects["kn"] = kn_doc(f, kn, alg_name, args.rep)
         elif cons == "mc-from-dual-kn":
             kn = spec.build(need("kn"))
             if not isinstance(kn, KNStructure):
@@ -181,10 +185,10 @@ def cmd_construct(args) -> int:
         elif cons == "dual-kn-from-compatible":
             K1 = _operator(spec, need("K1"))
             K2 = _operator(spec, need("K2"))
-            rep = _resolve_rep(spec, args.rep, K1)
+            rep, alg_name = named_rep()
             kn1, kn2 = dual_kn_from_compatible(K1, K2, rep)
-            out_objects["kn_first"] = kn_doc(f, kn1, "alg", args.rep or "")
-            out_objects["kn_second"] = kn_doc(f, kn2, "alg", args.rep or "")
+            out_objects["kn_first"] = kn_doc(f, kn1, alg_name, args.rep)
+            out_objects["kn_second"] = kn_doc(f, kn2, alg_name, args.rep)
         else:
             return _fail_usage(f"unknown construction {cons!r} "
                                f"(known: {', '.join(CONSTRUCTIONS)})")

@@ -138,9 +138,6 @@ class Matrix:
         f = self.field
         return all(f.is_zero(v) for row in self.entries for v in row)
 
-    def commutator(self, other: "Matrix") -> "Matrix":
-        return mat_mul(self, other) - mat_mul(other, self)
-
 
 def _flat(m: Matrix) -> Tuple:
     return tuple(v for row in m.entries for v in row)

@@ -13,7 +13,8 @@ The three operator identities are one image identity
   Kupershmidt case of the regular representation.
 
 ``module_bracket_tensor`` is the one home of the induced module bracket; its
-kernel ``_dendriform`` builds each rhoL(Te_i) and rhoR(Te_i) once.  ``_lift``
+kernel ``_dendriform`` builds both halves in one pass over the cached action
+entries of the representation.  ``_lift``
 builds the induced representation (its algebra is the sub-adjacent one) and
 the lifted sum once per (K, rep).
 """
@@ -87,15 +88,19 @@ def _require_module_map(K: LinearOperator, rep: Representation):
 
 def _dendriform(T: Matrix, rep: Representation) -> DendriformPair:
     """The halves u <| v = rhoL(Tu) v and u |> v = rhoR(Tv) u on module basis
-    pairs, from one rhoL(Te_i) and one rhoR(Te_i) per basis vector."""
-    m = rep.mdim
-    cols = [T.col(i) for i in range(m)]
-    left = [rep.actL(t) for t in cols]
-    right = [rep.actR(t) for t in cols]
-    return DendriformPair(
-        tuple(tuple(left[i].col(j) for j in range(m)) for i in range(m)),
-        tuple(tuple(right[j].col(i) for j in range(m)) for i in range(m)),
-    )
+    pairs, from the action entries: entry (k, r, c, v) adds T[k][u] v to
+    coordinate r of e_u <| e_c when it is rhoL's, and of e_c |> e_u when it
+    is rhoR's."""
+    m, rows = rep.mdim, T.entries
+    halves = ([0] * m ** 3, [0] * m ** 3)  # coordinate r at pair (a, b) at (a * m + b) * m + r
+    for acc, (u_step, c_step), entries in zip(halves, ((m * m, m), (m, m * m)), rep._entries()):
+        for k, r, c, v in entries:
+            at = c * c_step + r
+            for u, t in enumerate(rows[k]):
+                if t:
+                    acc[u * u_step + at] += t * v
+    f = rep.algebra.field
+    return DendriformPair(*(_tensor(f, acc, m) for acc in halves))
 
 
 def _summed(f: FieldSpec, halves: DendriformPair):
@@ -140,8 +145,14 @@ def _twist(n: int, entries, T: Matrix, f: FieldSpec, weight: bool = True):
             for k, t in enumerate(cols[l]):
                 if t:
                     acc[base + k] -= t * v
-    flat = list(map(f.normalize, acc))
-    return tuple(tuple(tuple(flat[(i * n + j) * n:(i * n + j + 1) * n]) for j in range(n))
+    return _tensor(f, acc, n)
+
+
+def _tensor(f: FieldSpec, acc, n: int):
+    """The n x n x n tensor of the flat raw accumulator ``acc``, coordinate k
+    of entry (i, j) at (i * n + j) * n + k, normalised once."""
+    flat = tuple(map(f.normalize, acc))
+    return tuple(tuple(flat[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n))
                  for i in range(n))
 
 

@@ -80,20 +80,63 @@ def _pair_identity(pair: OperatorPair, rep: Representation, name: str, dual: boo
 
     rho(N y) S = S rho(N y) + S D          (Nijenhuis pair)
     rho(N y) S = S rho(N y) + D S          (dual-Nijenhuis pair)
-    """
+
+    where rho(N e_i) = sum_k N[k][i] rho_k, S D = S rho S - S^2 rho and
+    D S = rho S^2 - S rho S, all summed from the action entries."""
     N, S = pair.N.matrix, pair.S.matrix
+    n, m = rep.algebra.dim, rep.mdim
+    one, S2 = Matrix.identity(S.field, m), S * S
+    lhs = _action_sums(rep, [(N.entries, one, S)])
+    rhs = [(N.entries, S, one)]
+    if dual:
+        rhs += [(_diag(1, n), one, S2), (_diag(-1, n), S, S)]
+    else:
+        rhs += [(_diag(1, n), S, S), (_diag(-1, n), S2, one)]
+    return _block_violations(name, lhs, _action_sums(rep, rhs), n, m)
+
+
+def _diag(c, n: int):
+    """The rows of c times the n x n identity."""
+    return tuple(tuple(c if i == k else 0 for i in range(n)) for k in range(n))
+
+
+def _action_sums(rep: Representation, terms):
+    """The sums X rho(W e_i) Y over ``terms`` (W, X, Y), for W the rows of an
+    endomorphism of the algebra and X, Y matrices on the module, normalised
+    once: the m x m block of algebra basis element e_i and family rho (side
+    0 for rhoL, 1 for rhoR), row-major, at (2 i + side) m^2.  Entry
+    (k, r, t, v) of rho_k adds W[k][i] v X[a][r] Y[t][b] at (a, b) of the
+    block of e_i."""
+    n, m = rep.algebra.dim, rep.mdim
+    mm = m * m
+    acc = [0] * (2 * n * mm)
+    for W, X, Y in terms:
+        weights = [[(i, w) for i, w in enumerate(row) if w] for row in W]
+        xcols = [[(a, x) for a, x in enumerate(col) if x] for col in zip(*X.entries)]
+        yrows = [[(b, y) for b, y in enumerate(row) if y] for row in Y.entries]
+        for side, entries in enumerate(rep._entries()):
+            for k, r, t, v in entries:
+                for i, w in weights[k]:
+                    base = (2 * i + side) * mm
+                    for a, x in xcols[r]:
+                        wvx = w * v * x
+                        row = base + a * m
+                        for b, y in yrows[t]:
+                            acc[row + b] += wvx * y
+    return tuple(map(rep.algebra.field.normalize, acc))
+
+
+def _block_violations(name: str, lhs, rhs, n: int, m: int):
+    """The violations ``<name>-left`` and ``<name>-right`` at (i,) where the
+    blocks of two ``_action_sums`` differ, i by i, left before right."""
+    mm = m * m
     violations = []
-    for i in range(rep.algebra.dim):
-        Ni = N.col(i)
-        for side, rho_i, rho_Ni in (
-            ("left", rep.rhoL[i], rep.actL(Ni)),
-            ("right", rep.rhoR[i], rep.actR(Ni)),
-        ):
-            D = rho_i * S - S * rho_i
-            lhs = rho_Ni * S
-            rhs = S * rho_Ni + (D * S if dual else S * D)
-            if lhs != rhs:
-                violations.append(Violation(f"{name}-{side}", (i,), _flat(lhs), _flat(rhs)))
+    for block in range(2 * n):
+        lo = block * mm
+        lhs_b, rhs_b = lhs[lo:lo + mm], rhs[lo:lo + mm]
+        if lhs_b != rhs_b:
+            side = "right" if block % 2 else "left"
+            violations.append(Violation(f"{name}-{side}", (block // 2,), lhs_b, rhs_b))
     return violations
 
 
@@ -114,16 +157,11 @@ def check_perfect_pair(pair: OperatorPair, rep: Representation) -> CheckReport:
     if not base.ok:
         raise NotNijenhuisPair(base.summary())
     S = pair.S.matrix
-    S2 = S * S
-    two = rep.algebra.field.of(2)
-    violations = []
-    for i in range(rep.algebra.dim):
-        for name, rho_i in (("perfect-left", rep.rhoL[i]), ("perfect-right", rep.rhoR[i])):
-            lhs = S2 * rho_i + rho_i * S2
-            rhs = (S * rho_i * S).scale(two)
-            if lhs != rhs:
-                violations.append(Violation(name, (i,), _flat(lhs), _flat(rhs)))
-    return CheckReport.build(violations)
+    n, m = rep.algebra.dim, rep.mdim
+    one, S2 = Matrix.identity(S.field, m), S * S
+    lhs = _action_sums(rep, [(_diag(1, n), S2, one), (_diag(1, n), one, S2)])
+    rhs = _action_sums(rep, [(_diag(2, n), S, S)])
+    return CheckReport.build(_block_violations("perfect", lhs, rhs, n, m))
 
 
 def _deformed_action(

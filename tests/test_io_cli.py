@@ -24,6 +24,7 @@ from leibnizkit.operators import deformed_bracket, lifted_algebra
 from leibnizkit.pairs import dual_kn_from_compatible
 
 CATALOG_DIR = Path(__file__).resolve().parent.parent / "src" / "leibnizkit" / "catalog"
+_L2 = str(CATALOG_DIR / "l2.json")
 
 
 def run_cli(*args, **kw):
@@ -228,24 +229,24 @@ def test_cli_construct_deformed_builds_the_bracket_once(monkeypatch, capsys):
     assert spec.build("deformed") == deformed_bracket(*calls[0])
 
 
-def _constructed(capsys, *argv):
-    """The objects that construct emits on l2.json, after checking that its
-    output parses back and re-serializes byte for byte."""
+def _constructed(capsys, *argv, source=_L2):
+    """The objects that construct emits on ``source`` (l2.json), after
+    checking that its output parses back and re-serializes byte for byte."""
     from leibnizkit import cli
 
-    assert cli.main(["construct", _L2, *argv]) == 0
+    assert cli.main(["construct", str(source), *argv]) == 0
     out = capsys.readouterr()
     assert out.err == ""
     assert serialize_spec(parse_spec(out.out)) == out.out
     return json.loads(out.out)["objects"]
 
 
-def _check_merged(tmp_path, capsys, objects, *argv):
-    """Exit code of ``check`` on l2.json with ``objects`` added; prints must
-    say ok."""
+def _check_merged(tmp_path, capsys, objects, *argv, source=_L2):
+    """Exit code of ``check`` on ``source`` (l2.json) with ``objects`` added;
+    prints must say ok."""
     from leibnizkit import cli
 
-    doc = json.loads(Path(_L2).read_text())
+    doc = json.loads(Path(source).read_text())
     assert not set(objects) & set(doc["objects"])
     doc["objects"].update(objects)
     path = tmp_path / "merged.json"
@@ -255,10 +256,13 @@ def _check_merged(tmp_path, capsys, objects, *argv):
     return code
 
 
-@pytest.mark.parametrize("argv", [
+_DUAL_KN_ARGV = [
     ("dual-kn-from-compatible", "--K1", "Bsharp", "--K2", "NBsharp", "--rep", "dual"),
     ("dual-kn-from-mc", "--K", "R", "--theta", "theta_strong", "--rep", "regular"),
-])
+]
+
+
+@pytest.mark.parametrize("argv", _DUAL_KN_ARGV)
 def test_cli_construct_dual_kn_structures_check_back(tmp_path, capsys, argv):
     """Each emitted KN object names l2's algebra and representation and
     passes kn-structure, consequences included."""
@@ -266,6 +270,32 @@ def test_cli_construct_dual_kn_structures_check_back(tmp_path, capsys, argv):
     assert objects and all(obj["type"] == "kn" for obj in objects.values())
     for name in objects:
         assert _check_merged(tmp_path, capsys, objects, name, "kn-structure") == 0
+
+
+@pytest.mark.parametrize("argv", _DUAL_KN_ARGV)
+def test_cli_construct_dual_kn_names_the_algebra_of_its_representation(tmp_path, capsys, argv):
+    """On a copy of l2 whose algebra is named g, the emitted KN objects name
+    g and the representation of --rep, and check back."""
+    source = tmp_path / "l2_g.json"
+    source.write_text(Path(_L2).read_text().replace('"alg"', '"g"').replace(':alg"', ':g"'))
+    assert '"alg"' not in source.read_text() and ':alg"' not in source.read_text()
+    objects = _constructed(capsys, *argv, source=source)
+    assert {(obj["algebra"], obj["rep"]) for obj in objects.values()} == {("g", argv[-1])}
+    for name in objects:
+        code = _check_merged(tmp_path, capsys, objects, name, "kn-structure", source=source)
+        assert code == 0
+
+
+@pytest.mark.parametrize("argv", _DUAL_KN_ARGV)
+def test_cli_construct_dual_kn_needs_rep(capsys, argv):
+    """The KN objects name their representation, so these constructions do
+    not guess it from the operator: without --rep they exit 2 with one
+    line and write nothing."""
+    from leibnizkit import cli
+
+    assert cli.main(["construct", _L2, *argv[:-2]]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: construction {argv[0]!r} needs --rep\n"
 
 
 def test_cli_construct_mc_from_dual_kn_checks_back(tmp_path, capsys):
@@ -366,8 +396,6 @@ def test_cli_search_fuzz_never_raises(predicate, target, field, shape, budget, w
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(argv) in (0, 1, 2)
 
-
-_L2 = str(CATALOG_DIR / "l2.json")
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -12,13 +12,17 @@ dual representations of every non-abelian catalog algebra of dimension 2 or
 n + 1), and zero representations on modules of dimension 0 and 1.  Operators move
 along (K -> P^-1 K Q, N -> P^-1 N P, S -> Q^-1 S Q), so that some inputs
 pass; perturbed action matrices and random operators make most of them
-fail, so that the violations' sides are compared and not only the verdicts."""
+fail, so that the violations' sides are compared and not only the verdicts.
+The last test keeps the three kernels on the cached action entries."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import leibnizkit
 from leibnizkit import (
     LeibnizAlgebra,
     Matrix,
@@ -47,6 +51,7 @@ from leibnizkit.oracles import (
     eval_representation,
 )
 
+SRC = Path(leibnizkit.__file__).resolve().parent
 FIELDS = (prime_field(2), prime_field(3), prime_field(5), Q)
 
 
@@ -248,3 +253,31 @@ def test_representation_side_checks_match_oracles(f):
     assert 2 * sum(not r.ok for r in perturbations) > len(perturbations)
     for name, reports in verdicts.items():
         tally(reports, name, 10)
+
+
+_DENSE_CALLS = {"mat_mul", "lin_comb", "actL", "actR"}
+_ENTRY_KERNELS = (("algebras.py", "check_representation"), ("operators.py", "_dendriform"),
+                  ("pairs.py", "_pair_identity"))
+
+
+def _called(tree):
+    """The names of the functions and methods that ``tree`` calls."""
+    return {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Name, ast.Attribute))}
+
+
+def test_representation_kernels_read_the_action_entries():
+    """check_representation, _dendriform and _pair_identity build no action
+    matrix or dense product per basis element: their bodies call none of
+    mat_mul, lin_comb, actL and actR.  Matrix.commutator, which only the
+    old check_representation called, is gone."""
+    assert _called(ast.parse("rep.actL(x); mat_mul(a, b)")) >= {"actL", "mat_mul"}
+    found = {}
+    for module, name in _ENTRY_KERNELS:
+        tree = ast.parse((SRC / module).read_text())
+        body = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == name)
+        found[name] = sorted(_called(body) & _DENSE_CALLS)
+    assert found == {name: [] for _, name in _ENTRY_KERNELS}
+    assert not hasattr(Matrix, "commutator")

@@ -124,9 +124,10 @@ def agree(main, oracle, *args):
 
 def catalog_cases(f):
     """(representation, Kupershmidt candidates, (N, S) pair candidates) in the
-    catalog's bases, carried into f: l2's named representations, the regular
-    and dual representation of every catalog algebra of dimension 2 or 3 that
-    is still Leibniz and not abelian in f, and each of them summed with a trivial module.
+    catalog's bases, carried into f: l2's named representations and the
+    regular and dual representation of every catalog algebra of dimension 2
+    or 3 that is still Leibniz and not abelian in f, all on a module of the
+    algebra's dimension n, and each of them summed with a trivial module.
     The Kupershmidt candidates are 0, 1 and the first three square operators
     of the algebra's file that are Kupershmidt for the representation.  The
     pairs are (N, N) and (N, N^T) for the first of the file's operators

@@ -9,17 +9,30 @@ must pass ``test_round_trip_byte_stable`` and the ``expected-verdicts`` suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
 from typing import Dict, List
 
 from .io import SpecFile, parse_spec
 
 
-@dataclass
 class CatalogEntry:
-    name: str
-    spec: SpecFile
+    """A named catalog spec file; unhashable, as the spec file is."""
+
+    __slots__ = ("name", "spec")
+
+    def __init__(self, name: str, spec: SpecFile):
+        self.name = name
+        self.spec = spec
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.spec) == (other.name, other.spec)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"CatalogEntry(name={self.name!r}, spec={self.spec!r})"
 
 
 def _catalog_dir():

@@ -17,7 +17,6 @@ from .algebras import (
     dual_representation,
     semidirect_sum,
 )
-from .catalog import catalog_names, load_catalog
 from .checks import CHECK_NAMES, _algebra, _operator, _resolve_algebra, _resolve_rep, run_check
 from .errors import LeibnizKitError, ParseError
 from .fields import FieldSpec
@@ -39,9 +38,9 @@ from .operators import (
     subadjacent_algebra,
 )
 
-# The modules only one command runs (search, suites, and the dgla, forms and
-# pairs constructions) are imported inside its handler, so a `check` process
-# never loads them.
+# The modules only one command runs (search, suites, the catalog, and the
+# dgla, forms and pairs constructions) are imported inside its handler, so a
+# `check` process never loads them.
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -296,6 +295,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    from .catalog import catalog_names, load_catalog
     from .suites import SUITES, run_suites, suite_expected_verdicts
 
     try:

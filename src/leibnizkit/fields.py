@@ -20,7 +20,6 @@ are bounded by ``MAX_MODULUS`` so that primality is decided exactly and fast.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -45,17 +44,28 @@ def _is_prime(p: int) -> bool:
                for a in _MR_BASES)
 
 
-@dataclass(frozen=True)
 class FieldSpec:
-    """The rationals (``p is None``) or the prime field F_p."""
+    """The rationals (``p is None``) or the prime field F_p; immutable."""
 
-    p: Optional[int] = None
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if self.p is not None and self.p >= MAX_MODULUS:
-            raise ValueError(f"modulus {self.p} is too large (limit {MAX_MODULUS})")
-        if self.p is not None and not _is_prime(self.p):
-            raise ValueError(f"modulus must be prime, got {self.p}")
+    def __init__(self, p: Optional[int] = None):
+        if p is not None and p >= MAX_MODULUS:
+            raise ValueError(f"modulus {p} is too large (limit {MAX_MODULUS})")
+        if p is not None and not _is_prime(p):
+            raise ValueError(f"modulus must be prime, got {p}")
+        self.p = p
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.p == other.p
+
+    def __hash__(self):
+        return hash((self.p,))
+
+    def __repr__(self) -> str:
+        return f"FieldSpec(p={self.p!r})"
 
     @property
     def is_prime_field(self) -> bool:
@@ -166,15 +176,26 @@ def prime_field(p: int) -> FieldSpec:
     return FieldSpec(p)
 
 
-@dataclass(frozen=True)
 class Scalar:
-    """A raw value tagged with its field, for API boundaries and files."""
+    """A raw value tagged with its field, for API boundaries and files;
+    immutable, the value normalized."""
 
-    field: FieldSpec
-    value: RawScalar
+    __slots__ = ("field", "value")
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.field.normalize(self.value))
+    def __init__(self, field: FieldSpec, value: RawScalar):
+        self.field = field
+        self.value = field.normalize(value)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.value) == (other.field, other.value)
+
+    def __hash__(self):
+        return hash((self.field, self.value))
+
+    def __repr__(self) -> str:
+        return f"Scalar(field={self.field!r}, value={self.value!r})"
 
     def _join(self, other: "Scalar") -> FieldSpec:
         if not isinstance(other, Scalar):

@@ -19,7 +19,6 @@ operator identities of ``operators`` and the KN core of ``pairs``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .algebras import (
@@ -51,38 +50,63 @@ from .pairs import KNStructure, OperatorPair, _kn_core, check_kn_structure
 from .reports import CheckReport, Violation
 
 
-@dataclass(frozen=True)
 class Tensor2:
     """An element of algebra (x) algebra: matrix[i][j] is the coefficient of
-    e_i (x) e_j."""
+    e_i (x) e_j; immutable."""
 
-    algebra: LeibnizAlgebra
-    matrix: Matrix
+    __slots__ = ("algebra", "matrix")
 
-    def __post_init__(self):
-        n = self.algebra.dim
-        if self.matrix.rows != n or self.matrix.cols != n:
+    def __init__(self, algebra: LeibnizAlgebra, matrix: Matrix):
+        n = algebra.dim
+        if matrix.rows != n or matrix.cols != n:
             raise ShapeMismatch("tensor matrix must be dim x dim")
+        self.algebra = algebra
+        self.matrix = matrix
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.algebra, self.matrix) == (other.algebra, other.matrix)
+
+    def __hash__(self):
+        return hash((self.algebra, self.matrix))
+
+    def __repr__(self) -> str:
+        return f"Tensor2(algebra={self.algebra!r}, matrix={self.matrix!r})"
 
     @property
     def symmetric(self) -> bool:
         return self.matrix == self.matrix.transpose()
 
 
-@dataclass(frozen=True)
 class BilinearForm:
-    """matrix[i][j] = form(e_i, e_j); symmetry is 'symmetric' or 'skew'."""
+    """matrix[i][j] = form(e_i, e_j); symmetry is 'symmetric' or 'skew';
+    immutable."""
 
-    algebra: LeibnizAlgebra
-    matrix: Matrix
-    symmetry: str = "symmetric"
+    __slots__ = ("algebra", "matrix", "symmetry")
 
-    def __post_init__(self):
-        n = self.algebra.dim
-        if self.matrix.rows != n or self.matrix.cols != n:
+    def __init__(self, algebra: LeibnizAlgebra, matrix: Matrix, symmetry: str = "symmetric"):
+        n = algebra.dim
+        if matrix.rows != n or matrix.cols != n:
             raise ShapeMismatch("form matrix must be dim x dim")
-        if self.symmetry not in ("symmetric", "skew"):
-            raise ShapeMismatch(f"unknown symmetry tag {self.symmetry!r}")
+        if symmetry not in ("symmetric", "skew"):
+            raise ShapeMismatch(f"unknown symmetry tag {symmetry!r}")
+        self.algebra = algebra
+        self.matrix = matrix
+        self.symmetry = symmetry
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.algebra, self.matrix, self.symmetry)
+                == (other.algebra, other.matrix, other.symmetry))
+
+    def __hash__(self):
+        return hash((self.algebra, self.matrix, self.symmetry))
+
+    def __repr__(self) -> str:
+        return (f"BilinearForm(algebra={self.algebra!r}, matrix={self.matrix!r}, "
+                f"symmetry={self.symmetry!r})")
 
     def matches_symmetry(self) -> bool:
         t = self.matrix.transpose()

@@ -9,8 +9,7 @@ strings, trailing newline; parse(serialize(x)) is byte-stable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from .algebras import LeibnizAlgebra, Representation
 from .errors import ParseError
@@ -57,15 +56,32 @@ def _format_matrix(f: FieldSpec, m: Matrix) -> list:
     return [[f.format(v) for v in row] for row in m.entries]
 
 
-@dataclass
 class SpecFile:
     """A parsed file: one field, a named map of raw objects, optional
-    expected-verdict list.  Typed objects are built on demand and cached."""
+    expected-verdict list.  Typed objects are built on demand and cached, so
+    a spec file is unhashable."""
 
-    fieldspec: FieldSpec
-    raw: Dict[str, dict]
-    expected: List[dict] = field(default_factory=list)
-    _cache: Dict[str, object] = field(default_factory=dict)
+    __slots__ = ("fieldspec", "raw", "expected", "_cache")
+
+    def __init__(self, fieldspec: FieldSpec, raw: Dict[str, dict],
+                 expected: Optional[List[dict]] = None,
+                 _cache: Optional[Dict[str, object]] = None):
+        self.fieldspec = fieldspec
+        self.raw = raw
+        self.expected = [] if expected is None else expected
+        self._cache = {} if _cache is None else _cache
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.fieldspec, self.raw, self.expected, self._cache)
+                == (other.fieldspec, other.raw, other.expected, other._cache))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"SpecFile(fieldspec={self.fieldspec!r}, raw={self.raw!r}, "
+                f"expected={self.expected!r}, _cache={self._cache!r})")
 
     def names(self) -> List[str]:
         return sorted(self.raw)

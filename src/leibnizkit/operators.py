@@ -21,7 +21,6 @@ the lifted sum once per (K, rep).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from .algebras import (
@@ -42,14 +41,30 @@ from .linalg import Matrix, Vector, is_invertible, mat_inverse, vec_add
 from .reports import CheckReport, Violation
 
 
-@dataclass(frozen=True)
 class LinearOperator:
     """A matrix with domain/codomain tags so maps between different spaces
-    cannot be silently confused (module->algebra vs algebra->algebra)."""
+    cannot be silently confused (module->algebra vs algebra->algebra);
+    immutable."""
 
-    matrix: Matrix
-    domain: str = ""
-    codomain: str = ""
+    __slots__ = ("matrix", "domain", "codomain")
+
+    def __init__(self, matrix: Matrix, domain: str = "", codomain: str = ""):
+        self.matrix = matrix
+        self.domain = domain
+        self.codomain = codomain
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.matrix, self.domain, self.codomain)
+                == (other.matrix, other.domain, other.codomain))
+
+    def __hash__(self):
+        return hash((self.matrix, self.domain, self.codomain))
+
+    def __repr__(self) -> str:
+        return (f"LinearOperator(matrix={self.matrix!r}, domain={self.domain!r}, "
+                f"codomain={self.codomain!r})")
 
     @property
     def field(self) -> FieldSpec:
@@ -68,12 +83,26 @@ def as_operator(m, domain: str = "", codomain: str = "") -> LinearOperator:
     return LinearOperator(m, domain, codomain)
 
 
-@dataclass(frozen=True)
 class DendriformPair:
-    """The two half-products on the module whose sum is the sub-adjacent bracket."""
+    """The two half-products on the module whose sum is the sub-adjacent
+    bracket; immutable."""
 
-    lhd: Tuple[Tuple[Vector, ...], ...]  # u <| v = rhoL(Ku) v
-    rhd: Tuple[Tuple[Vector, ...], ...]  # u |> v = rhoR(Kv) u
+    __slots__ = ("lhd", "rhd")
+
+    def __init__(self, lhd: Tuple[Tuple[Vector, ...], ...], rhd: Tuple[Tuple[Vector, ...], ...]):
+        self.lhd = lhd  # u <| v = rhoL(Ku) v
+        self.rhd = rhd  # u |> v = rhoR(Kv) u
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lhd, self.rhd) == (other.lhd, other.rhd)
+
+    def __hash__(self):
+        return hash((self.lhd, self.rhd))
+
+    def __repr__(self) -> str:
+        return f"DendriformPair(lhd={self.lhd!r}, rhd={self.rhd!r})"
 
 
 def _require_module_map(K: LinearOperator, rep: Representation):

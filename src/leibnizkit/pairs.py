@@ -6,7 +6,6 @@ pair through NK = KS and the agreement of the two deformed module brackets).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Literal, Sequence, Tuple
 
 from .algebras import (
@@ -42,12 +41,25 @@ from .reports import CheckReport, Violation
 from .twilled import TwilledContext
 
 
-@dataclass(frozen=True)
 class OperatorPair:
-    """(N, S): N an endomorphism of the algebra, S of the module."""
+    """(N, S): N an endomorphism of the algebra, S of the module; immutable."""
 
-    N: LinearOperator
-    S: LinearOperator
+    __slots__ = ("N", "S")
+
+    def __init__(self, N: LinearOperator, S: LinearOperator):
+        self.N = N
+        self.S = S
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.N, self.S) == (other.N, other.S)
+
+    def __hash__(self):
+        return hash((self.N, self.S))
+
+    def __repr__(self) -> str:
+        return f"OperatorPair(N={self.N!r}, S={self.S!r})"
 
     def shapes_ok(self, rep: Representation) -> bool:
         n, m = rep.algebra.dim, rep.mdim
@@ -156,12 +168,18 @@ def check_perfect_pair(pair: OperatorPair, rep: Representation) -> CheckReport:
     base = check_nijenhuis_pair(pair, rep)
     if not base.ok:
         raise NotNijenhuisPair(base.summary())
+    return CheckReport.build(_perfect_violations(pair, rep))
+
+
+def _perfect_violations(pair: OperatorPair, rep: Representation):
+    """Violations of the perfect-pair identity alone, for a pair already
+    known to be a Nijenhuis pair on ``rep``."""
     S = pair.S.matrix
     n, m = rep.algebra.dim, rep.mdim
     one, S2 = Matrix.identity(S.field, m), S * S
     lhs = _action_sums(rep, [(_diag(1, n), S2, one), (_diag(1, n), one, S2)])
     rhs = _action_sums(rep, [(_diag(2, n), S, S)])
-    return CheckReport.build(_block_violations("perfect", lhs, rhs, n, m))
+    return _block_violations("perfect", lhs, rhs, n, m)
 
 
 def _deformed_action(
@@ -180,15 +198,31 @@ def _deformed_action(
     return family(rep.actL, rep.rhoL), family(rep.actR, rep.rhoR)
 
 
-@dataclass
 class DeformationTriple:
     """First-order deformation data generated by a Nijenhuis pair, together
-    with the verification report across the sampled parameter values."""
+    with the verification report across the sampled parameter values;
+    unhashable, as its report is."""
 
-    omega: Tuple[Tuple[Tuple, ...], ...]
-    varpiL: Tuple[Matrix, ...]
-    varpiR: Tuple[Matrix, ...]
-    report: CheckReport
+    __slots__ = ("omega", "varpiL", "varpiR", "report")
+
+    def __init__(self, omega: Tuple[Tuple[Tuple, ...], ...], varpiL: Tuple[Matrix, ...],
+                 varpiR: Tuple[Matrix, ...], report: CheckReport):
+        self.omega = omega
+        self.varpiL = varpiL
+        self.varpiR = varpiR
+        self.report = report
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.omega, self.varpiL, self.varpiR, self.report)
+                == (other.omega, other.varpiL, other.varpiR, other.report))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"DeformationTriple(omega={self.omega!r}, varpiL={self.varpiL!r}, "
+                f"varpiR={self.varpiR!r}, report={self.report!r})")
 
 
 def deformation_from_pair(
@@ -300,14 +334,28 @@ def _hat_tilde(
 Mode = Literal["kn", "dual-kn"]
 
 
-@dataclass(frozen=True)
 class KNStructure:
     """A Kupershmidt operator K together with a pair (N,S) satisfying NK = KS
-    and the agreement of the NK-bracket with the S-deformed K-bracket."""
+    and the agreement of the NK-bracket with the S-deformed K-bracket;
+    immutable."""
 
-    K: LinearOperator
-    pair: OperatorPair
-    mode: Mode = "kn"
+    __slots__ = ("K", "pair", "mode")
+
+    def __init__(self, K: LinearOperator, pair: OperatorPair, mode: Mode = "kn"):
+        self.K = K
+        self.pair = pair
+        self.mode = mode
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.K, self.pair, self.mode) == (other.K, other.pair, other.mode)
+
+    def __hash__(self):
+        return hash((self.K, self.pair, self.mode))
+
+    def __repr__(self) -> str:
+        return f"KNStructure(K={self.K!r}, pair={self.pair!r}, mode={self.mode!r})"
 
     @property
     def N(self) -> Matrix:
@@ -495,11 +543,8 @@ def sum_nijenhuis_on_twilled(
     if not semidirect_shaped:
         report.notes["perfect-dual-sum"] = "skipped (context is not a semidirect sum)"
         return report
-    try:
-        perfect = check_perfect_pair(pairNS, ctx.rho1).ok
-    except NotNijenhuisPair:
-        perfect = False
-    if not perfect:
+    # rpt1 holds, so of check_perfect_pair only the perfect identity is left.
+    if _perfect_violations(pairNS, ctx.rho1):
         report.notes["perfect-dual-sum"] = "skipped (pair is not perfect)"
         return report
     dual_sum = semidirect_sum(dual_representation(ctx.rho1))

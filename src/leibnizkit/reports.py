@@ -7,25 +7,57 @@ normalized raw-value tuples, sorted by (identity name, index).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 
-@dataclass(frozen=True)
 class Violation:
-    identity: str
-    index: Tuple[int, ...]
-    lhs: Tuple
-    rhs: Tuple
+    """One failing identity instance; immutable."""
+
+    __slots__ = ("identity", "index", "lhs", "rhs")
+
+    def __init__(self, identity: str, index: Tuple[int, ...], lhs: Tuple, rhs: Tuple):
+        self.identity = identity
+        self.index = index
+        self.lhs = lhs
+        self.rhs = rhs
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.identity, self.index, self.lhs, self.rhs)
+                == (other.identity, other.index, other.lhs, other.rhs))
+
+    def __hash__(self):
+        return hash((self.identity, self.index, self.lhs, self.rhs))
+
+    def __repr__(self) -> str:
+        return (f"Violation(identity={self.identity!r}, index={self.index!r}, "
+                f"lhs={self.lhs!r}, rhs={self.rhs!r})")
 
     def __str__(self) -> str:
         return f"{self.identity}@{self.index}: lhs={self.lhs} rhs={self.rhs}"
 
 
-@dataclass
 class CheckReport:
-    violations: Tuple[Violation, ...] = ()
-    notes: Dict[str, str] = field(default_factory=dict)
+    """A verdict with its sorted violations and free-form notes; unhashable,
+    since ``notes`` is filled in after construction."""
+
+    __slots__ = ("violations", "notes")
+
+    def __init__(self, violations: Tuple[Violation, ...] = (),
+                 notes: Optional[Dict[str, str]] = None):
+        self.violations = violations
+        self.notes = {} if notes is None else notes
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.violations, self.notes) == (other.violations, other.notes)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"CheckReport(violations={self.violations!r}, notes={self.notes!r})"
 
     @property
     def ok(self) -> bool:

@@ -15,7 +15,6 @@ solved exactly, over any field, from the same kind of residues.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from random import Random
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -51,18 +50,39 @@ DEFAULT_BUDGET = 10 ** 6
 _DECIMAL_BITS = 14_000
 
 
-@dataclass(frozen=True)
 class SearchSpec:
     """What to enumerate: a predicate name, the matrix shape, the field, and
-    the context objects the predicate needs."""
+    the context objects the predicate needs; immutable."""
 
-    field: FieldSpec
-    shape: Tuple[int, int]
-    predicate: str
-    algebra: Optional[LeibnizAlgebra] = None
-    rep: Optional[Representation] = None
-    ctx: Optional[TwilledContext] = None
-    budget: int = DEFAULT_BUDGET
+    __slots__ = ("field", "shape", "predicate", "algebra", "rep", "ctx", "budget")
+
+    def __init__(self, field: FieldSpec, shape: Tuple[int, int], predicate: str,
+                 algebra: Optional[LeibnizAlgebra] = None, rep: Optional[Representation] = None,
+                 ctx: Optional[TwilledContext] = None, budget: int = DEFAULT_BUDGET):
+        self.field = field
+        self.shape = shape
+        self.predicate = predicate
+        self.algebra = algebra
+        self.rep = rep
+        self.ctx = ctx
+        self.budget = budget
+
+    def _fields(self) -> tuple:
+        return (self.field, self.shape, self.predicate, self.algebra, self.rep, self.ctx,
+                self.budget)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (f"SearchSpec(field={self.field!r}, shape={self.shape!r}, "
+                f"predicate={self.predicate!r}, algebra={self.algebra!r}, rep={self.rep!r}, "
+                f"ctx={self.ctx!r}, budget={self.budget!r})")
 
     def space_size(self) -> int:
         """The number of candidates, p ** k for k free entries (rows*cols, or

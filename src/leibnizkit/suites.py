@@ -6,9 +6,8 @@ them for the CLI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from random import Random
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 from .algebras import (
     LeibnizAlgebra,
@@ -56,11 +55,28 @@ from .search import mc_solutions_from_linear_layer
 from .twilled import TwilledContext
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    passed: int = 0
-    failures: List[str] = field(default_factory=list)
+    """A suite's count of passed assertions and its failure labels; mutable
+    while the suite runs, so unhashable."""
+
+    __slots__ = ("name", "passed", "failures")
+
+    def __init__(self, name: str, passed: int = 0, failures: Optional[List[str]] = None):
+        self.name = name
+        self.passed = passed
+        self.failures = [] if failures is None else failures
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.name, self.passed, self.failures)
+                == (other.name, other.passed, other.failures))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"SuiteResult(name={self.name!r}, passed={self.passed!r}, "
+                f"failures={self.failures!r})")
 
     def check(self, condition: bool, label: str):
         if condition:

@@ -73,15 +73,20 @@ def test_unknown_attribute_is_attribute_error():
     assert not hasattr(leibnizkit, "check_everything")
 
 
-def _loaded_after(code: str) -> set:
-    """The leibnizkit submodules a fresh interpreter holds after ``code``,
-    which must leave a JSON value on the last line of stdout."""
-    out = subprocess.run([sys.executable, "-c", code + (
-        "\nimport sys, json"
-        "\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('leibnizkit.'))))")],
+def _imported_by(code: str) -> set:
+    """The modules a fresh interpreter imports while it runs ``code``, beyond
+    those its start-up loaded; a JSON list on the last line of stdout."""
+    out = subprocess.run([sys.executable, "-c", (
+        "import sys, json\nbefore = set(sys.modules)\n" + code +
+        "\nprint(json.dumps(sorted(set(sys.modules) - before)))")],
         capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    return {m.split(".", 1)[1] for m in json.loads(out.stdout.splitlines()[-1])}
+    return set(json.loads(out.stdout.splitlines()[-1]))
+
+
+def _loaded_after(code: str) -> set:
+    """The leibnizkit submodules a fresh interpreter holds after ``code``."""
+    return {m.split(".", 1)[1] for m in _imported_by(code) if m.startswith("leibnizkit.")}
 
 
 def _cli_code(*argv) -> str:
@@ -105,6 +110,16 @@ def test_check_rota_baxter_loads_no_search_suites_or_oracles():
                                      "rota-baxter"))
     assert "checks" in loaded
     assert loaded.isdisjoint({"search", "suites", "oracles"})
+
+
+@pytest.mark.parametrize("entry,obj,check", [("abelian1", "alg", "leibniz"),
+                                             ("l2", "R", "rota-baxter")])
+def test_check_loads_no_dataclasses_inspect_or_catalog(entry, obj, check):
+    """A `check` process builds its value classes without `dataclasses` (and
+    the `inspect` it pulls in) and never reads the bundled catalog."""
+    imported = _imported_by(_cli_code("check", str(CATALOG_DIR / f"{entry}.json"), obj, check))
+    assert "leibnizkit.checks" in imported
+    assert imported.isdisjoint({"dataclasses", "inspect", "leibnizkit.catalog"})
 
 
 def test_search_and_suite_still_run():
@@ -143,3 +158,9 @@ def test_check_path_modules_import_nothing_heavy_at_import_time(filename):
     imported = _import_time_imports(SRC / filename)
     assert imported.isdisjoint(f".{name}" for name in HEAVY)
     assert imported.isdisjoint(f"leibnizkit.{name}" for name in HEAVY)
+
+
+def test_no_module_imports_dataclasses():
+    """The value classes are plain classes; the package imports no `dataclasses`."""
+    for path in sorted(SRC.rglob("*.py")):
+        assert "dataclasses" not in _import_time_imports(path), path.name

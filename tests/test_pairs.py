@@ -250,3 +250,25 @@ def test_sum_nijenhuis_rejects_bad_pair(l2, l2_regular):
     bad = Matrix(Q, [[0, 0], [1, 0]])
     with pytest.raises(PairCheckFailed):
         sum_nijenhuis_on_twilled(make_pair(bad, Z2()), make_pair(Z2(), bad), ctx)
+
+
+def test_sum_nijenhuis_checks_each_pair_once(monkeypatch):
+    """A `sum-nijenhuis` run checks each (pair, representation) once: the
+    perfect-pair branch reuses the Nijenhuis-pair verdict it already has."""
+    from leibnizkit import pairs
+    from leibnizkit.catalog import load_catalog
+    from leibnizkit.suites import run_suites
+
+    calls = {}
+    check = pairs.check_nijenhuis_pair
+
+    def counted(pair, rep):
+        key = (pair, id(rep))
+        calls[key] = calls.get(key, 0) + 1
+        return check(pair, rep)
+
+    monkeypatch.setattr(pairs, "check_nijenhuis_pair", counted)
+    (result,) = run_suites(load_catalog(), ["sum-nijenhuis"])
+    assert result.ok and result.passed == 4
+    assert len(calls) == 8
+    assert set(calls.values()) == {1}

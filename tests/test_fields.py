@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from leibnizkit import RATIONALS as Q, Matrix, Scalar, prime_field, scalar_arith
 from leibnizkit.errors import DivisionByZero, FieldMismatch, ParseError
-from leibnizkit.fields import MAX_MODULUS
+from leibnizkit.fields import MAX_MODULUS, FieldSpec
 
 F5 = prime_field(5)
 F7 = prime_field(7)
@@ -39,6 +39,8 @@ def test_field_mismatch():
 def test_non_prime_modulus_rejected():
     with pytest.raises(ValueError):
         prime_field(6)
+    with pytest.raises(ValueError, match="modulus must be prime, got 4"):
+        FieldSpec(4)
 
 
 def _accepted(p):

@@ -84,7 +84,7 @@ class LeibnizAlgebra:
         acc = [0] * n
         for i, j, k, c in self._entries:
             acc[k] += c * x[i] * y[j]
-        return tuple(map(self.field.normalize, acc))
+        return tuple(self.field.normalize_all(acc))
 
     def left_mult(self, i: int) -> Matrix:
         """Matrix of x -> [e_i, x]."""
@@ -139,9 +139,8 @@ def check_leibniz(alg: LeibnizAlgebra) -> CheckReport:
             rhs[((x * n + y) * n + d) * n + k] += v * w
         for b, _, k, w in by_second[m]:  # [b, [x, y]] with a = x, d = y
             rhs[((x * n + b) * n + y) * n + k] += v * w
-    norm = f.normalize
-    lhs = tuple(map(norm, lhs))
-    rhs = tuple(map(norm, rhs))
+    lhs = tuple(f.normalize_all(lhs))
+    rhs = tuple(f.normalize_all(rhs))
     violations = []
     for t, (a, b, d) in enumerate(product(range(n), repeat=3)):
         lhs_t, rhs_t = lhs[t * n:(t + 1) * n], rhs[t * n:(t + 1) * n]
@@ -237,17 +236,21 @@ def check_representation(rep: Representation) -> CheckReport:
         acted.append(acc)
     LL, LR = _products(left, left, n, m), _products(left, right, n, m)
     RL, RR = _products(right, left, n, m), _products(right, right, n, m)
-    norm = alg.field.normalize
-    blocks = [slice(b * mm, (b + 1) * mm) for b in range(n * n)]
+    # block i * n + j of the swapped products holds the product at j * n + i
+    LLs, RLs, RRs = ([v for i, j in product(range(n), repeat=2)
+                      for v in acc[(j * n + i) * mm:(j * n + i + 1) * mm]]
+                     for acc in (LL, RL, RR))
+    norm_all = alg.field.normalize_all
+    sides = [(name, norm_all(lhs), norm_all(rhs))
+             for name, lhs, rhs in (("rep-left", acted[0], map(sub, LL, LLs)),
+                                    ("rep-right", acted[1], map(sub, LR, RLs)),
+                                    ("rep-swap", RLs, map(neg, RRs)))]
     violations = []
-    for i, j in product(range(n), repeat=2):
-        ij, ji = blocks[i * n + j], blocks[j * n + i]
-        for name, lhs, rhs in (("rep-left", acted[0][ij], map(sub, LL[ij], LL[ji])),
-                               ("rep-right", acted[1][ij], map(sub, LR[ij], RL[ji])),
-                               ("rep-swap", RL[ji], map(neg, RR[ji]))):
-            lhs, rhs = tuple(map(norm, lhs)), tuple(map(norm, rhs))
-            if lhs != rhs:
-                violations.append(Violation(name, (i, j), lhs, rhs))
+    for b, (i, j) in enumerate(product(range(n), repeat=2)):
+        block = slice(b * mm, (b + 1) * mm)
+        for name, lhs, rhs in sides:
+            if lhs[block] != rhs[block]:
+                violations.append(Violation(name, (i, j), tuple(lhs[block]), tuple(rhs[block])))
     return CheckReport.build(violations)
 
 

@@ -247,8 +247,7 @@ def _insertion_sum(terms) -> Cochain:
                 sc = s * c
                 for pos, v in bucket:
                     acc[pos + off] += sc * v
-    norm = field.normalize
-    vals = iter([norm(v) if v else 0 for v in acc])
+    vals = iter(field.normalize_all(acc))
     return Cochain._trusted(field, dim, arity, tuple(zip(*[vals] * dim)))
 
 

@@ -14,8 +14,11 @@ files; internal kernels (matrices, tensors) hold raw values plus one shared
 Invariant: every value a kernel stores is normalized, i.e. is what
 ``FieldSpec.normalize`` returns for it.  ``normalize`` is the one coercion
 from outside values (an F_p ``Fraction`` maps through the inverse of its
-denominator); the raw arithmetic below expects normalized operands.  Moduli
-are bounded by ``MAX_MODULUS`` so that primality is decided exactly and fast.
+denominator); the raw arithmetic below expects normalized operands.
+``normalize_all`` is its batch form, the one way a kernel normalizes a whole
+flat accumulator: plain ints are reduced inline, without a method call per
+value.  Moduli are bounded by ``MAX_MODULUS`` so that primality is decided
+exactly and fast.
 """
 
 from __future__ import annotations
@@ -93,6 +96,13 @@ class FieldSpec:
         if isinstance(v, Fraction):
             return v.numerator if v.denominator == 1 else v
         return v
+
+    def normalize_all(self, values) -> list:
+        """``normalize`` of each value, as a list."""
+        p, norm = self.p, self.normalize
+        if p is None:
+            return [v if type(v) is int else norm(v) for v in values]
+        return [v % p if type(v) is int else norm(v) for v in values]
 
     def of(self, v) -> RawScalar:
         """Coerce an int/Fraction/string into a raw field value."""

@@ -147,7 +147,7 @@ def check_ybe(alg: LeibnizAlgebra, pi: Tensor2) -> CheckReport:
                 acc[(i * n + t) * n + j] += w  # bracket in slot 2
                 acc[(t * n + i) * n + j] -= w  # bracket in slot 1
                 acc[(t * n + j) * n + i] -= w  # and its other argument order
-    totals = map(f.normalize, acc)
+    totals = f.normalize_all(acc)
     violations = [Violation("yang-baxter", key, (val,), (f.zero(),))
                   for key, val in zip(product(range(n), repeat=3), totals) if val]
     return CheckReport.build(violations)
@@ -370,7 +370,7 @@ def _pairing_table(alg: LeibnizAlgebra, bmat: Matrix):
         for a, w in enumerate(cols[l]):
             if w:
                 acc[(a * n + b) * n + c] += w * v
-    return list(map(alg.field.normalize, acc))
+    return alg.field.normalize_all(acc)
 
 
 def _closedness_violations(alg: LeibnizAlgebra, bmat: Matrix, name: str):

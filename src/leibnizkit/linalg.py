@@ -33,8 +33,8 @@ class Matrix:
     __slots__ = ("field", "rows", "cols", "entries")
 
     def __init__(self, field: FieldSpec, entries: Sequence[Sequence]):
-        norm = field.normalize
-        rows = tuple(tuple(map(norm, row)) for row in entries)
+        norm_all = field.normalize_all
+        rows = tuple(tuple(norm_all(row)) for row in entries)
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ShapeMismatch("ragged rows")
         self.field = field
@@ -99,16 +99,16 @@ class Matrix:
         f = self._join(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch(f"{self.rows}x{self.cols} + {other.rows}x{other.cols}")
-        norm = f.normalize
-        return Matrix._trusted(f, tuple(tuple(map(norm, map(add, a, b)))
+        norm_all = f.normalize_all
+        return Matrix._trusted(f, tuple(tuple(norm_all(map(add, a, b)))
                                         for a, b in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         f = self._join(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch(f"{self.rows}x{self.cols} - {other.rows}x{other.cols}")
-        norm = f.normalize
-        return Matrix._trusted(f, tuple(tuple(map(norm, map(sub, a, b)))
+        norm_all = f.normalize_all
+        return Matrix._trusted(f, tuple(tuple(norm_all(map(sub, a, b)))
                                         for a, b in zip(self.entries, other.entries)))
 
     def __neg__(self) -> "Matrix":
@@ -128,8 +128,7 @@ class Matrix:
         """Matrix times coordinate column, returned as a tuple."""
         if len(vec) != self.cols:
             raise ShapeMismatch(f"{self.rows}x{self.cols} applied to length-{len(vec)} vector")
-        norm = self.field.normalize
-        return tuple(norm(sum(map(mul, row, vec))) for row in self.entries)
+        return tuple(self.field.normalize_all([sum(map(mul, row, vec)) for row in self.entries]))
 
     def col(self, j: int) -> Vector:
         return tuple(row[j] for row in self.entries)
@@ -147,9 +146,9 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     f = a._join(b)
     if a.cols != b.rows:
         raise ShapeMismatch(f"{a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    norm = f.normalize
+    norm_all = f.normalize_all
     bcols = tuple(zip(*b.entries))
-    return Matrix._trusted(f, tuple(tuple(norm(sum(map(mul, row, col))) for col in bcols)
+    return Matrix._trusted(f, tuple(tuple(norm_all([sum(map(mul, row, col)) for col in bcols]))
                                     for row in a.entries))
 
 
@@ -158,16 +157,15 @@ def lin_comb(f: FieldSpec, coeffs: Sequence, mats: Sequence[Matrix], rows: int,
     """The rows x cols matrix sum of coeffs[i] * mats[i], normalized once per entry."""
     if len(coeffs) != len(mats):
         raise ShapeMismatch(f"{len(coeffs)} coefficients for {len(mats)} matrices")
-    norm = f.normalize
+    norm_all = f.normalize_all
     xs, terms = [], []
-    for x, m in zip(coeffs, mats):
-        x = norm(x)
+    for x, m in zip(norm_all(coeffs), mats):
         if x != 0:
             xs.append(x)
             terms.append(m.entries)
     if not xs:
         return Matrix.zeros(f, rows, cols)
-    return Matrix._trusted(f, tuple(tuple(norm(sum(map(mul, xs, entry))) for entry in zip(*row))
+    return Matrix._trusted(f, tuple(tuple(norm_all([sum(map(mul, xs, entry)) for entry in zip(*row)]))
                                     for row in zip(*terms)))
 
 

@@ -12,6 +12,10 @@ The three operator identities are one image identity
 - Rota-Baxter of weight zero: the same ``_twist`` without its last term, the
   Kupershmidt case of the regular representation.
 
+The kernel reads B as a flat raw ``inner`` accumulator, as ``_twist`` and
+``_dendriform`` leave it, and sums both sides flat with one batch
+normalisation each, with no bracket or matrix-vector call per basis pair.
+
 ``module_bracket_tensor`` is the one home of the induced module bracket; its
 kernel ``_dendriform`` builds both halves in one pass over the cached action
 entries of the representation.  ``_lift``
@@ -21,6 +25,7 @@ the lifted sum once per (K, rep).
 
 from __future__ import annotations
 
+from operator import add
 from typing import Sequence, Tuple
 
 from .algebras import (
@@ -115,33 +120,27 @@ def _require_module_map(K: LinearOperator, rep: Representation):
         raise ShapeMismatch("operator and representation fields differ")
 
 
-def _dendriform(T: Matrix, rep: Representation) -> DendriformPair:
+def _dendriform(T: Matrix, rep: Representation) -> Tuple[list, list]:
     """The halves u <| v = rhoL(Tu) v and u |> v = rhoR(Tv) u on module basis
-    pairs, from the action entries: entry (k, r, c, v) adds T[k][u] v to
-    coordinate r of e_u <| e_c when it is rhoL's, and of e_c |> e_u when it
-    is rhoR's."""
+    pairs as two flat raw accumulators, coordinate r of pair (a, b) at
+    (a * m + b) * m + r, from the action entries: entry (k, r, c, v) adds
+    T[k][u] v to coordinate r of e_u <| e_c when it is rhoL's, and of
+    e_c |> e_u when it is rhoR's."""
     m, rows = rep.mdim, T.entries
-    halves = ([0] * m ** 3, [0] * m ** 3)  # coordinate r at pair (a, b) at (a * m + b) * m + r
+    halves = ([0] * m ** 3, [0] * m ** 3)
     for acc, (u_step, c_step), entries in zip(halves, ((m * m, m), (m, m * m)), rep._entries()):
         for k, r, c, v in entries:
             at = c * c_step + r
             for u, t in enumerate(rows[k]):
                 if t:
                     acc[u * u_step + at] += t * v
-    f = rep.algebra.field
-    return DendriformPair(*(_tensor(f, acc, m) for acc in halves))
-
-
-def _summed(f: FieldSpec, halves: DendriformPair):
-    """The tensor u <| v + u |> v."""
-    return tuple(tuple(vec_add(f, a, b) for a, b in zip(l, r))
-                 for l, r in zip(halves.lhd, halves.rhd))
+    return halves
 
 
 def module_bracket_tensor(T: Matrix, rep: Representation):
     """Bracket [u,v]^T = rhoL(Tu) v + rhoR(Tv) u on the module, for any linear
     T: module -> algebra; the sub-adjacent bracket when T is Kupershmidt."""
-    return _summed(rep.algebra.field, _dendriform(T, rep))
+    return _tensor(rep.algebra.field, list(map(add, *_dendriform(T, rep))), rep.mdim)
 
 
 def twisted_tensor(c, T: Matrix, f: FieldSpec):
@@ -150,18 +149,19 @@ def twisted_tensor(c, T: Matrix, f: FieldSpec):
     n = len(c)
     if T.rows != n or T.cols != n:
         raise ShapeMismatch("twisting endomorphism must be square of the tensor's size")
-    return _twist(n, _nonzero_entries(c), T, f)
+    return _tensor(f, _twist(n, _nonzero_entries(c), T), n)
 
 
-def _twist(n: int, entries, T: Matrix, f: FieldSpec, weight: bool = True):
-    """``twisted_tensor`` from the nonzero entries of the tensor: each entry
-    B(e_a, e_b) = v e_l feeds B(Te_i, e_b), B(e_a, Te_j) and, with
-    ``weight``, T(B(e_a, e_b)), so the pass costs O(nnz * n).  Without
-    ``weight`` it is B(Tx,y) + B(x,Ty), the inner tensor of Rota-Baxter
-    operators of weight zero."""
+def _twist(n: int, entries, T: Matrix, weight: bool = True) -> list:
+    """``twisted_tensor`` from the nonzero entries of the tensor, as the flat
+    raw accumulator that the image kernel reads as its ``inner``: coordinate k
+    of B_T(e_i, e_j) at (i * n + j) * n + k.  Each entry B(e_a, e_b) = v e_l
+    feeds B(Te_i, e_b), B(e_a, Te_j) and, with ``weight``, T(B(e_a, e_b)), so
+    the pass costs O(nnz * n).  Without ``weight`` it is B(Tx,y) + B(x,Ty),
+    the inner tensor of Rota-Baxter operators of weight zero."""
     rows = T.entries
     cols = tuple(zip(*rows))
-    acc = [0] * n ** 3  # coordinate k of B_T(e_i, e_j) at (i * n + j) * n + k
+    acc = [0] * n ** 3
     for a, b, l, v in entries:
         for i, t in enumerate(rows[a]):
             if t:
@@ -174,29 +174,52 @@ def _twist(n: int, entries, T: Matrix, f: FieldSpec, weight: bool = True):
             for k, t in enumerate(cols[l]):
                 if t:
                     acc[base + k] -= t * v
-    return _tensor(f, acc, n)
+    return acc
 
 
 def _tensor(f: FieldSpec, acc, n: int):
     """The n x n x n tensor of the flat raw accumulator ``acc``, coordinate k
     of entry (i, j) at (i * n + j) * n + k, normalised once."""
-    flat = tuple(map(f.normalize, acc))
-    return tuple(tuple(flat[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n))
+    flat = f.normalize_all(acc)
+    return tuple(tuple(tuple(flat[(i * n + j) * n:(i * n + j + 1) * n]) for j in range(n))
                  for i in range(n))
 
 
 def _image_violations(name: str, alg: LeibnizAlgebra, T: Matrix, inner):
     """The violations, named ``name``, of the image identity
-    [T e_i, T e_j] = T(inner[i][j]) on basis pairs of T's domain: the one
-    kernel of the Kupershmidt, Nijenhuis and Rota-Baxter checks."""
-    cols = tuple(zip(*T.entries))
+    [T e_i, T e_j] = T(inner(e_i, e_j)) on basis pairs of T's domain: the one
+    kernel of the Kupershmidt, Nijenhuis and Rota-Baxter checks.  ``inner``
+    is flat and raw, coordinate k of pair (i, j) at (i * m + j) * m + k for
+    m = T.cols.  The left side is summed from the structure constants over
+    the nonzero entries of T, the right side meets each nonzero inner value
+    with its column of T; each side is normalised once."""
+    n, m = T.rows, T.cols
+    rows = T.entries
+    cols = tuple(zip(*rows))
+    lhs = [0] * (m * m * n)  # coordinate l of pair (i, j) at (i * m + j) * n + l
+    rhs = [0] * (m * m * n)
+    for a, b, l, v in alg._entries:
+        for j, s in enumerate(rows[b]):
+            if s:
+                at, sv = j * n + l, s * v
+                for i, t in enumerate(rows[a]):
+                    if t:
+                        lhs[i * m * n + at] += t * sv
+    for q, w in enumerate(inner):
+        if w:
+            at = q // m * n
+            for l, t in enumerate(cols[q % m]):
+                if t:
+                    rhs[at + l] += t * w
+    f = alg.field
+    lhs, rhs = f.normalize_all(lhs), f.normalize_all(rhs)
+    if lhs == rhs:
+        return []
     violations = []
-    for i, ti in enumerate(cols):
-        for j, tj in enumerate(cols):
-            lhs = alg.bracket(ti, tj)
-            rhs = T.apply(inner[i][j])
-            if lhs != rhs:
-                violations.append(Violation(name, (i, j), lhs, rhs))
+    for pair in range(m * m):
+        lhs_p, rhs_p = lhs[pair * n:(pair + 1) * n], rhs[pair * n:(pair + 1) * n]
+        if lhs_p != rhs_p:
+            violations.append(Violation(name, divmod(pair, m), tuple(lhs_p), tuple(rhs_p)))
     return violations
 
 
@@ -207,9 +230,12 @@ def _kupershmidt_core(K: LinearOperator, rep: Representation):
     rep.require_representation()
     K = as_operator(K)
     _require_module_map(K, rep)
-    halves = _dendriform(K.matrix, rep)
-    sub = _summed(rep.algebra.field, halves)
-    return _image_violations("kupershmidt", rep.algebra, K.matrix, sub), halves, sub
+    f, m = rep.algebra.field, rep.mdim
+    lhd, rhd = _dendriform(K.matrix, rep)
+    summed = list(map(add, lhd, rhd))
+    halves = DendriformPair(_tensor(f, lhd, m), _tensor(f, rhd, m))
+    violations = _image_violations("kupershmidt", rep.algebra, K.matrix, summed)
+    return violations, halves, _tensor(f, summed, m)
 
 
 def _require_kupershmidt(K: LinearOperator, rep: Representation):
@@ -301,7 +327,7 @@ def check_nijenhuis(N: LinearOperator, alg: LeibnizAlgebra) -> CheckReport:
     N = as_operator(N)
     if N.matrix.rows != alg.dim or N.matrix.cols != alg.dim:
         raise ShapeMismatch("Nijenhuis candidate must be an endomorphism of the algebra")
-    twisted = _twist(alg.dim, alg._entries, N.matrix, alg.field)
+    twisted = _twist(alg.dim, alg._entries, N.matrix)
     return CheckReport.build(_image_violations("nijenhuis", alg, N.matrix, twisted))
 
 
@@ -311,7 +337,8 @@ def deformed_bracket(N: LinearOperator, alg: LeibnizAlgebra) -> LeibnizAlgebra:
     N = as_operator(N)
     if N.matrix.rows != alg.dim or N.matrix.cols != alg.dim:
         raise ShapeMismatch("deforming endomorphism must be square")
-    return LeibnizAlgebra(alg.field, _twist(alg.dim, alg._entries, N.matrix, alg.field))
+    f = alg.field
+    return LeibnizAlgebra(f, _tensor(f, _twist(alg.dim, alg._entries, N.matrix), alg.dim))
 
 
 def check_rota_baxter(R: LinearOperator, alg: LeibnizAlgebra) -> CheckReport:
@@ -320,7 +347,7 @@ def check_rota_baxter(R: LinearOperator, alg: LeibnizAlgebra) -> CheckReport:
     R = as_operator(R)
     if R.matrix.rows != alg.dim or R.matrix.cols != alg.dim:
         raise ShapeMismatch("Rota-Baxter candidate must be an endomorphism")
-    inner = _twist(alg.dim, alg._entries, R.matrix, alg.field, weight=False)
+    inner = _twist(alg.dim, alg._entries, R.matrix, weight=False)
     return CheckReport.build(_image_violations("rota-baxter", alg, R.matrix, inner))
 
 

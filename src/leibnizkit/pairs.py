@@ -135,7 +135,7 @@ def _action_sums(rep: Representation, terms):
                         row = base + a * m
                         for b, y in yrows[t]:
                             acc[row + b] += wvx * y
-    return tuple(map(rep.algebra.field.normalize, acc))
+    return tuple(rep.algebra.field.normalize_all(acc))
 
 
 def _block_violations(name: str, lhs, rhs, n: int, m: int):
@@ -186,16 +186,16 @@ def _deformed_action(
     rep: Representation, N: Matrix, S: Matrix, hat: bool
 ) -> Tuple[Tuple[Matrix, ...], Tuple[Matrix, ...]]:
     """The left and right families rho(N e_i) + (rho(e_i) S - S rho(e_i)) for
-    the hat action, and with the commutator reversed for the tilde action."""
-
-    def family(act, rhos):
-        out = []
-        for i, rho in enumerate(rhos):
-            a, b = (rho, S) if hat else (S, rho)
-            out.append(act(N.col(i)) + a * b - b * a)
-        return tuple(out)
-
-    return family(rep.actL, rep.rhoL), family(rep.actR, rep.rhoR)
+    the hat action, and with the commutator reversed for the tilde action,
+    summed from the action entries by ``_action_sums``."""
+    n, m = rep.algebra.dim, rep.mdim
+    one, sign = Matrix.identity(S.field, m), 1 if hat else -1
+    sums = _action_sums(rep, [(N.entries, one, one), (_diag(sign, n), one, S),
+                              (_diag(-sign, n), S, one)])
+    blocks = [Matrix._trusted(S.field, tuple(sums[(b * m + r) * m:(b * m + r + 1) * m]
+                                             for r in range(m)))
+              for b in range(2 * n)]
+    return tuple(blocks[0::2]), tuple(blocks[1::2])
 
 
 class DeformationTriple:

@@ -86,6 +86,30 @@ def test_normalization():
     assert Scalar(Q, Fraction(-6, 4)).value == Fraction(-3, 2)
 
 
+_BATCH_VALUES = (-12, -7, -1, 0, 1, 2, 3, 4, 5, 6, 11, 10 ** 30 + 1, True, False,
+                 Fraction(6, 3), Fraction(-4, 1), Fraction(0, 5), Fraction(3, 7),
+                 Fraction(-5, 7), Fraction(22, 49))
+
+
+@pytest.mark.parametrize("f", (Q, prime_field(2), prime_field(3), F5), ids=str)
+def test_normalize_all_is_normalize_per_value(f):
+    values = list(_BATCH_VALUES)
+    if f == Q:
+        values += [Fraction(1, 2), Fraction(-9, 6)]
+    batch = f.normalize_all(values)
+    single = [f.normalize(v) for v in values]
+    assert batch == single
+    assert [type(v) for v in batch] == [type(v) for v in single]
+    assert f.normalize_all(iter(values)) == single
+    assert f.normalize_all([]) == []
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_normalize_all_refuses_a_vanishing_denominator(p):
+    with pytest.raises(DivisionByZero):
+        prime_field(p).normalize_all([1, Fraction(3, 7), Fraction(1, 2 * p)])
+
+
 def test_parse_format_roundtrip():
     for s in ("3", "-1/2", "0", "7/3"):
         assert Q.format(Q.parse(s)) == s

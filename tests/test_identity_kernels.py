@@ -12,7 +12,6 @@ compared and not only the verdicts."""
 
 import ast
 import random
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -27,62 +26,26 @@ from leibnizkit import (
     Tensor2,
     as_operator,
     check_bn_structure,
+    check_nijenhuis,
     check_quadratic,
     check_rota_baxter,
     check_ybe,
 )
 from leibnizkit.catalog import load_catalog
-from leibnizkit.errors import DivisionByZero, LeibnizKitError
+from leibnizkit.errors import DivisionByZero
 from leibnizkit.fields import prime_field
 from leibnizkit.linalg import mat_inverse
-from leibnizkit.oracles import eval_bn_structure, eval_quadratic, eval_rota_baxter, eval_ybe
+from leibnizkit.oracles import (
+    eval_bn_structure,
+    eval_nijenhuis,
+    eval_quadratic,
+    eval_rota_baxter,
+    eval_ybe,
+)
+from oracle_helpers import agree, invertible, moved, random_matrix, scalar, tally
 
 SRC = Path(leibnizkit.__file__).resolve().parent
 FIELDS = (prime_field(2), prime_field(3), prime_field(5), Q)
-
-
-def scalar(rng, f):
-    """A residue, or over Q a Fraction of height at most 3."""
-    if f.is_prime_field:
-        return rng.randrange(f.p)
-    return f.normalize(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
-
-
-def random_matrix(rng, f, n):
-    return Matrix(f, [[scalar(rng, f) for _ in range(n)] for _ in range(n)])
-
-
-def invertible(rng, f, n):
-    """L U with L lower and U upper unitriangular and small integer entries:
-    dense, of determinant 1, and over Q with an integral inverse, so that the
-    moved structure constants stay small."""
-    L = Matrix(f, [[rng.randint(-2, 2) if j < i else int(i == j) for j in range(n)]
-                   for i in range(n)])
-    U = Matrix(f, [[rng.randint(-2, 2) if j > i else int(i == j) for j in range(n)]
-                   for i in range(n)])
-    return L * U
-
-
-def moved(m: Matrix, f):
-    """m carried into f, or None when a denominator vanishes there."""
-    try:
-        return Matrix(f, m.entries)
-    except DivisionByZero:
-        return None
-
-
-def agree(main, oracle, *args):
-    """Equal verdicts and violation tuples, or the same error from both;
-    returns the main report, or None when both sides raised."""
-    try:
-        report = main(*args)
-    except LeibnizKitError as exc:
-        with pytest.raises(type(exc)):
-            oracle(*args)
-        return None
-    expected = oracle(*args)
-    assert (report.ok, report.violations) == (expected.ok, expected.violations)
-    return report
 
 
 def dense_cases(f, rng):
@@ -128,14 +91,6 @@ def dense_cases(f, rng):
     return out
 
 
-def tally(reports, name, least_failing):
-    """Both verdicts occur among the reports that ran, and at least
-    ``least_failing`` of them fail."""
-    ran = [r for r in reports if r is not None]
-    failing = sum(not r.ok for r in ran)
-    assert any(r.ok for r in ran) and failing >= least_failing, (name, len(ran), failing)
-
-
 @pytest.mark.parametrize("f", FIELDS, ids=str)
 def test_ybe_matches_oracle_on_dense_algebras(f):
     rng = random.Random(f"ybe-{f}")
@@ -144,7 +99,7 @@ def test_ybe_matches_oracle_on_dense_algebras(f):
         n = alg.dim
         pis = tensors + [Matrix.zeros(f, n, n)]
         for _ in range(2):
-            A = random_matrix(rng, f, n)
+            A = random_matrix(rng, f, n, n)
             pis += [A, A + A.transpose()]
         v = [[scalar(rng, f) for _ in range(n)]]
         pis.append(Matrix(f, v).transpose() * Matrix(f, v))  # v (x) v
@@ -162,7 +117,7 @@ def test_quadratic_matches_oracle_on_dense_algebras(f):
         n = alg.dim
         mats = [m for m, sym in forms if sym == "skew"]
         for _ in range(4):
-            A = random_matrix(rng, f, n)
+            A = random_matrix(rng, f, n, n)
             mats.append(A - A.transpose())
         if f.char == 2:  # skew is symmetric there, and may have a nonzero diagonal
             mats.append(A + A.transpose() + Matrix.identity(f, n))
@@ -180,10 +135,25 @@ def test_rota_baxter_matches_oracle_on_dense_algebras(f):
     reports = []
     for alg, _, _, ops in dense_cases(f, rng):
         n = alg.dim
-        mats = ops + [Matrix.zeros(f, n, n)] + [random_matrix(rng, f, n) for _ in range(3)]
+        mats = ops + [Matrix.zeros(f, n, n)] + [random_matrix(rng, f, n, n) for _ in range(3)]
         for R in mats:
             reports.append(agree(check_rota_baxter, eval_rota_baxter, as_operator(R), alg))
     tally(reports, "rota-baxter", 50)
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=str)
+def test_nijenhuis_matches_oracle_on_dense_algebras(f):
+    """The moved catalog operators, zero, the identity and random matrices;
+    the random ones make most reports fail."""
+    rng = random.Random(f"nijenhuis-{f}")
+    reports = []
+    for alg, _, _, ops in dense_cases(f, rng):
+        n = alg.dim
+        mats = ops + [Matrix.zeros(f, n, n), Matrix.identity(f, n)]
+        mats += [random_matrix(rng, f, n, n) for _ in range(8)]
+        for N in mats:
+            reports.append(agree(check_nijenhuis, eval_nijenhuis, as_operator(N), alg))
+    tally(reports, "nijenhuis", len(reports) // 2 + 1)
 
 
 @pytest.mark.parametrize("f", FIELDS, ids=str)
@@ -200,7 +170,7 @@ def test_bn_closedness_matches_oracle_on_dense_algebras(f):
             A = Matrix(f, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
             mats.append(A + A.transpose())
         endos = [Matrix.zeros(f, n, n), Matrix.identity(f, n).scale(f.of(2) or f.one())]
-        endos += ops + [random_matrix(rng, f, n)]
+        endos += ops + [random_matrix(rng, f, n, n)]
         for B in mats:
             form = BilinearForm(alg, B)
             if not form.nondegenerate:
@@ -245,3 +215,33 @@ def test_each_identity_family_has_one_kernel():
                         and isinstance(node.args[0], ast.Constant)}
     assert found == []
     assert image_names == _IMAGE_IDENTITIES
+
+
+def _normalize_maps(tree):
+    """The ``map(f, ...)`` calls whose f is a ``.normalize`` attribute or a
+    name bound to one."""
+    aliases = {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+               and isinstance(node.value, ast.Attribute) and node.value.attr == "normalize"
+               for target in node.targets if isinstance(target, ast.Name)}
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "map" and node.args
+            and (isinstance(node.args[0], ast.Attribute) and node.args[0].attr == "normalize"
+                 or isinstance(node.args[0], ast.Name) and node.args[0].id in aliases)]
+
+
+def test_kernels_normalise_in_batches():
+    """Outside fields.py and oracles.py no code maps ``normalize`` over an
+    accumulator: ``FieldSpec.normalize_all`` is the batch form.  The image
+    kernel sums both sides itself, with no bracket or apply call."""
+    assert len(_normalize_maps(ast.parse("norm = f.normalize\nmap(norm, a); map(g.normalize, b)"))) == 2
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py")) if path.name not in ("fields.py", "oracles.py")
+             for node in _normalize_maps(ast.parse(path.read_text()))]
+    assert found == []
+    tree = ast.parse((SRC / "operators.py").read_text())
+    kernel = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_image_violations")
+    called = {node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+              for node in ast.walk(kernel) if isinstance(node, ast.Call)}
+    assert called & {"bracket", "apply"} == set()

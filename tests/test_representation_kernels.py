@@ -1,7 +1,8 @@
 """The representation-side checks -- the action axioms, the Kupershmidt
 identity, and the Nijenhuis-pair, dual-Nijenhuis-pair and perfect-pair
 identities -- against the oracles over F2, F3, F5 and Q, with equal
-violation tuples.
+violation tuples; and the hat and tilde actions of a pair, which no oracle
+covers, against their dense formula.
 
 The representations are the catalog's, carried into each field and moved by
 transport of structure: for invertible P on the algebra and Q on the module,
@@ -13,16 +14,16 @@ n + 1), and zero representations on modules of dimension 0 and 1.  Operators mov
 along (K -> P^-1 K Q, N -> P^-1 N P, S -> Q^-1 S Q), so that some inputs
 pass; perturbed action matrices and random operators make most of them
 fail, so that the violations' sides are compared and not only the verdicts.
-The last test keeps the three kernels on the cached action entries."""
+The last test keeps the four kernels on the cached action entries."""
 
 import ast
 import random
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import leibnizkit
+import leibnizkit.pairs as pairs_module
 from leibnizkit import (
     LeibnizAlgebra,
     Matrix,
@@ -40,7 +41,7 @@ from leibnizkit import (
     regular_representation,
 )
 from leibnizkit.catalog import load_catalog
-from leibnizkit.errors import DivisionByZero, LeibnizKitError
+from leibnizkit.errors import DivisionByZero
 from leibnizkit.fields import prime_field
 from leibnizkit.linalg import mat_inverse
 from leibnizkit.oracles import (
@@ -50,38 +51,10 @@ from leibnizkit.oracles import (
     eval_perfect_pair,
     eval_representation,
 )
+from oracle_helpers import agree, invertible, moved, random_matrix, tally
 
 SRC = Path(leibnizkit.__file__).resolve().parent
 FIELDS = (prime_field(2), prime_field(3), prime_field(5), Q)
-
-
-def scalar(rng, f):
-    """A residue, or over Q a Fraction of height at most 3."""
-    if f.is_prime_field:
-        return rng.randrange(f.p)
-    return f.normalize(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
-
-
-def random_matrix(rng, f, rows, cols):
-    return Matrix(f, [[scalar(rng, f) for _ in range(cols)] for _ in range(rows)])
-
-
-def invertible(rng, f, n):
-    """L U with L lower and U upper unitriangular and small integer entries:
-    dense and of determinant 1."""
-    L = Matrix(f, [[rng.randint(-2, 2) if j < i else int(i == j) for j in range(n)]
-                   for i in range(n)])
-    U = Matrix(f, [[rng.randint(-2, 2) if j > i else int(i == j) for j in range(n)]
-                   for i in range(n)])
-    return L * U
-
-
-def moved(m: Matrix, f):
-    """m carried into f, or None when a denominator vanishes there."""
-    try:
-        return Matrix(f, m.entries)
-    except DivisionByZero:
-        return None
 
 
 def block_diag(f, A: Matrix, B: Matrix) -> Matrix:
@@ -106,20 +79,6 @@ def slanted_projection(f, m):
     v_1 + ... + v_m vanishes on every rho(x) V."""
     return Matrix(f, [[int(r == c) for c in range(m)] + [0] for r in range(m)]
                   + [[1] * m + [0]])
-
-
-def agree(main, oracle, *args):
-    """Equal verdicts and violation tuples, or the same error from both;
-    returns the main report, or None when both sides raised."""
-    try:
-        report = main(*args)
-    except LeibnizKitError as exc:
-        with pytest.raises(type(exc)):
-            oracle(*args)
-        return None
-    expected = oracle(*args)
-    assert (report.ok, report.violations) == (expected.ok, expected.violations)
-    return report
 
 
 def catalog_cases(f):
@@ -220,14 +179,6 @@ def field_cases(f, rng):
     return out
 
 
-def tally(reports, name, least_failing):
-    """Both verdicts occur among the reports that ran, and at least
-    ``least_failing`` of them fail."""
-    ran = [r for r in reports if r is not None]
-    failing = sum(not r.ok for r in ran)
-    assert any(r.ok for r in ran) and failing >= least_failing, (name, len(ran), failing)
-
-
 @pytest.mark.parametrize("f", FIELDS, ids=str)
 def test_representation_side_checks_match_oracles(f):
     """Every case's representation passes the action axioms; its perturbed
@@ -256,9 +207,41 @@ def test_representation_side_checks_match_oracles(f):
         tally(reports, name, 10)
 
 
+def dense_deformed_action(rep, N, S, hat):
+    """rho(N e_i) + (rho(e_i) S - S rho(e_i)) for both families, with the
+    commutator negated unless ``hat``, from scaled and multiplied matrices."""
+    f, n, m = rep.algebra.field, rep.algebra.dim, rep.mdim
+    sign = f.one() if hat else f.neg(f.one())
+    families = []
+    for rhos in (rep.rhoL, rep.rhoR):
+        out = []
+        for i in range(n):
+            total = Matrix.zeros(f, m, m)
+            for k in range(n):
+                total = total + rhos[k].scale(N[k, i])
+            out.append(total + (rhos[i] * S - S * rhos[i]).scale(sign))
+        families.append(tuple(out))
+    return tuple(families)
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=str)
+def test_deformed_action_matches_dense_formula(f):
+    """The hat and tilde families of every case's pairs, module dimensions
+    n + 1 and 0 included, against the dense formula."""
+    rng = random.Random(f"deformed-action-{f}")
+    cases = field_cases(f, rng)
+    assert {0} < {rep.mdim for rep, _, _ in cases}
+    assert any(rep.mdim == rep.algebra.dim + 1 for rep, _, _ in cases)
+    for rep, _, pairs in cases:
+        for N, S in pairs:
+            for hat in (True, False):
+                assert (pairs_module._deformed_action(rep, N, S, hat)
+                        == dense_deformed_action(rep, N, S, hat))
+
+
 _DENSE_CALLS = {"mat_mul", "lin_comb", "actL", "actR"}
 _ENTRY_KERNELS = (("algebras.py", "check_representation"), ("operators.py", "_dendriform"),
-                  ("pairs.py", "_pair_identity"))
+                  ("pairs.py", "_pair_identity"), ("pairs.py", "_deformed_action"))
 
 
 def _called(tree):
@@ -269,10 +252,10 @@ def _called(tree):
 
 
 def test_representation_kernels_read_the_action_entries():
-    """check_representation, _dendriform and _pair_identity build no action
-    matrix or dense product per basis element: their bodies call none of
-    mat_mul, lin_comb, actL and actR.  Matrix.commutator, which only the
-    old check_representation called, is gone."""
+    """check_representation, _dendriform, _pair_identity and _deformed_action
+    build no action matrix or dense product per basis element: their bodies
+    call none of mat_mul, lin_comb, actL and actR.  Matrix.commutator, which
+    only the old check_representation called, is gone."""
     assert _called(ast.parse("rep.actL(x); mat_mul(a, b)")) >= {"actL", "mat_mul"}
     found = {}
     for module, name in _ENTRY_KERNELS:

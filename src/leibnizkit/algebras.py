@@ -14,8 +14,8 @@ An algebra caches its nonzero structure constants once, as ``(i, j, k, c)``
 tuples; ``bracket``, ``operators.twisted_tensor`` and ``check_leibniz``
 iterate them instead of walking the dense tensor.  A representation lists the
 nonzero entries ``(i, r, c, v)`` of its rhoL and rhoR matrices on first use
-(``Representation._entries``); ``check_representation``,
-``operators._dendriform`` and the pair identities of ``pairs`` iterate them.
+(``Representation._entries``); ``check_representation``, the kernels of
+``operators`` and the pair identities of ``pairs`` iterate them.
 """
 
 from __future__ import annotations

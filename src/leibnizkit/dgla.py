@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, product
+from operator import add
 from typing import Optional, Sequence, Tuple
 
 from .algebras import LeibnizAlgebra, Representation, check_leibniz
@@ -40,10 +41,16 @@ from .errors import (
     SpaceMismatch,
 )
 from .fields import FieldSpec
-from .linalg import Matrix, is_invertible, mat_inverse, vec_add
+from .linalg import Matrix, is_invertible, mat_inverse
 from .operators import (
     LinearOperator,
+    _acted,
+    _applied,
+    _dendriform,
+    _flat3,
+    _images,
     _lift,
+    _sides_violations,
     as_operator,
     check_compatible,
     check_kupershmidt,
@@ -61,7 +68,7 @@ from .pairs import (
     check_kn_structure,
     hat_tilde_representations,
 )
-from .reports import CheckReport, Violation
+from .reports import CheckReport
 from .twilled import TwilledContext
 
 
@@ -293,29 +300,20 @@ def check_maurer_cartan(
     ctx: TwilledContext, theta: Matrix, strong: bool = False
 ) -> CheckReport:
     """Elementwise Maurer-Cartan condition for theta: g1 -> g2 on a twilled
-    algebra; with ``strong`` the linear equivariance part must vanish on its
-    own as well."""
+    algebra, [theta x, theta y] + rho1(x, y) = theta([x, y]^theta) + theta[x, y]
+    with rho1(x, y) = rhoL(x) theta y + rhoR(y) theta x; with ``strong`` the
+    linear equivariance part theta[x, y] = rho1(x, y) must hold on its own."""
     if theta.rows != ctx.n2 or theta.cols != ctx.n1:
         raise ShapeMismatch(f"theta must be {ctx.n2}x{ctx.n1}")
-    f = ctx.field
-    g1, g2 = ctx.algebra1, ctx.algebra2
-    rho1 = ctx.rho1
-    sub = module_bracket_tensor(theta, ctx.rho2)
-    violations = []
-    for i in range(ctx.n1):
-        ti = theta.col(i)
-        for j in range(ctx.n1):
-            tj = theta.col(j)
-            lin_rhs = vec_add(f, rho1.rhoL[i].apply(tj), rho1.rhoR[j].apply(ti))
-            lin_lhs = theta.apply(g1.bracket_basis(i, j))
-            quad_lhs = vec_add(f, g2.bracket(ti, tj), lin_rhs)
-            quad_rhs = vec_add(f, theta.apply(sub[i][j]), lin_lhs)
-            if quad_lhs != quad_rhs:
-                violations.append(Violation("maurer-cartan", (i, j), quad_lhs, quad_rhs))
-            if strong and lin_lhs != lin_rhs:
-                violations.append(
-                    Violation("maurer-cartan-linear", (i, j), lin_lhs, lin_rhs)
-                )
+    f, n1 = ctx.field, ctx.n1
+    lin_lhs = _applied(theta, _flat3(ctx.algebra1.c))
+    lin_rhs = _acted(ctx.rho1, theta)
+    quad_lhs = list(map(add, _images(ctx.algebra2, theta, theta), lin_rhs))
+    quad_rhs = list(map(add, _applied(theta, list(map(add, *_dendriform(theta, ctx.rho2)))),
+                        lin_lhs))
+    violations = _sides_violations("maurer-cartan", f, quad_lhs, quad_rhs, n1)
+    if strong:
+        violations += _sides_violations("maurer-cartan-linear", f, lin_lhs, lin_rhs, n1)
     return CheckReport.build(violations)
 
 

@@ -40,6 +40,7 @@ from .errors import (
 from .linalg import Matrix, _flat, is_invertible, mat_inverse
 from .operators import (
     LinearOperator,
+    _sides_violations,
     as_operator,
     check_compatible,
     check_kupershmidt,
@@ -333,10 +334,7 @@ def check_bn_structure(
     violations = _closedness_violations(alg, B.matrix, "bn-closed")
     NtB = N.matrix.transpose() * B.matrix
     BN = B.matrix * N.matrix
-    for i in range(n):
-        for j in range(n):
-            if NtB[i, j] != BN[i, j]:
-                violations.append(Violation("bn-compat", (i, j), (NtB[i, j],), (BN[i, j],)))
+    violations += _sides_violations("bn-compat", alg.field, _flat(NtB), _flat(BN), n)
     violations += _closedness_violations(alg, NtB, "bn-n-closed")
     report = CheckReport.build(violations)
     if not report.ok or not consequences:

@@ -23,10 +23,6 @@ from .fields import FieldSpec, RawScalar
 Vector = Tuple[RawScalar, ...]
 
 
-def vec_add(f: FieldSpec, a: Sequence, b: Sequence) -> Vector:
-    return tuple(f.add(x, y) for x, y in zip(a, b))
-
-
 class Matrix:
     """Immutable exact matrix; rows are tuples of normalized raw values."""
 

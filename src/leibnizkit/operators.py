@@ -12,9 +12,24 @@ The three operator identities are one image identity
 - Rota-Baxter of weight zero: the same ``_twist`` without its last term, the
   Kupershmidt case of the regular representation.
 
-The kernel reads B as a flat raw ``inner`` accumulator, as ``_twist`` and
-``_dendriform`` leave it, and sums both sides flat with one batch
-normalisation each, with no bracket or matrix-vector call per basis pair.
+Every identity of the package on basis pairs is summed from a few flat
+primitives, each a raw accumulator with coordinate l of pair (i, j) at
+(i * m + j) * w + l, w the width of one pair's block; nothing calls a bracket
+or a matrix-vector product per basis pair:
+
+- ``_images(alg, S, T)``: [S e_i, T e_j], from the structure constants;
+- ``_applied(T, inner)``: T on each block of ``inner``, as ``_twist``,
+  ``_dendriform`` or ``_flat3`` of a tensor leave it;
+- ``_acted(rep, T)``: rhoL(e_i) T e_j + rhoR(e_j) T e_i, from the action
+  entries;
+- ``_sides_violations``: both sides normalised once and compared block by
+  block.
+
+``_image_violations`` joins them for the three image identities; the mixed
+identities of ``check_compatible`` and ``check_nk_condition``, the
+K-equivariance of ``induced_representation``, ``dgla.check_maurer_cartan``,
+``suites._operator_locality`` and the bracket identities of ``pairs`` and
+``forms`` use them directly.
 
 ``module_bracket_tensor`` is the one home of the induced module bracket; its
 kernel ``_dendriform`` builds both halves in one pass over the cached action
@@ -26,7 +41,7 @@ the lifted sum once per (K, rep).
 from __future__ import annotations
 
 from operator import add
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from .algebras import (
     LeibnizAlgebra,
@@ -42,7 +57,7 @@ from .errors import (
     Singular,
 )
 from .fields import FieldSpec
-from .linalg import Matrix, Vector, is_invertible, mat_inverse, vec_add
+from .linalg import Matrix, Vector, is_invertible, mat_inverse
 from .reports import CheckReport, Violation
 
 
@@ -74,12 +89,6 @@ class LinearOperator:
     @property
     def field(self) -> FieldSpec:
         return self.matrix.field
-
-    def __call__(self, vec: Sequence) -> Vector:
-        return self.matrix.apply(vec)
-
-    def compose(self, inner: "LinearOperator") -> "LinearOperator":
-        return LinearOperator(self.matrix * inner.matrix, inner.domain, self.codomain)
 
 
 def as_operator(m, domain: str = "", codomain: str = "") -> LinearOperator:
@@ -185,66 +194,106 @@ def _tensor(f: FieldSpec, acc, n: int):
                  for i in range(n))
 
 
-def _image_violations(name: str, alg: LeibnizAlgebra, T: Matrix, inner):
-    """The violations, named ``name``, of the image identity
-    [T e_i, T e_j] = T(inner(e_i, e_j)) on basis pairs of T's domain: the one
-    kernel of the Kupershmidt, Nijenhuis and Rota-Baxter checks.  ``inner``
-    is flat and raw, coordinate k of pair (i, j) at (i * m + j) * m + k for
-    m = T.cols.  The left side is summed from the structure constants over
-    the nonzero entries of T, the right side meets each nonzero inner value
-    with its column of T; each side is normalised once."""
-    n, m = T.rows, T.cols
-    rows = T.entries
-    cols = tuple(zip(*rows))
-    lhs = [0] * (m * m * n)  # coordinate l of pair (i, j) at (i * m + j) * n + l
-    rhs = [0] * (m * m * n)
+def _flat3(c) -> list:
+    """The tensor c[i][j][k] as a flat list, entry (i, j, k) at (i * n + j) * n + k."""
+    return [v for row in c for vec in row for v in vec]
+
+
+def _images(alg: LeibnizAlgebra, S: Matrix, T: Matrix) -> list:
+    """[S e_i, T e_j] on basis pairs of the common domain of S and T, summed
+    from the structure constants over the nonzero entries of S and T."""
+    n, m = alg.dim, S.cols
+    srows, trows = S.entries, T.entries
+    acc = [0] * (m * m * n)
     for a, b, l, v in alg._entries:
-        for j, s in enumerate(rows[b]):
-            if s:
-                at, sv = j * n + l, s * v
-                for i, t in enumerate(rows[a]):
-                    if t:
-                        lhs[i * m * n + at] += t * sv
+        for j, t in enumerate(trows[b]):
+            if t:
+                at, tv = j * n + l, t * v
+                for i, s in enumerate(srows[a]):
+                    if s:
+                        acc[i * m * n + at] += s * tv
+    return acc
+
+
+def _applied(T: Matrix, inner) -> list:
+    """T on each T.cols-wide block of ``inner``: each nonzero inner value
+    meets its column of T."""
+    n, m = T.rows, T.cols
+    if not m:  # no block of width 0 has a coordinate to apply T to
+        return []
+    cols = tuple(zip(*T.entries))
+    acc = [0] * (len(inner) // m * n)
     for q, w in enumerate(inner):
         if w:
             at = q // m * n
             for l, t in enumerate(cols[q % m]):
                 if t:
-                    rhs[at + l] += t * w
-    f = alg.field
+                    acc[at + l] += t * w
+    return acc
+
+
+def _acted(rep: Representation, T: Matrix) -> list:
+    """rhoL(e_i) T e_j + rhoR(e_j) T e_i on basis pairs of the algebra, for
+    T: algebra -> module: entry (k, r, c, v) of rhoL_k meets row c of T at
+    the pairs (k, j), and of rhoR_k at the pairs (i, k)."""
+    n, m = rep.algebra.dim, rep.mdim
+    rows = T.entries
+    acc = [0] * (n * n * m)
+    left, right = rep._entries()
+    for k, r, c, v in left:
+        for j, t in enumerate(rows[c]):
+            if t:
+                acc[(k * n + j) * m + r] += v * t
+    for k, r, c, v in right:
+        for i, t in enumerate(rows[c]):
+            if t:
+                acc[(i * n + k) * m + r] += v * t
+    return acc
+
+
+def _sides_violations(name: str, f: FieldSpec, lhs, rhs, m: int):
+    """The violations ``name`` of lhs = rhs over m * m basis pairs, each side
+    normalised once: one per pair (i, j) whose blocks differ, row-major."""
     lhs, rhs = f.normalize_all(lhs), f.normalize_all(rhs)
     if lhs == rhs:
         return []
+    w = len(lhs) // (m * m)
     violations = []
     for pair in range(m * m):
-        lhs_p, rhs_p = lhs[pair * n:(pair + 1) * n], rhs[pair * n:(pair + 1) * n]
+        lhs_p, rhs_p = lhs[pair * w:(pair + 1) * w], rhs[pair * w:(pair + 1) * w]
         if lhs_p != rhs_p:
             violations.append(Violation(name, divmod(pair, m), tuple(lhs_p), tuple(rhs_p)))
     return violations
 
 
+def _image_violations(name: str, alg: LeibnizAlgebra, T: Matrix, inner):
+    """The violations, named ``name``, of the image identity
+    [T e_i, T e_j] = T(inner(e_i, e_j)) on basis pairs of T's domain: the one
+    kernel of the Kupershmidt, Nijenhuis and Rota-Baxter checks.  ``inner``
+    is flat and raw, coordinate k of pair (i, j) at (i * m + j) * m + k for
+    m = T.cols."""
+    return _sides_violations(name, alg.field, _images(alg, T, T), _applied(T, inner), T.cols)
+
+
 def _kupershmidt_core(K: LinearOperator, rep: Representation):
-    """The violations of the Kupershmidt identity with the halves of [u,v]^K
-    and the tensor [u,v]^K itself, after the preconditions of
-    ``check_kupershmidt``."""
+    """The violations of the Kupershmidt identity, the bracket [u,v]^K and
+    its halves (lhd, rhd), as flat raw accumulators, after the preconditions
+    of ``check_kupershmidt``."""
     rep.require_representation()
     K = as_operator(K)
     _require_module_map(K, rep)
-    f, m = rep.algebra.field, rep.mdim
-    lhd, rhd = _dendriform(K.matrix, rep)
-    summed = list(map(add, lhd, rhd))
-    halves = DendriformPair(_tensor(f, lhd, m), _tensor(f, rhd, m))
-    violations = _image_violations("kupershmidt", rep.algebra, K.matrix, summed)
-    return violations, halves, _tensor(f, summed, m)
+    halves = _dendriform(K.matrix, rep)
+    summed = list(map(add, *halves))
+    return _image_violations("kupershmidt", rep.algebra, K.matrix, summed), summed, halves
 
 
 def _require_kupershmidt(K: LinearOperator, rep: Representation):
-    """The halves of [u,v]^K and the tensor, raising NotKupershmidt unless K
+    """The flat raw [u,v]^K and its halves, raising NotKupershmidt unless K
     is Kupershmidt."""
-    violations, halves, sub = _kupershmidt_core(K, rep)
+    violations, summed, halves = _kupershmidt_core(K, rep)
     if violations:
         raise NotKupershmidt(CheckReport.build(violations).summary())
-    return halves, sub
+    return summed, halves
 
 
 def check_kupershmidt(K: LinearOperator, rep: Representation) -> CheckReport:
@@ -255,29 +304,42 @@ def check_kupershmidt(K: LinearOperator, rep: Representation) -> CheckReport:
 def subadjacent_algebra(
     K: LinearOperator, rep: Representation
 ) -> Tuple[DendriformPair, LeibnizAlgebra]:
-    halves, sub = _require_kupershmidt(K, rep)
-    alg = LeibnizAlgebra(rep.algebra.field, sub)
+    summed, (lhd, rhd) = _require_kupershmidt(K, rep)
+    f, m = rep.algebra.field, rep.mdim
+    alg = LeibnizAlgebra(f, _tensor(f, summed, m))
     alg.require_leibniz()
-    return halves, alg
+    return DendriformPair(_tensor(f, lhd, m), _tensor(f, rhd, m)), alg
 
 
 def induced_action(T: Matrix, rep: Representation) -> Tuple[list, list]:
     """For a map T: module -> algebra, the matrices on the algebra of
     x -> [T(v_i),x] - T(rhoR(x)v_i) and x -> [x,T(v_i)] - T(rhoL(x)v_i), one
-    pair per module basis vector v_i."""
+    pair per module basis vector v_i.  Both families are summed from the
+    structure constants and the action entries into one accumulator each,
+    entry (r, j) of the matrix of v_i at (i * n + r) * n + j, and normalised
+    once."""
     alg = rep.algebra
-    f = alg.field
-    n = alg.dim
-    vrL, vrR = [], []
-    for i in range(rep.mdim):
-        Ti = T.col(i)
-        # x -> rhoR(x) v_i and x -> rhoL(x) v_i as matrices in x
-        MR = Matrix.from_cols(f, [rep.rhoR[j].col(i) for j in range(n)])
-        ML = Matrix.from_cols(f, [rep.rhoL[j].col(i) for j in range(n)])
-        left = Matrix.from_cols(f, [alg.bracket(Ti, [1 if t == j else 0 for t in range(n)]) for j in range(n)])
-        right = Matrix.from_cols(f, [alg.bracket([1 if t == j else 0 for t in range(n)], Ti) for j in range(n)])
-        vrL.append(left - T * MR)
-        vrR.append(right - T * ML)
+    f, n, m = alg.field, alg.dim, rep.mdim
+    rows, cols = T.entries, tuple(zip(*T.entries))
+    nn = n * n
+    accL, accR = [0] * (m * nn), [0] * (m * nn)
+    for a, b, l, v in alg._entries:
+        for i, t in enumerate(rows[a]):  # [T v_i, e_b]
+            if t:
+                accL[i * nn + l * n + b] += t * v
+        for i, t in enumerate(rows[b]):  # [e_a, T v_i]
+            if t:
+                accR[i * nn + l * n + a] += t * v
+    left, right = rep._entries()
+    for acc, entries in ((accL, right), (accR, left)):
+        for k, s, c, v in entries:  # rho(e_k) v_c = sum_s rho_k[s][c] v_s
+            for r, t in enumerate(cols[s]):
+                if t:
+                    acc[c * nn + r * n + k] -= t * v
+    vrL, vrR = ([Matrix._trusted(f, tuple(flat[(i * n + r) * n:(i * n + r + 1) * n]
+                                          for r in range(n)))
+                 for i in range(m)]
+                for flat in (tuple(f.normalize_all(accL)), tuple(f.normalize_all(accR))))
     return vrL, vrR
 
 
@@ -286,21 +348,15 @@ def induced_representation(K: LinearOperator, rep: Representation) -> Representa
     algebra: vrL(v) x = [K(v),x] - K(rhoR(x)v), vrR(v) x = [x,K(v)] - K(rhoL(x)v)."""
     K = as_operator(K)
     _, subalg = subadjacent_algebra(K, rep)
-    f = rep.algebra.field
-    m = rep.mdim
     Kmat = K.matrix
-    vrL, vrR = induced_action(Kmat, rep)
-    out = Representation(subalg, vrL, vrR)
+    out = Representation(subalg, *induced_action(Kmat, rep))
     out.require_representation()
     # equivariance: K intertwines the sub-adjacent bracket with the induced action
-    for i in range(m):
-        for j in range(m):
-            lhs = Kmat.apply(subalg.bracket_basis(i, j))
-            rhs = vec_add(f, vrL[i].apply(Kmat.col(j)), vrR[j].apply(Kmat.col(i)))
-            if lhs != rhs:
-                raise NotKupershmidt(
-                    f"induced action is not K-equivariant at basis pair ({i},{j})"
-                )
+    unequal = _sides_violations("equivariance", rep.algebra.field,
+                                _applied(Kmat, _flat3(subalg.c)), _acted(out, Kmat), rep.mdim)
+    if unequal:
+        i, j = unequal[0].index
+        raise NotKupershmidt(f"induced action is not K-equivariant at basis pair ({i},{j})")
     return out
 
 
@@ -367,21 +423,14 @@ def check_compatible(
     skipped).
     """
     K1, K2 = as_operator(K1), as_operator(K2)
-    _, sub1 = _require_kupershmidt(K1, rep)
-    _, sub2 = _require_kupershmidt(K2, rep)
+    sub1, _ = _require_kupershmidt(K1, rep)
+    sub2, _ = _require_kupershmidt(K2, rep)
     alg = rep.algebra
     f = alg.field
-    m = rep.mdim
-    violations = []
-    for i in range(m):
-        K1i, K2i = K1.matrix.col(i), K2.matrix.col(i)
-        for j in range(m):
-            K1j, K2j = K1.matrix.col(j), K2.matrix.col(j)
-            lhs = vec_add(f, alg.bracket(K1i, K2j), alg.bracket(K2i, K1j))
-            rhs = vec_add(f, K1.matrix.apply(sub2[i][j]), K2.matrix.apply(sub1[i][j]))
-            if lhs != rhs:
-                violations.append(Violation("compatible", (i, j), lhs, rhs))
-    report = CheckReport.build(violations)
+    A, B = K1.matrix, K2.matrix
+    lhs = list(map(add, _images(alg, A, B), _images(alg, B, A)))
+    rhs = list(map(add, _applied(A, sub2), _applied(B, sub1)))
+    report = CheckReport.build(_sides_violations("compatible", f, lhs, rhs, rep.mdim))
     if not report.ok:
         return report
     notes = {}
@@ -391,7 +440,7 @@ def check_compatible(
         except Exception:
             notes[f"sample-{n1},{n2}"] = "skipped (coefficients not in field)"
             continue
-        comb = K1.matrix.scale(a) + K2.matrix.scale(b)
+        comb = A.scale(a) + B.scale(b)
         sub = check_kupershmidt(LinearOperator(comb, K1.domain, K1.codomain), rep)
         if not sub.ok:
             report = report.merged(sub.prefixed(f"combination-{n1},{n2}"))
@@ -415,37 +464,18 @@ def check_nk_condition(
     nij = check_nijenhuis(N, alg)
     if not nij.ok:
         raise NotNijenhuis(nij.summary())
-    _, sub_K = _require_kupershmidt(K, rep)
-    f = alg.field
-    m = rep.mdim
-    NK = N.matrix * K.matrix
-    NNK = N.matrix * NK
+    sub_K, _ = _require_kupershmidt(K, rep)
+    Nm, Km = N.matrix, K.matrix
+    NK = Nm * Km
     composite = LinearOperator(NK, K.domain, K.codomain)
-    direct_violations, _, sub_NK = _kupershmidt_core(composite, rep)
-    violations = []
-    for i in range(m):
-        Ki, NKi = K.matrix.col(i), NK.col(i)
-        for j in range(m):
-            Kj, NKj = K.matrix.col(j), NK.col(j)
-            lhs = N.matrix.apply(vec_add(f, alg.bracket(NKi, Kj), alg.bracket(Ki, NKj)))
-            rhs = vec_add(f, NK.apply(sub_NK[i][j]), NNK.apply(sub_K[i][j]))
-            if lhs != rhs:
-                violations.append(Violation("nk-condition", (i, j), lhs, rhs))
-    report = CheckReport.build(violations)
+    direct_violations, sub_NK, _ = _kupershmidt_core(composite, rep)
+    lhs = _applied(Nm, list(map(add, _images(alg, NK, Km), _images(alg, Km, NK))))
+    rhs = list(map(add, _applied(NK, sub_NK), _applied(Nm * NK, sub_K)))
+    report = CheckReport.build(_sides_violations("nk-condition", alg.field, lhs, rhs, rep.mdim))
     direct = CheckReport.build(direct_violations)
     if report.ok != direct.ok:
-        report = report.merged(
-            CheckReport.build(
-                [
-                    Violation(
-                        "nk-condition-vs-composite",
-                        (),
-                        (1 if report.ok else 0,),
-                        (1 if direct.ok else 0,),
-                    )
-                ]
-            )
-        )
+        report = report.merged(CheckReport.build([Violation(
+            "nk-condition-vs-composite", (), (int(report.ok),), (int(direct.ok),))]))
     report.notes["composite-kupershmidt"] = "ok" if direct.ok else direct.summary()
     return report
 

@@ -6,6 +6,7 @@ pair through NK = KS and the agreement of the two deformed module brackets).
 
 from __future__ import annotations
 
+from operator import add
 from typing import Literal, Sequence, Tuple
 
 from .algebras import (
@@ -29,6 +30,12 @@ from .errors import (
 from .linalg import Matrix, _flat, is_invertible, mat_inverse
 from .operators import (
     LinearOperator,
+    _applied,
+    _dendriform,
+    _flat3,
+    _images,
+    _sides_violations,
+    _tensor,
     as_operator,
     check_compatible,
     check_kupershmidt,
@@ -104,7 +111,8 @@ def _pair_identity(pair: OperatorPair, rep: Representation, name: str, dual: boo
         rhs += [(_diag(1, n), one, S2), (_diag(-1, n), S, S)]
     else:
         rhs += [(_diag(1, n), S, S), (_diag(-1, n), S2, one)]
-    return _block_violations(name, lhs, _action_sums(rep, rhs), n, m)
+    return _block_violations((f"{name}-left", f"{name}-right"), lhs, _action_sums(rep, rhs),
+                             n, m)
 
 
 def _diag(c, n: int):
@@ -138,17 +146,17 @@ def _action_sums(rep: Representation, terms):
     return tuple(rep.algebra.field.normalize_all(acc))
 
 
-def _block_violations(name: str, lhs, rhs, n: int, m: int):
-    """The violations ``<name>-left`` and ``<name>-right`` at (i,) where the
-    blocks of two ``_action_sums`` differ, i by i, left before right."""
+def _block_violations(names, lhs, rhs, n: int, m: int):
+    """The violations named ``names[0]`` (rhoL) and ``names[1]`` (rhoR) at
+    (i,) where the blocks of two ``_action_sums`` differ, i by i, left before
+    right."""
     mm = m * m
     violations = []
     for block in range(2 * n):
         lo = block * mm
         lhs_b, rhs_b = lhs[lo:lo + mm], rhs[lo:lo + mm]
         if lhs_b != rhs_b:
-            side = "right" if block % 2 else "left"
-            violations.append(Violation(f"{name}-{side}", (block // 2,), lhs_b, rhs_b))
+            violations.append(Violation(names[block % 2], (block // 2,), lhs_b, rhs_b))
     return violations
 
 
@@ -179,7 +187,7 @@ def _perfect_violations(pair: OperatorPair, rep: Representation):
     one, S2 = Matrix.identity(S.field, m), S * S
     lhs = _action_sums(rep, [(_diag(1, n), S2, one), (_diag(1, n), one, S2)])
     rhs = _action_sums(rep, [(_diag(2, n), S, S)])
-    return _block_violations("perfect", lhs, rhs, n, m)
+    return _block_violations(("perfect-left", "perfect-right"), lhs, rhs, n, m)
 
 
 def _deformed_action(
@@ -244,20 +252,16 @@ def deformation_from_pair(
     n, m = alg.dim, rep.mdim
     N, S = pair.N.matrix, pair.S.matrix
     omega = twisted_tensor(alg.c, N, f)
+    c, w = _flat3(alg.c), _flat3(omega)
     varpiL, varpiR = _deformed_action(rep, N, S, hat=True)
+    one = Matrix.identity(f, m)
     violations = []
     notes = {}
     for t_raw in t_samples:
         t = f.of(t_raw)
         tag = f.format(t)
-        ct = tuple(
-            tuple(
-                tuple(f.add(alg.c[i][j][k], f.mul(t, omega[i][j][k])) for k in range(n))
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        alg_t = LeibnizAlgebra(f, ct)
+        ct = [a + t * b for a, b in zip(c, w)]  # the deformed bracket, flat and raw
+        alg_t = LeibnizAlgebra(f, _tensor(f, ct, n))
         leib = check_leibniz(alg_t)
         violations += leib.prefixed(f"deformed-bracket-t={tag}").violations
         rhoL_t = [rep.rhoL[i] + varpiL[i].scale(t) for i in range(n)]
@@ -266,32 +270,16 @@ def deformation_from_pair(
         repr_rpt = check_representation(rep_t)
         violations += repr_rpt.prefixed(f"deformed-action-t={tag}").violations
         P = Matrix.identity(f, n) + N.scale(t)
-        Q = Matrix.identity(f, m) + S.scale(t)
+        Q = one + S.scale(t)
         if not (is_invertible(P) and is_invertible(Q)):
             notes[f"t={tag}"] = "equivalence skipped (I+tN or I+tS singular)"
             continue
-        for i in range(n):
-            Pi = P.col(i)
-            for j in range(n):
-                lhs = P.apply(ct[i][j])
-                rhs = alg.bracket(Pi, P.col(j))
-                if lhs != rhs:
-                    violations.append(
-                        Violation(f"equivalence-bracket-t={tag}", (i, j), lhs, rhs)
-                    )
-        for i in range(n):
-            lhsL = Q * rhoL_t[i]
-            rhsL = rep.actL(P.col(i)) * Q
-            if lhsL != rhsL:
-                violations.append(
-                    Violation(f"equivalence-left-t={tag}", (i,), _flat(lhsL), _flat(rhsL))
-                )
-            lhsR = Q * rhoR_t[i]
-            rhsR = rep.actR(P.col(i)) * Q
-            if lhsR != rhsR:
-                violations.append(
-                    Violation(f"equivalence-right-t={tag}", (i,), _flat(lhsR), _flat(rhsR))
-                )
+        violations += _sides_violations(f"equivalence-bracket-t={tag}", f, _applied(P, ct),
+                                        _images(alg, P, P), n)
+        lhs = _action_sums(rep_t, [(_diag(1, n), Q, one)])  # Q rho_t(e_i)
+        rhs = _action_sums(rep, [(P.entries, one, Q)])  # rho(P e_i) Q
+        violations += _block_violations(
+            (f"equivalence-left-t={tag}", f"equivalence-right-t={tag}"), lhs, rhs, n, m)
     return DeformationTriple(omega, varpiL, varpiR, CheckReport.build(violations, notes))
 
 
@@ -378,14 +366,11 @@ def _kn_core(tag: str, T: Matrix, N: Matrix, S: Matrix, rep: Representation):
     (T = pi#, S = N^T, dual of the regular representation)."""
     NT, TS = N * T, T * S
     violations = [] if NT == TS else [Violation(f"{tag}-commute", (), _flat(NT), _flat(TS))]
+    f = rep.algebra.field
     sub_T = module_bracket_tensor(T, rep)
-    lhs = module_bracket_tensor(NT, rep)
-    rhs = twisted_tensor(sub_T, S, rep.algebra.field)
-    m = rep.mdim
-    violations += [
-        Violation(f"{tag}-bracket", (i, j), lhs[i][j], rhs[i][j])
-        for i in range(m) for j in range(m) if lhs[i][j] != rhs[i][j]
-    ]
+    rhs = twisted_tensor(sub_T, S, f)
+    violations += _sides_violations(f"{tag}-bracket", f, list(map(add, *_dendriform(NT, rep))),
+                                    _flat3(rhs), rep.mdim)
     return violations, sub_T, rhs
 
 
@@ -427,20 +412,13 @@ def check_kn_structure(
     dual = kn.mode != "kn"
     other = not _pair_identity(kn.pair, rep, "", dual=not dual)
     hat, tilde = _hat_tilde(kn.pair, rep, is_pair=not dual or other, is_dual=dual or other)
-    hat_bracket = module_bracket_tensor(K, hat)
-    tilde_bracket = module_bracket_tensor(K, tilde)
+    f = rep.algebra.field
+    s_flat = _flat3(s_deformed)
     extra = []
-    for i in range(m):
-        for j in range(m):
-            if s_deformed[i][j] != hat_bracket[i][j]:
-                extra.append(
-                    Violation("bracket-agreement-hat", (i, j), s_deformed[i][j], hat_bracket[i][j])
-                )
-            if s_deformed[i][j] != tilde_bracket[i][j]:
-                extra.append(
-                    Violation("bracket-agreement-tilde", (i, j), s_deformed[i][j], tilde_bracket[i][j])
-                )
-    subalg = LeibnizAlgebra(rep.algebra.field, sub_K)
+    for name, action in (("hat", hat), ("tilde", tilde)):
+        extra += _sides_violations(f"bracket-agreement-{name}", f, s_flat,
+                                   list(map(add, *_dendriform(K, action))), m)
+    subalg = LeibnizAlgebra(f, sub_K)
     extra += check_nijenhuis(kn.pair.S, subalg).prefixed("subadjacent-nijenhuis").violations
     deformed_rep = hat if kn.mode == "kn" else tilde
     deformed_rep.require_representation()

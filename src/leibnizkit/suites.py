@@ -32,6 +32,9 @@ from .io import SpecFile
 from .linalg import Matrix, is_invertible
 from .operators import (
     LinearOperator,
+    _acted,
+    _applied,
+    _flat3,
     check_compatible,
     check_kupershmidt,
     check_nijenhuis,
@@ -177,18 +180,9 @@ def suite_mc_equivalence(catalog, nonsolutions: int = 12, seed: int = 20) -> Sui
 
 def _operator_locality(rep, theta) -> bool:
     """theta([y,z]) = rhoL(y) theta z + rhoR(z) theta y over the base algebra."""
-    alg = rep.algebra
-    f = alg.field
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            lhs = theta.apply(alg.bracket_basis(i, j))
-            rhs = tuple(
-                f.add(a, b)
-                for a, b in zip(rep.rhoL[i].apply(theta.col(j)), rep.rhoR[j].apply(theta.col(i)))
-            )
-            if lhs != rhs:
-                return False
-    return True
+    f = rep.algebra.field
+    return (f.normalize_all(_applied(theta, _flat3(rep.algebra.c)))
+            == f.normalize_all(_acted(rep, theta)))
 
 
 def suite_trivial_deformation(catalog) -> SuiteResult:

@@ -245,3 +245,26 @@ def test_kernels_normalise_in_batches():
     called = {node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
               for node in ast.walk(kernel) if isinstance(node, ast.Call)}
     assert called & {"bracket", "apply"} == set()
+
+
+def _per_pair_calls(tree):
+    """The calls of a ``.apply``, ``.bracket`` or ``.bracket_basis`` method and
+    of ``vec_add``: an identity evaluated one basis pair at a time."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and (isinstance(node.func, ast.Attribute)
+                 and node.func.attr in ("apply", "bracket", "bracket_basis")
+                 or isinstance(node.func, ast.Name) and node.func.id == "vec_add")]
+
+
+def test_no_identity_is_evaluated_per_basis_pair():
+    """Outside algebras.py and linalg.py, which define Matrix.apply and the
+    brackets, and oracles.py, no module calls them or vec_add, which is gone:
+    every identity is summed flat by the primitives of operators.py."""
+    snippet = "T.apply(v); alg.bracket(x, y); g.bracket_basis(i, j); vec_add(f, a, b); f.of(v)"
+    assert len(_per_pair_calls(ast.parse(snippet))) == 4
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             if path.name not in ("algebras.py", "linalg.py", "oracles.py")
+             for node in _per_pair_calls(ast.parse(path.read_text()))]
+    assert found == []
+    assert not hasattr(leibnizkit.linalg, "vec_add")

@@ -592,3 +592,67 @@ def test_cli_check_malformed_spec_fuzz_never_raises(tmp_path_factory, case):
     spec.write_text(json.dumps(doc))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(["check", str(spec), *argv]) in (0, 1, 2)
+
+
+_E01_JSON = """{
+  "notes": {},
+  "ok": false,
+  "violations": [
+    {
+      "identity": "maurer-cartan",
+      "index": [
+        1,
+        1
+      ],
+      "lhs": [
+        "1",
+        "0"
+      ],
+      "rhs": [
+        "0",
+        "0"
+      ]
+    },
+    {
+      "identity": "maurer-cartan-linear",
+      "index": [
+        1,
+        1
+      ],
+      "lhs": [
+        "0",
+        "0"
+      ],
+      "rhs": [
+        "1",
+        "0"
+      ]
+    }
+  ]
+}
+"""
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["N23", "nk-condition", "--K", "Bsharp"],
+     "N23: nk-condition: 1 violation(s): nk-condition@(0, 1): lhs=(10, 0) rhs=(8, 0)\n"
+     "  note composite-kupershmidt: 1 violation(s): kupershmidt@(0, 1): lhs=(6, 0) rhs=(4, 0)\n"),
+    (["NpIqE", "nk-condition", "--K", "R32"],
+     "NpIqE: nk-condition: 1 violation(s): nk-condition@(1, 1): lhs=(Fraction(45, 2), 0) "
+     "rhs=(0, 0)\n"
+     "  note composite-kupershmidt: 1 violation(s): kupershmidt@(1, 1): "
+     "lhs=(Fraction(45, 2), 0) rhs=(0, 0)\n"),
+    (["ident", "maurer-cartan-strong", "--ctx", "tw_lift"],
+     "ident: maurer-cartan-strong: 4 violation(s): maurer-cartan@(1, 0): lhs=(1, 0) "
+     "rhs=(0, 0), maurer-cartan@(1, 1): lhs=(1, 0) rhs=(0, 0), maurer-cartan-linear@(1, 0): "
+     "lhs=(1, 0) rhs=(2, 0), maurer-cartan-linear@(1, 1): lhs=(1, 0) rhs=(2, 0)\n"),
+    (["E01", "maurer-cartan-strong", "--ctx", "tw_lift", "--format", "json"], _E01_JSON),
+])
+def test_cli_failing_checks_print_pinned_bytes(capsys, argv, expected):
+    """The mixed identities and the Maurer-Cartan check print these exact
+    violations, and exit 1, on l2's failing objects."""
+    from leibnizkit import cli
+
+    assert cli.main(["check", _L2, *argv]) == 1
+    out = capsys.readouterr()
+    assert (out.out, out.err) == (expected, "")

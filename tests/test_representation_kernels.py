@@ -1,8 +1,11 @@
 """The representation-side checks -- the action axioms, the Kupershmidt
 identity, and the Nijenhuis-pair, dual-Nijenhuis-pair and perfect-pair
 identities -- against the oracles over F2, F3, F5 and Q, with equal
-violation tuples; and the hat and tilde actions of a pair, which no oracle
-covers, against their dense formula.
+violation tuples; and what no oracle covers against its dense formula: the
+hat and tilde actions of a pair, the induced action of a map from the module
+to the algebra, the locality part theta([y,z]) = rhoL(y) theta z +
+rhoR(z) theta y of the Maurer-Cartan equation, and the deformation report of
+a pair.
 
 The representations are the catalog's, carried into each field and moved by
 transport of structure: for invertible P on the algebra and Q on the module,
@@ -14,7 +17,7 @@ n + 1), and zero representations on modules of dimension 0 and 1.  Operators mov
 along (K -> P^-1 K Q, N -> P^-1 N P, S -> Q^-1 S Q), so that some inputs
 pass; perturbed action matrices and random operators make most of them
 fail, so that the violations' sides are compared and not only the verdicts.
-The last test keeps the four kernels on the cached action entries."""
+The last test keeps the five kernels on the cached action entries."""
 
 import ast
 import random
@@ -25,10 +28,12 @@ import pytest
 import leibnizkit
 import leibnizkit.pairs as pairs_module
 from leibnizkit import (
+    CheckReport,
     LeibnizAlgebra,
     Matrix,
     RATIONALS as Q,
     Representation,
+    Violation,
     as_operator,
     check_dual_nijenhuis_pair,
     check_kupershmidt,
@@ -36,6 +41,7 @@ from leibnizkit import (
     check_nijenhuis_pair,
     check_perfect_pair,
     check_representation,
+    deformation_from_pair,
     dual_representation,
     make_pair,
     regular_representation,
@@ -43,14 +49,17 @@ from leibnizkit import (
 from leibnizkit.catalog import load_catalog
 from leibnizkit.errors import DivisionByZero
 from leibnizkit.fields import prime_field
-from leibnizkit.linalg import mat_inverse
+from leibnizkit.linalg import _flat, is_invertible, mat_inverse
+from leibnizkit.operators import induced_action
 from leibnizkit.oracles import (
     eval_dual_nijenhuis_pair,
     eval_kupershmidt,
+    eval_leibniz,
     eval_nijenhuis_pair,
     eval_perfect_pair,
     eval_representation,
 )
+from leibnizkit.suites import _operator_locality
 from oracle_helpers import agree, invertible, moved, random_matrix, tally
 
 SRC = Path(leibnizkit.__file__).resolve().parent
@@ -239,9 +248,120 @@ def test_deformed_action_matches_dense_formula(f):
                         == dense_deformed_action(rep, N, S, hat))
 
 
+def dense_induced_action(T, rep):
+    """x -> [T v_i, x] - T rhoR(x) v_i and x -> [x, T v_i] - T rhoL(x) v_i,
+    one pair per module basis vector v_i, from the multiplication matrices
+    and the columns of the action matrices."""
+    alg, f = rep.algebra, rep.algebra.field
+    n = alg.dim
+    families = ([], [])
+    for i in range(rep.mdim):
+        for out, mult, rho in zip(families, (alg.left_mult, alg.right_mult), (rep.rhoR, rep.rhoL)):
+            total = Matrix.zeros(f, n, n)
+            for k in range(n):
+                total = total + mult(k).scale(T[k, i])
+            out.append(total - T * Matrix.from_cols(f, [rho[j].col(i) for j in range(n)]))
+    return families
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=str)
+def test_induced_action_matches_dense_formula(f):
+    """The induced action of every case's operators, random ones that are
+    not Kupershmidt included, on modules of dimension 0, n and n + 1."""
+    rng = random.Random(f"induced-action-{f}")
+    cases = field_cases(f, rng)
+    assert {0} < {rep.mdim for rep, _, _ in cases}
+    for rep, kup, _ in cases:
+        for T in kup:
+            vrL, vrR = induced_action(T, rep)
+            assert (list(vrL), list(vrR)) == dense_induced_action(T, rep)
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=str)
+def test_operator_locality_matches_dense_formula(f):
+    """theta([y, z]) = rhoL(y) theta z + rhoR(z) theta y for zero and random
+    maps theta from the algebra to a nonzero module, against the identity
+    evaluated basis pair by basis pair; both verdicts occur."""
+    rng = random.Random(f"locality-{f}")
+    verdicts = []
+    for rep, _, _ in field_cases(f, rng):
+        alg, n, m = rep.algebra, rep.algebra.dim, rep.mdim
+        if not m:
+            continue
+        for theta in [Matrix.zeros(f, m, n)] + [random_matrix(rng, f, m, n) for _ in range(2)]:
+            dense = all(theta.apply(alg.c[i][j])
+                        == tuple(f.normalize(a + b) for a, b in zip(
+                            rep.rhoL[i].apply(theta.col(j)), rep.rhoR[j].apply(theta.col(i))))
+                        for i in range(n) for j in range(n))
+            assert _operator_locality(rep, theta) == dense
+            verdicts.append(dense)
+    assert True in verdicts and False in verdicts
+
+
+def dense_deformation_report(pair, rep, samples):
+    """The report of ``deformation_from_pair`` from the oracles, the dense
+    deformed action and the identities evaluated basis pair by basis pair."""
+    alg, f = rep.algebra, rep.algebra.field
+    n, m = alg.dim, rep.mdim
+    N, S = pair.N.matrix, pair.S.matrix
+    varpiL, varpiR = dense_deformed_action(rep, N, S, True)
+    e = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    omega = tuple(tuple(tuple(f.normalize(a + b - c) for a, b, c in zip(
+        alg.bracket(N.col(i), e[j]), alg.bracket(e[i], N.col(j)), N.apply(alg.c[i][j])))
+                        for j in range(n)) for i in range(n))
+    violations, notes = [], {}
+    for t_raw in samples:
+        t = f.of(t_raw)
+        tag = f.format(t)
+        ct = [[tuple(f.normalize(a + t * w) for a, w in zip(alg.c[i][j], omega[i][j]))
+               for j in range(n)] for i in range(n)]
+        alg_t = LeibnizAlgebra(f, ct)
+        violations += eval_leibniz(alg_t).prefixed(f"deformed-bracket-t={tag}").violations
+        rhoL_t = [rep.rhoL[i] + varpiL[i].scale(t) for i in range(n)]
+        rhoR_t = [rep.rhoR[i] + varpiR[i].scale(t) for i in range(n)]
+        rep_t = Representation(alg_t, rhoL_t, rhoR_t)
+        violations += eval_representation(rep_t).prefixed(f"deformed-action-t={tag}").violations
+        P = Matrix.identity(f, n) + N.scale(t)
+        Qm = Matrix.identity(f, m) + S.scale(t)
+        if not (is_invertible(P) and is_invertible(Qm)):
+            notes[f"t={tag}"] = "equivalence skipped (I+tN or I+tS singular)"
+            continue
+        for i in range(n):
+            for j in range(n):
+                lhs, rhs = P.apply(ct[i][j]), alg.bracket(P.col(i), P.col(j))
+                if lhs != rhs:
+                    violations.append(Violation(f"equivalence-bracket-t={tag}", (i, j), lhs, rhs))
+            for side, rho_t, act in (("left", rhoL_t, rep.actL), ("right", rhoR_t, rep.actR)):
+                lhs, rhs = Qm * rho_t[i], act(P.col(i)) * Qm
+                if lhs != rhs:
+                    violations.append(Violation(f"equivalence-{side}-t={tag}", (i,),
+                                                _flat(lhs), _flat(rhs)))
+    return omega, CheckReport.build(violations, notes)
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=str)
+def test_deformation_report_matches_dense_formula(f, monkeypatch):
+    """The deformation data and report of every case's pairs against the
+    dense evaluation.  The transported Nijenhuis pairs pass; the pair
+    precondition is waived so that the random pairs reach the identities and
+    fail them, and the violations' sides are compared."""
+    monkeypatch.setattr(pairs_module, "check_nijenhuis_pair", lambda pair, rep: CheckReport())
+    rng = random.Random(f"deformation-{f}")
+    verdicts = []
+    for rep, _, pairs in field_cases(f, rng):
+        for N, S in pairs:
+            pair = make_pair(N, S)
+            triple = deformation_from_pair(pair, rep, (1, 2, -1))
+            omega, report = dense_deformation_report(pair, rep, (1, 2, -1))
+            assert (triple.omega, triple.report) == (omega, report)
+            verdicts.append(report.ok)
+    assert True in verdicts and verdicts.count(False) >= 10
+
+
 _DENSE_CALLS = {"mat_mul", "lin_comb", "actL", "actR"}
 _ENTRY_KERNELS = (("algebras.py", "check_representation"), ("operators.py", "_dendriform"),
-                  ("pairs.py", "_pair_identity"), ("pairs.py", "_deformed_action"))
+                  ("operators.py", "induced_action"), ("pairs.py", "_pair_identity"),
+                  ("pairs.py", "_deformed_action"))
 
 
 def _called(tree):
@@ -252,10 +372,11 @@ def _called(tree):
 
 
 def test_representation_kernels_read_the_action_entries():
-    """check_representation, _dendriform, _pair_identity and _deformed_action
-    build no action matrix or dense product per basis element: their bodies
-    call none of mat_mul, lin_comb, actL and actR.  Matrix.commutator, which
-    only the old check_representation called, is gone."""
+    """check_representation, _dendriform, induced_action, _pair_identity and
+    _deformed_action build no action matrix or dense product per basis
+    element: their bodies call none of mat_mul, lin_comb, actL and actR.
+    Matrix.commutator, which only the old check_representation called, is
+    gone."""
     assert _called(ast.parse("rep.actL(x); mat_mul(a, b)")) >= {"actL", "mat_mul"}
     found = {}
     for module, name in _ENTRY_KERNELS:

@@ -439,7 +439,7 @@ def tilde_varrho_bracket(kn: KNStructure, rep: Representation) -> LeibnizAlgebra
     bracket, the twisted induced action and the tilde action."""
     if kn.mode != "dual-kn":
         raise NotDualKN("input must be in dual KN mode")
-    violations, _, s_deformed = _kn_conditions(kn, rep)
+    violations, _, s_deformed, _ = _kn_conditions(kn, rep)
     if violations:
         raise NotDualKN(CheckReport.build(violations).summary())
     alg = rep.algebra

@@ -194,7 +194,7 @@ def check_rn_structure(
     P = pi.matrix
     Nt = N.matrix.transpose()
     dual_reg = dual_regular(alg)
-    violations, _, _ = _kn_core("rn", P, N.matrix, Nt, dual_reg)
+    violations = _kn_core("rn", P, N.matrix, Nt, dual_reg)[0]
     report = CheckReport.build(violations)
     if report.ok and consequences:
         kn = KNStructure(
@@ -220,7 +220,7 @@ def check_rbn_structure(
     nij = check_nijenhuis(N, alg)
     if not nij.ok:
         raise NotNijenhuis(nij.summary())
-    violations, _, _ = _kn_core("rbn", R.matrix, N.matrix, N.matrix, regular_representation(alg))
+    violations = _kn_core("rbn", R.matrix, N.matrix, N.matrix, regular_representation(alg))[0]
     return CheckReport.build(violations)
 
 

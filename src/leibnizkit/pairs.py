@@ -21,7 +21,6 @@ from .errors import (
     NeitherPairKind,
     NotCompatible,
     NotDualKN,
-    NotKupershmidt,
     NotNijenhuisPair,
     PairCheckFailed,
     ShapeMismatch,
@@ -33,7 +32,9 @@ from .operators import (
     _applied,
     _dendriform,
     _flat3,
+    _image_violations,
     _images,
+    _require_kupershmidt,
     _sides_violations,
     _tensor,
     as_operator,
@@ -41,7 +42,6 @@ from .operators import (
     check_kupershmidt,
     check_nijenhuis,
     deformed_bracket,
-    module_bracket_tensor,
     twisted_tensor,
 )
 from .reports import CheckReport, Violation
@@ -358,34 +358,37 @@ def make_kn(K, N, S, mode: Mode = "kn") -> KNStructure:
     return KNStructure(as_operator(K), make_pair(N, S), mode)
 
 
-def _kn_core(tag: str, T: Matrix, N: Matrix, S: Matrix, rep: Representation):
+def _kn_core(tag: str, T: Matrix, N: Matrix, S: Matrix, rep: Representation,
+             t_bracket=None):
     """Violations of NT = TS (``<tag>-commute``) and of
     [u,v]^{NT} = [u,v]^T twisted by S (``<tag>-bracket``, on module basis
-    pairs), with the T-bracket and its S-twist for reuse.  Serves KN-structures
-    (T = K), RBN (T = R, S = N, regular representation) and r-n structures
-    (T = pi#, S = N^T, dual of the regular representation)."""
+    pairs), with the T-bracket, its S-twist and the flat raw NT-bracket for
+    reuse.  ``t_bracket`` is the flat raw T-bracket when the caller has it.
+    Serves KN-structures (T = K), RBN (T = R, S = N, regular representation)
+    and r-n structures (T = pi#, S = N^T, dual of the regular
+    representation)."""
     NT, TS = N * T, T * S
     violations = [] if NT == TS else [Violation(f"{tag}-commute", (), _flat(NT), _flat(TS))]
     f = rep.algebra.field
-    sub_T = module_bracket_tensor(T, rep)
+    if t_bracket is None:
+        t_bracket = list(map(add, *_dendriform(T, rep)))
+    sub_T = _tensor(f, t_bracket, rep.mdim)
     rhs = twisted_tensor(sub_T, S, f)
-    violations += _sides_violations(f"{tag}-bracket", f, list(map(add, *_dendriform(NT, rep))),
-                                    _flat3(rhs), rep.mdim)
-    return violations, sub_T, rhs
+    nt_bracket = list(map(add, *_dendriform(NT, rep)))
+    violations += _sides_violations(f"{tag}-bracket", f, nt_bracket, _flat3(rhs), rep.mdim)
+    return violations, sub_T, rhs, nt_bracket
 
 
 def _kn_conditions(kn: KNStructure, rep: Representation):
     """``_kn_core`` with T = K, after raising on the preconditions: K
     Kupershmidt and the pair identities of the mode."""
-    kup = check_kupershmidt(kn.K, rep)
-    if not kup.ok:
-        raise NotKupershmidt(kup.summary())
+    k_bracket, _ = _require_kupershmidt(kn.K, rep)
     pair_check = (
         check_nijenhuis_pair if kn.mode == "kn" else check_dual_nijenhuis_pair
     )(kn.pair, rep)
     if not pair_check.ok:
         raise PairCheckFailed(pair_check.summary())
-    return _kn_core("kn", kn.K.matrix, kn.N, kn.S, rep)
+    return _kn_core("kn", kn.K.matrix, kn.N, kn.S, rep, k_bracket)
 
 
 def check_kn_structure(
@@ -401,7 +404,7 @@ def check_kn_structure(
     hat/tilde action over the deformed algebra, and NK being Kupershmidt for
     the original representation.
     """
-    violations, sub_K, s_deformed = _kn_conditions(kn, rep)
+    violations, sub_K, s_deformed, nk_bracket = _kn_conditions(kn, rep)
     report = CheckReport.build(violations)
     if not report.ok or not consequences:
         return report
@@ -414,21 +417,27 @@ def check_kn_structure(
     hat, tilde = _hat_tilde(kn.pair, rep, is_pair=not dual or other, is_dual=dual or other)
     f = rep.algebra.field
     s_flat = _flat3(s_deformed)
-    extra = []
+    extra, k_brackets = [], {}
     for name, action in (("hat", hat), ("tilde", tilde)):
-        extra += _sides_violations(f"bracket-agreement-{name}", f, s_flat,
-                                   list(map(add, *_dendriform(K, action))), m)
+        k_brackets[name] = list(map(add, *_dendriform(K, action)))
+        extra += _sides_violations(f"bracket-agreement-{name}", f, s_flat, k_brackets[name], m)
     subalg = LeibnizAlgebra(f, sub_K)
     extra += check_nijenhuis(kn.pair.S, subalg).prefixed("subadjacent-nijenhuis").violations
-    deformed_rep = hat if kn.mode == "kn" else tilde
+    # K and NK have the shape of a module map of rep, and so of the deformed
+    # action too: the Kupershmidt checks reduce to their image identities.
+    name, deformed_rep = ("hat", hat) if kn.mode == "kn" else ("tilde", tilde)
     deformed_rep.require_representation()
-    extra += check_kupershmidt(kn.K, deformed_rep).prefixed(
-        "kupershmidt-hat" if kn.mode == "kn" else "kupershmidt-tilde"
-    ).violations
-    extra += check_kupershmidt(
-        LinearOperator(kn.N * K, kn.K.domain, kn.K.codomain), rep
-    ).prefixed("composite-kupershmidt").violations
+    extra += _kupershmidt_report(deformed_rep.algebra, K, k_brackets[name]).prefixed(
+        f"kupershmidt-{name}").violations
+    extra += _kupershmidt_report(rep.algebra, kn.N * K, nk_bracket).prefixed(
+        "composite-kupershmidt").violations
     return report.merged(CheckReport.build(extra))
+
+
+def _kupershmidt_report(alg: LeibnizAlgebra, K: Matrix, bracket) -> CheckReport:
+    """``check_kupershmidt`` of a module map K of the right shape, given its
+    flat raw module bracket over the representation."""
+    return CheckReport.build(_image_violations("kupershmidt", alg, K, bracket))
 
 
 def kn_to_dual_kn(kn: KNStructure, rep: Representation) -> KNStructure:

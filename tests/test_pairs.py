@@ -185,6 +185,33 @@ def test_kn_consequences_check_each_operator_nijenhuis_once(monkeypatch):
     assert checked == [kn.N, kn.S]
 
 
+def test_kn_structure_builds_each_induced_bracket_once(monkeypatch):
+    """One check of l2's dual KN-structure, consequences included, forms the
+    induced bracket of each of its four (map, representation) pairs once:
+    (K, rep), (NK, rep), and K over the hat and the tilde action."""
+    from leibnizkit import operators, pairs
+    from leibnizkit.catalog import load_entry
+
+    l2 = load_entry("l2").spec
+    kn = l2.build("kn_dual")
+    rep = l2.rep_for(l2.raw["kn_dual"]["rep"])
+    expected = check_kn_structure(kn, rep)
+    built = []
+    real = operators._dendriform
+
+    def counting(T, action):
+        built.append((T, action))
+        return real(T, action)
+
+    monkeypatch.setattr(operators, "_dendriform", counting)
+    monkeypatch.setattr(pairs, "_dendriform", counting)
+    report = check_kn_structure(kn, rep)
+    assert (report.ok, report.violations) == (expected.ok, expected.violations)
+    assert len(built) == len(set(built)) == 4
+    assert {(T, action) for T, action in built if action == rep} == {
+        (kn.K.matrix, rep), (kn.N * kn.K.matrix, rep)}
+
+
 def test_kn_to_dual(l2, l2_dual):
     K, _ = _bsharp_pair(l2, l2_dual)
     out = kn_to_dual_kn(make_kn(K, I2(), I2(), "kn"), l2_dual)

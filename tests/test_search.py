@@ -1,5 +1,8 @@
+import ast
+import re
 from itertools import product
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from leibnizkit import (
     LeibnizAlgebra,
     Matrix,
     RATIONALS as Q,
+    Representation,
     SearchSpec,
     as_operator,
     check_bn_structure,
@@ -28,6 +32,8 @@ from leibnizkit import (
     regular_representation,
     solve_mc_linear_layer,
 )
+from leibnizkit import search
+from leibnizkit.catalog import load_catalog
 from leibnizkit.errors import BudgetExceeded, NotFound
 from leibnizkit.forms import BilinearForm
 from leibnizkit.oracles import (
@@ -37,7 +43,13 @@ from leibnizkit.oracles import (
     eval_nijenhuis,
     eval_rota_baxter,
 )
-from leibnizkit.search import _predicate_fn, closed_symmetric_forms, invariant_skew_forms
+from leibnizkit.search import (
+    _kernel,
+    _kernel_source,
+    _predicate_fn,
+    closed_symmetric_forms,
+    invariant_skew_forms,
+)
 from leibnizkit.twilled import TwilledContext
 from leibnizkit.linalg import is_invertible
 
@@ -45,7 +57,8 @@ from conftest import rb_matrix
 
 F2 = prime_field(2)
 F3 = prime_field(3)
-CATALOG_DIR = Path(__file__).resolve().parent.parent / "src" / "leibnizkit" / "catalog"
+SRC = Path(search.__file__).resolve().parent
+CATALOG_DIR = SRC / "catalog"
 
 
 @pytest.fixture(scope="module")
@@ -298,3 +311,189 @@ def test_compiled_kernels_match_checks_and_oracles(p, n, seed):
                 oracled.append((b, m))
     assert enumerate_bn_pairs(SearchSpec(f, (n, n), "bn_pair", algebra=alg)) == checked
     assert checked == oracled
+
+
+# -- the generated predicate ----------------------------------------------------
+
+PRIMES = (2, 3, 5, 7, 2 ** 61 - 1)
+
+
+def _vanish(p, residues, x):
+    """Every residue is 0 mod p at the point x, evaluated term by term."""
+    return all(sum(c * _monomial(mono, x) for mono, c in poly.items()) % p == 0
+               for poly in residues)
+
+
+def _monomial(mono, x):
+    out = 1
+    for v in mono:
+        out *= x[v]
+    return out
+
+
+def _monomials(k):
+    """Every monomial of degree at most 2 in k variables, as sorted tuples."""
+    return [()] + [(a,) for a in range(k)] + [(a, b) for a in range(k) for b in range(a, k)]
+
+
+@st.composite
+def _residue_systems(draw):
+    """(p, k, residues): random residues of degree at most 2 in k variables,
+    coefficients r + m*p (multiples of p included), with duplicated and
+    scaled copies of some of them."""
+    p = draw(st.sampled_from(PRIMES))
+    k = draw(st.integers(0, 5))
+    rest = st.one_of(st.sampled_from((0, 1, p - 1)), st.integers(0, p - 1))
+    coef = st.builds(lambda r, m: r + m * p, rest, st.integers(-2, 2))
+    residues = draw(st.lists(st.dictionaries(st.sampled_from(_monomials(k)), coef, max_size=6),
+                             max_size=6))
+    for i, scale in draw(st.lists(st.tuples(st.integers(0, 5), st.integers(1, 3)), max_size=3)):
+        if i < len(residues):
+            residues.append({mono: c * scale for mono, c in residues[i].items()})
+    return p, k, residues
+
+
+def _points(p, k, rng, samples=30):
+    if p ** k <= 4096:
+        return list(product(range(p), repeat=k))
+    return [tuple(rng.randrange(p) for _ in range(k)) for _ in range(samples)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(system=_residue_systems(), seed=st.integers(0, 10 ** 6))
+def test_generated_predicate_is_every_residue_vanishing(system, seed):
+    """At random points, and at every point when p^k <= 4096, the compiled
+    predicate says exactly whether every residue vanishes mod p."""
+    p, k, residues = system
+    holds = _kernel(p, residues)
+    for x in _points(p, k, Random(seed)):
+        assert holds(x) == _vanish(p, residues, x), (p, residues, x)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_generated_predicate_edge_systems(p):
+    rng = Random(p)
+    points = _points(p, 3, rng)
+    # no equation, or only multiples of p: always true
+    for residues in ([], [{}], [{(): p, (0, 1): -2 * p, (2,): 3 * p}]):
+        assert _kernel_source(p, residues) == "def holds(x):\n    return True\n"
+        assert all(_kernel(p, residues)(x) for x in points)
+    # a nonzero constant: always false
+    for c in (1, p - 1, 2 * p + 1):
+        assert not any(_kernel(p, [{(): c}])(x) for x in points)
+    # duplicated and scaled equations compile to one
+    poly = {(0, 1): 1, (2,): p - 1, (): 1}
+    copies = [poly, dict(poly), {mono: (p - 1) * c + 5 * p for mono, c in poly.items()}]
+    assert _kernel_source(p, copies) == _kernel_source(p, [poly])
+    assert _kernel_source(p, copies).count("return False") == 1
+    holds = _kernel(p, copies)
+    assert [holds(x) for x in points] == [_vanish(p, copies, x) for x in points]
+
+
+def test_generated_predicate_on_a_2000_term_residue():
+    """One residue of 2,000 distinct terms in 62 variables compiles, and
+    agrees with term-by-term evaluation at random points."""
+    rng = Random(2000)
+    for p in (7, 2 ** 61 - 1):
+        poly = {mono: rng.randrange(1, 3 * p) for mono in _monomials(62)[:2000]}
+        residues = [poly]
+        holds = _kernel(p, residues)
+        for x in [tuple(rng.randrange(p) for _ in range(62)) for _ in range(40)]:
+            assert holds(x) == _vanish(p, residues, x)
+        # a point where the residue vanishes: shift the constant term
+        x = tuple(rng.randrange(p) for _ in range(62))
+        value = sum(c * _monomial(mono, x) for mono, c in poly.items())
+        shifted = dict(poly)
+        shifted[()] = poly[()] - value
+        assert _kernel(p, [shifted])(x)
+
+
+def _in_field(alg, f):
+    return LeibnizAlgebra(f, [[[f.of(v) for v in vec] for vec in row] for row in alg.c])
+
+
+def _rep_in_field(rep, f):
+    move = lambda m: Matrix(f, [[f.of(v) for v in row] for row in m.entries])
+    return Representation(_in_field(rep.algebra, f), [move(m) for m in rep.rhoL],
+                          [move(m) for m in rep.rhoR])
+
+
+def _search_fp_specs():
+    """The seven catalog search jobs of the benchmark's search-fp workload."""
+    F5, F7 = prime_field(5), prime_field(7)
+    catalog = load_catalog()
+    l2 = catalog["l2"].spec
+    tw = l2.build("tw_lift")
+    return [
+        SearchSpec(F5, (2, 2), "nijenhuis", algebra=_in_field(catalog["solv2"].spec.build("alg"), F5)),
+        SearchSpec(F7, (2, 2), "rota_baxter", algebra=_in_field(l2.build("alg"), F7)),
+        SearchSpec(F3, (2, 2), "bn_pair", algebra=_in_field(l2.build("alg"), F3)),
+        SearchSpec(F7, (2, 2), "kupershmidt", rep=_rep_in_field(l2.rep_for("regular"), F7)),
+        SearchSpec(F7, (2, 2), "kupershmidt", rep=_rep_in_field(l2.rep_for("dual"), F7)),
+        SearchSpec(F7, (tw.n2, tw.n1), "mc_strong",
+                   ctx=TwilledContext(_in_field(tw.total, F7), tw.n1, tw.n2)),
+        SearchSpec(F3, (3, 3), "nijenhuis", algebra=_in_field(catalog["heis3"].spec.build("alg"), F3)),
+    ]
+
+
+_TERM = r"(?:\d+|(?:\d+\*)?x\[\d+\](?:\*x\[\d+\])?)"
+_EQUATION = re.compile(rf"    if \({_TERM}(?: \+ {_TERM})*\) % (\d+): return False")
+
+
+def _follows_grammar(source, p):
+    lines = source.split("\n")
+    return (lines[0] == "def holds(x):" and lines[-2:] == ["    return True", ""]
+            and all((m := _EQUATION.fullmatch(line)) and int(m.group(1)) == p
+                    for line in lines[1:-2]))
+
+
+def test_kernel_sources_follow_the_grammar(monkeypatch):
+    """Every generated kernel of the catalog search jobs is a straight line
+    of integer literals, x[<int>], +, * and %: no text of a spec reaches it."""
+    assert _follows_grammar("def holds(x):\n    if (x[0]*x[1] + 2*x[3] + 4) % 5: return False\n"
+                            "    return True\n", 5)
+    for bad in ("def holds(x):\n    if (f(x)) % 5: return False\n    return True\n",
+                "def holds(x):\n    if (x[0]) % 5: return False\n    import os\n    return True\n",
+                "def holds(x):\n    if (-x[0]) % 5: return False\n    return True\n"):
+        assert not _follows_grammar(bad, 5)
+    sources = []
+    real = search._kernel_source
+    monkeypatch.setattr(search, "_kernel_source",
+                        lambda p, residues: sources.append((p, real(p, residues))) or sources[-1][1])
+    for spec in _search_fp_specs():
+        if spec.predicate == "bn_pair":
+            search._bn_kernels(spec.algebra)
+        else:
+            _predicate_fn(spec)
+    assert len(sources) == 9
+    assert sum("return False" in source for _, source in sources) >= 8
+    for p, source in sources:
+        assert _follows_grammar(source, p), source
+
+
+def _dynamic_code(tree, fn=None):
+    """Every use of exec, eval or compile (a name, an attribute or an import)
+    with the innermost function that holds it, in source order."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += _dynamic_code(node, node.name)
+            continue
+        name = (node.id if isinstance(node, ast.Name) else node.attr
+                if isinstance(node, ast.Attribute) else node.name
+                if isinstance(node, ast.alias) else None)
+        if name in ("exec", "eval", "compile"):
+            found.append((fn, name))
+        found += _dynamic_code(node, fn)
+    return found
+
+
+def test_only_the_kernel_compiles_code():
+    """``search._kernel`` is the one place that compiles code at run time."""
+    snippet = ("exec(s)\ndef f():\n    def g():\n        return builtins.eval(t)\n"
+               "    from builtins import compile as c\n")
+    assert _dynamic_code(ast.parse(snippet)) == [(None, "exec"), ("g", "eval"), ("f", "compile")]
+    found = {path.name: _dynamic_code(ast.parse(path.read_text()))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: uses for name, uses in found.items() if uses} == {
+        "search.py": [("_kernel", "exec")]}

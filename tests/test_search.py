@@ -57,8 +57,8 @@ from conftest import rb_matrix
 
 F2 = prime_field(2)
 F3 = prime_field(3)
+CATALOG_DIR = Path(__file__).resolve().parent.parent / "src" / "leibnizkit" / "catalog"
 SRC = Path(search.__file__).resolve().parent
-CATALOG_DIR = SRC / "catalog"
 
 
 @pytest.fixture(scope="module")

@@ -17,17 +17,25 @@ with f of arity m+1, g of arity n+1.  The graded bracket is
 One kernel, ``_insertion_sum``, evaluates every such product.  It reads the
 nonzero entries of each cochain (cached per ``Cochain``), pairs each entry of
 g with the entries of f whose k-th input is g's output coordinate, and places
-each shuffle's term at an output index given by fixed index weights.  All the
-terms of a bracket, both f ob g and -+ g ob f, go into one flat raw
-accumulator that is normalised once; the result is built through
-``Cochain._trusted``, which skips the validation the public constructor does.
+each shuffle's term at an output index given by fixed index weights.  The
+grouping of f's entries by their k-th input, with the output position of
+their tail inputs, does not depend on g, so each ``Cochain`` keeps it per
+slot k and reuses it for every inner cochain.  All the terms of a bracket,
+both f ob g and -+ g ob f, go into one flat raw accumulator that is
+normalised once; the result is built through ``Cochain._trusted``, which
+skips the validation the public constructor does.  Cochain sums, differences
+and multiples are normalised the same way, in one batch.
+
+``mc_cochain_defects`` builds the two lifted cochains of a twilled context
+once and keeps them on the context, so the many thetas checked on one
+context share them and their per-slot groupings.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
-from operator import add
+from itertools import chain, combinations, product
+from operator import add, sub
 from typing import Optional, Sequence, Tuple
 
 from .algebras import LeibnizAlgebra, Representation, check_leibniz
@@ -64,9 +72,9 @@ from .pairs import (
     KNStructure,
     OperatorPair,
     _deformed_action,
+    _hat_tilde,
     _kn_conditions,
     check_kn_structure,
-    hat_tilde_representations,
 )
 from .reports import CheckReport
 from .twilled import TwilledContext
@@ -93,7 +101,7 @@ class Cochain:
     """Multilinear map from arity-many algebra slots to the algebra, stored
     densely; its nonzero entries are listed once, on first use."""
 
-    __slots__ = ("field", "dim", "arity", "data", "_nonzero")
+    __slots__ = ("field", "dim", "arity", "data", "_nonzero", "_groups")
 
     def __init__(self, field: FieldSpec, dim: int, arity: int, data: Sequence[Sequence]):
         if arity < 1:
@@ -108,7 +116,7 @@ class Cochain:
         )
         if any(len(vec) != dim for vec in self.data):
             raise ShapeMismatch("output vectors must have the algebra dimension")
-        self._nonzero = None
+        self._nonzero, self._groups = None, {}
 
     @classmethod
     def _trusted(cls, field: FieldSpec, dim: int, arity: int, data: tuple) -> "Cochain":
@@ -116,7 +124,7 @@ class Cochain:
         without checking or normalising it again."""
         self = cls.__new__(cls)
         self.field, self.dim, self.arity, self.data = field, dim, arity, data
-        self._nonzero = None
+        self._nonzero, self._groups = None, {}
         return self
 
     def _entries(self) -> Tuple[Tuple[Tuple[int, ...], int, object], ...]:
@@ -129,6 +137,22 @@ class Cochain:
                 for j, v in enumerate(vec) if v
             )
         return self._nonzero
+
+    def _by_slot(self, k: int):
+        """The nonzero entries grouped by their k-th input, as (prefix inputs,
+        output position of the tail inputs and the coordinate, value), kept
+        per k.  Input k + s sits at output weight dim^(arity - k - s) whatever
+        the inner cochain, so one grouping serves every bracket at slot k."""
+        groups = self._groups.get(k)
+        if groups is None:
+            dim = self.dim
+            tail_w = [dim ** (self.arity - t) for t in range(k, self.arity)]
+            groups = [[] for _ in range(dim)]
+            for idx, l, v in self._entries():
+                tail = sum(a * w for a, w in zip(idx[k:], tail_w)) + l
+                groups[idx[k - 1]].append((idx[:k - 1], tail, v))
+            self._groups[k] = groups
+        return groups
 
     @property
     def degree(self) -> int:
@@ -183,21 +207,19 @@ class Cochain:
 
     def __add__(self, other: "Cochain") -> "Cochain":
         self._join(other)
-        add = self.field.add
-        return self._like(tuple(tuple(map(add, u, v)) for u, v in zip(self.data, other.data)))
+        return self._like(map(add, _flat(self), _flat(other)))
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         self._join(other)
-        sub = self.field.sub
-        return self._like(tuple(tuple(map(sub, u, v)) for u, v in zip(self.data, other.data)))
+        return self._like(map(sub, _flat(self), _flat(other)))
 
     def scale(self, s) -> "Cochain":
-        f = self.field
-        s = f.of(s)
-        return self._like(tuple(tuple(f.mul(s, v) for v in vec) for vec in self.data))
+        s = self.field.of(s)
+        return self._like(s * v for v in _flat(self))
 
-    def _like(self, data: tuple) -> "Cochain":
-        return Cochain._trusted(self.field, self.dim, self.arity, data)
+    def _like(self, raw) -> "Cochain":
+        """The cochain on this space with the flat raw coordinates ``raw``."""
+        return _from_flat(self.field, self.dim, self.arity, raw)
 
     def _join(self, other: "Cochain"):
         if not isinstance(other, Cochain):
@@ -209,6 +231,17 @@ class Cochain:
 
     def __repr__(self):
         return f"Cochain(dim={self.dim}, arity={self.arity})"
+
+
+def _flat(c: Cochain):
+    """The coordinates of c in one flat run."""
+    return chain.from_iterable(c.data)
+
+
+def _from_flat(field: FieldSpec, dim: int, arity: int, raw) -> Cochain:
+    """The cochain with the flat raw coordinates ``raw``, normalised at once."""
+    vals = iter(field.normalize_all(raw))
+    return Cochain._trusted(field, dim, arity, tuple(zip(*[vals] * dim)))
 
 
 def _ob(coef: int, f: Cochain, g: Cochain):
@@ -232,13 +265,7 @@ def _insertion_sum(terms) -> Cochain:
     for coef, f, g, k in terms:
         n = g.degree
         g_entries = g._entries()
-        # f's entries by the value of their k-th input, as (prefix inputs,
-        # position of the tail inputs and the coordinate, value)
-        tail_w = weights[k + n:]
-        by_slot = [[] for _ in range(dim)]
-        for idx, l, v in f._entries():
-            tail = sum(a * w for a, w in zip(idx[k:], tail_w)) + l
-            by_slot[idx[k - 1]].append((idx[:k - 1], tail, v))
+        by_slot = f._by_slot(k)
         fixed_w = weights[k + n - 1]
         for perm, sign in _shuffles(k - 1, n):
             w = [weights[pos] for pos in perm]
@@ -254,8 +281,7 @@ def _insertion_sum(terms) -> Cochain:
                 sc = s * c
                 for pos, v in bucket:
                     acc[pos + off] += sc * v
-    vals = iter(field.normalize_all(acc))
-    return Cochain._trusted(field, dim, arity, tuple(zip(*[vals] * dim)))
+    return _from_flat(field, dim, arity, acc)
 
 
 def bracket_square(phi: Cochain) -> Cochain:
@@ -329,9 +355,11 @@ def mc_cochain_defects(ctx: TwilledContext, theta: Matrix) -> Tuple[Cochain, Coc
         q = (mu2 o_1 theta) o_2 theta - theta ob (mu2 ob theta),
         q(x, y) = mu2(theta x, theta y) - theta mu2(theta x, y) - theta mu2(x, theta y),
 
-    which needs no division and holds in every characteristic."""
-    mu1 = Cochain.from_tensor(ctx.field, ctx.lift1())
-    mu2 = Cochain.from_tensor(ctx.field, ctx.lift2())
+    which needs no division and holds in every characteristic.  The two
+    lifted cochains are built once per context and kept on it."""
+    if ctx._lift_cochains is None:
+        ctx._lift_cochains = tuple(Cochain.from_tensor(ctx.field, mu) for mu in ctx._lift_pair())
+    mu1, mu2 = ctx._lift_cochains
     th = Cochain.from_matrix(ctx.embed_map(theta))
     d_theta = balavoine_bracket(mu1, th)
     first = _insertion_sum([(1, mu2, th, 1)])
@@ -448,8 +476,7 @@ def tilde_varrho_bracket(kn: KNStructure, rep: Representation) -> LeibnizAlgebra
     mod_alg = LeibnizAlgebra(alg.field, s_deformed)
     g_N = deformed_bracket(kn.pair.N, alg)
 
-    _, tilde = hat_tilde_representations(kn.pair, rep)
-    tilde.require_representation()
+    _, tilde = _hat_tilde(kn.pair, rep, False, True)
     kup = check_kupershmidt(kn.K, tilde)
     if not kup.ok:
         raise LeibnizKitError(

@@ -17,8 +17,8 @@ from outside values (an F_p ``Fraction`` maps through the inverse of its
 denominator); the raw arithmetic below expects normalized operands.
 ``normalize_all`` is its batch form, the one way a kernel normalizes a whole
 flat accumulator: plain ints are reduced inline, without a method call per
-value.  Moduli are bounded by ``MAX_MODULUS`` so that primality is decided
-exactly and fast.
+value; over Q, ``div`` of ints that divide exactly builds no ``Fraction``.
+``MAX_MODULUS`` bounds the moduli, so primality is decided exactly and fast.
 """
 
 from __future__ import annotations
@@ -93,9 +93,7 @@ class FieldSpec:
                     raise DivisionByZero(f"denominator of {v} vanishes mod {p}")
                 return v.numerator * pow(v.denominator, -1, p) % p
             return int(v) % p
-        if isinstance(v, Fraction):
-            return v.numerator if v.denominator == 1 else v
-        return v
+        return v.numerator if isinstance(v, Fraction) and v.denominator == 1 else v
 
     def normalize_all(self, values) -> list:
         """``normalize`` of each value, as a list."""
@@ -142,6 +140,8 @@ class FieldSpec:
             raise DivisionByZero("division by zero")
         if self.p is not None:
             return a * pow(self.normalize(b), self.p - 2, self.p) % self.p
+        if type(a) is type(b) is int and not a % b:
+            return a // b
         return self.normalize(Fraction(a) / Fraction(b))
 
     def is_zero(self, a: RawScalar) -> bool:

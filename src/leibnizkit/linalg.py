@@ -14,7 +14,7 @@ from normalized entries and normalized once, and nothing else is stored.
 
 from __future__ import annotations
 
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 from typing import Optional, Sequence, Tuple
 
 from .errors import FieldMismatch, ShapeMismatch, Singular
@@ -109,7 +109,7 @@ class Matrix:
 
     def __neg__(self) -> "Matrix":
         f = self.field
-        return Matrix._trusted(f, tuple(tuple(map(f.neg, row)) for row in self.entries))
+        return Matrix._trusted(f, tuple(tuple(f.normalize_all(map(neg, r))) for r in self.entries))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         return mat_mul(self, other)

@@ -253,9 +253,9 @@ def _acted(rep: Representation, T: Matrix) -> list:
 
 def _sides_violations(name: str, f: FieldSpec, lhs, rhs, m: int):
     """The violations ``name`` of lhs = rhs over m * m basis pairs, each side
-    normalised once: one per pair (i, j) whose blocks differ, row-major."""
-    lhs, rhs = f.normalize_all(lhs), f.normalize_all(rhs)
-    if lhs == rhs:
+    normalised once (not at all when the raw sides are equal): one per pair
+    (i, j) whose blocks differ, row-major."""
+    if lhs == rhs or (lhs := f.normalize_all(lhs)) == (rhs := f.normalize_all(rhs)):
         return []
     w = len(lhs) // (m * m)
     violations = []

@@ -30,7 +30,10 @@ from .algebras import (
 from .dgla import check_maurer_cartan
 from .errors import (
     BudgetExceeded,
+    Degenerate,
     NotFound,
+    NotNijenhuis,
+    NotSymmetric,
     SearchMismatch,
     ShapeMismatch,
     UnknownIdentity,
@@ -215,9 +218,11 @@ def enumerate_bn_pairs(spec: SearchSpec, workers: int = 1) -> List[Tuple[Matrix,
             if not (form_ok and nflat in nijenhuis and coupled(bflat + nflat)):
                 continue
             nm = as_operator(_matrix(f, n, n, nflat))
-            if not (form.matches_symmetry() and form.nondegenerate
-                    and check_nijenhuis(nm, alg).ok
-                    and check_bn_structure(alg, form, nm, consequences=False).ok):
+            try:
+                confirmed = check_bn_structure(alg, form, nm, consequences=False).ok
+            except (NotSymmetric, Degenerate, NotNijenhuis):
+                confirmed = False
+            if not confirmed:
                 raise SearchMismatch(f"compiled bn_pair kernel accepts {bm!r}, "
                                      f"{nm.matrix!r}, the check rejects it")
             hits.append((bm, nm.matrix))

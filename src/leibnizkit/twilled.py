@@ -23,7 +23,7 @@ class TwilledContext:
 
     __slots__ = (
         "total", "n1", "n2",
-        "algebra1", "algebra2", "rho1", "rho2", "_lifts",
+        "algebra1", "algebra2", "rho1", "rho2", "_lifts", "_lift_cochains",
     )
 
     def __init__(self, total: LeibnizAlgebra, n1: int, n2: int):
@@ -72,7 +72,8 @@ class TwilledContext:
         # action axioms of rho1, and with the blocks swapped those of rho2.
         self.rho1 = Representation(self.algebra1, rho1L, rho1R)
         self.rho2 = Representation(self.algebra2, rho2L, rho2R)
-        self._lifts = None
+        # both lifts, and their cochains once ``dgla`` has built them
+        self._lifts = self._lift_cochains = None
 
     @property
     def field(self):

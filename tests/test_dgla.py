@@ -325,6 +325,31 @@ def test_tilde_bracket_nontrivial(l2, l2_dual):
     assert check_leibniz(tilde_varrho_bracket(kn, l2_dual)).ok
 
 
+def test_tilde_bracket_checks_the_pair_once(monkeypatch):
+    """The deformed total bracket of l2's dual KN-structure settles the
+    dual-pair verdict once, in its preconditions, and never checks the
+    Nijenhuis-pair identities it does not need."""
+    from leibnizkit import pairs
+
+    l2 = load_catalog()["l2"].spec
+    kn = l2.build("kn_dual")
+    rep = l2.rep_for(l2.raw["kn_dual"]["rep"])
+    expected = tilde_varrho_bracket(kn, rep)
+    calls = {"pair": 0, "dual": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(pairs, "check_nijenhuis_pair", counted("pair", pairs.check_nijenhuis_pair))
+    monkeypatch.setattr(pairs, "check_dual_nijenhuis_pair",
+                        counted("dual", pairs.check_dual_nijenhuis_pair))
+    assert tilde_varrho_bracket(kn, rep) == expected
+    assert calls == {"pair": 0, "dual": 1}
+
+
 def test_kupershmidt_compose_consequences(l2, l2_dual, l2_regular):
     """A strong solution makes K theta K Kupershmidt and compatible with K."""
     from leibnizkit import check_compatible

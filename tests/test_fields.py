@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leibnizkit import RATIONALS as Q, Matrix, Scalar, prime_field, scalar_arith
@@ -147,6 +147,50 @@ def test_field_axioms_prime(a, b, c):
     if b % 5 != 0:
         assert ((sa / sb) * sb).value == sa.value
         assert (sb * sb.inv()).value == 1
+
+
+q_operands = st.one_of(st.integers(-10 ** 6, 10 ** 6), rationals, st.booleans())
+exact_quotients = st.tuples(st.integers(-10 ** 6, 10 ** 6), st.integers(-999, 999)).map(
+    lambda t: (t[0] * t[1], t[1]))
+
+
+@given(ops=st.one_of(st.tuples(q_operands, q_operands), exact_quotients))
+@example(ops=(6, -3))
+@example(ops=(-7, 2))
+@example(ops=(0, 5))
+@example(ops=(True, True))
+@example(ops=(4, True))
+@example(ops=(Fraction(6), 3))
+@example(ops=(3, Fraction(0)))
+@example(ops=(3, False))
+@settings(max_examples=200)
+def test_rational_div_is_the_normalised_fraction_quotient(ops):
+    """Over Q, ``div`` equals normalize(Fraction(a) / Fraction(b)) in value
+    and in type, on ints that divide exactly (the int fast path), ints that
+    do not, negatives, Fractions and bools; a zero divisor raises."""
+    a, b = ops
+    if b == 0:
+        with pytest.raises(DivisionByZero):
+            Q.div(a, b)
+        return
+    got, want = Q.div(a, b), Q.normalize(Fraction(a) / Fraction(b))
+    assert got == want
+    assert type(got) is type(want)
+
+
+@pytest.mark.parametrize("p", (2, 3, 7))
+@given(data=st.data())
+@settings(max_examples=40)
+def test_prime_div_is_the_normalised_fraction_quotient(p, data):
+    f = prime_field(p)
+    a, b = (data.draw(st.integers(0, p - 1)) for _ in range(2))
+    if b == 0:
+        with pytest.raises(DivisionByZero):
+            f.div(a, b)
+        return
+    got, want = f.div(a, b), f.normalize(Fraction(a) / Fraction(b))
+    assert got == want
+    assert type(got) is type(want) is int
 
 
 def test_scalar_arith_arity_validation():

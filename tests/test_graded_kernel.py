@@ -33,7 +33,7 @@ from leibnizkit import (
     lifted_algebra,
 )
 from leibnizkit.catalog import load_catalog
-from leibnizkit.dgla import mc_cochain_defects
+from leibnizkit.dgla import _insertion_sum, mc_cochain_defects
 from leibnizkit.fields import prime_field
 from leibnizkit.suites import _kupershmidt_cases
 from leibnizkit.twilled import TwilledContext
@@ -53,6 +53,18 @@ def ref_shuffles(p, q):
     return out
 
 
+def ref_insertion(f, g, k, x, coef, acc):
+    """Add coef * (f o_k g)(x), raw, into the coordinate list acc."""
+    n = g.arity - 1
+    for perm, sign in ref_shuffles(k - 1, n):
+        inner = g.at([x[perm[k - 1 + t]] for t in range(n)] + [x[k + n - 1]])
+        prefix = [x[perm[t]] for t in range(k - 1)]
+        for j in range(f.dim):
+            vec = f.at(prefix + [j] + list(x[k + n:]))
+            for l in range(f.dim):
+                acc[l] += coef * sign * inner[j] * vec[l]
+
+
 def ref_ob(f, g):
     """f ob g = sum_k (-1)^{(k-1) deg g} f o_k g as raw dense values, one
     output tuple at a time."""
@@ -61,13 +73,7 @@ def ref_ob(f, g):
     for x in product(range(dim), repeat=m + n + 1):
         acc = [0] * dim
         for k in range(1, m + 2):
-            for perm, sign in ref_shuffles(k - 1, n):
-                inner = g.at([x[perm[k - 1 + t]] for t in range(n)] + [x[k + n - 1]])
-                prefix = [x[perm[t]] for t in range(k - 1)]
-                for j in range(dim):
-                    vec = f.at(prefix + [j] + list(x[k + n:]))
-                    for l in range(dim):
-                        acc[l] += (-1) ** ((k - 1) * n) * sign * inner[j] * vec[l]
+            ref_insertion(f, g, k, x, (-1) ** ((k - 1) * n), acc)
         out[x] = acc
     return out
 
@@ -121,6 +127,27 @@ def test_bracket_and_square_match_dense_formula(f):
                 assert balavoine_bracket(cs[a], cs[a]) == ref_bracket(cs[a], cs[a])
                 assert bracket_square(cs[a]) == ref_square(cs[a]), (dim, kind, a)
     assert nonzero > 10
+
+
+@pytest.mark.parametrize("f", (FIELDS[0], FIELDS[1], Q), ids=str)
+def test_one_outer_cochain_serves_every_slot_and_inner_arity(f):
+    """The outer cochain keeps its entries grouped per slot k.  One outer
+    object, inserted into at every k by inner cochains of arity 1, 2 and 3 in
+    turn (so each grouping is reused for other inner arities), gives what a
+    fresh copy and the dense formula give."""
+    rng = random.Random(f"slots-{f}")
+    outer = cochain(rng, f, 2, 3, 0.6)
+    for arity in (1, 2, 3, 1):
+        inner = cochain(rng, f, 2, arity, 0.6)
+        for k in (1, 2, 3):
+            got = _insertion_sum([(1, outer, inner, k)])
+            fresh = Cochain(f, outer.dim, outer.arity, outer.data)
+            assert got == _insertion_sum([(1, fresh, inner, k)])
+            want = {}
+            for x in product(range(2), repeat=2 + arity):
+                ref_insertion(outer, inner, k, x, 1, want.setdefault(x, [0, 0]))
+            assert got == Cochain(f, 2, 2 + arity, [tuple(want[x]) for x in sorted(want)])
+    assert sorted(outer._groups) == [1, 2, 3]
 
 
 def leibniz_brackets(f):
@@ -180,6 +207,57 @@ def test_integral_mc_half_is_half_the_bracket_square(f):
             d, q = mc_cochain_defects(ctx, theta)
             assert d == ref_bracket(mu1, th)
             assert q == ref_bracket(ref_bracket(mu2, th), th).scale(half)
+
+
+def test_lifted_cochains_are_built_once_per_context(monkeypatch):
+    """18 thetas on one lifted context build its two lift cochains once, and
+    every defect pair still decides weak and strong MC as the oracle does."""
+    from leibnizkit import dgla
+    from leibnizkit.oracles import eval_maurer_cartan
+
+    ctx = lifted_contexts(Q)[1]
+    built = []
+    real = Cochain.from_tensor
+
+    def counting(field, tensor):
+        built.append(tensor)
+        return real(field, tensor)
+
+    monkeypatch.setattr(dgla.Cochain, "from_tensor", staticmethod(counting))
+    rng = random.Random("lifts-once")
+    thetas = [Matrix(Q, [[rng.randint(-2, 2) * (t % 3 != 0) for _ in range(ctx.n1)]
+                         for _ in range(ctx.n2)]) for t in range(18)]
+    for theta in thetas:
+        d, q = mc_cochain_defects(ctx, theta)
+        assert (d + q).is_zero() == eval_maurer_cartan(ctx, theta).ok
+        assert (d.is_zero() and q.is_zero()) == eval_maurer_cartan(ctx, theta, strong=True).ok
+    assert built == [ctx.lift1(), ctx.lift2()]
+
+
+def test_mc_equivalence_checks_each_theta_once(monkeypatch):
+    """The mc-equivalence suite reads the weak verdict from the strong
+    report: one check_maurer_cartan per theta, plus the zero-theta check of
+    each context, and one lifted-cochain pair per context."""
+    from leibnizkit import dgla, suites
+
+    calls = {"mc": 0, "defects": 0, "contexts": 0, "from_tensor": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(suites, "check_maurer_cartan", counted("mc", suites.check_maurer_cartan))
+    monkeypatch.setattr(suites, "mc_cochain_defects", counted("defects", suites.mc_cochain_defects))
+    monkeypatch.setattr(suites, "_lifted_context", counted("contexts", suites._lifted_context))
+    monkeypatch.setattr(dgla.Cochain, "from_tensor",
+                        staticmethod(counted("from_tensor", dgla.Cochain.from_tensor)))
+    result = suites.suite_mc_equivalence(load_catalog())
+    assert result.failures == [] and result.passed > 0
+    assert calls["contexts"] > 0 and calls["defects"] >= 12 * calls["contexts"]
+    assert calls["mc"] == calls["defects"] + calls["contexts"]
+    assert calls["from_tensor"] == 2 * calls["contexts"]
 
 
 def _shuffle_readers(tree):

@@ -217,27 +217,73 @@ def test_each_identity_family_has_one_kernel():
     assert image_names == _IMAGE_IDENTITIES
 
 
-def _normalize_maps(tree):
-    """The ``map(f, ...)`` calls whose f is a ``.normalize`` attribute or a
-    name bound to one."""
-    aliases = {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
-               and isinstance(node.value, ast.Attribute) and node.value.attr == "normalize"
-               for target in node.targets if isinstance(target, ast.Name)}
-    return [node for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id == "map" and node.args
-            and (isinstance(node.args[0], ast.Attribute) and node.args[0].attr == "normalize"
-                 or isinstance(node.args[0], ast.Name) and node.args[0].id in aliases)]
+_FIELD_OPS = {"normalize", "add", "sub", "mul", "neg"}
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _scope_nodes(node):
+    """The nodes of one scope: node's descendants outside nested functions."""
+    for child in ast.iter_child_nodes(node):
+        yield child
+        if not isinstance(child, _SCOPES):
+            yield from _scope_nodes(child)
+
+
+def _field_op_maps(tree, inherited=frozenset()):
+    """The ``map(f, ...)`` calls whose f is a ``.normalize``, ``.add``,
+    ``.sub``, ``.mul`` or ``.neg`` attribute, or a name bound to one in the
+    same function or an enclosing one (``add = f.add`` or ``a, m = f.add,
+    f.mul``).  A name bound any other way, as by ``from operator import
+    add``, is not one."""
+    nodes = list(_scope_nodes(tree))
+    aliases = set(inherited)
+    for node in nodes:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = ([(target, node.value)] if isinstance(target, ast.Name) else
+                         zip(target.elts, node.value.elts)
+                         if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                         else [])
+                aliases.update(name.id for name, value in pairs if isinstance(name, ast.Name)
+                               and isinstance(value, ast.Attribute) and value.attr in _FIELD_OPS)
+    found = [node for node in nodes
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "map" and node.args
+             and (isinstance(node.args[0], ast.Attribute) and node.args[0].attr in _FIELD_OPS
+                  or isinstance(node.args[0], ast.Name) and node.args[0].id in aliases)]
+    for node in nodes:
+        if isinstance(node, _SCOPES):
+            found += _field_op_maps(node, frozenset(aliases))
+    return found
+
+
+_GUARD_SNIPPET = """
+from operator import add
+norm = f.normalize
+map(norm, a); map(g.normalize, b); map(add, a, b)
+
+def scaled(f, a, b):
+    plus, times = f.add, f.mul
+    def inner():
+        return map(times, a, b)
+    return map(plus, a, b), map(f.neg, a), map(f.sub, a, b), map(add, a, b)
+
+def plain(a, b):
+    return map(add, a, b), map(mul, a, b)
+"""
 
 
 def test_kernels_normalise_in_batches():
-    """Outside fields.py and oracles.py no code maps ``normalize`` over an
-    accumulator: ``FieldSpec.normalize_all`` is the batch form.  The image
-    kernel sums both sides itself, with no bracket or apply call."""
-    assert len(_normalize_maps(ast.parse("norm = f.normalize\nmap(norm, a); map(g.normalize, b)"))) == 2
+    """Outside fields.py and oracles.py no code maps ``normalize`` or a
+    field's single-value ``add``, ``sub``, ``mul`` or ``neg`` over an
+    accumulator: raw values are combined with plain operators and normalised
+    by ``FieldSpec.normalize_all``, the batch form.  The image kernel sums
+    both sides itself, with no bracket or apply call."""
+    flagged = [node.lineno for node in _field_op_maps(ast.parse(_GUARD_SNIPPET))]
+    assert sorted(flagged) == [4, 4, 9, 10, 10, 10]
     found = [f"{path.name}:{node.lineno}"
              for path in sorted(SRC.glob("*.py")) if path.name not in ("fields.py", "oracles.py")
-             for node in _normalize_maps(ast.parse(path.read_text()))]
+             for node in _field_op_maps(ast.parse(path.read_text()))]
     assert found == []
     tree = ast.parse((SRC / "operators.py").read_text())
     kernel = next(node for node in tree.body

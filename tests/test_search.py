@@ -34,7 +34,7 @@ from leibnizkit import (
 )
 from leibnizkit import search
 from leibnizkit.catalog import load_catalog
-from leibnizkit.errors import BudgetExceeded, NotFound
+from leibnizkit.errors import BudgetExceeded, NotFound, SearchMismatch
 from leibnizkit.forms import BilinearForm
 from leibnizkit.oracles import (
     eval_bn_structure,
@@ -179,6 +179,22 @@ def test_enumeration_vs_random_membership(l2_f2):
     for seed in range(8):
         m = random_instance("nijenhuis", l2_f2, F2, seed=seed)
         assert m.matrix.entries in found
+
+
+def test_kernels_that_accept_every_candidate_raise_search_mismatch(monkeypatch, l2_f2):
+    """Every hit is confirmed by its check: with kernels that accept every
+    candidate, a matrix search and a bn_pair search (where the check raises
+    NotNijenhuis on the first rejected operator) both stop with
+    SearchMismatch."""
+    def accept(flat):
+        return True
+
+    monkeypatch.setattr(search, "_predicate_fn", lambda spec: accept)
+    monkeypatch.setattr(search, "_bn_kernels", lambda alg: (accept, accept, accept))
+    with pytest.raises(SearchMismatch, match="compiled nijenhuis kernel accepts"):
+        enumerate_operators(SearchSpec(F2, (2, 2), "nijenhuis", algebra=l2_f2))
+    with pytest.raises(SearchMismatch, match="compiled bn_pair kernel accepts"):
+        enumerate_bn_pairs(SearchSpec(F2, (2, 2), "bn_pair", algebra=l2_f2))
 
 
 def test_bn_pair_enumeration(l2_f2):

@@ -52,11 +52,8 @@ from .fields import FieldSpec
 from .linalg import Matrix, is_invertible, mat_inverse
 from .operators import (
     LinearOperator,
-    _acted,
-    _applied,
-    _dendriform,
-    _flat3,
-    _images,
+    _equivariance_sides,
+    _kupershmidt_sides,
     _lift,
     _sides_violations,
     as_operator,
@@ -332,15 +329,21 @@ def check_maurer_cartan(
     if theta.rows != ctx.n2 or theta.cols != ctx.n1:
         raise ShapeMismatch(f"theta must be {ctx.n2}x{ctx.n1}")
     f, n1 = ctx.field, ctx.n1
-    lin_lhs = _applied(theta, _flat3(ctx.algebra1.c))
-    lin_rhs = _acted(ctx.rho1, theta)
-    quad_lhs = list(map(add, _images(ctx.algebra2, theta, theta), lin_rhs))
-    quad_rhs = list(map(add, _applied(theta, list(map(add, *_dendriform(theta, ctx.rho2)))),
-                        lin_lhs))
-    violations = _sides_violations("maurer-cartan", f, quad_lhs, quad_rhs, n1)
+    whole, linear = _mc_sides(ctx, theta)
+    violations = _sides_violations("maurer-cartan", f, *whole, n1)
     if strong:
-        violations += _sides_violations("maurer-cartan-linear", f, lin_lhs, lin_rhs, n1)
+        violations += _sides_violations("maurer-cartan-linear", f, *linear, n1)
     return CheckReport.build(violations)
+
+
+def _mc_sides(ctx: TwilledContext, theta: Matrix):
+    """The raw sides of the Maurer-Cartan equation on g1 basis pairs, then
+    those of its linear part theta[x, y] = rho1(x, y), the equivariance of
+    theta for rho1.  The equation adds the linear part, its sides crossed, to
+    the Kupershmidt identity of theta for rho2; the strong equation is both."""
+    lin_lhs, lin_rhs = _equivariance_sides(ctx.rho1, theta)
+    kup_lhs, kup_rhs = _kupershmidt_sides(theta, ctx.rho2)
+    return (list(map(add, kup_lhs, lin_rhs)), list(map(add, kup_rhs, lin_lhs))), (lin_lhs, lin_rhs)
 
 
 def mc_cochain_defects(ctx: TwilledContext, theta: Matrix) -> Tuple[Cochain, Cochain]:

@@ -8,10 +8,13 @@ representation; the sharp map of a symmetric 2-tensor has the tensor's own
 matrix in dual bases, and the inverse sharp of a form is the matrix of
 x -> form(x, .), i.e. the transpose of the form's matrix.
 
-The form identities read the nonzero structure constants ``alg._entries``
-and normalize once.  ``_pairing_table`` is the one kernel of the invariance
-of a skew form and the closedness of a form: the table form(e_a, [e_b, e_c]);
-for a skew form, form([e_b, e_c], e_a) is minus that table.  ``check_ybe``
+The form identities read the nonzero structure constants ``alg._entries``.
+``_pairing_table`` is the one kernel of the invariance of a skew form and
+the closedness of a form: the raw table form(e_a, [e_b, e_c]); for a skew
+form, form([e_b, e_c], e_a) is minus that table.  ``_invariance_sides``,
+``_closedness_sides`` and ``_coupling_sides`` (B(Nx, y) = B(x, Ny)) return
+the raw sides of their identities, which the checks normalise once per side
+and ``search`` evaluates over polynomials for its residues.  ``check_ybe``
 adds its four terms from the same entries and the nonzero entries of the
 2-tensor into one flat accumulator.  The coupled structures reuse the
 operator identities of ``operators`` and the KN core of ``pairs``.
@@ -20,6 +23,7 @@ operator identities of ``operators`` and the KN core of ``pairs``.
 from __future__ import annotations
 
 from itertools import product
+from operator import mul
 
 from .algebras import (
     LeibnizAlgebra,
@@ -245,23 +249,15 @@ def check_quadratic(
         raise NotSkew("quadratic algebras need a skew-symmetric form")
     if not q.nondegenerate:
         raise Degenerate("form is degenerate")
-    f, n = alg.field, alg.dim
-    M = _pairing_table(alg, q.matrix)
-    violations = []
-    for i, j, k in product(range(n), repeat=3):
-        # q skew: q([x0,x2] + [x2,x0], x1) = -q(x1, [x0,x2]) - q(x1, [x2,x0])
-        lhs = M[(i * n + j) * n + k]
-        rhs = f.normalize(-M[(j * n + i) * n + k] - M[(j * n + k) * n + i])
-        if lhs != rhs:
-            violations.append(Violation("quadratic-invariance", (i, j, k), (lhs,), (rhs,)))
-    report = CheckReport.build(violations)
+    sides = _invariance_sides(alg, _flat(q.matrix))
+    report = CheckReport.build(_triple_violations("quadratic-invariance", alg, sides))
     if not report.ok or not consequences:
         return report
     reg = regular_representation(alg)
     dual = dual_representation(reg)
     inv_sharp = q.matrix.transpose()
     extra = []
-    for t in range(n):
+    for t in range(alg.dim):
         lhsL = inv_sharp * reg.rhoL[t]
         rhsL = dual.rhoL[t] * inv_sharp
         if lhsL != rhsL:
@@ -330,12 +326,10 @@ def check_bn_structure(
     nij = check_nijenhuis(N, alg)
     if not nij.ok:
         raise NotNijenhuis(nij.summary())
-    n = alg.dim
-    violations = _closedness_violations(alg, B.matrix, "bn-closed")
-    NtB = N.matrix.transpose() * B.matrix
-    BN = B.matrix * N.matrix
-    violations += _sides_violations("bn-compat", alg.field, _flat(NtB), _flat(BN), n)
-    violations += _closedness_violations(alg, NtB, "bn-n-closed")
+    violations = _triple_violations("bn-closed", alg, _closedness_sides(alg, _flat(B.matrix)))
+    nt_b, b_n = _coupling_sides(B.matrix, N.matrix)
+    violations += _sides_violations("bn-compat", alg.field, nt_b, b_n, alg.dim)
+    violations += _triple_violations("bn-n-closed", alg, _closedness_sides(alg, nt_b))
     report = CheckReport.build(violations)
     if not report.ok or not consequences:
         return report
@@ -357,28 +351,53 @@ def check_bn_structure(
     return report
 
 
-def _pairing_table(alg: LeibnizAlgebra, bmat: Matrix):
-    """form(e_a, [e_b, e_c]) at (a * n + b) * n + c for the form with matrix
-    ``bmat``, summed over the nonzero structure constants and normalized once:
-    the one kernel of the invariance and closedness identities."""
+def _pairing_table(alg: LeibnizAlgebra, flat) -> list:
+    """form(e_a, [e_b, e_c]) at (a * n + b) * n + c for the form with the
+    row-major entries ``flat``, summed over the nonzero structure constants
+    as a raw accumulator: the one kernel of the invariance and closedness
+    identities."""
     n = alg.dim
-    cols = tuple(zip(*bmat.entries))
     acc = [0] * n ** 3
     for b, c, l, v in alg._entries:
-        for a, w in enumerate(cols[l]):
+        for a, w in enumerate(flat[l::n]):  # column l of the form
             if w:
                 acc[(a * n + b) * n + c] += w * v
-    return alg.field.normalize_all(acc)
+    return acc
 
 
-def _closedness_violations(alg: LeibnizAlgebra, bmat: Matrix, name: str):
-    """form(x2, [x0,x1]) = -form(x1, [x0,x2]) + form(x0, [x1,x2]) + form(x0, [x2,x1])."""
-    f, n = alg.field, alg.dim
-    M = _pairing_table(alg, bmat)
-    out = []
-    for i, j, k in product(range(n), repeat=3):
-        lhs = M[(k * n + i) * n + j]
-        rhs = f.normalize(M[(i * n + j) * n + k] - M[(j * n + i) * n + k] + M[(i * n + k) * n + j])
-        if lhs != rhs:
-            out.append(Violation(name, (i, j, k), (lhs,), (rhs,)))
-    return out
+def _invariance_sides(alg: LeibnizAlgebra, flat):
+    """q(x0, [x1,x2]) and q([x0,x2] + [x2,x0], x1) on basis triples, the
+    second written for a skew form as -q(x1, [x0,x2]) - q(x1, [x2,x0]): the
+    raw sides of the invariance of the skew form q with entries ``flat``."""
+    n = alg.dim
+    M = _pairing_table(alg, flat)
+    return M, [-M[(j * n + i) * n + k] - M[(j * n + k) * n + i]
+               for i, j, k in product(range(n), repeat=3)]
+
+
+def _closedness_sides(alg: LeibnizAlgebra, flat):
+    """form(x2, [x0,x1]) and -form(x1, [x0,x2]) + form(x0, [x1,x2]) +
+    form(x0, [x2,x1]) on basis triples: the raw sides of the closedness of
+    the form with entries ``flat``."""
+    n = alg.dim
+    M = _pairing_table(alg, flat)
+    triples = list(product(range(n), repeat=3))
+    return ([M[(k * n + i) * n + j] for i, j, k in triples],
+            [M[(i * n + j) * n + k] - M[(j * n + i) * n + k] + M[(i * n + k) * n + j]
+             for i, j, k in triples])
+
+
+def _coupling_sides(bmat: Matrix, nmat: Matrix):
+    """N^T B and B N as row-major raw accumulators, for the form matrix B and
+    the operator matrix N: the sides of the coupling B(Nx, y) = B(x, Ny)."""
+    b_cols, n_cols = tuple(zip(*bmat.entries)), tuple(zip(*nmat.entries))
+    return ([sum(map(mul, n_col, b_col)) for n_col in n_cols for b_col in b_cols],
+            [sum(map(mul, b_row, n_col)) for b_row in bmat.entries for n_col in n_cols])
+
+
+def _triple_violations(name: str, alg: LeibnizAlgebra, sides):
+    """The violations ``name`` of lhs = rhs on basis triples, in row-major
+    order, each raw side normalised once."""
+    lhs, rhs = (alg.field.normalize_all(side) for side in sides)
+    return [Violation(name, key, (a,), (b,))
+            for key, a, b in zip(product(range(alg.dim), repeat=3), lhs, rhs) if a != b]

@@ -10,6 +10,8 @@ The public constructor ``Matrix(field, entries)`` normalizes every entry.
 ``Matrix._trusted`` skips that and is reserved for producers inside the
 package whose values are already normalized: each result entry is computed
 from normalized entries and normalized once, and nothing else is stored.
+The one exception is ``search``'s matrix of polynomial unknowns, which it
+passes only to the raw-sides kernels and never returns.
 """
 
 from __future__ import annotations

@@ -20,16 +20,23 @@ or a matrix-vector product per basis pair:
 - ``_images(alg, S, T)``: [S e_i, T e_j], from the structure constants;
 - ``_applied(T, inner)``: T on each block of ``inner``, as ``_twist``,
   ``_dendriform`` or ``_flat3`` of a tensor leave it;
-- ``_acted(rep, T)``: rhoL(e_i) T e_j + rhoR(e_j) T e_i, from the action
-  entries;
 - ``_sides_violations``: both sides normalised once and compared block by
   block.
 
-``_image_violations`` joins them for the three image identities; the mixed
-identities of ``check_compatible`` and ``check_nk_condition``, the
-K-equivariance of ``induced_representation``, ``dgla.check_maurer_cartan``,
-``suites._operator_locality`` and the bracket identities of ``pairs`` and
-``forms`` use them directly.
+Each identity has one raw-sides function that returns its (lhs, rhs) as such
+accumulators: ``_image_sides`` for the image identity, ``_twist_sides``
+(Nijenhuis, Rota-Baxter) and ``_kupershmidt_sides`` on top of it, and
+``_equivariance_sides`` for T[x, y] = rhoL(x) T y + rhoR(y) T x of a map
+T: algebra -> module, summed from the action entries.  ``_image_violations``
+compares the sides of the three image identities, and the Maurer-Cartan
+sides of ``dgla`` add the Kupershmidt and equivariance sides; the mixed
+identities of ``check_compatible`` and ``check_nk_condition`` and the
+bracket identities of ``pairs`` use the primitives directly.
+
+The primitives touch matrix entries only through ``+``, ``-``, ``*`` and
+truth tests, and sum into accumulators that start at 0, so they also run
+over polynomial entries: ``search`` evaluates the raw-sides functions on a
+matrix of unknowns and takes lhs - rhs as the residues of its predicates.
 
 ``module_bracket_tensor`` is the one home of the induced module bracket; its
 kernel ``_dendriform`` builds both halves in one pass over the cached action
@@ -232,10 +239,11 @@ def _applied(T: Matrix, inner) -> list:
     return acc
 
 
-def _acted(rep: Representation, T: Matrix) -> list:
-    """rhoL(e_i) T e_j + rhoR(e_j) T e_i on basis pairs of the algebra, for
-    T: algebra -> module: entry (k, r, c, v) of rhoL_k meets row c of T at
-    the pairs (k, j), and of rhoR_k at the pairs (i, k)."""
+def _equivariance_sides(rep: Representation, T: Matrix):
+    """T[e_i, e_j] and rhoL(e_i) T e_j + rhoR(e_j) T e_i on basis pairs of the
+    algebra, for T: algebra -> module: the raw sides of the equivariance of T.
+    The second is summed from the action entries: entry (k, r, c, v) of rhoL_k
+    meets row c of T at the pairs (k, j), and of rhoR_k at the pairs (i, k)."""
     n, m = rep.algebra.dim, rep.mdim
     rows = T.entries
     acc = [0] * (n * n * m)
@@ -248,7 +256,7 @@ def _acted(rep: Representation, T: Matrix) -> list:
         for i, t in enumerate(rows[c]):
             if t:
                 acc[(i * n + k) * m + r] += v * t
-    return acc
+    return _applied(T, _flat3(rep.algebra.c)), acc
 
 
 def _sides_violations(name: str, f: FieldSpec, lhs, rhs, m: int):
@@ -266,13 +274,31 @@ def _sides_violations(name: str, f: FieldSpec, lhs, rhs, m: int):
     return violations
 
 
-def _image_violations(name: str, alg: LeibnizAlgebra, T: Matrix, inner):
-    """The violations, named ``name``, of the image identity
-    [T e_i, T e_j] = T(inner(e_i, e_j)) on basis pairs of T's domain: the one
-    kernel of the Kupershmidt, Nijenhuis and Rota-Baxter checks.  ``inner``
-    is flat and raw, coordinate k of pair (i, j) at (i * m + j) * m + k for
-    m = T.cols."""
-    return _sides_violations(name, alg.field, _images(alg, T, T), _applied(T, inner), T.cols)
+def _image_sides(alg: LeibnizAlgebra, T: Matrix, inner):
+    """[T e_i, T e_j] and T(inner(e_i, e_j)) on basis pairs of T's domain: the
+    raw sides of the image identity.  ``inner`` is flat and raw, coordinate k
+    of pair (i, j) at (i * m + j) * m + k for m = T.cols."""
+    return _images(alg, T, T), _applied(T, inner)
+
+
+def _image_violations(name: str, T: Matrix, sides):
+    """The violations, named ``name``, of an image identity from its raw
+    ``sides`` (as ``_image_sides`` returns them): the one kernel of the
+    Kupershmidt, Nijenhuis and Rota-Baxter checks."""
+    return _sides_violations(name, T.field, *sides, T.cols)
+
+
+def _twist_sides(alg: LeibnizAlgebra, T: Matrix, weight: bool = True):
+    """The raw sides of the Nijenhuis identity on basis pairs, [Tx, Ty] and
+    T([Tx,y] + [x,Ty] - T[x,y]); without ``weight``, of the Rota-Baxter
+    identity of weight zero."""
+    return _image_sides(alg, T, _twist(alg.dim, alg._entries, T, weight))
+
+
+def _kupershmidt_sides(K: Matrix, rep: Representation):
+    """The raw sides of the Kupershmidt identity on module basis pairs,
+    [Ku, Kv] and K(rhoL(Ku) v + rhoR(Kv) u)."""
+    return _image_sides(rep.algebra, K, list(map(add, *_dendriform(K, rep))))
 
 
 def _kupershmidt_core(K: LinearOperator, rep: Representation):
@@ -284,7 +310,8 @@ def _kupershmidt_core(K: LinearOperator, rep: Representation):
     _require_module_map(K, rep)
     halves = _dendriform(K.matrix, rep)
     summed = list(map(add, *halves))
-    return _image_violations("kupershmidt", rep.algebra, K.matrix, summed), summed, halves
+    sides = _image_sides(rep.algebra, K.matrix, summed)
+    return _image_violations("kupershmidt", K.matrix, sides), summed, halves
 
 
 def _require_kupershmidt(K: LinearOperator, rep: Representation):
@@ -353,7 +380,7 @@ def induced_representation(K: LinearOperator, rep: Representation) -> Representa
     out.require_representation()
     # equivariance: K intertwines the sub-adjacent bracket with the induced action
     unequal = _sides_violations("equivariance", rep.algebra.field,
-                                _applied(Kmat, _flat3(subalg.c)), _acted(out, Kmat), rep.mdim)
+                                *_equivariance_sides(out, Kmat), rep.mdim)
     if unequal:
         i, j = unequal[0].index
         raise NotKupershmidt(f"induced action is not K-equivariant at basis pair ({i},{j})")
@@ -383,8 +410,7 @@ def check_nijenhuis(N: LinearOperator, alg: LeibnizAlgebra) -> CheckReport:
     N = as_operator(N)
     if N.matrix.rows != alg.dim or N.matrix.cols != alg.dim:
         raise ShapeMismatch("Nijenhuis candidate must be an endomorphism of the algebra")
-    twisted = _twist(alg.dim, alg._entries, N.matrix)
-    return CheckReport.build(_image_violations("nijenhuis", alg, N.matrix, twisted))
+    return CheckReport.build(_image_violations("nijenhuis", N.matrix, _twist_sides(alg, N.matrix)))
 
 
 def deformed_bracket(N: LinearOperator, alg: LeibnizAlgebra) -> LeibnizAlgebra:
@@ -403,8 +429,8 @@ def check_rota_baxter(R: LinearOperator, alg: LeibnizAlgebra) -> CheckReport:
     R = as_operator(R)
     if R.matrix.rows != alg.dim or R.matrix.cols != alg.dim:
         raise ShapeMismatch("Rota-Baxter candidate must be an endomorphism")
-    inner = _twist(alg.dim, alg._entries, R.matrix, weight=False)
-    return CheckReport.build(_image_violations("rota-baxter", alg, R.matrix, inner))
+    sides = _twist_sides(alg, R.matrix, weight=False)
+    return CheckReport.build(_image_violations("rota-baxter", R.matrix, sides))
 
 
 _COMPAT_SAMPLES = ((1, 1), (2, -1), ("1/2", 3))

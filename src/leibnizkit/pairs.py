@@ -32,6 +32,7 @@ from .operators import (
     _applied,
     _dendriform,
     _flat3,
+    _image_sides,
     _image_violations,
     _images,
     _require_kupershmidt,
@@ -437,7 +438,7 @@ def check_kn_structure(
 def _kupershmidt_report(alg: LeibnizAlgebra, K: Matrix, bracket) -> CheckReport:
     """``check_kupershmidt`` of a module map K of the right shape, given its
     flat raw module bracket over the representation."""
-    return CheckReport.build(_image_violations("kupershmidt", alg, K, bracket))
+    return CheckReport.build(_image_violations("kupershmidt", K, _image_sides(alg, K, bracket)))
 
 
 def kn_to_dual_kn(kn: KNStructure, rep: Representation) -> KNStructure:

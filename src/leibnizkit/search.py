@@ -2,9 +2,12 @@
 maps, and seeded random instance generation.
 
 Every search predicate is a system of quadratic equations in the entries of
-the unknown matrix, stated once as residue polynomials whose coefficients are
-raw field values (ints, or Fractions over Q) taken from the structure
-constants and action matrices.  A search reduces that system once to sparse
+the unknown matrix.  Its residues come from the check kernels themselves:
+the raw-sides function of each identity (in ``operators``, ``dgla`` and
+``forms``) runs on a matrix whose entries are polynomials in the unknowns,
+and lhs - rhs is the residue, with raw field values (ints, or Fractions
+over Q) as coefficients; this module reads no structure constants or
+action data itself.  A search reduces that system once to sparse
 equations over F_p and compiles them into one straight-line Python function,
 ``holds(x)``, that tests the equations in turn on the candidate's flat
 residue tuple and returns False at the first that does not vanish.  It walks
@@ -19,15 +22,16 @@ field, from the same kind of residues.
 from __future__ import annotations
 
 from itertools import product
+from operator import mul, sub
 from random import Random
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .algebras import (
     LeibnizAlgebra,
     Representation,
     check_leibniz,
 )
-from .dgla import check_maurer_cartan
+from .dgla import _mc_sides, check_maurer_cartan
 from .errors import (
     BudgetExceeded,
     Degenerate,
@@ -38,10 +42,19 @@ from .errors import (
     ShapeMismatch,
     UnknownIdentity,
 )
-from .fields import FieldSpec, RawScalar
-from .forms import BilinearForm, check_bn_structure
-from .linalg import Matrix, LinearSolution, is_invertible, solve_linear
+from .fields import FieldSpec
+from .forms import (
+    BilinearForm,
+    _closedness_sides,
+    _coupling_sides,
+    _invariance_sides,
+    check_bn_structure,
+)
+from .linalg import Matrix, LinearSolution, _flat, is_invertible, solve_linear
 from .operators import (
+    _equivariance_sides,
+    _kupershmidt_sides,
+    _twist_sides,
     as_operator,
     check_kupershmidt,
     check_nijenhuis,
@@ -146,19 +159,17 @@ def _predicate_fn(spec: SearchSpec) -> Callable[[Sequence[int]], bool]:
     candidate's entries, row-major).  The general check runs once on the zero
     candidate first, so shape, representation, context and non-Leibniz
     errors are raised exactly as by the check, before any candidate."""
-    rows, cols = spec.shape
-    _check_fn(spec)(Matrix.zeros(spec.field, rows, cols))
-    name = spec.predicate
-    X = _unknown_matrix(rows, cols)
-    if name == "kupershmidt":
-        field, residues = spec.rep.algebra.field, _kupershmidt_residues(spec.rep, X)
-    elif name == "mc_strong":
-        field, residues = spec.ctx.field, _mc_strong_residues(spec.ctx, X)
+    _check_fn(spec)(Matrix.zeros(spec.field, *spec.shape))
+    X = _unknowns(spec.field, *spec.shape)
+    if spec.predicate == "kupershmidt":
+        field, sides = spec.rep.algebra.field, [_kupershmidt_sides(X, spec.rep)]
+    elif spec.predicate == "mc_strong":
+        field, sides = spec.ctx.field, _mc_sides(spec.ctx, X)
     else:
         field = spec.algebra.field
-        residues = _operator_residues(spec.algebra, X, weight=name == "nijenhuis")
+        sides = [_twist_sides(spec.algebra, X, weight=spec.predicate == "nijenhuis")]
     _require_field(spec, field)
-    return _kernel(spec.field.p, residues)
+    return _kernel(spec.field.p, [r for side in sides for r in _residues(*side)])
 
 
 def _require_field(spec: SearchSpec, field: FieldSpec) -> None:
@@ -167,7 +178,8 @@ def _require_field(spec: SearchSpec, field: FieldSpec) -> None:
 
 
 def _matrix(f: FieldSpec, rows: int, cols: int, flat: Sequence) -> Matrix:
-    """The rows x cols matrix of the normalized values ``flat``, row-major."""
+    """The rows x cols matrix of the normalized values (or the polynomial
+    unknowns) ``flat``, row-major."""
     return Matrix._trusted(f, tuple(tuple(flat[r * cols:(r + 1) * cols]) for r in range(rows)))
 
 
@@ -230,186 +242,56 @@ def enumerate_bn_pairs(spec: SearchSpec, workers: int = 1) -> List[Tuple[Matrix,
 
 
 # -- compiled kernels ------------------------------------------------------------
-#
-# A polynomial in the unknown entries is a dict {monomial: coefficient}, a
-# monomial being the sorted tuple of its variable indices (degree <= 2) and a
-# coefficient a raw field value (an int, or a Fraction over Q), not reduced.
-# Vectors and matrices of such polynomials mirror the check formulas term by
-# term; constants are degree-0 polynomials.  The same residues compile into
-# the F_p search kernels (_kernel) and, when linear, give the exact linear
-# layers (_linear_basis).
-
-Poly = Dict[Tuple[int, ...], RawScalar]
 
 
-def _unknown_matrix(rows: int, cols: int, first: int = 0) -> List[List[Poly]]:
-    return [[{(first + r * cols + c,): 1} for c in range(cols)] for r in range(rows)]
+class _Poly(dict):
+    """A polynomial in the unknowns, {monomial: coefficient}: a monomial is
+    the sorted tuple of its variable indices, a coefficient a raw field value
+    (an int, or a Fraction over Q), not reduced.  It has what the check
+    kernels do to matrix entries: +, - and * with polynomials and constants,
+    negation, and a truth test (nonzero as a dict)."""
+
+    __slots__ = ()
+
+    def __add__(self, other, sign: int = 1) -> "_Poly":
+        out = _Poly(self)
+        terms = other.items() if isinstance(other, dict) else [((), other)] if other else []
+        for mono, c in terms:
+            out[mono] = out.get(mono, 0) + sign * c
+        return out
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "_Poly":
+        return self.__add__(other, -1)
+
+    def __rsub__(self, other) -> "_Poly":
+        return -self + other
+
+    def __neg__(self) -> "_Poly":
+        return self * -1
+
+    def __mul__(self, other) -> "_Poly":
+        if not isinstance(other, dict):
+            return _Poly({mono: c * other for mono, c in self.items()})
+        out = _Poly()
+        for m1, c1 in self.items():
+            for m2, c2 in other.items():
+                mono = tuple(sorted(m1 + m2))
+                out[mono] = out.get(mono, 0) + c1 * c2
+        return out
+
+    __rmul__ = __mul__
 
 
-def _const(vec: Sequence[int]) -> List[Poly]:
-    return [{(): v} if v else {} for v in vec]
+def _unknowns(f: FieldSpec, rows: int, cols: int, first: int = 0) -> Matrix:
+    """The rows x cols matrix of the unknowns first, first + 1, ..., row-major."""
+    return _matrix(f, rows, cols, [_Poly({(first + i,): 1}) for i in range(rows * cols)])
 
 
-def _basis(n: int, i: int) -> List[Poly]:
-    return [{(): 1} if t == i else {} for t in range(n)]
-
-
-def _col(X: Sequence[Sequence[Poly]], j: int) -> List[Poly]:
-    return [row[j] for row in X]
-
-
-def _acc(acc: Poly, coef: int, poly: Poly) -> None:
-    for mono, c in poly.items():
-        acc[mono] = acc.get(mono, 0) + coef * c
-
-
-def _mul(u: Poly, v: Poly) -> Poly:
-    out: Poly = {}
-    for m1, c1 in u.items():
-        for m2, c2 in v.items():
-            mono = tuple(sorted(m1 + m2))
-            out[mono] = out.get(mono, 0) + c1 * c2
-    return out
-
-
-def _lincomb(*terms: Tuple[int, Sequence[Poly]]) -> List[Poly]:
-    """sum of coef * vector over the (coef, vector) terms."""
-    out: List[Poly] = [{} for _ in terms[0][1]]
-    for coef, vec in terms:
-        for acc, poly in zip(out, vec):
-            _acc(acc, coef, poly)
-    return out
-
-
-def _apply(M: Sequence[Sequence[Poly]], v: Sequence[Poly]) -> List[Poly]:
-    out = []
-    for row in M:
-        acc: Poly = {}
-        for m, x in zip(row, v):
-            if m and x:
-                _acc(acc, 1, _mul(m, x))
-        out.append(acc)
-    return out
-
-
-def _bilinear(T, u: Sequence[Poly], v: Sequence[Poly], dim: int) -> List[Poly]:
-    """out[k] = sum over a, b of T[a][b][k] u[a] v[b], for a constant tensor T."""
-    out: List[Poly] = [{} for _ in range(dim)]
-    for a, ua in enumerate(u):
-        if not ua:
-            continue
-        for b, vb in enumerate(v):
-            if not vb:
-                continue
-            uv = _mul(ua, vb)
-            for k, t in enumerate(T[a][b]):
-                if t:
-                    _acc(out[k], t, uv)
-    return out
-
-
-def _action_tensor(mats: Sequence[Matrix]) -> List[List[List[int]]]:
-    """T[a][s][r] = mats[a][r, s], so that _bilinear(T, x, y) = act(x) y."""
-    return [[list(m.col(s)) for s in range(m.cols)] for m in mats]
-
-
-def _operator_residues(alg: LeibnizAlgebra, N, weight: bool) -> List[Poly]:
-    """[Nx, Ny] - N([Nx, y] + [x, Ny] - N[x, y]) on basis pairs: the Nijenhuis
-    identity, or Rota-Baxter of weight zero without the last term."""
-    n, c = alg.dim, alg.c
-    out = []
-    for i in range(n):
-        Ni, ei = _col(N, i), _basis(n, i)
-        for j in range(n):
-            Nj, ej = _col(N, j), _basis(n, j)
-            inner = [(1, _bilinear(c, Ni, ej, n)), (1, _bilinear(c, ei, Nj, n))]
-            if weight:
-                inner.append((-1, _apply(N, _const(c[i][j]))))
-            out += _lincomb((1, _bilinear(c, Ni, Nj, n)), (-1, _apply(N, _lincomb(*inner))))
-    return out
-
-
-def _kupershmidt_residues(rep: Representation, K) -> List[Poly]:
-    """[Ku, Kv] - K(rhoL(Ku) v + rhoR(Kv) u) on module basis pairs."""
-    alg = rep.algebra
-    n, m, c = alg.dim, rep.mdim, alg.c
-    TL, TR = _action_tensor(rep.rhoL), _action_tensor(rep.rhoR)
-    out = []
-    for i in range(m):
-        Ki, ei = _col(K, i), _basis(m, i)
-        for j in range(m):
-            Kj, ej = _col(K, j), _basis(m, j)
-            sub = _lincomb((1, _bilinear(TL, Ki, ej, m)), (1, _bilinear(TR, Kj, ei, m)))
-            out += _lincomb((1, _bilinear(c, Ki, Kj, n)), (-1, _apply(K, sub)))
-    return out
-
-
-def _mc_linear_residues(ctx: TwilledContext, theta) -> List[Poly]:
-    """theta[x, y] - rho1L(x) theta y - rho1R(y) theta x on g1 basis pairs: the
-    linear Maurer-Cartan residues of check_maurer_cartan with ``strong``."""
-    n1, n2, c1 = ctx.n1, ctx.n2, ctx.algebra1.c
-    T1L, T1R = _action_tensor(ctx.rho1.rhoL), _action_tensor(ctx.rho1.rhoR)
-    out = []
-    for i, j in product(range(n1), repeat=2):
-        lin_rhs = _lincomb((1, _bilinear(T1L, _basis(n1, i), _col(theta, j), n2)),
-                           (1, _bilinear(T1R, _basis(n1, j), _col(theta, i), n2)))
-        out += _lincomb((1, _apply(theta, _const(c1[i][j]))), (-1, lin_rhs))
-    return out
-
-
-def _mc_strong_residues(ctx: TwilledContext, theta) -> List[Poly]:
-    """The quadratic and the linear Maurer-Cartan residues of check_maurer_cartan
-    with ``strong``, on g1 basis pairs."""
-    n1, n2, c2 = ctx.n1, ctx.n2, ctx.algebra2.c
-    T2L, T2R = _action_tensor(ctx.rho2.rhoL), _action_tensor(ctx.rho2.rhoR)
-    linear = _mc_linear_residues(ctx, theta)
-    out = []
-    for i, j in product(range(n1), repeat=2):
-        ti, ei, tj, ej = _col(theta, i), _basis(n1, i), _col(theta, j), _basis(n1, j)
-        lin = linear[(i * n1 + j) * n2:(i * n1 + j + 1) * n2]
-        inner = _lincomb((1, _bilinear(T2L, ti, ej, n1)), (1, _bilinear(T2R, tj, ei, n1)))
-        out += _lincomb((1, _bilinear(c2, ti, tj, n2)), (-1, _apply(theta, inner)), (-1, lin))
-        out += lin
-    return out
-
-
-def _transpose(M):
-    return [list(col) for col in zip(*M)]
-
-
-def _matmul(A, B):
-    return _transpose([_apply(A, col) for col in _transpose(B)])
-
-
-def _entry_residues(A, B) -> List[Poly]:
-    """A - B entrywise: the residues of the matrix identity A = B."""
-    return [poly for ra, rb in zip(A, B) for poly in _lincomb((1, ra), (-1, rb))]
-
-
-def _invariance_residues(alg: LeibnizAlgebra, M) -> List[Poly]:
-    """M(x0, [x1,x2]) - M([x0,x2] + [x2,x0], x1) on basis triples: the
-    invariance of a bilinear form with matrix M, as in check_quadratic."""
-    c, cols = alg.c, _transpose(M)
-    out = []
-    for i, j, k in product(range(alg.dim), repeat=3):
-        sym = [a + b for a, b in zip(c[i][k], c[k][i])]
-        out += _lincomb((1, _apply([M[i]], _const(c[j][k]))), (-1, _apply([cols[j]], _const(sym))))
-    return out
-
-
-def _closed_residues(alg: LeibnizAlgebra, M) -> List[Poly]:
-    """M(x2, [x0,x1]) + M(x1, [x0,x2]) - M(x0, [x1,x2]) - M(x0, [x2,x1]) on
-    basis triples: the closedness of a bilinear form with matrix M."""
-    c = alg.c
-
-    def pair(a: int, w) -> List[Poly]:  # M(e_a, w) for a constant vector w
-        return _apply([M[a]], _const(w))
-
-    out = []
-    for i, j, k in product(range(alg.dim), repeat=3):
-        out += _lincomb((1, pair(k, c[i][j])), (1, pair(j, c[i][k])),
-                        (-1, pair(i, c[j][k])), (-1, pair(i, c[k][j])))
-    return out
+def _residues(lhs, rhs) -> List[dict]:
+    """lhs - rhs entrywise, as polynomials: the residues of lhs = rhs."""
+    return [d if isinstance(d, dict) else _Poly({(): d} if d else {}) for d in map(sub, lhs, rhs)]
 
 
 def _bn_kernels(alg: LeibnizAlgebra):
@@ -417,17 +299,15 @@ def _bn_kernels(alg: LeibnizAlgebra):
     (symmetric and closed) on the form's entries, the Nijenhuis identity on the
     operator's entries, and the coupling conditions (B(N.,.) = B(.,N.) and the
     twisted form closed) on the form's entries followed by the operator's."""
-    n, p = alg.dim, alg.field.p
-    B = _unknown_matrix(n, n)
-    form = _kernel(p, _entry_residues(B, _transpose(B)) + _closed_residues(alg, B))
-    nijenhuis = _kernel(p, _operator_residues(alg, _unknown_matrix(n, n), weight=True))
-    N = _unknown_matrix(n, n, first=n * n)
-    NtB = _matmul(_transpose(N), B)
-    coupled = _kernel(p, _entry_residues(NtB, _matmul(B, N)) + _closed_residues(alg, NtB))
-    return form, nijenhuis, coupled
+    f, n = alg.field, alg.dim
+    form = _form_residues(alg, 1, _closedness_sides)
+    nt_b, b_n = _coupling_sides(_unknowns(f, n, n), _unknowns(f, n, n, first=n * n))
+    coupled = _residues(nt_b, b_n) + _residues(*_closedness_sides(alg, nt_b))
+    nijenhuis = _residues(*_twist_sides(alg, _unknowns(f, n, n)))
+    return _kernel(f.p, form), _kernel(f.p, nijenhuis), _kernel(f.p, coupled)
 
 
-def _kernel(p: int, residues: Iterable[Poly]) -> Callable[[Sequence[int]], bool]:
+def _kernel(p: int, residues: Iterable[dict]) -> Callable[[Sequence[int]], bool]:
     """The predicate "every residue vanishes mod p" on a flat residue tuple
     ``x`` (the candidate's entries), compiled once from the source that
     ``_kernel_source`` generates: one straight-line ``holds(x)`` with one
@@ -444,7 +324,7 @@ def _kernel(p: int, residues: Iterable[Poly]) -> Callable[[Sequence[int]], bool]
     return namespace["holds"]
 
 
-def _kernel_source(p: int, residues: Iterable[Poly]) -> str:
+def _kernel_source(p: int, residues: Iterable[dict]) -> str:
     """Reduce the residues mod p to sparse int equations, each scaled to
     leading coefficient 1 and kept once, ordered by their highest variable,
     and render them as the source of ``holds(x)``."""
@@ -466,7 +346,7 @@ def _kernel_source(p: int, residues: Iterable[Poly]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _linear_basis(field: FieldSpec, residues: Iterable[Poly], unknowns: int) -> LinearSolution:
+def _linear_basis(field: FieldSpec, residues: Iterable[dict], unknowns: int) -> LinearSolution:
     """Exactly solve "every residue vanishes" for the unknowns 0 .. unknowns-1,
     each residue giving the row of its degree-1 coefficients.  A residue with
     a nonzero constant or quadratic term is not linear and raises."""
@@ -487,8 +367,8 @@ def solve_mc_linear_layer(ctx: TwilledContext) -> LinearSolution:
     """Exactly solve the linear equivariance part of the Maurer-Cartan
     system for theta: g1 -> g2 (unknowns flattened row-major, theta[a][i] at
     a*n1 + i); the quadratic part is then a filter via check_maurer_cartan."""
-    theta = _unknown_matrix(ctx.n2, ctx.n1)
-    return _linear_basis(ctx.field, _mc_linear_residues(ctx, theta), ctx.n1 * ctx.n2)
+    sides = _equivariance_sides(ctx.rho1, _unknowns(ctx.field, ctx.n2, ctx.n1))
+    return _linear_basis(ctx.field, _residues(*sides), ctx.n1 * ctx.n2)
 
 
 def mc_solutions_from_linear_layer(ctx: TwilledContext) -> List[Matrix]:
@@ -498,19 +378,15 @@ def mc_solutions_from_linear_layer(ctx: TwilledContext) -> List[Matrix]:
     basis = solve_mc_linear_layer(ctx).nullspace
     f = ctx.field
     grid = [f.of(v) for v in (-1, 0, 1, 2)]
+    zeros = [0] * (ctx.n1 * ctx.n2)
     seen = set()
     out = []
     for combo in product(grid, repeat=len(basis)):
-        flat = [f.zero()] * (ctx.n1 * ctx.n2)
-        for coef, vec in zip(combo, basis):
-            if f.is_zero(coef):
-                continue
-            flat = [f.add(x, f.mul(coef, v)) for x, v in zip(flat, vec)]
-        key = tuple(flat)
+        key = tuple(f.normalize_all([sum(map(mul, combo, entry)) for entry in zip(*basis)] or zeros))
         if key in seen:
             continue
         seen.add(key)
-        theta = _matrix(f, ctx.n2, ctx.n1, flat)
+        theta = _matrix(f, ctx.n2, ctx.n1, key)
         if check_maurer_cartan(ctx, theta).ok:
             out.append(theta)
     return out
@@ -557,23 +433,29 @@ def random_instance(kind: str, dims, fieldspec: FieldSpec, seed: int, height: in
     raise NotFound(f"no {kind} operator found in {attempts} attempts")
 
 
-def _form_basis(alg: LeibnizAlgebra, sign: int, identity: Callable) -> List[Matrix]:
-    """Basis of the bilinear forms B = sign * B^T on which every residue of
-    ``identity(alg, B)`` vanishes (unknowns row-major, B[a][b] at a*n + b)."""
+def _form_residues(alg: LeibnizAlgebra, sign: int, sides: Callable) -> List[dict]:
+    """The residues of B = sign * B^T and of the raw sides ``sides(alg,
+    entries)`` in the entries of a form B on ``alg`` (B[a][b] at a*n + b)."""
+    B = _unknowns(alg.field, alg.dim, alg.dim)
+    b = _flat(B)
+    return _residues(b, [sign * v for v in _flat(B.transpose())]) + _residues(*sides(alg, b))
+
+
+def _form_basis(alg: LeibnizAlgebra, sign: int, sides: Callable) -> List[Matrix]:
+    """Basis of the bilinear forms on which every residue of
+    ``_form_residues(alg, sign, sides)`` vanishes."""
     f, n = alg.field, alg.dim
-    B = _unknown_matrix(n, n)
-    signed_bt = [_lincomb((sign, row)) for row in _transpose(B)]
-    sol = _linear_basis(f, _entry_residues(B, signed_bt) + identity(alg, B), n * n)
+    sol = _linear_basis(f, _form_residues(alg, sign, sides), n * n)
     return [_matrix(f, n, n, vec) for vec in sol.nullspace]
 
 
 def invariant_skew_forms(alg: LeibnizAlgebra) -> List[Matrix]:
     """Basis of the space of skew bilinear forms satisfying the quadratic
     invariance condition (a linear system in the form's entries)."""
-    return _form_basis(alg, -1, _invariance_residues)
+    return _form_basis(alg, -1, _invariance_sides)
 
 
 def closed_symmetric_forms(alg: LeibnizAlgebra) -> List[Matrix]:
     """Basis of the space of symmetric bilinear forms satisfying the
     closedness condition (linear in the form)."""
-    return _form_basis(alg, 1, _closed_residues)
+    return _form_basis(alg, 1, _closedness_sides)

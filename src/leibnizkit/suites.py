@@ -32,9 +32,7 @@ from .io import SpecFile
 from .linalg import Matrix, is_invertible
 from .operators import (
     LinearOperator,
-    _acted,
-    _applied,
-    _flat3,
+    _equivariance_sides,
     check_compatible,
     check_kupershmidt,
     check_nijenhuis,
@@ -181,9 +179,8 @@ def suite_mc_equivalence(catalog, nonsolutions: int = 12, seed: int = 20) -> Sui
 
 def _operator_locality(rep, theta) -> bool:
     """theta([y,z]) = rhoL(y) theta z + rhoR(z) theta y over the base algebra."""
-    f = rep.algebra.field
-    return (f.normalize_all(_applied(theta, _flat3(rep.algebra.c)))
-            == f.normalize_all(_acted(rep, theta)))
+    lhs, rhs = _equivariance_sides(rep, theta)
+    return rep.algebra.field.normalize_all(lhs) == rep.algebra.field.normalize_all(rhs)
 
 
 def suite_trivial_deformation(catalog) -> SuiteResult:

@@ -314,3 +314,26 @@ def test_no_identity_is_evaluated_per_basis_pair():
              for node in _per_pair_calls(ast.parse(path.read_text()))]
     assert found == []
     assert not hasattr(leibnizkit.linalg, "vec_add")
+
+
+_STRUCTURE_DATA = {"c", "_entries", "rhoL", "rhoR"}
+
+
+def _structure_reads(tree):
+    """The attribute reads of structure constants (``.c``, ``._entries``) or
+    action data (``.rhoL``, ``.rhoR``), in source order."""
+    return sorted((node for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr in _STRUCTURE_DATA),
+                  key=lambda node: (node.lineno, node.col_offset))
+
+
+def test_search_states_no_identity():
+    """search.py reads no structure constants or action data: its residues
+    come from the raw sides of the check kernels, so it cannot state an
+    identity a second time."""
+    snippet = ("alg.c[0][1]; rep._entries(); ctx.rho1.rhoL[0]; rep.rhoR\n"
+               "c = alg.dim; rep.algebra.field; ctx.rho1; m.cols; entries = m.entries\n")
+    assert [node.attr for node in _structure_reads(ast.parse(snippet))] == [
+        "c", "_entries", "rhoL", "rhoR"]
+    tree = ast.parse((SRC / "search.py").read_text())
+    assert [f"search.py:{node.lineno}:{node.attr}" for node in _structure_reads(tree)] == []

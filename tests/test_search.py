@@ -1,11 +1,14 @@
 import ast
 import re
+from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from pathlib import Path
 from random import Random
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from leibnizkit import (
@@ -34,8 +37,11 @@ from leibnizkit import (
 )
 from leibnizkit import search
 from leibnizkit.catalog import load_catalog
-from leibnizkit.errors import BudgetExceeded, NotFound, SearchMismatch
-from leibnizkit.forms import BilinearForm
+from leibnizkit.dgla import _mc_sides
+from leibnizkit.errors import BudgetExceeded, DivisionByZero, NotFound, SearchMismatch
+from leibnizkit.fields import FieldSpec
+from leibnizkit.forms import BilinearForm, _closedness_sides, _coupling_sides, _invariance_sides
+from leibnizkit.operators import _kupershmidt_sides, _twist_sides
 from leibnizkit.oracles import (
     eval_bn_structure,
     eval_kupershmidt,
@@ -50,8 +56,9 @@ from leibnizkit.search import (
     closed_symmetric_forms,
     invariant_skew_forms,
 )
+from leibnizkit.suites import _kupershmidt_cases
 from leibnizkit.twilled import TwilledContext
-from leibnizkit.linalg import is_invertible
+from leibnizkit.linalg import LinearSolution, _flat, is_invertible
 
 from conftest import rb_matrix
 
@@ -513,3 +520,118 @@ def test_only_the_kernel_compiles_code():
              for path in sorted(SRC.glob("*.py"))}
     assert {name: uses for name, uses in found.items() if uses} == {
         "search.py": [("_kernel", "exec")]}
+
+
+# -- the residues are the checks' sides -------------------------------------------
+
+_ALGEBRAS = [(entry, "alg") for entry in ("heis3", "l2", "l2_single", "leib3", "n2", "prod4",
+                                          "quad4", "sl3", "solv2", "sum4")] + [("l2", "lift")]
+_CONTEXTS = (("l2", "tw_lift"), ("prod4", "tw"), ("quad4", "tw"), ("sum4", "tw"))
+_RESIDUE_FIELDS = (2, 3, 5, 7, None)
+
+
+def _random_matrix(f, rng, rows, cols):
+    if f.is_prime_field:
+        return Matrix(f, [[rng.randrange(f.p) for _ in range(cols)] for _ in range(rows)])
+    return Matrix(f, [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)]
+                      for _ in range(rows)])
+
+
+def _at(f, residues, x):
+    """Each residue evaluated at the point x, normalised."""
+    return [f.normalize(sum(c * _monomial(mono, x) for mono, c in poly.items()))
+            for poly in residues]
+
+
+def _differences(f, *sides):
+    """The normalised lhs - rhs of each (lhs, rhs), entry by entry, in turn."""
+    return [v for lhs, rhs in sides for v in f.normalize_all([a - b for a, b in zip(lhs, rhs)])]
+
+
+def _search_residues(spec):
+    """The residues that ``_predicate_fn`` compiles for ``spec``."""
+    with patch.object(search, "_kernel", lambda p, residues: residues):
+        return _predicate_fn(spec)
+
+
+def _linear_layer_residues(solver, alg):
+    """The residues of a linear layer of forms, as ``solver`` hands them to
+    ``_linear_basis``."""
+    seen = []
+    with patch.object(search, "_linear_basis",
+                      lambda f, residues, k: seen.append(residues) or LinearSolution((), ())):
+        solver(alg)
+    return seen[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from(_RESIDUE_FIELDS), which=st.sampled_from(_ALGEBRAS),
+       seed=st.integers(0, 10 ** 6))
+def test_search_residues_are_the_check_sides(p, which, seed):
+    """At a random matrix (a random form and operator for bn_pair), each
+    search residue is the normalised lhs - rhs of the raw sides that the
+    check kernel returns there, entry by entry: the Nijenhuis and Rota-Baxter
+    identities, Kupershmidt on the regular and dual representations, the
+    symmetric closed and skew invariant forms of the linear layers, and the
+    three kernels of a BN-structure."""
+    f, rng = FieldSpec(p), Random(seed)
+    alg = _in_field(load_catalog()[which[0]].spec.build(which[1]), f)
+    n = alg.dim
+    M = _random_matrix(f, rng, n, n)
+    x = _flat(M)
+    for predicate, weight in (("nijenhuis", True), ("rota_baxter", False)):
+        residues = _search_residues(SearchSpec(f, (n, n), predicate, algebra=alg))
+        assert _at(f, residues, x) == _differences(f, _twist_sides(alg, M, weight)), predicate
+    regular = regular_representation(alg)
+    for rep in (regular, dual_representation(regular)):
+        residues = _search_residues(SearchSpec(f, (n, rep.mdim), "kupershmidt", rep=rep))
+        assert _at(f, residues, x) == _differences(f, _kupershmidt_sides(M, rep))
+
+    B, N = _random_matrix(f, rng, n, n), _random_matrix(f, rng, n, n)
+    b, bt = _flat(B), _flat(B.transpose())
+    symmetric_closed = _differences(f, (b, bt), _closedness_sides(alg, b))
+    assert _at(f, _linear_layer_residues(closed_symmetric_forms, alg), b) == symmetric_closed
+    skew_invariant = _differences(f, (b, [-v for v in bt]), _invariance_sides(alg, b))
+    assert _at(f, _linear_layer_residues(invariant_skew_forms, alg), b) == skew_invariant
+    with patch.object(search, "_kernel", lambda p, residues: residues):
+        form, nijenhuis, coupled = search._bn_kernels(alg)
+    assert _at(f, form, b) == symmetric_closed
+    assert _at(f, nijenhuis, _flat(N)) == _differences(f, _twist_sides(alg, N))
+    nt_b, b_n = _coupling_sides(B, N)
+    assert _at(f, coupled, b + _flat(N)) == _differences(f, (nt_b, b_n),
+                                                         _closedness_sides(alg, nt_b))
+
+
+@lru_cache(maxsize=None)
+def _twilled_sums():
+    """(total algebra, n1, n2) over Q: the catalog's twilled contexts, and the
+    lifted sums of the verified Kupershmidt maps of the theorem suites."""
+    catalog = load_catalog()
+    out = [(tw.total, tw.n1, tw.n2)
+           for tw in (catalog[entry].spec.build(name) for entry, name in _CONTEXTS)]
+    for _, K, rep in _kupershmidt_cases(catalog):
+        out.append((lifted_algebra(K, rep), rep.algebra.dim, rep.mdim))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from(_RESIDUE_FIELDS), which=st.integers(0, 10 ** 6),
+       seed=st.integers(0, 10 ** 6))
+def test_mc_residues_are_the_check_sides(p, which, seed):
+    """The strong Maurer-Cartan residues at a random theta are the normalised
+    lhs - rhs of both parts of the check's raw sides, the whole equation and
+    then its linear part; the linear layer's residues are those of the
+    linear part."""
+    f, rng = FieldSpec(p), Random(seed)
+    sums = _twilled_sums()
+    total, n1, n2 = sums[which % len(sums)]
+    try:
+        ctx = TwilledContext(_in_field(total, f), n1, n2)
+    except DivisionByZero:  # a denominator of the lifted bracket vanishes mod p
+        assume(False)
+    theta = _random_matrix(f, rng, n2, n1)
+    residues = _search_residues(SearchSpec(f, (n2, n1), "mc_strong", ctx=ctx))
+    whole, linear = _mc_sides(ctx, theta)
+    assert _at(f, residues, _flat(theta)) == _differences(f, whole, linear)
+    assert (_at(f, _linear_layer_residues(solve_mc_linear_layer, ctx), _flat(theta))
+            == _differences(f, linear))

@@ -16,6 +16,9 @@ iterate them instead of walking the dense tensor.  A representation lists the
 nonzero entries ``(i, r, c, v)`` of its rhoL and rhoR matrices on first use
 (``Representation._entries``); ``check_representation``, the kernels of
 ``operators`` and the pair identities of ``pairs`` iterate them.
+``check_leibniz`` (on basis triples) and ``check_representation`` (one
+axiom at a time, on basis pairs) hand their raw sides to
+``reports._sides_violations``.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Optional, Sequence, Tuple
 from .errors import FieldMismatch, NotLeibniz, NotRepresentation, ShapeMismatch
 from .fields import FieldSpec
 from .linalg import Matrix, Vector, lin_comb
-from .reports import CheckReport, Violation
+from .reports import CheckReport, _sides_violations
 
 
 def _nonzero_entries(c: Sequence[Sequence[Sequence]]) -> Tuple[tuple, ...]:
@@ -139,14 +142,7 @@ def check_leibniz(alg: LeibnizAlgebra) -> CheckReport:
             rhs[((x * n + y) * n + d) * n + k] += v * w
         for b, _, k, w in by_second[m]:  # [b, [x, y]] with a = x, d = y
             rhs[((x * n + b) * n + y) * n + k] += v * w
-    lhs = tuple(f.normalize_all(lhs))
-    rhs = tuple(f.normalize_all(rhs))
-    violations = []
-    for t, (a, b, d) in enumerate(product(range(n), repeat=3)):
-        lhs_t, rhs_t = lhs[t * n:(t + 1) * n], rhs[t * n:(t + 1) * n]
-        if lhs_t != rhs_t:
-            violations.append(Violation("leibniz", (a, b, d), lhs_t, rhs_t))
-    return CheckReport.build(violations)
+    return CheckReport.build(_sides_violations("leibniz", f, lhs, rhs, n, 3))
 
 
 class Representation:
@@ -240,18 +236,11 @@ def check_representation(rep: Representation) -> CheckReport:
     LLs, RLs, RRs = ([v for i, j in product(range(n), repeat=2)
                       for v in acc[(j * n + i) * mm:(j * n + i + 1) * mm]]
                      for acc in (LL, RL, RR))
-    norm_all = alg.field.normalize_all
-    sides = [(name, norm_all(lhs), norm_all(rhs))
-             for name, lhs, rhs in (("rep-left", acted[0], map(sub, LL, LLs)),
-                                    ("rep-right", acted[1], map(sub, LR, RLs)),
-                                    ("rep-swap", RLs, map(neg, RRs)))]
-    violations = []
-    for b, (i, j) in enumerate(product(range(n), repeat=2)):
-        block = slice(b * mm, (b + 1) * mm)
-        for name, lhs, rhs in sides:
-            if lhs[block] != rhs[block]:
-                violations.append(Violation(name, (i, j), tuple(lhs[block]), tuple(rhs[block])))
-    return CheckReport.build(violations)
+    f = alg.field
+    return CheckReport.build(
+        _sides_violations("rep-left", f, acted[0], list(map(sub, LL, LLs)), n)
+        + _sides_violations("rep-right", f, acted[1], list(map(sub, LR, RLs)), n)
+        + _sides_violations("rep-swap", f, RLs, list(map(neg, RRs)), n))
 
 
 def _products(first, second, n: int, m: int) -> list:

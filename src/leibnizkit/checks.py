@@ -55,17 +55,12 @@ _CHECK_FLAGS: Dict[str, Tuple[str, ...]] = {
 CHECK_NAMES = tuple(_CHECK_FLAGS)
 
 
-def _operator(spec: SpecFile, name: str) -> LinearOperator:
+def _built(spec: SpecFile, name: str, cls: type = LinearOperator, noun: str = "an operator"):
+    """The object ``name`` of ``spec``, which must be a ``cls``; else a
+    ParseError that ``name`` is not ``noun``."""
     obj = spec.build(name)
-    if not isinstance(obj, LinearOperator):
-        raise ParseError(f"{name!r} is not an operator")
-    return obj
-
-
-def _algebra(spec: SpecFile, name: str) -> LeibnizAlgebra:
-    obj = spec.build(name)
-    if not isinstance(obj, LeibnizAlgebra):
-        raise ParseError(f"{name!r} is not an algebra")
+    if not isinstance(obj, cls):
+        raise ParseError(f"{name!r} is not {noun}")
     return obj
 
 
@@ -77,10 +72,10 @@ def _flag(args: Dict, key: str, check: str) -> str:
 
 def _resolve_algebra(spec: SpecFile, op: LinearOperator, args: Dict) -> LeibnizAlgebra:
     if args.get("algebra"):
-        return _algebra(spec, args["algebra"])
+        return _built(spec, args["algebra"], LeibnizAlgebra, "an algebra")
     for tag in (op.codomain, op.domain):
         if tag.startswith("algebra:"):
-            return _algebra(spec, tag.split(":", 1)[1])
+            return _built(spec, tag.split(":", 1)[1], LeibnizAlgebra, "an algebra")
     names = spec.names_of("algebra")
     if len(names) == 1:
         return spec.build(names[0])
@@ -119,30 +114,27 @@ def run_check(spec: SpecFile, object_name: str, check: str, args: Optional[Dict]
     unread = [f"--{key}" for key in given if key not in _CHECK_FLAGS[check]]
     if unread:
         raise ParseError(f"check {check!r} does not take {', '.join(unread)}")
-    obj = spec.build(object_name)
-
     if check == "leibniz":
-        return check_leibniz(_algebra(spec, object_name))
+        return check_leibniz(_built(spec, object_name, LeibnizAlgebra, "an algebra"))
     if check == "representation":
-        if not isinstance(obj, Representation):
-            raise ParseError(f"{object_name!r} is not a representation")
-        return check_representation(obj)
+        return check_representation(
+            _built(spec, object_name, Representation, "a representation"))
     if check == "kupershmidt":
-        op = _operator(spec, object_name)
-        return check_kupershmidt(op, _resolve_rep(spec, args.get("rep"), op))
+        K = _built(spec, object_name)
+        return check_kupershmidt(K, _resolve_rep(spec, args.get("rep"), K))
     if check == "nijenhuis":
-        op = _operator(spec, object_name)
-        return check_nijenhuis(op, _resolve_algebra(spec, op, args))
+        N = _built(spec, object_name)
+        return check_nijenhuis(N, _resolve_algebra(spec, N, args))
     if check == "rota-baxter":
-        op = _operator(spec, object_name)
-        return check_rota_baxter(op, _resolve_algebra(spec, op, args))
+        R = _built(spec, object_name)
+        return check_rota_baxter(R, _resolve_algebra(spec, R, args))
     if check == "compatible":
-        op = _operator(spec, object_name)
-        other = _operator(spec, _flag(args, "other", check))
-        return check_compatible(op, other, _resolve_rep(spec, args.get("rep"), op))
+        K = _built(spec, object_name)
+        other = _built(spec, _flag(args, "other", check))
+        return check_compatible(K, other, _resolve_rep(spec, args.get("rep"), K))
     if check == "nk-condition":
-        N = _operator(spec, object_name)
-        K = _operator(spec, _flag(args, "K", check))
+        N = _built(spec, object_name)
+        K = _built(spec, _flag(args, "K", check))
         return check_nk_condition(N, K, _resolve_rep(spec, args.get("rep"), K))
     if check in ("nijenhuis-pair", "dual-nijenhuis-pair", "perfect-pair"):
         from .pairs import (
@@ -152,8 +144,8 @@ def run_check(spec: SpecFile, object_name: str, check: str, args: Optional[Dict]
             check_perfect_pair,
         )
 
-        N = _operator(spec, object_name)
-        S = _operator(spec, _flag(args, "S", check))
+        N = _built(spec, object_name)
+        S = _built(spec, _flag(args, "S", check))
         rep = _resolve_rep(spec, args.get("rep"), None)
         pair = OperatorPair(N, S)
         fn = {
@@ -165,60 +157,42 @@ def run_check(spec: SpecFile, object_name: str, check: str, args: Optional[Dict]
     if check == "kn-structure":
         from .pairs import KNStructure, check_kn_structure
 
-        if not isinstance(obj, KNStructure):
-            raise ParseError(f"{object_name!r} is not a KN structure")
+        kn = _built(spec, object_name, KNStructure, "a KN structure")
         rep_name = args.get("rep") or spec.raw[object_name].get("rep")
         if rep_name is None:
             raise ParseError("kn-structure check needs a representation")
-        return check_kn_structure(obj, spec.rep_for(rep_name), consequences=consequences)
+        return check_kn_structure(kn, spec.rep_for(rep_name), consequences=consequences)
     if check in ("maurer-cartan", "maurer-cartan-strong"):
         from .dgla import check_maurer_cartan
         from .twilled import TwilledContext
 
-        op = _operator(spec, object_name)
-        ctx_name = _flag(args, "ctx", check)
-        ctx = spec.build(ctx_name)
-        if not isinstance(ctx, TwilledContext):
-            raise ParseError(f"{ctx_name!r} is not a twilled context")
-        return check_maurer_cartan(ctx, op.matrix, strong=check.endswith("strong"))
-    if check == "ybe":
-        from .forms import Tensor2, check_ybe
+        theta = _built(spec, object_name)
+        ctx = _built(spec, _flag(args, "ctx", check), TwilledContext, "a twilled context")
+        return check_maurer_cartan(ctx, theta.matrix, strong=check.endswith("strong"))
+    if check in ("ybe", "rn-structure"):
+        from .forms import Tensor2, check_rn_structure, check_ybe
 
-        if not isinstance(obj, Tensor2):
-            raise ParseError(f"{object_name!r} is not a 2-tensor")
-        return check_ybe(obj.algebra, obj)
-    if check == "rn-structure":
-        from .forms import Tensor2, check_rn_structure
-
-        if not isinstance(obj, Tensor2):
-            raise ParseError(f"{object_name!r} is not a 2-tensor")
-        N = _operator(spec, _flag(args, "N", check))
-        return check_rn_structure(obj.algebra, obj, N, consequences=consequences)
+        pi = _built(spec, object_name, Tensor2, "a 2-tensor")
+        if check == "ybe":
+            return check_ybe(pi.algebra, pi)
+        N = _built(spec, _flag(args, "N", check))
+        return check_rn_structure(pi.algebra, pi, N, consequences=consequences)
     if check == "rbn-structure":
         from .forms import check_rbn_structure
 
-        R = _operator(spec, object_name)
-        N = _operator(spec, _flag(args, "N", check))
+        R = _built(spec, object_name)
+        N = _built(spec, _flag(args, "N", check))
         return check_rbn_structure(_resolve_algebra(spec, R, args), R, N)
-    if check == "quadratic":
-        from .forms import BilinearForm, check_quadratic
+    if check in ("quadratic", "bn-structure", "transfer"):
+        from .forms import BilinearForm, check_bn_structure, check_quadratic, rbn_rn_transfer
 
-        if not isinstance(obj, BilinearForm):
-            raise ParseError(f"{object_name!r} is not a form")
-        return check_quadratic(obj.algebra, obj, consequences=consequences)
-    if check == "bn-structure":
-        from .forms import BilinearForm, check_bn_structure
-
-        if not isinstance(obj, BilinearForm):
-            raise ParseError(f"{object_name!r} is not a form")
-        N = _operator(spec, _flag(args, "N", check))
-        return check_bn_structure(obj.algebra, obj, N, consequences=consequences)
-    if check == "transfer":
-        from .forms import BilinearForm, rbn_rn_transfer
-
-        if not isinstance(obj, BilinearForm):
-            raise ParseError(f"{object_name!r} is not a form")
-        R = _operator(spec, _flag(args, "R", check))
-        N = _operator(spec, _flag(args, "N", check))
-        return rbn_rn_transfer(obj.algebra, obj, R, N)
+        q = _built(spec, object_name, BilinearForm, "a form")
+        if check == "quadratic":
+            return check_quadratic(q.algebra, q, consequences=consequences)
+        if check == "bn-structure":
+            N = _built(spec, _flag(args, "N", check))
+            return check_bn_structure(q.algebra, q, N, consequences=consequences)
+        R = _built(spec, _flag(args, "R", check))
+        N = _built(spec, _flag(args, "N", check))
+        return rbn_rn_transfer(q.algebra, q, R, N)
     raise ParseError(f"unhandled check {check!r}")

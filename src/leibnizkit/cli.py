@@ -17,7 +17,7 @@ from .algebras import (
     dual_representation,
     semidirect_sum,
 )
-from .checks import CHECK_NAMES, _algebra, _operator, _resolve_algebra, _resolve_rep, run_check
+from .checks import CHECK_NAMES, _built, _resolve_algebra, _resolve_rep, run_check
 from .errors import LeibnizKitError, ParseError
 from .fields import FieldSpec
 from .io import (
@@ -138,12 +138,12 @@ def cmd_construct(args) -> int:
             rep = spec.rep_for(need("rep"))
             out_objects["semidirect"] = algebra_doc(f, semidirect_sum(rep))
         elif cons == "subadjacent":
-            K = _operator(spec, need("K"))
+            K = _built(spec, need("K"))
             rep = _resolve_rep(spec, args.rep, K)
             _, alg = subadjacent_algebra(K, rep)
             out_objects["subadjacent"] = algebra_doc(f, alg)
         elif cons == "lifted":
-            K = _operator(spec, need("K"))
+            K = _built(spec, need("K"))
             rep = _resolve_rep(spec, args.rep, K)
             out_objects["lifted"] = algebra_doc(f, lifted_algebra(K, rep))
             out_objects["tw_lifted"] = {
@@ -151,39 +151,35 @@ def cmd_construct(args) -> int:
                 "n1": rep.algebra.dim, "n2": rep.mdim,
             }
         elif cons == "deformed":
-            N = _operator(spec, need("N"))
+            N = _built(spec, need("N"))
             deformed = deformed_bracket(N, _resolve_algebra(spec, N, vars(args)))
             out_objects["deformed"] = algebra_doc(f, deformed, verified=deformed.is_leibniz)
         elif cons == "theta-twist":
-            K = _operator(spec, need("K"))
+            K = _built(spec, need("K"))
             rep = _resolve_rep(spec, args.rep, K)
-            theta = _operator(spec, need("theta")).matrix
+            theta = _built(spec, need("theta")).matrix
             g_theta, rho_theta, total = theta_twist(K, rep, theta)
             out_objects["twisted"] = algebra_doc(f, g_theta)
             out_objects["twisted_action"] = representation_doc(f, rho_theta, "twisted")
             out_objects["twisted_total"] = algebra_doc(f, total)
         elif cons == "dual-kn-from-mc":
-            K = _operator(spec, need("K"))
-            theta = _operator(spec, need("theta")).matrix
+            K = _built(spec, need("K"))
+            theta = _built(spec, need("theta")).matrix
             rep, alg_name = named_rep()
             kn = dual_kn_from_mc(K, rep, theta)
             out_objects["kn"] = kn_doc(f, kn, alg_name, args.rep)
         elif cons == "mc-from-dual-kn":
-            kn = spec.build(need("kn"))
-            if not isinstance(kn, KNStructure):
-                raise ParseError(f"{args.kn!r} is not a KN structure")
+            kn = _built(spec, need("kn"), KNStructure, "a KN structure")
             rep_name = args.rep or spec.raw[args.kn].get("rep")
             rep = spec.rep_for(rep_name)
             theta = mc_from_dual_kn(kn, rep)
             out_objects["theta"] = matrix_doc(f, theta, "algebra", "module")
         elif cons == "sharp":
-            pi = spec.build(need("pi"))
-            if not isinstance(pi, Tensor2):
-                raise ParseError(f"{args.pi!r} is not a 2-tensor")
+            pi = _built(spec, need("pi"), Tensor2, "a 2-tensor")
             out_objects["sharp"] = operator_doc(f, sharp_map(pi))
         elif cons == "dual-kn-from-compatible":
-            K1 = _operator(spec, need("K1"))
-            K2 = _operator(spec, need("K2"))
+            K1 = _built(spec, need("K1"))
+            K2 = _built(spec, need("K2"))
             rep, alg_name = named_rep()
             kn1, kn2 = dual_kn_from_compatible(K1, K2, rep)
             out_objects["kn_first"] = kn_doc(f, kn1, alg_name, args.rep)
@@ -232,16 +228,15 @@ def cmd_search(args) -> int:
             alg_name = names[0] if len(names) == 1 else "alg"
         algebra = None
         if alg_name in spec.raw:
-            algebra = _transport_algebra(_algebra(spec, alg_name), fieldspec)
+            algebra = _transport_algebra(_built(spec, alg_name, LeibnizAlgebra, "an algebra"),
+                                         fieldspec)
         rep = None
         if args.rep:
             base = spec.rep_for(args.rep)
             rep = _transport_rep(base, _transport_algebra(base.algebra, fieldspec), fieldspec)
         ctx = None
         if args.ctx:
-            built = spec.build(args.ctx)
-            if not isinstance(built, TwilledContext):
-                return _fail_usage(f"{args.ctx!r} is not a twilled context")
+            built = _built(spec, args.ctx, TwilledContext, "a twilled context")
             ctx = TwilledContext(_transport_algebra(built.total, fieldspec),
                                  built.n1, built.n2)
         if predicate == "mc_strong" and ctx is not None:

@@ -55,7 +55,6 @@ from .operators import (
     _equivariance_sides,
     _kupershmidt_sides,
     _lift,
-    _sides_violations,
     as_operator,
     check_compatible,
     check_kupershmidt,
@@ -73,7 +72,7 @@ from .pairs import (
     _kn_conditions,
     check_kn_structure,
 )
-from .reports import CheckReport
+from .reports import CheckReport, _sides_violations
 from .twilled import TwilledContext
 
 

@@ -7,9 +7,10 @@ Raw values are what the rest of the package computes with:
   of magnitude faster and the identities checked here are mostly integral);
 * F_p: ``int`` residues in ``[0, p)``.
 
-``Scalar`` is the tagged wrapper used at API boundaries and in serialized
-files; internal kernels (matrices, tensors) hold raw values plus one shared
-``FieldSpec``.
+``Scalar`` is a tagged wrapper for callers who want single values that carry
+their field (``scalar_arith``); no module of the package uses it.  Kernels
+(matrices, tensors) hold raw values plus one shared ``FieldSpec``, and
+serialized files hold the text of ``FieldSpec.format``.
 
 Invariant: every value a kernel stores is normalized, i.e. is what
 ``FieldSpec.normalize`` returns for it.  ``normalize`` is the one coercion

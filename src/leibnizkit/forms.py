@@ -13,11 +13,13 @@ The form identities read the nonzero structure constants ``alg._entries``.
 the closedness of a form: the raw table form(e_a, [e_b, e_c]); for a skew
 form, form([e_b, e_c], e_a) is minus that table.  ``_invariance_sides``,
 ``_closedness_sides`` and ``_coupling_sides`` (B(Nx, y) = B(x, Ny)) return
-the raw sides of their identities, which the checks normalise once per side
-and ``search`` evaluates over polynomials for its residues.  ``check_ybe``
+the raw sides of their identities, which the checks hand to
+``reports._sides_violations`` on basis triples (pairs for the coupling) and
+``search`` evaluates over polynomials for its residues.  ``check_ybe``
 adds its four terms from the same entries and the nonzero entries of the
-2-tensor into one flat accumulator.  The coupled structures reuse the
-operator identities of ``operators`` and the KN core of ``pairs``.
+2-tensor into one flat accumulator, compared against zero.  The coupled
+structures reuse the operator identities of ``operators`` and the KN core of
+``pairs``.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .errors import (
 from .linalg import Matrix, _flat, is_invertible, mat_inverse
 from .operators import (
     LinearOperator,
-    _sides_violations,
     as_operator,
     check_compatible,
     check_kupershmidt,
@@ -52,7 +53,7 @@ from .operators import (
     check_rota_baxter,
 )
 from .pairs import KNStructure, OperatorPair, _kn_core, check_kn_structure
-from .reports import CheckReport, Violation
+from .reports import CheckReport, Violation, _sides_violations
 
 
 class Tensor2:
@@ -152,10 +153,7 @@ def check_ybe(alg: LeibnizAlgebra, pi: Tensor2) -> CheckReport:
                 acc[(i * n + t) * n + j] += w  # bracket in slot 2
                 acc[(t * n + i) * n + j] -= w  # bracket in slot 1
                 acc[(t * n + j) * n + i] -= w  # and its other argument order
-    totals = f.normalize_all(acc)
-    violations = [Violation("yang-baxter", key, (val,), (f.zero(),))
-                  for key, val in zip(product(range(n), repeat=3), totals) if val]
-    return CheckReport.build(violations)
+    return CheckReport.build(_sides_violations("yang-baxter", f, acc, [0] * n ** 3, n, 3))
 
 
 def sharp_map(pi: Tensor2) -> LinearOperator:
@@ -249,23 +247,20 @@ def check_quadratic(
         raise NotSkew("quadratic algebras need a skew-symmetric form")
     if not q.nondegenerate:
         raise Degenerate("form is degenerate")
+    f, n = alg.field, alg.dim
     sides = _invariance_sides(alg, _flat(q.matrix))
-    report = CheckReport.build(_triple_violations("quadratic-invariance", alg, sides))
+    report = CheckReport.build(_sides_violations("quadratic-invariance", f, *sides, n, 3))
     if not report.ok or not consequences:
         return report
     reg = regular_representation(alg)
     dual = dual_representation(reg)
     inv_sharp = q.matrix.transpose()
     extra = []
-    for t in range(alg.dim):
-        lhsL = inv_sharp * reg.rhoL[t]
-        rhsL = dual.rhoL[t] * inv_sharp
-        if lhsL != rhsL:
-            extra.append(Violation("sharp-intertwine-left", (t,), _flat(lhsL), _flat(rhsL)))
-        lhsR = inv_sharp * reg.rhoR[t]
-        rhsR = dual.rhoR[t] * inv_sharp
-        if lhsR != rhsR:
-            extra.append(Violation("sharp-intertwine-right", (t,), _flat(lhsR), _flat(rhsR)))
+    for side, reg_family, dual_family in (("left", reg.rhoL, dual.rhoL),
+                                          ("right", reg.rhoR, dual.rhoR)):
+        lhs = [v for rho in reg_family for v in _flat(inv_sharp * rho)]
+        rhs = [v for rho in dual_family for v in _flat(rho * inv_sharp)]
+        extra += _sides_violations(f"sharp-intertwine-{side}", f, lhs, rhs, n, 1)
     return report.merged(CheckReport.build(extra))
 
 
@@ -326,10 +321,11 @@ def check_bn_structure(
     nij = check_nijenhuis(N, alg)
     if not nij.ok:
         raise NotNijenhuis(nij.summary())
-    violations = _triple_violations("bn-closed", alg, _closedness_sides(alg, _flat(B.matrix)))
+    f, n = alg.field, alg.dim
+    violations = _sides_violations("bn-closed", f, *_closedness_sides(alg, _flat(B.matrix)), n, 3)
     nt_b, b_n = _coupling_sides(B.matrix, N.matrix)
-    violations += _sides_violations("bn-compat", alg.field, nt_b, b_n, alg.dim)
-    violations += _triple_violations("bn-n-closed", alg, _closedness_sides(alg, nt_b))
+    violations += _sides_violations("bn-compat", f, nt_b, b_n, n)
+    violations += _sides_violations("bn-n-closed", f, *_closedness_sides(alg, nt_b), n, 3)
     report = CheckReport.build(violations)
     if not report.ok or not consequences:
         return report
@@ -394,10 +390,3 @@ def _coupling_sides(bmat: Matrix, nmat: Matrix):
     return ([sum(map(mul, n_col, b_col)) for n_col in n_cols for b_col in b_cols],
             [sum(map(mul, b_row, n_col)) for b_row in bmat.entries for n_col in n_cols])
 
-
-def _triple_violations(name: str, alg: LeibnizAlgebra, sides):
-    """The violations ``name`` of lhs = rhs on basis triples, in row-major
-    order, each raw side normalised once."""
-    lhs, rhs = (alg.field.normalize_all(side) for side in sides)
-    return [Violation(name, key, (a,), (b,))
-            for key, a, b in zip(product(range(alg.dim), repeat=3), lhs, rhs) if a != b]

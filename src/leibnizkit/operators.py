@@ -19,9 +19,10 @@ or a matrix-vector product per basis pair:
 
 - ``_images(alg, S, T)``: [S e_i, T e_j], from the structure constants;
 - ``_applied(T, inner)``: T on each block of ``inner``, as ``_twist``,
-  ``_dendriform`` or ``_flat3`` of a tensor leave it;
-- ``_sides_violations``: both sides normalised once and compared block by
-  block.
+  ``_dendriform`` or ``_flat3`` of a tensor leave it.
+
+Both sides of each identity then go to ``reports._sides_violations``, the
+one comparer of the package.
 
 Each identity has one raw-sides function that returns its (lhs, rhs) as such
 accumulators: ``_image_sides`` for the image identity, ``_twist_sides``
@@ -60,12 +61,13 @@ from .errors import (
     NotCompatible,
     NotKupershmidt,
     NotNijenhuis,
+    ParseError,
     ShapeMismatch,
     Singular,
 )
 from .fields import FieldSpec
 from .linalg import Matrix, Vector, is_invertible, mat_inverse
-from .reports import CheckReport, Violation
+from .reports import CheckReport, Violation, _sides_violations
 
 
 class LinearOperator:
@@ -259,21 +261,6 @@ def _equivariance_sides(rep: Representation, T: Matrix):
     return _applied(T, _flat3(rep.algebra.c)), acc
 
 
-def _sides_violations(name: str, f: FieldSpec, lhs, rhs, m: int):
-    """The violations ``name`` of lhs = rhs over m * m basis pairs, each side
-    normalised once (not at all when the raw sides are equal): one per pair
-    (i, j) whose blocks differ, row-major."""
-    if lhs == rhs or (lhs := f.normalize_all(lhs)) == (rhs := f.normalize_all(rhs)):
-        return []
-    w = len(lhs) // (m * m)
-    violations = []
-    for pair in range(m * m):
-        lhs_p, rhs_p = lhs[pair * w:(pair + 1) * w], rhs[pair * w:(pair + 1) * w]
-        if lhs_p != rhs_p:
-            violations.append(Violation(name, divmod(pair, m), tuple(lhs_p), tuple(rhs_p)))
-    return violations
-
-
 def _image_sides(alg: LeibnizAlgebra, T: Matrix, inner):
     """[T e_i, T e_j] and T(inner(e_i, e_j)) on basis pairs of T's domain: the
     raw sides of the image identity.  ``inner`` is flat and raw, coordinate k
@@ -463,7 +450,7 @@ def check_compatible(
     for n1, n2 in _COMPAT_SAMPLES:
         try:
             a, b = f.of(n1), f.of(n2)
-        except Exception:
+        except ParseError:
             notes[f"sample-{n1},{n2}"] = "skipped (coefficients not in field)"
             continue
         comb = A.scale(a) + B.scale(b)

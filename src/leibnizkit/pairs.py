@@ -2,6 +2,13 @@
 module endomorphism, the trivial deformations they generate, the hat/tilde
 representations, and KN-structures (a Kupershmidt operator interlocked with a
 pair through NK = KS and the agreement of the two deformed module brackets).
+
+The pair identities are sums X rho(W e_i) Y over the action entries:
+``_action_sums`` returns them as two raw accumulators, one for the rhoL
+family and one for the rhoR family, with the m x m block of algebra basis
+element e_i at i m^2.  The identities compare each family on its own through
+``reports._sides_violations`` on basis elements; ``_deformed_action``
+normalises the blocks into matrices.
 """
 
 from __future__ import annotations
@@ -36,7 +43,6 @@ from .operators import (
     _image_violations,
     _images,
     _require_kupershmidt,
-    _sides_violations,
     _tensor,
     as_operator,
     check_compatible,
@@ -45,7 +51,7 @@ from .operators import (
     deformed_bracket,
     twisted_tensor,
 )
-from .reports import CheckReport, Violation
+from .reports import CheckReport, _sides_violations
 from .twilled import TwilledContext
 
 
@@ -112,8 +118,8 @@ def _pair_identity(pair: OperatorPair, rep: Representation, name: str, dual: boo
         rhs += [(_diag(1, n), one, S2), (_diag(-1, n), S, S)]
     else:
         rhs += [(_diag(1, n), S, S), (_diag(-1, n), S2, one)]
-    return _block_violations((f"{name}-left", f"{name}-right"), lhs, _action_sums(rep, rhs),
-                             n, m)
+    return [v for side, lhs_f, rhs_f in zip(("left", "right"), lhs, _action_sums(rep, rhs))
+            for v in _sides_violations(f"{name}-{side}", S.field, lhs_f, rhs_f, n, 1)]
 
 
 def _diag(c, n: int):
@@ -123,42 +129,28 @@ def _diag(c, n: int):
 
 def _action_sums(rep: Representation, terms):
     """The sums X rho(W e_i) Y over ``terms`` (W, X, Y), for W the rows of an
-    endomorphism of the algebra and X, Y matrices on the module, normalised
-    once: the m x m block of algebra basis element e_i and family rho (side
-    0 for rhoL, 1 for rhoR), row-major, at (2 i + side) m^2.  Entry
+    endomorphism of the algebra and X, Y matrices on the module, as two raw
+    accumulators, the first for rho = rhoL and the second for rhoR: the
+    m x m block of algebra basis element e_i, row-major, at i m^2.  Entry
     (k, r, t, v) of rho_k adds W[k][i] v X[a][r] Y[t][b] at (a, b) of the
     block of e_i."""
     n, m = rep.algebra.dim, rep.mdim
     mm = m * m
-    acc = [0] * (2 * n * mm)
+    sums = ([0] * (n * mm), [0] * (n * mm))
     for W, X, Y in terms:
         weights = [[(i, w) for i, w in enumerate(row) if w] for row in W]
         xcols = [[(a, x) for a, x in enumerate(col) if x] for col in zip(*X.entries)]
         yrows = [[(b, y) for b, y in enumerate(row) if y] for row in Y.entries]
-        for side, entries in enumerate(rep._entries()):
+        for acc, entries in zip(sums, rep._entries()):
             for k, r, t, v in entries:
                 for i, w in weights[k]:
-                    base = (2 * i + side) * mm
+                    base = i * mm
                     for a, x in xcols[r]:
                         wvx = w * v * x
                         row = base + a * m
                         for b, y in yrows[t]:
                             acc[row + b] += wvx * y
-    return tuple(rep.algebra.field.normalize_all(acc))
-
-
-def _block_violations(names, lhs, rhs, n: int, m: int):
-    """The violations named ``names[0]`` (rhoL) and ``names[1]`` (rhoR) at
-    (i,) where the blocks of two ``_action_sums`` differ, i by i, left before
-    right."""
-    mm = m * m
-    violations = []
-    for block in range(2 * n):
-        lo = block * mm
-        lhs_b, rhs_b = lhs[lo:lo + mm], rhs[lo:lo + mm]
-        if lhs_b != rhs_b:
-            violations.append(Violation(names[block % 2], (block // 2,), lhs_b, rhs_b))
-    return violations
+    return sums
 
 
 def check_nijenhuis_pair(pair: OperatorPair, rep: Representation) -> CheckReport:
@@ -188,7 +180,8 @@ def _perfect_violations(pair: OperatorPair, rep: Representation):
     one, S2 = Matrix.identity(S.field, m), S * S
     lhs = _action_sums(rep, [(_diag(1, n), S2, one), (_diag(1, n), one, S2)])
     rhs = _action_sums(rep, [(_diag(2, n), S, S)])
-    return _block_violations(("perfect-left", "perfect-right"), lhs, rhs, n, m)
+    return [v for side, lhs_f, rhs_f in zip(("left", "right"), lhs, rhs)
+            for v in _sides_violations(f"perfect-{side}", S.field, lhs_f, rhs_f, n, 1)]
 
 
 def _deformed_action(
@@ -196,15 +189,18 @@ def _deformed_action(
 ) -> Tuple[Tuple[Matrix, ...], Tuple[Matrix, ...]]:
     """The left and right families rho(N e_i) + (rho(e_i) S - S rho(e_i)) for
     the hat action, and with the commutator reversed for the tilde action,
-    summed from the action entries by ``_action_sums``."""
+    summed from the action entries by ``_action_sums`` and normalised once
+    per family."""
     n, m = rep.algebra.dim, rep.mdim
-    one, sign = Matrix.identity(S.field, m), 1 if hat else -1
+    f = S.field
+    one, sign = Matrix.identity(f, m), 1 if hat else -1
     sums = _action_sums(rep, [(N.entries, one, one), (_diag(sign, n), one, S),
                               (_diag(-sign, n), S, one)])
-    blocks = [Matrix._trusted(S.field, tuple(sums[(b * m + r) * m:(b * m + r + 1) * m]
-                                             for r in range(m)))
-              for b in range(2 * n)]
-    return tuple(blocks[0::2]), tuple(blocks[1::2])
+    left, right = (tuple(Matrix._trusted(f, tuple(tuple(flat[(i * m + r) * m:(i * m + r + 1) * m])
+                                                   for r in range(m)))
+                         for i in range(n))
+                   for flat in map(f.normalize_all, sums))
+    return left, right
 
 
 class DeformationTriple:
@@ -279,8 +275,9 @@ def deformation_from_pair(
                                         _images(alg, P, P), n)
         lhs = _action_sums(rep_t, [(_diag(1, n), Q, one)])  # Q rho_t(e_i)
         rhs = _action_sums(rep, [(P.entries, one, Q)])  # rho(P e_i) Q
-        violations += _block_violations(
-            (f"equivalence-left-t={tag}", f"equivalence-right-t={tag}"), lhs, rhs, n, m)
+        violations += [v for side, lhs_f, rhs_f in zip(("left", "right"), lhs, rhs)
+                       for v in _sides_violations(f"equivalence-{side}-t={tag}", f,
+                                                  lhs_f, rhs_f, n, 1)]
     return DeformationTriple(omega, varpiL, varpiR, CheckReport.build(violations, notes))
 
 
@@ -369,8 +366,8 @@ def _kn_core(tag: str, T: Matrix, N: Matrix, S: Matrix, rep: Representation,
     and r-n structures (T = pi#, S = N^T, dual of the regular
     representation)."""
     NT, TS = N * T, T * S
-    violations = [] if NT == TS else [Violation(f"{tag}-commute", (), _flat(NT), _flat(TS))]
     f = rep.algebra.field
+    violations = _sides_violations(f"{tag}-commute", f, _flat(NT), _flat(TS), 1, arity=0)
     if t_bracket is None:
         t_bracket = list(map(add, *_dendriform(T, rep)))
     sub_T = _tensor(f, t_bracket, rep.mdim)

@@ -3,11 +3,22 @@
 Violations are canonical so independent implementations of the same identity
 can be diffed tuple-for-tuple: one entry per failing basis index, vectors as
 normalized raw-value tuples, sorted by (identity name, index).
+
+Every identity of the package is a family lhs = rhs on basis tuples, and
+``_sides_violations`` is its one comparer: the checks of ``algebras``,
+``operators``, ``pairs``, ``forms`` and ``dgla`` hand it the two raw sides
+as flat accumulators, one block per basis tuple.  The only violations built
+by hand elsewhere are the route-agreement verdicts
+``nk-condition-vs-composite`` and ``transfer-agreement``, and those of
+``oracles``, an independent second implementation.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Dict, Iterable, Optional, Tuple
+
+from .fields import FieldSpec
 
 
 class Violation:
@@ -36,6 +47,22 @@ class Violation:
 
     def __str__(self) -> str:
         return f"{self.identity}@{self.index}: lhs={self.lhs} rhs={self.rhs}"
+
+
+def _sides_violations(name: str, f: FieldSpec, lhs, rhs, m: int, arity: int = 2) -> list:
+    """The violations ``name`` of lhs = rhs over the m^arity basis tuples,
+    each side normalised once (not at all when the raw sides are equal): one
+    per tuple whose blocks differ, row-major, a block len(lhs) / m^arity
+    values wide.  Arity 0 is the single index ()."""
+    if lhs == rhs or (lhs := f.normalize_all(lhs)) == (rhs := f.normalize_all(rhs)):
+        return []
+    w = len(lhs) // m ** arity
+    violations = []
+    for at, index in enumerate(product(range(m), repeat=arity)):
+        lhs_b, rhs_b = lhs[at * w:(at + 1) * w], rhs[at * w:(at + 1) * w]
+        if lhs_b != rhs_b:
+            violations.append(Violation(name, index, tuple(lhs_b), tuple(rhs_b)))
+    return violations
 
 
 class CheckReport:

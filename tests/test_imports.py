@@ -164,3 +164,52 @@ def test_no_module_imports_dataclasses():
     """The value classes are plain classes; the package imports no `dataclasses`."""
     for path in sorted(SRC.rglob("*.py")):
         assert "dataclasses" not in _import_time_imports(path), path.name
+
+
+def _unused_imports(source: str) -> list:
+    """The names that import statements outside function and class bodies
+    bind and that the module never reads, ``from __future__`` aside."""
+    tree = ast.parse(source)
+    bound = {}
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if isinstance(child, ast.Import):
+                bound.update((alias.asname or alias.name.split(".")[0], child.lineno)
+                             for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.module != "__future__":
+                bound.update((alias.asname or alias.name, child.lineno) for alias in child.names)
+            visit(child)
+
+    visit(tree)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+_UNUSED_SNIPPET = """
+from __future__ import annotations
+import os, sys
+import xml.dom
+from .a import b, c as d
+from typing import Tuple
+x: Tuple = os.sep
+
+def f():
+    import json
+    return d
+
+class C:
+    from .e import g
+"""
+
+
+def test_no_module_has_an_unused_import():
+    """No module but the lazily exporting ``__init__`` binds a module-level
+    import it never reads."""
+    assert _unused_imports(_UNUSED_SNIPPET) == [(3, "sys"), (4, "xml"), (5, "b")]
+    found = [f"{path.name}:{line}:{name}" for path in sorted(SRC.glob("*.py"))
+             if path.name != "__init__.py"
+             for line, name in _unused_imports(path.read_text())]
+    assert found == []

@@ -198,6 +198,18 @@ def test_incompatible_pair(l2_regular):
     assert not report.ok
 
 
+def test_compatible_skips_samples_outside_the_field():
+    """Over F2 the sample coefficient 1/2 does not exist; the check notes the
+    sample as skipped and still runs the others."""
+    F2 = prime_field(2)
+    alg = LeibnizAlgebra.from_brackets(F2, 2, {(1, 0): [1, 0], (1, 1): [1, 0]})
+    reg = regular_representation(alg)
+    R = as_operator(Matrix(F2, [[0, 1], [0, 1]]))
+    report = check_compatible(R, as_operator(Matrix.zeros(F2, 2, 2)), reg)
+    assert report.ok
+    assert report.notes == {"sample-1/2,3": "skipped (coefficients not in field)"}
+
+
 def test_compatible_requires_kupershmidt(l2_regular):
     with pytest.raises(NotKupershmidt):
         check_compatible(as_operator(Matrix.identity(Q, 2)),

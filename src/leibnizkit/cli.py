@@ -255,6 +255,11 @@ def cmd_search(args) -> int:
                     raise ValueError
             except ValueError:
                 raise ParseError(f"--shape must look like 2x3, got {args.shape!r}") from None
+            if predicate == "bn_pair" and algebra is not None and shape != (algebra.dim,) * 2:
+                n = algebra.dim
+                raise ParseError(f"bn-pair searches {n}x{n} matrices, got --shape {args.shape}")
+        if args.budget is not None and args.budget < 0:
+            raise ParseError(f"--budget must be nonnegative, got {args.budget}")
         budget = DEFAULT_BUDGET if args.budget is None else args.budget
         sspec = SearchSpec(fieldspec, shape, predicate, algebra=algebra, rep=rep,
                            ctx=ctx, budget=budget)

@@ -12,17 +12,20 @@ equations over F_p and compiles them into one straight-line Python function,
 ``holds(x)``, that tests the equations in turn on the candidate's flat
 residue tuple and returns False at the first that does not vanish.  It walks
 the candidate space in lexicographic order of the flattened entries in the
-calling thread, calls ``holds`` once per candidate, and builds a ``Matrix``
-only for the hits, each confirmed by the general ``check_*`` report before
-it is returned.  The linear layers (the linear Maurer-Cartan equations,
-invariant skew and closed symmetric forms) are solved exactly, over any
-field, from the same kind of residues.
+calling thread and calls ``holds`` once per candidate.  Every hit is then
+confirmed against the check's own identity statement, in blocks of up to
+``_BLOCK`` hits: the same raw-sides function runs once on a matrix whose
+entries are ``_Lanes``, one value per hit, and a hit whose lane of some
+lhs - rhs is nonzero mod p stops the search with ``SearchMismatch``.  Only
+confirmed hits become ``Matrix`` objects.  The linear layers (the linear
+Maurer-Cartan equations, invariant skew and closed symmetric forms) are
+solved exactly, over any field, from the same kind of residues.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from operator import mul, sub
+from operator import add, mul, sub
 from random import Random
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
@@ -63,6 +66,10 @@ from .operators import (
 from .twilled import TwilledContext
 
 DEFAULT_BUDGET = 10 ** 6
+
+# The most search hits confirmed in one evaluation of the raw sides: each
+# entry of a block's matrix holds one value per hit, so this bounds memory.
+_BLOCK = 512
 
 # A space size of at most this many bits prints in decimal (under the
 # interpreter's 4300-digit limit); a larger one is reported as p^k.
@@ -160,16 +167,22 @@ def _predicate_fn(spec: SearchSpec) -> Callable[[Sequence[int]], bool]:
     candidate first, so shape, representation, context and non-Leibniz
     errors are raised exactly as by the check, before any candidate."""
     _check_fn(spec)(Matrix.zeros(spec.field, *spec.shape))
+    owner = (spec.rep.algebra if spec.predicate == "kupershmidt"
+             else spec.ctx if spec.predicate == "mc_strong" else spec.algebra)
+    _require_field(spec, owner.field)
     X = _unknowns(spec.field, *spec.shape)
+    return _kernel(spec.field.p, [r for side in _sides(spec, X) for r in _residues(*side)])
+
+
+def _sides(spec: SearchSpec, X: Matrix) -> list:
+    """The (lhs, rhs) raw sides of the predicate's identity at X, from the
+    check kernels: X holds polynomial unknowns to compile the kernel, and
+    ``_Lanes`` to confirm a block of hits."""
     if spec.predicate == "kupershmidt":
-        field, sides = spec.rep.algebra.field, [_kupershmidt_sides(X, spec.rep)]
-    elif spec.predicate == "mc_strong":
-        field, sides = spec.ctx.field, _mc_sides(spec.ctx, X)
-    else:
-        field = spec.algebra.field
-        sides = [_twist_sides(spec.algebra, X, weight=spec.predicate == "nijenhuis")]
-    _require_field(spec, field)
-    return _kernel(spec.field.p, [r for side in sides for r in _residues(*side)])
+        return [_kupershmidt_sides(X, spec.rep)]
+    if spec.predicate == "mc_strong":
+        return list(_mc_sides(spec.ctx, X))
+    return [_twist_sides(spec.algebra, X, weight=spec.predicate == "nijenhuis")]
 
 
 def _require_field(spec: SearchSpec, field: FieldSpec) -> None:
@@ -185,24 +198,53 @@ def _matrix(f: FieldSpec, rows: int, cols: int, flat: Sequence) -> Matrix:
 
 def enumerate_operators(spec: SearchSpec, workers: int = 1) -> List[Matrix]:
     """The complete, lexicographically ordered list of matrices over F_p
-    satisfying the predicate.  The scan runs in the calling thread;
-    ``workers`` is accepted for compatibility and changes nothing."""
+    satisfying the predicate.  The scan runs in the calling thread; the hits
+    of the compiled kernel are confirmed in blocks of up to ``_BLOCK``
+    against the raw sides of the check's identity, and the first rejected
+    one raises SearchMismatch.  ``workers`` is accepted for compatibility
+    and changes nothing."""
     if spec.predicate == "bn_pair":
         return enumerate_bn_pairs(spec, workers)
     spec.space_size()  # raises off a prime field or over the budget
-    confirm = _check_fn(spec)
     holds = _predicate_fn(spec)
-    f = spec.field
     rows, cols = spec.shape
-    hits = []
-    for flat in product(range(f.p), repeat=rows * cols):
+    hits, pending = [], []
+    for flat in product(range(spec.field.p), repeat=rows * cols):
         if holds(flat):
-            m = _matrix(f, rows, cols, flat)
-            if not confirm(m):
-                raise SearchMismatch(f"compiled {spec.predicate} kernel accepts {m!r}, "
-                                     "the check rejects it")
-            hits.append(m)
-    return hits
+            pending.append(flat)
+            if len(pending) == _BLOCK:
+                hits += _confirmed(spec, pending)
+                pending = []
+    return hits + _confirmed(spec, pending)
+
+
+def _confirmed(spec: SearchSpec, flats: List[tuple]) -> List[Matrix]:
+    """The candidates ``flats`` as matrices, raising SearchMismatch for the
+    first one the identity of the check rejects."""
+    f, (rows, cols) = spec.field, spec.shape
+    bad = _first_rejected(spec, flats)
+    if bad is not None:
+        raise SearchMismatch(f"compiled {spec.predicate} kernel accepts "
+                             f"{_matrix(f, rows, cols, flats[bad])!r}, the check rejects it")
+    return [_matrix(f, rows, cols, flat) for flat in flats]
+
+
+def _first_rejected(spec: SearchSpec, flats: List[tuple]) -> Optional[int]:
+    """The index of the first of the candidates ``flats`` (flat entry tuples,
+    row-major) on which lhs = rhs fails mod p, or None: one evaluation of the
+    raw sides on the matrix whose entry lanes are the candidates' entries.
+    The first is the least bad lane over every coordinate, not the first bad
+    lane of the first bad coordinate."""
+    if not flats:
+        return None
+    p, (rows, cols) = spec.field.p, spec.shape
+    X = _matrix(spec.field, rows, cols, [_Lanes(lane) for lane in zip(*flats)])
+    first = len(flats)
+    for lhs, rhs in _sides(spec, X):
+        for d in map(sub, lhs, rhs):
+            lanes = d[:first] if isinstance(d, _Lanes) else [d] * first
+            first = next((i for i, v in enumerate(lanes) if v % p), first)
+    return first if first < len(flats) else None
 
 
 def enumerate_bn_pairs(spec: SearchSpec, workers: int = 1) -> List[Tuple[Matrix, Matrix]]:
@@ -282,6 +324,44 @@ class _Poly(dict):
         return out
 
     __rmul__ = __mul__
+
+
+class _Lanes(list):
+    """One raw value per candidate of a block, lane i for candidate i, not
+    reduced.  It has what the check kernels do to matrix entries, lane by
+    lane: +, - and * with lanes and constants, in place too (where a list
+    would extend or repeat), negation, and a truth test that means "any lane
+    is nonzero"."""
+
+    __slots__ = ()
+
+    def __add__(self, other) -> "_Lanes":
+        if isinstance(other, list):
+            return _Lanes(map(add, self, other))
+        return _Lanes([v + other for v in self])
+
+    __radd__ = __iadd__ = __add__
+
+    def __sub__(self, other) -> "_Lanes":
+        if isinstance(other, list):
+            return _Lanes(map(sub, self, other))
+        return _Lanes([v - other for v in self])
+
+    def __rsub__(self, other) -> "_Lanes":
+        return -self + other
+
+    def __neg__(self) -> "_Lanes":
+        return _Lanes([-v for v in self])
+
+    def __mul__(self, other) -> "_Lanes":
+        if isinstance(other, list):
+            return _Lanes(map(mul, self, other))
+        return _Lanes([v * other for v in self])
+
+    __rmul__ = __imul__ = __mul__
+
+    def __bool__(self) -> bool:
+        return any(self)
 
 
 def _unknowns(f: FieldSpec, rows: int, cols: int, first: int = 0) -> Matrix:

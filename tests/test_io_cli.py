@@ -365,12 +365,25 @@ def test_cli_suite_json():
      "error: --shape must look like 2x3, got '2x-1'\n"),
     (("--predicate", "nijenhuis", "--field", "F3", "--shape", "99x99"), 1,
      "search failed: BudgetExceeded: 3^9801 candidates exceed budget 1000000\n"),
+    (("--predicate", "nijenhuis", "--field", "F2", "--budget", "-1"), 2,
+     "error: --budget must be nonnegative, got -1\n"),
+    (("--predicate", "bn-pair", "--field", "F2", "--shape", "3x3"), 2,
+     "error: bn-pair searches 2x2 matrices, got --shape 3x3\n"),
 ])
 def test_cli_search_bad_space_is_one_line(extra, code, message):
-    """A rational bn-pair search, a negative shape and a space too large to
-    print each end in one line on stderr, not a traceback."""
+    """A rational bn-pair search, a negative shape, a space too large to
+    print, a negative budget and a bn-pair shape that is not the algebra's
+    each end in one line on stderr, not a traceback."""
     out = run_cli("search", str(CATALOG_DIR / "l2.json"), *extra)
     assert (out.returncode, out.stdout, out.stderr) == (code, "", message)
+
+
+def test_cli_bn_pair_search_takes_only_the_algebra_shape():
+    """With bn-pair, --shape dim x dim prints the same pairs as no --shape."""
+    argv = ("search", _L2, "--predicate", "bn-pair", "--field", "F2")
+    plain, shaped = run_cli(*argv), run_cli(*argv, "--shape", "2x2")
+    assert plain.returncode == 0 and json.loads(plain.stdout)["count"] > 0
+    assert (shaped.returncode, shaped.stdout, shaped.stderr) == (0, plain.stdout, "")
 
 
 @settings(max_examples=60, deadline=None)

@@ -635,3 +635,114 @@ def test_mc_residues_are_the_check_sides(p, which, seed):
     assert _at(f, residues, _flat(theta)) == _differences(f, whole, linear)
     assert (_at(f, _linear_layer_residues(solve_mc_linear_layer, ctx), _flat(theta))
             == _differences(f, linear))
+
+
+# -- block confirmation of the hits ------------------------------------------------
+
+def test_lanes_act_lane_by_lane():
+    """In-place + and * on a _Lanes entry act per lane, where a list would
+    extend or repeat, and the truth test is "any lane is nonzero"."""
+    a, b = search._Lanes([1, 2, 0]), search._Lanes([3, 0, 5])
+    acc = [0]
+    acc[0] += a
+    acc[0] += b
+    acc[0] -= 1
+    acc[0] *= 2
+    assert acc == [[6, 2, 8]] and type(acc[0]) is search._Lanes
+    assert 2 * a - b == [-1, 4, -5] and 1 - a == [0, -1, 1] and -(a * b) == [-3, 0, 0]
+    assert a and not search._Lanes([0, 0]) and not search._Lanes([])
+    assert a == [1, 2, 0]  # no operation changed its operands
+
+
+_BLOCK_VARIANTS = ("nijenhuis", "rota_baxter", "kupershmidt-regular", "kupershmidt-dual",
+                   "mc_strong")
+
+
+@lru_cache(maxsize=None)
+def _block_case(variant, which, p):
+    """(spec, pool): a search over F_p on a catalog structure, and a pool of
+    flat candidates holding the zero candidate and the hits of the compiled
+    kernel among (up to) 4,096 points of the space."""
+    f = prime_field(p)
+    if variant == "mc_strong":
+        total, n1, n2 = _twilled_sums()[which]
+        spec = SearchSpec(f, (n2, n1), variant, ctx=TwilledContext(_in_field(total, f), n1, n2))
+    else:
+        entry, name = _ALGEBRAS[which]
+        alg = _in_field(load_catalog()[entry].spec.build(name), f)
+        n = alg.dim
+        if variant.startswith("kupershmidt"):
+            rep = regular_representation(alg)
+            rep = rep if variant.endswith("regular") else dual_representation(rep)
+            spec = SearchSpec(f, (n, n), "kupershmidt", rep=rep)
+        else:
+            spec = SearchSpec(f, (n, n), variant, algebra=alg)
+    k = spec.shape[0] * spec.shape[1]
+    rng = Random(p * 1000 + which)
+    points = (product(range(p), repeat=k) if p ** k <= 4096 else
+              [tuple(rng.randrange(p) for _ in range(k)) for _ in range(4096)])
+    holds = _predicate_fn(spec)
+    return spec, [(0,) * k] + [x for x in points if holds(x)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.sampled_from((2, 3, 5, 7)), variant=st.sampled_from(_BLOCK_VARIANTS),
+       which=st.integers(0, 10 ** 6), seed=st.integers(0, 10 ** 6), size=st.integers(1, 12))
+def test_block_confirmation_rejects_first_what_the_check_rejects_first(p, variant, which, seed,
+                                                                       size):
+    """On a random block of 1-12 candidates, hits and non-hits mixed, the
+    block confirmation names the same first rejected candidate (or none) as
+    the general check run on each candidate in turn: Nijenhuis, Rota-Baxter,
+    Kupershmidt on the regular and dual representations of the catalog
+    algebras, and strong Maurer-Cartan on the catalog's twilled sums."""
+    count = len(_twilled_sums()) if variant == "mc_strong" else len(_ALGEBRAS)
+    try:
+        spec, pool = _block_case(variant, which % count, p)
+    except DivisionByZero:  # a denominator of the structure vanishes mod p
+        assume(False)
+    rng = Random(seed)
+    (rows, cols), k = spec.shape, spec.shape[0] * spec.shape[1]
+    flats = [rng.choice(pool) if rng.random() < 0.5 else
+             tuple(rng.randrange(p) for _ in range(k)) for _ in range(size)]
+    check = search._check_fn(spec)
+    expected = next((i for i, x in enumerate(flats)
+                     if not check(Matrix(spec.field, [x[r * cols:(r + 1) * cols]
+                                                      for r in range(rows)]))), None)
+    assert search._first_rejected(spec, flats) == expected
+
+
+def _nijenhuis_fp_specs():
+    """solv2/F5 (625 of 625 candidates are hits) and heis3/F3 (891 hits)."""
+    return [spec for spec in _search_fp_specs() if spec.predicate == "nijenhuis"]
+
+
+@pytest.mark.parametrize("block", (1, 2, 7))
+def test_block_size_does_not_change_the_hits(monkeypatch, block):
+    specs = _nijenhuis_fp_specs()
+    expected = [enumerate_operators(spec) for spec in specs]
+    assert [len(hits) for hits in expected] == [625, 891]
+    monkeypatch.setattr(search, "_BLOCK", block)
+    assert [enumerate_operators(spec) for spec in specs] == expected
+
+
+def test_a_rejected_candidate_past_the_first_block_is_named(monkeypatch):
+    """A kernel that accepts the true heis3/F3 hits plus two non-hits in the
+    second block raises SearchMismatch naming the first of the two."""
+    spec = _nijenhuis_fp_specs()[1]
+    holds = _predicate_fn(spec)
+    space = list(product(range(3), repeat=9))
+    start = [x for x in space if holds(x)][search._BLOCK]
+    bad = [x for x in space if x > start and not holds(x)][:2]
+    first = Matrix(F3, [bad[0][:3], bad[0][3:6], bad[0][6:]])
+    assert not check_nijenhuis(as_operator(first), spec.algebra).ok
+    monkeypatch.setattr(search, "_predicate_fn", lambda s: lambda x: holds(x) or x in bad)
+    with pytest.raises(SearchMismatch) as raised:
+        enumerate_operators(spec)
+    assert str(raised.value) == f"compiled nijenhuis kernel accepts {first!r}, the check rejects it"
+
+
+def test_a_module_of_dimension_zero_has_its_one_empty_hit(l2_f2):
+    """The one candidate of a 2 x 0 search, with no entries, is a hit."""
+    spec = SearchSpec(F2, (2, 0), "kupershmidt", rep=Representation.zero(l2_f2, 0))
+    assert enumerate_operators(spec) == [Matrix.zeros(F2, 2, 0)]
+    assert search._first_rejected(spec, [()]) is None

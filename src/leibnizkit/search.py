@@ -16,10 +16,10 @@ calling thread and calls ``holds`` once per candidate.  Every hit is then
 confirmed against the check's own identity statement, in blocks of up to
 ``_BLOCK`` hits: the same raw-sides function runs once on a matrix whose
 entries are ``_Lanes``, one value per hit, and a hit whose lane of some
-lhs - rhs is nonzero mod p stops the search with ``SearchMismatch``.  Only
-confirmed hits become ``Matrix`` objects.  The linear layers (the linear
-Maurer-Cartan equations, invariant skew and closed symmetric forms) are
-solved exactly, over any field, from the same kind of residues.
+lhs - rhs is nonzero mod p stops the search with ``SearchMismatch``.  The
+confirmed hits are returned as ``Matrix`` objects.  The linear layers (the
+linear Maurer-Cartan equations, invariant skew and closed symmetric forms)
+are solved exactly, over any field, from the same kind of residues.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ _EXPORTS = {
         "tilde_varrho_bracket",
     ), "dgla"),
     **dict.fromkeys((
-        "RATIONALS", "FieldSpec", "Scalar", "prime_field", "scalar_arith",
+        "RATIONALS", "FieldSpec", "prime_field",
     ), "fields"),
     **dict.fromkeys((
         "BilinearForm", "Tensor2", "check_bn_structure", "check_quadratic",

@@ -75,12 +75,14 @@ class LeibnizAlgebra:
         return LeibnizAlgebra(field, c)
 
     def bracket_basis(self, i: int, j: int) -> Vector:
+        """[e_i, e_j]; kept as a dense reference for the tests of the sparse kernels."""
         return self.c[i][j]
 
     def bracket(self, x: Sequence, y: Sequence) -> Vector:
         """Bilinear extension of the structure constants to coordinate vectors,
         normalized once per output coordinate (so the entries of x and y may be
-        any values ``FieldSpec.normalize`` accepts)."""
+        any values ``FieldSpec.normalize`` accepts).  Kept as the dense
+        reference that the tests compare the sparse kernels against."""
         n = self.dim
         if len(x) != n or len(y) != n:
             raise ShapeMismatch("vector length does not match algebra dimension")
@@ -186,10 +188,12 @@ class Representation:
         return self._nonzero
 
     def actL(self, x: Sequence) -> Matrix:
-        """Action matrix of the algebra vector x from the left."""
+        """Action matrix of the algebra vector x from the left; kept as a dense
+        reference for the tests of the action kernels."""
         return lin_comb(self.algebra.field, x, self.rhoL, self.mdim, self.mdim)
 
     def actR(self, x: Sequence) -> Matrix:
+        """Action matrix of x from the right; a dense reference like ``actL``."""
         return lin_comb(self.algebra.field, x, self.rhoR, self.mdim, self.mdim)
 
     @property

@@ -19,13 +19,11 @@ from .algebras import (
 )
 from .checks import CHECK_NAMES, _built, _resolve_algebra, _resolve_rep, run_check
 from .errors import LeibnizKitError, ParseError
-from .fields import FieldSpec
 from .io import (
     SpecFile,
     algebra_doc,
     kn_doc,
     load_spec,
-    matrix_doc,
     operator_doc,
     parse_field,
     representation_doc,
@@ -33,6 +31,7 @@ from .io import (
 )
 from .linalg import Matrix
 from .operators import (
+    LinearOperator,
     deformed_bracket,
     lifted_algebra,
     subadjacent_algebra,
@@ -173,7 +172,7 @@ def cmd_construct(args) -> int:
             rep_name = args.rep or spec.raw[args.kn].get("rep")
             rep = spec.rep_for(rep_name)
             theta = mc_from_dual_kn(kn, rep)
-            out_objects["theta"] = matrix_doc(f, theta, "algebra", "module")
+            out_objects["theta"] = operator_doc(f, LinearOperator(theta, "algebra", "module"))
         elif cons == "sharp":
             pi = _built(spec, need("pi"), Tensor2, "a 2-tensor")
             out_objects["sharp"] = operator_doc(f, sharp_map(pi))
@@ -197,17 +196,6 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _transport_algebra(alg: LeibnizAlgebra, f: FieldSpec) -> LeibnizAlgebra:
-    return LeibnizAlgebra(
-        f, [[[f.of(v) for v in vec] for vec in row] for row in alg.c]
-    )
-
-
-def _transport_rep(rep: Representation, alg: LeibnizAlgebra, f: FieldSpec) -> Representation:
-    conv = lambda m: Matrix(f, [[f.of(v) for v in row] for row in m.entries])
-    return Representation(alg, [conv(m) for m in rep.rhoL], [conv(m) for m in rep.rhoR])
-
-
 def cmd_search(args) -> int:
     from .search import DEFAULT_BUDGET, SearchSpec, enumerate_bn_pairs, enumerate_operators
     from .twilled import TwilledContext
@@ -228,23 +216,25 @@ def cmd_search(args) -> int:
             alg_name = names[0] if len(names) == 1 else "alg"
         algebra = None
         if alg_name in spec.raw:
-            algebra = _transport_algebra(_built(spec, alg_name, LeibnizAlgebra, "an algebra"),
-                                         fieldspec)
+            algebra = LeibnizAlgebra(
+                fieldspec, _built(spec, alg_name, LeibnizAlgebra, "an algebra").c)
         rep = None
         if args.rep:
             base = spec.rep_for(args.rep)
-            rep = _transport_rep(base, _transport_algebra(base.algebra, fieldspec), fieldspec)
+            rep = Representation(LeibnizAlgebra(fieldspec, base.algebra.c),
+                                 [Matrix(fieldspec, m.entries) for m in base.rhoL],
+                                 [Matrix(fieldspec, m.entries) for m in base.rhoR])
         ctx = None
         if args.ctx:
             built = _built(spec, args.ctx, TwilledContext, "a twilled context")
-            ctx = TwilledContext(_transport_algebra(built.total, fieldspec),
-                                 built.n1, built.n2)
+            ctx = TwilledContext(LeibnizAlgebra(fieldspec, built.total.c), built.n1, built.n2)
+        # bn-pair searches the algebra's dim x dim matrices, whatever --rep is
         if predicate == "mc_strong" and ctx is not None:
             shape = (ctx.n2, ctx.n1)
+        elif algebra is not None and (rep is None or predicate == "bn_pair"):
+            shape = (algebra.dim, algebra.dim)
         elif rep is not None:
             shape = (rep.algebra.dim, rep.mdim)
-        elif algebra is not None:
-            shape = (algebra.dim, algebra.dim)
         else:
             return _fail_usage("no search target (need an algebra, rep or context)")
         if args.shape:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, combinations, product
-from operator import add, sub
+from operator import add
 from typing import Optional, Sequence, Tuple
 
 from .algebras import LeibnizAlgebra, Representation, check_leibniz
@@ -204,10 +204,6 @@ class Cochain:
     def __add__(self, other: "Cochain") -> "Cochain":
         self._join(other)
         return self._like(map(add, _flat(self), _flat(other)))
-
-    def __sub__(self, other: "Cochain") -> "Cochain":
-        self._join(other)
-        return self._like(map(sub, _flat(self), _flat(other)))
 
     def scale(self, s) -> "Cochain":
         s = self.field.of(s)

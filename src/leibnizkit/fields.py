@@ -7,8 +7,7 @@ Raw values are what the rest of the package computes with:
   of magnitude faster and the identities checked here are mostly integral);
 * F_p: ``int`` residues in ``[0, p)``.
 
-``Scalar`` is a tagged wrapper for callers who want single values that carry
-their field (``scalar_arith``); no module of the package uses it.  Kernels
+The raw arithmetic of ``FieldSpec`` is the one scalar API: kernels
 (matrices, tensors) hold raw values plus one shared ``FieldSpec``, and
 serialized files hold the text of ``FieldSpec.format``.
 
@@ -27,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import DivisionByZero, FieldMismatch, ParseError
+from .errors import DivisionByZero, ParseError
 
 RawScalar = Union[int, Fraction]
 
@@ -185,77 +184,3 @@ RATIONALS = FieldSpec(None)
 
 def prime_field(p: int) -> FieldSpec:
     return FieldSpec(p)
-
-
-class Scalar:
-    """A raw value tagged with its field, for API boundaries and files;
-    immutable, the value normalized."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: FieldSpec, value: RawScalar):
-        self.field = field
-        self.value = field.normalize(value)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.field, self.value) == (other.field, other.value)
-
-    def __hash__(self):
-        return hash((self.field, self.value))
-
-    def __repr__(self) -> str:
-        return f"Scalar(field={self.field!r}, value={self.value!r})"
-
-    def _join(self, other: "Scalar") -> FieldSpec:
-        if not isinstance(other, Scalar):
-            raise TypeError(f"expected Scalar, got {type(other).__name__}")
-        if self.field != other.field:
-            raise FieldMismatch(f"{self.field} vs {other.field}")
-        return self.field
-
-    def __add__(self, other: "Scalar") -> "Scalar":
-        f = self._join(other)
-        return Scalar(f, f.add(self.value, other.value))
-
-    def __sub__(self, other: "Scalar") -> "Scalar":
-        f = self._join(other)
-        return Scalar(f, f.sub(self.value, other.value))
-
-    def __mul__(self, other: "Scalar") -> "Scalar":
-        f = self._join(other)
-        return Scalar(f, f.mul(self.value, other.value))
-
-    def __truediv__(self, other: "Scalar") -> "Scalar":
-        f = self._join(other)
-        return Scalar(f, f.div(self.value, other.value))
-
-    def __neg__(self) -> "Scalar":
-        return Scalar(self.field, self.field.neg(self.value))
-
-    def inv(self) -> "Scalar":
-        return Scalar(self.field, self.field.inv(self.value))
-
-    def is_zero(self) -> bool:
-        return self.field.is_zero(self.value)
-
-    def __str__(self) -> str:
-        return self.field.format(self.value)
-
-
-_BINARY = {"add", "sub", "mul", "div"}
-_UNARY = {"neg", "inv"}
-
-
-def scalar_arith(op: str, a: Scalar, b: Optional[Scalar] = None) -> Scalar:
-    """Field arithmetic dispatch: add/sub/mul/div take two operands, neg/inv one."""
-    if op in _BINARY:
-        if b is None:
-            raise TypeError(f"{op} needs two operands")
-        return {"add": a.__add__, "sub": a.__sub__, "mul": a.__mul__, "div": a.__truediv__}[op](b)
-    if op in _UNARY:
-        if b is not None:
-            raise TypeError(f"{op} takes one operand")
-        return -a if op == "neg" else a.inv()
-    raise ValueError(f"unknown op {op!r}")

@@ -25,6 +25,10 @@ SCHEMA = "leibniz-spec/1"
 KINDS = ("algebra", "representation", "operator", "cochain", "tensor2", "form",
          "kn", "twilled")
 
+# The keys whose values name another object or tag an operator's spaces:
+# strings wherever they occur.
+_NAME_KEYS = ("algebra", "rep", "domain", "codomain")
+
 
 def parse_field(tag: str) -> FieldSpec:
     if tag == "Q":
@@ -35,10 +39,6 @@ def parse_field(tag: str) -> FieldSpec:
         except ValueError as exc:
             raise ParseError(f"bad field tag {tag!r}: {exc}") from None
     raise ParseError(f"bad field tag {tag!r}")
-
-
-def format_field(f: FieldSpec) -> str:
-    return str(f)
 
 
 def _parse_matrix(f: FieldSpec, rows, what: str) -> Matrix:
@@ -86,19 +86,21 @@ class SpecFile:
     def names(self) -> List[str]:
         return sorted(self.raw)
 
-    def kind(self, name: str) -> str:
-        return self.raw[name].get("type", "")
-
     def names_of(self, kind: str) -> List[str]:
         return sorted(n for n in self.raw if self.raw[n].get("type") == kind)
 
     def build(self, name: str):
+        if not isinstance(name, str):
+            raise ParseError(f"object name {name!r} is not a string")
         if name in self._cache:
             return self._cache[name]
         if name not in self.raw:
             raise ParseError(f"no object named {name!r}")
         obj = self.raw[name]
         kind = obj.get("type")
+        for key in _NAME_KEYS:
+            if not isinstance(obj.get(key, ""), str):
+                raise ParseError(f"{name}: {key!r} must be a string, got {obj[key]!r}")
         f = self.fieldspec
         try:
             if kind == "algebra":
@@ -243,7 +245,7 @@ def canonical_document(spec: SpecFile) -> dict:
 
             obj["coeffs"] = walk(obj["coeffs"], 0)
         out_objects[name] = obj
-    doc = {"schema": SCHEMA, "field": format_field(f), "objects": out_objects}
+    doc = {"schema": SCHEMA, "field": str(f), "objects": out_objects}
     if spec.expected:
         doc["expected"] = spec.expected
     return doc
@@ -284,10 +286,6 @@ def operator_doc(f: FieldSpec, op: LinearOperator) -> dict:
         "domain": op.domain,
         "codomain": op.codomain,
     }
-
-
-def matrix_doc(f: FieldSpec, m: Matrix, domain: str = "", codomain: str = "") -> dict:
-    return operator_doc(f, LinearOperator(m, domain, codomain))
 
 
 def kn_doc(f: FieldSpec, kn, algebra_name: str, rep_name: str) -> dict:

@@ -123,7 +123,8 @@ class Matrix:
         return Matrix._trusted(self.field, tuple(zip(*self.entries)))
 
     def apply(self, vec: Sequence) -> Vector:
-        """Matrix times coordinate column, returned as a tuple."""
+        """Matrix times coordinate column, returned as a tuple.  Kept as the
+        dense reference that the tests compare the flat kernels against."""
         if len(vec) != self.cols:
             raise ShapeMismatch(f"{self.rows}x{self.cols} applied to length-{len(vec)} vector")
         return tuple(self.field.normalize_all([sum(map(mul, row, vec)) for row in self.entries]))

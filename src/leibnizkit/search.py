@@ -78,13 +78,20 @@ _DECIMAL_BITS = 14_000
 
 class SearchSpec:
     """What to enumerate: a predicate name, the matrix shape, the field, and
-    the context objects the predicate needs; immutable."""
+    the context objects the predicate needs; immutable.  A negative budget
+    is a ValueError, and a ``bn_pair`` shape other than the algebra's
+    dim x dim a ShapeMismatch."""
 
     __slots__ = ("field", "shape", "predicate", "algebra", "rep", "ctx", "budget")
 
     def __init__(self, field: FieldSpec, shape: Tuple[int, int], predicate: str,
                  algebra: Optional[LeibnizAlgebra] = None, rep: Optional[Representation] = None,
                  ctx: Optional[TwilledContext] = None, budget: int = DEFAULT_BUDGET):
+        if budget < 0:
+            raise ValueError(f"search budget must be nonnegative, got {budget}")
+        if predicate == "bn_pair" and algebra is not None and tuple(shape) != (algebra.dim,) * 2:
+            n = algebra.dim
+            raise ShapeMismatch(f"bn_pair searches {n}x{n} matrices, got shape {shape!r}")
         self.field = field
         self.shape = shape
         self.predicate = predicate
@@ -201,8 +208,8 @@ def enumerate_operators(spec: SearchSpec, workers: int = 1) -> List[Matrix]:
     satisfying the predicate.  The scan runs in the calling thread; the hits
     of the compiled kernel are confirmed in blocks of up to ``_BLOCK``
     against the raw sides of the check's identity, and the first rejected
-    one raises SearchMismatch.  ``workers`` is accepted for compatibility
-    and changes nothing."""
+    one raises SearchMismatch.  ``workers`` changes nothing; it stays because
+    the CLI's ``--workers`` and the benchmark's search jobs pass it."""
     if spec.predicate == "bn_pair":
         return enumerate_bn_pairs(spec, workers)
     spec.space_size()  # raises off a prime field or over the budget
@@ -251,8 +258,8 @@ def enumerate_bn_pairs(spec: SearchSpec, workers: int = 1) -> List[Tuple[Matrix,
     """All (form matrix, operator) pairs over F_p forming a BN-structure:
     the form symmetric nondegenerate and closed, the operator Nijenhuis,
     coupled by the compatibility and twisted-closedness conditions.  Pairs
-    come in lexicographic order of the form's then the operator's entries;
-    ``workers`` is accepted for compatibility and changes nothing."""
+    come in lexicographic order of the form's then the operator's entries.
+    ``workers`` changes nothing, as in ``enumerate_operators``."""
     spec.space_size()  # raises off a prime field or over the budget
     alg = spec.algebra
     alg.require_leibniz()

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from leibnizkit import RATIONALS as Q, Matrix, Scalar, prime_field, scalar_arith
+from leibnizkit import RATIONALS as Q, Matrix, prime_field
 from leibnizkit.errors import DivisionByZero, FieldMismatch, ParseError
 from leibnizkit.fields import MAX_MODULUS, FieldSpec
 
@@ -12,28 +12,31 @@ F5 = prime_field(5)
 F7 = prime_field(7)
 
 
-def q(v):
-    return Scalar(Q, v)
-
-
 def test_rational_add():
-    assert scalar_arith("add", q(Fraction(1, 2)), q(Fraction(1, 3))).value == Fraction(5, 6)
+    half = Fraction(1, 2)
+    assert Q.add(half, Fraction(1, 3)) == Fraction(5, 6)
+    assert Q.add(half, half) == 1 and type(Q.add(half, half)) is int
 
 
 def test_prime_inverse():
-    assert scalar_arith("inv", Scalar(F5, 2)).value == 3
+    assert F5.inv(2) == 3
+    assert F5.inv(7) == 3  # an unreduced operand is reduced first
 
 
 def test_division_by_zero():
     with pytest.raises(DivisionByZero):
-        scalar_arith("div", q(1), q(0))
+        Q.div(1, 0)
     with pytest.raises(DivisionByZero):
-        Scalar(F5, 0).inv()
+        Q.inv(0)
+    with pytest.raises(DivisionByZero):
+        F5.inv(0)
+    with pytest.raises(DivisionByZero):
+        F5.div(3, 5)
 
 
 def test_field_mismatch():
     with pytest.raises(FieldMismatch):
-        scalar_arith("add", q(1), Scalar(F5, 1))
+        Matrix(Q, [[1]]) + Matrix(F5, [[1]])
 
 
 def test_non_prime_modulus_rejected():
@@ -74,7 +77,7 @@ def test_prime_field_normalizes_fractions_through_the_inverse():
     assert not F7.is_zero(Fraction(1, 2))
     assert F7.inv(Fraction(1, 2)) == 2
     assert Matrix(F7, [[Fraction(1, 2)]]).entries == ((4,),)
-    assert Scalar(F7, Fraction(1, 2)).value == 4
+    assert F7.div(1, 2) == F7.of("1/2") == 4
     with pytest.raises(DivisionByZero):
         F7.normalize(Fraction(1, 7))
 
@@ -83,7 +86,8 @@ def test_normalization():
     assert Q.normalize(Fraction(4, 2)) == 2
     assert isinstance(Q.normalize(Fraction(4, 2)), int)
     assert F5.normalize(12) == 2
-    assert Scalar(Q, Fraction(-6, 4)).value == Fraction(-3, 2)
+    assert Q.normalize(Fraction(-6, 4)) == Q.of("-6/4") == Fraction(-3, 2)
+    assert F5.normalize(-1) == 4 and F5.normalize(Fraction(-6, 4)) == 1
 
 
 _BATCH_VALUES = (-12, -7, -1, 0, 1, 2, 3, 4, 5, 6, 11, 10 ** 30 + 1, True, False,
@@ -130,23 +134,28 @@ residues = st.integers(min_value=0, max_value=4)
 @given(a=rationals, b=rationals, c=rationals)
 @settings(max_examples=60)
 def test_field_axioms_rationals(a, b, c):
-    sa, sb, sc = q(a), q(b), q(c)
-    assert ((sa + sb) + sc).value == (sa + (sb + sc)).value
-    assert (sa * (sb + sc)).value == (sa * sb + sa * sc).value
-    assert (sa * sb).value == (sb * sa).value
+    add, mul = Q.add, Q.mul
+    a, b, c = Q.normalize(a), Q.normalize(b), Q.normalize(c)
+    assert add(add(a, b), c) == add(a, add(b, c))
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    assert mul(a, b) == mul(b, a)
+    assert add(a, Q.neg(a)) == 0 and Q.sub(a, b) == add(a, Q.neg(b))
     if b != 0:
-        assert ((sa / sb) * sb).value == sa.value
+        assert mul(Q.div(a, b), b) == a
+        assert mul(b, Q.inv(b)) == 1
 
 
 @given(a=residues, b=residues, c=residues)
 @settings(max_examples=60)
 def test_field_axioms_prime(a, b, c):
-    sa, sb, sc = Scalar(F5, a), Scalar(F5, b), Scalar(F5, c)
-    assert ((sa + sb) + sc).value == (sa + (sb + sc)).value
-    assert (sa * (sb + sc)).value == (sa * sb + sa * sc).value
+    add, mul = F5.add, F5.mul
+    assert add(add(a, b), c) == add(a, add(b, c))
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    assert mul(a, b) == mul(b, a)
+    assert add(a, F5.neg(a)) == 0 and F5.sub(a, b) == add(a, F5.neg(b))
     if b % 5 != 0:
-        assert ((sa / sb) * sb).value == sa.value
-        assert (sb * sb.inv()).value == 1
+        assert mul(F5.div(a, b), b) == a
+        assert mul(b, F5.inv(b)) == 1
 
 
 q_operands = st.one_of(st.integers(-10 ** 6, 10 ** 6), rationals, st.booleans())
@@ -191,12 +200,3 @@ def test_prime_div_is_the_normalised_fraction_quotient(p, data):
     got, want = f.div(a, b), f.normalize(Fraction(a) / Fraction(b))
     assert got == want
     assert type(got) is type(want) is int
-
-
-def test_scalar_arith_arity_validation():
-    with pytest.raises(TypeError):
-        scalar_arith("add", q(1))
-    with pytest.raises(TypeError):
-        scalar_arith("neg", q(1), q(2))
-    with pytest.raises(ValueError):
-        scalar_arith("pow", q(1), q(2))

@@ -15,8 +15,7 @@ import leibnizkit
 SRC = Path(leibnizkit.__file__).resolve().parent
 CATALOG_DIR = SRC / "catalog"
 
-# Every name the package exported when its __init__ imported them eagerly,
-# by defining module.
+# Every name the package exports, by defining module.
 EXPORTED = {
     "algebras": ["LeibnizAlgebra", "Representation", "check_leibniz", "check_matched_pair",
                  "check_representation", "dual_representation", "regular_representation",
@@ -24,7 +23,7 @@ EXPORTED = {
     "dgla": ["Cochain", "balavoine_bracket", "bracket_square", "check_maurer_cartan",
              "coboundary", "dgla_bracket", "dual_kn_from_mc", "mc_from_dual_kn", "theta_twist",
              "tilde_varrho_bracket"],
-    "fields": ["RATIONALS", "FieldSpec", "Scalar", "prime_field", "scalar_arith"],
+    "fields": ["RATIONALS", "FieldSpec", "prime_field"],
     "forms": ["BilinearForm", "Tensor2", "check_bn_structure", "check_quadratic",
               "check_rbn_structure", "check_rn_structure", "check_ybe", "rbn_rn_transfer",
               "sharp_map"],
@@ -71,6 +70,8 @@ def test_unknown_attribute_is_attribute_error():
     with pytest.raises(AttributeError, match=r"^module 'leibnizkit' has no attribute 'nosuch'$"):
         leibnizkit.nosuch
     assert not hasattr(leibnizkit, "check_everything")
+    # removed scalar API: FieldSpec's raw arithmetic is the one scalar API
+    assert not hasattr(leibnizkit, "Scalar") and not hasattr(leibnizkit, "scalar_arith")
 
 
 def _imported_by(code: str) -> set:

@@ -607,6 +607,53 @@ def test_cli_check_malformed_spec_fuzz_never_raises(tmp_path_factory, case):
         assert cli.main(["check", str(spec), *argv]) in (0, 1, 2)
 
 
+def _verdict_argv(verdict):
+    argv = [verdict["object"], verdict["check"]]
+    for key, val in sorted(verdict.get("args", {}).items()):
+        argv += [f"--{key}", val]
+    return argv
+
+
+# One of each kind of bad value: null, a boolean, numbers, strings that name
+# no object and parse to no scalar, and empty or nested containers.
+_BAD_VALUES = (None, True, 0, 7, -1, "", "x", "1/0", [], {}, [[]])
+
+
+def test_cli_check_bad_spec_values_never_raise(tmp_path):
+    """Every field of every object of l2_f2.json and abelian4.json, and every
+    field of l2.json's kn_dual, set in turn to each bad value: each expected
+    verdict of the file (of kn_dual only, for l2.json) ends with an exit
+    code of 0, 1 or 2, never an exception."""
+    from leibnizkit import cli
+
+    cases = [(name, obj) for name in ("l2_f2.json", "abelian4.json")
+             for obj in json.loads((CATALOG_DIR / name).read_text())["objects"]]
+    cases.append(("l2.json", "kn_dual"))
+    bad, runs = [], 0
+    for name, obj in cases:
+        doc = json.loads((CATALOG_DIR / name).read_text())
+        verdicts = [_verdict_argv(v) for v in doc["expected"]
+                    if name != "l2.json" or v["object"] == obj]
+        for key in sorted(doc["objects"][obj]):
+            for value in _BAD_VALUES:
+                mutated = json.loads(json.dumps(doc))
+                mutated["objects"][obj][key] = value
+                spec = tmp_path / f"{name}.{obj}.{key}.json"
+                spec.write_text(json.dumps(mutated))
+                for argv in verdicts:
+                    runs += 1
+                    with contextlib.redirect_stdout(io.StringIO()), \
+                            contextlib.redirect_stderr(io.StringIO()):
+                        try:
+                            code = cli.main(["check", str(spec), *argv])
+                        except Exception as exc:
+                            code = f"{type(exc).__name__}: {exc}"
+                    if code not in (0, 1, 2):
+                        bad.append((name, obj, key, value, argv, code))
+    assert runs == 1133
+    assert bad == []
+
+
 _E01_JSON = """{
   "notes": {},
   "ok": false,

@@ -38,7 +38,13 @@ from leibnizkit import (
 from leibnizkit import search
 from leibnizkit.catalog import load_catalog
 from leibnizkit.dgla import _mc_sides
-from leibnizkit.errors import BudgetExceeded, DivisionByZero, NotFound, SearchMismatch
+from leibnizkit.errors import (
+    BudgetExceeded,
+    DivisionByZero,
+    NotFound,
+    SearchMismatch,
+    ShapeMismatch,
+)
 from leibnizkit.fields import FieldSpec
 from leibnizkit.forms import BilinearForm, _closedness_sides, _coupling_sides, _invariance_sides
 from leibnizkit.operators import _kupershmidt_sides, _twist_sides
@@ -116,6 +122,29 @@ def test_budget_enforced():
     rep = regular_representation(alg)
     with pytest.raises(BudgetExceeded):
         enumerate_operators(SearchSpec(F2, (4, 4), "kupershmidt", rep=rep, budget=10))
+
+
+def test_search_spec_refuses_a_negative_budget(l2_f2):
+    """A negative budget is refused when the spec is made, not reported as
+    a space over budget."""
+    for budget in (-1, -10 ** 6):
+        with pytest.raises(ValueError, match=f"^search budget must be nonnegative, got {budget}$"):
+            SearchSpec(F2, (2, 2), "nijenhuis", algebra=l2_f2, budget=budget)
+    assert len(enumerate_operators(SearchSpec(F2, (2, 2), "nijenhuis", algebra=l2_f2,
+                                              budget=16))) == 6
+    with pytest.raises(BudgetExceeded, match="^16 candidates exceed budget 0$"):
+        enumerate_operators(SearchSpec(F2, (2, 2), "nijenhuis", algebra=l2_f2, budget=0))
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (1, 1), (2, 3), (0, 0), [2, 3]])
+def test_search_spec_refuses_a_bn_pair_shape_off_the_algebra(l2_f2, shape):
+    """bn_pair searches the algebra's dim x dim form and operator: another
+    shape is a ShapeMismatch, not a silent 2x2 search; the other predicates
+    take any shape."""
+    with pytest.raises(ShapeMismatch, match=r"^bn_pair searches 2x2 matrices, got shape "):
+        SearchSpec(F2, shape, "bn_pair", algebra=l2_f2)
+    assert SearchSpec(F2, shape, "nijenhuis", algebra=l2_f2).shape == shape
+    assert SearchSpec(F2, [2, 2], "bn_pair", algebra=l2_f2).space_size() == 2 ** 8
 
 
 def test_mc_linear_layer(l2, l2_regular):
@@ -457,6 +486,31 @@ def _search_fp_specs():
                    ctx=TwilledContext(_in_field(tw.total, F7), tw.n1, tw.n2)),
         SearchSpec(F3, (3, 3), "nijenhuis", algebra=_in_field(catalog["heis3"].spec.build("alg"), F3)),
     ]
+
+
+def test_benchmark_tracer_counts_every_search_candidate(monkeypatch):
+    """``bench/tracer.py`` counts search candidates by rebinding
+    ``search._predicate_fn`` (one count per predicate call) and
+    ``search.BilinearForm`` (one count per form built, once per bn_pair
+    candidate), and the traced benchmark fails any run whose count is not
+    the summed space sizes.  A search that drops either name, or builds
+    forms at another rate, breaks that run; this test notices.  It goes
+    with ``bench/tracer.py``, once the benchmark reads counters that the
+    program keeps itself (the observability item of ROADMAP.md)."""
+    monkeypatch.syspath_prepend(str(SRC.parent.parent / "bench"))
+    from tracer import Tracer
+
+    specs = _search_fp_specs()
+    tracer = Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        for spec in specs:
+            enumerate_operators(spec, workers=1)
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    assert tracer.counters["search.candidates"] == sum(s.space_size() for s in specs) == 36_473
 
 
 _TERM = r"(?:\d+|(?:\d+\*)?x\[\d+\](?:\*x\[\d+\])?)"

@@ -6,7 +6,7 @@ import pytest
 from leibnizkit.algebras import LeibnizAlgebra
 from leibnizkit.catalog import CatalogEntry
 from leibnizkit.errors import ShapeMismatch
-from leibnizkit.fields import RATIONALS, FieldSpec, Scalar, prime_field
+from leibnizkit.fields import RATIONALS, FieldSpec, prime_field
 from leibnizkit.forms import BilinearForm, Tensor2
 from leibnizkit.io import SpecFile
 from leibnizkit.linalg import Matrix
@@ -30,13 +30,6 @@ def test_fieldspec_equality_hash_and_dict_key():
     assert FieldSpec(5) != FieldSpec(7) and FieldSpec(5) != RATIONALS
     assert FieldSpec(5) != 5 and FieldSpec(5) != "F5"
     assert len({FieldSpec(3), prime_field(3), RATIONALS, FieldSpec(None)}) == 2
-
-
-def test_scalar_normalises_and_compares():
-    s = Scalar(F5, 7)
-    assert s.value == 2
-    assert s == Scalar(F5, 2) and hash(s) == hash(Scalar(F5, 12))
-    assert s != Scalar(prime_field(7), 2)
 
 
 def test_violation_and_linear_operator_equality_and_hash():
@@ -128,7 +121,6 @@ def test_reprs():
     cases = [
         (FieldSpec(5), "FieldSpec(p=5)"),
         (RATIONALS, "FieldSpec(p=None)"),
-        (Scalar(F5, 7), "Scalar(field=FieldSpec(p=5), value=2)"),
         (v, vs),
         (CheckReport((v,), {"a": "b"}), f"CheckReport(violations=({vs},), notes={{'a': 'b'}})"),
         (K, Ks),

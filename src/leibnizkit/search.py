@@ -2,30 +2,31 @@
 maps, and seeded random instance generation.
 
 Every search predicate is a system of quadratic equations in the entries of
-the unknown matrix.  Its residues come from the check kernels themselves:
-the raw-sides function of each identity (in ``operators``, ``dgla`` and
-``forms``) runs on a matrix whose entries are polynomials in the unknowns,
-and lhs - rhs is the residue, with raw field values (ints, or Fractions
-over Q) as coefficients; this module reads no structure constants or
-action data itself.  A search reduces that system once to sparse
-equations over F_p and compiles them into one straight-line Python function,
-``holds(x)``, that tests the equations in turn on the candidate's flat
-residue tuple and returns False at the first that does not vanish.  It walks
-the candidate space in lexicographic order of the flattened entries in the
-calling thread and calls ``holds`` once per candidate.  Every hit is then
-confirmed against the check's own identity statement, in blocks of up to
-``_BLOCK`` hits: the same raw-sides function runs once on a matrix whose
-entries are ``_Lanes``, one value per hit, and a hit whose lane of some
-lhs - rhs is nonzero mod p stops the search with ``SearchMismatch``.  The
-confirmed hits are returned as ``Matrix`` objects.  The linear layers (the
-linear Maurer-Cartan equations, invariant skew and closed symmetric forms)
-are solved exactly, over any field, from the same kind of residues.
+the unknown matrix (for ``bn_pair``, the form stacked on the operator).  Its
+residues come from the check kernels themselves: the raw-sides function of
+each identity (in ``operators``, ``dgla`` and ``forms``) runs on a matrix
+whose entries are polynomials in the unknowns, and lhs - rhs is the residue,
+with raw field values (ints, or Fractions over Q) as coefficients; this
+module reads no structure constants or action data itself.  A search reduces
+that system once to sparse equations over F_p and compiles them into one
+straight-line Python function, ``holds(x)``, that tests the equations in
+turn on the candidate's flat residue tuple and returns False at the first
+that does not vanish.  It filters the candidate space through ``holds`` in
+lexicographic order of the flattened entries, in the calling thread, one
+call per candidate; ``bn_pair`` then keeps the hits whose form is
+nondegenerate, decided once per distinct form.  Every hit is confirmed
+against the check's own identity statement, in blocks of up to ``_BLOCK``
+hits: the same raw-sides function runs once on a matrix whose entries are
+``_Lanes``, one value per hit, and a hit whose lane of some lhs - rhs is
+nonzero mod p stops the search with ``SearchMismatch``.  The linear layers
+(the linear Maurer-Cartan equations, invariant skew and closed symmetric
+forms) are solved exactly, over any field, from the same kind of residues.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from operator import add, mul, sub
+from itertools import islice, product, repeat
+from operator import add, mod, mul, neg, sub
 from random import Random
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
@@ -37,22 +38,14 @@ from .algebras import (
 from .dgla import _mc_sides, check_maurer_cartan
 from .errors import (
     BudgetExceeded,
-    Degenerate,
     NotFound,
-    NotNijenhuis,
-    NotSymmetric,
     SearchMismatch,
     ShapeMismatch,
     UnknownIdentity,
 )
 from .fields import FieldSpec
-from .forms import (
-    BilinearForm,
-    _closedness_sides,
-    _coupling_sides,
-    _invariance_sides,
-    check_bn_structure,
-)
+from . import forms
+from .forms import _closedness_sides, _coupling_sides, _invariance_sides
 from .linalg import Matrix, LinearSolution, _flat, is_invertible, solve_linear
 from .operators import (
     _equivariance_sides,
@@ -66,6 +59,8 @@ from .operators import (
 from .twilled import TwilledContext
 
 DEFAULT_BUDGET = 10 ** 6
+
+BilinearForm = forms.BilinearForm  # unused: bench/tracer.py rebinds it, KeyError without it
 
 # The most search hits confirmed in one evaluation of the raw sides: each
 # entry of a block's matrix holds one value per hit, so this bounds memory.
@@ -172,24 +167,43 @@ def _predicate_fn(spec: SearchSpec) -> Callable[[Sequence[int]], bool]:
     """Compile the predicate into a kernel on flat residue tuples (the
     candidate's entries, row-major).  The general check runs once on the zero
     candidate first, so shape, representation, context and non-Leibniz
-    errors are raised exactly as by the check, before any candidate."""
-    _check_fn(spec)(Matrix.zeros(spec.field, *spec.shape))
+    errors are raised exactly as by the check, before any candidate; for
+    ``bn_pair``, whose zero form is degenerate, only the non-Leibniz one."""
+    if spec.predicate == "bn_pair":
+        spec.algebra.require_leibniz()
+    else:
+        _check_fn(spec)(Matrix.zeros(spec.field, *spec.shape))
     owner = (spec.rep.algebra if spec.predicate == "kupershmidt"
              else spec.ctx if spec.predicate == "mc_strong" else spec.algebra)
     _require_field(spec, owner.field)
-    X = _unknowns(spec.field, *spec.shape)
+    X = _unknowns(spec.field, *_grid(spec))
     return _kernel(spec.field.p, [r for side in _sides(spec, X) for r in _residues(*side)])
+
+
+def _grid(spec: SearchSpec) -> Tuple[int, int]:
+    """A candidate's shape; for ``bn_pair``, the form on top of the operator."""
+    rows, cols = spec.shape
+    return (2 * rows, cols) if spec.predicate == "bn_pair" else (rows, cols)
 
 
 def _sides(spec: SearchSpec, X: Matrix) -> list:
     """The (lhs, rhs) raw sides of the predicate's identity at X, from the
     check kernels: X holds polynomial unknowns to compile the kernel, and
-    ``_Lanes`` to confirm a block of hits."""
+    ``_Lanes`` to confirm a block of hits.  For ``bn_pair``, the polynomial
+    conditions of ``check_bn_structure`` on the top half B and bottom half N."""
     if spec.predicate == "kupershmidt":
         return [_kupershmidt_sides(X, spec.rep)]
     if spec.predicate == "mc_strong":
         return list(_mc_sides(spec.ctx, X))
-    return [_twist_sides(spec.algebra, X, weight=spec.predicate == "nijenhuis")]
+    alg = spec.algebra
+    if spec.predicate == "bn_pair":
+        n = alg.dim
+        B, N = Matrix._trusted(X.field, X.entries[:n]), Matrix._trusted(X.field, X.entries[n:])
+        b = _flat(B)
+        nt_b, b_n = _coupling_sides(B, N)
+        return [(b, _flat(B.transpose())), _closedness_sides(alg, b), (nt_b, b_n),
+                _closedness_sides(alg, nt_b), _twist_sides(alg, N)]
+    return [_twist_sides(alg, X, weight=spec.predicate == "nijenhuis")]
 
 
 def _require_field(spec: SearchSpec, field: FieldSpec) -> None:
@@ -205,35 +219,65 @@ def _matrix(f: FieldSpec, rows: int, cols: int, flat: Sequence) -> Matrix:
 
 def enumerate_operators(spec: SearchSpec, workers: int = 1) -> List[Matrix]:
     """The complete, lexicographically ordered list of matrices over F_p
-    satisfying the predicate.  The scan runs in the calling thread; the hits
-    of the compiled kernel are confirmed in blocks of up to ``_BLOCK``
-    against the raw sides of the check's identity, and the first rejected
-    one raises SearchMismatch.  ``workers`` changes nothing; it stays because
-    the CLI's ``--workers`` and the benchmark's search jobs pass it."""
+    satisfying the predicate (for ``bn_pair``, ``enumerate_bn_pairs``).
+    ``workers`` changes nothing; it stays because the CLI's ``--workers``
+    and the benchmark's search jobs pass it."""
     if spec.predicate == "bn_pair":
         return enumerate_bn_pairs(spec, workers)
+    f = spec.field
+    return [Matrix._trusted(f, rows) for rows in _hit_rows(spec)]
+
+
+def enumerate_bn_pairs(spec: SearchSpec, workers: int = 1) -> List[Tuple[Matrix, Matrix]]:
+    """All (form matrix, operator) pairs over F_p forming a BN-structure:
+    the form symmetric nondegenerate and closed, the operator Nijenhuis,
+    coupled by the compatibility and twisted-closedness conditions.  Pairs
+    come in lexicographic order of the form's then the operator's entries.
+    ``workers`` changes nothing, as in ``enumerate_operators``."""
+    if spec.predicate != "bn_pair":
+        raise ShapeMismatch(f"enumerate_bn_pairs needs a bn_pair search, got {spec.predicate!r}")
+    f, n = spec.field, spec.shape[0]
+    return [(Matrix._trusted(f, rows[:n]), Matrix._trusted(f, rows[n:]))
+            for rows in _hit_rows(spec)]
+
+
+def _hit_rows(spec: SearchSpec) -> List[tuple]:
+    """The rows of every candidate satisfying the predicate, in lexicographic
+    order, as the module docstring describes; the first hit that the check's
+    identity rejects raises SearchMismatch."""
     spec.space_size()  # raises off a prime field or over the budget
     holds = _predicate_fn(spec)
-    rows, cols = spec.shape
-    hits, pending = [], []
-    for flat in product(range(spec.field.p), repeat=rows * cols):
-        if holds(flat):
-            pending.append(flat)
-            if len(pending) == _BLOCK:
-                hits += _confirmed(spec, pending)
-                pending = []
-    return hits + _confirmed(spec, pending)
+    f, (rows, cols) = spec.field, _grid(spec)
+    candidates = filter(holds, product(range(f.p), repeat=rows * cols))
+    if spec.predicate == "bn_pair":
+        candidates = filter(_nondegenerate(spec), candidates)
+    slices = [slice(r * cols, (r + 1) * cols) for r in range(rows)]
+    hits = []
+    while block := list(islice(candidates, _BLOCK)):
+        bad = _first_rejected(spec, block)
+        if bad is not None:
+            found, n = tuple(map(block[bad].__getitem__, slices)), rows // 2
+            parts = (found[:n], found[n:]) if spec.predicate == "bn_pair" else (found,)
+            shown = ", ".join(repr(Matrix._trusted(f, part)) for part in parts)
+            raise SearchMismatch(f"compiled {spec.predicate} kernel accepts {shown}, "
+                                 "the check rejects it")
+        hits += [tuple(map(flat.__getitem__, slices)) for flat in block]
+    return hits
 
 
-def _confirmed(spec: SearchSpec, flats: List[tuple]) -> List[Matrix]:
-    """The candidates ``flats`` as matrices, raising SearchMismatch for the
-    first one the identity of the check rejects."""
-    f, (rows, cols) = spec.field, spec.shape
-    bad = _first_rejected(spec, flats)
-    if bad is not None:
-        raise SearchMismatch(f"compiled {spec.predicate} kernel accepts "
-                             f"{_matrix(f, rows, cols, flats[bad])!r}, the check rejects it")
-    return [_matrix(f, rows, cols, flat) for flat in flats]
+def _nondegenerate(spec: SearchSpec) -> Callable[[tuple], bool]:
+    """Whether a flat ``bn_pair`` candidate's form is nondegenerate, by
+    ``is_invertible`` as in ``check_bn_structure``, once per distinct form."""
+    f, n = spec.field, spec.shape[0]
+    known = {}
+
+    def nondegenerate(flat: tuple) -> bool:
+        form = flat[:n * n]
+        if form not in known:
+            known[form] = is_invertible(_matrix(f, n, n, form))
+        return known[form]
+
+    return nondegenerate
 
 
 def _first_rejected(spec: SearchSpec, flats: List[tuple]) -> Optional[int]:
@@ -244,50 +288,15 @@ def _first_rejected(spec: SearchSpec, flats: List[tuple]) -> Optional[int]:
     lane of the first bad coordinate."""
     if not flats:
         return None
-    p, (rows, cols) = spec.field.p, spec.shape
-    X = _matrix(spec.field, rows, cols, [_Lanes(lane) for lane in zip(*flats)])
+    p = spec.field.p
+    X = _matrix(spec.field, *_grid(spec), [_Lanes(lane) for lane in zip(*flats)])
     first = len(flats)
     for lhs, rhs in _sides(spec, X):
         for d in map(sub, lhs, rhs):
             lanes = d[:first] if isinstance(d, _Lanes) else [d] * first
-            first = next((i for i, v in enumerate(lanes) if v % p), first)
+            if any(map(mod, lanes, repeat(p))):
+                first = next(i for i, v in enumerate(lanes) if v % p)
     return first if first < len(flats) else None
-
-
-def enumerate_bn_pairs(spec: SearchSpec, workers: int = 1) -> List[Tuple[Matrix, Matrix]]:
-    """All (form matrix, operator) pairs over F_p forming a BN-structure:
-    the form symmetric nondegenerate and closed, the operator Nijenhuis,
-    coupled by the compatibility and twisted-closedness conditions.  Pairs
-    come in lexicographic order of the form's then the operator's entries.
-    ``workers`` changes nothing, as in ``enumerate_operators``."""
-    spec.space_size()  # raises off a prime field or over the budget
-    alg = spec.algebra
-    alg.require_leibniz()
-    _require_field(spec, alg.field)
-    f, n = spec.field, alg.dim
-    form_holds, nijenhuis_holds, coupled = _bn_kernels(alg)
-    operators = list(product(range(f.p), repeat=n * n))
-    nijenhuis = {flat for flat in operators if nijenhuis_holds(flat)}
-    hits = []
-    for bflat in product(range(f.p), repeat=n * n):
-        bm = _matrix(f, n, n, bflat)
-        form_ok = form_holds(bflat) and is_invertible(bm)
-        for nflat in operators:
-            # One form per (form, operator) candidate: bench/tracer.py counts
-            # bn_pair candidates by these constructions.
-            form = BilinearForm(alg, bm, "symmetric")
-            if not (form_ok and nflat in nijenhuis and coupled(bflat + nflat)):
-                continue
-            nm = as_operator(_matrix(f, n, n, nflat))
-            try:
-                confirmed = check_bn_structure(alg, form, nm, consequences=False).ok
-            except (NotSymmetric, Degenerate, NotNijenhuis):
-                confirmed = False
-            if not confirmed:
-                raise SearchMismatch(f"compiled bn_pair kernel accepts {bm!r}, "
-                                     f"{nm.matrix!r}, the check rejects it")
-            hits.append((bm, nm.matrix))
-    return hits
 
 
 # -- compiled kernels ------------------------------------------------------------
@@ -343,27 +352,21 @@ class _Lanes(list):
     __slots__ = ()
 
     def __add__(self, other) -> "_Lanes":
-        if isinstance(other, list):
-            return _Lanes(map(add, self, other))
-        return _Lanes([v + other for v in self])
+        return _Lanes(map(add, self, other if isinstance(other, list) else repeat(other)))
 
     __radd__ = __iadd__ = __add__
 
     def __sub__(self, other) -> "_Lanes":
-        if isinstance(other, list):
-            return _Lanes(map(sub, self, other))
-        return _Lanes([v - other for v in self])
+        return _Lanes(map(sub, self, other if isinstance(other, list) else repeat(other)))
 
     def __rsub__(self, other) -> "_Lanes":
         return -self + other
 
     def __neg__(self) -> "_Lanes":
-        return _Lanes([-v for v in self])
+        return _Lanes(map(neg, self))
 
     def __mul__(self, other) -> "_Lanes":
-        if isinstance(other, list):
-            return _Lanes(map(mul, self, other))
-        return _Lanes([v * other for v in self])
+        return _Lanes(map(mul, self, other if isinstance(other, list) else repeat(other)))
 
     __rmul__ = __imul__ = __mul__
 
@@ -371,27 +374,14 @@ class _Lanes(list):
         return any(self)
 
 
-def _unknowns(f: FieldSpec, rows: int, cols: int, first: int = 0) -> Matrix:
-    """The rows x cols matrix of the unknowns first, first + 1, ..., row-major."""
-    return _matrix(f, rows, cols, [_Poly({(first + i,): 1}) for i in range(rows * cols)])
+def _unknowns(f: FieldSpec, rows: int, cols: int) -> Matrix:
+    """The rows x cols matrix of the unknowns 0, 1, ..., row-major."""
+    return _matrix(f, rows, cols, [_Poly({(i,): 1}) for i in range(rows * cols)])
 
 
 def _residues(lhs, rhs) -> List[dict]:
     """lhs - rhs entrywise, as polynomials: the residues of lhs = rhs."""
     return [d if isinstance(d, dict) else _Poly({(): d} if d else {}) for d in map(sub, lhs, rhs)]
-
-
-def _bn_kernels(alg: LeibnizAlgebra):
-    """Kernels for the three parts of a BN-structure: the form-only conditions
-    (symmetric and closed) on the form's entries, the Nijenhuis identity on the
-    operator's entries, and the coupling conditions (B(N.,.) = B(.,N.) and the
-    twisted form closed) on the form's entries followed by the operator's."""
-    f, n = alg.field, alg.dim
-    form = _form_residues(alg, 1, _closedness_sides)
-    nt_b, b_n = _coupling_sides(_unknowns(f, n, n), _unknowns(f, n, n, first=n * n))
-    coupled = _residues(nt_b, b_n) + _residues(*_closedness_sides(alg, nt_b))
-    nijenhuis = _residues(*_twist_sides(alg, _unknowns(f, n, n)))
-    return _kernel(f.p, form), _kernel(f.p, nijenhuis), _kernel(f.p, coupled)
 
 
 def _kernel(p: int, residues: Iterable[dict]) -> Callable[[Sequence[int]], bool]:

@@ -40,8 +40,11 @@ from leibnizkit.catalog import load_catalog
 from leibnizkit.dgla import _mc_sides
 from leibnizkit.errors import (
     BudgetExceeded,
+    Degenerate,
     DivisionByZero,
     NotFound,
+    NotNijenhuis,
+    NotSymmetric,
     SearchMismatch,
     ShapeMismatch,
 )
@@ -218,19 +221,38 @@ def test_enumeration_vs_random_membership(l2_f2):
 
 
 def test_kernels_that_accept_every_candidate_raise_search_mismatch(monkeypatch, l2_f2):
-    """Every hit is confirmed by its check: with kernels that accept every
-    candidate, a matrix search and a bn_pair search (where the check raises
-    NotNijenhuis on the first rejected operator) both stop with
-    SearchMismatch."""
+    """Every hit is confirmed against the check's identity: with a kernel
+    that accepts every candidate, a matrix search and a bn_pair search (whose
+    degenerate forms are still dropped) both stop with SearchMismatch."""
     def accept(flat):
         return True
 
     monkeypatch.setattr(search, "_predicate_fn", lambda spec: accept)
-    monkeypatch.setattr(search, "_bn_kernels", lambda alg: (accept, accept, accept))
     with pytest.raises(SearchMismatch, match="compiled nijenhuis kernel accepts"):
         enumerate_operators(SearchSpec(F2, (2, 2), "nijenhuis", algebra=l2_f2))
-    with pytest.raises(SearchMismatch, match="compiled bn_pair kernel accepts"):
+    space = [Matrix(F2, [x[:2], x[2:]]) for x in product(range(2), repeat=4)]
+    b, n = next((b, n) for b in space if is_invertible(b) for n in space
+                if not _bn_confirmed(l2_f2, b, n))
+    with pytest.raises(SearchMismatch) as raised:
         enumerate_bn_pairs(SearchSpec(F2, (2, 2), "bn_pair", algebra=l2_f2))
+    assert str(raised.value) == (f"compiled bn_pair kernel accepts {b!r}, {n!r}, "
+                                 "the check rejects it")
+
+
+def _bn_confirmed(alg, b, n):
+    """The verdict of check_bn_structure on the form matrix b and the
+    operator matrix n, its NotSymmetric, Degenerate and NotNijenhuis
+    counted as rejections."""
+    try:
+        return check_bn_structure(alg, BilinearForm(alg, b, "symmetric"), as_operator(n),
+                                  consequences=False).ok
+    except (NotSymmetric, Degenerate, NotNijenhuis):
+        return False
+
+
+def test_bn_pair_enumeration_needs_a_bn_pair_spec(l2_f2):
+    with pytest.raises(ShapeMismatch, match="needs a bn_pair search, got 'nijenhuis'"):
+        enumerate_bn_pairs(SearchSpec(F2, (2, 2), "nijenhuis", algebra=l2_f2))
 
 
 def test_bn_pair_enumeration(l2_f2):
@@ -490,13 +512,13 @@ def _search_fp_specs():
 
 def test_benchmark_tracer_counts_every_search_candidate(monkeypatch):
     """``bench/tracer.py`` counts search candidates by rebinding
-    ``search._predicate_fn`` (one count per predicate call) and
-    ``search.BilinearForm`` (one count per form built, once per bn_pair
-    candidate), and the traced benchmark fails any run whose count is not
-    the summed space sizes.  A search that drops either name, or builds
-    forms at another rate, breaks that run; this test notices.  It goes
-    with ``bench/tracer.py``, once the benchmark reads counters that the
-    program keeps itself (the observability item of ROADMAP.md)."""
+    ``search._predicate_fn`` (one count per predicate call, bn_pair
+    candidates included) and ``search.BilinearForm`` (one count per form
+    built, and a search builds none), and the traced benchmark fails any run
+    whose count is not the summed space sizes.  A search that drops either
+    name, or builds forms, breaks that run; this test and the next notice.
+    Both go with ``bench/tracer.py``, once the benchmark reads counters that
+    the program keeps itself (the observability item of ROADMAP.md)."""
     monkeypatch.syspath_prepend(str(SRC.parent.parent / "bench"))
     from tracer import Tracer
 
@@ -511,6 +533,30 @@ def test_benchmark_tracer_counts_every_search_candidate(monkeypatch):
         tracer.active = False
         tracer.uninstall()
     assert tracer.counters["search.candidates"] == sum(s.space_size() for s in specs) == 36_473
+
+
+def test_a_bn_pair_search_builds_no_bilinear_form(monkeypatch):
+    """A bn_pair search counts each candidate once, by its predicate call:
+    it calls ``search.BilinearForm``, which ``bench/tracer.py`` counts too,
+    zero times."""
+    monkeypatch.syspath_prepend(str(SRC.parent.parent / "bench"))
+    from tracer import Tracer
+
+    built = []
+    form = search.BilinearForm
+    monkeypatch.setattr(search, "BilinearForm",
+                        lambda *args, **kwargs: built.append(args) or form(*args, **kwargs))
+    spec = next(s for s in _search_fp_specs() if s.predicate == "bn_pair")
+    tracer = Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        pairs = enumerate_bn_pairs(spec)
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    assert len(pairs) == 54 and built == []
+    assert tracer.counters["search.candidates"] == spec.space_size() == 6_561
 
 
 _TERM = r"(?:\d+|(?:\d+\*)?x\[\d+\](?:\*x\[\d+\])?)"
@@ -538,12 +584,9 @@ def test_kernel_sources_follow_the_grammar(monkeypatch):
     monkeypatch.setattr(search, "_kernel_source",
                         lambda p, residues: sources.append((p, real(p, residues))) or sources[-1][1])
     for spec in _search_fp_specs():
-        if spec.predicate == "bn_pair":
-            search._bn_kernels(spec.algebra)
-        else:
-            _predicate_fn(spec)
-    assert len(sources) == 9
-    assert sum("return False" in source for _, source in sources) >= 8
+        _predicate_fn(spec)
+    assert len(sources) == 7
+    assert sum("return False" in source for _, source in sources) >= 6
     for p, source in sources:
         assert _follows_grammar(source, p), source
 
@@ -627,7 +670,7 @@ def test_search_residues_are_the_check_sides(p, which, seed):
     check kernel returns there, entry by entry: the Nijenhuis and Rota-Baxter
     identities, Kupershmidt on the regular and dual representations, the
     symmetric closed and skew invariant forms of the linear layers, and the
-    three kernels of a BN-structure."""
+    polynomial conditions of a BN-structure on the form then the operator."""
     f, rng = FieldSpec(p), Random(seed)
     alg = _in_field(load_catalog()[which[0]].spec.build(which[1]), f)
     n = alg.dim
@@ -647,13 +690,10 @@ def test_search_residues_are_the_check_sides(p, which, seed):
     assert _at(f, _linear_layer_residues(closed_symmetric_forms, alg), b) == symmetric_closed
     skew_invariant = _differences(f, (b, [-v for v in bt]), _invariance_sides(alg, b))
     assert _at(f, _linear_layer_residues(invariant_skew_forms, alg), b) == skew_invariant
-    with patch.object(search, "_kernel", lambda p, residues: residues):
-        form, nijenhuis, coupled = search._bn_kernels(alg)
-    assert _at(f, form, b) == symmetric_closed
-    assert _at(f, nijenhuis, _flat(N)) == _differences(f, _twist_sides(alg, N))
+    residues = _search_residues(SearchSpec(f, (n, n), "bn_pair", algebra=alg))
     nt_b, b_n = _coupling_sides(B, N)
-    assert _at(f, coupled, b + _flat(N)) == _differences(f, (nt_b, b_n),
-                                                         _closedness_sides(alg, nt_b))
+    assert _at(f, residues, b + _flat(N)) == symmetric_closed + _differences(
+        f, (nt_b, b_n), _closedness_sides(alg, nt_b), _twist_sides(alg, N))
 
 
 @lru_cache(maxsize=None)
@@ -709,14 +749,19 @@ def test_lanes_act_lane_by_lane():
 
 
 _BLOCK_VARIANTS = ("nijenhuis", "rota_baxter", "kupershmidt-regular", "kupershmidt-dual",
-                   "mc_strong")
+                   "mc_strong", "bn_pair")
 
 
 @lru_cache(maxsize=None)
 def _block_case(variant, which, p):
     """(spec, pool): a search over F_p on a catalog structure, and a pool of
     flat candidates holding the zero candidate and the hits of the compiled
-    kernel among (up to) 4,096 points of the space."""
+    kernel among (up to) 4,096 points of the space.  The bn_pair pool holds
+    the zero candidate and 512 pairs of a random symmetric form B (closed for
+    48 of 64 forms, and nondegenerate if 8 draws find one) and an operator
+    N: for each form, 4 random ones with B(N.,.) = B(.,N.) and B(N.,.)
+    closed, 2 with the first only, and 2 from the Nijenhuis pool.  So each
+    condition of a BN-structure is the only one to fail on some."""
     f = prime_field(p)
     if variant == "mc_strong":
         total, n1, n2 = _twilled_sums()[which]
@@ -733,13 +778,50 @@ def _block_case(variant, which, p):
             spec = SearchSpec(f, (n, n), variant, algebra=alg)
     k = spec.shape[0] * spec.shape[1]
     rng = Random(p * 1000 + which)
+    if variant == "bn_pair":
+        closed = [_flat(b) for b in closed_symmetric_forms(alg)]
+        symmetric = [_flat(Matrix(f, [[int({i, j} == {a, c}) for j in range(n)] for i in range(n)]))
+                     for a in range(n) for c in range(a, n)]
+        nijenhuis = _block_case("nijenhuis", which, p)[1]
+        pool = [(0,) * 2 * k]
+        for i in range(64):
+            for _ in range(8):  # prefer a nondegenerate form
+                b = _combination(rng, p, closed if i % 4 else symmetric, k)
+                B = Matrix(f, [b[r * n:(r + 1) * n] for r in range(n)])
+                if is_invertible(B):
+                    break
+            for closes, count in ((True, 4), (False, 2)):
+                operators = _coupled_operators(alg, B, closes)
+                pool += [b + _combination(rng, p, operators, k) for _ in range(count)]
+            pool += [b + rng.choice(nijenhuis) for _ in range(2)]
+        return spec, pool
     points = (product(range(p), repeat=k) if p ** k <= 4096 else
               [tuple(rng.randrange(p) for _ in range(k)) for _ in range(4096)])
     holds = _predicate_fn(spec)
     return spec, [(0,) * k] + [x for x in points if holds(x)]
 
 
-@settings(max_examples=80, deadline=None)
+def _combination(rng, p, vectors, k):
+    """A random combination over F_p of the length-k ``vectors``."""
+    out = (0,) * k
+    for vec in vectors:
+        c = rng.randrange(p)
+        out = tuple((a + c * v) % p for a, v in zip(out, vec))
+    return out
+
+
+def _coupled_operators(alg, B, closes):
+    """A basis of the operators N with B(N.,.) = B(.,N.), and with B(N.,.)
+    closed if ``closes``, for the form matrix B: both are linear in N."""
+    n = alg.dim
+    nt_b, b_n = _coupling_sides(B, search._unknowns(alg.field, n, n))
+    residues = search._residues(nt_b, b_n)
+    if closes:
+        residues += search._residues(*_closedness_sides(alg, nt_b))
+    return search._linear_basis(alg.field, residues, n * n).nullspace
+
+
+@settings(max_examples=100, deadline=None)
 @given(p=st.sampled_from((2, 3, 5, 7)), variant=st.sampled_from(_BLOCK_VARIANTS),
        which=st.integers(0, 10 ** 6), seed=st.integers(0, 10 ** 6), size=st.integers(1, 12))
 def test_block_confirmation_rejects_first_what_the_check_rejects_first(p, variant, which, seed,
@@ -748,21 +830,36 @@ def test_block_confirmation_rejects_first_what_the_check_rejects_first(p, varian
     block confirmation names the same first rejected candidate (or none) as
     the general check run on each candidate in turn: Nijenhuis, Rota-Baxter,
     Kupershmidt on the regular and dual representations of the catalog
-    algebras, and strong Maurer-Cartan on the catalog's twilled sums."""
+    algebras, strong Maurer-Cartan on the catalog's twilled sums, and
+    BN-structures (form, operator) on the catalog algebras, where the
+    confirmation drops degenerate forms and then evaluates the raw sides."""
     count = len(_twilled_sums()) if variant == "mc_strong" else len(_ALGEBRAS)
     try:
         spec, pool = _block_case(variant, which % count, p)
     except DivisionByZero:  # a denominator of the structure vanishes mod p
         assume(False)
     rng = Random(seed)
-    (rows, cols), k = spec.shape, spec.shape[0] * spec.shape[1]
-    flats = [rng.choice(pool) if rng.random() < 0.5 else
-             tuple(rng.randrange(p) for _ in range(k)) for _ in range(size)]
-    check = search._check_fn(spec)
-    expected = next((i for i, x in enumerate(flats)
-                     if not check(Matrix(spec.field, [x[r * cols:(r + 1) * cols]
-                                                      for r in range(rows)]))), None)
-    assert search._first_rejected(spec, flats) == expected
+    rows, cols = spec.shape
+    share = 1 if variant == "bn_pair" else 0.5  # the bn_pair pool holds its own non-hits
+    flats = [rng.choice(pool) if rng.random() < share else
+             tuple(rng.randrange(p) for _ in range(len(pool[0]))) for _ in range(size)]
+
+    def matrix(x):  # the spec's rows x cols matrix of the first entries of x
+        return Matrix(spec.field, [x[r * cols:(r + 1) * cols] for r in range(rows)])
+
+    if variant == "bn_pair":
+        expected = next((i for i, x in enumerate(flats) if not _bn_confirmed(
+            spec.algebra, matrix(x), matrix(x[rows * cols:]))), None)
+        nondegenerate = search._nondegenerate(spec)
+        kept = [x for x in flats if nondegenerate(x)]
+        bad = search._first_rejected(spec, kept)
+        found = next((i for i, x in enumerate(flats)
+                      if not nondegenerate(x) or bad is not None and x == kept[bad]), None)
+    else:
+        check = search._check_fn(spec)
+        expected = next((i for i, x in enumerate(flats) if not check(matrix(x))), None)
+        found = search._first_rejected(spec, flats)
+    assert found == expected
 
 
 def _nijenhuis_fp_specs():

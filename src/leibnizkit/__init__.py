@@ -35,7 +35,6 @@ _EXPORTS = {
     ), "forms"),
     **dict.fromkeys((
         "LinearSolution", "Matrix", "mat_inverse", "mat_mul", "solve_linear",
-        "transpose_dual",
     ), "linalg"),
     **dict.fromkeys((
         "DendriformPair", "LinearOperator", "as_operator", "check_compatible",

@@ -13,9 +13,10 @@ from importlib import resources
 from typing import Dict, List
 
 from .io import SpecFile, parse_spec
+from .reports import _Record
 
 
-class CatalogEntry:
+class CatalogEntry(_Record):
     """A named catalog spec file; unhashable, as the spec file is."""
 
     __slots__ = ("name", "spec")
@@ -24,15 +25,7 @@ class CatalogEntry:
         self.name = name
         self.spec = spec
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.spec) == (other.name, other.spec)
-
     __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"CatalogEntry(name={self.name!r}, spec={self.spec!r})"
 
 
 def _catalog_dir():

@@ -53,10 +53,10 @@ from .operators import (
     check_rota_baxter,
 )
 from .pairs import KNStructure, OperatorPair, _kn_core, check_kn_structure
-from .reports import CheckReport, Violation, _sides_violations
+from .reports import CheckReport, Violation, _Record, _sides_violations
 
 
-class Tensor2:
+class Tensor2(_Record):
     """An element of algebra (x) algebra: matrix[i][j] is the coefficient of
     e_i (x) e_j; immutable."""
 
@@ -69,23 +69,12 @@ class Tensor2:
         self.algebra = algebra
         self.matrix = matrix
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.algebra, self.matrix) == (other.algebra, other.matrix)
-
-    def __hash__(self):
-        return hash((self.algebra, self.matrix))
-
-    def __repr__(self) -> str:
-        return f"Tensor2(algebra={self.algebra!r}, matrix={self.matrix!r})"
-
     @property
     def symmetric(self) -> bool:
         return self.matrix == self.matrix.transpose()
 
 
-class BilinearForm:
+class BilinearForm(_Record):
     """matrix[i][j] = form(e_i, e_j); symmetry is 'symmetric' or 'skew';
     immutable."""
 
@@ -100,19 +89,6 @@ class BilinearForm:
         self.algebra = algebra
         self.matrix = matrix
         self.symmetry = symmetry
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.algebra, self.matrix, self.symmetry)
-                == (other.algebra, other.matrix, other.symmetry))
-
-    def __hash__(self):
-        return hash((self.algebra, self.matrix, self.symmetry))
-
-    def __repr__(self) -> str:
-        return (f"BilinearForm(algebra={self.algebra!r}, matrix={self.matrix!r}, "
-                f"symmetry={self.symmetry!r})")
 
     def matches_symmetry(self) -> bool:
         t = self.matrix.transpose()

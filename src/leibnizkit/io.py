@@ -16,6 +16,7 @@ from .errors import ParseError
 from .fields import FieldSpec, RATIONALS, prime_field
 from .linalg import Matrix
 from .operators import LinearOperator
+from .reports import _Record
 
 # The modules behind cochains, tensors, forms, KN-structures and twilled
 # contexts are imported in the branch of ``SpecFile.build`` that builds them.
@@ -56,7 +57,7 @@ def _format_matrix(f: FieldSpec, m: Matrix) -> list:
     return [[f.format(v) for v in row] for row in m.entries]
 
 
-class SpecFile:
+class SpecFile(_Record):
     """A parsed file: one field, a named map of raw objects, optional
     expected-verdict list.  Typed objects are built on demand and cached, so
     a spec file is unhashable."""
@@ -71,17 +72,7 @@ class SpecFile:
         self.expected = [] if expected is None else expected
         self._cache = {} if _cache is None else _cache
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.fieldspec, self.raw, self.expected, self._cache)
-                == (other.fieldspec, other.raw, other.expected, other._cache))
-
     __hash__ = None
-
-    def __repr__(self) -> str:
-        return (f"SpecFile(fieldspec={self.fieldspec!r}, raw={self.raw!r}, "
-                f"expected={self.expected!r}, _cache={self._cache!r})")
 
     def names(self) -> List[str]:
         return sorted(self.raw)

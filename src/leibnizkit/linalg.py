@@ -168,11 +168,6 @@ def lin_comb(f: FieldSpec, coeffs: Sequence, mats: Sequence[Matrix], rows: int,
                                     for row in zip(*terms)))
 
 
-def transpose_dual(m: Matrix) -> Matrix:
-    """Matrix of the dual map in dual bases (= transpose)."""
-    return m.transpose()
-
-
 def _forward_eliminate(f: FieldSpec, m: list) -> Tuple[list, list]:
     """Bareiss forward elimination in place; returns (matrix, pivot (row,col) list)."""
     n_rows = len(m)

@@ -67,10 +67,10 @@ from .errors import (
 )
 from .fields import FieldSpec
 from .linalg import Matrix, Vector, is_invertible, mat_inverse
-from .reports import CheckReport, Violation, _sides_violations
+from .reports import CheckReport, Violation, _Record, _sides_violations
 
 
-class LinearOperator:
+class LinearOperator(_Record):
     """A matrix with domain/codomain tags so maps between different spaces
     cannot be silently confused (module->algebra vs algebra->algebra);
     immutable."""
@@ -81,19 +81,6 @@ class LinearOperator:
         self.matrix = matrix
         self.domain = domain
         self.codomain = codomain
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.matrix, self.domain, self.codomain)
-                == (other.matrix, other.domain, other.codomain))
-
-    def __hash__(self):
-        return hash((self.matrix, self.domain, self.codomain))
-
-    def __repr__(self) -> str:
-        return (f"LinearOperator(matrix={self.matrix!r}, domain={self.domain!r}, "
-                f"codomain={self.codomain!r})")
 
     @property
     def field(self) -> FieldSpec:
@@ -106,7 +93,7 @@ def as_operator(m, domain: str = "", codomain: str = "") -> LinearOperator:
     return LinearOperator(m, domain, codomain)
 
 
-class DendriformPair:
+class DendriformPair(_Record):
     """The two half-products on the module whose sum is the sub-adjacent
     bracket; immutable."""
 
@@ -115,17 +102,6 @@ class DendriformPair:
     def __init__(self, lhd: Tuple[Tuple[Vector, ...], ...], rhd: Tuple[Tuple[Vector, ...], ...]):
         self.lhd = lhd  # u <| v = rhoL(Ku) v
         self.rhd = rhd  # u |> v = rhoR(Kv) u
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.lhd, self.rhd) == (other.lhd, other.rhd)
-
-    def __hash__(self):
-        return hash((self.lhd, self.rhd))
-
-    def __repr__(self) -> str:
-        return f"DendriformPair(lhd={self.lhd!r}, rhd={self.rhd!r})"
 
 
 def _require_module_map(K: LinearOperator, rep: Representation):

@@ -51,11 +51,11 @@ from .operators import (
     deformed_bracket,
     twisted_tensor,
 )
-from .reports import CheckReport, _sides_violations
+from .reports import CheckReport, _Record, _sides_violations
 from .twilled import TwilledContext
 
 
-class OperatorPair:
+class OperatorPair(_Record):
     """(N, S): N an endomorphism of the algebra, S of the module; immutable."""
 
     __slots__ = ("N", "S")
@@ -64,38 +64,17 @@ class OperatorPair:
         self.N = N
         self.S = S
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.N, self.S) == (other.N, other.S)
-
-    def __hash__(self):
-        return hash((self.N, self.S))
-
-    def __repr__(self) -> str:
-        return f"OperatorPair(N={self.N!r}, S={self.S!r})"
-
-    def shapes_ok(self, rep: Representation) -> bool:
-        n, m = rep.algebra.dim, rep.mdim
-        return (
-            self.N.matrix.rows == self.N.matrix.cols == n
-            and self.S.matrix.rows == self.S.matrix.cols == m
-        )
-
 
 def make_pair(N, S) -> OperatorPair:
     return OperatorPair(as_operator(N), as_operator(S))
 
 
-def _require_shapes(pair: OperatorPair, rep: Representation):
-    if not pair.shapes_ok(rep):
-        raise ShapeMismatch("pair shapes do not match the representation")
-
-
 def _pair_report(pair: OperatorPair, rep: Representation, name: str, dual: bool) -> CheckReport:
     """N Nijenhuis plus the pair identities of ``_pair_identity``."""
     rep.require_representation()
-    _require_shapes(pair, rep)
+    N, S = pair.N.matrix, pair.S.matrix
+    if not (N.rows == N.cols == rep.algebra.dim and S.rows == S.cols == rep.mdim):
+        raise ShapeMismatch("pair shapes do not match the representation")
     violations = list(check_nijenhuis(pair.N, rep.algebra).violations)
     return CheckReport.build(violations + _pair_identity(pair, rep, name, dual))
 
@@ -203,7 +182,7 @@ def _deformed_action(
     return left, right
 
 
-class DeformationTriple:
+class DeformationTriple(_Record):
     """First-order deformation data generated by a Nijenhuis pair, together
     with the verification report across the sampled parameter values;
     unhashable, as its report is."""
@@ -217,17 +196,7 @@ class DeformationTriple:
         self.varpiR = varpiR
         self.report = report
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.omega, self.varpiL, self.varpiR, self.report)
-                == (other.omega, other.varpiL, other.varpiR, other.report))
-
     __hash__ = None
-
-    def __repr__(self) -> str:
-        return (f"DeformationTriple(omega={self.omega!r}, varpiL={self.varpiL!r}, "
-                f"varpiR={self.varpiR!r}, report={self.report!r})")
 
 
 def deformation_from_pair(
@@ -320,7 +289,7 @@ def _hat_tilde(
 Mode = Literal["kn", "dual-kn"]
 
 
-class KNStructure:
+class KNStructure(_Record):
     """A Kupershmidt operator K together with a pair (N,S) satisfying NK = KS
     and the agreement of the NK-bracket with the S-deformed K-bracket;
     immutable."""
@@ -331,17 +300,6 @@ class KNStructure:
         self.K = K
         self.pair = pair
         self.mode = mode
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.K, self.pair, self.mode) == (other.K, other.pair, other.mode)
-
-    def __hash__(self):
-        return hash((self.K, self.pair, self.mode))
-
-    def __repr__(self) -> str:
-        return f"KNStructure(K={self.K!r}, pair={self.pair!r}, mode={self.mode!r})"
 
     @property
     def N(self) -> Matrix:

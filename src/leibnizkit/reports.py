@@ -11,6 +11,21 @@ as flat accumulators, one block per basis tuple.  The only violations built
 by hand elsewhere are the route-agreement verdicts
 ``nk-condition-vs-composite`` and ``transfer-agreement``, and those of
 ``oracles``, an independent second implementation.
+
+``_Record`` is the base of the package's plain value classes: it derives
+``__eq__`` (same class and equal field tuple), ``__hash__`` (of the field
+tuple) and ``__repr__`` (``Name(field=value, ...)``) from ``__slots__``, so a
+subclass states its fields once, in slot order, and writes only its
+``__init__``, which carries the signature, the defaults, the fresh mutable
+defaults and the validation.  A mutable subclass sets ``__hash__ = None``.
+The slots are the ``__init__`` parameters in order, and no record is
+subclassed, so ``__slots__`` is the whole field list.  It lives here
+because every command loads this module.  Kept out, with methods of their
+own: ``FieldSpec``, which ``reports`` imports and whose ``__eq__`` is on the
+hot path of every check; ``Matrix``, ``LeibnizAlgebra`` and ``Cochain``,
+which compare a subset of their slots (the rest are caches or derived) and
+have their own reprs; and ``Representation``, ``TwilledContext`` and
+``LinearSolution``, whose reprs are custom.
 """
 
 from __future__ import annotations
@@ -21,7 +36,28 @@ from typing import Dict, Iterable, Optional, Tuple
 from .fields import FieldSpec
 
 
-class Violation:
+class _Record:
+    """A value class whose fields are its ``__slots__``, in order."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+
+class Violation(_Record):
     """One failing identity instance; immutable."""
 
     __slots__ = ("identity", "index", "lhs", "rhs")
@@ -31,19 +67,6 @@ class Violation:
         self.index = index
         self.lhs = lhs
         self.rhs = rhs
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.identity, self.index, self.lhs, self.rhs)
-                == (other.identity, other.index, other.lhs, other.rhs))
-
-    def __hash__(self):
-        return hash((self.identity, self.index, self.lhs, self.rhs))
-
-    def __repr__(self) -> str:
-        return (f"Violation(identity={self.identity!r}, index={self.index!r}, "
-                f"lhs={self.lhs!r}, rhs={self.rhs!r})")
 
     def __str__(self) -> str:
         return f"{self.identity}@{self.index}: lhs={self.lhs} rhs={self.rhs}"
@@ -65,7 +88,7 @@ def _sides_violations(name: str, f: FieldSpec, lhs, rhs, m: int, arity: int = 2)
     return violations
 
 
-class CheckReport:
+class CheckReport(_Record):
     """A verdict with its sorted violations and free-form notes; unhashable,
     since ``notes`` is filled in after construction."""
 
@@ -76,15 +99,7 @@ class CheckReport:
         self.violations = violations
         self.notes = {} if notes is None else notes
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.violations, self.notes) == (other.violations, other.notes)
-
     __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"CheckReport(violations={self.violations!r}, notes={self.notes!r})"
 
     @property
     def ok(self) -> bool:

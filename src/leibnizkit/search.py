@@ -56,6 +56,7 @@ from .operators import (
     check_nijenhuis,
     check_rota_baxter,
 )
+from .reports import _Record
 from .twilled import TwilledContext
 
 DEFAULT_BUDGET = 10 ** 6
@@ -71,7 +72,7 @@ _BLOCK = 512
 _DECIMAL_BITS = 14_000
 
 
-class SearchSpec:
+class SearchSpec(_Record):
     """What to enumerate: a predicate name, the matrix shape, the field, and
     the context objects the predicate needs; immutable.  A negative budget
     is a ValueError, and a ``bn_pair`` shape other than the algebra's
@@ -94,23 +95,6 @@ class SearchSpec:
         self.rep = rep
         self.ctx = ctx
         self.budget = budget
-
-    def _fields(self) -> tuple:
-        return (self.field, self.shape, self.predicate, self.algebra, self.rep, self.ctx,
-                self.budget)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (f"SearchSpec(field={self.field!r}, shape={self.shape!r}, "
-                f"predicate={self.predicate!r}, algebra={self.algebra!r}, rep={self.rep!r}, "
-                f"ctx={self.ctx!r}, budget={self.budget!r})")
 
     def space_size(self) -> int:
         """The number of candidates, p ** k for k free entries (rows*cols, or
@@ -175,7 +159,9 @@ def _predicate_fn(spec: SearchSpec) -> Callable[[Sequence[int]], bool]:
         _check_fn(spec)(Matrix.zeros(spec.field, *spec.shape))
     owner = (spec.rep.algebra if spec.predicate == "kupershmidt"
              else spec.ctx if spec.predicate == "mc_strong" else spec.algebra)
-    _require_field(spec, owner.field)
+    if owner.field != spec.field:
+        raise ShapeMismatch(
+            f"search field {spec.field} differs from the structure's field {owner.field}")
     X = _unknowns(spec.field, *_grid(spec))
     return _kernel(spec.field.p, [r for side in _sides(spec, X) for r in _residues(*side)])
 
@@ -204,11 +190,6 @@ def _sides(spec: SearchSpec, X: Matrix) -> list:
         return [(b, _flat(B.transpose())), _closedness_sides(alg, b), (nt_b, b_n),
                 _closedness_sides(alg, nt_b), _twist_sides(alg, N)]
     return [_twist_sides(alg, X, weight=spec.predicate == "nijenhuis")]
-
-
-def _require_field(spec: SearchSpec, field: FieldSpec) -> None:
-    if field != spec.field:
-        raise ShapeMismatch(f"search field {spec.field} differs from the structure's field {field}")
 
 
 def _matrix(f: FieldSpec, rows: int, cols: int, flat: Sequence) -> Matrix:

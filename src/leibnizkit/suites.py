@@ -52,11 +52,12 @@ from .pairs import (
     make_pair,
     sum_nijenhuis_on_twilled,
 )
+from .reports import _Record
 from .search import mc_solutions_from_linear_layer
 from .twilled import TwilledContext
 
 
-class SuiteResult:
+class SuiteResult(_Record):
     """A suite's count of passed assertions and its failure labels; mutable
     while the suite runs, so unhashable."""
 
@@ -67,17 +68,7 @@ class SuiteResult:
         self.passed = passed
         self.failures = [] if failures is None else failures
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.name, self.passed, self.failures)
-                == (other.name, other.passed, other.failures))
-
     __hash__ = None
-
-    def __repr__(self) -> str:
-        return (f"SuiteResult(name={self.name!r}, passed={self.passed!r}, "
-                f"failures={self.failures!r})")
 
     def check(self, condition: bool, label: str):
         if condition:

@@ -27,8 +27,7 @@ EXPORTED = {
     "forms": ["BilinearForm", "Tensor2", "check_bn_structure", "check_quadratic",
               "check_rbn_structure", "check_rn_structure", "check_ybe", "rbn_rn_transfer",
               "sharp_map"],
-    "linalg": ["LinearSolution", "Matrix", "mat_inverse", "mat_mul", "solve_linear",
-               "transpose_dual"],
+    "linalg": ["LinearSolution", "Matrix", "mat_inverse", "mat_mul", "solve_linear"],
     "operators": ["DendriformPair", "LinearOperator", "as_operator", "check_compatible",
                   "check_kupershmidt", "check_nijenhuis", "check_nk_condition",
                   "check_rota_baxter", "deformed_bracket", "induced_representation",
@@ -72,6 +71,9 @@ def test_unknown_attribute_is_attribute_error():
     assert not hasattr(leibnizkit, "check_everything")
     # removed scalar API: FieldSpec's raw arithmetic is the one scalar API
     assert not hasattr(leibnizkit, "Scalar") and not hasattr(leibnizkit, "scalar_arith")
+    # removed alias of Matrix.transpose
+    assert not hasattr(leibnizkit, "transpose_dual")
+    assert not hasattr(importlib.import_module("leibnizkit.linalg"), "transpose_dual")
 
 
 def _imported_by(code: str) -> set:

@@ -13,7 +13,6 @@ from leibnizkit import (
     mat_mul,
     prime_field,
     solve_linear,
-    transpose_dual,
 )
 from leibnizkit.errors import ShapeMismatch, Singular
 from leibnizkit import oracles
@@ -69,11 +68,11 @@ def test_solve_inconsistent():
 
 
 def test_transpose_examples(l2_regular):
-    assert transpose_dual(Matrix.identity(Q, 2)) == Matrix.identity(Q, 2)
+    assert Matrix.identity(Q, 2).transpose() == Matrix.identity(Q, 2)
     # left action of the second basis element on the two-dim example algebra
     L1 = l2_regular.rhoL[1]
     assert L1 == Matrix(Q, [[1, 1], [0, 0]])
-    assert transpose_dual(L1) == Matrix(Q, [[1, 0], [1, 0]])
+    assert L1.transpose() == Matrix(Q, [[1, 0], [1, 0]])
 
 
 small = st.integers(min_value=-5, max_value=5)
@@ -87,13 +86,13 @@ def matrices(draw, rows=3, cols=3):
 @given(m=matrices())
 @settings(max_examples=40)
 def test_transpose_involution(m):
-    assert transpose_dual(transpose_dual(m)) == m
+    assert m.transpose().transpose() == m
 
 
 @given(a=matrices(), b=matrices())
 @settings(max_examples=40)
 def test_transpose_reverses_products(a, b):
-    assert transpose_dual(mat_mul(a, b)) == mat_mul(transpose_dual(b), transpose_dual(a))
+    assert mat_mul(a, b).transpose() == mat_mul(b.transpose(), a.transpose())
 
 
 @given(a=matrices())

@@ -26,7 +26,13 @@ from leibnizkit import (
     make_pair,
     sum_nijenhuis_on_twilled,
 )
-from leibnizkit.errors import NeitherPairKind, NotNijenhuisPair, PairCheckFailed, Singular
+from leibnizkit.errors import (
+    NeitherPairKind,
+    NotNijenhuisPair,
+    PairCheckFailed,
+    ShapeMismatch,
+    Singular,
+)
 from leibnizkit.forms import form_sharp_matrix, BilinearForm
 from leibnizkit.operators import LinearOperator
 from leibnizkit.twilled import TwilledContext
@@ -45,6 +51,15 @@ def Z2():
 def test_identity_pair(l2_regular):
     assert check_nijenhuis_pair(make_pair(I2(), I2()), l2_regular).ok
     assert check_dual_nijenhuis_pair(make_pair(I2(), I2()), l2_regular).ok
+
+
+@pytest.mark.parametrize("check", [check_nijenhuis_pair, check_dual_nijenhuis_pair,
+                                   check_perfect_pair])
+def test_pair_shapes_must_match_the_representation(l2_regular, check):
+    for N, S in [(Matrix.identity(Q, 3), I2()), (I2(), Matrix.zeros(Q, 2, 3))]:
+        with pytest.raises(ShapeMismatch,
+                           match="^pair shapes do not match the representation$"):
+            check(make_pair(N, S), l2_regular)
 
 
 def test_zero_module_part(l2_regular):

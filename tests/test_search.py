@@ -150,6 +150,13 @@ def test_search_spec_refuses_a_bn_pair_shape_off_the_algebra(l2_f2, shape):
     assert SearchSpec(F2, [2, 2], "bn_pair", algebra=l2_f2).space_size() == 2 ** 8
 
 
+@pytest.mark.parametrize("predicate", ["nijenhuis", "rota_baxter", "bn_pair"])
+def test_search_field_must_be_the_algebra_field(l2_f2, predicate):
+    with pytest.raises(ShapeMismatch,
+                       match="^search field F3 differs from the structure's field F2$"):
+        enumerate_operators(SearchSpec(F3, (2, 2), predicate, algebra=l2_f2))
+
+
 def test_mc_linear_layer(l2, l2_regular):
     ctx = TwilledContext(lifted_algebra(as_operator(rb_matrix(1)), l2_regular), 2, 2)
     sol = solve_mc_linear_layer(ctx)

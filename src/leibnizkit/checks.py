@@ -1,5 +1,11 @@
 """Name-based check dispatch: resolves objects from a SpecFile and runs the
-corresponding verifier.  Used by the CLI and the expected-verdict runner."""
+corresponding verifier.  Used by the CLI and the expected-verdict runner.
+
+Every object a check reaches is looked up by kind through
+``SpecFile.build(name, kind)``: the check's target, the objects its flags
+name, and the algebra or representation that an operator's ``algebra:``,
+``dual:`` or ``module:`` tag names.  A name of another kind is a ParseError
+(exit 2) before anything is built."""
 
 from __future__ import annotations
 
@@ -53,15 +59,9 @@ _CHECK_FLAGS: Dict[str, Tuple[str, ...]] = {
     "transfer": ("R", "N"),
 }
 CHECK_NAMES = tuple(_CHECK_FLAGS)
-
-
-def _built(spec: SpecFile, name: str, cls: type = LinearOperator, noun: str = "an operator"):
-    """The object ``name`` of ``spec``, which must be a ``cls``; else a
-    ParseError that ``name`` is not ``noun``."""
-    obj = spec.build(name)
-    if not isinstance(obj, cls):
-        raise ParseError(f"{name!r} is not {noun}")
-    return obj
+# The flags that name an object, in the order ``check --help`` lists them:
+# every flag of ``_CHECK_FLAGS`` but ``no-consequences``.
+OBJECT_FLAGS = ("rep", "algebra", "other", "K", "N", "S", "R", "ctx")
 
 
 def _flag(args: Dict, key: str, check: str) -> str:
@@ -72,10 +72,10 @@ def _flag(args: Dict, key: str, check: str) -> str:
 
 def _resolve_algebra(spec: SpecFile, op: LinearOperator, args: Dict) -> LeibnizAlgebra:
     if args.get("algebra"):
-        return _built(spec, args["algebra"], LeibnizAlgebra, "an algebra")
+        return spec.build(args["algebra"], "algebra")
     for tag in (op.codomain, op.domain):
         if tag.startswith("algebra:"):
-            return _built(spec, tag.split(":", 1)[1], LeibnizAlgebra, "an algebra")
+            return spec.build(tag.split(":", 1)[1], "algebra")
     names = spec.names_of("algebra")
     if len(names) == 1:
         return spec.build(names[0])
@@ -95,14 +95,25 @@ def _resolve_rep(spec: SpecFile, name: Optional[str],
         if tag.startswith("module:"):
             return spec.rep_for(tag.split(":", 1)[1])
         if tag.startswith("dual:"):
-            return dual_representation(regular_representation(spec.build(tag.split(":", 1)[1])))
+            alg = spec.build(tag.split(":", 1)[1], "algebra")
+            return dual_representation(regular_representation(alg))
         for t in (op.codomain, op.domain):
             if t.startswith("algebra:"):
-                return regular_representation(spec.build(t.split(":", 1)[1]))
+                return regular_representation(spec.build(t.split(":", 1)[1], "algebra"))
     names = spec.names_of("representation")
     if len(names) == 1:
         return spec.rep_for(names[0])
     raise ParseError("ambiguous representation; pass --rep")
+
+
+def _kn_and_rep(spec: SpecFile, name: str, rep: Optional[str], missing: str):
+    """The KN structure ``name`` and the representation ``rep`` names, else
+    the one the KN object names; else a ParseError that says ``missing``."""
+    kn = spec.build(name, "kn")
+    rep = rep or spec.raw[name].get("rep")
+    if rep is None:
+        raise ParseError(missing)
+    return kn, spec.rep_for(rep)
 
 
 def run_check(spec: SpecFile, object_name: str, check: str, args: Optional[Dict] = None,
@@ -115,26 +126,25 @@ def run_check(spec: SpecFile, object_name: str, check: str, args: Optional[Dict]
     if unread:
         raise ParseError(f"check {check!r} does not take {', '.join(unread)}")
     if check == "leibniz":
-        return check_leibniz(_built(spec, object_name, LeibnizAlgebra, "an algebra"))
+        return check_leibniz(spec.build(object_name, "algebra"))
     if check == "representation":
-        return check_representation(
-            _built(spec, object_name, Representation, "a representation"))
+        return check_representation(spec.build(object_name, "representation"))
     if check == "kupershmidt":
-        K = _built(spec, object_name)
+        K = spec.build(object_name, "operator")
         return check_kupershmidt(K, _resolve_rep(spec, args.get("rep"), K))
     if check == "nijenhuis":
-        N = _built(spec, object_name)
+        N = spec.build(object_name, "operator")
         return check_nijenhuis(N, _resolve_algebra(spec, N, args))
     if check == "rota-baxter":
-        R = _built(spec, object_name)
+        R = spec.build(object_name, "operator")
         return check_rota_baxter(R, _resolve_algebra(spec, R, args))
     if check == "compatible":
-        K = _built(spec, object_name)
-        other = _built(spec, _flag(args, "other", check))
+        K = spec.build(object_name, "operator")
+        other = spec.build(_flag(args, "other", check), "operator")
         return check_compatible(K, other, _resolve_rep(spec, args.get("rep"), K))
     if check == "nk-condition":
-        N = _built(spec, object_name)
-        K = _built(spec, _flag(args, "K", check))
+        N = spec.build(object_name, "operator")
+        K = spec.build(_flag(args, "K", check), "operator")
         return check_nk_condition(N, K, _resolve_rep(spec, args.get("rep"), K))
     if check in ("nijenhuis-pair", "dual-nijenhuis-pair", "perfect-pair"):
         from .pairs import (
@@ -144,8 +154,8 @@ def run_check(spec: SpecFile, object_name: str, check: str, args: Optional[Dict]
             check_perfect_pair,
         )
 
-        N = _built(spec, object_name)
-        S = _built(spec, _flag(args, "S", check))
+        N = spec.build(object_name, "operator")
+        S = spec.build(_flag(args, "S", check), "operator")
         rep = _resolve_rep(spec, args.get("rep"), None)
         pair = OperatorPair(N, S)
         fn = {
@@ -155,44 +165,41 @@ def run_check(spec: SpecFile, object_name: str, check: str, args: Optional[Dict]
         }[check]
         return fn(pair, rep)
     if check == "kn-structure":
-        from .pairs import KNStructure, check_kn_structure
+        from .pairs import check_kn_structure
 
-        kn = _built(spec, object_name, KNStructure, "a KN structure")
-        rep_name = args.get("rep") or spec.raw[object_name].get("rep")
-        if rep_name is None:
-            raise ParseError("kn-structure check needs a representation")
-        return check_kn_structure(kn, spec.rep_for(rep_name), consequences=consequences)
+        kn, rep = _kn_and_rep(spec, object_name, args.get("rep"),
+                              "kn-structure check needs a representation")
+        return check_kn_structure(kn, rep, consequences=consequences)
     if check in ("maurer-cartan", "maurer-cartan-strong"):
         from .dgla import check_maurer_cartan
-        from .twilled import TwilledContext
 
-        theta = _built(spec, object_name)
-        ctx = _built(spec, _flag(args, "ctx", check), TwilledContext, "a twilled context")
+        theta = spec.build(object_name, "operator")
+        ctx = spec.build(_flag(args, "ctx", check), "twilled")
         return check_maurer_cartan(ctx, theta.matrix, strong=check.endswith("strong"))
     if check in ("ybe", "rn-structure"):
-        from .forms import Tensor2, check_rn_structure, check_ybe
+        from .forms import check_rn_structure, check_ybe
 
-        pi = _built(spec, object_name, Tensor2, "a 2-tensor")
+        pi = spec.build(object_name, "tensor2")
         if check == "ybe":
             return check_ybe(pi.algebra, pi)
-        N = _built(spec, _flag(args, "N", check))
+        N = spec.build(_flag(args, "N", check), "operator")
         return check_rn_structure(pi.algebra, pi, N, consequences=consequences)
     if check == "rbn-structure":
         from .forms import check_rbn_structure
 
-        R = _built(spec, object_name)
-        N = _built(spec, _flag(args, "N", check))
+        R = spec.build(object_name, "operator")
+        N = spec.build(_flag(args, "N", check), "operator")
         return check_rbn_structure(_resolve_algebra(spec, R, args), R, N)
     if check in ("quadratic", "bn-structure", "transfer"):
-        from .forms import BilinearForm, check_bn_structure, check_quadratic, rbn_rn_transfer
+        from .forms import check_bn_structure, check_quadratic, rbn_rn_transfer
 
-        q = _built(spec, object_name, BilinearForm, "a form")
+        q = spec.build(object_name, "form")
         if check == "quadratic":
             return check_quadratic(q.algebra, q, consequences=consequences)
         if check == "bn-structure":
-            N = _built(spec, _flag(args, "N", check))
+            N = spec.build(_flag(args, "N", check), "operator")
             return check_bn_structure(q.algebra, q, N, consequences=consequences)
-        R = _built(spec, _flag(args, "R", check))
-        N = _built(spec, _flag(args, "N", check))
+        R = spec.build(_flag(args, "R", check), "operator")
+        N = spec.build(_flag(args, "N", check), "operator")
         return rbn_rn_transfer(q.algebra, q, R, N)
     raise ParseError(f"unhandled check {check!r}")

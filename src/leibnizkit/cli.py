@@ -17,7 +17,14 @@ from .algebras import (
     dual_representation,
     semidirect_sum,
 )
-from .checks import CHECK_NAMES, _built, _resolve_algebra, _resolve_rep, run_check
+from .checks import (
+    CHECK_NAMES,
+    OBJECT_FLAGS,
+    _kn_and_rep,
+    _resolve_algebra,
+    _resolve_rep,
+    run_check,
+)
 from .errors import LeibnizKitError, ParseError
 from .io import (
     SpecFile,
@@ -67,19 +74,11 @@ def _report_payload(report) -> dict:
 
 
 def cmd_check(args) -> int:
+    extra = {key: getattr(args, key) for key in OBJECT_FLAGS if getattr(args, key)}
     try:
-        spec = load_spec(args.file)
-    except (OSError, ParseError) as exc:
-        return _fail_usage(str(exc))
-    extra: Dict[str, str] = {}
-    for key in ("rep", "algebra", "other", "K", "N", "S", "R", "ctx"):
-        val = getattr(args, key, None)
-        if val:
-            extra[key] = val
-    try:
-        report = run_check(spec, args.object, args.check, extra,
+        report = run_check(load_spec(args.file), args.object, args.check, extra,
                            consequences=not args.no_consequences)
-    except ParseError as exc:
+    except (OSError, ParseError) as exc:
         return _fail_usage(str(exc))
     except LeibnizKitError as exc:
         print(f"precondition failed: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -105,14 +104,9 @@ CONSTRUCTIONS = (
 
 def cmd_construct(args) -> int:
     from .dgla import dual_kn_from_mc, mc_from_dual_kn, theta_twist
-    from .forms import Tensor2, sharp_map
-    from .pairs import KNStructure, dual_kn_from_compatible
+    from .forms import sharp_map
+    from .pairs import dual_kn_from_compatible
 
-    try:
-        spec = load_spec(args.file)
-    except (OSError, ParseError) as exc:
-        return _fail_usage(str(exc))
-    f = spec.fieldspec
     out_objects: Dict[str, dict] = {}
 
     def need(flag: str) -> str:
@@ -127,7 +121,8 @@ def cmd_construct(args) -> int:
         return spec.rep_for(name), spec.raw[name]["algebra"]
 
     try:
-        cons = args.construction
+        spec = load_spec(args.file)
+        f, cons = spec.fieldspec, args.construction
         if cons == "dual-rep":
             rep, alg_name = named_rep()
             dual = dual_representation(rep)
@@ -137,12 +132,12 @@ def cmd_construct(args) -> int:
             rep = spec.rep_for(need("rep"))
             out_objects["semidirect"] = algebra_doc(f, semidirect_sum(rep))
         elif cons == "subadjacent":
-            K = _built(spec, need("K"))
+            K = spec.build(need("K"), "operator")
             rep = _resolve_rep(spec, args.rep, K)
             _, alg = subadjacent_algebra(K, rep)
             out_objects["subadjacent"] = algebra_doc(f, alg)
         elif cons == "lifted":
-            K = _built(spec, need("K"))
+            K = spec.build(need("K"), "operator")
             rep = _resolve_rep(spec, args.rep, K)
             out_objects["lifted"] = algebra_doc(f, lifted_algebra(K, rep))
             out_objects["tw_lifted"] = {
@@ -150,35 +145,33 @@ def cmd_construct(args) -> int:
                 "n1": rep.algebra.dim, "n2": rep.mdim,
             }
         elif cons == "deformed":
-            N = _built(spec, need("N"))
+            N = spec.build(need("N"), "operator")
             deformed = deformed_bracket(N, _resolve_algebra(spec, N, vars(args)))
             out_objects["deformed"] = algebra_doc(f, deformed, verified=deformed.is_leibniz)
         elif cons == "theta-twist":
-            K = _built(spec, need("K"))
+            K = spec.build(need("K"), "operator")
             rep = _resolve_rep(spec, args.rep, K)
-            theta = _built(spec, need("theta")).matrix
+            theta = spec.build(need("theta"), "operator").matrix
             g_theta, rho_theta, total = theta_twist(K, rep, theta)
             out_objects["twisted"] = algebra_doc(f, g_theta)
             out_objects["twisted_action"] = representation_doc(f, rho_theta, "twisted")
             out_objects["twisted_total"] = algebra_doc(f, total)
         elif cons == "dual-kn-from-mc":
-            K = _built(spec, need("K"))
-            theta = _built(spec, need("theta")).matrix
+            K = spec.build(need("K"), "operator")
+            theta = spec.build(need("theta"), "operator").matrix
             rep, alg_name = named_rep()
             kn = dual_kn_from_mc(K, rep, theta)
             out_objects["kn"] = kn_doc(f, kn, alg_name, args.rep)
         elif cons == "mc-from-dual-kn":
-            kn = _built(spec, need("kn"), KNStructure, "a KN structure")
-            rep_name = args.rep or spec.raw[args.kn].get("rep")
-            rep = spec.rep_for(rep_name)
+            kn, rep = _kn_and_rep(spec, need("kn"), args.rep, f"construction {cons!r} needs --rep")
             theta = mc_from_dual_kn(kn, rep)
             out_objects["theta"] = operator_doc(f, LinearOperator(theta, "algebra", "module"))
         elif cons == "sharp":
-            pi = _built(spec, need("pi"), Tensor2, "a 2-tensor")
+            pi = spec.build(need("pi"), "tensor2")
             out_objects["sharp"] = operator_doc(f, sharp_map(pi))
         elif cons == "dual-kn-from-compatible":
-            K1 = _built(spec, need("K1"))
-            K2 = _built(spec, need("K2"))
+            K1 = spec.build(need("K1"), "operator")
+            K2 = spec.build(need("K2"), "operator")
             rep, alg_name = named_rep()
             kn1, kn2 = dual_kn_from_compatible(K1, K2, rep)
             out_objects["kn_first"] = kn_doc(f, kn1, alg_name, args.rep)
@@ -186,7 +179,7 @@ def cmd_construct(args) -> int:
         else:
             return _fail_usage(f"unknown construction {cons!r} "
                                f"(known: {', '.join(CONSTRUCTIONS)})")
-    except ParseError as exc:
+    except (OSError, ParseError) as exc:
         return _fail_usage(str(exc))
     except LeibnizKitError as exc:
         print(f"construction failed: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -200,24 +193,17 @@ def cmd_search(args) -> int:
     from .search import DEFAULT_BUDGET, SearchSpec, enumerate_bn_pairs, enumerate_operators
     from .twilled import TwilledContext
 
-    try:
-        spec = load_spec(args.file)
-    except (OSError, ParseError) as exc:
-        return _fail_usage(str(exc))
-    try:
-        fieldspec = parse_field(args.field) if args.field else spec.fieldspec
-    except ParseError as exc:
-        return _fail_usage(str(exc))
     predicate = args.predicate.replace("-", "_")
     try:
+        spec = load_spec(args.file)
+        fieldspec = parse_field(args.field) if args.field else spec.fieldspec
         alg_name = args.algebra
         if alg_name is None:
             names = spec.names_of("algebra")
             alg_name = names[0] if len(names) == 1 else "alg"
         algebra = None
         if alg_name in spec.raw:
-            algebra = LeibnizAlgebra(
-                fieldspec, _built(spec, alg_name, LeibnizAlgebra, "an algebra").c)
+            algebra = LeibnizAlgebra(fieldspec, spec.build(alg_name, "algebra").c)
         rep = None
         if args.rep:
             base = spec.rep_for(args.rep)
@@ -226,7 +212,7 @@ def cmd_search(args) -> int:
                                  [Matrix(fieldspec, m.entries) for m in base.rhoR])
         ctx = None
         if args.ctx:
-            built = _built(spec, args.ctx, TwilledContext, "a twilled context")
+            built = spec.build(args.ctx, "twilled")
             ctx = TwilledContext(LeibnizAlgebra(fieldspec, built.total.c), built.n1, built.n2)
         # bn-pair searches the algebra's dim x dim matrices, whatever --rep is
         if predicate == "mc_strong" and ctx is not None:
@@ -275,7 +261,7 @@ def cmd_search(args) -> int:
                     [[fieldspec.format(v) for v in row] for row in m.entries] for m in mats
                 ],
             }
-    except ParseError as exc:
+    except (OSError, ParseError) as exc:
         return _fail_usage(str(exc))
     except LeibnizKitError as exc:
         print(f"search failed: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -352,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("file")
     p_check.add_argument("object")
     p_check.add_argument("check", choices=CHECK_NAMES)
-    for flag in ("rep", "algebra", "other", "K", "N", "S", "R", "ctx"):
+    for flag in OBJECT_FLAGS:
         p_check.add_argument(f"--{flag}")
     p_check.add_argument("--format", choices=("text", "json"), default="text")
     p_check.add_argument("--no-consequences", action="store_true")

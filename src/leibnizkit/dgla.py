@@ -102,8 +102,11 @@ class Cochain:
     def __init__(self, field: FieldSpec, dim: int, arity: int, data: Sequence[Sequence]):
         if arity < 1:
             raise ShapeMismatch("arity must be >= 1")
-        if len(data) != dim ** arity:
-            raise ShapeMismatch(f"expected {dim ** arity} entries, got {len(data)}")
+        # For dim >= 2, dim ** arity exceeds len(data) once arity reaches its
+        # bit length; the power is not formed then, so a huge arity costs no
+        # time or memory.
+        if dim > 1 and arity >= len(data).bit_length() or len(data) != dim ** arity:
+            raise ShapeMismatch(f"expected {dim}^{arity} entries, got {len(data)}")
         self.field = field
         self.dim = dim
         self.arity = arity

@@ -4,6 +4,17 @@
 Scalars are strings ("3", "-1/2", "4 mod 7") so no float ever enters a file.
 Serialization is canonical: sorted keys, two-space indent, canonical scalar
 strings, trailing newline; parse(serialize(x)) is byte-stable.
+
+``_KEYS`` states the format once: what each key of each object kind holds.
+``parse_spec`` checks every object against it before anything is built, so a
+missing key or a value of the wrong type is a ParseError naming the object
+and the key.  Scalar text is parsed only when ``SpecFile.build`` builds the
+object, and ``build``, the check and ``canonical_document`` read the nesting
+of every scalar array from the table through one walker, ``_scalars``.
+``SpecFile.build(name, kind)`` is the one typed lookup: it refuses a name of
+another kind before building anything, and every reference between objects
+goes through it, so a reference to the wrong kind (a cycle included) is a
+ParseError too.
 """
 
 from __future__ import annotations
@@ -12,7 +23,7 @@ import json
 from typing import Dict, List, Optional
 
 from .algebras import LeibnizAlgebra, Representation
-from .errors import ParseError
+from .errors import ParseError, ShapeMismatch
 from .fields import FieldSpec, RATIONALS, prime_field
 from .linalg import Matrix
 from .operators import LinearOperator
@@ -23,12 +34,93 @@ from .reports import _Record
 
 SCHEMA = "leibniz-spec/1"
 
-KINDS = ("algebra", "representation", "operator", "cochain", "tensor2", "form",
-         "kn", "twilled")
+# A cochain's coeffs nest arity + 1 lists deep.
+_ARITY_DEEP = "arity + 1"
 
-# The keys whose values name another object or tag an operator's spaces:
-# strings wherever they occur.
-_NAME_KEYS = ("algebra", "rep", "domain", "codomain")
+# What each key of each object kind holds:
+#   an int d    scalar strings nested d lists deep (a matrix is 2);
+#   int         a nonnegative int, not a bool (a size);
+#   bool        true or false;
+#   str         a string (an operator's space tag);
+#   a kind      the name of an object of that kind;
+#   a tuple     one of these strings.
+# A key of ``_OPTIONAL`` may be left out, and ``build`` reads its default.
+_KEYS = {
+    "algebra": {"dim": int, "c": 3, "verified": bool},
+    "representation": {"algebra": "algebra", "mdim": int, "rhoL": 3, "rhoR": 3,
+                       "verified": bool},
+    "operator": {"matrix": 2, "domain": str, "codomain": str},
+    "cochain": {"algebra": "algebra", "arity": int, "coeffs": _ARITY_DEEP},
+    "tensor2": {"algebra": "algebra", "matrix": 2},
+    "form": {"algebra": "algebra", "matrix": 2, "symmetry": ("symmetric", "skew")},
+    "kn": {"algebra": "algebra", "rep": "representation", "K": 2, "N": 2, "S": 2,
+           "mode": ("kn", "dual-kn")},
+    "twilled": {"algebra": "algebra", "n1": int, "n2": int},
+}
+_OPTIONAL = {"verified": None, "mdim": None, "domain": "", "codomain": "",
+             "symmetry": "symmetric", "rep": None, "mode": "kn"}
+
+KINDS = tuple(_KEYS)
+
+# What "'x' is not ..." says for each kind.
+_NOUNS = {"algebra": "an algebra", "representation": "a representation",
+          "operator": "an operator", "cochain": "a cochain", "tensor2": "a 2-tensor",
+          "form": "a form", "kn": "a KN structure", "twilled": "a twilled context"}
+
+
+def _depth(obj: dict, what) -> Optional[int]:
+    """The nesting depth of a scalar array key of ``obj``; None for any
+    other key."""
+    if what is _ARITY_DEEP:
+        return obj["arity"] + 1
+    return what if type(what) is int else None
+
+
+def _scalars(node, depth: int, leaf, name: str, key: str) -> list:
+    """``leaf`` of each scalar of the array ``node``, in the same nesting; a
+    ParseError naming ``name`` and ``key`` unless ``node`` nests exactly
+    ``depth`` >= 1 lists deep.  The walk goes level by level and ends at the
+    first empty level, so it needs no recursion however deep the file nests
+    and no time however large ``depth`` is."""
+    out, d = [], depth
+    level = [(node, out)]
+    while level:
+        below = []
+        for src, dst in level:
+            if type(src) is not list or d == 1 and any(isinstance(v, (list, dict)) for v in src):
+                raise ParseError(f"{name}: {key!r} must be scalars nested {depth} lists deep")
+            if d == 1:
+                dst.extend(map(leaf, src))
+                continue
+            for sub in src:
+                dst.append([])
+                below.append((sub, dst[-1]))
+        level, d = below, d - 1
+    return out
+
+
+def _check(name: str, obj: dict) -> None:
+    """A ParseError naming ``name`` and the key unless each key of ``obj``
+    holds what ``_KEYS`` says; scalar text is left unparsed."""
+    for key, what in _KEYS[obj["type"]].items():
+        if key not in obj:
+            if key in _OPTIONAL:
+                continue
+            raise ParseError(f"{name}: missing key {key!r}")
+        value, depth = obj[key], _depth(obj, what)
+        if depth is not None:
+            _scalars(value, depth, lambda v: None, name, key)
+            continue
+        if what is int:
+            ok, must = type(value) is int and value >= 0, "a nonnegative integer"
+        elif what is bool:
+            ok, must = isinstance(value, bool), "true or false"
+        elif isinstance(what, tuple):
+            ok, must = value in what, "one of " + ", ".join(map(repr, what))
+        else:
+            ok, must = isinstance(value, str), "a string"
+        if not ok:
+            raise ParseError(f"{name}: {key!r} must be {must}, got {value!r}")
 
 
 def parse_field(tag: str) -> FieldSpec:
@@ -42,17 +134,6 @@ def parse_field(tag: str) -> FieldSpec:
     raise ParseError(f"bad field tag {tag!r}")
 
 
-def _parse_matrix(f: FieldSpec, rows, what: str) -> Matrix:
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise ParseError(f"{what}: matrix must be a list of rows")
-    try:
-        return Matrix(f, [[f.parse(str(v)) for v in row] for row in rows])
-    except ParseError:
-        raise
-    except Exception as exc:
-        raise ParseError(f"{what}: {exc}") from None
-
-
 def _format_matrix(f: FieldSpec, m: Matrix) -> list:
     return [[f.format(v) for v in row] for row in m.entries]
 
@@ -60,7 +141,8 @@ def _format_matrix(f: FieldSpec, m: Matrix) -> list:
 class SpecFile(_Record):
     """A parsed file: one field, a named map of raw objects, optional
     expected-verdict list.  Typed objects are built on demand and cached, so
-    a spec file is unhashable."""
+    a spec file is unhashable.  ``raw`` holds objects that ``parse_spec`` has
+    checked against ``_KEYS``."""
 
     __slots__ = ("fieldspec", "raw", "expected", "_cache")
 
@@ -80,107 +162,79 @@ class SpecFile(_Record):
     def names_of(self, kind: str) -> List[str]:
         return sorted(n for n in self.raw if self.raw[n].get("type") == kind)
 
-    def build(self, name: str):
+    def build(self, name: str, kind: Optional[str] = None):
+        """The object ``name``, built on first use and cached.  With ``kind``,
+        a ParseError that ``name`` is not of that kind, raised before
+        anything is built.  The objects ``name`` refers to are built through
+        here with the kind the table gives their key."""
         if not isinstance(name, str):
             raise ParseError(f"object name {name!r} is not a string")
-        if name in self._cache:
-            return self._cache[name]
         if name not in self.raw:
             raise ParseError(f"no object named {name!r}")
         obj = self.raw[name]
-        kind = obj.get("type")
-        for key in _NAME_KEYS:
-            if not isinstance(obj.get(key, ""), str):
-                raise ParseError(f"{name}: {key!r} must be a string, got {obj[key]!r}")
-        f = self.fieldspec
+        if kind is not None and obj["type"] != kind:
+            raise ParseError(f"{name!r} is not {_NOUNS[kind]}")
+        if name in self._cache:
+            return self._cache[name]
+        f, kind, v = self.fieldspec, obj["type"], {}
         try:
+            for key, what in _KEYS[kind].items():
+                value, depth = obj.get(key, _OPTIONAL.get(key)), _depth(obj, what)
+                if depth is not None:
+                    value = _scalars(value, depth, lambda s: f.parse(str(s)), name, key)
+                    value = Matrix(f, value) if what == 2 else value
+                elif what in _KEYS and value is not None:
+                    value = self.build(value, what)
+                v[key] = value
             if kind == "algebra":
-                dim = int(obj["dim"])
-                c = obj["c"]
-                if len(c) != dim:
+                if len(v["c"]) != v["dim"]:
                     raise ParseError(f"{name}: structure tensor has wrong size")
-                built = LeibnizAlgebra(
-                    f,
-                    [[[f.parse(str(v)) for v in vec] for vec in row] for row in c],
-                )
+                built = LeibnizAlgebra(f, v["c"])
             elif kind == "representation":
-                alg = self.build(obj["algebra"])
-                built = Representation(
-                    alg,
-                    [_parse_matrix(f, m, name) for m in obj["rhoL"]],
-                    [_parse_matrix(f, m, name) for m in obj["rhoR"]],
-                )
+                built = Representation(v["algebra"], [Matrix(f, m) for m in v["rhoL"]],
+                                       [Matrix(f, m) for m in v["rhoR"]])
             elif kind == "operator":
-                built = LinearOperator(
-                    _parse_matrix(f, obj["matrix"], name),
-                    obj.get("domain", ""),
-                    obj.get("codomain", ""),
-                )
+                built = LinearOperator(v["matrix"], v["domain"], v["codomain"])
             elif kind == "cochain":
                 from .dgla import Cochain
 
-                alg = self.build(obj["algebra"])
-                arity = int(obj["arity"])
-                flat: List = []
-
-                def walk(node, depth):
-                    if not isinstance(node, list):
-                        raise ParseError(f"{name}: coefficients must nest {arity} lists deep")
-                    if depth == arity:
-                        flat.append(tuple(f.parse(str(v)) for v in node))
-                        return
-                    for sub in node:
-                        walk(sub, depth + 1)
-
-                walk(obj["coeffs"], 0)
-                built = Cochain(f, alg.dim, arity, flat)
+                flat = v["coeffs"]
+                for _ in range(v["arity"] - 1):
+                    if not flat:  # no entries at all: no deeper level to open
+                        break
+                    flat = [vec for sub in flat for vec in sub]
+                built = Cochain(f, v["algebra"].dim, v["arity"], flat)
             elif kind == "tensor2":
                 from .forms import Tensor2
 
-                built = Tensor2(self.build(obj["algebra"]), _parse_matrix(f, obj["matrix"], name))
+                built = Tensor2(v["algebra"], v["matrix"])
             elif kind == "form":
                 from .forms import BilinearForm
 
-                built = BilinearForm(
-                    self.build(obj["algebra"]),
-                    _parse_matrix(f, obj["matrix"], name),
-                    obj.get("symmetry", "symmetric"),
-                )
+                built = BilinearForm(v["algebra"], v["matrix"], v["symmetry"])
             elif kind == "kn":
                 from .pairs import KNStructure, OperatorPair
 
-                built = KNStructure(
-                    LinearOperator(_parse_matrix(f, obj["K"], name), "module", "algebra"),
-                    OperatorPair(
-                        LinearOperator(_parse_matrix(f, obj["N"], name), "algebra", "algebra"),
-                        LinearOperator(_parse_matrix(f, obj["S"], name), "module", "module"),
-                    ),
-                    obj.get("mode", "kn"),
-                )
-            elif kind == "twilled":
+                built = KNStructure(LinearOperator(v["K"], "module", "algebra"),
+                                    OperatorPair(LinearOperator(v["N"], "algebra", "algebra"),
+                                                 LinearOperator(v["S"], "module", "module")),
+                                    v["mode"])
+            else:
                 from .twilled import TwilledContext
 
-                total = self.build(obj["algebra"])
-                built = TwilledContext(total, int(obj["n1"]), int(obj["n2"]))
-            else:
-                raise ParseError(f"{name}: unknown object type {kind!r}")
-        except ParseError:
-            raise
-        except KeyError as exc:
-            raise ParseError(f"{name}: missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
+                built = TwilledContext(v["algebra"], v["n1"], v["n2"])
+        except ShapeMismatch as exc:
             raise ParseError(f"{name}: {exc}") from None
         self._cache[name] = built
         return built
 
     def rep_for(self, name: str) -> Representation:
-        obj = self.build(name)
-        if not isinstance(obj, Representation):
-            raise ParseError(f"{name!r} is not a representation")
-        return obj
+        return self.build(name, "representation")
 
 
 def parse_spec(text: str) -> SpecFile:
+    """The spec file of ``text``, with every object checked against
+    ``_KEYS``; a ParseError on the first thing that is not."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -200,12 +254,16 @@ def parse_spec(text: str) -> SpecFile:
             raise ParseError(f"object {name!r} must be a JSON object")
         if obj.get("type") not in KINDS:
             raise ParseError(f"object {name!r} has unknown type {obj.get('type')!r}")
+        _check(name, obj)
     return SpecFile(fieldspec, objects, doc.get("expected", []))
 
 
 def load_spec(path) -> SpecFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_spec(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_spec(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc}") from None
 
 
 def canonical_document(spec: SpecFile) -> dict:
@@ -214,27 +272,11 @@ def canonical_document(spec: SpecFile) -> dict:
     out_objects = {}
     for name in spec.names():
         obj = dict(spec.raw[name])
-        kind = obj.get("type")
-        if kind == "algebra":
-            obj["c"] = [
-                [[f.format(f.parse(str(v))) for v in vec] for vec in row] for row in obj["c"]
-            ]
-            obj["dim"] = int(obj["dim"])
-        elif kind == "representation":
-            for key in ("rhoL", "rhoR"):
-                obj[key] = [_format_matrix(f, _parse_matrix(f, m, name)) for m in obj[key]]
-        elif kind in ("operator", "tensor2", "form"):
-            obj["matrix"] = _format_matrix(f, _parse_matrix(f, obj["matrix"], name))
-        elif kind == "kn":
-            for key in ("K", "N", "S"):
-                obj[key] = _format_matrix(f, _parse_matrix(f, obj[key], name))
-        elif kind == "cochain":
-            def walk(node, depth):
-                if depth == int(obj["arity"]):
-                    return [f.format(f.parse(str(v))) for v in node]
-                return [walk(sub, depth + 1) for sub in node]
-
-            obj["coeffs"] = walk(obj["coeffs"], 0)
+        for key, what in _KEYS[obj["type"]].items():
+            depth = _depth(obj, what)
+            if depth is not None:
+                obj[key] = _scalars(obj[key], depth, lambda s: f.format(f.parse(str(s))),
+                                    name, key)
         out_objects[name] = obj
     doc = {"schema": SCHEMA, "field": str(f), "objects": out_objects}
     if spec.expected:

@@ -297,6 +297,8 @@ class KNStructure(_Record):
     __slots__ = ("K", "pair", "mode")
 
     def __init__(self, K: LinearOperator, pair: OperatorPair, mode: Mode = "kn"):
+        if mode not in ("kn", "dual-kn"):
+            raise ShapeMismatch(f"unknown KN mode {mode!r}")
         self.K = K
         self.pair = pair
         self.mode = mode

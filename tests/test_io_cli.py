@@ -76,6 +76,77 @@ def test_parse_errors():
                                "objects": {"x": {"type": "widget"}}}))
 
 
+_T = {"type": "tensor2", "algebra": "a", "matrix": [["0"]]}
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"type": "algebra", "c": [[["0"]]]}, "x: missing key 'dim'"),
+    ({"type": "algebra", "dim": "1", "c": [[["0"]]]},
+     "x: 'dim' must be a nonnegative integer, got '1'"),
+    ({"type": "algebra", "dim": True, "c": [[["0"]]]},
+     "x: 'dim' must be a nonnegative integer, got True"),
+    ({"type": "algebra", "dim": -1, "c": [[["0"]]]},
+     "x: 'dim' must be a nonnegative integer, got -1"),
+    ({"type": "algebra", "dim": 1, "c": [["0"]]}, "x: 'c' must be scalars nested 3 lists deep"),
+    ({"type": "algebra", "dim": 1, "c": [[[["0"]]]]},
+     "x: 'c' must be scalars nested 3 lists deep"),
+    ({"type": "algebra", "dim": 1, "c": [[["0"]]], "verified": "yes"},
+     "x: 'verified' must be true or false, got 'yes'"),
+    ({"type": "operator", "matrix": [["0"]], "domain": None},
+     "x: 'domain' must be a string, got None"),
+    ({"type": "operator", "matrix": ["0"]}, "x: 'matrix' must be scalars nested 2 lists deep"),
+    ({**_T, "algebra": 7}, "x: 'algebra' must be a string, got 7"),
+    ({**_T, "type": "form", "symmetry": "hermitian"},
+     "x: 'symmetry' must be one of 'symmetric', 'skew', got 'hermitian'"),
+    ({"type": "kn", "algebra": "a", "K": [["0"]], "N": [["0"]], "S": [["0"]], "mode": 7},
+     "x: 'mode' must be one of 'kn', 'dual-kn', got 7"),
+    ({"type": "kn", "algebra": "a", "rep": [], "K": [["0"]], "N": [["0"]], "S": [["0"]]},
+     "x: 'rep' must be a string, got []"),
+    ({"type": "cochain", "algebra": "a", "arity": 2, "coeffs": [["0"]]},
+     "x: 'coeffs' must be scalars nested 3 lists deep"),
+    ({"type": "twilled", "algebra": "a", "n1": "2", "n2": 0},
+     "x: 'n1' must be a nonnegative integer, got '2'"),
+])
+def test_parse_spec_checks_every_key_against_the_table(obj, message):
+    """Each key holds what the format table says, checked when the file is
+    parsed, before any object is built (no object "a" exists here)."""
+    with pytest.raises(ParseError) as exc:
+        parse_spec(json.dumps({"schema": "leibniz-spec/1", "objects": {"x": obj}}))
+    assert str(exc.value) == message
+
+
+def test_cochain_of_any_arity_is_read_without_forming_its_size():
+    """A cochain whose coefficients hold no entry parses, serializes and is
+    refused by build at once, however large its arity: neither the walk over
+    its coefficients nor the size check forms dim ** arity."""
+    zero = [["0", "0"], ["0", "0"]]
+    spec = parse_spec(json.dumps({"schema": "leibniz-spec/1", "objects": {
+        "alg": {"type": "algebra", "dim": 2, "c": [zero, zero]},
+        "phi": {"type": "cochain", "algebra": "alg", "arity": 10 ** 30, "coeffs": [[]]}}}))
+    assert json.loads(serialize_spec(spec))["objects"]["phi"]["coeffs"] == [[]]
+    with pytest.raises(ParseError, match=r"^phi: expected 2\^1(0{30}) entries, got 0$"):
+        spec.build("phi")
+
+
+def test_build_looks_objects_up_by_kind_before_building():
+    """build(name, kind) refuses a name of another kind without building it,
+    and a reference to an object of the wrong kind, the referring object
+    itself included, is a ParseError rather than a crash or a recursion."""
+    doc = json.loads(Path(_L2).read_text())
+    spec = parse_spec(json.dumps(doc))
+    with pytest.raises(ParseError, match="^'R' is not an algebra$"):
+        spec.build("R", "algebra")
+    assert spec._cache == {}
+    doc["objects"]["dual"]["algebra"] = "dual"
+    doc["objects"]["pi0"]["algebra"] = "R"
+    doc["objects"]["kn_dual"]["rep"] = "alg"
+    spec = parse_spec(json.dumps(doc))
+    for name, message in (("dual", "'dual' is not an algebra"), ("pi0", "'R' is not an algebra"),
+                          ("kn_dual", "'alg' is not a representation")):
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            spec.build(name)
+
+
 def test_scalar_strings_survive():
     doc = {
         "schema": "leibniz-spec/1",
@@ -123,6 +194,22 @@ def test_cli_usage_errors(tmp_path):
     assert unknown_check.returncode == 2
     unknown_obj = run_cli("check", str(CATALOG_DIR / "l2.json"), "nope", "leibniz")
     assert unknown_obj.returncode == 2
+
+
+def test_cli_spec_file_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    """check, construct and search each read a file that is not UTF-8 text
+    as a usage error with one line, not a traceback."""
+    from leibnizkit import cli
+
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"schema": "leibniz-spec/1", "objects": {"\xe9": {}}}')
+    for argv in (["check", str(path), "alg", "leibniz"],
+                 ["construct", str(path), "dual-rep", "--rep", "r"],
+                 ["search", str(path), "--predicate", "nijenhuis"]):
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: not UTF-8 text: ")
+        assert out.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -194,6 +281,49 @@ def test_check_and_construct_resolve_representations_alike():
         tagged = run_check(spec, op, "kupershmidt")
         named = run_check(spec, op, "kupershmidt", {"rep": "regular"})
         assert (tagged.ok, tagged.violations) == (named.ok, named.violations)
+
+
+@pytest.mark.parametrize("key, tag, message", [
+    ("domain", "dual:R", "'R' is not an algebra"),
+    ("codomain", "algebra:regular", "'regular' is not an algebra"),
+    ("domain", "module:alg", "'alg' is not a representation"),
+])
+def test_cli_operator_tag_naming_the_wrong_kind_is_usage_error(tmp_path, capsys, key, tag,
+                                                                message):
+    """The object a dual: or algebra: tag names is looked up as an algebra,
+    and a module: tag's as a representation: on a copy of l2.json, check R
+    kupershmidt exits 2 with one line."""
+    from leibnizkit import cli
+
+    doc = json.loads(Path(_L2).read_text())
+    doc["objects"]["R"][key] = tag
+    path = tmp_path / "tagged.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["check", str(path), "R", "kupershmidt"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {message}\n"
+
+
+def test_kn_structure_without_a_representation_is_one_usage_error(tmp_path, capsys):
+    """With no rep key on the KN object and no --rep, check kn-structure and
+    construct mc-from-dual-kn each exit 2 with one line; --rep supplies it."""
+    from leibnizkit import cli
+
+    doc = json.loads(Path(_L2).read_text())
+    del doc["objects"]["kn_dual"]["rep"]
+    path = tmp_path / "no_rep.json"
+    path.write_text(json.dumps(doc))
+    for argv, message in (
+        (["check", str(path), "kn_dual", "kn-structure"],
+         "kn-structure check needs a representation"),
+        (["construct", str(path), "mc-from-dual-kn", "--kn", "kn_dual"],
+         "construction 'mc-from-dual-kn' needs --rep"),
+    ):
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"error: {message}\n"
+        assert cli.main(argv + ["--rep", "dual"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 def test_cli_construct_dual_rep():
@@ -477,7 +607,7 @@ def test_cli_check_no_consequences_is_taken_by_the_checks_with_consequences(caps
 
 
 def test_check_names_are_the_flag_table_keys():
-    from leibnizkit.checks import _CHECK_FLAGS, CHECK_NAMES
+    from leibnizkit.checks import _CHECK_FLAGS, CHECK_NAMES, OBJECT_FLAGS
 
     assert CHECK_NAMES == tuple(_CHECK_FLAGS) == (
         "leibniz", "representation", "kupershmidt", "nijenhuis", "rota-baxter",
@@ -489,6 +619,9 @@ def test_check_names_are_the_flag_table_keys():
     for entry in load_catalog().values():
         for item in entry.spec.expected:
             assert set(item.get("args") or {}) <= set(_CHECK_FLAGS[item["check"]]), item
+    # check's object flags are the flags of the table, each once
+    assert len(set(OBJECT_FLAGS)) == len(OBJECT_FLAGS)
+    assert set(OBJECT_FLAGS) == set().union(*_CHECK_FLAGS.values()) - {"no-consequences"}
 
 
 def test_cli_construct_deformed_without_an_algebra_is_ambiguous(tmp_path, capsys):
@@ -544,12 +677,18 @@ _ALG1 = '"alg": {"type": "algebra", "dim": 1, "c": [[["0"]]]}'
             '"coeffs": ["0"]}}' % _ALG1, "phi"),
     pytest.param('"Q"', '{"alg": %s%s}' % ("[" * 100000, "]" * 100000), "alg",
                  id="arrays-nested-100000-deep"),
+    ('"Q"', '{%s, "kn": {"type": "kn", "algebra": "alg", "K": [["0"]], "N": [["0"]], '
+            '"S": [["0"]], "mode": "garbage"}}' % _ALG1, "alg"),
+    ('"Q"', '{%s, "tw": {"type": "twilled", "algebra": "alg", "n1": "2", "n2": 0}}' % _ALG1,
+     "alg"),
 ])
 def test_cli_check_malformed_spec_is_usage_error(tmp_path, field, objects, target):
     """A non-string or oversized field tag, a non-object entry under
     "objects", a non-integer size, cochain coefficients nested less deep
     than the arity and arrays nested too deep for the JSON parser end in
-    exit 2 and one line on stderr."""
+    exit 2 and one line on stderr.  So does an unknown KN mode or a size
+    written as a string on another object than the one checked: every
+    object is checked against the format when the file is read."""
     spec = tmp_path / "bad.json"
     spec.write_text(f'{{"schema": "leibniz-spec/1", "field": {field}, "objects": {objects}}}')
     out = run_cli("check", str(spec), target, "leibniz", timeout=10)
@@ -651,6 +790,42 @@ def test_cli_check_bad_spec_values_never_raise(tmp_path):
                     if code not in (0, 1, 2):
                         bad.append((name, obj, key, value, argv, code))
     assert runs == 1133
+    assert bad == []
+
+
+def test_cli_check_references_to_every_object_never_raise(tmp_path):
+    """Every algebra and rep value of every object of the catalog files, set
+    in turn to each object name of its file (its own included): each
+    expected verdict that names the object ends with an exit code of 0, 1
+    or 2, and with 2 when the name is of another kind than the key needs."""
+    from leibnizkit import cli
+
+    needs = {"algebra": "algebra", "rep": "representation"}
+    bad, runs = [], 0
+    for name in catalog_names():
+        doc = json.loads((CATALOG_DIR / f"{name}.json").read_text())
+        objects = doc["objects"]
+        for obj in sorted(objects):
+            verdicts = [_verdict_argv(v) for v in doc["expected"]
+                        if obj == v["object"] or obj in (v.get("args") or {}).values()]
+            for key in sorted(set(needs) & set(objects[obj])):
+                for target in sorted(objects):
+                    mutated = json.loads(json.dumps(doc))
+                    mutated["objects"][obj][key] = target
+                    spec = tmp_path / "spec.json"
+                    spec.write_text(json.dumps(mutated))
+                    wrong_kind = objects[target]["type"] != needs[key]
+                    for argv in verdicts:
+                        runs += 1
+                        with contextlib.redirect_stdout(io.StringIO()), \
+                                contextlib.redirect_stderr(io.StringIO()):
+                            try:
+                                code = cli.main(["check", str(spec), *argv])
+                            except Exception as exc:
+                                code = f"{type(exc).__name__}: {exc}"
+                        if code not in ((2,) if wrong_kind else (0, 1, 2)):
+                            bad.append((name, obj, key, target, argv, code))
+    assert runs == 574
     assert bad == []
 
 

@@ -170,6 +170,15 @@ def test_kn_trivial_modes(l2_regular):
     assert check_kn_structure(make_kn(K, I2(), I2(), "kn"), l2_regular).ok
 
 
+@pytest.mark.parametrize("mode", ["garbage", 7, None, "KN"])
+def test_kn_structure_refuses_an_unknown_mode(mode):
+    """A mode other than kn or dual-kn is refused where the structure is
+    made, as BilinearForm refuses an unknown symmetry tag; the check never
+    reads it as dual-kn."""
+    with pytest.raises(ShapeMismatch, match=f"^unknown KN mode {mode!r}$"):
+        make_kn(as_operator(rb_matrix(1)), Z2(), Z2(), mode)
+
+
 def test_kn_consequences_bundled(l2, l2_dual):
     K, K2 = _bsharp_pair(l2, l2_dual)
     kn1, kn2 = dual_kn_from_compatible(K, K2, l2_dual)

@@ -7,8 +7,9 @@ strings, trailing newline; parse(serialize(x)) is byte-stable.
 
 ``_KEYS`` states the format once: what each key of each object kind holds.
 ``parse_spec`` checks every object against it before anything is built, so a
-missing key or a value of the wrong type is a ParseError naming the object
-and the key.  Scalar text is parsed only when ``SpecFile.build`` builds the
+missing key, a key the table does not list for the object's kind (a
+misspelled optional key would otherwise read as its default) or a value of
+the wrong type is a ParseError naming the object and the key.  Scalar text is parsed only when ``SpecFile.build`` builds the
 object, and ``build``, the check and ``canonical_document`` read the nesting
 of every scalar array from the table through one walker, ``_scalars``.
 ``SpecFile.build(name, kind)`` is the one typed lookup: it refuses a name of
@@ -100,9 +101,14 @@ def _scalars(node, depth: int, leaf, name: str, key: str) -> list:
 
 
 def _check(name: str, obj: dict) -> None:
-    """A ParseError naming ``name`` and the key unless each key of ``obj``
-    holds what ``_KEYS`` says; scalar text is left unparsed."""
-    for key, what in _KEYS[obj["type"]].items():
+    """A ParseError naming ``name`` and the key unless ``_KEYS`` lists each
+    key of ``obj`` and each key holds what it says; scalar text is left
+    unparsed."""
+    keys = _KEYS[obj["type"]]
+    for key in obj:
+        if key != "type" and key not in keys:
+            raise ParseError(f"{name}: unknown key {key!r}")
+    for key, what in keys.items():
         if key not in obj:
             if key in _OPTIONAL:
                 continue

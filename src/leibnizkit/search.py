@@ -18,9 +18,14 @@ nondegenerate, decided once per distinct form.  Every hit is confirmed
 against the check's own identity statement, in blocks of up to ``_BLOCK``
 hits: the same raw-sides function runs once on a matrix whose entries are
 ``_Lanes``, one value per hit, and a hit whose lane of some lhs - rhs is
-nonzero mod p stops the search with ``SearchMismatch``.  The linear layers
-(the linear Maurer-Cartan equations, invariant skew and closed symmetric
-forms) are solved exactly, over any field, from the same kind of residues.
+nonzero mod p stops the search with ``SearchMismatch``; a coordinate of
+lhs - rhs that is a plain constant, the same for every hit, is tested once.
+No ``_Poly`` or ``_Lanes`` operation changes an operand, so one whose other
+operand is the constant 0 (for + and -) or 1 or -1 (for *) returns its
+operand, or its negation, instead of a copy; nearly half the operations of
+the check kernels are of that kind.  The linear layers (the linear
+Maurer-Cartan equations, invariant skew and closed symmetric forms) are
+solved exactly, over any field, from the same kind of residues.
 """
 
 from __future__ import annotations
@@ -266,18 +271,23 @@ def _first_rejected(spec: SearchSpec, flats: List[tuple]) -> Optional[int]:
     row-major) on which lhs = rhs fails mod p, or None: one evaluation of the
     raw sides on the matrix whose entry lanes are the candidates' entries.
     The first is the least bad lane over every coordinate, not the first bad
-    lane of the first bad coordinate."""
+    lane of the first bad coordinate.  A coordinate that is a plain constant,
+    the same on every lane, is tested once, and a nonzero one rejects lane 0;
+    a lane list is cut to the lanes before the least bad one only once a bad
+    lane has been found."""
     if not flats:
         return None
-    p = spec.field.p
+    p, n = spec.field.p, len(flats)
     X = _matrix(spec.field, *_grid(spec), [_Lanes(lane) for lane in zip(*flats)])
-    first = len(flats)
+    first = n
     for lhs, rhs in _sides(spec, X):
         for d in map(sub, lhs, rhs):
-            lanes = d[:first] if isinstance(d, _Lanes) else [d] * first
-            if any(map(mod, lanes, repeat(p))):
-                first = next(i for i, v in enumerate(lanes) if v % p)
-    return first if first < len(flats) else None
+            if not isinstance(d, _Lanes):
+                if d % p:
+                    return 0
+            elif any(map(mod, d if first == n else d[:first], repeat(p))):
+                first = next(i for i, v in enumerate(d) if v % p)
+    return first if first < n else None
 
 
 # -- compiled kernels ------------------------------------------------------------
@@ -288,14 +298,20 @@ class _Poly(dict):
     the sorted tuple of its variable indices, a coefficient a raw field value
     (an int, or a Fraction over Q), not reduced.  It has what the check
     kernels do to matrix entries: +, - and * with polynomials and constants,
-    negation, and a truth test (nonzero as a dict)."""
+    negation, and a truth test (nonzero as a dict).  No operation changes an
+    operand, so one whose other operand is the constant 0 (for + and -) or
+    1 or -1 (for *) returns its polynomial operand itself, or its negation:
+    a result may be an operand."""
 
     __slots__ = ()
 
     def __add__(self, other, sign: int = 1) -> "_Poly":
+        if not isinstance(other, dict):
+            if not other:
+                return self
+            other = {(): other}
         out = _Poly(self)
-        terms = other.items() if isinstance(other, dict) else [((), other)] if other else []
-        for mono, c in terms:
+        for mono, c in other.items():
             out[mono] = out.get(mono, 0) + sign * c
         return out
 
@@ -308,10 +324,14 @@ class _Poly(dict):
         return -self + other
 
     def __neg__(self) -> "_Poly":
-        return self * -1
+        return _Poly({mono: -c for mono, c in self.items()})
 
     def __mul__(self, other) -> "_Poly":
         if not isinstance(other, dict):
+            if other == 1:
+                return self
+            if other == -1:
+                return -self
             return _Poly({mono: c * other for mono, c in self.items()})
         out = _Poly()
         for m1, c1 in self.items():
@@ -328,17 +348,23 @@ class _Lanes(list):
     reduced.  It has what the check kernels do to matrix entries, lane by
     lane: +, - and * with lanes and constants, in place too (where a list
     would extend or repeat), negation, and a truth test that means "any lane
-    is nonzero"."""
+    is nonzero".  As with ``_Poly``, no operation changes an operand, and one
+    with the constant 0 (for + and -) or 1 or -1 (for *) returns its lanes
+    operand itself, or its negation."""
 
     __slots__ = ()
 
     def __add__(self, other) -> "_Lanes":
-        return _Lanes(map(add, self, other if isinstance(other, list) else repeat(other)))
+        if isinstance(other, list):
+            return _Lanes(map(add, self, other))
+        return _Lanes(map(add, self, repeat(other))) if other else self
 
     __radd__ = __iadd__ = __add__
 
     def __sub__(self, other) -> "_Lanes":
-        return _Lanes(map(sub, self, other if isinstance(other, list) else repeat(other)))
+        if isinstance(other, list):
+            return _Lanes(map(sub, self, other))
+        return _Lanes(map(sub, self, repeat(other))) if other else self
 
     def __rsub__(self, other) -> "_Lanes":
         return -self + other
@@ -347,7 +373,13 @@ class _Lanes(list):
         return _Lanes(map(neg, self))
 
     def __mul__(self, other) -> "_Lanes":
-        return _Lanes(map(mul, self, other if isinstance(other, list) else repeat(other)))
+        if isinstance(other, list):
+            return _Lanes(map(mul, self, other))
+        if other == 1:
+            return self
+        if other == -1:
+            return -self
+        return _Lanes(map(mul, self, repeat(other)))
 
     __rmul__ = __imul__ = __mul__
 

@@ -106,6 +106,8 @@ _T = {"type": "tensor2", "algebra": "a", "matrix": [["0"]]}
      "x: 'coeffs' must be scalars nested 3 lists deep"),
     ({"type": "twilled", "algebra": "a", "n1": "2", "n2": 0},
      "x: 'n1' must be a nonnegative integer, got '2'"),
+    ({**_T, "symmetry": "symmetric"}, "x: unknown key 'symmetry'"),
+    ({"type": "operator", "matrix": [["0"]], "matirx": [["1"]]}, "x: unknown key 'matirx'"),
 ])
 def test_parse_spec_checks_every_key_against_the_table(obj, message):
     """Each key holds what the format table says, checked when the file is
@@ -113,6 +115,22 @@ def test_parse_spec_checks_every_key_against_the_table(obj, message):
     with pytest.raises(ParseError) as exc:
         parse_spec(json.dumps({"schema": "leibniz-spec/1", "objects": {"x": obj}}))
     assert str(exc.value) == message
+
+
+def test_cli_check_misspelled_optional_key_is_usage_error(tmp_path, capsys):
+    """A misspelled optional key is refused, not read as its default: with
+    q_skew's "symmetry" written "symetry", the form would read as symmetric
+    and fail the skew precondition."""
+    from leibnizkit import cli
+
+    doc = json.loads(Path(_L2).read_text())
+    form = doc["objects"]["q_skew"]
+    form["symetry"] = form.pop("symmetry")
+    path = tmp_path / "l2_typo.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["check", str(path), "q_skew", "quadratic"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: q_skew: unknown key 'symetry'\n"
 
 
 def test_cochain_of_any_arity_is_read_without_forming_its_size():
@@ -369,6 +387,25 @@ def _constructed(capsys, *argv, source=_L2):
     assert out.err == ""
     assert serialize_spec(parse_spec(out.out)) == out.out
     return json.loads(out.out)["objects"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("dual-rep", "--rep", "regular"),
+    ("semidirect", "--rep", "regular"),
+    ("subadjacent", "--K", "R"),
+    ("lifted", "--K", "R"),
+    ("deformed", "--N", "N23"),
+    ("theta-twist", "--K", "R", "--theta", "theta_strong"),
+    ("dual-kn-from-mc", "--K", "R", "--theta", "theta_strong", "--rep", "regular"),
+    ("mc-from-dual-kn", "--kn", "kn_dual"),
+    ("sharp", "--pi", "pi0"),
+    ("dual-kn-from-compatible", "--K1", "Bsharp", "--K2", "NBsharp", "--rep", "dual"),
+], ids=lambda argv: argv[0])
+def test_cli_construct_output_parses_back(capsys, argv):
+    """Every construction emits only keys of the format table, so its output
+    parses back (and re-serializes byte for byte) under the unknown-key
+    check."""
+    assert _constructed(capsys, *argv)
 
 
 def _check_merged(tmp_path, capsys, objects, *argv, source=_L2):

@@ -1,4 +1,5 @@
 import ast
+import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -752,7 +753,168 @@ def test_lanes_act_lane_by_lane():
     assert acc == [[6, 2, 8]] and type(acc[0]) is search._Lanes
     assert 2 * a - b == [-1, 4, -5] and 1 - a == [0, -1, 1] and -(a * b) == [-3, 0, 0]
     assert a and not search._Lanes([0, 0]) and not search._Lanes([])
-    assert a == [1, 2, 0]  # no operation changed its operands
+    same = a + 0  # may be a itself
+    same += b
+    same *= 3
+    assert same == [12, 6, 15] and a - 0 == a == 1 * a and a * -1 == [-1, -2, 0]
+    assert a == [1, 2, 0] and b == [3, 0, 5]  # no operation changed its operands
+
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "+=": operator.iadd,
+        "-=": operator.isub, "*=": operator.imul}
+
+
+def _poly_ref(op, a, b):
+    """a op b (op one of +, -, *) on {monomial: coefficient} dicts, without
+    zero coefficients."""
+    out = {}
+    if op == "*":
+        for (m1, c1), (m2, c2) in product(a.items(), b.items()):
+            mono = tuple(sorted(m1 + m2))
+            out[mono] = out.get(mono, 0) + c1 * c2
+    else:
+        for mono, c in [*a.items(), *((m, c if op == "+" else -c) for m, c in b.items())]:
+            out[mono] = out.get(mono, 0) + c
+    return {mono: c for mono, c in out.items() if c}
+
+
+_RAW = st.integers(-9, 9)
+_POLY = st.dictionaries(st.lists(st.integers(0, 2), max_size=2).map(lambda m: tuple(sorted(m))),
+                        _RAW, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.sampled_from((2, 3, 5, 7)), poly=st.booleans(), data=st.data())
+def test_lanes_and_polynomials_compute_what_plain_arithmetic_does(p, poly, data):
+    """Chains of +, -, *, negation and the in-place forms on _Lanes (and on
+    _Poly) give the lane-wise (and polynomial) values of plain arithmetic,
+    with constants from 0, 1, -1, 2 and p - 1 on either side and earlier
+    results reused as operands, in place too (acc[0] += x after acc[0] = x *
+    1); no operation changes the value of an operand."""
+    if poly:
+        cls, start = search._Poly, data.draw(st.lists(_POLY, min_size=1, max_size=3))
+        lift = lambda v: v if isinstance(v, dict) else {(): v} if v else {}
+        ref = lambda op, a, b: _poly_ref(op.rstrip("="), lift(a), lift(b))
+        value = lambda v: {mono: c for mono, c in v.items() if c}
+    else:
+        width = data.draw(st.integers(0, 4))
+        cls, start = search._Lanes, data.draw(
+            st.lists(st.lists(_RAW, min_size=width, max_size=width), min_size=1, max_size=3))
+        lift = lambda v: v if isinstance(v, list) else [v] * width
+        ref = lambda op, a, b: list(map(_OPS[op.rstrip("=")], lift(a), lift(b)))
+        value = list
+    pool = [(cls(v), value(v)) for v in start]  # (operand, its value when made)
+    constant = st.sampled_from((0, 1, -1, 2, p - 1))
+    for _ in range(data.draw(st.integers(1, 12))):
+        op = data.draw(st.sampled_from(["neg", *_OPS]))
+        x, x_value = pool[data.draw(st.integers(0, len(pool) - 1))]
+        if op == "neg":
+            out, expected = -x, ref("-", 0, x_value)
+        else:
+            if data.draw(st.booleans()):
+                y, y_value = pool[data.draw(st.integers(0, len(pool) - 1))]
+            else:
+                y = y_value = data.draw(constant)
+            if data.draw(st.booleans()):
+                x, y, x_value, y_value = y, x, y_value, x_value
+            acc = [x * 1 if data.draw(st.booleans()) else x]
+            acc[0] = _OPS[op](acc[0], y)  # for "+=", what acc[0] += y does
+            out, expected = acc[0], ref(op, x_value, y_value)
+        assert type(out) is cls and value(out) == expected, op
+        pool.append((out, expected))
+    assert [value(v) for v, _ in pool] == [made for _, made in pool]
+
+
+def test_first_rejected_tests_a_constant_coordinate_once(monkeypatch):
+    """With stubbed raw sides over F5 on a block of four candidates: constant
+    coordinates that are 0 or multiples of 5 reject nothing, a nonzero one
+    rejects candidate 0, and among lane coordinates the least bad lane over
+    every coordinate is the one named, whichever coordinate holds it."""
+    spec = SearchSpec(prime_field(5), (1, 1), "nijenhuis")
+    flats = [(0,), (1,), (2,), (3,)]
+    L = search._Lanes
+    for sides, first in [
+        ([([0, 5, 10], [0, 0, -5])], None),
+        ([([0, 3], [0, 0])], 0),
+        ([([L([0, 0, 5, 1]), 2], [0, 2])], 3),
+        ([([L([5, 10, 0, 15]), L([1, 2, 3, 4])], [0, L([1, 2, 3, 4])])], None),
+        ([([L([0, 0, 0, 2])], [0]), ([L([0, 7, 0, 0])], [0])], 1),
+        ([([L([0, 7, 0, 0]), L([0, 0, 1, 2])], [0, 0])], 1),
+        ([([L([0, 0, 1, 0]), 4], [0, 0])], 0),
+        ([([4, L([0, 0, 1, 0])], [-1, 0])], 2),
+    ]:
+        monkeypatch.setattr(search, "_sides", lambda spec, X, sides=sides: sides)
+        assert search._first_rejected(spec, flats) == first, sides
+
+
+_MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse",
+             "update", "setdefault", "popitem", "__setitem__", "__delitem__", "__iadd__",
+             "__imul__", "__ior__"}
+
+
+def _is_self(node):
+    return isinstance(node, ast.Name) and node.id == "self"
+
+
+def _writes_self(node):
+    """Whether ``node`` assigns into or deletes from self[...], or calls a
+    mutating list or dict method on self: self.m(...), list.m(self, ...),
+    dict.m(self, ...) or super().m(...)."""
+    if isinstance(node, ast.Subscript):
+        return isinstance(node.ctx, (ast.Store, ast.Del)) and _is_self(node.value)
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _MUTATORS):
+        return False
+    owner = node.func.value
+    return (_is_self(owner)
+            or isinstance(owner, ast.Name) and owner.id in ("list", "dict")
+            and bool(node.args) and _is_self(node.args[0])
+            or isinstance(owner, ast.Call) and getattr(owner.func, "id", None) == "super")
+
+
+def _self_mutations(tree, classes):
+    """(class, method) for each node of a method of the named classes that
+    writes into self (``_writes_self``)."""
+    return [(cls.name, fn.name) for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name in classes
+            for fn in cls.body if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn) if _writes_self(node)]
+
+
+_MUTATION_SNIPPET = """
+class _Lanes(list):
+    def a(self, o):
+        self[0] = o
+    def b(self, o):
+        self[1:] += o
+    def c(self, o):
+        del self[0]
+    def d(self, o):
+        return self.extend(o)
+    def e(self, o):
+        dict.update(self, o)
+    def f(self, o):
+        super().append(o)
+    def g(self, o):
+        out = _Lanes(self)
+        out[0] = self[0]
+        out.append(self.copy())
+        return out
+class Other(list):
+    def h(self, o):
+        self.append(o)
+"""
+
+
+def test_lane_and_polynomial_operations_never_change_an_operand():
+    """No method of _Lanes or _Poly writes into self, so an operation may
+    return an operand (x + 0, x * 1) as its result."""
+    assert _self_mutations(ast.parse(_MUTATION_SNIPPET), {"_Lanes"}) == [
+        ("_Lanes", name) for name in "abcdef"]
+    tree = ast.parse((SRC / "search.py").read_text())
+    classes = {"_Lanes", "_Poly"}
+    assert classes <= {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    assert _self_mutations(tree, classes) == []
 
 
 _BLOCK_VARIANTS = ("nijenhuis", "rota_baxter", "kupershmidt-regular", "kupershmidt-dual",

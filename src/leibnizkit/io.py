@@ -9,9 +9,10 @@ strings, trailing newline; parse(serialize(x)) is byte-stable.
 ``parse_spec`` checks every object against it before anything is built, so a
 missing key, a key the table does not list for the object's kind (a
 misspelled optional key would otherwise read as its default) or a value of
-the wrong type is a ParseError naming the object and the key.  Scalar text is parsed only when ``SpecFile.build`` builds the
-object, and ``build``, the check and ``canonical_document`` read the nesting
-of every scalar array from the table through one walker, ``_scalars``.
+the wrong type is a ParseError naming the object and the key.  Scalar text
+is parsed only when ``SpecFile.build`` builds the object, and ``build``, the
+check and ``canonical_document`` read the nesting of every scalar array from
+the table through one walker, ``_scalars``.
 ``SpecFile.build(name, kind)`` is the one typed lookup: it refuses a name of
 another kind before building anything, and every reference between objects
 goes through it, so a reference to the wrong kind (a cycle included) is a

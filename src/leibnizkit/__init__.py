@@ -34,10 +34,10 @@ _EXPORTS = {
         "sharp_map",
     ), "forms"),
     **dict.fromkeys((
-        "LinearSolution", "Matrix", "mat_inverse", "mat_mul", "solve_linear",
+        "LinearOperator", "LinearSolution", "Matrix", "mat_inverse", "mat_mul", "solve_linear",
     ), "linalg"),
     **dict.fromkeys((
-        "DendriformPair", "LinearOperator", "as_operator", "check_compatible",
+        "DendriformPair", "as_operator", "check_compatible",
         "check_kupershmidt", "check_nijenhuis", "check_nk_condition", "check_rota_baxter",
         "deformed_bracket", "induced_representation", "lifted_algebra",
         "nijenhuis_from_compatible", "subadjacent_algebra",

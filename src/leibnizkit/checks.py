@@ -21,19 +21,12 @@ from .algebras import (
 )
 from .errors import ParseError
 from .io import SpecFile
-from .operators import (
-    LinearOperator,
-    check_compatible,
-    check_kupershmidt,
-    check_nijenhuis,
-    check_nk_condition,
-    check_rota_baxter,
-)
+from .linalg import LinearOperator
 from .reports import CheckReport
 
-# ``io`` already loads algebras and operators; the checkers of pairs, forms
-# and dgla are imported in their own branch of ``run_check``, so a check loads
-# only the modules it runs.
+# The checkers of operators, pairs, forms and dgla are imported in their own
+# branch of ``run_check``, so a check loads only the modules it runs: the
+# algebra and representation checks load none of them.
 
 # Each check with the flags it reads; any other flag is a usage error.
 # ``no-consequences`` stands for ``consequences=False``.
@@ -130,19 +123,25 @@ def run_check(spec: SpecFile, object_name: str, check: str, args: Optional[Dict]
     if check == "representation":
         return check_representation(spec.build(object_name, "representation"))
     if check == "kupershmidt":
+        from .operators import check_kupershmidt
+
         K = spec.build(object_name, "operator")
         return check_kupershmidt(K, _resolve_rep(spec, args.get("rep"), K))
-    if check == "nijenhuis":
-        N = spec.build(object_name, "operator")
-        return check_nijenhuis(N, _resolve_algebra(spec, N, args))
-    if check == "rota-baxter":
-        R = spec.build(object_name, "operator")
-        return check_rota_baxter(R, _resolve_algebra(spec, R, args))
+    if check in ("nijenhuis", "rota-baxter"):
+        from .operators import check_nijenhuis, check_rota_baxter
+
+        T = spec.build(object_name, "operator")
+        fn = check_nijenhuis if check == "nijenhuis" else check_rota_baxter
+        return fn(T, _resolve_algebra(spec, T, args))
     if check == "compatible":
+        from .operators import check_compatible
+
         K = spec.build(object_name, "operator")
         other = spec.build(_flag(args, "other", check), "operator")
         return check_compatible(K, other, _resolve_rep(spec, args.get("rep"), K))
     if check == "nk-condition":
+        from .operators import check_nk_condition
+
         N = spec.build(object_name, "operator")
         K = spec.build(_flag(args, "K", check), "operator")
         return check_nk_condition(N, K, _resolve_rep(spec, args.get("rep"), K))

@@ -36,7 +36,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain, combinations, product
 from operator import add
-from typing import Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from .algebras import LeibnizAlgebra, Representation, check_leibniz
 from .errors import (
@@ -49,9 +49,8 @@ from .errors import (
     SpaceMismatch,
 )
 from .fields import FieldSpec
-from .linalg import Matrix, is_invertible, mat_inverse
+from .linalg import LinearOperator, Matrix, is_invertible, mat_inverse
 from .operators import (
-    LinearOperator,
     _equivariance_sides,
     _kupershmidt_sides,
     _lift,
@@ -64,16 +63,13 @@ from .operators import (
     module_bracket_tensor,
 )
 from .algebras import check_matched_pair
-from .pairs import (
-    KNStructure,
-    OperatorPair,
-    _deformed_action,
-    _hat_tilde,
-    _kn_conditions,
-    check_kn_structure,
-)
 from .reports import CheckReport, _sides_violations
 from .twilled import TwilledContext
+
+# ``pairs`` is imported in the functions that build or check KN-structures,
+# so a Maurer-Cartan check does not load it.
+if TYPE_CHECKING:
+    from .pairs import KNStructure
 
 
 @lru_cache(maxsize=None)
@@ -418,6 +414,8 @@ def dual_kn_from_mc(
     """A strong Maurer-Cartan solution yields the dual KN-structure
     (K, N = K theta, S = theta K); the mirrored structure over the induced
     representation and the compatibility consequences are re-verified."""
+    from .pairs import KNStructure, OperatorPair, check_kn_structure
+
     K = as_operator(K)
     vr, _ = _lifted_context(K, rep, theta)
     N = K.matrix * theta
@@ -447,6 +445,8 @@ def dual_kn_from_mc(
 def mc_from_dual_kn(kn: KNStructure, rep: Representation) -> Matrix:
     """For a dual KN-structure with invertible K, theta = K^{-1} N = S K^{-1}
     solves the strong Maurer-Cartan equation on the lifted sum."""
+    from .pairs import check_kn_structure
+
     if kn.mode != "dual-kn":
         raise NotDualKN("input must be in dual KN mode")
     rpt = check_kn_structure(kn, rep, consequences=False)
@@ -466,6 +466,8 @@ def tilde_varrho_bracket(kn: KNStructure, rep: Representation) -> LeibnizAlgebra
     """The deformed total bracket of a dual KN-structure on module (+) algebra,
     combining the S-deformed sub-adjacent bracket, the N-deformed algebra
     bracket, the twisted induced action and the tilde action."""
+    from .pairs import _deformed_action, _hat_tilde, _kn_conditions
+
     if kn.mode != "dual-kn":
         raise NotDualKN("input must be in dual KN mode")
     violations, _, s_deformed, _ = _kn_conditions(kn, rep)

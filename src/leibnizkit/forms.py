@@ -43,17 +43,18 @@ from .errors import (
     NotSymmetric,
     ShapeMismatch,
 )
-from .linalg import Matrix, _flat, is_invertible, mat_inverse
+from .linalg import LinearOperator, Matrix, _flat, is_invertible, mat_inverse
 from .operators import (
-    LinearOperator,
     as_operator,
     check_compatible,
     check_kupershmidt,
     check_nijenhuis,
     check_rota_baxter,
 )
-from .pairs import KNStructure, OperatorPair, _kn_core, check_kn_structure
 from .reports import CheckReport, Violation, _Record, _sides_violations
+
+# ``pairs`` is imported in the three couplings that run its KN kernel, so a
+# Yang-Baxter or quadratic check does not load it.
 
 
 class Tensor2(_Record):
@@ -160,6 +161,8 @@ def check_rn_structure(
     """Couple an r-matrix with a Nijenhuis operator: N pi# = pi# N^T, and the
     bracket induced by N pi# on the dual equals the N^T-deformation of the
     bracket induced by pi#."""
+    from .pairs import KNStructure, OperatorPair, _kn_core, check_kn_structure
+
     N = as_operator(N)
     ybe = check_ybe(alg, pi)
     if not ybe.ok:
@@ -191,6 +194,8 @@ def check_rbn_structure(
 ) -> CheckReport:
     """Couple a Rota-Baxter operator with a Nijenhuis operator: NR = RN and
     the bracket induced by NR equals the N-deformation of the one induced by R."""
+    from .pairs import _kn_core
+
     R, N = as_operator(R), as_operator(N)
     rb = check_rota_baxter(R, alg)
     if not rb.ok:
@@ -288,6 +293,8 @@ def check_bn_structure(
     closed again.  Consequences: the sharp map with (N, N^T) is a dual
     KN-structure on the contragredient of the regular representation, and the
     sharp map is compatible with its N-composite."""
+    from .pairs import KNStructure, OperatorPair, check_kn_structure
+
     alg.require_leibniz()
     N = as_operator(N)
     if B.symmetry != "symmetric" or not B.matches_symmetry():

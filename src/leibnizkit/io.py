@@ -9,7 +9,10 @@ strings, trailing newline; parse(serialize(x)) is byte-stable.
 ``parse_spec`` checks every object against it before anything is built, so a
 missing key, a key the table does not list for the object's kind (a
 misspelled optional key would otherwise read as its default) or a value of
-the wrong type is a ParseError naming the object and the key.  Scalar text
+the wrong type is a ParseError naming the object and the key.
+``_VERDICT_KEYS`` does the same for each verdict of the ``expected`` list,
+and ``_FILE_KEYS`` lists the keys of the file itself, so a misspelled
+``field`` is refused instead of reading the file over Q.  Scalar text
 is parsed only when ``SpecFile.build`` builds the object, and ``build``, the
 check and ``canonical_document`` read the nesting of every scalar array from
 the table through one walker, ``_scalars``.
@@ -27,8 +30,7 @@ from typing import Dict, List, Optional
 from .algebras import LeibnizAlgebra, Representation
 from .errors import ParseError, ShapeMismatch
 from .fields import FieldSpec, RATIONALS, prime_field
-from .linalg import Matrix
-from .operators import LinearOperator
+from .linalg import LinearOperator, Matrix
 from .reports import _Record
 
 # The modules behind cochains, tensors, forms, KN-structures and twilled
@@ -59,8 +61,16 @@ _KEYS = {
            "mode": ("kn", "dual-kn")},
     "twilled": {"algebra": "algebra", "n1": int, "n2": int},
 }
+# The same for each verdict of a file's ``expected`` list; ``dict`` is a map
+# of strings to strings (``args`` maps flag names to object names).
+_VERDICT_KEYS = {"object": str, "check": str, "ok": bool, "args": dict,
+                 "precondition_fails": bool}
 _OPTIONAL = {"verified": None, "mdim": None, "domain": "", "codomain": "",
-             "symmetry": "symmetric", "rep": None, "mode": "kn"}
+             "symmetry": "symmetric", "rep": None, "mode": "kn", "args": None,
+             "precondition_fails": False}
+# The keys of the file itself: a left-out ``field`` is Q, and left-out
+# ``objects`` or ``expected`` are empty.
+_FILE_KEYS = ("schema", "field", "objects", "expected")
 
 KINDS = tuple(_KEYS)
 
@@ -101,13 +111,12 @@ def _scalars(node, depth: int, leaf, name: str, key: str) -> list:
     return out
 
 
-def _check(name: str, obj: dict) -> None:
-    """A ParseError naming ``name`` and the key unless ``_KEYS`` lists each
-    key of ``obj`` and each key holds what it says; scalar text is left
-    unparsed."""
-    keys = _KEYS[obj["type"]]
+def _check(name: str, obj: dict, keys: dict, tag: tuple = ()) -> None:
+    """A ParseError naming ``name`` and the key unless ``keys`` or ``tag``
+    lists each key of ``obj`` and each key of ``keys`` holds what it says;
+    scalar text is left unparsed."""
     for key in obj:
-        if key != "type" and key not in keys:
+        if key not in keys and key not in tag:
             raise ParseError(f"{name}: unknown key {key!r}")
     for key, what in keys.items():
         if key not in obj:
@@ -122,6 +131,9 @@ def _check(name: str, obj: dict) -> None:
             ok, must = type(value) is int and value >= 0, "a nonnegative integer"
         elif what is bool:
             ok, must = isinstance(value, bool), "true or false"
+        elif what is dict:
+            ok = isinstance(value, dict) and all(isinstance(v, str) for v in value.values())
+            must = "a map of strings to strings"
         elif isinstance(what, tuple):
             ok, must = value in what, "one of " + ", ".join(map(repr, what))
         else:
@@ -147,19 +159,20 @@ def _format_matrix(f: FieldSpec, m: Matrix) -> list:
 
 class SpecFile(_Record):
     """A parsed file: one field, a named map of raw objects, optional
-    expected-verdict list.  Typed objects are built on demand and cached, so
-    a spec file is unhashable.  ``raw`` holds objects that ``parse_spec`` has
-    checked against ``_KEYS``."""
+    expected-verdict list.  ``raw`` holds objects that ``parse_spec`` has
+    checked against ``_KEYS``.  Typed objects are built on demand and kept
+    in ``_cache``, which is not a field: two spec files are equal when their
+    field, objects and verdicts are, whatever either has built.  The raw
+    objects are mutable, so a spec file is unhashable."""
 
     __slots__ = ("fieldspec", "raw", "expected", "_cache")
 
     def __init__(self, fieldspec: FieldSpec, raw: Dict[str, dict],
-                 expected: Optional[List[dict]] = None,
-                 _cache: Optional[Dict[str, object]] = None):
+                 expected: Optional[List[dict]] = None):
         self.fieldspec = fieldspec
         self.raw = raw
         self.expected = [] if expected is None else expected
-        self._cache = {} if _cache is None else _cache
+        self._cache: Dict[str, object] = {}
 
     __hash__ = None
 
@@ -252,6 +265,9 @@ def parse_spec(text: str) -> SpecFile:
         raise ParseError("top level must be an object")
     if doc.get("schema") != SCHEMA:
         raise ParseError(f"schema must be {SCHEMA!r}, got {doc.get('schema')!r}")
+    for key in doc:
+        if key not in _FILE_KEYS:
+            raise ParseError(f"unknown top-level key {key!r}")
     fieldspec = parse_field(doc.get("field", "Q"))
     objects = doc.get("objects", {})
     if not isinstance(objects, dict):
@@ -261,8 +277,15 @@ def parse_spec(text: str) -> SpecFile:
             raise ParseError(f"object {name!r} must be a JSON object")
         if obj.get("type") not in KINDS:
             raise ParseError(f"object {name!r} has unknown type {obj.get('type')!r}")
-        _check(name, obj)
-    return SpecFile(fieldspec, objects, doc.get("expected", []))
+        _check(name, obj, _KEYS[obj["type"]], ("type",))
+    expected = doc.get("expected", [])
+    if not isinstance(expected, list):
+        raise ParseError("'expected' must be a list of verdicts")
+    for i, verdict in enumerate(expected):
+        if not isinstance(verdict, dict):
+            raise ParseError(f"expected[{i}] must be a JSON object")
+        _check(f"expected[{i}]", verdict, _VERDICT_KEYS)
+    return SpecFile(fieldspec, objects, expected)
 
 
 def load_spec(path) -> SpecFile:

@@ -12,6 +12,10 @@ package whose values are already normalized: each result entry is computed
 from normalized entries and normalized once, and nothing else is stored.
 The one exception is ``search``'s matrix of polynomial unknowns, which it
 passes only to the raw-sides kernels and never returns.
+
+``LinearOperator`` is a matrix tagged with its domain and codomain.  It lives
+here, beside ``Matrix``, so that reading a file's operators and resolving a
+check's objects do not load the operator checks of ``operators``.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from typing import Optional, Sequence, Tuple
 
 from .errors import FieldMismatch, ShapeMismatch, Singular
 from .fields import FieldSpec, RawScalar
+from .reports import _Record
 
 Vector = Tuple[RawScalar, ...]
 
@@ -135,6 +140,23 @@ class Matrix:
     def is_zero(self) -> bool:
         f = self.field
         return all(f.is_zero(v) for row in self.entries for v in row)
+
+
+class LinearOperator(_Record):
+    """A matrix with domain/codomain tags so maps between different spaces
+    cannot be silently confused (module->algebra vs algebra->algebra);
+    immutable."""
+
+    __slots__ = ("matrix", "domain", "codomain")
+
+    def __init__(self, matrix: Matrix, domain: str = "", codomain: str = ""):
+        self.matrix = matrix
+        self.domain = domain
+        self.codomain = codomain
+
+    @property
+    def field(self) -> FieldSpec:
+        return self.matrix.field
 
 
 def _flat(m: Matrix) -> Tuple:

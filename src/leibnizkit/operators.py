@@ -66,25 +66,8 @@ from .errors import (
     Singular,
 )
 from .fields import FieldSpec
-from .linalg import Matrix, Vector, is_invertible, mat_inverse
+from .linalg import LinearOperator, Matrix, Vector, is_invertible, mat_inverse
 from .reports import CheckReport, Violation, _Record, _sides_violations
-
-
-class LinearOperator(_Record):
-    """A matrix with domain/codomain tags so maps between different spaces
-    cannot be silently confused (module->algebra vs algebra->algebra);
-    immutable."""
-
-    __slots__ = ("matrix", "domain", "codomain")
-
-    def __init__(self, matrix: Matrix, domain: str = "", codomain: str = ""):
-        self.matrix = matrix
-        self.domain = domain
-        self.codomain = codomain
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.matrix.field
 
 
 def as_operator(m, domain: str = "", codomain: str = "") -> LinearOperator:

@@ -14,7 +14,7 @@ normalises the blocks into matrices.
 from __future__ import annotations
 
 from operator import add
-from typing import Literal, Sequence, Tuple
+from typing import TYPE_CHECKING, Literal, Sequence, Tuple
 
 from .algebras import (
     LeibnizAlgebra,
@@ -33,9 +33,8 @@ from .errors import (
     ShapeMismatch,
     Singular,
 )
-from .linalg import Matrix, _flat, is_invertible, mat_inverse
+from .linalg import LinearOperator, Matrix, _flat, is_invertible, mat_inverse
 from .operators import (
-    LinearOperator,
     _applied,
     _dendriform,
     _flat3,
@@ -52,7 +51,11 @@ from .operators import (
     twisted_tensor,
 )
 from .reports import CheckReport, _Record, _sides_violations
-from .twilled import TwilledContext
+
+# Only an annotation names the twilled context, so a pair check does not load
+# ``twilled``.
+if TYPE_CHECKING:
+    from .twilled import TwilledContext
 
 
 class OperatorPair(_Record):

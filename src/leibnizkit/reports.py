@@ -18,8 +18,10 @@ tuple) and ``__repr__`` (``Name(field=value, ...)``) from ``__slots__``, so a
 subclass states its fields once, in slot order, and writes only its
 ``__init__``, which carries the signature, the defaults, the fresh mutable
 defaults and the validation.  A mutable subclass sets ``__hash__ = None``.
-The slots are the ``__init__`` parameters in order, and no record is
-subclassed, so ``__slots__`` is the whole field list.  It lives here
+The fields are the slots whose names do not start with ``_``, and they are
+the ``__init__`` parameters in order; a slot named ``_x`` is a cache that
+takes no part in equality, hash or repr (``SpecFile._cache``).  No record is
+subclassed, so ``__slots__`` lists every field.  It lives here
 because every command loads this module.  Kept out, with methods of their
 own: ``FieldSpec``, which ``reports`` imports and whose ``__eq__`` is on the
 hot path of every check; ``Matrix``, ``LeibnizAlgebra`` and ``Cochain``,
@@ -37,12 +39,18 @@ from .fields import FieldSpec
 
 
 class _Record:
-    """A value class whose fields are its ``__slots__``, in order."""
+    """A value class whose fields are its ``__slots__`` not named ``_x``, in
+    order."""
 
     __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -53,7 +61,7 @@ class _Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__name__}({fields})"
 
 

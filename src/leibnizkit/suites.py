@@ -29,9 +29,8 @@ from .dgla import (
 from .errors import LeibnizKitError
 from .forms import Tensor2, check_rn_structure, form_sharp_matrix
 from .io import SpecFile
-from .linalg import Matrix, is_invertible
+from .linalg import LinearOperator, Matrix, is_invertible
 from .operators import (
-    LinearOperator,
     _equivariance_sides,
     check_compatible,
     check_kupershmidt,

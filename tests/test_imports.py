@@ -27,8 +27,9 @@ EXPORTED = {
     "forms": ["BilinearForm", "Tensor2", "check_bn_structure", "check_quadratic",
               "check_rbn_structure", "check_rn_structure", "check_ybe", "rbn_rn_transfer",
               "sharp_map"],
-    "linalg": ["LinearSolution", "Matrix", "mat_inverse", "mat_mul", "solve_linear"],
-    "operators": ["DendriformPair", "LinearOperator", "as_operator", "check_compatible",
+    "linalg": ["LinearOperator", "LinearSolution", "Matrix", "mat_inverse", "mat_mul",
+               "solve_linear"],
+    "operators": ["DendriformPair", "as_operator", "check_compatible",
                   "check_kupershmidt", "check_nijenhuis", "check_nk_condition",
                   "check_rota_baxter", "deformed_bracket", "induced_representation",
                   "lifted_algebra", "nijenhuis_from_compatible", "subadjacent_algebra"],
@@ -48,6 +49,16 @@ ALL_NAMES = sorted(name for names in EXPORTED.values() for name in names)
 # Modules a `check` never needs at import time.
 HEAVY = ("search", "suites", "oracles", "dgla", "forms", "pairs")
 
+# Beyond HEAVY, what a check-path module leaves to the functions that need it:
+# cli.py everything only construct, search and suite run (their handlers are
+# in ``commands``); checks.py and io.py the operator module, which only the
+# operator checks run.
+LAZY_AT_IMPORT = {
+    "cli.py": ("algebras", "catalog", "commands", "linalg", "operators", "twilled"),
+    "checks.py": ("operators",),
+    "io.py": ("operators",),
+}
+
 
 def test_exported_names_are_the_defining_modules_objects():
     for module, names in EXPORTED.items():
@@ -55,6 +66,9 @@ def test_exported_names_are_the_defining_modules_objects():
         for name in names:
             assert getattr(leibnizkit, name) is getattr(mod, name), name
     assert leibnizkit.__version__ == "0.1.0"
+    # the operator modules still re-export the tagged matrix they take
+    operators = importlib.import_module("leibnizkit.operators")
+    assert operators.LinearOperator is leibnizkit.LinearOperator
 
 
 def test_star_import_and_dir_list_every_export():
@@ -125,6 +139,60 @@ def test_check_loads_no_dataclasses_inspect_or_catalog(entry, obj, check):
     assert imported.isdisjoint({"dataclasses", "inspect", "leibnizkit.catalog"})
 
 
+# The leibnizkit submodules a `check` process holds, by check kind: the
+# check path, plus the modules that kind's checker runs.
+CHECK_PATH = {"algebras", "checks", "cli", "errors", "fields", "io", "linalg", "reports"}
+CHECK_MODULES = {
+    "leibniz": (),
+    "representation": (),
+    "kupershmidt": ("operators",),
+    "nijenhuis": ("operators",),
+    "rota-baxter": ("operators",),
+    "compatible": ("operators",),
+    "nk-condition": ("operators",),
+    "nijenhuis-pair": ("operators", "pairs"),
+    "kn-structure": ("operators", "pairs"),
+    "maurer-cartan": ("dgla", "operators", "twilled"),
+    "maurer-cartan-strong": ("dgla", "operators", "twilled"),
+    "ybe": ("forms", "operators"),
+    "quadratic": ("forms", "operators"),
+    "rn-structure": ("forms", "operators", "pairs"),
+    "rbn-structure": ("forms", "operators", "pairs"),
+    "bn-structure": ("forms", "operators", "pairs"),
+}
+
+
+def _first_verdict_of_each_kind() -> dict:
+    """check kind -> the argv of its first expected verdict in the catalog."""
+    found = {}
+    for path in sorted(CATALOG_DIR.glob("*.json")):
+        for item in json.loads(path.read_text()).get("expected", []):
+            argv = ["check", str(path), item["object"], item["check"]]
+            for key, val in sorted(item.get("args", {}).items()):
+                argv += [f"--{key}", val]
+            found.setdefault(item["check"], argv)
+    return found
+
+
+_VERDICTS = _first_verdict_of_each_kind()
+
+
+def test_every_catalog_check_kind_is_pinned():
+    assert set(_VERDICTS) == set(CHECK_MODULES)
+
+
+@pytest.mark.parametrize("kind", sorted(CHECK_MODULES))
+def test_check_holds_exactly_the_modules_its_check_runs(kind):
+    """A `check` process compiles the check path and its checker's modules,
+    nothing else: not the construct, search and suite handlers, not the
+    operator module for an algebra check, not pairs for a Maurer-Cartan,
+    Yang-Baxter or quadratic check."""
+    code = ("import contextlib, io\nfrom leibnizkit.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({_VERDICTS[kind]!r}) in (0, 1)\n")
+    assert _loaded_after(code) == CHECK_PATH | set(CHECK_MODULES[kind])
+
+
 def test_search_and_suite_still_run():
     search = _loaded_after(_cli_code("search", str(CATALOG_DIR / "l2.json"), "--predicate",
                                      "nijenhuis", "--field", "F2"))
@@ -159,8 +227,9 @@ def test_check_path_modules_import_nothing_heavy_at_import_time(filename):
     """The modules every `check` process loads import the heavy modules only
     inside the functions that use them."""
     imported = _import_time_imports(SRC / filename)
-    assert imported.isdisjoint(f".{name}" for name in HEAVY)
-    assert imported.isdisjoint(f"leibnizkit.{name}" for name in HEAVY)
+    lazy = HEAVY + LAZY_AT_IMPORT.get(filename, ())
+    assert imported.isdisjoint(f".{name}" for name in lazy)
+    assert imported.isdisjoint(f"leibnizkit.{name}" for name in lazy)
 
 
 def test_no_module_imports_dataclasses():
@@ -215,4 +284,54 @@ def test_no_module_has_an_unused_import():
     found = [f"{path.name}:{line}:{name}" for path in sorted(SRC.glob("*.py"))
              if path.name != "__init__.py"
              for line, name in _unused_imports(path.read_text())]
+    assert found == []
+
+
+# What would write, read or locate bytecode: these modules, and these names
+# of ``sys`` and ``importlib.util``.
+_BYTECODE = {"compileall", "py_compile", "marshal", "dont_write_bytecode", "cache_from_source"}
+
+
+def _bytecode_uses(source: str) -> list:
+    """(line, name) of each import, attribute, name or string constant of
+    ``source`` that is one of ``_BYTECODE``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [part for alias in node.names for part in alias.name.split(".")]
+        elif isinstance(node, ast.ImportFrom):
+            names = (node.module or "").split(".") + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [node.value]
+        else:
+            continue
+        found.update((node.lineno, name) for name in names if name in _BYTECODE)
+    return sorted(found)
+
+
+_BYTECODE_SNIPPET = """
+import sys, os.path
+import py_compile
+from importlib.util import cache_from_source, find_spec
+import importlib.util as util
+sys.dont_write_bytecode = False
+path = util.cache_from_source("a.py")
+from compileall import compile_dir
+loads = __import__("marshal").loads
+text = "marshal the bytecode"
+"""
+
+
+def test_no_module_writes_or_reads_bytecode():
+    """A `check` is faster only by compiling less source: no module writes,
+    reads or locates bytecode, which ``PYTHONDONTWRITEBYTECODE`` forbids."""
+    assert _bytecode_uses(_BYTECODE_SNIPPET) == [
+        (3, "py_compile"), (4, "cache_from_source"), (6, "dont_write_bytecode"),
+        (7, "cache_from_source"), (8, "compileall"), (9, "marshal")]
+    found = [f"{path.name}:{line}:{name}" for path in sorted(SRC.rglob("*.py"))
+             for line, name in _bytecode_uses(path.read_text())]
     assert found == []

@@ -133,6 +133,85 @@ def test_cli_check_misspelled_optional_key_is_usage_error(tmp_path, capsys):
     assert out.out == "" and out.err == "error: q_skew: unknown key 'symetry'\n"
 
 
+_V = {"object": "alg", "check": "leibniz", "ok": True}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"feild": "F3"}, "unknown top-level key 'feild'"),
+    ({"expected": {}}, "'expected' must be a list of verdicts"),
+    ({"expected": [_V, "alg"]}, "expected[1] must be a JSON object"),
+    ({"expected": [_V, {**_V, "chek": "leibniz"}]}, "expected[1]: unknown key 'chek'"),
+    ({"expected": [{**_V, "type": "algebra"}]}, "expected[0]: unknown key 'type'"),
+    ({"expected": [{"object": "alg", "ok": True}]}, "expected[0]: missing key 'check'"),
+    ({"expected": [{**_V, "object": 1}]}, "expected[0]: 'object' must be a string, got 1"),
+    ({"expected": [{**_V, "check": None}]}, "expected[0]: 'check' must be a string, got None"),
+    ({"expected": [{**_V, "ok": "true"}]},
+     "expected[0]: 'ok' must be true or false, got 'true'"),
+    ({"expected": [{**_V, "args": {"rep": 1}}]},
+     "expected[0]: 'args' must be a map of strings to strings, got {'rep': 1}"),
+    ({"expected": [{**_V, "args": ["rep"]}]},
+     "expected[0]: 'args' must be a map of strings to strings, got ['rep']"),
+    ({"expected": [{**_V, "precondition_fails": 1}]},
+     "expected[0]: 'precondition_fails' must be true or false, got 1"),
+])
+def test_parse_spec_checks_file_and_verdict_keys(doc, message):
+    """The file's own keys and each key of each expected verdict are
+    checked against their tables when the file is parsed."""
+    with pytest.raises(ParseError) as exc:
+        parse_spec(json.dumps({"schema": "leibniz-spec/1", "objects": {}, **doc}))
+    assert str(exc.value) == message
+    verdict = {**_V, "args": {"rep": "regular"}, "precondition_fails": False}
+    assert parse_spec(json.dumps({"schema": "leibniz-spec/1", "field": "F3",
+                                  "expected": [verdict]})).expected == [verdict]
+
+
+def _f3_file(tmp_path, **changes):
+    """A file over F3 holding l2's algebra, its symmetric form B, and R = 3 id,
+    which is zero over F3 and so Rota-Baxter there, but not Rota-Baxter over
+    Q; ``changes`` replace top-level keys (None drops one)."""
+    l2 = json.loads(Path(_L2).read_text())
+    doc = {"schema": l2["schema"], "field": "F3", "objects": {
+        "alg": l2["objects"]["alg"], "B": l2["objects"]["B"],
+        "R": {"type": "operator", "matrix": [["3", "0"], ["0", "3"]],
+              "domain": "algebra:alg", "codomain": "algebra:alg"}},
+        "expected": [{"object": "R", "check": "rota-baxter", "ok": True}]}
+    doc.update(changes)
+    path = tmp_path / "f3.json"
+    path.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}))
+    return str(path)
+
+
+def test_cli_check_misspelled_field_is_usage_error(tmp_path, capsys):
+    """A misspelled ``field`` is refused, not read as Q, where the verdict
+    differs; so is a misspelled key of an expected verdict."""
+    from leibnizkit import cli
+
+    assert cli.main(["check", _f3_file(tmp_path), "R", "rota-baxter"]) == 0
+    assert cli.main(["check", _f3_file(tmp_path, field="Q"), "R", "rota-baxter"]) == 1
+    capsys.readouterr()
+    for changes, err in [
+        ({"field": None, "feild": "F3"}, "error: unknown top-level key 'feild'\n"),
+        ({"expected": [{"object": "R", "chek": "rota-baxter", "ok": True}]},
+         "error: expected[0]: unknown key 'chek'\n"),
+    ]:
+        assert cli.main(["check", _f3_file(tmp_path, **changes), "R", "rota-baxter"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == err
+
+
+def test_expected_verdict_may_record_a_failing_precondition(tmp_path):
+    """``precondition_fails`` marks a verdict whose check raises instead of
+    reporting: the expected-verdicts suite passes it only with the mark."""
+    from leibnizkit.catalog import CatalogEntry
+    from leibnizkit.suites import suite_expected_verdicts
+
+    raising = {"object": "B", "check": "quadratic", "ok": False}  # NotSkew
+    for mark, passed in [({"precondition_fails": True}, 1), ({}, 0)]:
+        spec = load_spec(_f3_file(tmp_path, expected=[{**raising, **mark}]))
+        res = suite_expected_verdicts({"f3": CatalogEntry("f3", spec)})
+        assert (res.passed, len(res.failures)) == (passed, 1 - passed)
+
+
 def test_cochain_of_any_arity_is_read_without_forming_its_size():
     """A cochain whose coefficients hold no entry parses, serializes and is
     refused by build at once, however large its arity: neither the walk over
@@ -361,7 +440,7 @@ def test_cli_construct_deformed_zero():
 
 
 def test_cli_construct_deformed_builds_the_bracket_once(monkeypatch, capsys):
-    from leibnizkit import cli
+    from leibnizkit import cli, commands
 
     calls = []
 
@@ -369,7 +448,7 @@ def test_cli_construct_deformed_builds_the_bracket_once(monkeypatch, capsys):
         calls.append(args)
         return deformed_bracket(*args)
 
-    monkeypatch.setattr(cli, "deformed_bracket", counted)
+    monkeypatch.setattr(commands, "deformed_bracket", counted)
     assert cli.main(["construct", str(CATALOG_DIR / "l2.json"), "deformed", "--N", "N23"]) == 0
     assert len(calls) == 1
     spec = parse_spec(capsys.readouterr().out)

@@ -7,6 +7,7 @@ import importlib
 from pathlib import Path
 
 import leibnizkit
+from leibnizkit.io import SpecFile
 from leibnizkit.reports import _Record
 
 SRC = Path(leibnizkit.__file__).resolve().parent
@@ -78,15 +79,23 @@ def test_only_the_listed_classes_write_eq_hash_repr_or_str():
 
 
 def test_record_slots_are_the_init_parameters_in_order():
+    """A record's fields are its slots not named ``_x``, and they are its
+    ``__init__`` parameters in order; the one slot named ``_x`` is the build
+    cache of ``SpecFile``, no parameter and no field."""
     records = _records()
     assert {cls.name for cls in records} == RECORDS
+    caches = {}
     for cls in records:
         slots = next(node.value for node in cls.body if isinstance(node, ast.Assign)
                      and [t.id for t in node.targets] == ["__slots__"])
         init = next(node for node in cls.body
                     if isinstance(node, ast.FunctionDef) and node.name == "__init__")
         params = [a.arg for a in init.args.args[1:] + init.args.kwonlyargs]
-        assert ast.literal_eval(slots) == tuple(params), cls.name
+        fields = [name for name in ast.literal_eval(slots) if not name.startswith("_")]
+        assert fields == params, cls.name
+        caches.update((name, cls.name) for name in ast.literal_eval(slots) if name[0] == "_")
+    assert caches == {"_cache": "SpecFile"}
+    assert SpecFile._fields == ("fieldspec", "raw", "expected")
 
 
 def test_exactly_the_mutable_records_declare_themselves_unhashable():

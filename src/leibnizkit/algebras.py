@@ -206,6 +206,17 @@ class Representation:
         if not self.is_representation:
             raise NotRepresentation(self._rep_report.summary())
 
+    @property
+    def field(self) -> FieldSpec:
+        return self.algebra.field
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Representation) and self.algebra == other.algebra
+                and self.rhoL == other.rhoL and self.rhoR == other.rhoR)
+
+    def __hash__(self):
+        return hash((self.algebra, self.rhoL, self.rhoR))
+
     def __repr__(self):
         return f"Representation(algebra dim {self.algebra.dim}, module dim {self.mdim})"
 

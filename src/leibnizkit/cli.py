@@ -11,20 +11,12 @@ import json
 import sys
 
 from .checks import CHECK_NAMES, OBJECT_FLAGS, run_check
-from .errors import LeibnizKitError, ParseError
+from .errors import CHECK_FAILED, USAGE_ERROR, LeibnizKitError, ParseError, _fail_usage
 from .io import load_spec
 
 # ``main`` imports the handlers of construct, search and suite from
 # ``commands`` only when one of them runs, so a ``check`` process compiles
 # only the parser, ``cmd_check`` and the modules its check runs.
-
-USAGE_ERROR = 2
-CHECK_FAILED = 1
-
-
-def _fail_usage(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return USAGE_ERROR
 
 
 def _report_payload(report) -> dict:

@@ -19,8 +19,7 @@ from .algebras import (
     semidirect_sum,
 )
 from .checks import _kn_and_rep, _resolve_algebra, _resolve_rep
-from .cli import CHECK_FAILED, CONSTRUCTIONS, _fail_usage
-from .errors import LeibnizKitError, ParseError
+from .errors import CHECK_FAILED, LeibnizKitError, ParseError, _fail_usage
 from .io import (
     SpecFile,
     algebra_doc,
@@ -109,9 +108,6 @@ def cmd_construct(args) -> int:
             kn1, kn2 = dual_kn_from_compatible(K1, K2, rep)
             out_objects["kn_first"] = kn_doc(f, kn1, alg_name, args.rep)
             out_objects["kn_second"] = kn_doc(f, kn2, alg_name, args.rep)
-        else:
-            return _fail_usage(f"unknown construction {cons!r} "
-                               f"(known: {', '.join(CONSTRUCTIONS)})")
     except (OSError, ParseError) as exc:
         return _fail_usage(str(exc))
     except LeibnizKitError as exc:
@@ -123,10 +119,11 @@ def cmd_construct(args) -> int:
 
 
 def cmd_search(args) -> int:
-    from .search import DEFAULT_BUDGET, SearchSpec, enumerate_bn_pairs, enumerate_operators
+    from .search import DEFAULT_BUDGET, PREDICATES, SearchSpec, _fixed_shape, enumerate_operators
     from .twilled import TwilledContext
 
     predicate = args.predicate.replace("-", "_")
+    row = PREDICATES[predicate]
     try:
         spec = load_spec(args.file)
         fieldspec = parse_field(args.field) if args.field else spec.fieldspec
@@ -147,10 +144,13 @@ def cmd_search(args) -> int:
         if args.ctx:
             built = spec.build(args.ctx, "twilled")
             ctx = TwilledContext(LeibnizAlgebra(fieldspec, built.total.c), built.n1, built.n2)
-        # bn-pair searches the algebra's dim x dim matrices, whatever --rep is
-        if predicate == "mc_strong" and ctx is not None:
+        # several blocks take the shape their structure gives, whatever --rep is
+        fixed = _fixed_shape(predicate, algebra, rep, ctx)
+        if fixed is not None:
+            shape = fixed
+        elif row.needs == "ctx" and ctx is not None:
             shape = (ctx.n2, ctx.n1)
-        elif algebra is not None and (rep is None or predicate == "bn_pair"):
+        elif algebra is not None and rep is None:
             shape = (algebra.dim, algebra.dim)
         elif rep is not None:
             shape = (rep.algebra.dim, rep.mdim)
@@ -164,36 +164,24 @@ def cmd_search(args) -> int:
                     raise ValueError
             except ValueError:
                 raise ParseError(f"--shape must look like 2x3, got {args.shape!r}") from None
-            if predicate == "bn_pair" and algebra is not None and shape != (algebra.dim,) * 2:
-                n = algebra.dim
-                raise ParseError(f"bn-pair searches {n}x{n} matrices, got --shape {args.shape}")
+            if fixed is not None and shape != fixed:
+                raise ParseError(f"{predicate.replace('_', '-')} searches {fixed[0]}x{fixed[1]} "
+                                 f"matrices, got --shape {args.shape}")
         if args.budget is not None and args.budget < 0:
             raise ParseError(f"--budget must be nonnegative, got {args.budget}")
         budget = DEFAULT_BUDGET if args.budget is None else args.budget
         sspec = SearchSpec(fieldspec, shape, predicate, algebra=algebra, rep=rep,
                            ctx=ctx, budget=budget)
-        if predicate == "bn_pair":
-            pairs = enumerate_bn_pairs(sspec, workers=args.workers)
-            payload = {
-                "predicate": predicate,
-                "field": str(fieldspec),
-                "count": len(pairs),
-                "results": [
-                    {"form": [[fieldspec.format(v) for v in row] for row in b.entries],
-                     "operator": [[fieldspec.format(v) for v in row] for row in n.entries]}
-                    for b, n in pairs
-                ],
-            }
-        else:
-            mats = enumerate_operators(sspec, workers=args.workers)
-            payload = {
-                "predicate": predicate,
-                "field": str(fieldspec),
-                "count": len(mats),
-                "results": [
-                    [[fieldspec.format(v) for v in row] for row in m.entries] for m in mats
-                ],
-            }
+        hits = enumerate_operators(sspec, workers=args.workers)
+        doc = lambda m: [[fieldspec.format(v) for v in r] for r in m.entries]
+        payload = {
+            "predicate": predicate,
+            "field": str(fieldspec),
+            "count": len(hits),
+            # one block prints as its matrix, several as a dict by block name
+            "results": [doc(hit) if len(row.blocks) == 1 else
+                        {name: doc(m) for (name, _), m in zip(row.blocks, hit)} for hit in hits],
+        }
     except (OSError, ParseError) as exc:
         return _fail_usage(str(exc))
     except LeibnizKitError as exc:

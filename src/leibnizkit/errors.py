@@ -1,8 +1,21 @@
-"""Exception taxonomy shared by all modules.
+"""Exception taxonomy shared by all modules, and the exit codes of the CLI.
 
 Precondition failures raise; mathematical verdicts (a check that comes back
-negative) are reported through CheckReport, never as exceptions.
+negative) are reported through CheckReport, never as exceptions.  The exit
+codes and ``_fail_usage`` live here so that ``cli`` and ``commands`` share
+them without importing each other.
 """
+
+import sys
+
+# Exit codes besides 0 (all checks clean).
+USAGE_ERROR = 2
+CHECK_FAILED = 1
+
+
+def _fail_usage(msg: str) -> int:
+    print(f"error: {msg}", file=sys.stderr)
+    return USAGE_ERROR
 
 
 class LeibnizKitError(Exception):

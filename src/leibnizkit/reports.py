@@ -24,10 +24,11 @@ takes no part in equality, hash or repr (``SpecFile._cache``).  No record is
 subclassed, so ``__slots__`` lists every field.  It lives here
 because every command loads this module.  Kept out, with methods of their
 own: ``FieldSpec``, which ``reports`` imports and whose ``__eq__`` is on the
-hot path of every check; ``Matrix``, ``LeibnizAlgebra`` and ``Cochain``,
-which compare a subset of their slots (the rest are caches or derived) and
-have their own reprs; and ``Representation``, ``TwilledContext`` and
-``LinearSolution``, whose reprs are custom.
+hot path of every check; ``Matrix``, ``LeibnizAlgebra``, ``Cochain``,
+``Representation`` (on algebra, rhoL and rhoR) and ``TwilledContext`` (on
+total, n1 and n2), which compare a subset of their slots (the rest are
+caches or derived) and have their own reprs; and ``LinearSolution``, whose
+repr is custom.
 """
 
 from __future__ import annotations

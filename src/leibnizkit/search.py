@@ -1,27 +1,28 @@
 """Exhaustive finite-field enumeration, linear-layer solving for structure
 maps, and seeded random instance generation.
 
-Every search predicate is a system of quadratic equations in the entries of
-the unknown matrix (for ``bn_pair``, the form stacked on the operator).  Its
-residues come from the check kernels themselves: the raw-sides function of
-each identity (in ``operators``, ``dgla`` and ``forms``) runs on a matrix
-whose entries are polynomials in the unknowns, and lhs - rhs is the residue,
-with raw field values (ints, or Fractions over Q) as coefficients; this
-module reads no structure constants or action data itself.  A search reduces
-that system once to sparse equations over F_p and compiles them into one
-straight-line Python function, ``holds(x)``, that tests the equations in
-turn on the candidate's flat residue tuple and returns False at the first
-that does not vanish.  It filters the candidate space through ``holds`` in
-lexicographic order of the flattened entries, in the calling thread, one
-call per candidate; ``bn_pair`` then keeps the hits whose form is
-nondegenerate, decided once per distinct form.  Every hit is confirmed
-against the check's own identity statement, in blocks of up to ``_BLOCK``
-hits: the same raw-sides function runs once on a matrix whose entries are
-``_Lanes``, one value per hit, and a hit whose lane of some lhs - rhs is
-nonzero mod p stops the search with ``SearchMismatch``; a coordinate of
-lhs - rhs that is a plain constant, the same for every hit, is tested once.
-No ``_Poly`` or ``_Lanes`` operation changes an operand, so one whose other
-operand is the constant 0 (for + and -) or 1 or -1 (for *) returns its
+``PREDICATES`` is the one table of search predicates.  A row names the spec
+field of the structure it needs (whose field must be the search's), its
+blocks of unknowns with the shapes the structure gives them (one block
+takes the spec's shape), the check it runs on the zero blocks to raise the
+check's precondition errors, the raw-sides function of its identities, and
+the blocks that must be invertible.  A candidate is its blocks' entries,
+each block row-major, in block order; a hit is its block's Matrix, or the
+tuple of its block matrices.  Over polynomial unknowns the raw sides (of the
+kernels in ``operators``, ``dgla`` and ``forms``) give the residues lhs -
+rhs, with raw field values (ints, or Fractions over Q) as coefficients;
+this module reads no structure constants or action data itself.  A search
+reduces them once to sparse equations over F_p, compiled into one
+straight-line function ``holds(x)`` that tests them in turn on the flat
+candidate and returns False at the first that does not vanish.  It filters
+the candidates through ``holds`` in lexicographic order, in the calling
+thread, then through the invertible blocks, decided once per distinct block.
+Every hit is confirmed against the check's own identity statement, up to
+``_BLOCK`` hits at once: the raw sides run on blocks of ``_Lanes``, one
+value per hit, and a hit whose lane of some lhs - rhs is nonzero mod p stops
+the search with ``SearchMismatch``; a plain constant coordinate of lhs - rhs
+is tested once.  No ``_Poly`` or ``_Lanes`` operation changes an operand, so
+one with the constant 0 (for + and -) or 1 or -1 (for *) returns its
 operand, or its negation, instead of a copy; nearly half the operations of
 the check kernels are of that kind.  The linear layers (the linear
 Maurer-Cartan equations, invariant skew and closed symmetric forms) are
@@ -30,6 +31,8 @@ solved exactly, over any field, from the same kind of residues.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from functools import lru_cache
 from itertools import islice, product, repeat
 from operator import add, mod, mul, neg, sub
 from random import Random
@@ -76,12 +79,56 @@ _BLOCK = 512
 # interpreter's 4300-digit limit); a larger one is reported as p^k.
 _DECIMAL_BITS = 14_000
 
+# A row of PREDICATES (see the module docstring): ``blocks`` holds (name,
+# structure -> (rows, cols)); ``check`` and ``sides`` take the blocks, then the structure.
+_Predicate = namedtuple("_Predicate", "needs blocks check sides invertible", defaults=((),))
+
+
+def _square(alg: LeibnizAlgebra) -> Tuple[int, int]:
+    return alg.dim, alg.dim
+
+
+def _bn_sides(B: Matrix, N: Matrix, alg: LeibnizAlgebra) -> list:
+    """The raw sides of the polynomial conditions of ``check_bn_structure``:
+    B symmetric and closed, B(N.,.) = B(.,N.) and closed, N Nijenhuis."""
+    b = _flat(B)
+    nt_b, b_n = _coupling_sides(B, N)
+    return [(b, _flat(B.transpose())), _closedness_sides(alg, b), (nt_b, b_n),
+            _closedness_sides(alg, nt_b), _twist_sides(alg, N)]
+
+
+PREDICATES = {
+    "kupershmidt": _Predicate("rep", (("operator", lambda rep: (rep.algebra.dim, rep.mdim)),),
+                              check_kupershmidt, lambda K, rep: [_kupershmidt_sides(K, rep)]),
+    "nijenhuis": _Predicate("algebra", (("operator", _square),), check_nijenhuis,
+                            lambda N, alg: [_twist_sides(alg, N)]),
+    "rota_baxter": _Predicate("algebra", (("operator", _square),), check_rota_baxter,
+                              lambda R, alg: [_twist_sides(alg, R, weight=False)]),
+    "mc_strong": _Predicate("ctx", (("theta", lambda ctx: (ctx.n2, ctx.n1)),),
+                            lambda theta, ctx: check_maurer_cartan(ctx, theta, strong=True),
+                            lambda theta, ctx: _mc_sides(ctx, theta)),
+    # the check refuses a zero form as degenerate, so only its Leibniz test runs first
+    "bn_pair": _Predicate("algebra", (("form", _square), ("operator", _square)),
+                          lambda B, N, alg: alg.require_leibniz(), _bn_sides, ("form",)),
+}
+
+# What a spec without the structure its predicate needs is told it needs.
+_NEEDS = {"algebra": "an algebra", "rep": "a representation", "ctx": "a twilled context"}
+
+
+def _fixed_shape(predicate: str, algebra, rep, ctx) -> Optional[Tuple[int, int]]:
+    """The one shape a search of several blocks takes, its first block's as
+    the structure gives it; None for one block, or without the structure."""
+    (_, shape), *more = PREDICATES[predicate].blocks
+    structure = {"algebra": algebra, "rep": rep, "ctx": ctx}[PREDICATES[predicate].needs]
+    return shape(structure) if more and structure is not None else None
+
 
 class SearchSpec(_Record):
-    """What to enumerate: a predicate name, the matrix shape, the field, and
-    the context objects the predicate needs; immutable.  A negative budget
-    is a ValueError, and a ``bn_pair`` shape other than the algebra's
-    dim x dim a ShapeMismatch."""
+    """What to enumerate: a predicate name, the shape of its first block, the
+    field, and the context objects the predicate needs; immutable.  A
+    negative budget is a ValueError, and a shape other than the one the
+    structure gives a predicate of several blocks a ShapeMismatch."""
 
     __slots__ = ("field", "shape", "predicate", "algebra", "rep", "ctx", "budget")
 
@@ -90,9 +137,10 @@ class SearchSpec(_Record):
                  ctx: Optional[TwilledContext] = None, budget: int = DEFAULT_BUDGET):
         if budget < 0:
             raise ValueError(f"search budget must be nonnegative, got {budget}")
-        if predicate == "bn_pair" and algebra is not None and tuple(shape) != (algebra.dim,) * 2:
-            n = algebra.dim
-            raise ShapeMismatch(f"bn_pair searches {n}x{n} matrices, got shape {shape!r}")
+        fixed = predicate in PREDICATES and _fixed_shape(predicate, algebra, rep, ctx)
+        if fixed and tuple(shape) != fixed:
+            raise ShapeMismatch(f"{predicate} searches {fixed[0]}x{fixed[1]} matrices, "
+                                f"got shape {shape!r}")
         self.field = field
         self.shape = shape
         self.predicate = predicate
@@ -102,18 +150,10 @@ class SearchSpec(_Record):
         self.budget = budget
 
     def space_size(self) -> int:
-        """The number of candidates, p ** k for k free entries (rows*cols, or
-        2*dim^2 for ``bn_pair``: form and operator).  Raises ShapeMismatch
-        off a prime field and BudgetExceeded over the budget."""
-        if self.predicate == "bn_pair":
-            if self.algebra is None:
-                raise ShapeMismatch("bn_pair search needs an algebra")
-            k = 2 * self.algebra.dim ** 2
-        else:
-            rows, cols = self.shape
-            if rows < 0 or cols < 0:
-                raise ShapeMismatch(f"negative shape {rows}x{cols}")
-            k = rows * cols
+        """The number of candidates, p ** k for the k entries of the blocks.
+        Raises ShapeMismatch off a prime field and BudgetExceeded over the
+        budget."""
+        k = sum(rows * cols for _, rows, cols in _blocks(self))
         if not self.field.is_prime_field:
             raise ShapeMismatch("exhaustive enumeration needs a prime field")
         p = self.field.p
@@ -127,74 +167,65 @@ class SearchSpec(_Record):
         raise BudgetExceeded(f"{shown} candidates exceed budget {self.budget}")
 
 
-PREDICATES = ("kupershmidt", "nijenhuis", "rota_baxter", "mc_strong", "bn_pair")
+def _blocks(spec: SearchSpec) -> List[Tuple[str, int, int]]:
+    """(name, rows, cols) of each block of unknowns, in block order."""
+    if spec.predicate not in PREDICATES:
+        raise UnknownIdentity(f"unknown search predicate {spec.predicate!r}")
+    row = PREDICATES[spec.predicate]
+    if len(row.blocks) > 1:
+        return [(name, *shape(_structure(spec))) for name, shape in row.blocks]
+    rows, cols = spec.shape
+    if rows < 0 or cols < 0:
+        raise ShapeMismatch(f"negative shape {rows}x{cols}")
+    return [(row.blocks[0][0], rows, cols)]
 
 
-def _check_fn(spec: SearchSpec) -> Callable[[Matrix], bool]:
-    """The predicate as the general ``check_*`` report on a matrix."""
-    name = spec.predicate
-    if name in ("nijenhuis", "rota_baxter"):
-        alg = spec.algebra
-        if alg is None:
-            raise ShapeMismatch(f"{name} search needs an algebra")
-        check = check_nijenhuis if name == "nijenhuis" else check_rota_baxter
-        return lambda m: check(as_operator(m), alg).ok
-    if name == "kupershmidt":
-        rep = spec.rep
-        if rep is None:
-            raise ShapeMismatch("kupershmidt search needs a representation")
-        return lambda m: check_kupershmidt(as_operator(m), rep).ok
-    if name == "mc_strong":
-        ctx = spec.ctx
-        if ctx is None:
-            raise ShapeMismatch("mc_strong search needs a twilled context")
-        return lambda m: check_maurer_cartan(ctx, m, strong=True).ok
-    raise UnknownIdentity(f"unknown search predicate {spec.predicate!r}")
+def _structure(spec: SearchSpec):
+    """The structure that the spec's predicate needs."""
+    needs = PREDICATES[spec.predicate].needs
+    if getattr(spec, needs) is None:
+        raise ShapeMismatch(f"{spec.predicate} search needs {_NEEDS[needs]}")
+    return getattr(spec, needs)
+
+
+def _cuts(blocks: List[Tuple[str, int, int]]) -> List[List[slice]]:
+    """For each block, the slices of a flat candidate that hold its rows."""
+    cuts, at = [], 0
+    for _, rows, cols in blocks:
+        cuts.append([slice(at + r * cols, at + (r + 1) * cols) for r in range(rows)])
+        at += rows * cols
+    return cuts
+
+
+def _block_matrices(f: FieldSpec, cuts: List[List[slice]], flats: List[tuple]) -> List[list]:
+    """For each block, in block order, its matrix in each flat candidate
+    tuple of ``flats``, at one slice per block row and no other call."""
+    return [list(map(Matrix._trusted, repeat(f), [tuple(map(flat.__getitem__, cut))
+                                                  for flat in flats])) for cut in cuts]
 
 
 def _predicate_fn(spec: SearchSpec) -> Callable[[Sequence[int]], bool]:
     """Compile the predicate into a kernel on flat residue tuples (the
-    candidate's entries, row-major).  The general check runs once on the zero
-    candidate first, so shape, representation, context and non-Leibniz
-    errors are raised exactly as by the check, before any candidate; for
-    ``bn_pair``, whose zero form is degenerate, only the non-Leibniz one."""
-    if spec.predicate == "bn_pair":
-        spec.algebra.require_leibniz()
-    else:
-        _check_fn(spec)(Matrix.zeros(spec.field, *spec.shape))
-    owner = (spec.rep.algebra if spec.predicate == "kupershmidt"
-             else spec.ctx if spec.predicate == "mc_strong" else spec.algebra)
-    if owner.field != spec.field:
+    candidate's entries).  The row's check runs once on the zero blocks
+    first, so shape, representation, context and non-Leibniz errors are
+    raised exactly as by the check, before any candidate."""
+    blocks, structure = _blocks(spec), _structure(spec)
+    PREDICATES[spec.predicate].check(
+        *(Matrix.zeros(spec.field, rows, cols) for _, rows, cols in blocks), structure)
+    if structure.field != spec.field:
         raise ShapeMismatch(
-            f"search field {spec.field} differs from the structure's field {owner.field}")
-    X = _unknowns(spec.field, *_grid(spec))
+            f"search field {spec.field} differs from the structure's field {structure.field}")
+    X = tuple(_Poly({(i,): 1}) for i in range(sum(rows * cols for _, rows, cols in blocks)))
     return _kernel(spec.field.p, [r for side in _sides(spec, X) for r in _residues(*side)])
 
 
-def _grid(spec: SearchSpec) -> Tuple[int, int]:
-    """A candidate's shape; for ``bn_pair``, the form on top of the operator."""
-    rows, cols = spec.shape
-    return (2 * rows, cols) if spec.predicate == "bn_pair" else (rows, cols)
-
-
-def _sides(spec: SearchSpec, X: Matrix) -> list:
-    """The (lhs, rhs) raw sides of the predicate's identity at X, from the
-    check kernels: X holds polynomial unknowns to compile the kernel, and
-    ``_Lanes`` to confirm a block of hits.  For ``bn_pair``, the polynomial
-    conditions of ``check_bn_structure`` on the top half B and bottom half N."""
-    if spec.predicate == "kupershmidt":
-        return [_kupershmidt_sides(X, spec.rep)]
-    if spec.predicate == "mc_strong":
-        return list(_mc_sides(spec.ctx, X))
-    alg = spec.algebra
-    if spec.predicate == "bn_pair":
-        n = alg.dim
-        B, N = Matrix._trusted(X.field, X.entries[:n]), Matrix._trusted(X.field, X.entries[n:])
-        b = _flat(B)
-        nt_b, b_n = _coupling_sides(B, N)
-        return [(b, _flat(B.transpose())), _closedness_sides(alg, b), (nt_b, b_n),
-                _closedness_sides(alg, nt_b), _twist_sides(alg, N)]
-    return [_twist_sides(alg, X, weight=spec.predicate == "nijenhuis")]
+def _sides(spec: SearchSpec, X: tuple) -> list:
+    """The (lhs, rhs) raw sides of the predicate's identities at the
+    candidate whose flat entries are the tuple X, from the check kernels: X
+    holds polynomial unknowns to compile the kernel, and ``_Lanes`` to
+    confirm a group of hits."""
+    blocks = [block for block, in _block_matrices(spec.field, _cuts(_blocks(spec)), [X])]
+    return PREDICATES[spec.predicate].sides(*blocks, _structure(spec))
 
 
 def _matrix(f: FieldSpec, rows: int, cols: int, flat: Sequence) -> Matrix:
@@ -203,73 +234,53 @@ def _matrix(f: FieldSpec, rows: int, cols: int, flat: Sequence) -> Matrix:
     return Matrix._trusted(f, tuple(tuple(flat[r * cols:(r + 1) * cols]) for r in range(rows)))
 
 
-def enumerate_operators(spec: SearchSpec, workers: int = 1) -> List[Matrix]:
-    """The complete, lexicographically ordered list of matrices over F_p
-    satisfying the predicate (for ``bn_pair``, ``enumerate_bn_pairs``).
-    ``workers`` changes nothing; it stays because the CLI's ``--workers``
-    and the benchmark's search jobs pass it."""
-    if spec.predicate == "bn_pair":
-        return enumerate_bn_pairs(spec, workers)
-    f = spec.field
-    return [Matrix._trusted(f, rows) for rows in _hit_rows(spec)]
+def enumerate_operators(spec: SearchSpec, workers: int = 1) -> List:
+    """Every hit over F_p in lexicographic order, a Matrix (a tuple of them
+    in block order for several blocks); the first that the check's identity
+    rejects raises SearchMismatch.  ``workers`` changes nothing; the CLI's
+    ``--workers`` and the benchmark's search jobs pass it."""
+    spec.space_size()  # raises off a prime field or over the budget
+    holds = _predicate_fn(spec)
+    blocks = _blocks(spec)
+    k = sum(rows * cols for _, rows, cols in blocks)
+    candidates = filter(holds, product(range(spec.field.p), repeat=k))
+    if PREDICATES[spec.predicate].invertible:
+        candidates = filter(_invertible(spec), candidates)
+    f, cuts, hits = spec.field, _cuts(blocks), []
+    while group := list(islice(candidates, _BLOCK)):
+        bad = _first_rejected(spec, group)
+        if bad is not None:
+            shown = ", ".join(repr(block) for block, in _block_matrices(f, cuts, [group[bad]]))
+            raise SearchMismatch(f"compiled {spec.predicate} kernel accepts {shown}, "
+                                 "the check rejects it")
+        hits += group
+    found = _block_matrices(f, cuts, hits)
+    return found[0] if len(cuts) == 1 else list(zip(*found))
 
 
 def enumerate_bn_pairs(spec: SearchSpec, workers: int = 1) -> List[Tuple[Matrix, Matrix]]:
-    """All (form matrix, operator) pairs over F_p forming a BN-structure:
-    the form symmetric nondegenerate and closed, the operator Nijenhuis,
-    coupled by the compatibility and twisted-closedness conditions.  Pairs
-    come in lexicographic order of the form's then the operator's entries.
-    ``workers`` changes nothing, as in ``enumerate_operators``."""
+    """The hits of ``enumerate_operators`` on a ``bn_pair`` spec: the (form,
+    operator) pairs over F_p that form a BN-structure, in lexicographic
+    order of the form's then the operator's entries."""
     if spec.predicate != "bn_pair":
         raise ShapeMismatch(f"enumerate_bn_pairs needs a bn_pair search, got {spec.predicate!r}")
-    f, n = spec.field, spec.shape[0]
-    return [(Matrix._trusted(f, rows[:n]), Matrix._trusted(f, rows[n:]))
-            for rows in _hit_rows(spec)]
+    return enumerate_operators(spec, workers)
 
 
-def _hit_rows(spec: SearchSpec) -> List[tuple]:
-    """The rows of every candidate satisfying the predicate, in lexicographic
-    order, as the module docstring describes; the first hit that the check's
-    identity rejects raises SearchMismatch."""
-    spec.space_size()  # raises off a prime field or over the budget
-    holds = _predicate_fn(spec)
-    f, (rows, cols) = spec.field, _grid(spec)
-    candidates = filter(holds, product(range(f.p), repeat=rows * cols))
-    if spec.predicate == "bn_pair":
-        candidates = filter(_nondegenerate(spec), candidates)
-    slices = [slice(r * cols, (r + 1) * cols) for r in range(rows)]
-    hits = []
-    while block := list(islice(candidates, _BLOCK)):
-        bad = _first_rejected(spec, block)
-        if bad is not None:
-            found, n = tuple(map(block[bad].__getitem__, slices)), rows // 2
-            parts = (found[:n], found[n:]) if spec.predicate == "bn_pair" else (found,)
-            shown = ", ".join(repr(Matrix._trusted(f, part)) for part in parts)
-            raise SearchMismatch(f"compiled {spec.predicate} kernel accepts {shown}, "
-                                 "the check rejects it")
-        hits += [tuple(map(flat.__getitem__, slices)) for flat in block]
-    return hits
-
-
-def _nondegenerate(spec: SearchSpec) -> Callable[[tuple], bool]:
-    """Whether a flat ``bn_pair`` candidate's form is nondegenerate, by
-    ``is_invertible`` as in ``check_bn_structure``, once per distinct form."""
-    f, n = spec.field, spec.shape[0]
-    known = {}
-
-    def nondegenerate(flat: tuple) -> bool:
-        form = flat[:n * n]
-        if form not in known:
-            known[form] = is_invertible(_matrix(f, n, n, form))
-        return known[form]
-
-    return nondegenerate
+def _invertible(spec: SearchSpec) -> Callable[[tuple], bool]:
+    """Whether the invertible blocks of a flat candidate are invertible, by
+    ``is_invertible`` as in the check, decided once per distinct block."""
+    blocks = _blocks(spec)
+    cuts = [cut for (name, _, _), cut in zip(blocks, _cuts(blocks))
+            if name in PREDICATES[spec.predicate].invertible]
+    decide = lru_cache(maxsize=None)(lambda rows: is_invertible(Matrix._trusted(spec.field, rows)))
+    return lambda flat: all(decide(tuple(map(flat.__getitem__, cut))) for cut in cuts)
 
 
 def _first_rejected(spec: SearchSpec, flats: List[tuple]) -> Optional[int]:
-    """The index of the first of the candidates ``flats`` (flat entry tuples,
-    row-major) on which lhs = rhs fails mod p, or None: one evaluation of the
-    raw sides on the matrix whose entry lanes are the candidates' entries.
+    """The index of the first of the candidates ``flats`` (flat entry
+    tuples) on which lhs = rhs fails mod p, or None: one evaluation of the
+    raw sides on the blocks whose entry lanes are the candidates' entries.
     The first is the least bad lane over every coordinate, not the first bad
     lane of the first bad coordinate.  A coordinate that is a plain constant,
     the same on every lane, is tested once, and a nonzero one rejects lane 0;
@@ -278,9 +289,8 @@ def _first_rejected(spec: SearchSpec, flats: List[tuple]) -> Optional[int]:
     if not flats:
         return None
     p, n = spec.field.p, len(flats)
-    X = _matrix(spec.field, *_grid(spec), [_Lanes(lane) for lane in zip(*flats)])
     first = n
-    for lhs, rhs in _sides(spec, X):
+    for lhs, rhs in _sides(spec, tuple(map(_Lanes, zip(*flats)))):
         for d in map(sub, lhs, rhs):
             if not isinstance(d, _Lanes):
                 if d % p:
@@ -482,6 +492,11 @@ def mc_solutions_from_linear_layer(ctx: TwilledContext) -> List[Matrix]:
     return out
 
 
+# The ``dims`` random_instance takes for a one-block predicate, by what it needs.
+_DIMS = {"algebra": (LeibnizAlgebra, "pass the algebra as `dims` for operator kinds"),
+         "rep": (Representation, "pass the representation as `dims`")}
+
+
 def random_instance(kind: str, dims, fieldspec: FieldSpec, seed: int, height: int = 2,
                     attempts: int = 4000):
     """Rejection-sample small random tensors/matrices until the named check
@@ -505,20 +520,16 @@ def random_instance(kind: str, dims, fieldspec: FieldSpec, seed: int, height: in
             if check_leibniz(alg).ok:
                 return alg
         raise NotFound(f"no Leibniz tensor found in {attempts} attempts")
-    if kind in ("nijenhuis", "rota_baxter"):
-        if not isinstance(dims, LeibnizAlgebra):
-            raise ShapeMismatch("pass the algebra as `dims` for operator kinds")
-        rows = cols = dims.dim
-        check = check_nijenhuis if kind == "nijenhuis" else check_rota_baxter
-    elif kind == "kupershmidt":
-        if not isinstance(dims, Representation):
-            raise ShapeMismatch("pass the representation as `dims`")
-        rows, cols, check = dims.algebra.dim, dims.mdim, check_kupershmidt
-    else:
+    row = PREDICATES.get(kind)
+    if row is None or len(row.blocks) > 1 or row.needs not in _DIMS:
         raise UnknownIdentity(f"unknown instance kind {kind!r}")
+    cls, message = _DIMS[row.needs]
+    if not isinstance(dims, cls):
+        raise ShapeMismatch(message)
+    rows, cols = row.blocks[0][1](dims)
     for _ in range(attempts):
         op = as_operator(Matrix(f, [[rand_scalar() for _ in range(cols)] for _ in range(rows)]))
-        if check(op, dims).ok:
+        if row.check(op, dims).ok:
             return op
     raise NotFound(f"no {kind} operator found in {attempts} attempts")
 

@@ -115,5 +115,12 @@ class TwilledContext:
             rows.append(list(theta.entries[a]) + [f.zero()] * n2)
         return Matrix(f, rows)
 
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, TwilledContext) and self.total == other.total
+                and self.n1 == other.n1 and self.n2 == other.n2)
+
+    def __hash__(self):
+        return hash((self.total, self.n1, self.n2))
+
     def __repr__(self):
         return f"TwilledContext(n1={self.n1}, n2={self.n2}, field={self.field})"

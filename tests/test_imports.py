@@ -201,6 +201,22 @@ def test_search_and_suite_still_run():
     assert "suites" in suite
 
 
+def test_cli_run_as_main_is_not_imported_again():
+    """``python -m leibnizkit.cli`` runs cli.py as ``__main__``; the
+    construct, search and suite handlers do not import ``leibnizkit.cli``,
+    so the file is not compiled a second time."""
+    code = ("import contextlib, io, runpy, sys\n"
+            f"sys.argv = ['cli', 'construct', {str(CATALOG_DIR / 'l2.json')!r}, 'semidirect', "
+            "'--rep', 'regular']\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    try:\n"
+            "        runpy.run_module('leibnizkit.cli', run_name='__main__')\n"
+            "    except SystemExit as exc:\n"
+            "        assert exc.code == 0, exc.code\n")
+    loaded = _loaded_after(code)
+    assert "commands" in loaded and "cli" not in loaded
+
+
 def _import_time_imports(path: Path) -> set:
     """Modules a source file imports when it is itself imported: every import
     statement outside a function body."""

@@ -22,9 +22,9 @@ OWN_METHODS = {
     "Matrix": {"__eq__", "__hash__", "__repr__"},
     "LeibnizAlgebra": {"__eq__", "__hash__", "__repr__"},
     "Cochain": {"__eq__", "__hash__", "__repr__"},
+    "Representation": {"__eq__", "__hash__", "__repr__"},
+    "TwilledContext": {"__eq__", "__hash__", "__repr__"},
     # custom reprs
-    "Representation": {"__repr__"},
-    "TwilledContext": {"__repr__"},
     "LinearSolution": {"__repr__"},
     # the one-line form used in report summaries
     "Violation": {"__str__"},

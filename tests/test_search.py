@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import operator
 import re
 from fractions import Fraction
@@ -156,6 +157,21 @@ def test_search_field_must_be_the_algebra_field(l2_f2, predicate):
     with pytest.raises(ShapeMismatch,
                        match="^search field F3 differs from the structure's field F2$"):
         enumerate_operators(SearchSpec(F3, (2, 2), predicate, algebra=l2_f2))
+
+
+def test_search_specs_on_equal_structures_are_equal(l2_f2):
+    """Representations and twilled contexts compare and hash by value, so
+    two specs on equal ones, built apart, are equal and hash alike."""
+    first, second = regular_representation(l2_f2), regular_representation(l2_f2)
+    assert first is not second and first == second and hash(first) == hash(second)
+    assert first != dual_representation(first)
+    specs = [SearchSpec(F2, (2, 2), "kupershmidt", rep=rep) for rep in (first, second)]
+    assert specs[0] == specs[1] and hash(specs[0]) == hash(specs[1])
+    total = lifted_algebra(as_operator(Matrix.zeros(F2, 2, 2)), first)
+    ctxs = [TwilledContext(total, 2, 2) for _ in range(2)]
+    assert ctxs[0] is not ctxs[1] and ctxs[0] == ctxs[1] and hash(ctxs[0]) == hash(ctxs[1])
+    specs = [SearchSpec(F2, (2, 2), "mc_strong", ctx=ctx) for ctx in ctxs]
+    assert specs[0] == specs[1] and hash(specs[0]) == hash(specs[1])
 
 
 def test_mc_linear_layer(l2, l2_regular):
@@ -518,6 +534,50 @@ def _search_fp_specs():
     ]
 
 
+# The name of each job of ``_search_fp_specs()`` in the benchmark's reference.
+_SEARCH_FP_NAMES = ("solv2/F5/nijenhuis", "l2/F7/rota_baxter", "l2/F3/bn_pair",
+                    "l2.regular/F7/kupershmidt", "l2.dual/F7/kupershmidt",
+                    "l2.tw_lift/F7/mc_strong", "heis3/F3/nijenhuis")
+
+
+def test_search_fp_hits_match_the_benchmark_reference(monkeypatch):
+    """Each catalog search job finds as many hits, with the same digest, as
+    ``bench/reference.json`` records for it."""
+    monkeypatch.syspath_prepend(str(SRC.parent.parent / "bench"))
+    from workloads import hit_rows, hits_digest, load_reference
+
+    reference = load_reference()["search"]
+    assert sorted(reference) == sorted(_SEARCH_FP_NAMES)
+    for name, spec in zip(_SEARCH_FP_NAMES, _search_fp_specs()):
+        rows = hit_rows(spec, enumerate_operators(spec))
+        assert (len(rows), hits_digest(rows)) == (reference[name]["hits"],
+                                                  reference[name]["digest"]), name
+
+
+@pytest.mark.parametrize("extra, digest", [
+    (("--predicate", "nijenhuis", "--field", "F3"),
+     "6692eee2402a05617c92ba6ae1d8118534762cf7c0bd807b652e38bff3b8b8ee"),
+    (("--predicate", "rota-baxter", "--field", "F3"),
+     "a793fd869b973723b029e019e5e4a1055070f55ea5b1384583dbd0e58e75d3ac"),
+    (("--predicate", "bn-pair", "--field", "F3"),
+     "aa18572f75771877f48988e160bfc7842868d94746e78b1793d8713743829712"),
+    (("--predicate", "kupershmidt", "--rep", "regular", "--field", "F3"),
+     "494e1d2c5335e04317443dc54fedee81006f7831885f59228209c64757b1015f"),
+    (("--predicate", "mc-strong", "--ctx", "tw_lift", "--field", "F3"),
+     "2e2cc3d04c6896be2e5fdbd1b865df2db00d7ffb0c5bf38c43974007e27d68e4"),
+    (("--predicate", "bn-pair", "--field", "F2"),
+     "f47fe467b0cebbc5b22fe0ce96cd7122f45d974c7cabe3d2eb9b578cf5aac2b2"),
+])
+def test_search_stdout_is_pinned(capsys, extra, digest):
+    """The bytes that ``search`` prints on l2, for each predicate, have a
+    pinned sha256."""
+    from leibnizkit import cli
+
+    assert cli.main(["search", str(CATALOG_DIR / "l2.json"), *extra]) == 0
+    out = capsys.readouterr()
+    assert out.err == "" and hashlib.sha256(out.out.encode()).hexdigest() == digest
+
+
 def test_benchmark_tracer_counts_every_search_candidate(monkeypatch):
     """``bench/tracer.py`` counts search candidates by rebinding
     ``search._predicate_fn`` (one count per predicate call, bn_pair
@@ -625,6 +685,51 @@ def test_only_the_kernel_compiles_code():
              for path in sorted(SRC.glob("*.py"))}
     assert {name: uses for name, uses in found.items() if uses} == {
         "search.py": [("_kernel", "exec")]}
+
+
+def _predicate_literals(tree, names, fn=None):
+    """(function, value) of each string literal that is one of ``names``,
+    with - for _ allowed, outside an assignment to ``PREDICATES``, in source
+    order; the function is the innermost that holds it."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += _predicate_literals(node, names, node.name)
+            continue
+        if isinstance(node, ast.Assign) and any(getattr(target, "id", None) == "PREDICATES"
+                                                for target in node.targets):
+            continue
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and node.value.replace("-", "_") in names):
+            found.append((fn, node.value))
+        found += _predicate_literals(node, names, fn)
+    return found
+
+
+_PREDICATE_SNIPPET = """
+PREDICATES = {"nijenhuis": 1, "bn_pair": 2}
+CHOICES = ("nijenhuis", "rota-baxter")
+def f(spec):
+    if spec.predicate == "nijenhuis":
+        return "bn-pair"
+    return f"a bn_pair {spec}"
+def enumerate_bn_pairs(spec):
+    if spec.predicate != "bn_pair":
+        raise ValueError
+"""
+
+
+def test_no_predicate_name_is_tested_outside_the_table():
+    """Search and the CLI read what a predicate needs from ``PREDICATES``:
+    no string literal names a predicate in ``search.py`` outside the table
+    and the guard of ``enumerate_bn_pairs``, nor in ``commands.py``."""
+    names = set(search.PREDICATES)
+    assert _predicate_literals(ast.parse(_PREDICATE_SNIPPET), names) == [
+        (None, "nijenhuis"), (None, "rota-baxter"), ("f", "nijenhuis"), ("f", "bn-pair"),
+        ("enumerate_bn_pairs", "bn_pair")]
+    assert _predicate_literals(ast.parse((SRC / "search.py").read_text()), names) == [
+        ("enumerate_bn_pairs", "bn_pair")]
+    assert _predicate_literals(ast.parse((SRC / "commands.py").read_text()), names) == []
 
 
 # -- the residues are the checks' sides -------------------------------------------
@@ -990,6 +1095,15 @@ def _coupled_operators(alg, B, closes):
     return search._linear_basis(alg.field, residues, n * n).nullspace
 
 
+# The general check of each one-block predicate, on a candidate matrix.
+_BLOCK_CHECKS = {
+    "nijenhuis": lambda spec, m: check_nijenhuis(as_operator(m), spec.algebra),
+    "rota_baxter": lambda spec, m: check_rota_baxter(as_operator(m), spec.algebra),
+    "kupershmidt": lambda spec, m: check_kupershmidt(as_operator(m), spec.rep),
+    "mc_strong": lambda spec, m: check_maurer_cartan(spec.ctx, m, strong=True),
+}
+
+
 @settings(max_examples=100, deadline=None)
 @given(p=st.sampled_from((2, 3, 5, 7)), variant=st.sampled_from(_BLOCK_VARIANTS),
        which=st.integers(0, 10 ** 6), seed=st.integers(0, 10 ** 6), size=st.integers(1, 12))
@@ -1019,14 +1133,14 @@ def test_block_confirmation_rejects_first_what_the_check_rejects_first(p, varian
     if variant == "bn_pair":
         expected = next((i for i, x in enumerate(flats) if not _bn_confirmed(
             spec.algebra, matrix(x), matrix(x[rows * cols:]))), None)
-        nondegenerate = search._nondegenerate(spec)
+        nondegenerate = search._invertible(spec)
         kept = [x for x in flats if nondegenerate(x)]
         bad = search._first_rejected(spec, kept)
         found = next((i for i, x in enumerate(flats)
                       if not nondegenerate(x) or bad is not None and x == kept[bad]), None)
     else:
-        check = search._check_fn(spec)
-        expected = next((i for i, x in enumerate(flats) if not check(matrix(x))), None)
+        check = _BLOCK_CHECKS[spec.predicate]
+        expected = next((i for i, x in enumerate(flats) if not check(spec, matrix(x)).ok), None)
         found = search._first_rejected(spec, flats)
     assert found == expected
 

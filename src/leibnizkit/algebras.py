@@ -19,13 +19,22 @@ nonzero entries ``(i, r, c, v)`` of its rhoL and rhoR matrices on first use
 ``check_leibniz`` (on basis triples) and ``check_representation`` (one
 axiom at a time, on basis pairs) hand their raw sides to
 ``reports._sides_violations``.
+
+A structure derived from an object is built once and kept on the object
+that owns it, for that object's life: an algebra keeps its regular
+representation, a representation its dual and, in a table of at most
+``_DERIVED_CAP`` entries (the oldest dropped first), what ``operators``,
+``pairs`` and ``dgla`` derive from it and an operator or a pair.  Nothing is
+kept per process: equal objects built apart share nothing.  Every function
+that returns a kept structure runs its preconditions before it looks the
+structure up, and a call that raises keeps nothing.
 """
 
 from __future__ import annotations
 
 from itertools import product
 from operator import neg, sub
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import FieldMismatch, NotLeibniz, NotRepresentation, ShapeMismatch
 from .fields import FieldSpec
@@ -40,10 +49,20 @@ def _nonzero_entries(c: Sequence[Sequence[Sequence]]) -> Tuple[tuple, ...]:
                  for k, v in enumerate(vec) if v)
 
 
-class LeibnizAlgebra:
-    """A finite-dimensional algebra given by its structure-constant tensor."""
+# The most structures a representation keeps derived from it and an operator
+# or a pair; the oldest is dropped to make room.
+_DERIVED_CAP = 64
 
-    __slots__ = ("field", "dim", "c", "_entries", "_leibniz_report")
+
+class LeibnizAlgebra:
+    """A finite-dimensional algebra given by its structure-constant tensor.
+
+    Kept for the algebra's life, built on first use: its nonzero structure
+    constants (``_entries``, on construction), the report of
+    ``check_leibniz`` (``_leibniz_report``) and its regular representation
+    (``_regular``)."""
+
+    __slots__ = ("field", "dim", "c", "_entries", "_leibniz_report", "_regular")
 
     def __init__(self, field: FieldSpec, c: Sequence[Sequence[Sequence]]):
         n = len(c)
@@ -59,6 +78,7 @@ class LeibnizAlgebra:
         self.c = c_norm
         self._entries = _nonzero_entries(c_norm)
         self._leibniz_report: Optional[CheckReport] = None
+        self._regular: Optional[Representation] = None
 
     @staticmethod
     def abelian(field: FieldSpec, dim: int) -> "LeibnizAlgebra":
@@ -148,9 +168,21 @@ def check_leibniz(alg: LeibnizAlgebra) -> CheckReport:
 
 
 class Representation:
-    """A pair of matrix families (rhoL, rhoR) acting on an m-dimensional module."""
+    """A pair of matrix families (rhoL, rhoR) acting on an m-dimensional module.
 
-    __slots__ = ("algebra", "mdim", "rhoL", "rhoR", "_nonzero", "_rep_report")
+    Kept for the representation's life, built on first use: the nonzero
+    action entries (``_nonzero``), the report of ``check_representation``
+    (``_rep_report``) and the dual representation (``_dual``).  The table
+    ``_kept`` holds what is derived from the representation and an operator
+    or a pair, keyed by kind and operand: the module bracket of a map and
+    the Kupershmidt verdict, sub-adjacent algebra, induced representation,
+    lift and lifted twilled context of an operator (``operators``, ``dgla``),
+    and the hat and tilde representations of a pair (``pairs``).  It holds
+    at most ``_DERIVED_CAP`` entries and drops the oldest to make room, so
+    checking many operators on one long-lived representation keeps memory
+    bounded; a dropped entry is built again when asked for."""
+
+    __slots__ = ("algebra", "mdim", "rhoL", "rhoR", "_nonzero", "_rep_report", "_dual", "_kept")
 
     def __init__(
         self,
@@ -173,6 +205,8 @@ class Representation:
         self.rhoR = tuple(rhoR)
         self._nonzero = None
         self._rep_report: Optional[CheckReport] = None
+        self._dual: Optional[Representation] = None
+        self._kept: dict = {}
 
     @staticmethod
     def zero(algebra: LeibnizAlgebra, mdim: int) -> "Representation":
@@ -186,6 +220,19 @@ class Representation:
             self._nonzero = tuple(_nonzero_entries(tuple(m.entries for m in family))
                                   for family in (self.rhoL, self.rhoR))
         return self._nonzero
+
+    def _derived(self, key: tuple, make: Callable):
+        """The value kept under ``key``, made by ``make()`` and kept on first
+        use; a ``make`` that raises keeps nothing.  The kept value is shared
+        by every caller, so it must not be changed."""
+        kept = self._kept
+        if key in kept:
+            return kept[key]
+        value = make()
+        if len(kept) >= _DERIVED_CAP:
+            del kept[next(iter(kept))]
+        kept[key] = value
+        return value
 
     def actL(self, x: Sequence) -> Matrix:
         """Action matrix of the algebra vector x from the left; kept as a dense
@@ -273,30 +320,36 @@ def _products(first, second, n: int, m: int) -> list:
 
 
 def regular_representation(alg: LeibnizAlgebra) -> Representation:
-    """Left/right multiplication operators acting on the algebra itself."""
+    """Left/right multiplication operators acting on the algebra itself;
+    built once per algebra and kept on it."""
     alg.require_leibniz()
-    rep = Representation(
-        alg,
-        [alg.left_mult(i) for i in range(alg.dim)],
-        [alg.right_mult(j) for j in range(alg.dim)],
-    )
-    rep.require_representation()
-    return rep
+    if alg._regular is None:
+        rep = Representation(
+            alg,
+            [alg.left_mult(i) for i in range(alg.dim)],
+            [alg.right_mult(j) for j in range(alg.dim)],
+        )
+        rep.require_representation()
+        alg._regular = rep
+    return alg._regular
 
 
 def dual_representation(rep: Representation) -> Representation:
-    """The contragredient pair on the dual module.
+    """The contragredient pair on the dual module; built once per
+    representation and kept on it.
 
     The dual of an action family carries the usual minus sign (the dual of a
     single linear map is the plain transpose, but an action must be negated
     to stay a morphism), giving (-rhoL^T, rhoL^T + rhoR^T).
     """
     rep.require_representation()
-    dualL = [-m.transpose() for m in rep.rhoL]
-    dualR = [l.transpose() + r.transpose() for l, r in zip(rep.rhoL, rep.rhoR)]
-    out = Representation(rep.algebra, dualL, dualR)
-    out.require_representation()
-    return out
+    if rep._dual is None:
+        dualL = [-m.transpose() for m in rep.rhoL]
+        dualR = [l.transpose() + r.transpose() for l, r in zip(rep.rhoL, rep.rhoR)]
+        out = Representation(rep.algebra, dualL, dualR)
+        out.require_representation()
+        rep._dual = out
+    return rep._dual
 
 
 def _sum_bracket(f: FieldSpec, c1, c2, act1: Optional[Representation],
@@ -359,5 +412,5 @@ def check_matched_pair(
     if g1.field != g2.field:
         raise FieldMismatch("summands must share a field")
     cand = LeibnizAlgebra(g1.field, _sum_bracket(g1.field, g1.c, g2.c, rho1, rho2))
-    report = check_leibniz(cand)
+    report = cand._leibniz_report = check_leibniz(cand)
     return report, (cand if report.ok else None)

@@ -119,7 +119,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_search(args) -> int:
-    from .search import DEFAULT_BUDGET, PREDICATES, SearchSpec, _fixed_shape, enumerate_operators
+    from .search import (DEFAULT_BUDGET, PREDICATES, SearchSpec, _fixed_shape, _structure_shape,
+                         enumerate_operators)
     from .twilled import TwilledContext
 
     predicate = args.predicate.replace("-", "_")
@@ -144,18 +145,18 @@ def cmd_search(args) -> int:
         if args.ctx:
             built = spec.build(args.ctx, "twilled")
             ctx = TwilledContext(LeibnizAlgebra(fieldspec, built.total.c), built.n1, built.n2)
-        # several blocks take the shape their structure gives, whatever --rep is
+        # the first block takes the shape the structure it needs gives it,
+        # whatever other structure is passed; without that structure the
+        # search fails, saying what it needs
         fixed = _fixed_shape(predicate, algebra, rep, ctx)
-        if fixed is not None:
-            shape = fixed
-        elif row.needs == "ctx" and ctx is not None:
-            shape = (ctx.n2, ctx.n1)
-        elif algebra is not None and rep is None:
-            shape = (algebra.dim, algebra.dim)
-        elif rep is not None:
-            shape = (rep.algebra.dim, rep.mdim)
-        else:
-            return _fail_usage("no search target (need an algebra, rep or context)")
+        shape = _structure_shape(predicate, algebra, rep, ctx)
+        if shape is None:
+            if algebra is not None and rep is None:
+                shape = (algebra.dim, algebra.dim)
+            elif rep is not None:
+                shape = (rep.algebra.dim, rep.mdim)
+            else:
+                return _fail_usage("no search target (need an algebra, rep or context)")
         if args.shape:
             rows, _, cols = args.shape.partition("x")
             try:

@@ -20,22 +20,29 @@ g with the entries of f whose k-th input is g's output coordinate, and places
 each shuffle's term at an output index given by fixed index weights.  The
 grouping of f's entries by their k-th input, with the output position of
 their tail inputs, does not depend on g, so each ``Cochain`` keeps it per
-slot k and reuses it for every inner cochain.  All the terms of a bracket,
-both f ob g and -+ g ob f, go into one flat raw accumulator that is
-normalised once; the result is built through ``Cochain._trusted``, which
-skips the validation the public constructor does.  Cochain sums, differences
-and multiples are normalised the same way, in one batch.
+slot k (``_groups``).  The placements of f's entries for one shuffle, their
+output positions with the shuffled prefix inputs placed, depend on g only
+through its degree n, so each ``Cochain`` also keeps, per (k, n), the list
+over shuffles of (sign, the index weights of g's inputs, f's placed
+buckets) (``_placed``), and reuses it for every inner cochain of that
+degree.  All the terms of a bracket, both f ob g and -+ g ob f, go into one
+raw accumulator, a dict by output position, so only the positions some term
+touched are normalised, once each; every other coordinate is zero.  The
+result is built through ``Cochain._trusted``, which skips the validation the
+public constructor does.  Cochain sums, differences and multiples are
+normalised in one batch.
 
 ``mc_cochain_defects`` builds the two lifted cochains of a twilled context
 once and keeps them on the context, so the many thetas checked on one
-context share them and their per-slot groupings.
+context share them and their groupings and placements.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import lru_cache
 from itertools import chain, combinations, product
-from operator import add
+from operator import add, mul
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from .algebras import LeibnizAlgebra, Representation, check_leibniz
@@ -91,9 +98,11 @@ def _shuffles(p: int, q: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
 
 class Cochain:
     """Multilinear map from arity-many algebra slots to the algebra, stored
-    densely; its nonzero entries are listed once, on first use."""
+    densely; its nonzero entries are listed once, on first use, and its
+    groupings per slot and placements per (slot, inner degree) as an outer
+    cochain of ``_insertion_sum`` are kept for its life."""
 
-    __slots__ = ("field", "dim", "arity", "data", "_nonzero", "_groups")
+    __slots__ = ("field", "dim", "arity", "data", "_nonzero", "_groups", "_placed")
 
     def __init__(self, field: FieldSpec, dim: int, arity: int, data: Sequence[Sequence]):
         if arity < 1:
@@ -111,7 +120,7 @@ class Cochain:
         )
         if any(len(vec) != dim for vec in self.data):
             raise ShapeMismatch("output vectors must have the algebra dimension")
-        self._nonzero, self._groups = None, {}
+        self._nonzero, self._groups, self._placed = None, {}, {}
 
     @classmethod
     def _trusted(cls, field: FieldSpec, dim: int, arity: int, data: tuple) -> "Cochain":
@@ -119,7 +128,7 @@ class Cochain:
         without checking or normalising it again."""
         self = cls.__new__(cls)
         self.field, self.dim, self.arity, self.data = field, dim, arity, data
-        self._nonzero, self._groups = None, {}
+        self._nonzero, self._groups, self._placed = None, {}, {}
         return self
 
     def _entries(self) -> Tuple[Tuple[Tuple[int, ...], int, object], ...]:
@@ -252,27 +261,37 @@ def _insertion_sum(terms) -> Cochain:
     # Flat output position of (input tuple x, coordinate l) is
     # (sum_t x_t dim^{arity-1-t}) * dim + l; weights[t] = dim^{arity-t}.
     weights = [dim ** (arity - t) for t in range(arity)]
-    acc = [0] * (dim ** arity * dim)
+    acc = defaultdict(int)
     for coef, f, g, k in terms:
         n = g.degree
+        placed = f._placed.get((k, n))
+        if placed is None:
+            # per shuffle: its sign, the weights of g's n shuffled inputs and
+            # its fixed input, and f's buckets with the prefix inputs placed
+            placed = []
+            for perm, sign in _shuffles(k - 1, n):
+                w = [weights[pos] for pos in perm]
+                pre_w, in_w = w[:k - 1], tuple(w[k - 1:]) + (weights[k + n - 1],)
+                placed.append((sign, in_w, tuple(
+                    tuple((sum(map(mul, pre, pre_w)) + tail, v) for pre, tail, v in bucket)
+                    for bucket in f._by_slot(k))))
+            f._placed[(k, n)] = placed = tuple(placed)
         g_entries = g._entries()
-        by_slot = f._by_slot(k)
-        fixed_w = weights[k + n - 1]
-        for perm, sign in _shuffles(k - 1, n):
-            w = [weights[pos] for pos in perm]
-            pre_w, in_w = w[:k - 1], w[k - 1:]
-            outer = [[(sum(a * x for a, x in zip(pre, pre_w)) + tail, v)
-                      for pre, tail, v in bucket] for bucket in by_slot]
+        for sign, in_w, outer in placed:
             s = coef * sign
             for idx, j, c in g_entries:
                 bucket = outer[j]
                 if not bucket:
                     continue
-                off = sum(b * x for b, x in zip(idx, in_w)) + idx[n] * fixed_w
+                off = sum(map(mul, idx, in_w))
                 sc = s * c
                 for pos, v in bucket:
                     acc[pos + off] += sc * v
-    return _from_flat(field, dim, arity, acc)
+    flat = [0] * (dim ** arity * dim)
+    for pos, v in zip(acc, field.normalize_all(acc.values())):
+        flat[pos] = v
+    vals = iter(flat)
+    return Cochain._trusted(field, dim, arity, tuple(zip(*[vals] * dim)))
 
 
 def bracket_square(phi: Cochain) -> Cochain:
@@ -366,10 +385,12 @@ def mc_cochain_defects(ctx: TwilledContext, theta: Matrix) -> Tuple[Cochain, Coc
 
 def _lifted_context(K: LinearOperator, rep: Representation, theta: Optional[Matrix] = None):
     """The induced representation of (K, rep) and the twilled context of the
-    lifted sum; with ``theta``, raises NotStrongMC unless theta solves the
-    strong Maurer-Cartan equation there."""
-    vr, lifted = _lift(as_operator(K), rep)
-    ctx = TwilledContext(lifted, rep.algebra.dim, rep.mdim)
+    lifted sum, kept on ``rep`` per K; with ``theta``, raises NotStrongMC
+    unless theta solves the strong Maurer-Cartan equation there."""
+    K = as_operator(K)
+    vr, lifted = _lift(K, rep)
+    ctx = rep._derived(("context", K.matrix),
+                       lambda: TwilledContext(lifted, rep.algebra.dim, rep.mdim))
     if theta is not None:
         mc = check_maurer_cartan(ctx, theta, strong=True)
         if not mc.ok:
@@ -470,7 +491,7 @@ def tilde_varrho_bracket(kn: KNStructure, rep: Representation) -> LeibnizAlgebra
 
     if kn.mode != "dual-kn":
         raise NotDualKN("input must be in dual KN mode")
-    violations, _, s_deformed, _ = _kn_conditions(kn, rep)
+    violations, s_deformed = _kn_conditions(kn, rep)
     if violations:
         raise NotDualKN(CheckReport.build(violations).summary())
     alg = rep.algebra

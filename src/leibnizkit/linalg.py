@@ -191,26 +191,29 @@ def lin_comb(f: FieldSpec, coeffs: Sequence, mats: Sequence[Matrix], rows: int,
 
 
 def _forward_eliminate(f: FieldSpec, m: list) -> Tuple[list, list]:
-    """Bareiss forward elimination in place; returns (matrix, pivot (row,col) list)."""
+    """Bareiss forward elimination in place on rows of normalized values;
+    returns (matrix, pivot (row,col) list).  Each new row is cross-multiplied
+    on raw values, times the inverse of the previous pivot (an exact division
+    in Bareiss's scheme; over Q a ``Fraction`` unless the pivot is 1 or -1),
+    and normalized once."""
     n_rows = len(m)
     n_cols = len(m[0]) if n_rows else 0
     pivots = []
-    prev = f.one()
+    inv_prev = f.one()
     r = 0
     for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if not f.is_zero(m[i][c])), None)
+        pivot_row = next((i for i in range(r, n_rows) if m[i][c]), None)
         if pivot_row is None:
             continue
         if pivot_row != r:
             m[r], m[pivot_row] = m[pivot_row], m[r]
-        piv = m[r][c]
+        piv, row_r = m[r][c], m[r]
         for i in range(r + 1, n_rows):
-            fac = m[i][c]
-            row_i, row_r = m[i], m[r]
-            m[i] = [f.div(f.sub(f.mul(piv, row_i[j]), f.mul(fac, row_r[j])), prev)
-                    for j in range(n_cols)]
+            fac, row_i = m[i][c], m[i]
+            m[i] = f.normalize_all([(piv * a - fac * b) * inv_prev
+                                    for a, b in zip(row_i, row_r)])
         pivots.append((r, c))
-        prev = piv
+        inv_prev = f.inv(piv)
         r += 1
         if r == n_rows:
             break

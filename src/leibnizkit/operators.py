@@ -39,11 +39,20 @@ truth tests, and sum into accumulators that start at 0, so they also run
 over polynomial entries: ``search`` evaluates the raw-sides functions on a
 matrix of unknowns and takes lhs - rhs as the residues of its predicates.
 
-``module_bracket_tensor`` is the one home of the induced module bracket; its
-kernel ``_dendriform`` builds both halves in one pass over the cached action
-entries of the representation.  ``_lift``
-builds the induced representation (its algebra is the sub-adjacent one) and
-the lifted sum once per (K, rep).
+``_module_bracket`` is the one home of the induced module bracket of a
+matrix, ``module_bracket_tensor`` its tensor; its kernel ``_dendriform``
+builds both halves in one pass over the cached action entries of the
+representation.  ``_kupershmidt_sides`` calls the kernel itself, since it
+also runs over polynomial entries.
+
+What a check derives from (K, rep) is built once and kept on ``rep`` (see
+``Representation._derived``), after the preconditions of each call have
+run: the module bracket of a map and its halves (``_module_bracket``), the
+Kupershmidt violations with them (``_kupershmidt_core``), the sub-adjacent
+algebra, the induced representation (its algebra is the sub-adjacent one)
+and the lifted sum (``_lift``).  They are tuples and shared objects, which
+no caller changes.  The raw-sides functions keep nothing, since ``search``
+runs them on polynomial entries.
 """
 
 from __future__ import annotations
@@ -114,10 +123,19 @@ def _dendriform(T: Matrix, rep: Representation) -> Tuple[list, list]:
     return halves
 
 
+def _module_bracket(T: Matrix, rep: Representation):
+    """The bracket [u,v]^T and its halves (lhd, rhd) of ``_dendriform``, as
+    flat raw tuples, built once per (T, rep) and kept on ``rep``."""
+    def make():
+        halves = _dendriform(T, rep)
+        return tuple(map(add, *halves)), tuple(map(tuple, halves))
+    return rep._derived(("bracket", T), make)
+
+
 def module_bracket_tensor(T: Matrix, rep: Representation):
     """Bracket [u,v]^T = rhoL(Tu) v + rhoR(Tv) u on the module, for any linear
     T: module -> algebra; the sub-adjacent bracket when T is Kupershmidt."""
-    return _tensor(rep.algebra.field, list(map(add, *_dendriform(T, rep))), rep.mdim)
+    return _tensor(rep.algebra.field, _module_bracket(T, rep)[0], rep.mdim)
 
 
 def twisted_tensor(c, T: Matrix, f: FieldSpec):
@@ -247,17 +265,26 @@ def _kupershmidt_sides(K: Matrix, rep: Representation):
     return _image_sides(rep.algebra, K, list(map(add, *_dendriform(K, rep))))
 
 
-def _kupershmidt_core(K: LinearOperator, rep: Representation):
-    """The violations of the Kupershmidt identity, the bracket [u,v]^K and
-    its halves (lhd, rhd), as flat raw accumulators, after the preconditions
-    of ``check_kupershmidt``."""
+def _module_map(K: LinearOperator, rep: Representation) -> LinearOperator:
+    """K as an operator, after the preconditions of a Kupershmidt operator:
+    rep a representation and K a module map of it."""
     rep.require_representation()
     K = as_operator(K)
     _require_module_map(K, rep)
-    halves = _dendriform(K.matrix, rep)
-    summed = list(map(add, *halves))
-    sides = _image_sides(rep.algebra, K.matrix, summed)
-    return _image_violations("kupershmidt", K.matrix, sides), summed, halves
+    return K
+
+
+def _kupershmidt_core(K: LinearOperator, rep: Representation):
+    """The violations of the Kupershmidt identity, the bracket [u,v]^K and
+    its halves (lhd, rhd), as flat raw tuples, after the preconditions of
+    ``check_kupershmidt``; kept on ``rep`` per K."""
+    T = _module_map(K, rep).matrix
+
+    def make():
+        summed, halves = _module_bracket(T, rep)
+        sides = _image_sides(rep.algebra, T, summed)
+        return tuple(_image_violations("kupershmidt", T, sides)), summed, halves
+    return rep._derived(("kupershmidt", T), make)
 
 
 def _require_kupershmidt(K: LinearOperator, rep: Representation):
@@ -277,11 +304,16 @@ def check_kupershmidt(K: LinearOperator, rep: Representation) -> CheckReport:
 def subadjacent_algebra(
     K: LinearOperator, rep: Representation
 ) -> Tuple[DendriformPair, LeibnizAlgebra]:
+    """The dendriform halves and the sub-adjacent algebra of a Kupershmidt
+    K; kept on ``rep`` per K."""
     summed, (lhd, rhd) = _require_kupershmidt(K, rep)
-    f, m = rep.algebra.field, rep.mdim
-    alg = LeibnizAlgebra(f, _tensor(f, summed, m))
-    alg.require_leibniz()
-    return DendriformPair(_tensor(f, lhd, m), _tensor(f, rhd, m)), alg
+
+    def make():
+        f, m = rep.algebra.field, rep.mdim
+        alg = LeibnizAlgebra(f, _tensor(f, summed, m))
+        alg.require_leibniz()
+        return DendriformPair(_tensor(f, lhd, m), _tensor(f, rhd, m)), alg
+    return rep._derived(("subadjacent", as_operator(K).matrix), make)
 
 
 def induced_action(T: Matrix, rep: Representation) -> Tuple[list, list]:
@@ -318,29 +350,37 @@ def induced_action(T: Matrix, rep: Representation) -> Tuple[list, list]:
 
 def induced_representation(K: LinearOperator, rep: Representation) -> Representation:
     """The natural action of the sub-adjacent algebra back on the original
-    algebra: vrL(v) x = [K(v),x] - K(rhoR(x)v), vrR(v) x = [x,K(v)] - K(rhoL(x)v)."""
-    K = as_operator(K)
-    _, subalg = subadjacent_algebra(K, rep)
-    Kmat = K.matrix
-    out = Representation(subalg, *induced_action(Kmat, rep))
-    out.require_representation()
-    # equivariance: K intertwines the sub-adjacent bracket with the induced action
-    unequal = _sides_violations("equivariance", rep.algebra.field,
-                                *_equivariance_sides(out, Kmat), rep.mdim)
-    if unequal:
-        i, j = unequal[0].index
-        raise NotKupershmidt(f"induced action is not K-equivariant at basis pair ({i},{j})")
-    return out
+    algebra: vrL(v) x = [K(v),x] - K(rhoR(x)v), vrR(v) x = [x,K(v)] - K(rhoL(x)v);
+    kept on ``rep`` per K."""
+    K = _module_map(K, rep)
+
+    def make():
+        _, subalg = subadjacent_algebra(K, rep)
+        Kmat = K.matrix
+        out = Representation(subalg, *induced_action(Kmat, rep))
+        out.require_representation()
+        # equivariance: K intertwines the sub-adjacent bracket with the induced action
+        unequal = _sides_violations("equivariance", rep.algebra.field,
+                                    *_equivariance_sides(out, Kmat), rep.mdim)
+        if unequal:
+            i, j = unequal[0].index
+            raise NotKupershmidt(f"induced action is not K-equivariant at basis pair ({i},{j})")
+        return out
+    return rep._derived(("induced", K.matrix), make)
 
 
 def _lift(K: LinearOperator, rep: Representation) -> Tuple[Representation, LeibnizAlgebra]:
     """The induced representation, whose algebra is the sub-adjacent one, and
-    the lifted sum built from it."""
-    induced = induced_representation(K, rep)
-    report, twilled = check_matched_pair(rep.algebra, induced.algebra, rep, induced)
-    if twilled is None:
-        raise NotKupershmidt(f"lifted bracket is not Leibniz: {report.summary()}")
-    return induced, twilled
+    the lifted sum built from it; kept on ``rep`` per K."""
+    K = _module_map(K, rep)
+
+    def make():
+        induced = induced_representation(K, rep)
+        report, twilled = check_matched_pair(rep.algebra, induced.algebra, rep, induced)
+        if twilled is None:
+            raise NotKupershmidt(f"lifted bracket is not Leibniz: {report.summary()}")
+        return induced, twilled
+    return rep._derived(("lift", K.matrix), make)
 
 
 def lifted_algebra(K: LinearOperator, rep: Representation) -> LeibnizAlgebra:

@@ -13,7 +13,6 @@ normalises the blocks into matrices.
 
 from __future__ import annotations
 
-from operator import add
 from typing import TYPE_CHECKING, Literal, Sequence, Tuple
 
 from .algebras import (
@@ -36,11 +35,10 @@ from .errors import (
 from .linalg import LinearOperator, Matrix, _flat, is_invertible, mat_inverse
 from .operators import (
     _applied,
-    _dendriform,
     _flat3,
-    _image_sides,
-    _image_violations,
     _images,
+    _kupershmidt_core,
+    _module_bracket,
     _require_kupershmidt,
     _tensor,
     as_operator,
@@ -48,6 +46,7 @@ from .operators import (
     check_kupershmidt,
     check_nijenhuis,
     deformed_bracket,
+    subadjacent_algebra,
     twisted_tensor,
 )
 from .reports import CheckReport, _Record, _sides_violations
@@ -274,19 +273,23 @@ def _hat_tilde(
     pair: OperatorPair, rep: Representation, is_pair: bool, is_dual: bool
 ) -> Tuple[Representation, Representation]:
     """``hat_tilde_representations`` given the verdicts of the Nijenhuis-pair
-    and dual-Nijenhuis-pair checks of ``pair`` on ``rep``."""
+    and dual-Nijenhuis-pair checks of ``pair`` on ``rep``; kept on ``rep``
+    per (pair, is_pair, is_dual)."""
     if not (is_pair or is_dual):
         raise NeitherPairKind("neither the pair nor the dual-pair identities hold")
-    N, S = pair.N.matrix, pair.S.matrix
-    deformed = deformed_bracket(pair.N, rep.algebra)
-    deformed.require_leibniz()
-    hat = Representation(deformed, *_deformed_action(rep, N, S, hat=True))
-    tilde = Representation(deformed, *_deformed_action(rep, N, S, hat=False))
-    if is_pair:
-        hat.require_representation()
-    if is_dual:
-        tilde.require_representation()
-    return hat, tilde
+
+    def make():
+        N, S = pair.N.matrix, pair.S.matrix
+        deformed = deformed_bracket(pair.N, rep.algebra)
+        deformed.require_leibniz()
+        hat = Representation(deformed, *_deformed_action(rep, N, S, hat=True))
+        tilde = Representation(deformed, *_deformed_action(rep, N, S, hat=False))
+        if is_pair:
+            hat.require_representation()
+        if is_dual:
+            tilde.require_representation()
+        return hat, tilde
+    return rep._derived(("hat-tilde", pair, is_pair, is_dual), make)
 
 
 Mode = Literal["kn", "dual-kn"]
@@ -319,37 +322,32 @@ def make_kn(K, N, S, mode: Mode = "kn") -> KNStructure:
     return KNStructure(as_operator(K), make_pair(N, S), mode)
 
 
-def _kn_core(tag: str, T: Matrix, N: Matrix, S: Matrix, rep: Representation,
-             t_bracket=None):
+def _kn_core(tag: str, T: Matrix, N: Matrix, S: Matrix, rep: Representation):
     """Violations of NT = TS (``<tag>-commute``) and of
     [u,v]^{NT} = [u,v]^T twisted by S (``<tag>-bracket``, on module basis
-    pairs), with the T-bracket, its S-twist and the flat raw NT-bracket for
-    reuse.  ``t_bracket`` is the flat raw T-bracket when the caller has it.
-    Serves KN-structures (T = K), RBN (T = R, S = N, regular representation)
-    and r-n structures (T = pi#, S = N^T, dual of the regular
-    representation)."""
+    pairs), with the S-twist of the T-bracket for reuse; the T- and
+    NT-brackets are the ones kept on ``rep``.  Serves KN-structures (T = K),
+    RBN (T = R, S = N, regular representation) and r-n structures (T = pi#,
+    S = N^T, dual of the regular representation)."""
     NT, TS = N * T, T * S
     f = rep.algebra.field
     violations = _sides_violations(f"{tag}-commute", f, _flat(NT), _flat(TS), 1, arity=0)
-    if t_bracket is None:
-        t_bracket = list(map(add, *_dendriform(T, rep)))
-    sub_T = _tensor(f, t_bracket, rep.mdim)
-    rhs = twisted_tensor(sub_T, S, f)
-    nt_bracket = list(map(add, *_dendriform(NT, rep)))
-    violations += _sides_violations(f"{tag}-bracket", f, nt_bracket, _flat3(rhs), rep.mdim)
-    return violations, sub_T, rhs, nt_bracket
+    rhs = twisted_tensor(_tensor(f, _module_bracket(T, rep)[0], rep.mdim), S, f)
+    violations += _sides_violations(f"{tag}-bracket", f, _module_bracket(NT, rep)[0],
+                                    _flat3(rhs), rep.mdim)
+    return violations, rhs
 
 
 def _kn_conditions(kn: KNStructure, rep: Representation):
     """``_kn_core`` with T = K, after raising on the preconditions: K
     Kupershmidt and the pair identities of the mode."""
-    k_bracket, _ = _require_kupershmidt(kn.K, rep)
+    _require_kupershmidt(kn.K, rep)
     pair_check = (
         check_nijenhuis_pair if kn.mode == "kn" else check_dual_nijenhuis_pair
     )(kn.pair, rep)
     if not pair_check.ok:
         raise PairCheckFailed(pair_check.summary())
-    return _kn_core("kn", kn.K.matrix, kn.N, kn.S, rep, k_bracket)
+    return _kn_core("kn", kn.K.matrix, kn.N, kn.S, rep)
 
 
 def check_kn_structure(
@@ -365,7 +363,7 @@ def check_kn_structure(
     hat/tilde action over the deformed algebra, and NK being Kupershmidt for
     the original representation.
     """
-    violations, sub_K, s_deformed, nk_bracket = _kn_conditions(kn, rep)
+    violations, s_deformed = _kn_conditions(kn, rep)
     report = CheckReport.build(violations)
     if not report.ok or not consequences:
         return report
@@ -378,27 +376,19 @@ def check_kn_structure(
     hat, tilde = _hat_tilde(kn.pair, rep, is_pair=not dual or other, is_dual=dual or other)
     f = rep.algebra.field
     s_flat = _flat3(s_deformed)
-    extra, k_brackets = [], {}
+    extra = []
     for name, action in (("hat", hat), ("tilde", tilde)):
-        k_brackets[name] = list(map(add, *_dendriform(K, action)))
-        extra += _sides_violations(f"bracket-agreement-{name}", f, s_flat, k_brackets[name], m)
-    subalg = LeibnizAlgebra(f, sub_K)
+        extra += _sides_violations(f"bracket-agreement-{name}", f, s_flat,
+                                   _module_bracket(K, action)[0], m)
+    subalg = subadjacent_algebra(kn.K, rep)[1]
     extra += check_nijenhuis(kn.pair.S, subalg).prefixed("subadjacent-nijenhuis").violations
     # K and NK have the shape of a module map of rep, and so of the deformed
-    # action too: the Kupershmidt checks reduce to their image identities.
+    # action too; both Kupershmidt verdicts reuse the brackets built above.
     name, deformed_rep = ("hat", hat) if kn.mode == "kn" else ("tilde", tilde)
-    deformed_rep.require_representation()
-    extra += _kupershmidt_report(deformed_rep.algebra, K, k_brackets[name]).prefixed(
-        f"kupershmidt-{name}").violations
-    extra += _kupershmidt_report(rep.algebra, kn.N * K, nk_bracket).prefixed(
-        "composite-kupershmidt").violations
+    for label, T, action in ((f"kupershmidt-{name}", K, deformed_rep),
+                             ("composite-kupershmidt", kn.N * K, rep)):
+        extra += CheckReport.build(_kupershmidt_core(T, action)[0]).prefixed(label).violations
     return report.merged(CheckReport.build(extra))
-
-
-def _kupershmidt_report(alg: LeibnizAlgebra, K: Matrix, bracket) -> CheckReport:
-    """``check_kupershmidt`` of a module map K of the right shape, given its
-    flat raw module bracket over the representation."""
-    return CheckReport.build(_image_violations("kupershmidt", K, _image_sides(alg, K, bracket)))
 
 
 def kn_to_dual_kn(kn: KNStructure, rep: Representation) -> KNStructure:

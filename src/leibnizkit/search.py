@@ -116,12 +116,20 @@ PREDICATES = {
 _NEEDS = {"algebra": "an algebra", "rep": "a representation", "ctx": "a twilled context"}
 
 
+def _structure_shape(predicate: str, algebra, rep, ctx) -> Optional[Tuple[int, int]]:
+    """The shape the structure the predicate needs gives its first block;
+    None without the structure."""
+    _, shape = PREDICATES[predicate].blocks[0]
+    structure = {"algebra": algebra, "rep": rep, "ctx": ctx}[PREDICATES[predicate].needs]
+    return None if structure is None else shape(structure)
+
+
 def _fixed_shape(predicate: str, algebra, rep, ctx) -> Optional[Tuple[int, int]]:
     """The one shape a search of several blocks takes, its first block's as
     the structure gives it; None for one block, or without the structure."""
-    (_, shape), *more = PREDICATES[predicate].blocks
-    structure = {"algebra": algebra, "rep": rep, "ctx": ctx}[PREDICATES[predicate].needs]
-    return shape(structure) if more and structure is not None else None
+    if len(PREDICATES[predicate].blocks) == 1:
+        return None
+    return _structure_shape(predicate, algebra, rep, ctx)
 
 
 class SearchSpec(_Record):

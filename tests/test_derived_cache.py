@@ -1,0 +1,317 @@
+"""Structures derived from an object are built once and kept on that object
+(``Representation._derived``, ``LeibnizAlgebra._regular``,
+``Representation._dual``): keeping them changes no answer, the table on a
+representation stays bounded, and nothing is kept per process, so equal
+objects built apart, two loaded catalogs among them, share no derived
+object."""
+
+import ast
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import leibnizkit
+from leibnizkit import (
+    LeibnizAlgebra,
+    Matrix,
+    RATIONALS as Q,
+    Representation,
+    as_operator,
+    check_kn_structure,
+    check_kupershmidt,
+    dual_representation,
+    hat_tilde_representations,
+    induced_representation,
+    lifted_algebra,
+    prime_field,
+    regular_representation,
+)
+from leibnizkit.algebras import _DERIVED_CAP
+from leibnizkit.catalog import load_catalog
+from leibnizkit.dgla import Cochain
+from leibnizkit.errors import LeibnizKitError
+from leibnizkit.pairs import KNStructure, _hat_tilde, make_pair
+from leibnizkit.reports import CheckReport
+from leibnizkit.suites import run_suites
+from leibnizkit.twilled import TwilledContext
+
+FIELDS = (prime_field(2), prime_field(3), Q)
+# l2 ([e1,e0] = [e1,e1] = e0), its one-bracket variant, which is not
+# Leibniz, and solv2 ([e0,e1] = -[e1,e0] = e0)
+ALGEBRAS = {
+    "l2": {(1, 0): [1, 0], (1, 1): [1, 0]},
+    "l2_single": {(1, 0): [1, 0]},
+    "solv2": {(0, 1): [1, 0], (1, 0): [-1, 0]},
+}
+# l2's catalog operators with integer entries, R, R2 and E01 (regular) and
+# Bsharp, NBsharp (dual), are Kupershmidt over Q, and so is 0; the identity
+# is not
+OPERATORS = {
+    "regular": [((0, 1), (0, -1)), ((0, 2), (0, -2)), ((0, 1), (0, 0)), ((1, 0), (0, 1)),
+                ((0, 0), (0, 0))],
+    "dual": [((-1, 1), (1, 0)), ((3, 2), (2, 0)), ((0, 0), (0, 0))],
+}
+# (N, S) of l2's dual KN-structure, the identity pair, the zero pair, and a
+# pair whose hat action on solv2 over F3 is a representation and whose tilde
+# action is not
+PAIRS = [(((2, 5), (0, 2)), ((2, 0), (5, 2))), (((1, 0), (0, 1)),) * 2, (((0, 0), (0, 0)),) * 2,
+         (((0, 0), (1, 0)),) * 2]
+
+FUNCTIONS = {
+    "regular_representation": lambda o: regular_representation(o["alg"]),
+    "dual_representation": lambda o: dual_representation(o["rep"]),
+    "check_kupershmidt": lambda o: check_kupershmidt(o["K"], o["rep"]),
+    "lifted_algebra": lambda o: lifted_algebra(o["K"], o["rep"]),
+    "induced_representation": lambda o: induced_representation(o["K"], o["rep"]),
+    "hat_tilde_representations": lambda o: hat_tilde_representations(o["kn"].pair, o["rep"]),
+    # the hat and tilde representations as a caller that knows the verdicts
+    # asks for them: each verdict it passes is one more verification
+    **{f"_hat_tilde{flags}": lambda o, flags=flags: _hat_tilde(o["kn"].pair, o["rep"], *flags)
+       for flags in ((True, False), (False, True), (True, True))},
+    "check_kn_structure": lambda o: check_kn_structure(o["kn"], o["rep"]),
+}
+
+
+def _objects(case):
+    """Fresh objects for ``case``: the algebra, the representation (its
+    regular one or the dual of that, built by hand so that a non-Leibniz
+    algebra still has one), an operator K and a KN-structure on K."""
+    f, alg_name, kind, k, (n, s), mode = case
+    alg = LeibnizAlgebra.from_brackets(f, 2, ALGEBRAS[alg_name])
+    rep = Representation(alg, [alg.left_mult(i) for i in range(2)],
+                         [alg.right_mult(j) for j in range(2)])
+    if kind == "dual":
+        rep = Representation(alg, [-m.transpose() for m in rep.rhoL],
+                             [a.transpose() + b.transpose() for a, b in zip(rep.rhoL, rep.rhoR)])
+    K = as_operator(Matrix(f, k))
+    kn = KNStructure(K, make_pair(Matrix(f, n), Matrix(f, s)), mode)
+    return {"alg": alg, "rep": rep, "K": K, "kn": kn}
+
+
+def _outcome(fn, objects):
+    """What a call returns, comparable by value: a report's verdict,
+    violations and notes, a raised error's kind and text, or the value."""
+    try:
+        out = fn(objects)
+    except LeibnizKitError as exc:
+        return "raised", type(exc).__name__, str(exc)
+    if isinstance(out, CheckReport):
+        return "report", out.ok, out.violations, out.notes
+    return "value", out
+
+
+def _warm_and_cold(case, order):
+    """For each function, its outcome on objects that every function, taken
+    in ``order``, has already been called on, and on fresh equal objects."""
+    warm = _objects(case)
+    for name in order:
+        _outcome(FUNCTIONS[name], warm)
+    return {name: (_outcome(fn, warm), _outcome(fn, _objects(case)))
+            for name, fn in FUNCTIONS.items()}
+
+
+_matrix = st.tuples(*[st.tuples(*[st.integers(-2, 2)] * 2)] * 2)
+
+
+@st.composite
+def _cases(draw):
+    kind = draw(st.sampled_from(sorted(OPERATORS)))
+    return (draw(st.sampled_from(FIELDS)), draw(st.sampled_from(sorted(ALGEBRAS))), kind,
+            draw(st.sampled_from(OPERATORS[kind]) | _matrix),
+            draw(st.sampled_from(PAIRS) | st.tuples(_matrix, _matrix)),
+            draw(st.sampled_from(["kn", "dual-kn"])))
+
+
+@given(case=_cases(), order=st.permutations(sorted(FUNCTIONS)))
+@settings(max_examples=100, deadline=None)
+def test_kept_structures_give_what_fresh_objects_give(case, order):
+    for name, (warm, cold) in _warm_and_cold(case, order).items():
+        assert warm == cold, name
+
+
+def test_the_cases_pass_and_fail():
+    """The property above sees passing verdicts, failing verdicts and failed
+    preconditions, each from warm and cold objects alike."""
+    cases = [
+        (Q, "l2", "dual", OPERATORS["dual"][0], PAIRS[0], "dual-kn"),  # l2's KN-structure
+        (prime_field(3), "l2", "regular", OPERATORS["regular"][0], PAIRS[2], "kn"),
+        (Q, "l2", "regular", OPERATORS["regular"][3], PAIRS[1], "kn"),  # not Kupershmidt
+        (Q, "l2_single", "regular", OPERATORS["regular"][4], PAIRS[2], "kn"),
+        (prime_field(3), "solv2", "regular", OPERATORS["regular"][4], PAIRS[3], "kn"),
+    ]
+    seen = set()
+    for case in cases:
+        for warm, cold in _warm_and_cold(case, sorted(FUNCTIONS)).values():
+            assert warm == cold
+            seen.add(warm[1] if warm[0] == "report" else warm[0])
+    assert seen == {True, False, "raised", "value"}
+    # the verdicts passed to _hat_tilde decide what it verifies
+    outcomes = _warm_and_cold(cases[-1], sorted(FUNCTIONS))
+    assert outcomes["_hat_tilde(True, False)"][0][0] == "value"
+    assert outcomes["_hat_tilde(False, True)"][0][:2] == ("raised", "NotRepresentation")
+
+
+def test_the_table_on_a_representation_stays_bounded():
+    """Checking more operators than the cap on one representation keeps at
+    most the cap; an operator whose entries were dropped is checked again,
+    with the same verdict."""
+    alg = LeibnizAlgebra.from_brackets(Q, 2, ALGEBRAS["l2"])
+    rep = regular_representation(alg)
+    operators = [as_operator(Matrix(Q, [[0, a], [0, -a]])) for a in range(_DERIVED_CAP + 50)]
+    for K in operators:
+        assert check_kupershmidt(K, rep).ok
+        assert len(rep._kept) <= _DERIVED_CAP
+    first = operators[0].matrix
+    assert ("kupershmidt", first) not in rep._kept
+    assert check_kupershmidt(operators[0], rep).ok
+    assert ("kupershmidt", first) in rep._kept
+
+
+def test_a_call_that_raises_keeps_nothing():
+    """A failed precondition raises on every call and leaves the table as
+    it was."""
+    alg = LeibnizAlgebra.from_brackets(Q, 2, ALGEBRAS["l2"])
+    rep = regular_representation(alg)
+    identity = as_operator(Matrix.identity(Q, 2))
+    check_kupershmidt(identity, rep)
+    kept = dict(rep._kept)
+    errors = []
+    for _ in range(2):
+        try:
+            lifted_algebra(identity, rep)
+        except LeibnizKitError as exc:
+            errors.append((type(exc).__name__, str(exc)))
+    assert len(errors) == 2 and errors[0] == errors[1] and errors[0][0] == "NotKupershmidt"
+    assert rep._kept == kept
+
+
+# What the package may memoise for the life of the process: the shuffles of
+# small arities, and one search's decisions on its distinct blocks.
+ALLOWED_MEMOS = {("dgla", "_shuffles", "lru_cache"), ("search", "_invertible", "lru_cache")}
+_FUNCTOOLS_CACHES = {"lru_cache", "cache", "cached_property"}
+_MUTATORS = {"setdefault", "update", "append", "extend", "add", "insert", "__setitem__"}
+
+
+class _Memos(ast.NodeVisitor):
+    """(function, what) for each use of a functools cache and each store
+    into a module-level name from inside a function; the function is
+    ``<module>`` at module level."""
+
+    def __init__(self, module_names):
+        self.module_names, self.where, self.found = module_names, ["<module>"], set()
+
+    def visit_FunctionDef(self, node):
+        self.where.append(node.name)  # its decorators belong to it
+        self.generic_visit(node)
+        self.where.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Name(self, node):
+        if node.id in _FUNCTOOLS_CACHES:
+            self.found.add((self.where[-1], node.id))
+
+    def visit_Attribute(self, node):
+        if node.attr in _FUNCTOOLS_CACHES and getattr(node.value, "id", None) == "functools":
+            self.found.add((self.where[-1], node.attr))
+        self.generic_visit(node)
+
+    def _module_level(self, node) -> bool:
+        return (len(self.where) > 1 and isinstance(node, ast.Name)
+                and node.id in self.module_names)
+
+    def visit_Subscript(self, node):
+        if isinstance(node.ctx, ast.Store) and self._module_level(node.value):
+            self.found.add((self.where[-1], node.value.id))
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        func = node.func
+        if (isinstance(func, ast.Attribute) and func.attr in _MUTATORS
+                and self._module_level(func.value)):
+            self.found.add((self.where[-1], func.value.id))
+        self.generic_visit(node)
+
+    def visit_Global(self, node):
+        self.found.update((self.where[-1], name) for name in node.names)
+
+
+def _memos(source: str) -> set:
+    tree = ast.parse(source)
+    names = {target.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+             for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+             if isinstance(target, ast.Name)}
+    visitor = _Memos(names)
+    visitor.visit(tree)
+    return visitor.found
+
+
+def test_nothing_is_memoised_per_process():
+    """No module of the package keeps a functools cache or a module-level
+    table that its functions fill, but for ``ALLOWED_MEMOS``."""
+    snippet = """
+import functools
+from functools import lru_cache
+_MEMO = {}
+SEEN = []
+@lru_cache(maxsize=None)
+def a(x):
+    return x
+def b(x):
+    _MEMO[x] = x
+def c(x):
+    return functools.cache(len)(x) + SEEN.append(x)
+def d():
+    global _MEMO
+def e(x):
+    local = {}
+    local[x] = x
+    return local
+"""
+    assert _memos(snippet) == {("a", "lru_cache"), ("b", "_MEMO"), ("c", "cache"),
+                               ("c", "SEEN"), ("d", "_MEMO")}
+    src = Path(leibnizkit.__file__).resolve().parent
+    found = {(path.stem, *memo) for path in sorted(src.glob("*.py"))
+             for memo in _memos(path.read_text())}
+    assert found == ALLOWED_MEMOS
+
+
+def _derived_objects(root) -> dict:
+    """id -> object for every algebra, representation, twilled context and
+    cochain reachable from ``root`` through containers and slots."""
+    kinds = (LeibnizAlgebra, Representation, TwilledContext, Cochain)
+    seen, found, stack = set(), {}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (int, str, float, type(None))):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, kinds):
+            found[id(obj)] = obj
+        if isinstance(obj, dict):
+            stack += list(obj.keys()) + list(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            stack += obj
+        elif type(obj).__module__.startswith("leibnizkit."):
+            stack += [getattr(obj, name, None) for cls in type(obj).__mro__
+                      for name in getattr(cls, "__slots__", ())]
+    return found
+
+
+def test_two_loaded_catalogs_share_no_derived_object():
+    """Two catalogs loaded apart, each run through suites that derive and
+    keep structures, reach no algebra, representation, twilled context or
+    cochain in common, though their objects are equal."""
+    first, second = load_catalog(), load_catalog()
+    names = ["kn-consequences", "theta-twist", "dual-kn-to-mc", "rn-to-dual-kn"]
+    for catalog in (first, second):
+        assert all(result.ok for result in run_suites(catalog, names))
+    a, b = _derived_objects(first), _derived_objects(second)
+    assert len(a) > 20 and len(b) == len(a)
+    assert sum(len(obj._kept) for obj in a.values() if isinstance(obj, Representation)) > 20
+    assert not set(a) & set(b)
+    alg_a, alg_b = first["l2"].spec.build("alg"), second["l2"].spec.build("alg")
+    assert alg_a == alg_b
+    assert regular_representation(alg_a) is not regular_representation(alg_b)
+    assert regular_representation(alg_a) is regular_representation(alg_a)

@@ -632,6 +632,28 @@ def test_cli_bn_pair_search_takes_only_the_algebra_shape():
     assert (shaped.returncode, shaped.stdout, shaped.stderr) == (0, plain.stdout, "")
 
 
+def test_cli_one_block_search_takes_the_shape_of_the_structure_it_needs(tmp_path, capsys):
+    """A Nijenhuis search reads the algebra, not --rep: on a copy of l2 with a
+    1-dimensional trivial representation, passing that representation
+    searches the 2x2 endomorphisms of the algebra and prints the 15 hits it
+    prints without --rep."""
+    from leibnizkit import cli
+
+    doc = json.loads(Path(_L2).read_text())
+    zero = [[["0"]], [["0"]]]
+    doc["objects"]["triv1"] = {"type": "representation", "algebra": "alg",
+                               "rhoL": zero, "rhoR": zero}
+    path = tmp_path / "l2_triv1.json"
+    path.write_text(json.dumps(doc))
+    argv = ["search", str(path), "--predicate", "nijenhuis", "--field", "F3"]
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr()
+    assert cli.main(argv + ["--rep", "triv1"]) == 0
+    with_rep = capsys.readouterr()
+    assert (with_rep.out, with_rep.err) == (plain.out, "")
+    assert json.loads(with_rep.out)["count"] == 15
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     predicate=st.sampled_from(["kupershmidt", "nijenhuis", "rota-baxter", "mc-strong",

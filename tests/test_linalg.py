@@ -178,3 +178,75 @@ def test_trusted_results_match_oracles_and_are_normalized(case):
         assert got == again
         assert [type(v) for row in got.entries for v in row] == \
             [type(v) for row in again.entries for v in row]
+
+
+def _per_entry_eliminate(f, m):
+    """Bareiss forward elimination with one field call per operation on each
+    entry: the reference that the raw-row elimination of ``linalg`` must
+    match, value and type."""
+    n_rows = len(m)
+    n_cols = len(m[0]) if n_rows else 0
+    pivots = []
+    prev = f.one()
+    r = 0
+    for c in range(n_cols):
+        pivot_row = next((i for i in range(r, n_rows) if not f.is_zero(m[i][c])), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            m[r], m[pivot_row] = m[pivot_row], m[r]
+        piv = m[r][c]
+        for i in range(r + 1, n_rows):
+            fac = m[i][c]
+            row_i, row_r = m[i], m[r]
+            m[i] = [f.div(f.sub(f.mul(piv, row_i[j]), f.mul(fac, row_r[j])), prev)
+                    for j in range(n_cols)]
+        pivots.append((r, c))
+        prev = piv
+        r += 1
+        if r == n_rows:
+            break
+    return m, pivots
+
+
+@st.composite
+def _elimination_case(draw):
+    """A matrix over F2, F3, F5 or Q (Fractions included), often singular,
+    and a right-hand side."""
+    f = draw(st.sampled_from([prime_field(2), prime_field(3), F5, Q]))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    scalar = st.one_of(st.just(0), _scalar(f))
+    a = Matrix(f, [[draw(scalar) for _ in range(cols)] for _ in range(rows)])
+    return f, a, [draw(scalar) for _ in range(rows)]
+
+
+def _solved(a, rhs):
+    """rank, the solution and the inverse (or the Singular text) of a."""
+    sol = solve_linear(a, rhs)
+    try:
+        inverse = mat_inverse(a) if a.rows == a.cols else None
+    except Singular as exc:
+        inverse = str(exc)
+    return rank(a), sol.particular, sol.nullspace, inverse
+
+
+@given(case=_elimination_case())
+@settings(max_examples=150, deadline=None)
+def test_raw_row_elimination_matches_per_entry_elimination(case):
+    """Cross-multiplying each row on raw values and normalizing it once
+    eliminates to the same rows, value and type, and the same pivots as
+    per-entry field calls, so ``rank``, ``solve_linear`` and ``mat_inverse``
+    give the same results; over Q no float appears."""
+    from leibnizkit import linalg
+
+    f, a, rhs = case
+    rows = [list(row) + [f.normalize(v)] for row, v in zip(a.entries, rhs)]
+    got = linalg._forward_eliminate(f, [list(row) for row in rows])
+    want = _per_entry_eliminate(f, [list(row) for row in rows])
+    assert got == want
+    assert [type(v) for row in got[0] for v in row] == [type(v) for row in want[0] for v in row]
+    assert all(type(v) in (int, Fraction) for row in got[0] for v in row)
+    results = _solved(a, rhs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_forward_eliminate", _per_entry_eliminate)
+        assert results == _solved(a, rhs)

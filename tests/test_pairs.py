@@ -210,16 +210,20 @@ def test_kn_consequences_check_each_operator_nijenhuis_once(monkeypatch):
 
 
 def test_kn_structure_builds_each_induced_bracket_once(monkeypatch):
-    """One check of l2's dual KN-structure, consequences included, forms the
-    induced bracket of each of its four (map, representation) pairs once:
-    (K, rep), (NK, rep), and K over the hat and the tilde action."""
-    from leibnizkit import operators, pairs
+    """One check of l2's dual KN-structure, consequences included, on freshly
+    loaded objects forms the induced bracket of each of its four (map,
+    representation) pairs once: (K, rep), (NK, rep), and K over the hat and
+    the tilde action.  A second check on the same objects forms none, since
+    each bracket is kept on its representation."""
+    from leibnizkit import operators
     from leibnizkit.catalog import load_entry
 
-    l2 = load_entry("l2").spec
-    kn = l2.build("kn_dual")
-    rep = l2.rep_for(l2.raw["kn_dual"]["rep"])
-    expected = check_kn_structure(kn, rep)
+    def fresh():
+        l2 = load_entry("l2").spec
+        return l2.build("kn_dual"), l2.rep_for(l2.raw["kn_dual"]["rep"])
+
+    expected = check_kn_structure(*fresh())
+    kn, rep = fresh()
     built = []
     real = operators._dendriform
 
@@ -228,12 +232,15 @@ def test_kn_structure_builds_each_induced_bracket_once(monkeypatch):
         return real(T, action)
 
     monkeypatch.setattr(operators, "_dendriform", counting)
-    monkeypatch.setattr(pairs, "_dendriform", counting)
     report = check_kn_structure(kn, rep)
     assert (report.ok, report.violations) == (expected.ok, expected.violations)
     assert len(built) == len(set(built)) == 4
     assert {(T, action) for T, action in built if action == rep} == {
         (kn.K.matrix, rep), (kn.N * kn.K.matrix, rep)}
+    built.clear()
+    again = check_kn_structure(kn, rep)
+    assert (again.ok, again.violations) == (expected.ok, expected.violations)
+    assert built == []
 
 
 def test_kn_to_dual(l2, l2_dual):

@@ -162,7 +162,8 @@ def test_search_field_must_be_the_algebra_field(l2_f2, predicate):
 def test_search_specs_on_equal_structures_are_equal(l2_f2):
     """Representations and twilled contexts compare and hash by value, so
     two specs on equal ones, built apart, are equal and hash alike."""
-    first, second = regular_representation(l2_f2), regular_representation(l2_f2)
+    first = regular_representation(l2_f2)
+    second = regular_representation(LeibnizAlgebra(l2_f2.field, l2_f2.c))
     assert first is not second and first == second and hash(first) == hash(second)
     assert first != dual_representation(first)
     specs = [SearchSpec(F2, (2, 2), "kupershmidt", rep=rep) for rep in (first, second)]

@@ -20,20 +20,27 @@ nonzero entries ``(i, r, c, v)`` of its rhoL and rhoR matrices on first use
 axiom at a time, on basis pairs) hand their raw sides to
 ``reports._sides_violations``.
 
-A structure derived from an object is built once and kept on the object
-that owns it, for that object's life: an algebra keeps its regular
-representation, a representation its dual and, in a table of at most
+A structure derived from an object is built once and kept by the object
+that owns it, and nothing an object keeps refers back to it, so an object
+nobody holds is freed at once, with everything it keeps, and never waits for
+a cyclic collection.  A representation is an algebra and an ``_Action``: the
+action matrices and what is derived from them, which refers to no algebra.
+The action keeps its report, its dual's action and, in a table of at most
 ``_DERIVED_CAP`` entries (the oldest dropped first), what ``operators``,
-``pairs`` and ``dgla`` derive from it and an operator or a pair.  Nothing is
-kept per process: equal objects built apart share nothing.  Every function
-that returns a kept structure runs its preconditions before it looks the
+``pairs`` and ``dgla`` derive from it and an operator or a pair.  An algebra
+keeps the action of its regular representation, not the representation, and
+``regular_representation`` and ``dual_representation`` hand out a new
+representation over the kept action on each call, so equal calls return
+equal representations that share every kept structure.  Nothing is kept per
+process: equal objects built apart share nothing.  Every function that
+returns a kept structure runs its preconditions before it looks the
 structure up, and a call that raises keeps nothing.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from operator import neg, sub
+from operator import attrgetter, neg, sub
 from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import FieldMismatch, NotLeibniz, NotRepresentation, ShapeMismatch
@@ -57,10 +64,11 @@ _DERIVED_CAP = 64
 class LeibnizAlgebra:
     """A finite-dimensional algebra given by its structure-constant tensor.
 
-    Kept for the algebra's life, built on first use: its nonzero structure
-    constants (``_entries``, on construction), the report of
-    ``check_leibniz`` (``_leibniz_report``) and its regular representation
-    (``_regular``)."""
+    Kept by the algebra, built on first use: its nonzero structure constants
+    (``_entries``, on construction), the report of ``check_leibniz``
+    (``_leibniz_report``) and the ``_Action`` of its regular representation
+    (``_regular``), which refers to no algebra, so the algebra sits in no
+    reference cycle."""
 
     __slots__ = ("field", "dim", "c", "_entries", "_leibniz_report", "_regular")
 
@@ -78,7 +86,7 @@ class LeibnizAlgebra:
         self.c = c_norm
         self._entries = _nonzero_entries(c_norm)
         self._leibniz_report: Optional[CheckReport] = None
-        self._regular: Optional[Representation] = None
+        self._regular: Optional[_Action] = None
 
     @staticmethod
     def abelian(field: FieldSpec, dim: int) -> "LeibnizAlgebra":
@@ -167,22 +175,44 @@ def check_leibniz(alg: LeibnizAlgebra) -> CheckReport:
     return CheckReport.build(_sides_violations("leibniz", f, lhs, rhs, n, 3))
 
 
+class _Action:
+    """What a representation is and keeps, but for its algebra: the module
+    dimension, the action matrices and what is derived from them, built on
+    first use: the nonzero action entries (``nonzero``), the report of
+    ``check_representation`` (``report``), the action of the dual
+    representation (``dual``) and the table ``kept``.  An action belongs to
+    one algebra, whose representations share it, but refers to none, so
+    the algebra can keep it without a reference cycle."""
+
+    __slots__ = ("mdim", "rhoL", "rhoR", "nonzero", "report", "dual", "kept")
+
+    def __init__(self, mdim: int, rhoL: Tuple[Matrix, ...], rhoR: Tuple[Matrix, ...]):
+        self.mdim, self.rhoL, self.rhoR = mdim, rhoL, rhoR
+        self.nonzero = None
+        self.report: Optional[CheckReport] = None
+        self.dual: Optional[_Action] = None
+        self.kept: dict = {}
+
+
 class Representation:
-    """A pair of matrix families (rhoL, rhoR) acting on an m-dimensional module.
+    """A pair of matrix families (rhoL, rhoR) acting on an m-dimensional module:
+    an algebra and an ``_Action``, which holds the matrices and what is kept.
 
-    Kept for the representation's life, built on first use: the nonzero
-    action entries (``_nonzero``), the report of ``check_representation``
-    (``_rep_report``) and the dual representation (``_dual``).  The table
-    ``_kept`` holds what is derived from the representation and an operator
-    or a pair, keyed by kind and operand: the module bracket of a map and
-    the Kupershmidt verdict, sub-adjacent algebra, induced representation,
-    lift and lifted twilled context of an operator (``operators``, ``dgla``),
-    and the hat and tilde representations of a pair (``pairs``).  It holds
-    at most ``_DERIVED_CAP`` entries and drops the oldest to make room, so
-    checking many operators on one long-lived representation keeps memory
-    bounded; a dropped entry is built again when asked for."""
+    Kept by the action, built on first use: the nonzero action entries
+    (``_entries``), the report of ``check_representation`` and the dual
+    representation's action.  The action's table ``kept`` holds what is
+    derived from the representation and an operator or a pair, keyed by kind
+    and operand: the module bracket of a map and the Kupershmidt verdict,
+    sub-adjacent algebra, induced representation, lift and lifted twilled
+    context of an operator (``operators``, ``dgla``), and the hat and tilde
+    representations of a pair (``pairs``).  It holds at most
+    ``_DERIVED_CAP`` entries and drops the oldest to make room, so checking
+    many operators on one long-lived representation keeps memory bounded; a
+    dropped entry is built again when asked for.  Nothing kept refers to
+    this representation, and representations over one action share all of
+    it."""
 
-    __slots__ = ("algebra", "mdim", "rhoL", "rhoR", "_nonzero", "_rep_report", "_dual", "_kept")
+    __slots__ = ("algebra", "_action")
 
     def __init__(
         self,
@@ -200,13 +230,19 @@ class Representation:
         if any(m.field != algebra.field for m in list(rhoL) + list(rhoR)):
             raise FieldMismatch("action matrices must share the algebra's field")
         self.algebra = algebra
-        self.mdim = mdims.pop() if mdims else 0
-        self.rhoL = tuple(rhoL)
-        self.rhoR = tuple(rhoR)
-        self._nonzero = None
-        self._rep_report: Optional[CheckReport] = None
-        self._dual: Optional[Representation] = None
-        self._kept: dict = {}
+        self._action = _Action(mdims.pop() if mdims else 0, tuple(rhoL), tuple(rhoR))
+
+    @classmethod
+    def _over(cls, algebra: LeibnizAlgebra, action: _Action) -> "Representation":
+        """The representation of ``algebra`` by the kept ``action``, which
+        must belong to ``algebra``."""
+        rep = object.__new__(cls)
+        rep.algebra, rep._action = algebra, action
+        return rep
+
+    mdim = property(attrgetter("_action.mdim"))
+    rhoL = property(attrgetter("_action.rhoL"))
+    rhoR = property(attrgetter("_action.rhoR"))
 
     @staticmethod
     def zero(algebra: LeibnizAlgebra, mdim: int) -> "Representation":
@@ -216,16 +252,18 @@ class Representation:
     def _entries(self) -> Tuple[Tuple[tuple, ...], Tuple[tuple, ...]]:
         """The nonzero entries ``(i, r, c, rho_i[r][c])`` of rhoL and of rhoR,
         each family in lexicographic order; listed on first use."""
-        if self._nonzero is None:
-            self._nonzero = tuple(_nonzero_entries(tuple(m.entries for m in family))
-                                  for family in (self.rhoL, self.rhoR))
-        return self._nonzero
+        action = self._action
+        if action.nonzero is None:
+            action.nonzero = tuple(_nonzero_entries(tuple(m.entries for m in family))
+                                   for family in (action.rhoL, action.rhoR))
+        return action.nonzero
 
     def _derived(self, key: tuple, make: Callable):
         """The value kept under ``key``, made by ``make()`` and kept on first
         use; a ``make`` that raises keeps nothing.  The kept value is shared
-        by every caller, so it must not be changed."""
-        kept = self._kept
+        by every caller, so it must not be changed, and it must not refer to
+        this representation or its algebra."""
+        kept = self._action.kept
         if key in kept:
             return kept[key]
         value = make()
@@ -245,13 +283,14 @@ class Representation:
 
     @property
     def is_representation(self) -> bool:
-        if self._rep_report is None:
-            self._rep_report = check_representation(self)
-        return self._rep_report.ok
+        action = self._action
+        if action.report is None:
+            action.report = check_representation(self)
+        return action.report.ok
 
     def require_representation(self):
         if not self.is_representation:
-            raise NotRepresentation(self._rep_report.summary())
+            raise NotRepresentation(self._action.report.summary())
 
     @property
     def field(self) -> FieldSpec:
@@ -320,8 +359,10 @@ def _products(first, second, n: int, m: int) -> list:
 
 
 def regular_representation(alg: LeibnizAlgebra) -> Representation:
-    """Left/right multiplication operators acting on the algebra itself;
-    built once per algebra and kept on it."""
+    """Left/right multiplication operators acting on the algebra itself.  The
+    algebra keeps the action, built on its first call, and each call returns
+    a new representation over it: equal to every other, and sharing what
+    each keeps."""
     alg.require_leibniz()
     if alg._regular is None:
         rep = Representation(
@@ -330,26 +371,28 @@ def regular_representation(alg: LeibnizAlgebra) -> Representation:
             [alg.right_mult(j) for j in range(alg.dim)],
         )
         rep.require_representation()
-        alg._regular = rep
-    return alg._regular
+        alg._regular = rep._action
+    return Representation._over(alg, alg._regular)
 
 
 def dual_representation(rep: Representation) -> Representation:
-    """The contragredient pair on the dual module; built once per
-    representation and kept on it.
+    """The contragredient pair on the dual module.  The action of ``rep``
+    keeps the dual's action, built on the first call, and each call returns
+    a new representation over it, as ``regular_representation`` does.
 
     The dual of an action family carries the usual minus sign (the dual of a
     single linear map is the plain transpose, but an action must be negated
     to stay a morphism), giving (-rhoL^T, rhoL^T + rhoR^T).
     """
     rep.require_representation()
-    if rep._dual is None:
+    action = rep._action
+    if action.dual is None:
         dualL = [-m.transpose() for m in rep.rhoL]
         dualR = [l.transpose() + r.transpose() for l, r in zip(rep.rhoL, rep.rhoR)]
         out = Representation(rep.algebra, dualL, dualR)
         out.require_representation()
-        rep._dual = out
-    return rep._dual
+        action.dual = out._action
+    return Representation._over(rep.algebra, action.dual)
 
 
 def _sum_bracket(f: FieldSpec, c1, c2, act1: Optional[Representation],

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Optional, Sequence
 
 from .checks import CHECK_NAMES, OBJECT_FLAGS, run_check
 from .errors import CHECK_FAILED, USAGE_ERROR, LeibnizKitError, ParseError, _fail_usage
@@ -64,7 +65,10 @@ CONSTRUCTIONS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The program's parser.  With ``command``, only the parser of that
+    command gets its arguments, which is all a run of it reads; the program's
+    help lists the commands without their arguments."""
     parser = argparse.ArgumentParser(
         prog="leibnizkit",
         description="Exact verification and search for operators on Leibniz algebras",
@@ -72,45 +76,65 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="run a named check on a file object")
-    p_check.add_argument("file")
-    p_check.add_argument("object")
-    p_check.add_argument("check", choices=CHECK_NAMES)
-    for flag in OBJECT_FLAGS:
-        p_check.add_argument(f"--{flag}")
-    p_check.add_argument("--format", choices=("text", "json"), default="text")
-    p_check.add_argument("--no-consequences", action="store_true")
+    if command in (None, "check"):
+        p_check.add_argument("file")
+        p_check.add_argument("object")
+        p_check.add_argument("check", choices=CHECK_NAMES)
+        for flag in OBJECT_FLAGS:
+            p_check.add_argument(f"--{flag}")
+        p_check.add_argument("--format", choices=("text", "json"), default="text")
+        p_check.add_argument("--no-consequences", action="store_true")
 
     p_cons = sub.add_parser("construct", help="build derived objects and print them")
-    p_cons.add_argument("file")
-    p_cons.add_argument("construction", choices=CONSTRUCTIONS)
-    for flag in ("rep", "algebra", "K", "N", "S", "theta", "kn", "pi", "K1", "K2"):
-        p_cons.add_argument(f"--{flag}")
+    if command in (None, "construct"):
+        p_cons.add_argument("file")
+        p_cons.add_argument("construction", choices=CONSTRUCTIONS)
+        for flag in ("rep", "algebra", "K", "N", "S", "theta", "kn", "pi", "K1", "K2"):
+            p_cons.add_argument(f"--{flag}")
 
     p_search = sub.add_parser("search", help="exhaustively enumerate operators over F_p")
-    p_search.add_argument("file")
-    p_search.add_argument("--predicate", required=True,
-                          choices=("kupershmidt", "nijenhuis", "rota-baxter",
-                                   "rota_baxter", "mc-strong", "mc_strong", "bn-pair",
-                                   "bn_pair"))
-    p_search.add_argument("--field")
-    p_search.add_argument("--algebra")
-    p_search.add_argument("--rep")
-    p_search.add_argument("--ctx")
-    p_search.add_argument("--shape")
-    p_search.add_argument("--budget", type=int)  # None: search.DEFAULT_BUDGET
-    p_search.add_argument("--workers", type=int, default=1,
-                          help="accepted for compatibility; the scan runs in one thread "
-                               "and its results are the same for every value")
+    if command in (None, "search"):
+        p_search.add_argument("file")
+        p_search.add_argument("--predicate", required=True,
+                              choices=("kupershmidt", "nijenhuis", "rota-baxter",
+                                       "rota_baxter", "mc-strong", "mc_strong", "bn-pair",
+                                       "bn_pair"))
+        p_search.add_argument("--field")
+        p_search.add_argument("--algebra")
+        p_search.add_argument("--rep")
+        p_search.add_argument("--ctx")
+        p_search.add_argument("--shape")
+        p_search.add_argument("--budget", type=int)  # None: search.DEFAULT_BUDGET
+        p_search.add_argument("--workers", type=int, default=1,
+                              help="accepted for compatibility; the scan runs in one thread "
+                                   "and its results are the same for every value")
 
     p_suite = sub.add_parser("suite", help="run theorem suites over the bundled catalog")
-    p_suite.add_argument("names", nargs="*")
-    p_suite.add_argument("--all", action="store_true")
-    p_suite.add_argument("--format", choices=("text", "json"), default="text")
+    if command in (None, "suite"):
+        p_suite.add_argument("names", nargs="*")
+        p_suite.add_argument("--all", action="store_true")
+        p_suite.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 
+def _command(argv: Sequence[str]) -> str:
+    """The command argparse hands ``argv`` to: its first argument that is not
+    an option, that is, one that does not start with ``-``, a lone ``-`` or
+    one after ``--``; "" when there is none.  Where argparse takes an earlier
+    argument for the command (``-1``, or one with a space), that argument
+    starts with ``-``, so it names no command, and argparse stops there
+    before it reads the arguments of any command."""
+    after_dashes = False
+    for arg in argv:
+        if after_dashes or not arg.startswith("-") or arg == "-":
+            return arg
+        after_dashes = arg == "--"
+    return ""
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(_command(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -51,8 +51,9 @@ run: the module bracket of a map and its halves (``_module_bracket``), the
 Kupershmidt violations with them (``_kupershmidt_core``), the sub-adjacent
 algebra, the induced representation (its algebra is the sub-adjacent one)
 and the lifted sum (``_lift``).  They are tuples and shared objects, which
-no caller changes.  The raw-sides functions keep nothing, since ``search``
-runs them on polynomial entries.
+no caller changes, and none refers to ``rep`` or its algebra, which may keep
+the table.  The raw-sides functions keep nothing, since ``search`` runs them
+on polynomial entries.
 """
 
 from __future__ import annotations

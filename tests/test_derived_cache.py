@@ -1,11 +1,17 @@
-"""Structures derived from an object are built once and kept on that object
-(``Representation._derived``, ``LeibnizAlgebra._regular``,
-``Representation._dual``): keeping them changes no answer, the table on a
-representation stays bounded, and nothing is kept per process, so equal
-objects built apart, two loaded catalogs among them, share no derived
-object."""
+"""Structures derived from an object are built once and kept by that object
+(``Representation._derived``, and the ``_Action`` of a regular or dual
+representation that ``LeibnizAlgebra._regular`` and ``_Action.dual`` keep):
+keeping them changes no answer, the table of a representation stays
+bounded, nothing is kept per process, so equal objects built apart, two
+loaded catalogs among them, share no derived object, and nothing kept refers
+back to its owner, so a dropped catalog leaves no cyclic garbage."""
 
 import ast
+import contextlib
+import gc
+import io
+import sys
+from collections import Counter
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -27,8 +33,9 @@ from leibnizkit import (
     prime_field,
     regular_representation,
 )
-from leibnizkit.algebras import _DERIVED_CAP
-from leibnizkit.catalog import load_catalog
+from leibnizkit import cli
+from leibnizkit.algebras import _DERIVED_CAP, _Action
+from leibnizkit.catalog import _catalog_dir, load_catalog
 from leibnizkit.dgla import Cochain
 from leibnizkit.errors import LeibnizKitError
 from leibnizkit.pairs import KNStructure, _hat_tilde, make_pair
@@ -70,6 +77,14 @@ FUNCTIONS = {
     **{f"_hat_tilde{flags}": lambda o, flags=flags: _hat_tilde(o["kn"].pair, o["rep"], *flags)
        for flags in ((True, False), (False, True), (True, True))},
     "check_kn_structure": lambda o: check_kn_structure(o["kn"], o["rep"]),
+    # the same on the representations the algebra keeps the actions of: each
+    # call asks for them again, after the last call's were dropped
+    "check_kupershmidt on the regular": lambda o: check_kupershmidt(
+        o["K"], regular_representation(o["alg"])),
+    "lifted_algebra on the dual regular": lambda o: lifted_algebra(
+        o["K"], dual_representation(regular_representation(o["alg"]))),
+    "check_kn_structure on the dual regular": lambda o: check_kn_structure(
+        o["kn"], dual_representation(regular_representation(o["alg"]))),
 }
 
 
@@ -161,11 +176,11 @@ def test_the_table_on_a_representation_stays_bounded():
     operators = [as_operator(Matrix(Q, [[0, a], [0, -a]])) for a in range(_DERIVED_CAP + 50)]
     for K in operators:
         assert check_kupershmidt(K, rep).ok
-        assert len(rep._kept) <= _DERIVED_CAP
+        assert len(rep._action.kept) <= _DERIVED_CAP
     first = operators[0].matrix
-    assert ("kupershmidt", first) not in rep._kept
+    assert ("kupershmidt", first) not in rep._action.kept
     assert check_kupershmidt(operators[0], rep).ok
-    assert ("kupershmidt", first) in rep._kept
+    assert ("kupershmidt", first) in rep._action.kept
 
 
 def test_a_call_that_raises_keeps_nothing():
@@ -175,7 +190,7 @@ def test_a_call_that_raises_keeps_nothing():
     rep = regular_representation(alg)
     identity = as_operator(Matrix.identity(Q, 2))
     check_kupershmidt(identity, rep)
-    kept = dict(rep._kept)
+    kept = dict(rep._action.kept)
     errors = []
     for _ in range(2):
         try:
@@ -183,7 +198,7 @@ def test_a_call_that_raises_keeps_nothing():
         except LeibnizKitError as exc:
             errors.append((type(exc).__name__, str(exc)))
     assert len(errors) == 2 and errors[0] == errors[1] and errors[0][0] == "NotKupershmidt"
-    assert rep._kept == kept
+    assert rep._action.kept == kept
 
 
 # What the package may memoise for the life of the process: the shuffles of
@@ -278,9 +293,10 @@ def e(x):
 
 
 def _derived_objects(root) -> dict:
-    """id -> object for every algebra, representation, twilled context and
-    cochain reachable from ``root`` through containers and slots."""
-    kinds = (LeibnizAlgebra, Representation, TwilledContext, Cochain)
+    """id -> object for every algebra, representation, action, twilled
+    context and cochain reachable from ``root`` through containers and
+    slots."""
+    kinds = (LeibnizAlgebra, Representation, _Action, TwilledContext, Cochain)
     seen, found, stack = set(), {}, [root]
     while stack:
         obj = stack.pop()
@@ -301,17 +317,114 @@ def _derived_objects(root) -> dict:
 
 def test_two_loaded_catalogs_share_no_derived_object():
     """Two catalogs loaded apart, each run through suites that derive and
-    keep structures, reach no algebra, representation, twilled context or
-    cochain in common, though their objects are equal."""
+    keep structures, reach no algebra, representation, action, twilled
+    context or cochain in common, though their objects are equal."""
     first, second = load_catalog(), load_catalog()
     names = ["kn-consequences", "theta-twist", "dual-kn-to-mc", "rn-to-dual-kn"]
     for catalog in (first, second):
         assert all(result.ok for result in run_suites(catalog, names))
     a, b = _derived_objects(first), _derived_objects(second)
     assert len(a) > 20 and len(b) == len(a)
-    assert sum(len(obj._kept) for obj in a.values() if isinstance(obj, Representation)) > 20
+    assert sum(len(obj.kept) for obj in a.values() if isinstance(obj, _Action)) > 20
     assert not set(a) & set(b)
     alg_a, alg_b = first["l2"].spec.build("alg"), second["l2"].spec.build("alg")
     assert alg_a == alg_b
-    assert regular_representation(alg_a) is not regular_representation(alg_b)
-    assert regular_representation(alg_a) is regular_representation(alg_a)
+    assert regular_representation(alg_a)._action is not regular_representation(alg_b)._action
+    # each call hands out a new representation over the one kept action
+    assert regular_representation(alg_a) == regular_representation(alg_a)
+    assert regular_representation(alg_a)._action is regular_representation(alg_a)._action
+
+
+def test_what_is_kept_does_not_keep_the_representations_handed_out():
+    """An algebra keeps the action of its regular representation, and that
+    action the dual's action, but no representation: the only reference to
+    a representation handed out is the caller's, and the kept actions and
+    their tables outlive it."""
+    alg = LeibnizAlgebra.from_brackets(Q, 2, ALGEBRAS["l2"])
+    K = as_operator(Matrix(Q, OPERATORS["dual"][0]))
+    reg = regular_representation(alg)
+    dual = dual_representation(reg)
+    assert check_kupershmidt(K, dual).ok
+    # held by the local name and the argument of getrefcount, by nothing kept
+    assert sys.getrefcount(reg) <= 2 and sys.getrefcount(dual) <= 2
+    action, kept = dual._action, dict(dual._action.kept)
+    del reg, dual
+    again = dual_representation(regular_representation(alg))
+    assert again._action is action and again._action.kept == kept
+    assert check_kupershmidt(K, again).ok and again._action.kept == kept
+
+
+def test_a_dropped_catalog_leaves_no_cyclic_garbage():
+    """Every suite and every catalog verdict, the verdicts as the CLI runs
+    them, on a freshly loaded catalog: once all of it is dropped, reference
+    counting has freed every object of the package, and the cyclic
+    collector finds none."""
+    verdicts = []
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        catalog = load_catalog()
+        assert all(result.ok for result in run_suites(catalog))
+        for name, entry in sorted(catalog.items()):
+            for item in entry.spec.expected:
+                argv = ["check", str(_catalog_dir() / f"{name}.json"), item["object"],
+                        item["check"]]
+                for key, value in sorted(item.get("args", {}).items()):
+                    argv += [f"--{key}", value]
+                with contextlib.redirect_stdout(io.StringIO()):
+                    with contextlib.redirect_stderr(io.StringIO()):
+                        verdicts.append(cli.main(argv) == (0 if item["ok"] else 1))
+        del catalog, entry
+        gc.collect()
+        found = Counter(type(obj).__name__ for obj in gc.garbage
+                        if type(obj).__module__.startswith("leibnizkit."))
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert len(verdicts) == 60 and all(verdicts)
+    assert found == Counter()
+
+
+# What may tune or run the cyclic collector: nothing in the package, so that
+# what it frees is freed by reference counting.
+_GC_CALLS = {"collect", "disable", "freeze", "set_threshold"}
+
+
+def _gc_calls(source: str) -> set:
+    """The functions of ``_GC_CALLS`` that ``source`` names: as an attribute
+    of ``gc`` under any name it is imported as, or imported from ``gc``."""
+    tree = ast.parse(source)
+    names = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names if alias.name == "gc"}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "gc":
+            found.update(alias.name for alias in node.names
+                         if alias.name in _GC_CALLS or alias.name == "*")
+        elif (isinstance(node, ast.Attribute) and node.attr in _GC_CALLS
+              and getattr(node.value, "id", None) in names):
+            found.add(node.attr)
+    return found
+
+
+def test_nothing_tunes_or_runs_the_cyclic_collector():
+    """No module of the package calls ``gc.collect``, ``disable``,
+    ``freeze`` or ``set_threshold``, so what it keeps is freed by its
+    structure and not by a collection it forces."""
+    snippet = """
+import gc
+import gc as collector
+from gc import freeze, get_count
+from gc import *
+def f(counter):
+    gc.collect()
+    collector.set_threshold(0)
+    gc.get_objects()
+    counter.disable()
+    return gc.disable
+"""
+    assert _gc_calls(snippet) == {"collect", "set_threshold", "freeze", "*", "disable"}
+    assert _gc_calls("def f(counter):\n    counter.collect()\n") == set()
+    src = Path(leibnizkit.__file__).resolve().parent
+    assert {path.name: _gc_calls(path.read_text()) for path in sorted(src.rglob("*.py"))
+            if _gc_calls(path.read_text())} == {}

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -291,6 +292,65 @@ def test_cli_usage_errors(tmp_path):
     assert unknown_check.returncode == 2
     unknown_obj = run_cli("check", str(CATALOG_DIR / "l2.json"), "nope", "leibniz")
     assert unknown_obj.returncode == 2
+
+
+def _subparsers(parser) -> dict:
+    """command -> its parser, of the program's parser."""
+    return next(action.choices for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+def test_a_run_builds_the_arguments_of_its_command_only():
+    """``main`` builds the arguments of the command it runs, and the
+    program's help lists the commands without theirs."""
+    from leibnizkit import cli
+
+    built = {name: [action.dest for action in p._actions]
+             for name, p in _subparsers(cli.build_parser("check")).items()}
+    assert built["check"][:4] == ["help", "file", "object", "check"]
+    assert {name: dests for name, dests in built.items() if name != "check"} == {
+        "construct": ["help"], "search": ["help"], "suite": ["help"]}
+    assert all(len(p._actions) > 1 for p in _subparsers(cli.build_parser()).values())
+    assert [cli._command(argv) for argv in (
+        [], ["-h"], ["check", "x"], ["--foo", "search"], ["-", "check"], ["--", "--", "x"],
+        ["-1", "suite"])] == ["", "", "check", "search", "-", "--", "suite"]
+
+
+# The program's and each command's help, and usage errors: no arguments, an
+# unknown command, an option before the command, a bad choice, a missing or
+# malformed value, an unknown option; and runs that parse.
+_PARSER_GRID = [
+    [], ["-h"], ["--help", "check"], ["check", "-h"], ["construct", "--help"], ["search", "-h"],
+    ["suite", "-h"], ["bogus"], ["chec", _L2], ["--format", "json", "check", _L2, "R", "kupershmidt"],
+    ["--rep", "regular", "check"], ["-1", "check", _L2, "R", "kupershmidt"], ["-", "check"],
+    ["--", "check", _L2, "alg", "leibniz"], ["check"], ["check", _L2, "R", "frobnicate"],
+    ["check", _L2, "R", "kupershmidt", "--format", "xml"], ["check", _L2, "R", "kupershmidt", "-x"],
+    ["construct", _L2, "nope"], ["search", _L2], ["search", _L2, "--predicate", "bad"],
+    ["search", _L2, "--predicate", "nijenhuis", "--budget", "many"], ["suite", "--format", "xml"],
+    ["check", _L2, "R", "kupershmidt", "--rep", "regular", "--no-con"],
+    ["construct", _L2, "lifted", "--K", "R"], ["search", _L2, "--pred", "bn-pair", "--field", "F2"],
+    ["suite", "--all", "--format", "json"],
+]
+
+
+def _parsed(parser, argv):
+    """What parsing ``argv`` returns or exits with, and prints."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", _PARSER_GRID)
+def test_building_only_the_command_run_changes_no_parse(argv):
+    """Building the arguments of the command ``main`` runs only changes no
+    help text, usage error, exit code or parsed value."""
+    from leibnizkit import cli
+
+    assert _parsed(cli.build_parser(cli._command(argv)), argv) == _parsed(cli.build_parser(), argv)
 
 
 def test_cli_spec_file_that_is_not_utf8_is_usage_error(tmp_path, capsys):

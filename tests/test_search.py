@@ -1,3 +1,4 @@
+import argparse
 import ast
 import hashlib
 import operator
@@ -731,6 +732,21 @@ def test_no_predicate_name_is_tested_outside_the_table():
     assert _predicate_literals(ast.parse((SRC / "search.py").read_text()), names) == [
         ("enumerate_bn_pairs", "bn_pair")]
     assert _predicate_literals(ast.parse((SRC / "commands.py").read_text()), names) == []
+
+
+def test_cli_predicate_choices_are_the_table_names_in_both_spellings():
+    """``search --predicate`` takes each name of ``PREDICATES``, with ``_``
+    and with ``-``, once each, and nothing else.  ``cli`` lists the choices
+    itself, so that a ``check`` process does not import ``search``."""
+    from leibnizkit import cli
+
+    search_parser = next(action.choices["search"] for action in cli.build_parser("search")._actions
+                         if isinstance(action, argparse._SubParsersAction))
+    choices = next(action.choices for action in search_parser._actions
+                   if action.dest == "predicate")
+    assert len(choices) == len(set(choices))
+    assert set(choices) == {spelling for name in search.PREDICATES
+                            for spelling in (name, name.replace("_", "-"))}
 
 
 # -- the residues are the checks' sides -------------------------------------------

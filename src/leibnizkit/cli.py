@@ -68,7 +68,9 @@ CONSTRUCTIONS = (
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """The program's parser.  With ``command``, only the parser of that
     command gets its arguments, which is all a run of it reads; the program's
-    help lists the commands without their arguments."""
+    help lists the commands without their arguments.  The search arguments
+    take the predicate names from ``search.PREDICATES``, so only they import
+    ``search``."""
     parser = argparse.ArgumentParser(
         prog="leibnizkit",
         description="Exact verification and search for operators on Leibniz algebras",
@@ -89,25 +91,22 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     if command in (None, "construct"):
         p_cons.add_argument("file")
         p_cons.add_argument("construction", choices=CONSTRUCTIONS)
-        for flag in ("rep", "algebra", "K", "N", "S", "theta", "kn", "pi", "K1", "K2"):
+        for flag in ("rep", "algebra", "K", "N", "theta", "kn", "pi", "K1", "K2"):
             p_cons.add_argument(f"--{flag}")
 
     p_search = sub.add_parser("search", help="exhaustively enumerate operators over F_p")
     if command in (None, "search"):
         p_search.add_argument("file")
-        p_search.add_argument("--predicate", required=True,
-                              choices=("kupershmidt", "nijenhuis", "rota-baxter",
-                                       "rota_baxter", "mc-strong", "mc_strong", "bn-pair",
-                                       "bn_pair"))
+        from .search import PREDICATES
+
+        # each table name, hyphen spelling first
+        p_search.add_argument("--predicate", required=True, choices=list(dict.fromkeys(
+            spelling for name in PREDICATES for spelling in (name.replace("_", "-"), name))))
         p_search.add_argument("--field")
         p_search.add_argument("--algebra")
         p_search.add_argument("--rep")
         p_search.add_argument("--ctx")
-        p_search.add_argument("--shape")
         p_search.add_argument("--budget", type=int)  # None: search.DEFAULT_BUDGET
-        p_search.add_argument("--workers", type=int, default=1,
-                              help="accepted for compatibility; the scan runs in one thread "
-                                   "and its results are the same for every value")
 
     p_suite = sub.add_parser("suite", help="run theorem suites over the bundled catalog")
     if command in (None, "suite"):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Dict, List, Optional
+from typing import Dict
 
 from .algebras import (
     LeibnizAlgebra,
@@ -119,7 +119,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_search(args) -> int:
-    from .search import (DEFAULT_BUDGET, PREDICATES, SearchSpec, _fixed_shape, _structure_shape,
+    from .search import (DEFAULT_BUDGET, PREDICATES, SearchSpec, _structure_shape,
                          enumerate_operators)
     from .twilled import TwilledContext
 
@@ -145,35 +145,18 @@ def cmd_search(args) -> int:
         if args.ctx:
             built = spec.build(args.ctx, "twilled")
             ctx = TwilledContext(LeibnizAlgebra(fieldspec, built.total.c), built.n1, built.n2)
-        # the first block takes the shape the structure it needs gives it,
-        # whatever other structure is passed; without that structure the
-        # search fails, saying what it needs
-        fixed = _fixed_shape(predicate, algebra, rep, ctx)
+        # the structure the predicate needs gives the shape (None without
+        # it, and the search then fails naming it); with no algebra or
+        # representation either, there is nothing to search
         shape = _structure_shape(predicate, algebra, rep, ctx)
-        if shape is None:
-            if algebra is not None and rep is None:
-                shape = (algebra.dim, algebra.dim)
-            elif rep is not None:
-                shape = (rep.algebra.dim, rep.mdim)
-            else:
-                return _fail_usage("no search target (need an algebra, rep or context)")
-        if args.shape:
-            rows, _, cols = args.shape.partition("x")
-            try:
-                shape = (int(rows), int(cols))
-                if min(shape) < 0:
-                    raise ValueError
-            except ValueError:
-                raise ParseError(f"--shape must look like 2x3, got {args.shape!r}") from None
-            if fixed is not None and shape != fixed:
-                raise ParseError(f"{predicate.replace('_', '-')} searches {fixed[0]}x{fixed[1]} "
-                                 f"matrices, got --shape {args.shape}")
+        if shape is None and algebra is None and rep is None:
+            return _fail_usage("no search target (need an algebra, rep or context)")
         if args.budget is not None and args.budget < 0:
             raise ParseError(f"--budget must be nonnegative, got {args.budget}")
         budget = DEFAULT_BUDGET if args.budget is None else args.budget
         sspec = SearchSpec(fieldspec, shape, predicate, algebra=algebra, rep=rep,
                            ctx=ctx, budget=budget)
-        hits = enumerate_operators(sspec, workers=args.workers)
+        hits = enumerate_operators(sspec)
         doc = lambda m: [[fieldspec.format(v) for v in r] for r in m.entries]
         payload = {
             "predicate": predicate,
@@ -200,32 +183,25 @@ def cmd_suite(args) -> int:
         catalog = load_catalog()
     except (OSError, ParseError) as exc:
         return _fail_usage(str(exc))
-    names: Optional[List[str]] = None
-    if not args.all:
-        if not args.names:
-            return _fail_usage("pass suite/catalog names or --all")
-        names = []
-        for name in args.names:
-            if name in SUITES:
-                names.append(name)
-            elif name in catalog:
-                pass  # handled below as an entry-restricted verdict run
-            else:
-                return _fail_usage(
-                    f"unknown suite or catalog entry {name!r} "
-                    f"(suites: {', '.join(sorted(SUITES))}; entries: {', '.join(catalog_names())})"
-                )
-    results = []
-    if args.all:
-        results = run_suites(catalog)
-    else:
-        suite_names = [n for n in args.names if n in SUITES]
-        entry_names = [n for n in args.names if n in catalog and n not in SUITES]
-        if suite_names:
-            results += run_suites(catalog, suite_names)
-        for entry in entry_names:
-            results.append(suite_expected_verdicts({entry: catalog[entry]}))
-            results[-1].name = f"expected-verdicts[{entry}]"
+    if args.all and args.names:
+        return _fail_usage("pass suite/catalog names or --all, not both")
+    if not args.all and not args.names:
+        return _fail_usage("pass suite/catalog names or --all")
+    suite_names, entry_names = [], []
+    for name in args.names:
+        if name in SUITES:
+            suite_names.append(name)
+        elif name in catalog:
+            entry_names.append(name)  # an entry-restricted verdict run
+        else:
+            return _fail_usage(
+                f"unknown suite or catalog entry {name!r} "
+                f"(suites: {', '.join(sorted(SUITES))}; entries: {', '.join(catalog_names())})"
+            )
+    results = run_suites(catalog, None if args.all else suite_names)
+    for entry in entry_names:
+        results.append(suite_expected_verdicts({entry: catalog[entry]}))
+        results[-1].name = f"expected-verdicts[{entry}]"
     ok = all(r.ok for r in results)
     if args.format == "json":
         payload = {

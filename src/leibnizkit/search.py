@@ -3,10 +3,10 @@ maps, and seeded random instance generation.
 
 ``PREDICATES`` is the one table of search predicates.  A row names the spec
 field of the structure it needs (whose field must be the search's), its
-blocks of unknowns with the shapes the structure gives them (one block
-takes the spec's shape), the check it runs on the zero blocks to raise the
-check's precondition errors, the raw-sides function of its identities, and
-the blocks that must be invertible.  A candidate is its blocks' entries,
+blocks of unknowns with the shapes that structure gives them (the only
+source of a search's shape), the check it runs on the zero blocks to raise
+the check's precondition errors, the raw-sides function of its identities,
+and the blocks that must be invertible.  A candidate is its blocks' entries,
 each block row-major, in block order; a hit is its block's Matrix, or the
 tuple of its block matrices.  Over polynomial unknowns the raw sides (of the
 kernels in ``operators``, ``dgla`` and ``forms``) give the residues lhs -
@@ -124,28 +124,22 @@ def _structure_shape(predicate: str, algebra, rep, ctx) -> Optional[Tuple[int, i
     return None if structure is None else shape(structure)
 
 
-def _fixed_shape(predicate: str, algebra, rep, ctx) -> Optional[Tuple[int, int]]:
-    """The one shape a search of several blocks takes, its first block's as
-    the structure gives it; None for one block, or without the structure."""
-    if len(PREDICATES[predicate].blocks) == 1:
-        return None
-    return _structure_shape(predicate, algebra, rep, ctx)
-
-
 class SearchSpec(_Record):
     """What to enumerate: a predicate name, the shape of its first block, the
-    field, and the context objects the predicate needs; immutable.  A
-    negative budget is a ValueError, and a shape other than the one the
-    structure gives a predicate of several blocks a ShapeMismatch."""
+    field, and the context objects the predicate needs; immutable.  The
+    structure the predicate needs gives every block its shape, so a shape
+    other than the one it gives the first block is a ShapeMismatch, for
+    every predicate; without that structure the search raises, naming it.
+    A negative budget is a ValueError."""
 
     __slots__ = ("field", "shape", "predicate", "algebra", "rep", "ctx", "budget")
 
-    def __init__(self, field: FieldSpec, shape: Tuple[int, int], predicate: str,
+    def __init__(self, field: FieldSpec, shape: Optional[Tuple[int, int]], predicate: str,
                  algebra: Optional[LeibnizAlgebra] = None, rep: Optional[Representation] = None,
                  ctx: Optional[TwilledContext] = None, budget: int = DEFAULT_BUDGET):
         if budget < 0:
             raise ValueError(f"search budget must be nonnegative, got {budget}")
-        fixed = predicate in PREDICATES and _fixed_shape(predicate, algebra, rep, ctx)
+        fixed = predicate in PREDICATES and _structure_shape(predicate, algebra, rep, ctx)
         if fixed and tuple(shape) != fixed:
             raise ShapeMismatch(f"{predicate} searches {fixed[0]}x{fixed[1]} matrices, "
                                 f"got shape {shape!r}")
@@ -159,11 +153,11 @@ class SearchSpec(_Record):
 
     def space_size(self) -> int:
         """The number of candidates, p ** k for the k entries of the blocks.
-        Raises ShapeMismatch off a prime field and BudgetExceeded over the
-        budget."""
-        k = sum(rows * cols for _, rows, cols in _blocks(self))
+        Raises ShapeMismatch off a prime field, then without the structure
+        the predicate needs, and BudgetExceeded over the budget."""
         if not self.field.is_prime_field:
             raise ShapeMismatch("exhaustive enumeration needs a prime field")
+        k = sum(rows * cols for _, rows, cols in _blocks(self))
         p = self.field.p
         printable = k * p.bit_length() <= _DECIMAL_BITS
         # Otherwise p**k >= 2**(k*(bits(p)-1)) is over any budget of fewer bits.
@@ -176,16 +170,12 @@ class SearchSpec(_Record):
 
 
 def _blocks(spec: SearchSpec) -> List[Tuple[str, int, int]]:
-    """(name, rows, cols) of each block of unknowns, in block order."""
+    """(name, rows, cols) of each block of unknowns, in block order, with
+    the shapes the structure the predicate needs gives them."""
     if spec.predicate not in PREDICATES:
         raise UnknownIdentity(f"unknown search predicate {spec.predicate!r}")
-    row = PREDICATES[spec.predicate]
-    if len(row.blocks) > 1:
-        return [(name, *shape(_structure(spec))) for name, shape in row.blocks]
-    rows, cols = spec.shape
-    if rows < 0 or cols < 0:
-        raise ShapeMismatch(f"negative shape {rows}x{cols}")
-    return [(row.blocks[0][0], rows, cols)]
+    structure = _structure(spec)
+    return [(name, *shape(structure)) for name, shape in PREDICATES[spec.predicate].blocks]
 
 
 def _structure(spec: SearchSpec):
@@ -245,9 +235,9 @@ def _matrix(f: FieldSpec, rows: int, cols: int, flat: Sequence) -> Matrix:
 def enumerate_operators(spec: SearchSpec, workers: int = 1) -> List:
     """Every hit over F_p in lexicographic order, a Matrix (a tuple of them
     in block order for several blocks); the first that the check's identity
-    rejects raises SearchMismatch.  ``workers`` changes nothing; the CLI's
-    ``--workers`` and the benchmark's search jobs pass it."""
-    spec.space_size()  # raises off a prime field or over the budget
+    rejects raises SearchMismatch.  ``workers`` changes nothing; it is kept
+    only because the benchmark's search jobs (``bench/workloads.py``) pass it."""
+    spec.space_size()  # raises off a prime field, without the structure or over the budget
     holds = _predicate_fn(spec)
     blocks = _blocks(spec)
     k = sum(rows * cols for _, rows, cols in blocks)
@@ -266,13 +256,13 @@ def enumerate_operators(spec: SearchSpec, workers: int = 1) -> List:
     return found[0] if len(cuts) == 1 else list(zip(*found))
 
 
-def enumerate_bn_pairs(spec: SearchSpec, workers: int = 1) -> List[Tuple[Matrix, Matrix]]:
+def enumerate_bn_pairs(spec: SearchSpec) -> List[Tuple[Matrix, Matrix]]:
     """The hits of ``enumerate_operators`` on a ``bn_pair`` spec: the (form,
     operator) pairs over F_p that form a BN-structure, in lexicographic
     order of the form's then the operator's entries."""
     if spec.predicate != "bn_pair":
         raise ShapeMismatch(f"enumerate_bn_pairs needs a bn_pair search, got {spec.predicate!r}")
-    return enumerate_operators(spec, workers)
+    return enumerate_operators(spec)
 
 
 def _invertible(spec: SearchSpec) -> Callable[[tuple], bool]:

@@ -19,6 +19,7 @@ from leibnizkit.algebras import (
 )
 from leibnizkit.catalog import catalog_names, load_catalog
 from leibnizkit.checks import _resolve_rep, run_check
+from leibnizkit.cli import CONSTRUCTIONS
 from leibnizkit.errors import ParseError
 from leibnizkit.io import load_spec, parse_spec, serialize_spec
 from leibnizkit.operators import deformed_bracket, lifted_algebra
@@ -376,7 +377,9 @@ def test_cli_spec_file_that_is_not_utf8_is_usage_error(tmp_path, capsys):
     ("check", "l2.json", "theta0", "maurer-cartan"),
     ("check", "l2.json", "R", "rbn-structure"),
     ("check", "l2.json", "B", "transfer"),
-    ("search", "l2.json", "--predicate", "nijenhuis", "--field", "F2", "--shape", "2x"),
+    ("search", "l2.json", "--predicate", "nijenhuis", "--field", "F2", "--budget", "2x"),
+    # no construction reads --S
+    ("construct", "l2.json", "semidirect", "--rep", "regular", "--S", "x"),
 ])
 def test_cli_missing_or_malformed_flag_is_usage_error(argv):
     command, file, *rest = argv
@@ -623,11 +626,29 @@ def test_cli_construct_failure_suppresses_output():
     assert out.stdout == ""
 
 
+# the flag each construction asks for first
+_FIRST_NEED = {"dual-rep": "rep", "semidirect": "rep", "subadjacent": "K", "lifted": "K",
+               "deformed": "N", "theta-twist": "K", "dual-kn-from-mc": "K",
+               "mc-from-dual-kn": "kn", "sharp": "pi", "dual-kn-from-compatible": "K1"}
+
+
+@pytest.mark.parametrize("construction", CONSTRUCTIONS)
+def test_cli_every_construction_has_a_branch(capsys, construction):
+    """Every construction the parser takes reaches a branch of the dispatch:
+    with no flags it asks for the first one it reads, on one line, and
+    prints no spec file."""
+    from leibnizkit import cli
+
+    assert cli.main(["construct", _L2, construction]) == 2
+    out = capsys.readouterr()
+    need = _FIRST_NEED[construction]
+    assert (out.out, out.err) == ("", f"error: construction {construction!r} needs --{need}\n")
+
+
 def test_cli_search_counts_and_determinism():
     args = ("search", str(CATALOG_DIR / "l2.json"), "--predicate", "nijenhuis",
             "--field", "F2")
-    first = run_cli(*args, "--workers", "1")
-    second = run_cli(*args, "--workers", "3")
+    first, second = run_cli(*args), run_cli(*args)
     assert first.returncode == 0
     assert first.stdout == second.stdout
     assert json.loads(first.stdout)["count"] == 6
@@ -656,6 +677,32 @@ def test_cli_suite_unknown():
     assert run_cli("suite", "no-such-suite").returncode == 2
 
 
+def test_cli_suite_refuses_names_with_all(capsys):
+    from leibnizkit import cli
+
+    assert cli.main(["suite", "--all", "l2"]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: pass suite/catalog names or --all, not both\n")
+
+
+_SUITE_WORDS = st.sampled_from(
+    ["kn-consequences", "theta-twist", "expected-verdicts", "l2", "heis3", "abelian1",
+     "nosuch", "", "-", "--", "--all", "--format", "json", "text", "xml", "--frobnicate"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(words=st.lists(_SUITE_WORDS, max_size=5))
+def test_cli_suite_fuzz_never_raises(words):
+    """Any suite argv of suite names, entry names, junk, --all and --format
+    ends with an exit code of 0, 1 or 2 and no traceback."""
+    from leibnizkit import cli
+
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert cli.main(["suite", *words]) in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
 def test_cli_suite_json():
     out = run_cli("suite", "kn-consequences", "--format", "json")
     assert out.returncode == 0
@@ -667,29 +714,22 @@ def test_cli_suite_json():
 @pytest.mark.parametrize("extra, code, message", [
     (("--predicate", "bn-pair"), 1,
      "search failed: ShapeMismatch: exhaustive enumeration needs a prime field\n"),
-    (("--predicate", "nijenhuis", "--field", "F3", "--shape", "2x-1"), 2,
-     "error: --shape must look like 2x3, got '2x-1'\n"),
-    (("--predicate", "nijenhuis", "--field", "F3", "--shape", "99x99"), 1,
-     "search failed: BudgetExceeded: 3^9801 candidates exceed budget 1000000\n"),
+    (("--predicate", "kupershmidt", "--field", "F2", "--budget", "0"), 1,
+     "search failed: ShapeMismatch: kupershmidt search needs a representation\n"),
+    (("--predicate", "mc-strong", "--field", "F3"), 1,
+     "search failed: ShapeMismatch: mc_strong search needs a twilled context\n"),
     (("--predicate", "nijenhuis", "--field", "F2", "--budget", "-1"), 2,
      "error: --budget must be nonnegative, got -1\n"),
-    (("--predicate", "bn-pair", "--field", "F2", "--shape", "3x3"), 2,
-     "error: bn-pair searches 2x2 matrices, got --shape 3x3\n"),
+    (("--predicate", "bn-pair", "--field", "F2", "--algebra", "nosuch"), 2,
+     "error: no search target (need an algebra, rep or context)\n"),
 ])
 def test_cli_search_bad_space_is_one_line(extra, code, message):
-    """A rational bn-pair search, a negative shape, a space too large to
-    print, a negative budget and a bn-pair shape that is not the algebra's
-    each end in one line on stderr, not a traceback."""
+    """A rational bn-pair search, a search without the structure its
+    predicate needs (named, not reported as a space over budget, though
+    the algebra is there), a negative budget and a search with no structure
+    at all each end in one line on stderr, not a traceback."""
     out = run_cli("search", str(CATALOG_DIR / "l2.json"), *extra)
     assert (out.returncode, out.stdout, out.stderr) == (code, "", message)
-
-
-def test_cli_bn_pair_search_takes_only_the_algebra_shape():
-    """With bn-pair, --shape dim x dim prints the same pairs as no --shape."""
-    argv = ("search", _L2, "--predicate", "bn-pair", "--field", "F2")
-    plain, shaped = run_cli(*argv), run_cli(*argv, "--shape", "2x2")
-    assert plain.returncode == 0 and json.loads(plain.stdout)["count"] > 0
-    assert (shaped.returncode, shaped.stdout, shaped.stderr) == (0, plain.stdout, "")
 
 
 def test_cli_one_block_search_takes_the_shape_of_the_structure_it_needs(tmp_path, capsys):
@@ -719,21 +759,17 @@ def test_cli_one_block_search_takes_the_shape_of_the_structure_it_needs(tmp_path
     predicate=st.sampled_from(["kupershmidt", "nijenhuis", "rota-baxter", "mc-strong",
                                "bn-pair"]),
     target=st.sampled_from([(), ("--rep", "regular"), ("--rep", "dual"),
-                            ("--ctx", "tw_lift"), ("--rep", "nosuch")]),
+                            ("--ctx", "tw_lift"), ("--rep", "nosuch"), ("--algebra", "nosuch"),
+                            ("--algebra", "alg", "--rep", "regular")]),
     field=st.sampled_from(["Q", "F2", "F3", "F4", "junk"]),
-    shape=st.sampled_from([None, "2x2", "1x2", "0x0", "2x", "x3", "2x3x4", "abc", "",
-                           "-1x2", "2x-1", "99x99", "99999999999x99999999999"]),
     budget=st.integers(-5, 300),
-    workers=st.integers(-3, 10 ** 6),
 )
-def test_cli_search_fuzz_never_raises(predicate, target, field, shape, budget, workers):
+def test_cli_search_fuzz_never_raises(predicate, target, field, budget):
     """Any search argv ends with an exit code of 0, 1 or 2, never an exception."""
     from leibnizkit import cli
 
     argv = ["search", str(CATALOG_DIR / "l2.json"), "--predicate", predicate, *target,
-            "--field", field, "--budget", str(budget), "--workers", str(workers)]
-    if shape is not None:
-        argv += ["--shape", shape]
+            "--field", field, "--budget", str(budget)]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(argv) in (0, 1, 2)
 
@@ -839,7 +875,7 @@ def test_cli_construct_deformed_without_an_algebra_is_ambiguous(tmp_path, capsys
 
 
 _L2_NAMES = sorted(json.loads(Path(_L2).read_text())["objects"]) + ["missing"]
-_CONSTRUCT_FLAGS = ("rep", "algebra", "K", "N", "S", "theta", "kn", "pi", "K1", "K2")
+_CONSTRUCT_FLAGS = ("rep", "algebra", "K", "N", "theta", "kn", "pi", "K1", "K2")
 
 
 @settings(max_examples=150, deadline=None)

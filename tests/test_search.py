@@ -145,12 +145,55 @@ def test_search_spec_refuses_a_negative_budget(l2_f2):
 @pytest.mark.parametrize("shape", [(3, 3), (1, 1), (2, 3), (0, 0), [2, 3]])
 def test_search_spec_refuses_a_bn_pair_shape_off_the_algebra(l2_f2, shape):
     """bn_pair searches the algebra's dim x dim form and operator: another
-    shape is a ShapeMismatch, not a silent 2x2 search; the other predicates
-    take any shape."""
+    shape is a ShapeMismatch, not a silent 2x2 search."""
     with pytest.raises(ShapeMismatch, match=r"^bn_pair searches 2x2 matrices, got shape "):
         SearchSpec(F2, shape, "bn_pair", algebra=l2_f2)
-    assert SearchSpec(F2, shape, "nijenhuis", algebra=l2_f2).shape == shape
     assert SearchSpec(F2, [2, 2], "bn_pair", algebra=l2_f2).space_size() == 2 ** 8
+
+
+def _structures(l2_f2):
+    """predicate -> (structure keyword, a structure whose shape is not square)."""
+    trivial = Representation.zero(l2_f2, 1)
+    total = lifted_algebra(as_operator(Matrix.zeros(F2, 2, 1)), trivial)
+    return {"kupershmidt": ("rep", trivial), "nijenhuis": ("algebra", l2_f2),
+            "rota_baxter": ("algebra", l2_f2), "mc_strong": ("ctx", TwilledContext(total, 2, 1)),
+            "bn_pair": ("algebra", l2_f2)}
+
+
+@pytest.mark.parametrize("predicate", sorted(search.PREDICATES))
+def test_search_spec_takes_every_shape_from_the_structure(l2_f2, predicate):
+    """The structure a predicate needs gives its shape: g x V for a
+    Kupershmidt operator on V, n2 x n1 for a theta on a twilled sum, dim x
+    dim on the algebra otherwise.  Any other shape is a ShapeMismatch when the
+    spec is made, for every predicate; without the structure any shape is
+    taken, and the search names the structure, off a prime field only after
+    saying that it needs one."""
+    keyword, structure = _structures(l2_f2)[predicate]
+    rows, cols = {"rep": (2, 1), "ctx": (1, 2)}.get(keyword, (2, 2))
+    blocks = len(search.PREDICATES[predicate].blocks)
+    spec = SearchSpec(F2, (rows, cols), predicate, **{keyword: structure})
+    assert spec.space_size() == 2 ** (blocks * rows * cols)
+    for shape in [(cols, rows + 1), (rows, cols + 1), (0, 0)]:
+        with pytest.raises(ShapeMismatch, match=re.escape(
+                f"{predicate} searches {rows}x{cols} matrices, got shape {shape!r}")):
+            SearchSpec(F2, shape, predicate, **{keyword: structure})
+    needs = {"rep": "a representation", "ctx": "a twilled context"}.get(keyword, "an algebra")
+    bare = SearchSpec(F2, (5, 7), predicate, budget=0)
+    for run in (bare.space_size, lambda: enumerate_operators(bare)):
+        with pytest.raises(ShapeMismatch, match=f"^{predicate} search needs {needs}$"):
+            run()
+    with pytest.raises(ShapeMismatch, match="^exhaustive enumeration needs a prime field$"):
+        SearchSpec(Q, None, predicate).space_size()
+
+
+def test_space_size_too_large_to_print_is_p_to_the_k():
+    """A space of more than ``_DECIMAL_BITS`` bits is reported as p^k, not
+    printed: the 14 x 14 Nijenhuis candidates over an 82-bit prime field."""
+    p = 2417851639229258349412369
+    assert p.bit_length() == 82 and 196 * 82 > search._DECIMAL_BITS
+    alg = LeibnizAlgebra.abelian(prime_field(p), 14)
+    with pytest.raises(BudgetExceeded, match=f"^{p}\\^196 candidates exceed budget 1000000$"):
+        SearchSpec(prime_field(p), (14, 14), "nijenhuis", algebra=alg).space_size()
 
 
 @pytest.mark.parametrize("predicate", ["nijenhuis", "rota_baxter", "bn_pair"])
@@ -287,7 +330,7 @@ def test_bn_pair_enumeration(l2_f2):
     for b, n in pairs:
         form = BilinearForm(l2_f2, b, "symmetric")
         assert check_bn_structure(l2_f2, form, as_operator(n), consequences=False).ok
-    again = enumerate_bn_pairs(SearchSpec(F2, (2, 2), "bn_pair", algebra=l2_f2), workers=3)
+    again = enumerate_bn_pairs(SearchSpec(F2, (2, 2), "bn_pair", algebra=l2_f2))
     assert again == pairs
     # naive recount: all 256 (form, operator) combinations
     count = 0
@@ -324,16 +367,16 @@ def test_invariant_form_solvers(l2):
 
 
 def test_workers_start_no_thread(monkeypatch, l2_f2, capsys):
-    """Any worker count gives the one-thread result, and no thread starts."""
+    """Any worker count gives the one-thread result, and neither it nor a
+    CLI search starts a thread."""
     import threading
 
     from leibnizkit import cli
 
     spec = SearchSpec(F2, (2, 2), "nijenhuis", algebra=l2_f2)
-    argv = ["search", str(CATALOG_DIR / "l2.json"), "--predicate", "nijenhuis",
-            "--field", "F2", "--workers"]
+    argv = ["search", str(CATALOG_DIR / "l2.json"), "--predicate", "nijenhuis", "--field", "F2"]
     base = enumerate_operators(spec, workers=1)
-    assert cli.main(argv + ["1"]) == 0
+    assert cli.main(argv) == 0
     base_out = capsys.readouterr().out
 
     def refuse(self):
@@ -341,7 +384,7 @@ def test_workers_start_no_thread(monkeypatch, l2_f2, capsys):
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
     assert enumerate_operators(spec, workers=10 ** 6) == base
-    assert cli.main(argv + ["1000000"]) == 0
+    assert cli.main(argv) == 0
     assert capsys.readouterr().out == base_out
 
 
@@ -724,27 +767,31 @@ def enumerate_bn_pairs(spec):
 def test_no_predicate_name_is_tested_outside_the_table():
     """Search and the CLI read what a predicate needs from ``PREDICATES``:
     no string literal names a predicate in ``search.py`` outside the table
-    and the guard of ``enumerate_bn_pairs``, nor in ``commands.py``."""
+    and the guard of ``enumerate_bn_pairs``, nor in ``commands.py`` or
+    ``cli.py``."""
     names = set(search.PREDICATES)
     assert _predicate_literals(ast.parse(_PREDICATE_SNIPPET), names) == [
         (None, "nijenhuis"), (None, "rota-baxter"), ("f", "nijenhuis"), ("f", "bn-pair"),
         ("enumerate_bn_pairs", "bn_pair")]
     assert _predicate_literals(ast.parse((SRC / "search.py").read_text()), names) == [
         ("enumerate_bn_pairs", "bn_pair")]
-    assert _predicate_literals(ast.parse((SRC / "commands.py").read_text()), names) == []
+    for module in ("commands.py", "cli.py"):
+        assert _predicate_literals(ast.parse((SRC / module).read_text()), names) == [], module
 
 
 def test_cli_predicate_choices_are_the_table_names_in_both_spellings():
-    """``search --predicate`` takes each name of ``PREDICATES``, with ``_``
-    and with ``-``, once each, and nothing else.  ``cli`` lists the choices
-    itself, so that a ``check`` process does not import ``search``."""
+    """``search --predicate`` takes each name of ``PREDICATES``, with ``-``
+    and then with ``_``, once each, in table order, and nothing else.
+    ``cli`` reads them from the table only when it parses ``search``, so
+    that a ``check`` process does not import ``search``."""
     from leibnizkit import cli
 
     search_parser = next(action.choices["search"] for action in cli.build_parser("search")._actions
                          if isinstance(action, argparse._SubParsersAction))
     choices = next(action.choices for action in search_parser._actions
                    if action.dest == "predicate")
-    assert len(choices) == len(set(choices))
+    assert choices == ["kupershmidt", "nijenhuis", "rota-baxter", "rota_baxter", "mc-strong",
+                       "mc_strong", "bn-pair", "bn_pair"]
     assert set(choices) == {spelling for name in search.PREDICATES
                             for spelling in (name, name.replace("_", "-"))}
 

@@ -1,18 +1,22 @@
 """Batch command-line interface.
 
 Exit codes: 0 = all checks clean, 1 = a mathematical check failed,
-2 = usage or file-format error.
+2 = usage or file-format error, 130 = interrupted, 141 = standard output
+closed before the output was written.  Neither of the last two prints a
+traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
 from .checks import CHECK_NAMES, OBJECT_FLAGS, run_check
-from .errors import CHECK_FAILED, USAGE_ERROR, LeibnizKitError, ParseError, _fail_usage
+from .errors import (BROKEN_PIPE, CHECK_FAILED, INTERRUPTED, USAGE_ERROR, LeibnizKitError,
+                     ParseError, _fail_usage)
 from .io import load_spec
 
 # ``main`` imports the handlers of construct, search and suite from
@@ -139,11 +143,24 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on usage errors already
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    if args.command == "check":
-        return cmd_check(args)
-    from . import commands
+    try:
+        if args.command == "check":
+            code = cmd_check(args)
+        else:
+            from . import commands
 
-    return getattr(commands, f"cmd_{args.command}")(args)
+            code = getattr(commands, f"cmd_{args.command}")(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered goes to the null device,
+        # so the flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE
+    except KeyboardInterrupt:
+        return INTERRUPTED
+    return code
 
 
 if __name__ == "__main__":

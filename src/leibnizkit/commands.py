@@ -133,7 +133,8 @@ def cmd_search(args) -> int:
             names = spec.names_of("algebra")
             alg_name = names[0] if len(names) == 1 else "alg"
         algebra = None
-        if alg_name in spec.raw:
+        # a named --algebra must exist; the default may be missing
+        if args.algebra is not None or alg_name in spec.raw:
             algebra = LeibnizAlgebra(fieldspec, spec.build(alg_name, "algebra").c)
         rep = None
         if args.rep:
@@ -146,11 +147,8 @@ def cmd_search(args) -> int:
             built = spec.build(args.ctx, "twilled")
             ctx = TwilledContext(LeibnizAlgebra(fieldspec, built.total.c), built.n1, built.n2)
         # the structure the predicate needs gives the shape (None without
-        # it, and the search then fails naming it); with no algebra or
-        # representation either, there is nothing to search
+        # it, and the search then fails naming it)
         shape = _structure_shape(predicate, algebra, rep, ctx)
-        if shape is None and algebra is None and rep is None:
-            return _fail_usage("no search target (need an algebra, rep or context)")
         if args.budget is not None and args.budget < 0:
             raise ParseError(f"--budget must be nonnegative, got {args.budget}")
         budget = DEFAULT_BUDGET if args.budget is None else args.budget

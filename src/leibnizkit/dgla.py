@@ -32,9 +32,16 @@ result is built through ``Cochain._trusted``, which skips the validation the
 public constructor does.  Cochain sums, differences and multiples are
 normalised in one batch.
 
-``mc_cochain_defects`` builds the two lifted cochains of a twilled context
-once and keeps them on the context, so the many thetas checked on one
-context share them and their groupings and placements.
+``mc_cochain_defects`` runs the graded route once per twilled context, with
+theta's entries as polynomial unknowns (``_Poly``).  The compile makes the
+same bracket and insertion calls on the two lifted cochains and the
+embedded theta, all taken over Q (an F_p context's residues as integers).
+The nonzero coordinates of both defects, polynomials of degree 1 and 2,
+are kept on the context as term lists.  Each theta then costs one
+evaluation of those terms and one normalisation per defect.  This is exact
+in every field: the compiled route has no division, and Z -> F_p is a ring
+map.  The polynomial cochains live only inside the compile; no returned
+cochain holds a polynomial.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ from __future__ import annotations
 from collections import defaultdict
 from functools import lru_cache
 from itertools import chain, combinations, product
+from math import prod
 from operator import add, mul
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
@@ -55,7 +63,7 @@ from .errors import (
     Singular,
     SpaceMismatch,
 )
-from .fields import FieldSpec
+from .fields import RATIONALS, FieldSpec
 from .linalg import LinearOperator, Matrix, is_invertible, mat_inverse
 from .operators import (
     _equivariance_sides,
@@ -359,6 +367,57 @@ def _mc_sides(ctx: TwilledContext, theta: Matrix):
     return (list(map(add, kup_lhs, lin_rhs)), list(map(add, kup_rhs, lin_lhs))), (lin_lhs, lin_rhs)
 
 
+class _Poly(dict):
+    """A polynomial in the unknowns, {monomial: coefficient}: a monomial is
+    the sorted tuple of its variable indices, a coefficient a raw field value
+    (an int, or a Fraction over Q), not reduced.  It has what the check
+    kernels do to matrix entries, and ``_insertion_sum`` to cochain entries:
+    +, - and * with polynomials and constants, negation, and a truth test
+    (nonzero as a dict).  No operation changes an operand, so one whose
+    other operand is the constant 0 (for + and -) or 1 or -1 (for *)
+    returns its polynomial operand itself, or its negation: a result may be
+    an operand."""
+
+    __slots__ = ()
+
+    def __add__(self, other, sign: int = 1) -> "_Poly":
+        if not isinstance(other, dict):
+            if not other:
+                return self
+            other = {(): other}
+        out = _Poly(self)
+        for mono, c in other.items():
+            out[mono] = out.get(mono, 0) + sign * c
+        return out
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "_Poly":
+        return self.__add__(other, -1)
+
+    def __rsub__(self, other) -> "_Poly":
+        return -self + other
+
+    def __neg__(self) -> "_Poly":
+        return _Poly({mono: -c for mono, c in self.items()})
+
+    def __mul__(self, other) -> "_Poly":
+        if not isinstance(other, dict):
+            if other == 1:
+                return self
+            if other == -1:
+                return -self
+            return _Poly({mono: c * other for mono, c in self.items()})
+        out = _Poly()
+        for m1, c1 in self.items():
+            for m2, c2 in other.items():
+                mono = tuple(sorted(m1 + m2))
+                out[mono] = out.get(mono, 0) + c1 * c2
+        return out
+
+    __rmul__ = __mul__
+
+
 def mc_cochain_defects(ctx: TwilledContext, theta: Matrix) -> Tuple[Cochain, Cochain]:
     """The graded-bracket formulation of the same equations: the differential
     {mu1, theta} of theta along the g1-side lift mu1, and half the
@@ -371,16 +430,62 @@ def mc_cochain_defects(ctx: TwilledContext, theta: Matrix) -> Tuple[Cochain, Coc
         q = (mu2 o_1 theta) o_2 theta - theta ob (mu2 ob theta),
         q(x, y) = mu2(theta x, theta y) - theta mu2(theta x, y) - theta mu2(x, theta y),
 
-    which needs no division and holds in every characteristic.  The two
-    lifted cochains are built once per context and kept on it."""
-    if ctx._lift_cochains is None:
-        ctx._lift_cochains = tuple(Cochain.from_tensor(ctx.field, mu) for mu in ctx._lift_pair())
-    mu1, mu2 = ctx._lift_cochains
-    th = Cochain.from_matrix(ctx.embed_map(theta))
+    which needs no division and holds in every characteristic.  Both are
+    polynomials in theta's entries, of degree 1 and 2, compiled once per
+    context and kept on it (``_mc_terms``).  A call evaluates their
+    monomials at theta's entries, taken as values of the context's field,
+    and normalises each cochain once."""
+    ctx._require_map(theta)
+    if ctx._mc_terms is None:
+        ctx._mc_terms = _mc_terms(ctx)
+    f, n = ctx.field, ctx.total.dim
+    monomials, *cochains = ctx._mc_terms
+    x = f.normalize_all(chain.from_iterable(theta.entries))
+    values = [prod(map(x.__getitem__, mono)) for mono in monomials]
+    return tuple(_from_flat(f, n, 2, _substituted(rows, values, n ** 3)) for rows in cochains)
+
+
+def _mc_terms(ctx: TwilledContext) -> tuple:
+    """{mu1, theta} and q with theta the n2 x n1 unknowns (theta[a][i] is
+    unknown a * n1 + i), over the integers (over Q for a rational context):
+    the monomials that occur, then per cochain its nonzero coordinates as
+    (flat position, indices of its monomials, their coefficients).  The
+    lifts and theta are cochains over Q, whose normalisation leaves a
+    polynomial as it is.  Reducing mod p once theta is substituted is exact,
+    since Z -> F_p is a ring map and q has no division.  What is returned
+    holds plain numbers only, nothing that refers to the context."""
+    n1, n2, n = ctx.n1, ctx.n2, ctx.total.dim
+    mu1, mu2 = (Cochain.from_tensor(RATIONALS, mu) for mu in ctx._lift_pair())
+    th = Cochain._trusted(RATIONALS, n, 1, tuple(
+        (0,) * n1 + tuple(_Poly({(a * n1 + i,): 1}) for a in range(n2)) for i in range(n1)
+    ) + ((0,) * n,) * n2)
     d_theta = balavoine_bracket(mu1, th)
     first = _insertion_sum([(1, mu2, th, 1)])
     quad = _insertion_sum([(1, first, th, 2)] + _ob(-1, th, _insertion_sum(_ob(1, mu2, th))))
-    return d_theta, quad
+    # a coordinate is 0 where no term was placed, else a polynomial
+    monomials = sorted({mono for c in (d_theta, quad) for poly in _flat(c) if poly
+                        for mono in poly})
+    index = {mono: i for i, mono in enumerate(monomials)}
+    return (tuple(monomials),) + tuple(_rows(c, index) for c in (d_theta, quad))
+
+
+def _rows(c: Cochain, index: dict) -> tuple:
+    """(flat position, monomial indices, coefficients) of each coordinate of
+    the polynomial cochain c with a nonzero coefficient."""
+    rows = []
+    for pos, poly in enumerate(_flat(c)):
+        terms = [(index[mono], k) for mono, k in poly.items() if k] if poly else ()
+        if terms:
+            rows.append((pos, *zip(*terms)))
+    return tuple(rows)
+
+
+def _substituted(rows, values: Sequence, size: int) -> list:
+    """The flat raw coordinates of compiled ``rows`` at the monomial values."""
+    flat = [0] * size
+    for pos, monos, coefs in rows:
+        flat[pos] = sum(map(mul, coefs, map(values.__getitem__, monos)))
+    return flat
 
 
 def _lifted_context(K: LinearOperator, rep: Representation, theta: Optional[Matrix] = None):

@@ -8,9 +8,12 @@ them without importing each other.
 
 import sys
 
-# Exit codes besides 0 (all checks clean).
+# Exit codes besides 0 (all checks clean).  The last two are the shell's
+# codes for a process ended by SIGINT and by SIGPIPE (128 + the signal).
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+INTERRUPTED = 130
+BROKEN_PIPE = 141
 
 
 def _fail_usage(msg: str) -> int:

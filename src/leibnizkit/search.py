@@ -8,7 +8,8 @@ source of a search's shape), the check it runs on the zero blocks to raise
 the check's precondition errors, the raw-sides function of its identities,
 and the blocks that must be invertible.  A candidate is its blocks' entries,
 each block row-major, in block order; a hit is its block's Matrix, or the
-tuple of its block matrices.  Over polynomial unknowns the raw sides (of the
+tuple of its block matrices.  Over polynomial unknowns (``dgla._Poly``,
+which also compiles the graded Maurer-Cartan route) the raw sides (of the
 kernels in ``operators``, ``dgla`` and ``forms``) give the residues lhs -
 rhs, with raw field values (ints, or Fractions over Q) as coefficients;
 this module reads no structure constants or action data itself.  A search
@@ -43,7 +44,7 @@ from .algebras import (
     Representation,
     check_leibniz,
 )
-from .dgla import _mc_sides, check_maurer_cartan
+from .dgla import _Poly, _mc_sides, check_maurer_cartan
 from .errors import (
     BudgetExceeded,
     NotFound,
@@ -299,56 +300,6 @@ def _first_rejected(spec: SearchSpec, flats: List[tuple]) -> Optional[int]:
 
 
 # -- compiled kernels ------------------------------------------------------------
-
-
-class _Poly(dict):
-    """A polynomial in the unknowns, {monomial: coefficient}: a monomial is
-    the sorted tuple of its variable indices, a coefficient a raw field value
-    (an int, or a Fraction over Q), not reduced.  It has what the check
-    kernels do to matrix entries: +, - and * with polynomials and constants,
-    negation, and a truth test (nonzero as a dict).  No operation changes an
-    operand, so one whose other operand is the constant 0 (for + and -) or
-    1 or -1 (for *) returns its polynomial operand itself, or its negation:
-    a result may be an operand."""
-
-    __slots__ = ()
-
-    def __add__(self, other, sign: int = 1) -> "_Poly":
-        if not isinstance(other, dict):
-            if not other:
-                return self
-            other = {(): other}
-        out = _Poly(self)
-        for mono, c in other.items():
-            out[mono] = out.get(mono, 0) + sign * c
-        return out
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "_Poly":
-        return self.__add__(other, -1)
-
-    def __rsub__(self, other) -> "_Poly":
-        return -self + other
-
-    def __neg__(self) -> "_Poly":
-        return _Poly({mono: -c for mono, c in self.items()})
-
-    def __mul__(self, other) -> "_Poly":
-        if not isinstance(other, dict):
-            if other == 1:
-                return self
-            if other == -1:
-                return -self
-            return _Poly({mono: c * other for mono, c in self.items()})
-        out = _Poly()
-        for m1, c1 in self.items():
-            for m2, c2 in other.items():
-                mono = tuple(sorted(m1 + m2))
-                out[mono] = out.get(mono, 0) + c1 * c2
-        return out
-
-    __rmul__ = __mul__
 
 
 class _Lanes(list):

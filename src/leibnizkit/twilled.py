@@ -23,7 +23,7 @@ class TwilledContext:
 
     __slots__ = (
         "total", "n1", "n2",
-        "algebra1", "algebra2", "rho1", "rho2", "_lifts", "_lift_cochains",
+        "algebra1", "algebra2", "rho1", "rho2", "_lifts", "_mc_terms",
     )
 
     def __init__(self, total: LeibnizAlgebra, n1: int, n2: int):
@@ -72,8 +72,8 @@ class TwilledContext:
         # action axioms of rho1, and with the blocks swapped those of rho2.
         self.rho1 = Representation(self.algebra1, rho1L, rho1R)
         self.rho2 = Representation(self.algebra2, rho2L, rho2R)
-        # both lifts, and their cochains once ``dgla`` has built them
-        self._lifts = self._lift_cochains = None
+        # both lifts, and the Maurer-Cartan defects once ``dgla`` has compiled them
+        self._lifts = self._mc_terms = None
 
     @property
     def field(self):
@@ -100,12 +100,16 @@ class TwilledContext:
             )
         return self._lifts
 
-    def embed_map(self, theta: Matrix) -> Matrix:
-        """Embed a g1 -> g2 map as an endomorphism of the sum (zero elsewhere)."""
+    def _require_map(self, theta: Matrix) -> None:
+        """Raise ShapeMismatch unless theta has the shape of a g1 -> g2 map."""
         if theta.rows != self.n2 or theta.cols != self.n1:
             raise ShapeMismatch(
                 f"map must be {self.n2}x{self.n1} (g1 -> g2), got {theta.rows}x{theta.cols}"
             )
+
+    def embed_map(self, theta: Matrix) -> Matrix:
+        """Embed a g1 -> g2 map as an endomorphism of the sum (zero elsewhere)."""
+        self._require_map(theta)
         f = self.field
         n1, n2 = self.n1, self.n2
         rows = []

@@ -8,7 +8,9 @@ test-local evaluation of the formula in the ``dgla`` module docstring:
 
 over F2, F3, F5 and Q, on dense, mostly-zero and all-zero cochains of
 dims 1-3 and arities 1-3 (so output arity up to 5), with Fraction entries
-over Q; and the integral Maurer-Cartan half against (1/2){{mu2, th}, th}."""
+over Q; the integral Maurer-Cartan half against (1/2){{mu2, th}, th}; and
+the Maurer-Cartan defects compiled once per context against the kernel
+calls they replace."""
 
 import ast
 import random
@@ -17,6 +19,8 @@ from itertools import combinations, product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import leibnizkit
 from leibnizkit import (
@@ -30,13 +34,20 @@ from leibnizkit import (
     bracket_square,
     coboundary,
     dgla_bracket,
+    dual_representation,
     lifted_algebra,
+    mc_solutions_from_linear_layer,
+    regular_representation,
 )
 from leibnizkit.catalog import load_catalog
-from leibnizkit.dgla import _insertion_sum, mc_cochain_defects
+from leibnizkit.dgla import _insertion_sum, _ob, mc_cochain_defects
+from leibnizkit.errors import DivisionByZero
 from leibnizkit.fields import prime_field
+from leibnizkit.oracles import eval_maurer_cartan
 from leibnizkit.suites import _kupershmidt_cases
 from leibnizkit.twilled import TwilledContext
+
+from test_twilled import _algebras, _kupershmidt_map, _moved
 
 FIELDS = (prime_field(2), prime_field(3), prime_field(5), Q)
 DENSITIES = {"dense": 1.0, "sparse": 0.15, "zero": 0.0}
@@ -182,14 +193,23 @@ def test_coboundary_and_dgla_bracket_match_dense_formula(f):
 
 
 def lifted_contexts(f):
-    """The twilled contexts of the l2 Kupershmidt cases carried into f."""
-    out = []
-    for _, K, rep in _kupershmidt_cases(load_catalog()):
-        alg = LeibnizAlgebra(f, rep.algebra.c)
-        frep = Representation(alg, [Matrix(f, m.entries) for m in rep.rhoL],
-                              [Matrix(f, m.entries) for m in rep.rhoR])
-        lift = lifted_algebra(as_operator(Matrix(f, K.matrix.entries)), frep)
+    """Fresh twilled contexts of the l2 Kupershmidt cases carried into f (a
+    case with a denominator that vanishes in f left out), and over F2 of the
+    lift of the l2_f2 operator R on its regular representation."""
+    catalog, out = load_catalog(), []
+    for _, K, rep in _kupershmidt_cases(catalog):
+        try:
+            alg = LeibnizAlgebra(f, rep.algebra.c)
+            frep = Representation(alg, [Matrix(f, m.entries) for m in rep.rhoL],
+                                  [Matrix(f, m.entries) for m in rep.rhoR])
+            lift = lifted_algebra(as_operator(Matrix(f, K.matrix.entries)), frep)
+        except DivisionByZero:
+            continue
         out.append(TwilledContext(lift, alg.dim, frep.mdim))
+    if f.char == 2:
+        spec = catalog["l2_f2"].spec
+        lift = lifted_algebra(spec.build("R"), regular_representation(spec.build("alg")))
+        out.append(TwilledContext(lift, 2, 2))
     return out
 
 
@@ -213,7 +233,6 @@ def test_lifted_cochains_are_built_once_per_context(monkeypatch):
     """18 thetas on one lifted context build its two lift cochains once, and
     every defect pair still decides weak and strong MC as the oracle does."""
     from leibnizkit import dgla
-    from leibnizkit.oracles import eval_maurer_cartan
 
     ctx = lifted_contexts(Q)[1]
     built = []
@@ -237,10 +256,11 @@ def test_lifted_cochains_are_built_once_per_context(monkeypatch):
 def test_mc_equivalence_checks_each_theta_once(monkeypatch):
     """The mc-equivalence suite reads the weak verdict from the strong
     report: one check_maurer_cartan per theta, plus the zero-theta check of
-    each context, and one lifted-cochain pair per context."""
+    each context, and one lifted-cochain pair and one Balavoine bracket per
+    context."""
     from leibnizkit import dgla, suites
 
-    calls = {"mc": 0, "defects": 0, "contexts": 0, "from_tensor": 0}
+    calls = {"mc": 0, "defects": 0, "contexts": 0, "from_tensor": 0, "bracket": 0}
 
     def counted(name, real):
         def wrapper(*args, **kwargs):
@@ -253,11 +273,62 @@ def test_mc_equivalence_checks_each_theta_once(monkeypatch):
     monkeypatch.setattr(suites, "_lifted_context", counted("contexts", suites._lifted_context))
     monkeypatch.setattr(dgla.Cochain, "from_tensor",
                         staticmethod(counted("from_tensor", dgla.Cochain.from_tensor)))
+    monkeypatch.setattr(dgla, "balavoine_bracket", counted("bracket", dgla.balavoine_bracket))
     result = suites.suite_mc_equivalence(load_catalog())
     assert result.failures == [] and result.passed > 0
     assert calls["contexts"] > 0 and calls["defects"] >= 12 * calls["contexts"]
     assert calls["mc"] == calls["defects"] + calls["contexts"]
     assert calls["from_tensor"] == 2 * calls["contexts"]
+    # the graded route is compiled once per context, not run once per theta
+    assert calls["bracket"] == calls["contexts"]
+
+
+def _kernel_defects(ctx, theta):
+    """(d, q) by four kernel calls per theta, in the context's field: the
+    route that ``mc_cochain_defects`` compiles once per context."""
+    mu1, mu2 = (Cochain.from_tensor(ctx.field, mu) for mu in ctx._lift_pair())
+    th = Cochain.from_matrix(ctx.embed_map(theta))
+    d = balavoine_bracket(mu1, th)
+    first = _insertion_sum([(1, mu2, th, 1)])
+    return d, _insertion_sum([(1, first, th, 2)] + _ob(-1, th, _insertion_sum(_ob(1, mu2, th))))
+
+
+def _random_lifted_context(rng, f, seed):
+    """A lifted sum of a Kupershmidt map of a regular or dual representation
+    of a small algebra, in a random block-diagonal basis (``test_twilled``)."""
+    alg = rng.choice(_algebras(f))
+    rep = regular_representation(alg)
+    if rng.random() < 0.5:
+        rep = dual_representation(rep)
+    K = _kupershmidt_map(rng, rep, seed)
+    return TwilledContext(_moved(rng, lifted_algebra(as_operator(K), rep), alg.dim, rep.mdim),
+                          alg.dim, rep.mdim)
+
+
+@settings(max_examples=80, deadline=None)
+@given(f=st.sampled_from(FIELDS), seed=st.integers(0, 10 ** 6), data=st.data())
+def test_compiled_mc_defects_match_the_kernel_route_and_the_oracle(f, seed, data):
+    """On catalog and random lifted sums over F2, F3, F5 and Q, the compiled
+    defects of a theta equal the four kernel calls in the context's field,
+    and decide weak and strong Maurer-Cartan as the oracle does.  theta is
+    a random matrix (Fraction entries over Q) or a weak solution from the
+    linear layer."""
+    rng = random.Random(seed)
+    if data.draw(st.booleans()):
+        ctx = data.draw(st.sampled_from(lifted_contexts(f)))
+    else:
+        ctx = _random_lifted_context(rng, f, seed)
+    entry = (st.integers(0, f.p - 1) if f.p else
+             st.fractions(min_value=-3, max_value=3, max_denominator=3))
+    thetas = [Matrix(f, data.draw(st.lists(st.lists(entry, min_size=ctx.n1, max_size=ctx.n1),
+                                           min_size=ctx.n2, max_size=ctx.n2)))]
+    if ctx.n1 * ctx.n2 <= 4:
+        thetas += mc_solutions_from_linear_layer(ctx)[:3]
+    for theta in thetas:
+        d, q = mc_cochain_defects(ctx, theta)
+        assert (d, q) == _kernel_defects(ctx, theta)
+        assert (d + q).is_zero() == eval_maurer_cartan(ctx, theta).ok
+        assert (d.is_zero() and q.is_zero()) == eval_maurer_cartan(ctx, theta, strong=True).ok
 
 
 def _shuffle_readers(tree):

@@ -201,6 +201,20 @@ def test_search_and_suite_still_run():
     assert "suites" in suite
 
 
+def test_mc_cochain_defects_load_no_search():
+    """The graded Maurer-Cartan route compiles over the polynomial unknowns
+    that ``dgla`` defines, so ``dgla`` never imports ``search``, the module
+    that imports it."""
+    code = ("from leibnizkit.dgla import mc_cochain_defects\n"
+            "from leibnizkit.io import load_spec\n"
+            "from leibnizkit.linalg import Matrix\n"
+            f"ctx = load_spec({str(CATALOG_DIR / 'l2.json')!r}).build('tw_lift', 'twilled')\n"
+            "d, q = mc_cochain_defects(ctx, Matrix.zeros(ctx.field, ctx.n2, ctx.n1))\n"
+            "assert d.is_zero() and q.is_zero()\n")
+    loaded = _loaded_after(code)
+    assert "dgla" in loaded and "search" not in loaded
+
+
 def test_cli_run_as_main_is_not_imported_again():
     """``python -m leibnizkit.cli`` runs cli.py as ``__main__``; the
     construct, search and suite handlers do not import ``leibnizkit.cli``,

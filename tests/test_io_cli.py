@@ -20,7 +20,7 @@ from leibnizkit.algebras import (
 from leibnizkit.catalog import catalog_names, load_catalog
 from leibnizkit.checks import _resolve_rep, run_check
 from leibnizkit.cli import CONSTRUCTIONS
-from leibnizkit.errors import ParseError
+from leibnizkit.errors import BROKEN_PIPE, INTERRUPTED, ParseError
 from leibnizkit.io import load_spec, parse_spec, serialize_spec
 from leibnizkit.operators import deformed_bracket, lifted_algebra
 from leibnizkit.pairs import dual_kn_from_compatible
@@ -721,15 +721,67 @@ def test_cli_suite_json():
     (("--predicate", "nijenhuis", "--field", "F2", "--budget", "-1"), 2,
      "error: --budget must be nonnegative, got -1\n"),
     (("--predicate", "bn-pair", "--field", "F2", "--algebra", "nosuch"), 2,
-     "error: no search target (need an algebra, rep or context)\n"),
+     "error: no object named 'nosuch'\n"),
 ])
 def test_cli_search_bad_space_is_one_line(extra, code, message):
     """A rational bn-pair search, a search without the structure its
     predicate needs (named, not reported as a space over budget, though
-    the algebra is there), a negative budget and a search with no structure
-    at all each end in one line on stderr, not a traceback."""
+    the algebra is there), a negative budget and an --algebra that names no
+    object (refused as `check` refuses one) each end in one line on stderr,
+    not a traceback."""
     out = run_cli("search", str(CATALOG_DIR / "l2.json"), *extra)
     assert (out.returncode, out.stdout, out.stderr) == (code, "", message)
+
+
+def test_cli_search_without_its_algebra_names_it(tmp_path):
+    """On a copy of l2 whose algebra is renamed, so that no default algebra
+    is found, a Nijenhuis search names the algebra it needs, with a twilled
+    context, a representation or nothing else given."""
+    doc = json.loads(Path(_L2).read_text())
+    doc["objects"]["base"] = doc["objects"].pop("alg")
+    for obj in doc["objects"].values():
+        if obj.get("algebra") == "alg":
+            obj["algebra"] = "base"
+    path = tmp_path / "l2_renamed.json"
+    path.write_text(json.dumps(doc))
+    for extra in (("--ctx", "tw_lift"), ("--rep", "regular"), ()):
+        out = run_cli("search", str(path), "--predicate", "nijenhuis", "--field", "F2", *extra)
+        assert (out.returncode, out.stdout, out.stderr) == (
+            1, "", "search failed: ShapeMismatch: nijenhuis search needs an algebra\n"), extra
+
+
+def test_cli_closed_stdout_ends_without_a_traceback():
+    """A reader that closes the pipe after the first line of a long search
+    output (about 200 kB, more than a pipe holds) gets exit code 141 and
+    nothing on stderr: no BrokenPipeError traceback, and no "Exception
+    ignored" from the flush at exit."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "leibnizkit", "search", str(CATALOG_DIR / "heis3.json"),
+         "--predicate", "nijenhuis", "--field", "F3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        assert proc.stdout.readline() == "{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == BROKEN_PIPE
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == ""
+
+
+def test_cli_interrupt_ends_without_a_traceback(monkeypatch, capsys):
+    """An interrupt while a command runs gives exit code 130 and prints nothing."""
+    from leibnizkit import cli, commands
+
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_check", interrupted)
+    monkeypatch.setattr(commands, "cmd_suite", interrupted)
+    assert cli.main(["check", _L2, "alg", "leibniz"]) == INTERRUPTED
+    assert cli.main(["suite", "--all"]) == INTERRUPTED
+    assert capsys.readouterr() == ("", "")
 
 
 def test_cli_one_block_search_takes_the_shape_of_the_structure_it_needs(tmp_path, capsys):

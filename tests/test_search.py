@@ -1080,10 +1080,10 @@ def test_lane_and_polynomial_operations_never_change_an_operand():
     return an operand (x + 0, x * 1) as its result."""
     assert _self_mutations(ast.parse(_MUTATION_SNIPPET), {"_Lanes"}) == [
         ("_Lanes", name) for name in "abcdef"]
-    tree = ast.parse((SRC / "search.py").read_text())
-    classes = {"_Lanes", "_Poly"}
-    assert classes <= {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
-    assert _self_mutations(tree, classes) == []
+    for filename, cls in (("search.py", "_Lanes"), ("dgla.py", "_Poly")):
+        tree = ast.parse((SRC / filename).read_text())
+        assert cls in {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+        assert _self_mutations(tree, {cls}) == []
 
 
 _BLOCK_VARIANTS = ("nijenhuis", "rota_baxter", "kupershmidt-regular", "kupershmidt-dual",

@@ -16,9 +16,8 @@ __version__ = "0.1.0"
 # exported name -> defining submodule
 _EXPORTS = {
     **dict.fromkeys((
-        "LeibnizAlgebra", "Representation", "check_leibniz", "check_matched_pair",
-        "check_representation", "dual_representation", "regular_representation",
-        "semidirect_sum",
+        "LeibnizAlgebra", "Representation", "check_leibniz", "check_representation",
+        "dual_representation", "regular_representation",
     ), "algebras"),
     **dict.fromkeys((
         "Cochain", "balavoine_bracket", "bracket_square", "check_maurer_cartan",
@@ -39,8 +38,7 @@ _EXPORTS = {
     **dict.fromkeys((
         "DendriformPair", "as_operator", "check_compatible",
         "check_kupershmidt", "check_nijenhuis", "check_nk_condition", "check_rota_baxter",
-        "deformed_bracket", "induced_representation", "lifted_algebra",
-        "nijenhuis_from_compatible", "subadjacent_algebra",
+        "deformed_bracket", "nijenhuis_from_compatible", "subadjacent_algebra",
     ), "operators"),
     "oracle_eval": "oracles",
     **dict.fromkeys((
@@ -55,7 +53,10 @@ _EXPORTS = {
         "SearchSpec", "enumerate_bn_pairs", "enumerate_operators",
         "mc_solutions_from_linear_layer", "random_instance", "solve_mc_linear_layer",
     ), "search"),
-    "TwilledContext": "twilled",
+    **dict.fromkeys((
+        "TwilledContext", "check_matched_pair", "induced_representation", "lifted_algebra",
+        "semidirect_sum",
+    ), "twilled"),
 }
 
 __all__ = sorted(_EXPORTS)

@@ -1,5 +1,6 @@
 """Leibniz algebras as structure-constant tensors, their representations, and
-the dual / regular / semidirect / matched-pair constructions.
+the dual and regular representations.  Sums of algebras (semidirect sums,
+matched pairs) are in ``twilled``.
 
 Conventions used throughout the package:
 
@@ -27,8 +28,9 @@ a cyclic collection.  A representation is an algebra and an ``_Action``: the
 action matrices and what is derived from them, which refers to no algebra.
 The action keeps its report, its dual's action and, in a table of at most
 ``_DERIVED_CAP`` entries (the oldest dropped first), what ``operators``,
-``pairs`` and ``dgla`` derive from it and an operator or a pair.  An algebra
-keeps the action of its regular representation, not the representation, and
+``twilled``, ``pairs`` and ``dgla`` derive from it and an operator or a
+pair.  An algebra keeps the action of its regular representation, not the
+representation, and
 ``regular_representation`` and ``dual_representation`` hand out a new
 representation over the kept action on each call, so equal calls return
 equal representations that share every kept structure.  Nothing is kept per
@@ -204,8 +206,8 @@ class Representation:
     derived from the representation and an operator or a pair, keyed by kind
     and operand: the module bracket of a map and the Kupershmidt verdict,
     sub-adjacent algebra, induced representation, lift and lifted twilled
-    context of an operator (``operators``, ``dgla``), and the hat and tilde
-    representations of a pair (``pairs``).  It holds at most
+    context of an operator (``operators``, ``twilled``, ``dgla``), and the
+    hat and tilde representations of a pair (``pairs``).  It holds at most
     ``_DERIVED_CAP`` entries and drops the oldest to make room, so checking
     many operators on one long-lived representation keeps memory bounded; a
     dropped entry is built again when asked for.  Nothing kept refers to
@@ -393,67 +395,3 @@ def dual_representation(rep: Representation) -> Representation:
         out.require_representation()
         action.dual = out._action
     return Representation._over(rep.algebra, action.dual)
-
-
-def _sum_bracket(f: FieldSpec, c1, c2, act1: Optional[Representation],
-                 act2: Optional[Representation]):
-    """Bracket tensor on g1 (+) g2, g1 block first, from the two bracket
-    tensors and the two mutual actions: ``act1`` of g1 on g2's space, ``act2``
-    of g2 on g1's space, None for the zero action.
-
-    [x, a] = act2R(a) x  (+)  act1L(x) a,   [a, x] = act2L(a) x  (+)  act1R(x) a
-    """
-    n1, n2 = len(c1), len(c2)
-    z1, z2 = (f.zero(),) * n1, (f.zero(),) * n2
-    rows = []
-    for i in range(n1):
-        row = [c1[i][j] + z2 for j in range(n1)]
-        row += [(act2.rhoR[a].col(i) if act2 else z1) + (act1.rhoL[i].col(a) if act1 else z2)
-                for a in range(n2)]
-        rows.append(tuple(row))
-    for a in range(n2):
-        row = [(act2.rhoL[a].col(j) if act2 else z1) + (act1.rhoR[j].col(a) if act1 else z2)
-               for j in range(n1)]
-        row += [z1 + c2[a][b] for b in range(n2)]
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def semidirect_sum(rep: Representation) -> LeibnizAlgebra:
-    """Leibniz structure on module (+) algebra, module coordinates first:
-
-    [w0+x0, w1+x1] = rhoR(x1) w0 + rhoL(x0) w1  (+)  [x0, x1]
-    """
-    rep.require_representation()
-    alg = rep.algebra
-    f = alg.field
-    module = LeibnizAlgebra.abelian(f, rep.mdim)
-    out = LeibnizAlgebra(f, _sum_bracket(f, module.c, alg.c, None, rep))
-    out.require_leibniz()
-    return out
-
-
-def check_matched_pair(
-    g1: LeibnizAlgebra,
-    g2: LeibnizAlgebra,
-    rho1: Representation,
-    rho2: Representation,
-) -> Tuple[CheckReport, Optional[LeibnizAlgebra]]:
-    """Assemble the candidate bracket on g1 (+) g2 from both brackets and both
-    mutual actions, and test the Leibniz identity on the sum.
-
-    ``rho1`` is the action of g1 on g2's space, ``rho2`` the action of g2 on
-    g1's space.  Block order is g1 first.  On success the twilled algebra is
-    returned.
-    """
-    if rho1.algebra is not g1 and rho1.algebra != g1:
-        raise ShapeMismatch("rho1 must be a representation of g1")
-    if rho2.algebra is not g2 and rho2.algebra != g2:
-        raise ShapeMismatch("rho2 must be a representation of g2")
-    if rho1.mdim != g2.dim or rho2.mdim != g1.dim:
-        raise ShapeMismatch("action module dimensions must match the partner algebra")
-    if g1.field != g2.field:
-        raise FieldMismatch("summands must share a field")
-    cand = LeibnizAlgebra(g1.field, _sum_bracket(g1.field, g1.c, g2.c, rho1, rho2))
-    report = cand._leibniz_report = check_leibniz(cand)
-    return report, (cand if report.ok else None)

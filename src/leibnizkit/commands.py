@@ -1,9 +1,11 @@
-"""The construct, search and suite commands of the batch CLI.
+"""The construct, search and suite commands of the batch CLI, and the file
+objects (``algebra_doc`` and the others) that ``construct`` writes.
 
 ``cli.main`` imports this module only for these commands, so a ``check``
-process never compiles it.  The modules one command runs (search, suites,
-the catalog, and the dgla, forms and pairs constructions) are imported
-inside its handler.
+process never compiles it, nor the sums and lifts of ``twilled`` that only
+a construction runs.  The modules one command runs (search, suites, the
+catalog, and the dgla, forms and pairs constructions) are imported inside
+its handler.
 """
 
 from __future__ import annotations
@@ -12,26 +14,63 @@ import json
 import sys
 from typing import Dict
 
-from .algebras import (
-    LeibnizAlgebra,
-    Representation,
-    dual_representation,
-    semidirect_sum,
-)
+from .algebras import LeibnizAlgebra, Representation, dual_representation
 from .checks import _kn_and_rep, _resolve_algebra, _resolve_rep
 from .errors import CHECK_FAILED, LeibnizKitError, ParseError, _fail_usage
-from .io import (
-    SpecFile,
-    algebra_doc,
-    kn_doc,
-    load_spec,
-    operator_doc,
-    parse_field,
-    representation_doc,
-    serialize_spec,
-)
+from .fields import FieldSpec
+from .io import SpecFile, load_spec, parse_field, serialize_spec
 from .linalg import LinearOperator, Matrix
-from .operators import deformed_bracket, lifted_algebra, subadjacent_algebra
+from .operators import deformed_bracket, subadjacent_algebra
+from .twilled import TwilledContext, lifted_algebra, semidirect_sum
+
+# The file objects of constructed objects, scalars in ``FieldSpec.format``'s text.
+
+
+def _format_matrix(f: FieldSpec, m: Matrix) -> list:
+    return [[f.format(v) for v in row] for row in m.entries]
+
+
+def algebra_doc(f: FieldSpec, alg: LeibnizAlgebra, verified: bool = True) -> dict:
+    return {
+        "type": "algebra",
+        "dim": alg.dim,
+        "c": [[[f.format(v) for v in vec] for vec in row] for row in alg.c],
+        "verified": verified,
+    }
+
+
+def representation_doc(f: FieldSpec, rep: Representation, algebra_name: str,
+                       verified: bool = True) -> dict:
+    return {
+        "type": "representation",
+        "algebra": algebra_name,
+        "mdim": rep.mdim,
+        "rhoL": [_format_matrix(f, m) for m in rep.rhoL],
+        "rhoR": [_format_matrix(f, m) for m in rep.rhoR],
+        "verified": verified,
+    }
+
+
+def operator_doc(f: FieldSpec, op: LinearOperator) -> dict:
+    return {
+        "type": "operator",
+        "matrix": _format_matrix(f, op.matrix),
+        "domain": op.domain,
+        "codomain": op.codomain,
+    }
+
+
+def kn_doc(f: FieldSpec, kn, algebra_name: str, rep_name: str) -> dict:
+    """The file object of the KN-structure ``kn``."""
+    return {
+        "type": "kn",
+        "algebra": algebra_name,
+        "rep": rep_name,
+        "K": _format_matrix(f, kn.K.matrix),
+        "N": _format_matrix(f, kn.N),
+        "S": _format_matrix(f, kn.S),
+        "mode": kn.mode,
+    }
 
 
 def cmd_construct(args) -> int:
@@ -121,7 +160,6 @@ def cmd_construct(args) -> int:
 def cmd_search(args) -> int:
     from .search import (DEFAULT_BUDGET, PREDICATES, SearchSpec, _structure_shape,
                          enumerate_operators)
-    from .twilled import TwilledContext
 
     predicate = args.predicate.replace("-", "_")
     row = PREDICATES[predicate]

@@ -38,7 +38,8 @@ same bracket and insertion calls on the two lifted cochains and the
 embedded theta, all taken over Q (an F_p context's residues as integers).
 The nonzero coordinates of both defects, polynomials of degree 1 and 2,
 are kept on the context as term lists.  Each theta then costs one
-evaluation of those terms and one normalisation per defect.  This is exact
+evaluation of those terms and, per defect, one normalisation of the
+coordinates they give; every other coordinate is 0.  This is exact
 in every field: the compiled route has no division, and Z -> F_p is a ring
 map.  The polynomial cochains live only inside the compile; no returned
 cochain holds a polynomial.
@@ -68,18 +69,20 @@ from .linalg import LinearOperator, Matrix, is_invertible, mat_inverse
 from .operators import (
     _equivariance_sides,
     _kupershmidt_sides,
-    _lift,
     as_operator,
     check_compatible,
     check_kupershmidt,
     deformed_bracket,
-    induced_action,
-    induced_representation,
     module_bracket_tensor,
 )
-from .algebras import check_matched_pair
 from .reports import CheckReport, _sides_violations
-from .twilled import TwilledContext
+from .twilled import (
+    TwilledContext,
+    _lift,
+    check_matched_pair,
+    induced_action,
+    induced_representation,
+)
 
 # ``pairs`` is imported in the functions that build or check KN-structures,
 # so a Maurer-Cartan check does not load it.
@@ -252,6 +255,16 @@ def _from_flat(field: FieldSpec, dim: int, arity: int, raw) -> Cochain:
     return Cochain._trusted(field, dim, arity, tuple(zip(*[vals] * dim)))
 
 
+def _from_sparse(field: FieldSpec, dim: int, arity: int, raw: dict) -> Cochain:
+    """The cochain whose flat coordinate at each position of ``raw`` is its
+    raw value, normalised at once, and 0 at every other position."""
+    flat = [0] * (dim ** arity * dim)
+    for pos, v in zip(raw, field.normalize_all(raw.values())):
+        flat[pos] = v
+    vals = iter(flat)
+    return Cochain._trusted(field, dim, arity, tuple(zip(*[vals] * dim)))
+
+
 def _ob(coef: int, f: Cochain, g: Cochain):
     """The terms of coef * (f ob g) = sum_k coef (-1)^{(k-1) deg g} f o_k g."""
     n = g.degree
@@ -295,11 +308,7 @@ def _insertion_sum(terms) -> Cochain:
                 sc = s * c
                 for pos, v in bucket:
                     acc[pos + off] += sc * v
-    flat = [0] * (dim ** arity * dim)
-    for pos, v in zip(acc, field.normalize_all(acc.values())):
-        flat[pos] = v
-    vals = iter(flat)
-    return Cochain._trusted(field, dim, arity, tuple(zip(*[vals] * dim)))
+    return _from_sparse(field, dim, arity, acc)
 
 
 def bracket_square(phi: Cochain) -> Cochain:
@@ -434,7 +443,8 @@ def mc_cochain_defects(ctx: TwilledContext, theta: Matrix) -> Tuple[Cochain, Coc
     polynomials in theta's entries, of degree 1 and 2, compiled once per
     context and kept on it (``_mc_terms``).  A call evaluates their
     monomials at theta's entries, taken as values of the context's field,
-    and normalises each cochain once."""
+    and normalises the compiled coordinates of each cochain once; every
+    other coordinate is 0."""
     ctx._require_map(theta)
     if ctx._mc_terms is None:
         ctx._mc_terms = _mc_terms(ctx)
@@ -442,7 +452,7 @@ def mc_cochain_defects(ctx: TwilledContext, theta: Matrix) -> Tuple[Cochain, Coc
     monomials, *cochains = ctx._mc_terms
     x = f.normalize_all(chain.from_iterable(theta.entries))
     values = [prod(map(x.__getitem__, mono)) for mono in monomials]
-    return tuple(_from_flat(f, n, 2, _substituted(rows, values, n ** 3)) for rows in cochains)
+    return tuple(_from_sparse(f, n, 2, _substituted(rows, values)) for rows in cochains)
 
 
 def _mc_terms(ctx: TwilledContext) -> tuple:
@@ -480,12 +490,10 @@ def _rows(c: Cochain, index: dict) -> tuple:
     return tuple(rows)
 
 
-def _substituted(rows, values: Sequence, size: int) -> list:
-    """The flat raw coordinates of compiled ``rows`` at the monomial values."""
-    flat = [0] * size
-    for pos, monos, coefs in rows:
-        flat[pos] = sum(map(mul, coefs, map(values.__getitem__, monos)))
-    return flat
+def _substituted(rows, values: Sequence) -> dict:
+    """Flat position -> raw value of each compiled row at the monomial values."""
+    return {pos: sum(map(mul, coefs, map(values.__getitem__, monos)))
+            for pos, monos, coefs in rows}
 
 
 def _lifted_context(K: LinearOperator, rep: Representation, theta: Optional[Matrix] = None):

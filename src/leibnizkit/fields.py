@@ -19,16 +19,41 @@ denominator); the raw arithmetic below expects normalized operands.
 flat accumulator: plain ints are reduced inline, without a method call per
 value; over Q, ``div`` of ints that divide exactly builds no ``Fraction``.
 ``MAX_MODULUS`` bounds the moduli, so primality is decided exactly and fast.
+
+A float or a bool is an outside value like any other: ``normalize`` maps a
+float to the exact rational it equals (so F3 maps 0.5 to 2, and F2 refuses
+it) and a bool to its int.
+
+``fractions`` (and the ``decimal`` and ``numbers`` it imports) is loaded
+only by ``_fraction``, which the code that builds a ``Fraction`` calls:
+``of`` on a non-int over Q, ``parse`` of "n/d", ``inv`` over Q, ``div``
+over Q when the division is not exact, and ``normalize`` of a float.
+Everything else tells a Fraction apart by its ``denominator``, so a check on
+integral data never imports the module.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Optional, Union
+import sys
+from typing import TYPE_CHECKING, Optional, Union
 
 from .errors import DivisionByZero, ParseError
 
-RawScalar = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+RawScalar = Union[int, "Fraction"]
+
+
+def _fraction(*args) -> Fraction:
+    """``fractions.Fraction(*args)``, importing ``fractions`` on the first
+    call.  Later calls find the module in ``sys.modules``: an import
+    statement in a function costs about 1 us each time it runs, which the
+    Fraction paths of a suite pass would pay hundreds of times."""
+    fractions = sys.modules.get("fractions")
+    if fractions is None:
+        import fractions
+    return fractions.Fraction(*args)
 
 
 # Miller-Rabin with the prime bases 2..41 is deterministic below this bound
@@ -87,13 +112,18 @@ class FieldSpec:
         p = self.p
         if type(v) is int:
             return v if p is None else v % p
-        if p is not None:
-            if isinstance(v, Fraction):
-                if v.denominator % p == 0:
-                    raise DivisionByZero(f"denominator of {v} vanishes mod {p}")
-                return v.numerator * pow(v.denominator, -1, p) % p
-            return int(v) % p
-        return v.numerator if isinstance(v, Fraction) and v.denominator == 1 else v
+        # of the values that reach here, a Fraction or a bool has a denominator
+        den = getattr(v, "denominator", None)
+        if den is None:
+            if isinstance(v, float):
+                return self.normalize(_fraction(v))
+            # over Q, a polynomial of ``dgla`` is kept as it is
+            return v if p is None else int(v) % p
+        if p is None:
+            return v.numerator if den == 1 else v
+        if den % p == 0:
+            raise DivisionByZero(f"denominator of {v} vanishes mod {p}")
+        return v.numerator * pow(den, -1, p) % p
 
     def normalize_all(self, values) -> list:
         """``normalize`` of each value, as a list."""
@@ -107,7 +137,7 @@ class FieldSpec:
         if isinstance(v, str):
             return self.parse(v)
         if self.p is None and not isinstance(v, int):
-            v = Fraction(v)
+            v = _fraction(v)
         return self.normalize(v)
 
     def zero(self) -> RawScalar:
@@ -133,7 +163,7 @@ class FieldSpec:
             raise DivisionByZero("inverse of zero")
         if self.p is not None:
             return pow(self.normalize(a), self.p - 2, self.p)
-        return self.normalize(Fraction(1) / Fraction(a))
+        return self.normalize(_fraction(1) / _fraction(a))
 
     def div(self, a: RawScalar, b: RawScalar) -> RawScalar:
         if self.is_zero(b):
@@ -142,7 +172,7 @@ class FieldSpec:
             return a * pow(self.normalize(b), self.p - 2, self.p) % self.p
         if type(a) is type(b) is int and not a % b:
             return a // b
-        return self.normalize(Fraction(a) / Fraction(b))
+        return self.normalize(_fraction(a) / _fraction(b))
 
     def is_zero(self, a: RawScalar) -> bool:
         return a == 0 if self.p is None else self.normalize(a) == 0
@@ -165,17 +195,18 @@ class FieldSpec:
                 return int(k) % self.p
             if "/" in s:
                 num, _, den = s.partition("/")
-                return self.of(Fraction(int(num), int(den)))
+                return self.of(_fraction(int(num), int(den)))
             return self.of(int(s))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad scalar {s!r}: {exc}") from None
 
     def format(self, v: RawScalar) -> str:
+        """The text of a value: "k mod p", or over Q "n" or "n/d" (a
+        normalized Fraction has a denominator other than 1, so ``str``
+        prints it as "n/d")."""
         v = self.normalize(v)
         if self.p is not None:
             return f"{v} mod {self.p}"
-        if isinstance(v, Fraction):
-            return f"{v.numerator}/{v.denominator}"
         return str(v)
 
 

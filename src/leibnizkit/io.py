@@ -20,6 +20,9 @@ the table through one walker, ``_scalars``.
 another kind before building anything, and every reference between objects
 goes through it, so a reference to the wrong kind (a cycle included) is a
 ParseError too.
+
+The file objects of constructed objects are written by ``commands``, whose
+``construct`` is their one user, so a check does not compile them.
 """
 
 from __future__ import annotations
@@ -151,10 +154,6 @@ def parse_field(tag: str) -> FieldSpec:
         except ValueError as exc:
             raise ParseError(f"bad field tag {tag!r}: {exc}") from None
     raise ParseError(f"bad field tag {tag!r}")
-
-
-def _format_matrix(f: FieldSpec, m: Matrix) -> list:
-    return [[f.format(v) for v in row] for row in m.entries]
 
 
 class SpecFile(_Record):
@@ -316,49 +315,3 @@ def canonical_document(spec: SpecFile) -> dict:
 
 def serialize_spec(spec: SpecFile) -> str:
     return json.dumps(canonical_document(spec), sort_keys=True, indent=2) + "\n"
-
-
-# -- emission helpers for constructed objects ----------------------------
-
-
-def algebra_doc(f: FieldSpec, alg: LeibnizAlgebra, verified: bool = True) -> dict:
-    return {
-        "type": "algebra",
-        "dim": alg.dim,
-        "c": [[[f.format(v) for v in vec] for vec in row] for row in alg.c],
-        "verified": verified,
-    }
-
-
-def representation_doc(f: FieldSpec, rep: Representation, algebra_name: str,
-                       verified: bool = True) -> dict:
-    return {
-        "type": "representation",
-        "algebra": algebra_name,
-        "mdim": rep.mdim,
-        "rhoL": [_format_matrix(f, m) for m in rep.rhoL],
-        "rhoR": [_format_matrix(f, m) for m in rep.rhoR],
-        "verified": verified,
-    }
-
-
-def operator_doc(f: FieldSpec, op: LinearOperator) -> dict:
-    return {
-        "type": "operator",
-        "matrix": _format_matrix(f, op.matrix),
-        "domain": op.domain,
-        "codomain": op.codomain,
-    }
-
-
-def kn_doc(f: FieldSpec, kn, algebra_name: str, rep_name: str) -> dict:
-    """The file object of the KN-structure ``kn``."""
-    return {
-        "type": "kn",
-        "algebra": algebra_name,
-        "rep": rep_name,
-        "K": _format_matrix(f, kn.K.matrix),
-        "N": _format_matrix(f, kn.N),
-        "S": _format_matrix(f, kn.S),
-        "mode": kn.mode,
-    }

@@ -1,6 +1,7 @@
 """Kupershmidt, Rota-Baxter and Nijenhuis operators; the sub-adjacent algebra
-on the module, the induced representation, and the lifted sum algebra; pairwise
-compatibility of Kupershmidt operators.
+on the module; pairwise compatibility of Kupershmidt operators.  The induced
+representation and the lifted sum of a Kupershmidt operator are in
+``twilled``, which no operator check loads.
 
 The three operator identities are one image identity
 [T e_i, T e_j] = T(B(e_i, e_j)) for a bilinear map B that depends on T, and
@@ -48,11 +49,10 @@ also runs over polynomial entries.
 What a check derives from (K, rep) is built once and kept on ``rep`` (see
 ``Representation._derived``), after the preconditions of each call have
 run: the module bracket of a map and its halves (``_module_bracket``), the
-Kupershmidt violations with them (``_kupershmidt_core``), the sub-adjacent
-algebra, the induced representation (its algebra is the sub-adjacent one)
-and the lifted sum (``_lift``).  They are tuples and shared objects, which
-no caller changes, and none refers to ``rep`` or its algebra, which may keep
-the table.  The raw-sides functions keep nothing, since ``search`` runs them
+Kupershmidt violations with them (``_kupershmidt_core``) and the
+sub-adjacent algebra.  They are tuples and shared objects, which no caller
+changes, and none refers to ``rep`` or its algebra, which may keep the
+table.  The raw-sides functions keep nothing, since ``search`` runs them
 on polynomial entries.
 """
 
@@ -61,12 +61,7 @@ from __future__ import annotations
 from operator import add
 from typing import Tuple
 
-from .algebras import (
-    LeibnizAlgebra,
-    Representation,
-    _nonzero_entries,
-    check_matched_pair,
-)
+from .algebras import LeibnizAlgebra, Representation, _nonzero_entries
 from .errors import (
     NotCompatible,
     NotKupershmidt,
@@ -315,80 +310,6 @@ def subadjacent_algebra(
         alg.require_leibniz()
         return DendriformPair(_tensor(f, lhd, m), _tensor(f, rhd, m)), alg
     return rep._derived(("subadjacent", as_operator(K).matrix), make)
-
-
-def induced_action(T: Matrix, rep: Representation) -> Tuple[list, list]:
-    """For a map T: module -> algebra, the matrices on the algebra of
-    x -> [T(v_i),x] - T(rhoR(x)v_i) and x -> [x,T(v_i)] - T(rhoL(x)v_i), one
-    pair per module basis vector v_i.  Both families are summed from the
-    structure constants and the action entries into one accumulator each,
-    entry (r, j) of the matrix of v_i at (i * n + r) * n + j, and normalised
-    once."""
-    alg = rep.algebra
-    f, n, m = alg.field, alg.dim, rep.mdim
-    rows, cols = T.entries, tuple(zip(*T.entries))
-    nn = n * n
-    accL, accR = [0] * (m * nn), [0] * (m * nn)
-    for a, b, l, v in alg._entries:
-        for i, t in enumerate(rows[a]):  # [T v_i, e_b]
-            if t:
-                accL[i * nn + l * n + b] += t * v
-        for i, t in enumerate(rows[b]):  # [e_a, T v_i]
-            if t:
-                accR[i * nn + l * n + a] += t * v
-    left, right = rep._entries()
-    for acc, entries in ((accL, right), (accR, left)):
-        for k, s, c, v in entries:  # rho(e_k) v_c = sum_s rho_k[s][c] v_s
-            for r, t in enumerate(cols[s]):
-                if t:
-                    acc[c * nn + r * n + k] -= t * v
-    vrL, vrR = ([Matrix._trusted(f, tuple(flat[(i * n + r) * n:(i * n + r + 1) * n]
-                                          for r in range(n)))
-                 for i in range(m)]
-                for flat in (tuple(f.normalize_all(accL)), tuple(f.normalize_all(accR))))
-    return vrL, vrR
-
-
-def induced_representation(K: LinearOperator, rep: Representation) -> Representation:
-    """The natural action of the sub-adjacent algebra back on the original
-    algebra: vrL(v) x = [K(v),x] - K(rhoR(x)v), vrR(v) x = [x,K(v)] - K(rhoL(x)v);
-    kept on ``rep`` per K."""
-    K = _module_map(K, rep)
-
-    def make():
-        _, subalg = subadjacent_algebra(K, rep)
-        Kmat = K.matrix
-        out = Representation(subalg, *induced_action(Kmat, rep))
-        out.require_representation()
-        # equivariance: K intertwines the sub-adjacent bracket with the induced action
-        unequal = _sides_violations("equivariance", rep.algebra.field,
-                                    *_equivariance_sides(out, Kmat), rep.mdim)
-        if unequal:
-            i, j = unequal[0].index
-            raise NotKupershmidt(f"induced action is not K-equivariant at basis pair ({i},{j})")
-        return out
-    return rep._derived(("induced", K.matrix), make)
-
-
-def _lift(K: LinearOperator, rep: Representation) -> Tuple[Representation, LeibnizAlgebra]:
-    """The induced representation, whose algebra is the sub-adjacent one, and
-    the lifted sum built from it; kept on ``rep`` per K."""
-    K = _module_map(K, rep)
-
-    def make():
-        induced = induced_representation(K, rep)
-        report, twilled = check_matched_pair(rep.algebra, induced.algebra, rep, induced)
-        if twilled is None:
-            raise NotKupershmidt(f"lifted bracket is not Leibniz: {report.summary()}")
-        return induced, twilled
-    return rep._derived(("lift", K.matrix), make)
-
-
-def lifted_algebra(K: LinearOperator, rep: Representation) -> LeibnizAlgebra:
-    """The sum algebra on algebra (+) module induced by a Kupershmidt operator;
-    algebra block first.  Equals the twilled algebra of the original algebra
-    with the sub-adjacent one."""
-    return _lift(K, rep)[1]
 
 
 def check_nijenhuis(N: LinearOperator, alg: LeibnizAlgebra) -> CheckReport:

@@ -21,7 +21,6 @@ from .algebras import (
     check_leibniz,
     check_representation,
     dual_representation,
-    semidirect_sum,
 )
 from .errors import (
     NeitherPairKind,
@@ -51,7 +50,8 @@ from .operators import (
 )
 from .reports import CheckReport, _Record, _sides_violations
 
-# Only an annotation names the twilled context, so a pair check does not load
+# Only an annotation names the twilled context, and ``sum_nijenhuis_on_twilled``
+# imports ``semidirect_sum`` when it runs, so a pair check does not load
 # ``twilled``.
 if TYPE_CHECKING:
     from .twilled import TwilledContext
@@ -485,6 +485,8 @@ def sum_nijenhuis_on_twilled(
     if _perfect_violations(pairNS, ctx.rho1):
         report.notes["perfect-dual-sum"] = "skipped (pair is not perfect)"
         return report
+    from .twilled import semidirect_sum
+
     dual_sum = semidirect_sum(dual_representation(ctx.rho1))
     # module block (dual of g2) first, then g1
     D2 = _block_diag(f, S.transpose(), N)

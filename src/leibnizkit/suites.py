@@ -13,7 +13,6 @@ from .algebras import (
     LeibnizAlgebra,
     Representation,
     check_leibniz,
-    check_matched_pair,
     check_representation,
 )
 from .checks import run_check
@@ -53,7 +52,7 @@ from .pairs import (
 )
 from .reports import _Record
 from .search import mc_solutions_from_linear_layer
-from .twilled import TwilledContext
+from .twilled import TwilledContext, check_matched_pair
 
 
 class SuiteResult(_Record):

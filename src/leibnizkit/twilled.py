@@ -1,21 +1,173 @@
-"""Twilled Leibniz algebras: a sum algebra split into two subalgebras, each
-acting on the other, with the two structure lifts used by the Maurer-Cartan
-machinery.
+"""Sums of Leibniz algebras and twilled Leibniz algebras: the bracket on a
+sum g1 (+) g2 from two brackets and two mutual actions, the semidirect sum
+of a representation, matched pairs, the lift of a Kupershmidt operator (its
+induced representation and the lifted sum, through which an operator
+extends its algebra by the module), and the twilled context: a sum algebra
+split into two subalgebras, each acting on the other, with the two
+structure lifts used by the Maurer-Cartan machinery.
 
 Block convention: the first ``n1`` coordinates are g1, the rest g2.  ``rho1``
 is the action of g1 on g2's space, ``rho2`` the action of g2 on g1's space
 (each indexed by the acting algebra).
+
+Of the checks, only the Maurer-Cartan ones, which read a twilled context,
+load this module: the checks of algebras, representations, operators, pairs
+and forms run none of it, and ``pairs`` imports ``semidirect_sum`` inside
+the one function that sums.  The induced representation and the lift of an
+operator are kept on its representation, as ``operators`` keeps what it
+derives (see ``Representation._derived``).
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
-from .algebras import LeibnizAlgebra, Representation, _sum_bracket
-from .errors import NotLeibniz, ShapeMismatch
-from .linalg import Matrix, Vector
+from .algebras import LeibnizAlgebra, Representation, check_leibniz
+from .errors import FieldMismatch, NotKupershmidt, NotLeibniz, ShapeMismatch
+from .fields import FieldSpec
+from .linalg import LinearOperator, Matrix, Vector
+from .operators import _equivariance_sides, _module_map, subadjacent_algebra
+from .reports import CheckReport, _sides_violations
 
 BilinearTensor = Tuple[Tuple[Vector, ...], ...]
+
+
+def _sum_bracket(f: FieldSpec, c1, c2, act1: Optional[Representation],
+                 act2: Optional[Representation]):
+    """Bracket tensor on g1 (+) g2, g1 block first, from the two bracket
+    tensors and the two mutual actions: ``act1`` of g1 on g2's space, ``act2``
+    of g2 on g1's space, None for the zero action.
+
+    [x, a] = act2R(a) x  (+)  act1L(x) a,   [a, x] = act2L(a) x  (+)  act1R(x) a
+    """
+    n1, n2 = len(c1), len(c2)
+    z1, z2 = (f.zero(),) * n1, (f.zero(),) * n2
+    rows = []
+    for i in range(n1):
+        row = [c1[i][j] + z2 for j in range(n1)]
+        row += [(act2.rhoR[a].col(i) if act2 else z1) + (act1.rhoL[i].col(a) if act1 else z2)
+                for a in range(n2)]
+        rows.append(tuple(row))
+    for a in range(n2):
+        row = [(act2.rhoL[a].col(j) if act2 else z1) + (act1.rhoR[j].col(a) if act1 else z2)
+               for j in range(n1)]
+        row += [z1 + c2[a][b] for b in range(n2)]
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def semidirect_sum(rep: Representation) -> LeibnizAlgebra:
+    """Leibniz structure on module (+) algebra, module coordinates first:
+
+    [w0+x0, w1+x1] = rhoR(x1) w0 + rhoL(x0) w1  (+)  [x0, x1]
+    """
+    rep.require_representation()
+    alg = rep.algebra
+    f = alg.field
+    module = LeibnizAlgebra.abelian(f, rep.mdim)
+    out = LeibnizAlgebra(f, _sum_bracket(f, module.c, alg.c, None, rep))
+    out.require_leibniz()
+    return out
+
+
+def check_matched_pair(
+    g1: LeibnizAlgebra,
+    g2: LeibnizAlgebra,
+    rho1: Representation,
+    rho2: Representation,
+) -> Tuple[CheckReport, Optional[LeibnizAlgebra]]:
+    """Assemble the candidate bracket on g1 (+) g2 from both brackets and both
+    mutual actions, and test the Leibniz identity on the sum.
+
+    ``rho1`` is the action of g1 on g2's space, ``rho2`` the action of g2 on
+    g1's space.  Block order is g1 first.  On success the twilled algebra is
+    returned.
+    """
+    if rho1.algebra is not g1 and rho1.algebra != g1:
+        raise ShapeMismatch("rho1 must be a representation of g1")
+    if rho2.algebra is not g2 and rho2.algebra != g2:
+        raise ShapeMismatch("rho2 must be a representation of g2")
+    if rho1.mdim != g2.dim or rho2.mdim != g1.dim:
+        raise ShapeMismatch("action module dimensions must match the partner algebra")
+    if g1.field != g2.field:
+        raise FieldMismatch("summands must share a field")
+    cand = LeibnizAlgebra(g1.field, _sum_bracket(g1.field, g1.c, g2.c, rho1, rho2))
+    report = cand._leibniz_report = check_leibniz(cand)
+    return report, (cand if report.ok else None)
+
+
+def induced_action(T: Matrix, rep: Representation) -> Tuple[list, list]:
+    """For a map T: module -> algebra, the matrices on the algebra of
+    x -> [T(v_i),x] - T(rhoR(x)v_i) and x -> [x,T(v_i)] - T(rhoL(x)v_i), one
+    pair per module basis vector v_i.  Both families are summed from the
+    structure constants and the action entries into one accumulator each,
+    entry (r, j) of the matrix of v_i at (i * n + r) * n + j, and normalised
+    once."""
+    alg = rep.algebra
+    f, n, m = alg.field, alg.dim, rep.mdim
+    rows, cols = T.entries, tuple(zip(*T.entries))
+    nn = n * n
+    accL, accR = [0] * (m * nn), [0] * (m * nn)
+    for a, b, l, v in alg._entries:
+        for i, t in enumerate(rows[a]):  # [T v_i, e_b]
+            if t:
+                accL[i * nn + l * n + b] += t * v
+        for i, t in enumerate(rows[b]):  # [e_a, T v_i]
+            if t:
+                accR[i * nn + l * n + a] += t * v
+    left, right = rep._entries()
+    for acc, entries in ((accL, right), (accR, left)):
+        for k, s, c, v in entries:  # rho(e_k) v_c = sum_s rho_k[s][c] v_s
+            for r, t in enumerate(cols[s]):
+                if t:
+                    acc[c * nn + r * n + k] -= t * v
+    vrL, vrR = ([Matrix._trusted(f, tuple(flat[(i * n + r) * n:(i * n + r + 1) * n]
+                                          for r in range(n)))
+                 for i in range(m)]
+                for flat in (tuple(f.normalize_all(accL)), tuple(f.normalize_all(accR))))
+    return vrL, vrR
+
+
+def induced_representation(K: LinearOperator, rep: Representation) -> Representation:
+    """The natural action of the sub-adjacent algebra back on the original
+    algebra: vrL(v) x = [K(v),x] - K(rhoR(x)v), vrR(v) x = [x,K(v)] - K(rhoL(x)v);
+    kept on ``rep`` per K."""
+    K = _module_map(K, rep)
+
+    def make():
+        _, subalg = subadjacent_algebra(K, rep)
+        Kmat = K.matrix
+        out = Representation(subalg, *induced_action(Kmat, rep))
+        out.require_representation()
+        # equivariance: K intertwines the sub-adjacent bracket with the induced action
+        unequal = _sides_violations("equivariance", rep.algebra.field,
+                                    *_equivariance_sides(out, Kmat), rep.mdim)
+        if unequal:
+            i, j = unequal[0].index
+            raise NotKupershmidt(f"induced action is not K-equivariant at basis pair ({i},{j})")
+        return out
+    return rep._derived(("induced", K.matrix), make)
+
+
+def _lift(K: LinearOperator, rep: Representation) -> Tuple[Representation, LeibnizAlgebra]:
+    """The induced representation, whose algebra is the sub-adjacent one, and
+    the lifted sum built from it; kept on ``rep`` per K."""
+    K = _module_map(K, rep)
+
+    def make():
+        induced = induced_representation(K, rep)
+        report, twilled = check_matched_pair(rep.algebra, induced.algebra, rep, induced)
+        if twilled is None:
+            raise NotKupershmidt(f"lifted bracket is not Leibniz: {report.summary()}")
+        return induced, twilled
+    return rep._derived(("lift", K.matrix), make)
+
+
+def lifted_algebra(K: LinearOperator, rep: Representation) -> LeibnizAlgebra:
+    """The sum algebra on algebra (+) module induced by a Kupershmidt operator;
+    algebra block first.  Equals the twilled algebra of the original algebra
+    with the sub-adjacent one."""
+    return _lift(K, rep)[1]
 
 
 class TwilledContext:

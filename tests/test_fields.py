@@ -200,3 +200,139 @@ def test_prime_div_is_the_normalised_fraction_quotient(p, data):
     got, want = f.div(a, b), f.normalize(Fraction(a) / Fraction(b))
     assert got == want
     assert type(got) is type(want) is int
+
+
+def test_floats_are_the_exact_rationals_they_equal_and_bools_are_ints():
+    """A float is normalized, in every field, to the rational it equals, not
+    truncated over F_p or kept inexact over Q; a bool to its int."""
+    F2, F3 = prime_field(2), prime_field(3)
+    assert F3.of(0.5) == F3.normalize(0.5) == 2
+    with pytest.raises(DivisionByZero):
+        F2.of(0.5)
+    assert Matrix(F5, [[1, 2], [3, 4]]).scale(0.5) == Matrix(F5, [[3, 1], [4, 2]])
+    tenth = Matrix(Q, [[0.1]]).scale(3).entries[0][0]
+    assert tenth == 3 * Fraction(0.1) and type(tenth) is Fraction
+    assert Q.of(0.5) == Q.normalize(0.5) == Fraction(1, 2)
+    assert Q.normalize(-2.0) == -2 and type(Q.normalize(-2.0)) is int
+    assert Q.format(Q.of(True)) == "1" and Q.format(False) == "0"
+    assert type(Q.normalize(True)) is int and F3.normalize(True) == 1
+    # a polynomial of the Maurer-Cartan compile passes through Q unchanged
+    from leibnizkit.dgla import _Poly
+
+    poly = _Poly({(0,): 1})
+    assert Q.normalize(poly) is poly and Q.normalize_all([poly])[0] is poly
+
+
+class _Reference:
+    """The scalar semantics of ``FieldSpec`` on ints, strings and Fractions
+    as they were while ``fields`` imported ``fractions`` at module level:
+    the reference for the lazy import."""
+
+    def __init__(self, p):
+        self.p = p
+
+    def normalize(self, v):
+        p = self.p
+        if type(v) is int:
+            return v if p is None else v % p
+        if p is not None:
+            if isinstance(v, Fraction):
+                if v.denominator % p == 0:
+                    raise DivisionByZero(f"denominator of {v} vanishes mod {p}")
+                return v.numerator * pow(v.denominator, -1, p) % p
+            return int(v) % p
+        return v.numerator if isinstance(v, Fraction) and v.denominator == 1 else v
+
+    def normalize_all(self, values):
+        return [self.normalize(v) for v in values]
+
+    def of(self, v):
+        if isinstance(v, str):
+            return self.parse(v)
+        if self.p is None and not isinstance(v, int):
+            v = Fraction(v)
+        return self.normalize(v)
+
+    def inv(self, a):
+        if self.is_zero(a):
+            raise DivisionByZero("inverse of zero")
+        if self.p is not None:
+            return pow(self.normalize(a), self.p - 2, self.p)
+        return self.normalize(Fraction(1) / Fraction(a))
+
+    def div(self, a, b):
+        if self.is_zero(b):
+            raise DivisionByZero("division by zero")
+        if self.p is not None:
+            return a * pow(self.normalize(b), self.p - 2, self.p) % self.p
+        if type(a) is type(b) is int and not a % b:
+            return a // b
+        return self.normalize(Fraction(a) / Fraction(b))
+
+    def is_zero(self, a):
+        return a == 0 if self.p is None else self.normalize(a) == 0
+
+    def eq(self, a, b):
+        return self.normalize(a) == self.normalize(b)
+
+    def parse(self, s):
+        s = s.strip()
+        try:
+            if "mod" in s:
+                if self.p is None:
+                    raise ParseError(f"residue scalar {s!r} in a rational context")
+                k, _, p = s.partition("mod")
+                if int(p) != self.p:
+                    raise ParseError(f"scalar {s!r} has modulus {p.strip()}, field is F{self.p}")
+                return int(k) % self.p
+            if "/" in s:
+                num, _, den = s.partition("/")
+                return self.of(Fraction(int(num), int(den)))
+            return self.of(int(s))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"bad scalar {s!r}: {exc}") from None
+
+    def format(self, v):
+        v = self.normalize(v)
+        if self.p is not None:
+            return f"{v} mod {self.p}"
+        if isinstance(v, Fraction):
+            return f"{v.numerator}/{v.denominator}"
+        return str(v)
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, with the type of each value, or the type
+    and text of what it raises."""
+    try:
+        out = fn(*args)
+    except (DivisionByZero, ParseError) as exc:
+        return type(exc), str(exc)
+    return out, [type(v) for v in out] if isinstance(out, list) else type(out)
+
+
+_ints = st.integers(-10 ** 6, 10 ** 6)
+# denominators 1 to 30: 1 itself, and multiples of 2, 3 and 5, which vanish mod p
+_fractions = st.one_of(st.builds(Fraction, st.integers(-60, 60), st.integers(1, 30)),
+                       _ints.map(Fraction))
+_strings = st.one_of(
+    _ints.map(str),
+    st.tuples(st.integers(-60, 60), st.integers(-6, 30)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.tuples(st.integers(-9, 9), st.sampled_from((2, 3, 5, 7))).map(
+        lambda t: f" {t[0]} mod {t[1]}"),
+    st.text(" 0123456789/-modx", max_size=8),
+)
+_raw = st.one_of(_ints, _fractions)
+
+
+@given(p=st.sampled_from((2, 3, 5, None)), a=_raw, b=_raw, s=_strings,
+       values=st.lists(_raw, max_size=6))
+@example(p=2, a=Fraction(1, 2), b=Fraction(4, 1), s="1/2", values=[Fraction(3, 4)])
+@example(p=None, a=Fraction(6, 3), b=Fraction(1, 3), s="4/2", values=[Fraction(-4, 1)])
+@settings(max_examples=300)
+def test_scalar_semantics_on_ints_strings_and_fractions_are_unchanged(p, a, b, s, values):
+    f, ref = FieldSpec(p), _Reference(p)
+    for name, args in (("normalize", (a,)), ("normalize_all", (values,)), ("of", (a,)),
+                       ("of", (s,)), ("parse", (s,)), ("format", (a,)), ("inv", (a,)),
+                       ("div", (a, b)), ("is_zero", (a,)), ("eq", (a, b))):
+        assert _outcome(getattr(f, name), *args) == _outcome(getattr(ref, name), *args), name

@@ -17,9 +17,8 @@ CATALOG_DIR = SRC / "catalog"
 
 # Every name the package exports, by defining module.
 EXPORTED = {
-    "algebras": ["LeibnizAlgebra", "Representation", "check_leibniz", "check_matched_pair",
-                 "check_representation", "dual_representation", "regular_representation",
-                 "semidirect_sum"],
+    "algebras": ["LeibnizAlgebra", "Representation", "check_leibniz", "check_representation",
+                 "dual_representation", "regular_representation"],
     "dgla": ["Cochain", "balavoine_bracket", "bracket_square", "check_maurer_cartan",
              "coboundary", "dgla_bracket", "dual_kn_from_mc", "mc_from_dual_kn", "theta_twist",
              "tilde_varrho_bracket"],
@@ -31,8 +30,8 @@ EXPORTED = {
                "solve_linear"],
     "operators": ["DendriformPair", "as_operator", "check_compatible",
                   "check_kupershmidt", "check_nijenhuis", "check_nk_condition",
-                  "check_rota_baxter", "deformed_bracket", "induced_representation",
-                  "lifted_algebra", "nijenhuis_from_compatible", "subadjacent_algebra"],
+                  "check_rota_baxter", "deformed_bracket", "nijenhuis_from_compatible",
+                  "subadjacent_algebra"],
     "oracles": ["oracle_eval"],
     "pairs": ["DeformationTriple", "KNStructure", "OperatorPair", "check_dual_nijenhuis_pair",
               "check_kn_structure", "check_nijenhuis_pair", "check_perfect_pair",
@@ -42,21 +41,29 @@ EXPORTED = {
     "reports": ["CheckReport", "Violation"],
     "search": ["SearchSpec", "enumerate_bn_pairs", "enumerate_operators",
                "mc_solutions_from_linear_layer", "random_instance", "solve_mc_linear_layer"],
-    "twilled": ["TwilledContext"],
+    "twilled": ["TwilledContext", "check_matched_pair", "induced_representation",
+                "lifted_algebra", "semidirect_sum"],
 }
 ALL_NAMES = sorted(name for names in EXPORTED.values() for name in names)
 
 # Modules a `check` never needs at import time.
 HEAVY = ("search", "suites", "oracles", "dgla", "forms", "pairs")
 
-# Beyond HEAVY, what a check-path module leaves to the functions that need it:
-# cli.py everything only construct, search and suite run (their handlers are
-# in ``commands``); checks.py and io.py the operator module, which only the
-# operator checks run.
+# Beyond HEAVY, what a module that checks load leaves to the functions that
+# need it: cli.py everything only construct, search and suite run (their
+# handlers are in ``commands``); checks.py and io.py the operator module,
+# which only the operator checks run; fields.py ``fractions`` and the
+# ``decimal`` and ``numbers`` it imports, which only a Fraction needs; the
+# operator, pair and form modules the sums and lifts of ``twilled``, which
+# no check of theirs runs.
 LAZY_AT_IMPORT = {
     "cli.py": ("algebras", "catalog", "commands", "linalg", "operators", "twilled"),
     "checks.py": ("operators",),
     "io.py": ("operators",),
+    "fields.py": ("fractions", "decimal", "numbers"),
+    "operators.py": ("twilled",),
+    "pairs.py": ("twilled",),
+    "forms.py": ("twilled",),
 }
 
 
@@ -127,6 +134,27 @@ def test_check_rota_baxter_loads_no_search_suites_or_oracles():
                                      "rota-baxter"))
     assert "checks" in loaded
     assert loaded.isdisjoint({"search", "suites", "oracles"})
+
+
+_FRACTION_MODULES = {"fractions", "decimal", "numbers"}
+
+
+@pytest.mark.parametrize("entry,args,builds_a_fraction", [
+    ("abelian1", ("alg", "leibniz"), False),
+    ("l2", ("R", "kupershmidt", "--rep", "regular"), False),
+    ("l2", ("kn_dual", "kn-structure"), False),
+    ("l2", ("R32", "rota-baxter"), True),
+])
+def test_check_loads_fractions_only_when_it_builds_one(entry, args, builds_a_fraction):
+    """A check on integral data never imports ``fractions`` (nor the
+    ``decimal`` and ``numbers`` that it imports); one on a file that holds
+    "n/d" scalars does."""
+    imported = _imported_by(_cli_code("check", str(CATALOG_DIR / f"{entry}.json"), *args))
+    assert "leibnizkit.checks" in imported
+    if builds_a_fraction:
+        assert _FRACTION_MODULES <= imported
+    else:
+        assert imported.isdisjoint(_FRACTION_MODULES)
 
 
 @pytest.mark.parametrize("entry,obj,check", [("abelian1", "alg", "leibniz"),
@@ -233,12 +261,16 @@ def test_cli_run_as_main_is_not_imported_again():
 
 def _import_time_imports(path: Path) -> set:
     """Modules a source file imports when it is itself imported: every import
-    statement outside a function body."""
+    statement outside a function body and outside an ``if TYPE_CHECKING:``
+    block, which only a type checker runs."""
     found = set()
 
     def visit(node):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.If) and getattr(child.test, "id", None) == "TYPE_CHECKING":
+                visit(ast.Module(body=child.orelse, type_ignores=[]))
                 continue
             if isinstance(child, ast.ImportFrom) and child.module is None:
                 found.update("." * child.level + alias.name for alias in child.names)
@@ -252,12 +284,24 @@ def _import_time_imports(path: Path) -> set:
     return found
 
 
-@pytest.mark.parametrize("filename", ["__init__.py", "cli.py", "checks.py", "io.py"])
+def test_import_time_imports_skip_functions_and_type_checking_blocks(tmp_path):
+    source = tmp_path / "snippet.py"
+    source.write_text("from typing import TYPE_CHECKING\nimport json\n"
+                      "if TYPE_CHECKING:\n    from fractions import Fraction\n"
+                      "else:\n    import decimal\n"
+                      "def f():\n    from .twilled import semidirect_sum\n")
+    assert _import_time_imports(source) == {"typing", "json", "decimal"}
+
+
+@pytest.mark.parametrize("filename", ["__init__.py", "cli.py", "checks.py", "io.py", "fields.py",
+                                      "operators.py", "pairs.py", "forms.py"])
 def test_check_path_modules_import_nothing_heavy_at_import_time(filename):
-    """The modules every `check` process loads import the heavy modules only
-    inside the functions that use them."""
+    """The modules that `check` processes load import the heavy modules, and
+    what ``LAZY_AT_IMPORT`` lists, only inside the functions that use them or
+    for a type checker."""
     imported = _import_time_imports(SRC / filename)
     lazy = HEAVY + LAZY_AT_IMPORT.get(filename, ())
+    assert imported.isdisjoint(lazy)
     assert imported.isdisjoint(f".{name}" for name in lazy)
     assert imported.isdisjoint(f"leibnizkit.{name}" for name in lazy)
 

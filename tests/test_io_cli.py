@@ -10,20 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leibnizkit.algebras import (
-    Representation,
-    check_matched_pair,
-    dual_representation,
-    regular_representation,
-    semidirect_sum,
-)
+from leibnizkit.algebras import Representation, dual_representation, regular_representation
 from leibnizkit.catalog import catalog_names, load_catalog
 from leibnizkit.checks import _resolve_rep, run_check
 from leibnizkit.cli import CONSTRUCTIONS
 from leibnizkit.errors import BROKEN_PIPE, INTERRUPTED, ParseError
 from leibnizkit.io import load_spec, parse_spec, serialize_spec
-from leibnizkit.operators import deformed_bracket, lifted_algebra
+from leibnizkit.operators import deformed_bracket
 from leibnizkit.pairs import dual_kn_from_compatible
+from leibnizkit.twilled import check_matched_pair, lifted_algebra, semidirect_sum
 
 CATALOG_DIR = Path(__file__).resolve().parent.parent / "src" / "leibnizkit" / "catalog"
 _L2 = str(CATALOG_DIR / "l2.json")

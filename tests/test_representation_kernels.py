@@ -50,7 +50,6 @@ from leibnizkit.catalog import load_catalog
 from leibnizkit.errors import DivisionByZero
 from leibnizkit.fields import prime_field
 from leibnizkit.linalg import _flat, is_invertible, mat_inverse
-from leibnizkit.operators import induced_action
 from leibnizkit.oracles import (
     eval_dual_nijenhuis_pair,
     eval_kupershmidt,
@@ -60,6 +59,7 @@ from leibnizkit.oracles import (
     eval_representation,
 )
 from leibnizkit.suites import _operator_locality
+from leibnizkit.twilled import induced_action
 from oracle_helpers import agree, invertible, moved, random_matrix, tally
 
 SRC = Path(leibnizkit.__file__).resolve().parent
@@ -360,7 +360,7 @@ def test_deformation_report_matches_dense_formula(f, monkeypatch):
 
 _DENSE_CALLS = {"mat_mul", "lin_comb", "actL", "actR"}
 _ENTRY_KERNELS = (("algebras.py", "check_representation"), ("operators.py", "_dendriform"),
-                  ("operators.py", "induced_action"), ("pairs.py", "_pair_identity"),
+                  ("twilled.py", "induced_action"), ("pairs.py", "_pair_identity"),
                   ("pairs.py", "_deformed_action"))
 
 

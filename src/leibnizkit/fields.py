@@ -20,14 +20,16 @@ flat accumulator: plain ints are reduced inline, without a method call per
 value; over Q, ``div`` of ints that divide exactly builds no ``Fraction``.
 ``MAX_MODULUS`` bounds the moduli, so primality is decided exactly and fast.
 
-A float or a bool is an outside value like any other: ``normalize`` maps a
-float to the exact rational it equals (so F3 maps 0.5 to 2, and F2 refuses
-it) and a bool to its int.
+A float, a Decimal or a bool is an outside value like any other:
+``normalize`` maps a value with an exact ``as_integer_ratio`` (a float or a
+Decimal) to the rational it equals (so F3 maps 0.5 to 2, and F2 refuses it),
+and a bool to its int.  A NaN or an infinity raises as ``Fraction`` does.
 
 ``fractions`` (and the ``decimal`` and ``numbers`` it imports) is loaded
 only by ``_fraction``, which the code that builds a ``Fraction`` calls:
 ``of`` on a non-int over Q, ``parse`` of "n/d", ``inv`` over Q, ``div``
-over Q when the division is not exact, and ``normalize`` of a float.
+over Q when the division is not exact, and ``normalize`` of a float or a
+Decimal.
 Everything else tells a Fraction apart by its ``denominator``, so a check on
 integral data never imports the module.
 """
@@ -115,7 +117,8 @@ class FieldSpec:
         # of the values that reach here, a Fraction or a bool has a denominator
         den = getattr(v, "denominator", None)
         if den is None:
-            if isinstance(v, float):
+            # a float or a Decimal is the exact rational it equals
+            if getattr(v, "as_integer_ratio", None) is not None:
                 return self.normalize(_fraction(v))
             # over Q, a polynomial of ``dgla`` is kept as it is
             return v if p is None else int(v) % p

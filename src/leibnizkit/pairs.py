@@ -3,12 +3,18 @@ module endomorphism, the trivial deformations they generate, the hat/tilde
 representations, and KN-structures (a Kupershmidt operator interlocked with a
 pair through NK = KS and the agreement of the two deformed module brackets).
 
-The pair identities are sums X rho(W e_i) Y over the action entries:
-``_action_sums`` returns them as two raw accumulators, one for the rhoL
-family and one for the rhoR family, with the m x m block of algebra basis
-element e_i at i m^2.  The identities compare each family on its own through
-``reports._sides_violations`` on basis elements; ``_deformed_action``
-normalises the blocks into matrices.
+The identities are sums X rho(W e_i) Y over the action entries, kept as two
+raw accumulators, one for the rhoL family and one for the rhoR family, with
+the m x m block of algebra basis element e_i at i m^2, and compared family by
+family through ``reports._sides_violations`` on basis elements.
+``_pair_sides`` sums both sides of the (dual) Nijenhuis-pair identities,
+which every pair, KN, hat/tilde and transfer check runs, in one pass over
+each family's entries, with S^2 summed raw from S and each sparse row or
+column built once; it builds no matrix and touches entries only through +,
+-, * and truth tests, so N and S may hold polynomial unknowns
+(``dgla._Poly``).  ``_action_sums`` sums the rest from (W, X, Y) terms: the
+perfect-pair identity, the equivalence of ``deformation_from_pair`` and the
+hat and tilde families, which ``_deformed_action`` normalises into matrices.
 """
 
 from __future__ import annotations
@@ -82,25 +88,68 @@ def _pair_report(pair: OperatorPair, rep: Representation, name: str, dual: bool)
 
 
 def _pair_identity(pair: OperatorPair, rep: Representation, name: str, dual: bool):
-    """Violations of, for every algebra basis element y = e_i and both action
-    families rho, with D = rho(y)S - S rho(y):
+    """Violations of the pair identities of ``_pair_sides``, named
+    ``<name>-left`` for rhoL and ``<name>-right`` for rhoR, indexed by the
+    algebra basis element."""
+    N, S = pair.N.matrix, pair.S.matrix
+    return [v for side, sides in zip(("left", "right"), _pair_sides(N, S, rep, dual))
+            for v in _sides_violations(f"{name}-{side}", S.field, *sides, rep.algebra.dim, 1)]
+
+
+def _pair_sides(N: Matrix, S: Matrix, rep: Representation, dual: bool):
+    """The raw sides of, for every algebra basis element y = e_i and both
+    action families rho, with D = rho(y)S - S rho(y):
 
     rho(N y) S = S rho(N y) + S D          (Nijenhuis pair)
     rho(N y) S = S rho(N y) + D S          (dual-Nijenhuis pair)
 
     where rho(N e_i) = sum_k N[k][i] rho_k, S D = S rho S - S^2 rho and
-    D S = rho S^2 - S rho S, all summed from the action entries."""
-    N, S = pair.N.matrix, pair.S.matrix
+    D S = rho S^2 - S rho S: one (lhs, rhs) for rhoL, then one for rhoR, the
+    m x m block of e_i, row-major, at i m^2.  One pass over the action
+    entries sums every term: entry (k, r, t, v) of rho_k adds N[k][i] v S[t][b]
+    at (r, b) and N[k][i] S[a][r] v at (a, t) of the block of e_i, and the
+    terms in S rho_k S and S^2 to the block of e_k.  S^2 is summed raw, so the
+    entries of N and S may be polynomial unknowns."""
     n, m = rep.algebra.dim, rep.mdim
-    one, S2 = Matrix.identity(S.field, m), S * S
-    lhs = _action_sums(rep, [(N.entries, one, S)])
-    rhs = [(N.entries, S, one)]
-    if dual:
-        rhs += [(_diag(1, n), one, S2), (_diag(-1, n), S, S)]
-    else:
-        rhs += [(_diag(1, n), S, S), (_diag(-1, n), S2, one)]
-    return [v for side, lhs_f, rhs_f in zip(("left", "right"), lhs, _action_sums(rep, rhs))
-            for v in _sides_violations(f"{name}-{side}", S.field, lhs_f, rhs_f, n, 1)]
+    mm, s = m * m, S.entries
+    n_rows = [[(i, w) for i, w in enumerate(row) if w] for row in N.entries]
+    s_rows = [[(b, y) for b, y in enumerate(row) if y] for row in s]
+    s_cols = [[(a, x) for a, x in enumerate(col) if x] for col in zip(*s)]
+    s2 = [[0] * m for _ in range(m)]
+    for a, row in enumerate(s_rows):
+        for c, x in row:
+            for b, y in s_rows[c]:
+                s2[a][b] += x * y
+    # S rho_k S enters with sign +1 (pair) or -1 (dual pair); S^2 rho_k with
+    # -1 through S^2's columns, or rho_k S^2 with +1 through its rows.
+    sign = -1 if dual else 1
+    s2_line = [[(c, z) for c, z in enumerate(line) if z] for line in (s2 if dual else zip(*s2))]
+    sides = []
+    for entries in rep._entries():
+        lhs, rhs = [0] * (n * mm), [0] * (n * mm)
+        for k, r, t, v in entries:
+            for i, w in n_rows[k]:
+                wv, base = w * v, i * mm
+                at = base + r * m
+                for b, y in s_rows[t]:
+                    lhs[at + b] += wv * y
+                at = base + t
+                for a, x in s_cols[r]:
+                    rhs[at + a * m] += wv * x
+            base = k * mm
+            for a, x in s_cols[r]:
+                svx, at = sign * v * x, base + a * m
+                for b, y in s_rows[t]:
+                    rhs[at + b] += svx * y
+            if dual:
+                at = base + r * m
+                for b, z in s2_line[t]:
+                    rhs[at + b] += v * z
+            else:
+                for a, z in s2_line[r]:
+                    rhs[base + a * m + t] -= v * z
+        sides.append((lhs, rhs))
+    return sides
 
 
 def _diag(c, n: int):

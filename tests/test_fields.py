@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -221,6 +222,30 @@ def test_floats_are_the_exact_rationals_they_equal_and_bools_are_ints():
 
     poly = _Poly({(0,): 1})
     assert Q.normalize(poly) is poly and Q.normalize_all([poly])[0] is poly
+
+
+def test_decimals_are_the_exact_rationals_they_equal():
+    """A Decimal, like a float, is normalized in every field to the rational
+    it equals: F3 maps 0.5 to 2 (not to int(0.5) = 0), F2 refuses it, and Q
+    stores a Fraction or an int, not the Decimal.  A Decimal NaN or infinity
+    raises what a float one raises."""
+    F2, F3 = prime_field(2), prime_field(3)
+    half = Decimal("0.5")
+    assert F3.of(half) == F3.normalize(half) == 2
+    assert F7.normalize(Decimal("-1.25")) == F7.normalize(Fraction(-5, 4)) == 4
+    with pytest.raises(DivisionByZero):
+        F2.of(half)
+    assert Q.normalize(half) == Q.of(half) == Fraction(1, 2)
+    assert type(Q.normalize(half)) is Fraction
+    assert Q.normalize(Decimal("3.00")) == 3 and type(Q.normalize(Decimal("3.00"))) is int
+    stored = Matrix(Q, [[half]]).entries[0][0]
+    assert stored == Fraction(1, 2) and type(stored) is Fraction
+    assert Matrix(F3, [[half, Decimal(2)]]) == Matrix(F3, [[2, 2]])
+    for field in (Q, F3):
+        for bad, error in ((Decimal("NaN"), ValueError), (float("nan"), ValueError),
+                           (Decimal("Infinity"), OverflowError), (float("-inf"), OverflowError)):
+            with pytest.raises(error):
+                field.normalize(bad)
 
 
 class _Reference:

@@ -5,7 +5,8 @@ violation tuples; and what no oracle covers against its dense formula: the
 hat and tilde actions of a pair, the induced action of a map from the module
 to the algebra, the locality part theta([y,z]) = rhoL(y) theta z +
 rhoR(z) theta y of the Maurer-Cartan equation, and the deformation report of
-a pair.
+a pair; and the raw pair sides over polynomial unknowns against their
+numeric values.
 
 The representations are the catalog's, carried into each field and moved by
 transport of structure: for invertible P on the algebra and Q on the module,
@@ -17,7 +18,7 @@ n + 1), and zero representations on modules of dimension 0 and 1.  Operators mov
 along (K -> P^-1 K Q, N -> P^-1 N P, S -> Q^-1 S Q), so that some inputs
 pass; perturbed action matrices and random operators make most of them
 fail, so that the violations' sides are compared and not only the verdicts.
-The last test keeps the five kernels on the cached action entries."""
+The last test keeps the six kernels on the cached action entries."""
 
 import ast
 import random
@@ -47,6 +48,7 @@ from leibnizkit import (
     regular_representation,
 )
 from leibnizkit.catalog import load_catalog
+from leibnizkit.dgla import _Poly
 from leibnizkit.errors import DivisionByZero
 from leibnizkit.fields import prime_field
 from leibnizkit.linalg import _flat, is_invertible, mat_inverse
@@ -358,10 +360,69 @@ def test_deformation_report_matches_dense_formula(f, monkeypatch):
     assert True in verdicts and verdicts.count(False) >= 10
 
 
+def unknowns(f, rows, cols, start):
+    """The rows x cols matrix of the unknowns start, start + 1, ...,
+    row-major."""
+    return Matrix._trusted(f, tuple(tuple(_Poly({(start + r * cols + c,): 1}) for c in range(cols))
+                                    for r in range(rows)))
+
+
+def evaluated(f, values, x):
+    """Each raw value, a polynomial in the unknowns or a constant, at the
+    point x, normalised."""
+    out = []
+    for v in values:
+        if isinstance(v, dict):
+            total = 0
+            for mono, c in v.items():
+                for i in mono:
+                    c = c * x[i]
+                total += c
+            v = total
+        out.append(f.normalize(v))
+    return out
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=str)
+def test_pair_sides_run_over_polynomial_unknowns(f):
+    """With N and S made of polynomial unknowns, the pair and dual-pair sides
+    on l2's regular and dual representations and on a transported case with
+    a trivial summand are polynomials whose residues lhs - rhs, evaluated at
+    20 random points, are the normalised numeric differences there; on the
+    regular representation they vanish at (N23, 0) and at (I, I)."""
+    rng = random.Random(f"pair-sides-{f}")
+    spec = load_catalog()["l2"].spec
+    regular = regular_representation(LeibnizAlgebra(f, spec.build("alg").c))
+    reps = [regular, dual_representation(regular),
+            next(rep for rep, _, _ in field_cases(f, rng) if rep.mdim == rep.algebra.dim + 1)]
+    for rep in reps:
+        n, m = rep.algebra.dim, rep.mdim
+        N, S = unknowns(f, n, n, 0), unknowns(f, m, m, n * n)
+        points = [(random_matrix(rng, f, n, n), random_matrix(rng, f, m, m)) for _ in range(20)]
+        if rep is regular:
+            points += [(Matrix(f, spec.build("N23").matrix.entries), Matrix.zeros(f, m, m)),
+                       (Matrix.identity(f, n), Matrix.identity(f, m))]
+        for dual in (False, True):
+            residues = [a - b for lhs, rhs in pairs_module._pair_sides(N, S, rep, dual)
+                        for a, b in zip(lhs, rhs)]
+            assert any(isinstance(r, _Poly) and r for r in residues)
+            for at, (Nx, Sx) in enumerate(points):
+                numeric = [v for lhs, rhs in pairs_module._pair_sides(Nx, Sx, rep, dual)
+                           for v in f.normalize_all([a - b for a, b in zip(lhs, rhs)])]
+                got = evaluated(f, residues, _flat(Nx) + _flat(Sx))
+                assert got == numeric
+                if at >= 20:
+                    assert not any(got)
+
+
 _DENSE_CALLS = {"mat_mul", "lin_comb", "actL", "actR"}
 _ENTRY_KERNELS = (("algebras.py", "check_representation"), ("operators.py", "_dendriform"),
                   ("twilled.py", "induced_action"), ("pairs.py", "_pair_identity"),
-                  ("pairs.py", "_deformed_action"))
+                  ("pairs.py", "_pair_sides"), ("pairs.py", "_deformed_action"))
+# The pair identities sum their one pass themselves: no identity matrix, no
+# diagonal weights and no second summation kernel.
+_PAIR_KERNELS = ("_pair_identity", "_pair_sides")
+_PAIR_FORBIDDEN = {"identity", "_action_sums", "_diag"}
 
 
 def _called(tree):
@@ -372,17 +433,21 @@ def _called(tree):
 
 
 def test_representation_kernels_read_the_action_entries():
-    """check_representation, _dendriform, induced_action, _pair_identity and
-    _deformed_action build no action matrix or dense product per basis
-    element: their bodies call none of mat_mul, lin_comb, actL and actR.
-    Matrix.commutator, which only the old check_representation called, is
-    gone."""
+    """check_representation, _dendriform, induced_action, _pair_identity,
+    _pair_sides and _deformed_action build no action matrix or dense product
+    per basis element: their bodies call none of mat_mul, lin_comb, actL and
+    actR.  _pair_identity and _pair_sides call none of Matrix.identity,
+    _action_sums and _diag either.  Matrix.commutator, which only the old
+    check_representation called, is gone."""
     assert _called(ast.parse("rep.actL(x); mat_mul(a, b)")) >= {"actL", "mat_mul"}
-    found = {}
+    found, pair_calls = {}, {}
     for module, name in _ENTRY_KERNELS:
         tree = ast.parse((SRC / module).read_text())
         body = next(node for node in tree.body
                     if isinstance(node, ast.FunctionDef) and node.name == name)
         found[name] = sorted(_called(body) & _DENSE_CALLS)
+        if name in _PAIR_KERNELS:
+            pair_calls[name] = sorted(_called(body) & _PAIR_FORBIDDEN)
     assert found == {name: [] for _, name in _ENTRY_KERNELS}
+    assert pair_calls == {name: [] for name in _PAIR_KERNELS}
     assert not hasattr(Matrix, "commutator")

@@ -27,9 +27,11 @@ nobody holds is freed at once, with everything it keeps, and never waits for
 a cyclic collection.  A representation is an algebra and an ``_Action``: the
 action matrices and what is derived from them, which refers to no algebra.
 The action keeps its report, its dual's action and, in a table of at most
-``_DERIVED_CAP`` entries (the oldest dropped first), what ``operators``,
-``twilled``, ``pairs`` and ``dgla`` derive from it and an operator or a
-pair.  An algebra keeps the action of its regular representation, not the
+``_DERIVED_CAP`` entries (the oldest dropped first, by ``_keep``), what
+``operators``, ``twilled``, ``pairs`` and ``dgla`` derive from it and an
+operator or a pair.  An algebra keeps its Leibniz report, the Nijenhuis and
+Rota-Baxter violations of the operators checked on it, in a table bounded
+the same way, and the action of its regular representation, not the
 representation, and
 ``regular_representation`` and ``dual_representation`` hand out a new
 representation over the kept action on each call, so equal calls return
@@ -58,9 +60,22 @@ def _nonzero_entries(c: Sequence[Sequence[Sequence]]) -> Tuple[tuple, ...]:
                  for k, v in enumerate(vec) if v)
 
 
-# The most structures a representation keeps derived from it and an operator
-# or a pair; the oldest is dropped to make room.
+# The most structures an algebra or a representation keeps derived from it
+# and an operator or a pair; the oldest is dropped to make room.
 _DERIVED_CAP = 64
+
+
+def _keep(table: dict, key: tuple, make: Callable):
+    """The value kept in ``table`` under ``key``, made by ``make()`` and kept
+    on first use, after the oldest entry is dropped if the table holds
+    ``_DERIVED_CAP``; a ``make`` that raises keeps nothing."""
+    if key in table:
+        return table[key]
+    value = make()
+    if len(table) >= _DERIVED_CAP:
+        del table[next(iter(table))]
+    table[key] = value
+    return value
 
 
 class LeibnizAlgebra:
@@ -68,11 +83,13 @@ class LeibnizAlgebra:
 
     Kept by the algebra, built on first use: its nonzero structure constants
     (``_entries``, on construction), the report of ``check_leibniz``
-    (``_leibniz_report``) and the ``_Action`` of its regular representation
-    (``_regular``), which refers to no algebra, so the algebra sits in no
-    reference cycle."""
+    (``_leibniz_report``), the ``_Action`` of its regular representation
+    (``_regular``), and the table ``_kept`` of the Nijenhuis and Rota-Baxter
+    violations of each operator checked on it (``operators``), keyed by kind
+    and matrix and bounded like a representation's.  None of it refers to
+    an algebra, so the algebra sits in no reference cycle."""
 
-    __slots__ = ("field", "dim", "c", "_entries", "_leibniz_report", "_regular")
+    __slots__ = ("field", "dim", "c", "_entries", "_leibniz_report", "_regular", "_kept")
 
     def __init__(self, field: FieldSpec, c: Sequence[Sequence[Sequence]]):
         n = len(c)
@@ -89,6 +106,7 @@ class LeibnizAlgebra:
         self._entries = _nonzero_entries(c_norm)
         self._leibniz_report: Optional[CheckReport] = None
         self._regular: Optional[_Action] = None
+        self._kept: dict = {}
 
     @staticmethod
     def abelian(field: FieldSpec, dim: int) -> "LeibnizAlgebra":
@@ -128,6 +146,12 @@ class LeibnizAlgebra:
     def right_mult(self, j: int) -> Matrix:
         """Matrix of x -> [x, e_j]."""
         return Matrix._trusted(self.field, tuple(zip(*(row[j] for row in self.c))))
+
+    def _derived(self, key: tuple, make: Callable):
+        """The value kept under ``key``, made by ``make()`` on first use, as
+        ``Representation._derived`` keeps it; it must not refer to this
+        algebra."""
+        return _keep(self._kept, key, make)
 
     @property
     def is_leibniz(self) -> bool:
@@ -206,8 +230,9 @@ class Representation:
     derived from the representation and an operator or a pair, keyed by kind
     and operand: the module bracket of a map and the Kupershmidt verdict,
     sub-adjacent algebra, induced representation, lift and lifted twilled
-    context of an operator (``operators``, ``twilled``, ``dgla``), and the
-    hat and tilde representations of a pair (``pairs``).  It holds at most
+    context of an operator (``operators``, ``twilled``, ``dgla``), the
+    compatibility verdict of two operators (``operators``), and the hat and
+    tilde representations of a pair (``pairs``).  It holds at most
     ``_DERIVED_CAP`` entries and drops the oldest to make room, so checking
     many operators on one long-lived representation keeps memory bounded; a
     dropped entry is built again when asked for.  Nothing kept refers to
@@ -265,14 +290,7 @@ class Representation:
         use; a ``make`` that raises keeps nothing.  The kept value is shared
         by every caller, so it must not be changed, and it must not refer to
         this representation or its algebra."""
-        kept = self._action.kept
-        if key in kept:
-            return kept[key]
-        value = make()
-        if len(kept) >= _DERIVED_CAP:
-            del kept[next(iter(kept))]
-        kept[key] = value
-        return value
+        return _keep(self._action.kept, key, make)
 
     def actL(self, x: Sequence) -> Matrix:
         """Action matrix of the algebra vector x from the left; kept as a dense

@@ -49,9 +49,12 @@ also runs over polynomial entries.
 What a check derives from (K, rep) is built once and kept on ``rep`` (see
 ``Representation._derived``), after the preconditions of each call have
 run: the module bracket of a map and its halves (``_module_bracket``), the
-Kupershmidt violations with them (``_kupershmidt_core``) and the
-sub-adjacent algebra.  They are tuples and shared objects, which no caller
-changes, and none refers to ``rep`` or its algebra, which may keep the
+Kupershmidt violations with them (``_kupershmidt_core``), the sub-adjacent
+algebra and the compatibility verdict of (K1, K2).  The Nijenhuis and
+Rota-Baxter violations of an operator are kept on the algebra it is checked
+on (``LeibnizAlgebra._derived``).  Each check builds a fresh report from the
+kept tuple.  What is kept is tuples and shared objects, which no caller
+changes, and none refers to ``rep`` or an algebra, which may keep the
 table.  The raw-sides functions keep nothing, since ``search`` runs them
 on polynomial entries.
 """
@@ -312,13 +315,25 @@ def subadjacent_algebra(
     return rep._derived(("subadjacent", as_operator(K).matrix), make)
 
 
-def check_nijenhuis(N: LinearOperator, alg: LeibnizAlgebra) -> CheckReport:
-    """[N(x),N(y)] = N([N(x),y] + [x,N(y)] - N[x,y]) on all basis pairs."""
+def _endomorphism(T: LinearOperator, alg: LeibnizAlgebra, shape_error: str) -> Matrix:
+    """The matrix of T, after the preconditions of a Nijenhuis or
+    Rota-Baxter operator: ``alg`` Leibniz and T an endomorphism of it over
+    its field."""
     alg.require_leibniz()
-    N = as_operator(N)
-    if N.matrix.rows != alg.dim or N.matrix.cols != alg.dim:
-        raise ShapeMismatch("Nijenhuis candidate must be an endomorphism of the algebra")
-    return CheckReport.build(_image_violations("nijenhuis", N.matrix, _twist_sides(alg, N.matrix)))
+    T = as_operator(T).matrix
+    if T.rows != alg.dim or T.cols != alg.dim:
+        raise ShapeMismatch(shape_error)
+    if T.field != alg.field:
+        raise ShapeMismatch("operator and algebra fields differ")
+    return T
+
+
+def check_nijenhuis(N: LinearOperator, alg: LeibnizAlgebra) -> CheckReport:
+    """[N(x),N(y)] = N([N(x),y] + [x,N(y)] - N[x,y]) on all basis pairs;
+    the violations are kept on ``alg`` per N."""
+    N = _endomorphism(N, alg, "Nijenhuis candidate must be an endomorphism of the algebra")
+    return CheckReport.build(alg._derived(("nijenhuis", N), lambda: tuple(
+        _image_violations("nijenhuis", N, _twist_sides(alg, N)))))
 
 
 def deformed_bracket(N: LinearOperator, alg: LeibnizAlgebra) -> LeibnizAlgebra:
@@ -332,13 +347,11 @@ def deformed_bracket(N: LinearOperator, alg: LeibnizAlgebra) -> LeibnizAlgebra:
 
 
 def check_rota_baxter(R: LinearOperator, alg: LeibnizAlgebra) -> CheckReport:
-    """Weight-zero condition [R(x),R(y)] = R([R(x),y] + [x,R(y)]) on basis pairs."""
-    alg.require_leibniz()
-    R = as_operator(R)
-    if R.matrix.rows != alg.dim or R.matrix.cols != alg.dim:
-        raise ShapeMismatch("Rota-Baxter candidate must be an endomorphism")
-    sides = _twist_sides(alg, R.matrix, weight=False)
-    return CheckReport.build(_image_violations("rota-baxter", R.matrix, sides))
+    """Weight-zero condition [R(x),R(y)] = R([R(x),y] + [x,R(y)]) on basis
+    pairs; the violations are kept on ``alg`` per R."""
+    R = _endomorphism(R, alg, "Rota-Baxter candidate must be an endomorphism")
+    return CheckReport.build(alg._derived(("rota-baxter", R), lambda: tuple(
+        _image_violations("rota-baxter", R, _twist_sides(alg, R, weight=False)))))
 
 
 _COMPAT_SAMPLES = ((1, 1), (2, -1), ("1/2", 3))
@@ -352,34 +365,40 @@ def check_compatible(
     [K1 w, K2 v] + [K2 w, K1 v] =
         K1(rhoL(K2 w)v + rhoR(K2 v)w) + K2(rhoL(K1 w)v + rhoR(K1 v)w)
 
-    On success, also spot-checks that sampled linear combinations are again
+    On success, also checks that sampled linear combinations are again
     Kupershmidt (samples whose coefficients do not embed in the field are
-    skipped).
+    skipped).  The samples add no evidence: the Kupershmidt residue R is
+    homogeneous quadratic in K, R(aK1 + bK2) = a^2 R(K1) + b^2 R(K2) +
+    ab M(K1, K2) with M the mixed identity, so once K1 and K2 are Kupershmidt
+    and M vanishes every combination is Kupershmidt.  They cross-check the
+    mixed-identity kernel against the Kupershmidt one.  The violations and
+    notes are kept on ``rep`` per (K1, K2).
     """
     K1, K2 = as_operator(K1), as_operator(K2)
     sub1, _ = _require_kupershmidt(K1, rep)
     sub2, _ = _require_kupershmidt(K2, rep)
-    alg = rep.algebra
-    f = alg.field
     A, B = K1.matrix, K2.matrix
-    lhs = list(map(add, _images(alg, A, B), _images(alg, B, A)))
-    rhs = list(map(add, _applied(A, sub2), _applied(B, sub1)))
-    report = CheckReport.build(_sides_violations("compatible", f, lhs, rhs, rep.mdim))
-    if not report.ok:
-        return report
-    notes = {}
-    for n1, n2 in _COMPAT_SAMPLES:
-        try:
-            a, b = f.of(n1), f.of(n2)
-        except ParseError:
-            notes[f"sample-{n1},{n2}"] = "skipped (coefficients not in field)"
-            continue
-        comb = A.scale(a) + B.scale(b)
-        sub = check_kupershmidt(LinearOperator(comb, K1.domain, K1.codomain), rep)
-        if not sub.ok:
-            report = report.merged(sub.prefixed(f"combination-{n1},{n2}"))
-    report.notes.update(notes)
-    return report
+
+    def make():
+        alg = rep.algebra
+        f = alg.field
+        lhs = list(map(add, _images(alg, A, B), _images(alg, B, A)))
+        rhs = list(map(add, _applied(A, sub2), _applied(B, sub1)))
+        violations = _sides_violations("compatible", f, lhs, rhs, rep.mdim)
+        notes = {}
+        if violations:
+            return tuple(violations), notes
+        for n1, n2 in _COMPAT_SAMPLES:
+            try:
+                a, b = f.of(n1), f.of(n2)
+            except ParseError:
+                notes[f"sample-{n1},{n2}"] = "skipped (coefficients not in field)"
+                continue
+            comb = A.scale(a) + B.scale(b)
+            sub = check_kupershmidt(LinearOperator(comb, K1.domain, K1.codomain), rep)
+            violations += sub.prefixed(f"combination-{n1},{n2}").violations
+        return tuple(violations), notes
+    return CheckReport.build(*rep._derived(("compatible", A, B), make))
 
 
 def check_nk_condition(

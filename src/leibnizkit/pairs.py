@@ -83,6 +83,8 @@ def _pair_report(pair: OperatorPair, rep: Representation, name: str, dual: bool)
     N, S = pair.N.matrix, pair.S.matrix
     if not (N.rows == N.cols == rep.algebra.dim and S.rows == S.cols == rep.mdim):
         raise ShapeMismatch("pair shapes do not match the representation")
+    if N.field != rep.field or S.field != rep.field:
+        raise ShapeMismatch("operator and algebra fields differ")
     violations = list(check_nijenhuis(pair.N, rep.algebra).violations)
     return CheckReport.build(violations + _pair_identity(pair, rep, name, dual))
 

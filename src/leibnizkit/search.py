@@ -205,15 +205,16 @@ def _block_matrices(f: FieldSpec, cuts: List[List[slice]], flats: List[tuple]) -
 
 def _predicate_fn(spec: SearchSpec) -> Callable[[Sequence[int]], bool]:
     """Compile the predicate into a kernel on flat residue tuples (the
-    candidate's entries).  The row's check runs once on the zero blocks
-    first, so shape, representation, context and non-Leibniz errors are
-    raised exactly as by the check, before any candidate."""
+    candidate's entries).  A structure over another field is refused first;
+    then the row's check runs once on the zero blocks, so shape,
+    representation, context and non-Leibniz errors are raised exactly as by
+    the check, before any candidate."""
     blocks, structure = _blocks(spec), _structure(spec)
-    PREDICATES[spec.predicate].check(
-        *(Matrix.zeros(spec.field, rows, cols) for _, rows, cols in blocks), structure)
     if structure.field != spec.field:
         raise ShapeMismatch(
             f"search field {spec.field} differs from the structure's field {structure.field}")
+    PREDICATES[spec.predicate].check(
+        *(Matrix.zeros(spec.field, rows, cols) for _, rows, cols in blocks), structure)
     X = tuple(_Poly({(i,): 1}) for i in range(sum(rows * cols for _, rows, cols in blocks)))
     return _kernel(spec.field.p, [r for side in _sides(spec, X) for r in _residues(*side)])
 

@@ -1,7 +1,8 @@
 """Structures derived from an object are built once and kept by that object
-(``Representation._derived``, and the ``_Action`` of a regular or dual
-representation that ``LeibnizAlgebra._regular`` and ``_Action.dual`` keep):
-keeping them changes no answer, the table of a representation stays
+(``Representation._derived`` and ``LeibnizAlgebra._derived``, and the
+``_Action`` of a regular or dual representation that
+``LeibnizAlgebra._regular`` and ``_Action.dual`` keep): keeping them
+changes no answer, the tables of an algebra and of a representation stay
 bounded, nothing is kept per process, so equal objects built apart, two
 loaded catalogs among them, share no derived object, and nothing kept refers
 back to its owner, so a dropped catalog leaves no cyclic garbage."""
@@ -24,8 +25,11 @@ from leibnizkit import (
     RATIONALS as Q,
     Representation,
     as_operator,
+    check_compatible,
     check_kn_structure,
     check_kupershmidt,
+    check_nijenhuis,
+    check_rota_baxter,
     dual_representation,
     hat_tilde_representations,
     induced_representation,
@@ -33,7 +37,7 @@ from leibnizkit import (
     prime_field,
     regular_representation,
 )
-from leibnizkit import cli
+from leibnizkit import cli, operators
 from leibnizkit.algebras import _DERIVED_CAP, _Action
 from leibnizkit.catalog import _catalog_dir, load_catalog
 from leibnizkit.dgla import Cochain
@@ -44,12 +48,14 @@ from leibnizkit.suites import run_suites
 from leibnizkit.twilled import TwilledContext
 
 FIELDS = (prime_field(2), prime_field(3), Q)
-# l2 ([e1,e0] = [e1,e1] = e0), its one-bracket variant, which is not
-# Leibniz, and solv2 ([e0,e1] = -[e1,e0] = e0)
+# l2 ([e1,e0] = [e1,e1] = e0), its one-bracket variant, solv2
+# ([e0,e1] = -[e1,e0] = e0), and an algebra that is not Leibniz over any
+# field ([e0,e0] = e1, [e0,e1] = e0)
 ALGEBRAS = {
     "l2": {(1, 0): [1, 0], (1, 1): [1, 0]},
     "l2_single": {(1, 0): [1, 0]},
     "solv2": {(0, 1): [1, 0], (1, 0): [-1, 0]},
+    "not_leibniz": {(0, 0): [0, 1], (0, 1): [1, 0]},
 }
 # l2's catalog operators with integer entries, R, R2 and E01 (regular) and
 # Bsharp, NBsharp (dual), are Kupershmidt over Q, and so is 0; the identity
@@ -77,6 +83,16 @@ FUNCTIONS = {
     **{f"_hat_tilde{flags}": lambda o, flags=flags: _hat_tilde(o["kn"].pair, o["rep"], *flags)
        for flags in ((True, False), (False, True), (True, True))},
     "check_kn_structure": lambda o: check_kn_structure(o["kn"], o["rep"]),
+    # the verdicts kept on the algebra, and the compatibility verdict kept
+    # on the representation, with S and with E01 (Kupershmidt on l2's
+    # regular representation, and not compatible with R there)
+    "check_nijenhuis": lambda o: check_nijenhuis(o["kn"].pair.N, o["alg"]),
+    "check_rota_baxter": lambda o: check_rota_baxter(o["K"], o["alg"]),
+    "check_nijenhuis of K": lambda o: check_nijenhuis(o["K"], o["alg"]),
+    "check_rota_baxter of N": lambda o: check_rota_baxter(o["kn"].pair.N, o["alg"]),
+    "check_compatible": lambda o: check_compatible(o["K"], o["kn"].pair.S, o["rep"]),
+    "check_compatible with E01": lambda o: check_compatible(
+        o["K"], Matrix(o["alg"].field, OPERATORS["regular"][2]), o["rep"]),
     # the same on the representations the algebra keeps the actions of: each
     # call asks for them again, after the last call's were dropped
     "check_kupershmidt on the regular": lambda o: check_kupershmidt(
@@ -167,6 +183,71 @@ def test_the_cases_pass_and_fail():
     assert outcomes["_hat_tilde(False, True)"][0][:2] == ("raised", "NotRepresentation")
 
 
+def test_the_kept_verdicts_pass_and_fail():
+    """The Nijenhuis, Rota-Baxter and compatibility checks in ``FUNCTIONS``
+    each see a passing verdict, a failing one and a failed precondition."""
+    cases = [
+        (Q, "l2", "regular", OPERATORS["regular"][0], PAIRS[1], "kn"),
+        (Q, "l2", "regular", OPERATORS["regular"][3], PAIRS[3], "kn"),
+        (Q, "not_leibniz", "regular", OPERATORS["regular"][4], PAIRS[2], "kn"),
+        (prime_field(2), "l2", "regular", ((0, 1), (0, 1)), PAIRS[2], "kn"),
+        (Q, "l2", "regular", OPERATORS["regular"][4], PAIRS[2], "kn"),
+    ]
+    names = ["check_nijenhuis", "check_rota_baxter", "check_compatible with E01"]
+    seen = {name: set() for name in names}
+    for case in cases:
+        outcomes = _warm_and_cold(case, sorted(FUNCTIONS))
+        for name in names:
+            warm, cold = outcomes[name]
+            assert warm == cold, name
+            seen[name].add(warm[1] if warm[0] == "report" else warm[0])
+    assert all(kinds == {True, False, "raised"} for kinds in seen.values()), seen
+    # over F2 the sample coefficient 1/2 is skipped, and the kept note says so
+    warm, cold = _warm_and_cold(cases[3], sorted(FUNCTIONS))["check_compatible"]
+    assert warm == cold and warm[3] == {"sample-1/2,3": "skipped (coefficients not in field)"}
+
+
+def test_a_second_check_reads_the_kept_verdict(monkeypatch):
+    """A second Nijenhuis or Rota-Baxter check of one operator on one
+    algebra, and a second compatibility check of one pair on one
+    representation, compute no identity again."""
+    alg = LeibnizAlgebra.from_brackets(Q, 2, ALGEBRAS["l2"])
+    rep = regular_representation(alg)
+    R, E = (as_operator(Matrix(Q, k)) for k in OPERATORS["regular"][::2][:2])
+    P = as_operator(Matrix(Q, [[1, 0], [0, 0]]))  # not Nijenhuis on l2
+    calls = Counter()
+    for name in ("_twist_sides", "_images"):
+        def counted(*args, _name=name, _fn=getattr(operators, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(operators, name, counted)
+    first = [check_nijenhuis(P, alg), check_rota_baxter(R, alg), check_compatible(R, E, rep)]
+    assert calls["_twist_sides"] == 2 and calls["_images"] > 0
+    made = Counter(calls)
+    again = [check_nijenhuis(P, alg), check_rota_baxter(R, alg), check_compatible(R, E, rep)]
+    assert calls == made
+    assert again == first and all(a is not b for a, b in zip(again, first))
+    assert [report.ok for report in first] == [False, True, False]
+    # another operator is checked afresh
+    assert check_nijenhuis(R, alg).ok
+    assert calls["_twist_sides"] == 3
+
+
+def test_the_table_on_an_algebra_stays_bounded():
+    """Checking more operators than the cap on one algebra keeps at most
+    the cap; an operator whose verdict was dropped is checked again, with
+    the same verdict."""
+    alg = LeibnizAlgebra.from_brackets(Q, 2, ALGEBRAS["l2"])
+    operators = [as_operator(Matrix(Q, [[0, a], [0, -a]])) for a in range(_DERIVED_CAP + 50)]
+    for R in operators:
+        assert check_rota_baxter(R, alg).ok
+        assert len(alg._kept) <= _DERIVED_CAP
+    first = operators[0].matrix
+    assert ("rota-baxter", first) not in alg._kept
+    assert check_rota_baxter(operators[0], alg).ok
+    assert ("rota-baxter", first) in alg._kept
+
+
 def test_the_table_on_a_representation_stays_bounded():
     """Checking more operators than the cap on one representation keeps at
     most the cap; an operator whose entries were dropped is checked again,
@@ -198,6 +279,44 @@ def test_a_call_that_raises_keeps_nothing():
         except LeibnizKitError as exc:
             errors.append((type(exc).__name__, str(exc)))
     assert len(errors) == 2 and errors[0] == errors[1] and errors[0][0] == "NotKupershmidt"
+    assert rep._action.kept == kept
+
+
+def _raised_twice(fn) -> tuple:
+    """The kind and text of the error that ``fn()`` raises, the same on two
+    calls."""
+    errors = []
+    for _ in range(2):
+        try:
+            fn()
+        except LeibnizKitError as exc:
+            errors.append((type(exc).__name__, str(exc)))
+    assert len(errors) == 2 and errors[0] == errors[1]
+    return errors[0]
+
+
+def test_a_kept_verdict_is_kept_only_once_its_preconditions_hold():
+    """A Nijenhuis or Rota-Baxter check on a non-Leibniz algebra, or of an
+    operator over another field, and a compatibility check of an operator
+    that is not Kupershmidt, raise on every call and keep nothing."""
+    skew = LeibnizAlgebra.from_brackets(Q, 2, ALGEBRAS["not_leibniz"])
+    zero = as_operator(Matrix.zeros(Q, 2, 2))
+    for check in (check_nijenhuis, check_rota_baxter):
+        assert _raised_twice(lambda: check(zero, skew))[0] == "NotLeibniz"
+    assert skew._kept == {}
+    alg = LeibnizAlgebra.from_brackets(Q, 2, ALGEBRAS["l2"])
+    over_f3 = as_operator(Matrix.identity(prime_field(3), 2))
+    for check in (check_nijenhuis, check_rota_baxter):
+        assert _raised_twice(lambda: check(over_f3, alg)) == (
+            "ShapeMismatch", "operator and algebra fields differ")
+    assert alg._kept == {}
+    rep = regular_representation(alg)
+    identity, R = as_operator(Matrix.identity(Q, 2)), as_operator(Matrix(Q, OPERATORS["regular"][0]))
+    check_kupershmidt(identity, rep)
+    check_kupershmidt(R, rep)
+    kept = dict(rep._action.kept)
+    for pair in ((identity, R), (R, identity)):
+        assert _raised_twice(lambda: check_compatible(*pair, rep))[0] == "NotKupershmidt"
     assert rep._action.kept == kept
 
 
@@ -333,6 +452,18 @@ def test_two_loaded_catalogs_share_no_derived_object():
     # each call hands out a new representation over the one kept action
     assert regular_representation(alg_a) == regular_representation(alg_a)
     assert regular_representation(alg_a)._action is regular_representation(alg_a)._action
+
+
+def test_a_suite_pass_evicts_nothing():
+    """After every suite on a freshly loaded catalog, each table that an
+    algebra or an action reachable from the catalog keeps holds fewer than
+    ``_DERIVED_CAP`` entries, so none dropped an entry during the pass."""
+    catalog = load_catalog()
+    assert all(result.ok for result in run_suites(catalog))
+    objects = _derived_objects(catalog).values()
+    tables = [obj.kept for obj in objects if isinstance(obj, _Action)]
+    tables += [obj._kept for obj in objects if isinstance(obj, LeibnizAlgebra)]
+    assert any(tables) and max(map(len, tables)) < _DERIVED_CAP
 
 
 def test_what_is_kept_does_not_keep_the_representations_handed_out():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import add, sub
 
 import pytest
 
@@ -25,8 +26,14 @@ from leibnizkit import (
     semidirect_sum,
     subadjacent_algebra,
 )
-from leibnizkit.errors import NotKupershmidt, Singular
-from leibnizkit.operators import LinearOperator
+from leibnizkit.errors import NotKupershmidt, ShapeMismatch, Singular
+from leibnizkit.operators import (
+    LinearOperator,
+    _applied,
+    _dendriform,
+    _images,
+    _kupershmidt_sides,
+)
 
 from conftest import nij_matrix, rb_matrix
 
@@ -169,6 +176,12 @@ def test_rota_baxter_fails_on_rejected_variant(l2_single):
     assert not check_rota_baxter(as_operator(rb_matrix(1)), l2_single).ok
 
 
+@pytest.mark.parametrize("check", [check_nijenhuis, check_rota_baxter])
+def test_operator_field_must_be_the_algebra_field(l2, check):
+    with pytest.raises(ShapeMismatch, match="^operator and algebra fields differ$"):
+        check(as_operator(Matrix.identity(prime_field(3), 2)), l2)
+
+
 def test_rota_baxter_is_regular_kupershmidt(l2, l2_regular):
     """The two code paths agree on every input."""
     rng = random.Random(9)
@@ -214,6 +227,30 @@ def test_compatible_requires_kupershmidt(l2_regular):
     with pytest.raises(NotKupershmidt):
         check_compatible(as_operator(Matrix.identity(Q, 2)),
                          as_operator(rb_matrix(1)), l2_regular)
+
+
+def test_kupershmidt_residue_is_quadratic(l2_regular, l2_dual):
+    """R(aA + bB) = a^2 R(A) + b^2 R(B) + ab M(A, B) on raw residues, R the
+    Kupershmidt residue and M the mixed identity of ``check_compatible``,
+    for random A, B, a and b: so the combinations ``check_compatible``
+    samples add no evidence once A and B are Kupershmidt and M vanishes."""
+    rng = random.Random(11)
+
+    def residue(T, rep):
+        return list(map(sub, *_kupershmidt_sides(T, rep)))
+
+    for rep in (l2_regular, l2_dual):
+        alg = rep.algebra
+        for _ in range(20):
+            A, B = (Matrix(Q, [[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)])
+                    for _ in range(2))
+            a, b = (Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2))
+            bracket_A, bracket_B = (list(map(add, *_dendriform(T, rep))) for T in (A, B))
+            mixed = map(sub, map(add, _images(alg, A, B), _images(alg, B, A)),
+                        map(add, _applied(A, bracket_B), _applied(B, bracket_A)))
+            expected = [a * a * x + b * b * y + a * b * z
+                        for x, y, z in zip(residue(A, rep), residue(B, rep), mixed)]
+            assert residue(A.scale(a) + B.scale(b), rep) == expected
 
 
 def test_nk_condition(l2_regular):

@@ -24,6 +24,7 @@ from leibnizkit import (
     kn_to_dual_kn,
     make_kn,
     make_pair,
+    prime_field,
     sum_nijenhuis_on_twilled,
 )
 from leibnizkit.errors import (
@@ -59,6 +60,17 @@ def test_pair_shapes_must_match_the_representation(l2_regular, check):
     for N, S in [(Matrix.identity(Q, 3), I2()), (I2(), Matrix.zeros(Q, 2, 3))]:
         with pytest.raises(ShapeMismatch,
                            match="^pair shapes do not match the representation$"):
+            check(make_pair(N, S), l2_regular)
+
+
+@pytest.mark.parametrize("check", [check_nijenhuis_pair, check_dual_nijenhuis_pair,
+                                   check_perfect_pair])
+def test_pair_fields_must_be_the_representation_field(l2_regular, check):
+    """An operator over F3 in a pair checked on a representation over Q is
+    refused, whether it is N or S."""
+    F3 = prime_field(3)
+    for N, S in [(I2(), Matrix.identity(F3, 2).scale(F3.of(2))), (Matrix.identity(F3, 2), I2())]:
+        with pytest.raises(ShapeMismatch, match="^operator and algebra fields differ$"):
             check(make_pair(N, S), l2_regular)
 
 

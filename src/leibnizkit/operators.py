@@ -338,10 +338,13 @@ def check_nijenhuis(N: LinearOperator, alg: LeibnizAlgebra) -> CheckReport:
 
 def deformed_bracket(N: LinearOperator, alg: LeibnizAlgebra) -> LeibnizAlgebra:
     """[x,y]_N = [Nx,y] + [x,Ny] - N[x,y]; a Leibniz algebra whenever N is
-    Nijenhuis (the tensor itself is defined for any N)."""
+    Nijenhuis (the tensor itself is defined for any N over the algebra's
+    field, Leibniz or not)."""
     N = as_operator(N)
     if N.matrix.rows != alg.dim or N.matrix.cols != alg.dim:
         raise ShapeMismatch("deforming endomorphism must be square")
+    if N.field != alg.field:
+        raise ShapeMismatch("operator and algebra fields differ")
     f = alg.field
     return LeibnizAlgebra(f, _tensor(f, _twist(alg.dim, alg._entries, N.matrix), alg.dim))
 

@@ -29,6 +29,7 @@ from .algebras import (
     dual_representation,
 )
 from .errors import (
+    FieldMismatch,
     NeitherPairKind,
     NotCompatible,
     NotDualKN,
@@ -64,11 +65,14 @@ if TYPE_CHECKING:
 
 
 class OperatorPair(_Record):
-    """(N, S): N an endomorphism of the algebra, S of the module; immutable."""
+    """(N, S): N an endomorphism of the algebra, S of the module, over one
+    field (FieldMismatch otherwise); immutable."""
 
     __slots__ = ("N", "S")
 
     def __init__(self, N: LinearOperator, S: LinearOperator):
+        if N.field != S.field:
+            raise FieldMismatch(f"{N.field} vs {S.field}")
         self.N = N
         self.S = S
 
@@ -83,7 +87,7 @@ def _pair_report(pair: OperatorPair, rep: Representation, name: str, dual: bool)
     N, S = pair.N.matrix, pair.S.matrix
     if not (N.rows == N.cols == rep.algebra.dim and S.rows == S.cols == rep.mdim):
         raise ShapeMismatch("pair shapes do not match the representation")
-    if N.field != rep.field or S.field != rep.field:
+    if N.field != rep.field:  # the pair already holds S over N's field
         raise ShapeMismatch("operator and algebra fields differ")
     violations = list(check_nijenhuis(pair.N, rep.algebra).violations)
     return CheckReport.build(violations + _pair_identity(pair, rep, name, dual))

@@ -13,21 +13,25 @@ which also compiles the graded Maurer-Cartan route) the raw sides (of the
 kernels in ``operators``, ``dgla`` and ``forms``) give the residues lhs -
 rhs, with raw field values (ints, or Fractions over Q) as coefficients;
 this module reads no structure constants or action data itself.  A search
-reduces them once to sparse equations over F_p, compiled into one
-straight-line function ``holds(x)`` that tests them in turn on the flat
-candidate and returns False at the first that does not vanish.  It filters
-the candidates through ``holds`` in lexicographic order, in the calling
-thread, then through the invertible blocks, decided once per distinct block.
-Every hit is confirmed against the check's own identity statement, up to
-``_BLOCK`` hits at once: the raw sides run on blocks of ``_Lanes``, one
-value per hit, and a hit whose lane of some lhs - rhs is nonzero mod p stops
-the search with ``SearchMismatch``; a plain constant coordinate of lhs - rhs
-is tested once.  No ``_Poly`` or ``_Lanes`` operation changes an operand, so
-one with the constant 0 (for + and -) or 1 or -1 (for *) returns its
-operand, or its negation, instead of a copy; nearly half the operations of
-the check kernels are of that kind.  The linear layers (the linear
-Maurer-Cartan equations, invariant skew and closed symmetric forms) are
-solved exactly, over any field, from the same kind of residues.
+reduces them once to sparse equations over F_p: an equation that is one
+monomial in one variable forces that variable to 0, and the forced zeros
+are set in the other equations until no new one appears.  They compile into
+one straight-line function ``holds(x)`` on the flat candidate, whose entries
+are residues in [0, p): it tests each forced variable first, then the other
+equations in turn, and returns False at the first that does not vanish.  It
+filters the candidates through ``holds`` in lexicographic order, in the
+calling thread, then through the invertible blocks, decided once per
+distinct block.  Every hit is confirmed against the check's own identity
+statement, up to ``_BLOCK`` hits at once: the raw sides run on blocks of
+``_Lanes``, one value per hit, and a hit whose lane of some lhs - rhs is
+nonzero mod p stops the search with ``SearchMismatch``; a plain constant
+coordinate of lhs - rhs is tested once.  No ``_Poly`` or ``_Lanes``
+operation changes an operand, so one with the constant 0 (for + and -) or
+1 or -1 (for *) returns its operand, or its negation, instead of a copy;
+nearly half the operations of the check kernels are of that kind.  The
+linear layers (the linear Maurer-Cartan equations, invariant skew and
+closed symmetric forms) are solved exactly, over any field, from the same
+kind of residues.
 """
 
 from __future__ import annotations
@@ -358,12 +362,13 @@ def _residues(lhs, rhs) -> List[dict]:
 
 
 def _kernel(p: int, residues: Iterable[dict]) -> Callable[[Sequence[int]], bool]:
-    """The predicate "every residue vanishes mod p" on a flat residue tuple
-    ``x`` (the candidate's entries), compiled once from the source that
-    ``_kernel_source`` generates: one straight-line ``holds(x)`` with one
-    ``if (...) % p: return False`` per equation, so a candidate stops at the
-    first nonzero residue.  The source holds only integer literals, ``x[i]``,
-    ``+``, ``*`` and ``%``, and runs without builtins.
+    """The predicate "every residue vanishes mod p" on a flat tuple ``x`` of
+    residues in [0, p) (the candidate's entries), compiled once from the
+    source that ``_kernel_source`` generates: one straight-line
+    ``holds(x)`` with one ``if x[v]: return False`` per forced zero, then
+    one ``if (...) % p: return False`` per other equation, so a candidate
+    stops at the first nonzero residue.  The source holds only integer
+    literals, ``x[i]``, ``+``, ``*`` and ``%``, and runs without builtins.
 
     Size bound: CPython 3.11 compiles a flat sum of 2,000 terms but raises
     RecursionError at 3,000.  A Nijenhuis residue has about 3.6 n^2 terms
@@ -374,18 +379,38 @@ def _kernel(p: int, residues: Iterable[dict]) -> Callable[[Sequence[int]], bool]
     return namespace["holds"]
 
 
-def _kernel_source(p: int, residues: Iterable[dict]) -> str:
-    """Reduce the residues mod p to sparse int equations, each scaled to
-    leading coefficient 1 and kept once, ordered by their highest variable,
-    and render them as the source of ``holds(x)``."""
-    equations = {}
+def _equations(p: int, residues: Iterable[dict]) -> Tuple[dict, set]:
+    """The residues reduced mod p to sparse int equations, each scaled to
+    leading coefficient 1 and kept once (the keys of a dict), and the
+    variables that an equation of one monomial in one variable forces to 0."""
+    equations, forced = {}, set()
     for poly in residues:
         terms = sorted((mono, c % p) for mono, c in poly.items() if c % p)
         if terms:
             scale = pow(terms[0][1], p - 2, p)
             equations[tuple((mono, c * scale % p) for mono, c in terms)] = None
+            if len(terms) == 1 and len(set(terms[0][0])) == 1:
+                forced.add(terms[0][0][0])
+    return equations, forced
+
+
+def _kernel_source(p: int, residues: Iterable[dict]) -> str:
+    """Reduce the residues mod p to equations (``_equations``), set every
+    forced variable to 0 in the others and reduce them again until no new
+    one is forced, and render the source of ``holds(x)``: first one
+    ``if x[v]: return False`` per forced variable, in variable order, then
+    one ``if (...) % p: return False`` per other equation, ordered by its
+    highest variable.  The forced test is exact on residues in [0, p),
+    since F_p has no zero divisors.  A system that forces no variable
+    compiles to one ``if (...) % p`` line per distinct equation."""
+    equations, forced = _equations(p, residues)
+    zeros = set()
+    while forced:
+        zeros |= forced
+        equations, forced = _equations(p, ({mono: c for mono, c in eq if zeros.isdisjoint(mono)}
+                                            for eq in equations))
     ordered = sorted(equations, key=lambda eq: max((v for mono, _ in eq for v in mono), default=-1))
-    lines = ["def holds(x):"]
+    lines = ["def holds(x):"] + [f"    if x[{v}]: return False" for v in sorted(zeros)]
     for eq in ordered:
         terms = []
         for mono, c in eq:

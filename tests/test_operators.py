@@ -142,6 +142,15 @@ def test_deformed_bracket_value(l2):
     assert check_leibniz(d).ok
 
 
+def test_deformed_bracket_refuses_an_operator_over_another_field(l2, l2_single):
+    """2I over F3 is -I there, not the 2I of Q that the tensor would read
+    its entries as; the refusal holds on a non-Leibniz algebra too."""
+    F3 = prime_field(3)
+    for alg in (l2, l2_single):
+        with pytest.raises(ShapeMismatch, match="^operator and algebra fields differ$"):
+            deformed_bracket(as_operator(Matrix.identity(F3, 2).scale(F3.of(2))), alg)
+
+
 def test_nijenhuis_deformation_morphism(l2):
     """N is a morphism from the deformed bracket to the original bracket."""
     rng = random.Random(4)

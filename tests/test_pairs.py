@@ -28,6 +28,7 @@ from leibnizkit import (
     sum_nijenhuis_on_twilled,
 )
 from leibnizkit.errors import (
+    FieldMismatch,
     NeitherPairKind,
     NotNijenhuisPair,
     PairCheckFailed,
@@ -36,6 +37,7 @@ from leibnizkit.errors import (
 )
 from leibnizkit.forms import form_sharp_matrix, BilinearForm
 from leibnizkit.operators import LinearOperator
+from leibnizkit.pairs import OperatorPair
 from leibnizkit.twilled import TwilledContext
 
 from conftest import nij_matrix, rb_matrix
@@ -66,12 +68,24 @@ def test_pair_shapes_must_match_the_representation(l2_regular, check):
 @pytest.mark.parametrize("check", [check_nijenhuis_pair, check_dual_nijenhuis_pair,
                                    check_perfect_pair])
 def test_pair_fields_must_be_the_representation_field(l2_regular, check):
-    """An operator over F3 in a pair checked on a representation over Q is
-    refused, whether it is N or S."""
+    """A pair over F3 checked on a representation over Q is refused."""
     F3 = prime_field(3)
-    for N, S in [(I2(), Matrix.identity(F3, 2).scale(F3.of(2))), (Matrix.identity(F3, 2), I2())]:
+    I3 = Matrix.identity(F3, 2)
+    for N, S in [(I3, I3.scale(F3.of(2))), (I3.scale(F3.of(2)), I3)]:
         with pytest.raises(ShapeMismatch, match="^operator and algebra fields differ$"):
             check(make_pair(N, S), l2_regular)
+
+
+def test_a_pair_over_two_fields_is_refused_when_built():
+    """N and S over different fields raise FieldMismatch, naming N's field
+    first, whether the pair is built by make_pair or directly."""
+    F3 = prime_field(3)
+    I3 = Matrix.identity(F3, 2)
+    with pytest.raises(FieldMismatch, match="^Q vs F3$"):
+        make_pair(I2(), I3.scale(F3.of(2)))
+    with pytest.raises(FieldMismatch, match="^F3 vs Q$"):
+        OperatorPair(LinearOperator(I3), LinearOperator(I2()))
+    assert make_pair(I3, I3.scale(F3.of(2))).S.field == F3
 
 
 def test_zero_module_part(l2_regular):

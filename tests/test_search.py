@@ -533,6 +533,66 @@ def test_generated_predicate_edge_systems(p):
     assert [holds(x) for x in points] == [_vanish(p, copies, x) for x in points]
 
 
+# Explicit systems in x0, x1, x2 for the reduction of forced zeros: (name,
+# residues at p, the lines of holds between its first and last, at p).
+_REDUCED_SYSTEMS = [
+    # x0^2 forces x0; then x0*x1 + x1^2 is x1^2 and forces x1
+    ("chain", lambda p: [{(0, 0): 1}, {(0, 1): 1, (1, 1): 1}],
+     lambda p: ["    if x[0]: return False", "    if x[1]: return False"]),
+    # x0 forced, then x0 + 1 is the constant 1: no point holds
+    ("constant", lambda p: [{(0, 0): p - 1}, {(0,): 1, (): 1}],
+     lambda p: ["    if x[0]: return False", f"    if (1) % {p}: return False"]),
+    # one monomial in two variables forces neither; x2 is forced first
+    ("two-variable monomial",
+     lambda p: [{(0, 2): 3 * p + 1}, {(2, 2): 1, (0, 1): p}, {(0, 1): p - 1}],
+     lambda p: ["    if x[2]: return False", f"    if (x[0]*x[1]) % {p}: return False"]),
+    # no single monomial: the lines the reduction-free kernel renders
+    ("no forced zero", lambda p: [{(0, 1): 1, (2,): p - 1}, {(1, 1): 1, (0,): 1}],
+     lambda p: [f"    if (x[0] + x[1]*x[1]) % {p}: return False",
+                f"    if (x[0]*x[1] + {'' if p == 2 else f'{p - 1}*'}x[2]) % {p}: return False"]),
+]
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+@pytest.mark.parametrize("name, residues, lines", _REDUCED_SYSTEMS,
+                         ids=[name for name, _, _ in _REDUCED_SYSTEMS])
+def test_forced_zeros_are_tested_first_and_substituted(p, name, residues, lines):
+    """A monomial in one variable forces it to 0, tested first and set to 0
+    in the other equations until no new one is forced; a single monomial in
+    two variables stays an equation.  The kernel is exact at every point."""
+    residues = residues(p)
+    source = _kernel_source(p, residues)
+    assert source == "\n".join(["def holds(x):", *lines(p), "    return True", ""])
+    holds = _kernel(p, residues)
+    points = list(product(range(p), repeat=3))
+    assert [holds(x) for x in points] == [_vanish(p, residues, x) for x in points]
+    assert any(map(holds, points)) == (name != "constant")
+
+
+def test_search_fp_kernels_reduce_their_forced_zeros(monkeypatch):
+    """The forced zeros, and the number of other equations, of each kernel
+    of the catalog search jobs."""
+    sources = []
+    real = search._kernel_source
+    monkeypatch.setattr(search, "_kernel_source",
+                        lambda p, residues: sources.append(real(p, residues)) or sources[-1])
+    for spec in _search_fp_specs():
+        _predicate_fn(spec)
+    reduced = {}
+    for name, source in zip(_SEARCH_FP_NAMES, sources):
+        forced = tuple(map(int, re.findall(r"^    if x\[(\d+)\]: return False$", source, re.M)))
+        reduced[name] = forced, source.count("return False") - len(forced)
+    assert reduced == {
+        "solv2/F5/nijenhuis": ((), 0),
+        "l2/F7/rota_baxter": ((0, 2), 1),
+        "l2/F3/bn_pair": ((0, 6), 5),
+        "l2.regular/F7/kupershmidt": ((0, 2), 1),
+        "l2.dual/F7/kupershmidt": ((), 7),
+        "l2.tw_lift/F7/mc_strong": ((2, 3), 1),
+        "heis3/F3/nijenhuis": ((2, 5), 1),
+    }
+
+
 def test_generated_predicate_on_a_2000_term_residue():
     """One residue of 2,000 distinct terms in 62 variables compiles, and
     agrees with term-by-term evaluation at random points."""
@@ -674,23 +734,33 @@ def test_a_bn_pair_search_builds_no_bilinear_form(monkeypatch):
 
 _TERM = r"(?:\d+|(?:\d+\*)?x\[\d+\](?:\*x\[\d+\])?)"
 _EQUATION = re.compile(rf"    if \({_TERM}(?: \+ {_TERM})*\) % (\d+): return False")
+_FORCED_ZERO = re.compile(r"    if x\[\d+\]: return False")
 
 
 def _follows_grammar(source, p):
     lines = source.split("\n")
     return (lines[0] == "def holds(x):" and lines[-2:] == ["    return True", ""]
-            and all((m := _EQUATION.fullmatch(line)) and int(m.group(1)) == p
+            and all(_FORCED_ZERO.fullmatch(line)
+                    or ((m := _EQUATION.fullmatch(line)) and int(m.group(1)) == p)
                     for line in lines[1:-2]))
 
 
 def test_kernel_sources_follow_the_grammar(monkeypatch):
     """Every generated kernel of the catalog search jobs is a straight line
-    of integer literals, x[<int>], +, * and %: no text of a spec reaches it."""
+    of integer literals, x[<int>], +, * and %: no text of a spec reaches
+    it."""
     assert _follows_grammar("def holds(x):\n    if (x[0]*x[1] + 2*x[3] + 4) % 5: return False\n"
                             "    return True\n", 5)
+    assert _follows_grammar("def holds(x):\n    if x[2]: return False\n"
+                            "    if (x[0]*x[1]) % 5: return False\n    return True\n", 5)
     for bad in ("def holds(x):\n    if (f(x)) % 5: return False\n    return True\n",
                 "def holds(x):\n    if (x[0]) % 5: return False\n    import os\n    return True\n",
-                "def holds(x):\n    if (-x[0]) % 5: return False\n    return True\n"):
+                "def holds(x):\n    if (-x[0]) % 5: return False\n    return True\n",
+                "def holds(x):\n    if x[0] and x[1]: return False\n    return True\n",
+                "def holds(x):\n    if x[0] or x[1]: return False\n    return True\n",
+                "def holds(x):\n    if not x[0]: return False\n    return True\n",
+                "def holds(x):\n    if x[0]: return False; import os\n    return True\n",
+                "def holds(x):\n    if x[0]: import os\n    return True\n"):
         assert not _follows_grammar(bad, 5)
     sources = []
     real = search._kernel_source

@@ -1,5 +1,7 @@
 """Name-based check dispatch: resolves objects from a SpecFile and runs the
 corresponding verifier.  Used by the CLI and the expected-verdict runner.
+The flags each check and each construction reads are tabled here, and any
+other flag is refused.
 
 Every object a check reaches is looked up by kind through
 ``SpecFile.build(name, kind)``: the check's target, the objects its flags
@@ -55,6 +57,31 @@ CHECK_NAMES = tuple(_CHECK_FLAGS)
 # The flags that name an object, in the order ``check --help`` lists them:
 # every flag of ``_CHECK_FLAGS`` but ``no-consequences``.
 OBJECT_FLAGS = ("rep", "algebra", "other", "K", "N", "S", "R", "ctx")
+
+# Each construction with the flags ``commands.cmd_construct`` reads for it;
+# it refuses any other.  The parser in ``cli`` takes the names from here,
+# since ``commands`` does not import ``cli``.  Then the flags of
+# ``construct``, in the order its help lists them.
+CONSTRUCTIONS: Dict[str, Tuple[str, ...]] = {
+    "dual-rep": ("rep",),
+    "semidirect": ("rep",),
+    "subadjacent": ("K", "rep"),
+    "lifted": ("K", "rep"),
+    "deformed": ("N", "algebra"),
+    "theta-twist": ("K", "theta", "rep"),
+    "dual-kn-from-mc": ("K", "theta", "rep"),
+    "mc-from-dual-kn": ("kn", "rep"),
+    "sharp": ("pi",),
+    "dual-kn-from-compatible": ("K1", "K2", "rep"),
+}
+CONSTRUCT_FLAGS = ("rep", "algebra", "K", "N", "theta", "kn", "pi", "K1", "K2")
+
+
+def _refuse_unread(command: str, given, reads) -> None:
+    """A ParseError naming each flag of ``given`` that ``reads`` lacks."""
+    unread = [f"--{key}" for key in given if key not in reads]
+    if unread:
+        raise ParseError(f"{command} does not take {', '.join(unread)}")
 
 
 def _flag(args: Dict, key: str, check: str) -> str:
@@ -115,9 +142,7 @@ def run_check(spec: SpecFile, object_name: str, check: str, args: Optional[Dict]
     if check not in _CHECK_FLAGS:
         raise ParseError(f"unknown check {check!r} (known: {', '.join(CHECK_NAMES)})")
     given = list(args) + ([] if consequences else ["no-consequences"])
-    unread = [f"--{key}" for key in given if key not in _CHECK_FLAGS[check]]
-    if unread:
-        raise ParseError(f"check {check!r} does not take {', '.join(unread)}")
+    _refuse_unread(f"check {check!r}", given, _CHECK_FLAGS[check])
     if check == "leibniz":
         return check_leibniz(spec.build(object_name, "algebra"))
     if check == "representation":

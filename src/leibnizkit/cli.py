@@ -14,7 +14,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .checks import CHECK_NAMES, OBJECT_FLAGS, run_check
+from .checks import CHECK_NAMES, CONSTRUCT_FLAGS, CONSTRUCTIONS, OBJECT_FLAGS, run_check
 from .errors import (BROKEN_PIPE, CHECK_FAILED, INTERRUPTED, USAGE_ERROR, LeibnizKitError,
                      ParseError, _fail_usage)
 from .io import load_spec
@@ -62,13 +62,6 @@ def cmd_check(args) -> int:
     return 0 if report.ok else CHECK_FAILED
 
 
-CONSTRUCTIONS = (
-    "dual-rep", "semidirect", "subadjacent", "lifted", "deformed",
-    "theta-twist", "dual-kn-from-mc", "mc-from-dual-kn", "sharp",
-    "dual-kn-from-compatible",
-)
-
-
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """The program's parser.  With ``command``, only the parser of that
     command gets its arguments, which is all a run of it reads; the program's
@@ -95,7 +88,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     if command in (None, "construct"):
         p_cons.add_argument("file")
         p_cons.add_argument("construction", choices=CONSTRUCTIONS)
-        for flag in ("rep", "algebra", "K", "N", "theta", "kn", "pi", "K1", "K2"):
+        for flag in CONSTRUCT_FLAGS:
             p_cons.add_argument(f"--{flag}")
 
     p_search = sub.add_parser("search", help="exhaustively enumerate operators over F_p")

@@ -15,7 +15,8 @@ import sys
 from typing import Dict
 
 from .algebras import LeibnizAlgebra, Representation, dual_representation
-from .checks import _kn_and_rep, _resolve_algebra, _resolve_rep
+from .checks import (CONSTRUCT_FLAGS, CONSTRUCTIONS, _kn_and_rep, _refuse_unread,
+                     _resolve_algebra, _resolve_rep)
 from .errors import CHECK_FAILED, LeibnizKitError, ParseError, _fail_usage
 from .fields import FieldSpec
 from .io import SpecFile, load_spec, parse_field, serialize_spec
@@ -94,6 +95,9 @@ def cmd_construct(args) -> int:
     try:
         spec = load_spec(args.file)
         f, cons = spec.fieldspec, args.construction
+        _refuse_unread(f"construction {cons!r}",
+                       [flag for flag in CONSTRUCT_FLAGS if getattr(args, flag)],
+                       CONSTRUCTIONS[cons])
         if cons == "dual-rep":
             rep, alg_name = named_rep()
             dual = dual_representation(rep)

@@ -2,57 +2,49 @@
 executable properties over the bundled catalog.  Each suite returns the count
 of checked assertions plus the list of failures; the batch runner aggregates
 them for the CLI.
+
+Fifteen suites check one assertion per case, and are rows of ``_CASE_SUITES``.
+A case source takes the ``_L2`` fixture and returns ``(label, *args)`` tuples;
+an assertion takes ``*args`` and returns True when the implication holds.
+``_run_cases`` counts a case as failed when its assertion returns False or
+raises a ``LeibnizKitError``.  Where the cases check different conclusions of
+one transfer (compatible-to-dual-kn, dual-kn-to-mc), each case carries its
+check of the transfer's result.  A new source of instances, an exhaustive one
+say, is one more case source next to an unchanged assertion.
+
+Six suites stay functions, since they make several checks per case or one
+over all cases: expected-verdicts, mc-equivalence (three formulations agree),
+pair-dualization and compatibility-criterion (a biconditional, with counts of
+true and false instances), nk-composition and quadratic-transfer.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from random import Random
 from typing import Callable, Dict, List, Optional
 
-from .algebras import (
-    LeibnizAlgebra,
-    Representation,
-    check_leibniz,
-    check_representation,
-)
+from .algebras import LeibnizAlgebra, Representation, check_leibniz, check_representation
 from .checks import run_check
-from .dgla import (
-    _lifted_context,
-    check_maurer_cartan,
-    dual_kn_from_mc,
-    mc_cochain_defects,
-    mc_from_dual_kn,
-    theta_twist,
-    tilde_varrho_bracket,
-)
+from .dgla import (_lifted_context, check_maurer_cartan, dual_kn_from_mc, mc_cochain_defects,
+                   mc_from_dual_kn, theta_twist, tilde_varrho_bracket)
 from .errors import LeibnizKitError
 from .forms import Tensor2, check_rn_structure, form_sharp_matrix
-from .io import SpecFile
 from .linalg import LinearOperator, Matrix, is_invertible
-from .operators import (
-    _equivariance_sides,
-    check_compatible,
-    check_kupershmidt,
-    check_nijenhuis,
-    check_nk_condition,
-    nijenhuis_from_compatible,
-)
-from .pairs import (
-    KNStructure,
-    check_dual_nijenhuis_pair,
-    check_kn_structure,
-    check_nijenhuis_pair,
-    compatible_from_kn,
-    deformation_from_pair,
-    dual_kn_from_compatible,
-    hat_tilde_representations,
-    kn_to_dual_kn,
-    make_pair,
-    sum_nijenhuis_on_twilled,
-)
+from .operators import (_equivariance_sides, check_compatible, check_kupershmidt, check_nijenhuis,
+                        check_nk_condition, nijenhuis_from_compatible)
+from .pairs import (KNStructure, check_dual_nijenhuis_pair, check_kn_structure,
+                    check_nijenhuis_pair, compatible_from_kn, deformation_from_pair,
+                    dual_kn_from_compatible, hat_tilde_representations, kn_to_dual_kn, make_pair,
+                    sum_nijenhuis_on_twilled)
 from .reports import _Record
 from .search import mc_solutions_from_linear_layer
 from .twilled import TwilledContext, check_matched_pair
+
+# mc-equivalence adds this many random thetas, entries in [-2, 2], to the
+# solutions of the linear layer, drawn from Random(_MC_SEED).
+_MC_NONSOLUTIONS = 12
+_MC_SEED = 20
 
 
 class SuiteResult(_Record):
@@ -77,43 +69,43 @@ class SuiteResult(_Record):
     def run(self, label: str, fn: Callable):
         """Count an assertion that passes unless it raises or returns False."""
         try:
-            out = fn()
+            self.check(fn() is not False, label)
         except LeibnizKitError as exc:
             self.failures.append(f"{label}: {type(exc).__name__}: {exc}")
-            return None
-        if out is False:
-            self.failures.append(label)
-            return None
-        self.passed += 1
-        return out
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
 
-Catalog = Dict[str, "object"]  # name -> CatalogEntry
+class _L2:
+    """The catalog's l2 entry and what the suites take from it: ``build``,
+    the regular and dual representations, the field ``f`` and the 2x2 zero
+    ``Z`` and identity ``I``.  ``catalog`` is there for the suites that use
+    other entries as well."""
 
-
-def _l2(catalog) -> SpecFile:
-    return catalog["l2"].spec
+    def __init__(self, catalog):
+        self.catalog = catalog
+        self.spec = catalog["l2"].spec
+        self.build = self.spec.build
+        self.reg = self.spec.rep_for("regular")
+        self.dual = self.spec.rep_for("dual")
+        self.f = self.spec.fieldspec
+        self.Z = Matrix.zeros(self.f, 2, 2)
+        self.I = Matrix.identity(self.f, 2)
 
 
 def _kupershmidt_cases(catalog):
     """(label, operator, representation) triples of verified Kupershmidt maps."""
-    l2 = _l2(catalog)
-    reg = l2.rep_for("regular")
-    dual = l2.rep_for("dual")
-    f = l2.fieldspec
-    cases = [
-        ("l2/R", l2.build("R"), reg),
-        ("l2/R2", l2.build("R2"), reg),
-        ("l2/R32", l2.build("R32"), reg),
-        ("l2/zero", LinearOperator(Matrix.zeros(f, 2, 2), "module:regular", "algebra:alg"), reg),
-        ("l2/Bsharp", l2.build("Bsharp"), dual),
-        ("l2/NBsharp", l2.build("NBsharp"), dual),
+    l2 = _L2(catalog)
+    return [
+        ("l2/R", l2.build("R"), l2.reg),
+        ("l2/R2", l2.build("R2"), l2.reg),
+        ("l2/R32", l2.build("R32"), l2.reg),
+        ("l2/zero", LinearOperator(l2.Z, "module:regular", "algebra:alg"), l2.reg),
+        ("l2/Bsharp", l2.build("Bsharp"), l2.dual),
+        ("l2/NBsharp", l2.build("NBsharp"), l2.dual),
     ]
-    return cases
 
 
 def suite_expected_verdicts(catalog) -> SuiteResult:
@@ -133,12 +125,12 @@ def suite_expected_verdicts(catalog) -> SuiteResult:
     return res
 
 
-def suite_mc_equivalence(catalog, nonsolutions: int = 12, seed: int = 20) -> SuiteResult:
+def suite_mc_equivalence(catalog) -> SuiteResult:
     """Strong Maurer-Cartan solutions on lifted sums: the elementwise, the
     operator-specialized, and the graded-bracket formulations agree on
     solutions found by the linear layer and on seeded non-solutions."""
     res = SuiteResult("mc-equivalence")
-    rng = Random(seed)
+    rng = Random(_MC_SEED)
     for label, K, rep in _kupershmidt_cases(catalog):
         f = rep.algebra.field
         vr, ctx = _lifted_context(K, rep)
@@ -146,10 +138,9 @@ def suite_mc_equivalence(catalog, nonsolutions: int = 12, seed: int = 20) -> Sui
             ctx, Matrix.zeros(f, ctx.n2, ctx.n1), strong=True).ok)
         solutions = mc_solutions_from_linear_layer(ctx)
         res.check(any(m.is_zero() for m in solutions), f"{label}: zero solution found")
-        thetas = solutions[:6]
-        for t in range(nonsolutions):
-            m = Matrix(f, [[rng.randint(-2, 2) for _ in range(ctx.n1)] for _ in range(ctx.n2)])
-            thetas.append(m)
+        thetas = solutions[:6] + [
+            Matrix(f, [[rng.randint(-2, 2) for _ in range(ctx.n1)] for _ in range(ctx.n2)])
+            for _ in range(_MC_NONSOLUTIONS)]
         for idx, theta in enumerate(thetas):
             report = check_maurer_cartan(ctx, theta, strong=True)
             strong = report.ok
@@ -172,51 +163,27 @@ def _operator_locality(rep, theta) -> bool:
     return rep.algebra.field.normalize_all(lhs) == rep.algebra.field.normalize_all(rhs)
 
 
-def suite_trivial_deformation(catalog) -> SuiteResult:
-    res = SuiteResult("trivial-deformation")
-    l2 = _l2(catalog)
-    reg = l2.rep_for("regular")
-    dual = l2.rep_for("dual")
-    f = l2.fieldspec
-    Z = Matrix.zeros(f, 2, 2)
-    I = Matrix.identity(f, 2)
-    samples = [1, 2, f.of("-1/3")]
-    cases = [
-        ("N23/0 on regular", make_pair(l2.build("N23").matrix, Z), reg),
-        ("I/I on regular", make_pair(I, I), reg),
-        ("NpIqE/0 on regular", make_pair(l2.build("NpIqE").matrix, Z), reg),
-        ("N23/0 on dual", make_pair(l2.build("N23").matrix, Z), dual),
-        ("0/0 on regular", make_pair(Z, Z), reg),
-    ]
-    for label, pair, rep in cases:
-        res.run(label, lambda p=pair, r=rep: deformation_from_pair(p, r, samples).report.ok)
-    return res
-
-
 def suite_pair_dualization(catalog) -> SuiteResult:
     """(N, S^T) is a dual pair for the contragredient action exactly when
     (N, S) is a pair for the original, in both truth values."""
     res = SuiteResult("pair-dualization")
-    l2 = _l2(catalog)
-    reg = l2.rep_for("regular")
-    dual = l2.rep_for("dual")
-    f = l2.fieldspec
-    I = Matrix.identity(f, 2)
+    l2 = _L2(catalog)
+    I = l2.I
     rng = Random(7)
     cases = [
-        ("N23/0", l2.build("N23").matrix, Matrix.zeros(f, 2, 2)),
+        ("N23/0", l2.build("N23").matrix, l2.Z),
         ("I/3I", I, I.scale(3)),
-        ("NpIqE/0", l2.build("NpIqE").matrix, Matrix.zeros(f, 2, 2)),
+        ("NpIqE/0", l2.build("NpIqE").matrix, l2.Z),
         ("I/I", I, I),
     ]
     for t in range(40):
-        N = Matrix(f, [[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)])
-        S = Matrix(f, [[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)])
+        N = Matrix(l2.f, [[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)])
+        S = Matrix(l2.f, [[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)])
         cases.append((f"random#{t}", N, S))
     positive = negative = 0
     for label, N, S in cases:
-        a = check_nijenhuis_pair(make_pair(N, S), reg).ok
-        b = check_dual_nijenhuis_pair(make_pair(N, S.transpose()), dual).ok
+        a = check_nijenhuis_pair(make_pair(N, S), l2.reg).ok
+        b = check_dual_nijenhuis_pair(make_pair(N, S.transpose()), l2.dual).ok
         res.check(a == b, f"{label}: biconditional")
         positive += a
         negative += (not a)
@@ -225,109 +192,16 @@ def suite_pair_dualization(catalog) -> SuiteResult:
     return res
 
 
-def suite_sum_nijenhuis(catalog) -> SuiteResult:
-    res = SuiteResult("sum-nijenhuis")
-    l2 = _l2(catalog)
-    reg = l2.rep_for("regular")
-    f = l2.fieldspec
-    alg = l2.build("alg")
-    V = LeibnizAlgebra.abelian(f, 2)
-    _, tw = check_matched_pair(alg, V, Representation(alg, reg.rhoL, reg.rhoR),
-                               Representation.zero(V, 2))
-    ctx = TwilledContext(tw, 2, 2)
-    Z = Matrix.zeros(f, 2, 2)
-    I = Matrix.identity(f, 2)
-    cases = [
-        ("N23/0", l2.build("N23").matrix, Z),
-        ("I/2I", I, I.scale(2)),
-        ("0/0", Z, Z),
-        ("NpIqE/0", l2.build("NpIqE").matrix, Z),
-    ]
-    for label, N, S in cases:
-        res.run(label, lambda N=N, S=S: sum_nijenhuis_on_twilled(
-            make_pair(N, S), make_pair(S, N), ctx).ok)
-    return res
-
-
-def suite_hat_tilde(catalog) -> SuiteResult:
-    res = SuiteResult("hat-tilde-representations")
-    l2 = _l2(catalog)
-    reg = l2.rep_for("regular")
-    dual = l2.rep_for("dual")
-    f = l2.fieldspec
-    Z = Matrix.zeros(f, 2, 2)
-    I = Matrix.identity(f, 2)
-    kn = l2.build("kn_dual")
-    cases = [
-        ("pair N23/0 regular", make_pair(l2.build("N23").matrix, Z), reg, "hat"),
-        ("pair I/I regular", make_pair(I, I), reg, "hat"),
-        ("dual pair N23/0 dual", make_pair(l2.build("N23").matrix, Z), dual, "tilde"),
-        ("dual pair from kn", kn.pair, dual, "tilde"),
-    ]
-    for label, pair, rep, which in cases:
-        def go(pair=pair, rep=rep, which=which):
-            hat, tilde = hat_tilde_representations(pair, rep)
-            target = hat if which == "hat" else tilde
-            return check_representation(target).ok
-        res.run(label, go)
-    return res
-
-
-def _kn_cases(catalog):
-    l2 = _l2(catalog)
-    reg = l2.rep_for("regular")
-    dual = l2.rep_for("dual")
-    f = l2.fieldspec
-    Z = Matrix.zeros(f, 2, 2)
-    I = Matrix.identity(f, 2)
-    kn_dual = l2.build("kn_dual")
-    return [
-        ("l2/kn_dual", kn_dual, dual),
-        ("l2/R-0-0", KNStructure(l2.build("R"), make_pair(Z, Z), "kn"), reg),
-        ("l2/R-I-I", KNStructure(l2.build("R"), make_pair(I, I), "kn"), reg),
-        ("l2/Bsharp-0-0-dualmode", KNStructure(l2.build("Bsharp"), make_pair(Z, Z), "dual-kn"), dual),
-    ]
-
-
-def suite_kn_consequences(catalog) -> SuiteResult:
-    """The bundled consequence assertions of the KN check: bracket
-    agreements, S Nijenhuis on the sub-adjacent algebra, K Kupershmidt for
-    the hat/tilde action, and the composite being Kupershmidt."""
-    res = SuiteResult("kn-consequences")
-    for label, kn, rep in _kn_cases(catalog):
-        res.run(label, lambda kn=kn, rep=rep: check_kn_structure(kn, rep, consequences=True).ok)
-    return res
-
-
-def suite_kn_to_dual(catalog) -> SuiteResult:
-    res = SuiteResult("kn-to-dual")
-    l2 = _l2(catalog)
-    dual = l2.rep_for("dual")
-    f = l2.fieldspec
-    Z = Matrix.zeros(f, 2, 2)
-    I = Matrix.identity(f, 2)
-    K = l2.build("Bsharp")
-    for label, N, S in (("Bsharp-I-I", I, I), ("Bsharp-0-0", Z, Z)):
-        def go(N=N, S=S):
-            out = kn_to_dual_kn(KNStructure(K, make_pair(N, S), "kn"), dual)
-            return out.mode == "dual-kn" and check_kn_structure(out, dual).ok
-        res.run(label, go)
-    return res
-
-
 def suite_compatibility_criterion(catalog) -> SuiteResult:
     """The mixed identity holds iff sampled linear combinations stay
     Kupershmidt; exercised in both truth values."""
     res = SuiteResult("compatibility-criterion")
-    l2 = _l2(catalog)
-    reg = l2.rep_for("regular")
-    dual = l2.rep_for("dual")
-    f = l2.fieldspec
+    l2 = _L2(catalog)
     cases = [
-        ("R,R2", l2.build("R"), l2.build("R2"), reg, True),
-        ("R,zero", l2.build("R"), LinearOperator(Matrix.zeros(f, 2, 2)), reg, True),
-        ("Bsharp,NBsharp", l2.build("Bsharp"), l2.build("NBsharp"), dual, True),
-        ("R,E01", l2.build("R"), l2.build("E01"), reg, False),
+        ("R,R2", l2.build("R"), l2.build("R2"), l2.reg, True),
+        ("R,zero", l2.build("R"), LinearOperator(l2.Z), l2.reg, True),
+        ("Bsharp,NBsharp", l2.build("Bsharp"), l2.build("NBsharp"), l2.dual, True),
+        ("R,E01", l2.build("R"), l2.build("E01"), l2.reg, False),
     ]
     for label, K1, K2, rep, expect in cases:
         report = check_compatible(K1, K2, rep)
@@ -349,18 +223,16 @@ def suite_nk_composition(catalog) -> SuiteResult:
     """The composition condition agrees with directly checking the composite,
     and an invertible factor upgrades it to compatibility."""
     res = SuiteResult("nk-composition")
-    l2 = _l2(catalog)
-    reg = l2.rep_for("regular")
-    f = l2.fieldspec
+    l2 = _L2(catalog)
     R = l2.build("R")
     cases = [
         ("N23,R", l2.build("N23"), R, True),
         ("I,R", l2.build("N11"), R, True),
-        ("zero,R", LinearOperator(Matrix.zeros(f, 2, 2)), R, True),
+        ("zero,R", LinearOperator(l2.Z), R, True),
         ("NpIqE,R", l2.build("NpIqE"), R, False),
     ]
     for label, N, K, expect in cases:
-        report = check_nk_condition(N, K, reg)
+        report = check_nk_condition(N, K, l2.reg)
         res.check(report.ok == expect, f"{label}: verdict")
         res.check(
             not any(v.identity == "nk-condition-vs-composite" for v in report.violations),
@@ -369,151 +241,7 @@ def suite_nk_composition(catalog) -> SuiteResult:
         if expect and is_invertible(N.matrix):
             NK = LinearOperator(N.matrix * K.matrix, K.domain, K.codomain)
             res.run(f"{label}: invertible implies compatible",
-                    lambda K=K, NK=NK: check_compatible(K, NK, reg).ok)
-    return res
-
-
-def suite_compatible_quotient(catalog) -> SuiteResult:
-    res = SuiteResult("compatible-quotient")
-    l2 = _l2(catalog)
-    dual = l2.rep_for("dual")
-    K1, K2 = l2.build("NBsharp"), l2.build("Bsharp")
-    def go():
-        N = nijenhuis_from_compatible(K1, K2, dual)
-        return check_nijenhuis(N, dual.algebra).ok
-    res.run("NBsharp/Bsharp", go)
-    f = l2.fieldspec
-    res.run("3K/K scalar", lambda: nijenhuis_from_compatible(
-        LinearOperator(l2.build("Bsharp").matrix.scale(3)), l2.build("Bsharp"), dual
-    ).matrix == Matrix.identity(f, 2).scale(3))
-    return res
-
-
-def suite_kn_compatibility(catalog) -> SuiteResult:
-    res = SuiteResult("kn-compatibility")
-    for label, kn, rep in _kn_cases(catalog):
-        res.run(label, lambda kn=kn, rep=rep: compatible_from_kn(kn, rep).ok)
-    return res
-
-
-def suite_compatible_to_dual_kn(catalog) -> SuiteResult:
-    res = SuiteResult("compatible-to-dual-kn")
-    l2 = _l2(catalog)
-    dual = l2.rep_for("dual")
-    K1, K2 = l2.build("Bsharp"), l2.build("NBsharp")
-    def go():
-        a, b = dual_kn_from_compatible(K1, K2, dual)
-        return (check_kn_structure(a, dual).ok and check_kn_structure(b, dual).ok)
-    res.run("Bsharp,NBsharp", go)
-    def go_scalar():
-        a, b = dual_kn_from_compatible(K1, LinearOperator(K1.matrix.scale(3)), dual)
-        f = l2.fieldspec
-        return a.N == Matrix.identity(f, 2).scale(3) and a.S == Matrix.identity(f, 2).scale(3)
-    res.run("K,3K", go_scalar)
-    return res
-
-
-def _strong_thetas(catalog):
-    l2 = _l2(catalog)
-    reg = l2.rep_for("regular")
-    dual = l2.rep_for("dual")
-    f = l2.fieldspec
-    out = [
-        ("l2/R theta_strong", l2.build("R"), reg, l2.build("theta_strong").matrix),
-        ("l2/R theta0", l2.build("R"), reg, Matrix.zeros(f, 2, 2)),
-    ]
-    kn = l2.build("kn_dual")
-    theta = mc_from_dual_kn(kn, dual)
-    out.append(("l2/Bsharp theta-from-kn", kn.K, dual, theta))
-    return out
-
-
-def suite_mc_to_dual_kn(catalog) -> SuiteResult:
-    res = SuiteResult("mc-to-dual-kn")
-    for label, K, rep, theta in _strong_thetas(catalog):
-        res.run(label, lambda K=K, rep=rep, theta=theta:
-                check_kn_structure(dual_kn_from_mc(K, rep, theta), rep).ok)
-    return res
-
-
-def suite_theta_twist(catalog) -> SuiteResult:
-    res = SuiteResult("theta-twist")
-    for label, K, rep, theta in _strong_thetas(catalog):
-        def go(K=K, rep=rep, theta=theta):
-            g_theta, rho_theta, total = theta_twist(K, rep, theta)
-            return (check_leibniz(g_theta).ok and check_representation(rho_theta).ok
-                    and check_leibniz(total).ok)
-        res.run(label, go)
-    return res
-
-
-def suite_dual_kn_to_mc(catalog) -> SuiteResult:
-    """Invertible dual KN-structures produce strong solutions; composing the
-    two transfers is the identity on (N, S)."""
-    res = SuiteResult("dual-kn-to-mc")
-    l2 = _l2(catalog)
-    dual = l2.rep_for("dual")
-    kn = l2.build("kn_dual")
-    def go():
-        theta = mc_from_dual_kn(kn, dual)
-        back = dual_kn_from_mc(kn.K, dual, theta)
-        return back.N == kn.N and back.S == kn.S
-    res.run("round-trip", go)
-    f = l2.fieldspec
-    trivial = KNStructure(l2.build("Bsharp"),
-                          make_pair(Matrix.zeros(f, 2, 2), Matrix.zeros(f, 2, 2)), "dual-kn")
-    res.run("invertible K, zero pair",
-            lambda: mc_from_dual_kn(trivial, dual).is_zero())
-    return res
-
-
-def suite_compose_kupershmidt(catalog) -> SuiteResult:
-    """K theta K is Kupershmidt and compatible with K for strong solutions."""
-    res = SuiteResult("compose-kupershmidt")
-    for label, K, rep, theta in _strong_thetas(catalog):
-        def go(K=K, rep=rep, theta=theta):
-            ktk = LinearOperator(K.matrix * theta * K.matrix, K.domain, K.codomain)
-            return (check_kupershmidt(ktk, rep).ok
-                    and check_compatible(K, ktk, rep).ok)
-        res.run(label, go)
-    return res
-
-
-def suite_deformed_sum_bracket(catalog) -> SuiteResult:
-    res = SuiteResult("deformed-sum-bracket")
-    l2 = _l2(catalog)
-    dual = l2.rep_for("dual")
-    f = l2.fieldspec
-    Z, I = Matrix.zeros(f, 2, 2), Matrix.identity(f, 2)
-    kn = l2.build("kn_dual")
-    cases = [
-        ("kn_dual", kn),
-        ("Bsharp-0-0", KNStructure(l2.build("Bsharp"), make_pair(Z, Z), "dual-kn")),
-        ("Bsharp-I-I", KNStructure(l2.build("Bsharp"), make_pair(I, I), "dual-kn")),
-    ]
-    for label, kn_case in cases:
-        res.run(label, lambda kn_case=kn_case:
-                check_leibniz(tilde_varrho_bracket(kn_case, dual)).ok)
-    return res
-
-
-def suite_rn_to_dual_kn(catalog) -> SuiteResult:
-    """r-matrix/Nijenhuis couples induce dual KN-structures on the dual."""
-    res = SuiteResult("rn-to-dual-kn")
-    quad4 = catalog["quad4"].spec
-    alg = quad4.build("alg")
-    q = quad4.build("q")
-    qs = form_sharp_matrix(q)
-    for rname, nname in (("R_pi", "N2"), ("R_pi", "N_block"), ("R_B", "N2")):
-        R = quad4.build(rname)
-        N = quad4.build(nname)
-        P = R.matrix * qs
-        def go(P=P, N=N):
-            return check_rn_structure(alg, Tensor2(alg, P), N, consequences=True).ok
-        res.run(f"quad4/{rname}+{nname}", go)
-    l2 = _l2(catalog)
-    res.run("l2/zero-tensor", lambda: check_rn_structure(
-        l2.build("alg"), l2.build("pi0"), l2.build("N23"), consequences=True).ok)
+                    lambda K=K, NK=NK: check_compatible(K, NK, l2.reg).ok)
     return res
 
 
@@ -538,41 +266,201 @@ def suite_quadratic_transfer(catalog) -> SuiteResult:
     return res
 
 
-def suite_bn_transfer(catalog) -> SuiteResult:
-    """BN-structures induce dual KN-structures and compatible sharp pairs
-    (asserted inside the check's consequences)."""
-    res = SuiteResult("bn-transfer")
-    l2 = _l2(catalog)
-    res.run("l2/B+NpIqE", lambda: run_check(
-        l2, "B", "bn-structure", {"N": "NpIqE"}, consequences=True).ok)
-    abelian4 = catalog["abelian4"].spec
-    res.run("abelian4/B+N_sym", lambda: run_check(
-        abelian4, "B", "bn-structure", {"N": "N_sym"}, consequences=True).ok)
+def _deformation_cases(l2: _L2):
+    """(label, pair, representation): Nijenhuis pairs, deformed at t = 1,
+    2 and -1/3."""
+    N23, NpIqE = l2.build("N23").matrix, l2.build("NpIqE").matrix
+    return [
+        ("N23/0 on regular", make_pair(N23, l2.Z), l2.reg),
+        ("I/I on regular", make_pair(l2.I, l2.I), l2.reg),
+        ("NpIqE/0 on regular", make_pair(NpIqE, l2.Z), l2.reg),
+        ("N23/0 on dual", make_pair(N23, l2.Z), l2.dual),
+        ("0/0 on regular", make_pair(l2.Z, l2.Z), l2.reg),
+    ]
+
+
+def _twilled_pair_cases(l2: _L2):
+    """(label, N, S, context): pairs on the twilled sum of l2, acting
+    regularly, and the abelian plane, acting by zero."""
+    alg = l2.build("alg")
+    V = LeibnizAlgebra.abelian(l2.f, 2)
+    _, tw = check_matched_pair(alg, V, Representation(alg, l2.reg.rhoL, l2.reg.rhoR),
+                               Representation.zero(V, 2))
+    ctx = TwilledContext(tw, 2, 2)
+    N23, NpIqE = l2.build("N23").matrix, l2.build("NpIqE").matrix
+    return [("N23/0", N23, l2.Z, ctx), ("I/2I", l2.I, l2.I.scale(2), ctx),
+            ("0/0", l2.Z, l2.Z, ctx), ("NpIqE/0", NpIqE, l2.Z, ctx)]
+
+
+def _hat_tilde_cases(l2: _L2):
+    """(label, pair, representation, 0 for the hat action or 1 for tilde)."""
+    N23 = make_pair(l2.build("N23").matrix, l2.Z)
+    return [
+        ("pair N23/0 regular", N23, l2.reg, 0),
+        ("pair I/I regular", make_pair(l2.I, l2.I), l2.reg, 0),
+        ("dual pair N23/0 dual", N23, l2.dual, 1),
+        ("dual pair from kn", l2.build("kn_dual").pair, l2.dual, 1),
+    ]
+
+
+def _kn_cases(l2: _L2):
+    """(label, KN-structure, representation), in both modes."""
+    R, Bsharp = l2.build("R"), l2.build("Bsharp")
+    return [
+        ("l2/kn_dual", l2.build("kn_dual"), l2.dual),
+        ("l2/R-0-0", KNStructure(R, make_pair(l2.Z, l2.Z), "kn"), l2.reg),
+        ("l2/R-I-I", KNStructure(R, make_pair(l2.I, l2.I), "kn"), l2.reg),
+        ("l2/Bsharp-0-0-dualmode", KNStructure(Bsharp, make_pair(l2.Z, l2.Z), "dual-kn"),
+         l2.dual),
+    ]
+
+
+def _invertible_kn_cases(l2: _L2):
+    """(label, KN-structure, representation) with K invertible."""
+    Bsharp = l2.build("Bsharp")
+    return [(f"Bsharp-{name}", KNStructure(Bsharp, make_pair(M, M), "kn"), l2.dual)
+            for name, M in (("I-I", l2.I), ("0-0", l2.Z))]
+
+
+def _dual_kn_of_kn(kn, rep) -> bool:
+    out = kn_to_dual_kn(kn, rep)
+    return out.mode == "dual-kn" and check_kn_structure(out, rep).ok
+
+
+def _quotient_cases(l2: _L2):
+    """(label, K1, K2, representation, K1 K2^-1) for compatible K1, K2."""
+    Bsharp = l2.build("Bsharp")
+    return [
+        ("NBsharp/Bsharp", l2.build("NBsharp"), Bsharp, l2.dual, l2.build("NpIqE").matrix),
+        ("3K/K scalar", LinearOperator(Bsharp.matrix.scale(3)), Bsharp, l2.dual, l2.I.scale(3)),
+    ]
+
+
+def _quotient_is_nijenhuis(K1, K2, rep, want) -> bool:
+    N = nijenhuis_from_compatible(K1, K2, rep)
+    return check_nijenhuis(N, rep.algebra).ok and N.matrix == want
+
+
+def _compatible_cases(l2: _L2):
+    """(label, K1, K2, representation, what the two dual KN-structures that
+    the compatible K1, K2 give satisfy)."""
+    Bsharp, dual, three = l2.build("Bsharp"), l2.dual, l2.I.scale(3)
+    return [
+        ("Bsharp,NBsharp", Bsharp, l2.build("NBsharp"), dual,
+         lambda a, b: check_kn_structure(a, dual).ok and check_kn_structure(b, dual).ok),
+        ("K,3K", Bsharp, LinearOperator(Bsharp.matrix.scale(3)), dual,
+         lambda a, b: a.N == three and a.S == three),
+    ]
+
+
+def _strong_thetas(l2: _L2):
+    """(label, K, representation, theta): strong Maurer-Cartan solutions on
+    the lifted sum of K."""
+    kn = l2.build("kn_dual")
+    return [
+        ("l2/R theta_strong", l2.build("R"), l2.reg, l2.build("theta_strong").matrix),
+        ("l2/R theta0", l2.build("R"), l2.reg, l2.Z),
+        ("l2/Bsharp theta-from-kn", kn.K, l2.dual, mc_from_dual_kn(kn, l2.dual)),
+    ]
+
+
+def _twist_is_leibniz(K, rep, theta) -> bool:
+    g_theta, rho_theta, total = theta_twist(K, rep, theta)
+    return (check_leibniz(g_theta).ok and check_representation(rho_theta).ok
+            and check_leibniz(total).ok)
+
+
+def _ktk_is_compatible(K, rep, theta) -> bool:
+    ktk = LinearOperator(K.matrix * theta * K.matrix, K.domain, K.codomain)
+    return check_kupershmidt(ktk, rep).ok and check_compatible(K, ktk, rep).ok
+
+
+def _dual_kn_cases(l2: _L2):
+    """(label, dual KN-structure with K invertible, representation, what its
+    theta = K^-1 N satisfies)."""
+    kn, dual = l2.build("kn_dual"), l2.dual
+    zero = KNStructure(l2.build("Bsharp"), make_pair(l2.Z, l2.Z), "dual-kn")
+
+    def round_trip(theta):  # the dual KN-structure of theta is kn again
+        back = dual_kn_from_mc(kn.K, dual, theta)
+        return back.N == kn.N and back.S == kn.S
+
+    return [("round-trip", kn, dual, round_trip),
+            ("invertible K, zero pair", zero, dual, Matrix.is_zero)]
+
+
+def _tilde_cases(l2: _L2):
+    """(label, dual KN-structure, representation)."""
+    Bsharp = l2.build("Bsharp")
+    return [("kn_dual", l2.build("kn_dual"), l2.dual)] + [
+        (f"Bsharp-{name}", KNStructure(Bsharp, make_pair(M, M), "dual-kn"), l2.dual)
+        for name, M in (("0-0", l2.Z), ("I-I", l2.I))]
+
+
+def _rn_cases(l2: _L2):
+    """(label, algebra, 2-tensor, N): r-matrix/Nijenhuis couples."""
+    quad4 = l2.catalog["quad4"].spec
+    alg, qs = quad4.build("alg"), form_sharp_matrix(quad4.build("q"))
+    cases = [(f"quad4/{r}+{n}", alg, Tensor2(alg, quad4.build(r).matrix * qs), quad4.build(n))
+             for r, n in (("R_pi", "N2"), ("R_pi", "N_block"), ("R_B", "N2"))]
+    return cases + [("l2/zero-tensor", l2.build("alg"), l2.build("pi0"), l2.build("N23"))]
+
+
+def _bn_cases(l2: _L2):
+    """(label, spec file, N) where the form B and N make a BN-structure."""
+    return [("l2/B+NpIqE", l2.spec, "NpIqE"),
+            ("abelian4/B+N_sym", l2.catalog["abelian4"].spec, "N_sym")]
+
+
+# suite name -> (case source, assertion)
+_CASE_SUITES = {
+    "trivial-deformation": (_deformation_cases, lambda pair, rep: deformation_from_pair(
+        pair, rep, (1, 2, "-1/3")).report.ok),
+    "sum-nijenhuis": (_twilled_pair_cases, lambda N, S, ctx: sum_nijenhuis_on_twilled(
+        make_pair(N, S), make_pair(S, N), ctx).ok),
+    "hat-tilde-representations": (_hat_tilde_cases, lambda pair, rep, which: (
+        check_representation(hat_tilde_representations(pair, rep)[which]).ok)),
+    # the consequences: bracket agreements, S Nijenhuis on the sub-adjacent
+    # algebra, K Kupershmidt for the hat/tilde action, NK Kupershmidt
+    "kn-consequences": (_kn_cases, lambda kn, rep: check_kn_structure(
+        kn, rep, consequences=True).ok),
+    "kn-to-dual": (_invertible_kn_cases, _dual_kn_of_kn),
+    "compatible-quotient": (_quotient_cases, _quotient_is_nijenhuis),
+    "kn-compatibility": (_kn_cases, lambda kn, rep: compatible_from_kn(kn, rep).ok),
+    "compatible-to-dual-kn": (_compatible_cases, lambda K1, K2, rep, verify: verify(
+        *dual_kn_from_compatible(K1, K2, rep))),
+    "mc-to-dual-kn": (_strong_thetas, lambda K, rep, theta: check_kn_structure(
+        dual_kn_from_mc(K, rep, theta), rep).ok),
+    "theta-twist": (_strong_thetas, _twist_is_leibniz),
+    "dual-kn-to-mc": (_dual_kn_cases, lambda kn, rep, verify: verify(mc_from_dual_kn(kn, rep))),
+    "compose-kupershmidt": (_strong_thetas, _ktk_is_compatible),
+    "deformed-sum-bracket": (_tilde_cases, lambda kn, rep: check_leibniz(
+        tilde_varrho_bracket(kn, rep)).ok),
+    "rn-to-dual-kn": (_rn_cases, lambda alg, pi, N: check_rn_structure(
+        alg, pi, N, consequences=True).ok),
+    # the check's consequences assert the dual KN-structures and sharp pairs
+    "bn-transfer": (_bn_cases, lambda spec, N: run_check(
+        spec, "B", "bn-structure", {"N": N}, consequences=True).ok),
+}
+
+
+def _run_cases(name: str, cases: Callable, holds: Callable, catalog) -> SuiteResult:
+    """One check per case of ``cases``: ``holds(*args)`` is True."""
+    res = SuiteResult(name)
+    for label, *args in cases(_L2(catalog)):
+        res.run(label, lambda: holds(*args))
     return res
 
 
 SUITES: Dict[str, Callable] = {
     "expected-verdicts": suite_expected_verdicts,
     "mc-equivalence": suite_mc_equivalence,
-    "trivial-deformation": suite_trivial_deformation,
     "pair-dualization": suite_pair_dualization,
-    "sum-nijenhuis": suite_sum_nijenhuis,
-    "hat-tilde-representations": suite_hat_tilde,
-    "kn-consequences": suite_kn_consequences,
-    "kn-to-dual": suite_kn_to_dual,
     "compatibility-criterion": suite_compatibility_criterion,
     "nk-composition": suite_nk_composition,
-    "compatible-quotient": suite_compatible_quotient,
-    "kn-compatibility": suite_kn_compatibility,
-    "compatible-to-dual-kn": suite_compatible_to_dual_kn,
-    "mc-to-dual-kn": suite_mc_to_dual_kn,
-    "theta-twist": suite_theta_twist,
-    "dual-kn-to-mc": suite_dual_kn_to_mc,
-    "compose-kupershmidt": suite_compose_kupershmidt,
-    "deformed-sum-bracket": suite_deformed_sum_bracket,
-    "rn-to-dual-kn": suite_rn_to_dual_kn,
     "quadratic-transfer": suite_quadratic_transfer,
-    "bn-transfer": suite_bn_transfer,
+    **{name: partial(_run_cases, name, cases, holds)
+       for name, (cases, holds) in _CASE_SUITES.items()},
 }
 
 

@@ -526,7 +526,8 @@ def _constructed(capsys, *argv, source=_L2):
     return json.loads(out.out)["objects"]
 
 
-@pytest.mark.parametrize("argv", [
+# an argv of each construction that exits 0
+_CONSTRUCT_ARGV = [
     ("dual-rep", "--rep", "regular"),
     ("semidirect", "--rep", "regular"),
     ("subadjacent", "--K", "R"),
@@ -537,12 +538,44 @@ def _constructed(capsys, *argv, source=_L2):
     ("mc-from-dual-kn", "--kn", "kn_dual"),
     ("sharp", "--pi", "pi0"),
     ("dual-kn-from-compatible", "--K1", "Bsharp", "--K2", "NBsharp", "--rep", "dual"),
-], ids=lambda argv: argv[0])
+]
+
+
+@pytest.mark.parametrize("argv", _CONSTRUCT_ARGV, ids=lambda argv: argv[0])
 def test_cli_construct_output_parses_back(capsys, argv):
     """Every construction emits only keys of the format table, so its output
     parses back (and re-serializes byte for byte) under the unknown-key
     check."""
     assert _constructed(capsys, *argv)
+
+
+# the flags each construction reads
+_CONSTRUCT_READS = {
+    "dual-rep": {"rep"}, "semidirect": {"rep"}, "subadjacent": {"K", "rep"},
+    "lifted": {"K", "rep"}, "deformed": {"N", "algebra"}, "theta-twist": {"K", "theta", "rep"},
+    "dual-kn-from-mc": {"K", "theta", "rep"}, "mc-from-dual-kn": {"kn", "rep"}, "sharp": {"pi"},
+    "dual-kn-from-compatible": {"K1", "K2", "rep"},
+}
+
+
+@pytest.mark.parametrize("argv", _CONSTRUCT_ARGV, ids=lambda argv: argv[0])
+def test_cli_construct_refuses_a_flag_it_does_not_read(capsys, argv):
+    """An argv that constructs, plus any one flag the construction does not
+    read, exits 2 with one line naming that flag and prints no spec file,
+    whatever object the flag names; with several, the line names each."""
+    from leibnizkit import cli
+
+    assert set(CONSTRUCTIONS[argv[0]]) == _CONSTRUCT_READS[argv[0]]
+    unread = [flag for flag in _CONSTRUCT_FLAGS if flag not in _CONSTRUCT_READS[argv[0]]]
+    for flag in unread:
+        assert cli.main(["construct", _L2, *argv, f"--{flag}", "nosuch"]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == (
+            "", f"error: construction {argv[0]!r} does not take --{flag}\n")
+    every = [arg for flag in unread for arg in (f"--{flag}", "nosuch")]
+    assert cli.main(["construct", _L2, *argv, *every]) == 2
+    named = ", ".join(f"--{flag}" for flag in unread)
+    assert capsys.readouterr().err == f"error: construction {argv[0]!r} does not take {named}\n"
 
 
 def _check_merged(tmp_path, capsys, objects, *argv, source=_L2):

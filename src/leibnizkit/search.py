@@ -24,14 +24,14 @@ calling thread, then through the invertible blocks, decided once per
 distinct block.  Every hit is confirmed against the check's own identity
 statement, up to ``_BLOCK`` hits at once: the raw sides run on blocks of
 ``_Lanes``, one value per hit, and a hit whose lane of some lhs - rhs is
-nonzero mod p stops the search with ``SearchMismatch``; a plain constant
-coordinate of lhs - rhs is tested once.  No ``_Poly`` or ``_Lanes``
-operation changes an operand, so one with the constant 0 (for + and -) or
-1 or -1 (for *) returns its operand, or its negation, instead of a copy;
-nearly half the operations of the check kernels are of that kind.  The
-linear layers (the linear Maurer-Cartan equations, invariant skew and
-closed symmetric forms) are solved exactly, over any field, from the same
-kind of residues.
+nonzero mod p stops the search with ``SearchMismatch``; a coordinate whose
+two sides are equal is skipped, and a plain constant coordinate of lhs - rhs
+is tested once.  No ``_Poly`` or ``_Lanes`` operation changes an operand,
+so one with the constant 0 (for + and -) or 1 or -1 (for *) returns its
+operand, or its negation, instead of a copy; nearly half the operations of
+the check kernels are of that kind.  The linear layers (the linear
+Maurer-Cartan equations, invariant skew and closed symmetric forms) are
+solved exactly, over any field, from the same kind of residues.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from itertools import islice, product, repeat
-from operator import add, mod, mul, neg, sub
+from operator import add, itemgetter, mod, mul, neg, sub
 from random import Random
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
@@ -200,11 +200,22 @@ def _cuts(blocks: List[Tuple[str, int, int]]) -> List[List[slice]]:
     return cuts
 
 
+def _row_getter(cut: List[slice]) -> Callable[[Sequence], tuple]:
+    """The function from a flat candidate to the tuple of its block rows at
+    the slices ``cut``: one ``itemgetter`` over them, in C, for a block of
+    several rows.  ``itemgetter`` of one slice returns the bare row, and
+    ``itemgetter()`` raises, so a block of one row or none takes its rows
+    one slice at a time."""
+    if len(cut) > 1:
+        return itemgetter(*cut)
+    return lambda flat: tuple(map(flat.__getitem__, cut))
+
+
 def _block_matrices(f: FieldSpec, cuts: List[List[slice]], flats: List[tuple]) -> List[list]:
     """For each block, in block order, its matrix in each flat candidate
-    tuple of ``flats``, at one slice per block row and no other call."""
-    return [list(map(Matrix._trusted, repeat(f), [tuple(map(flat.__getitem__, cut))
-                                                  for flat in flats])) for cut in cuts]
+    tuple of ``flats``, its rows split off by ``_row_getter``: in C, by one
+    ``itemgetter`` call per candidate, for a block of several rows."""
+    return [list(map(Matrix._trusted, repeat(f), map(_row_getter(cut), flats))) for cut in cuts]
 
 
 def _predicate_fn(spec: SearchSpec) -> Callable[[Sequence[int]], bool]:
@@ -277,8 +288,9 @@ def _invertible(spec: SearchSpec) -> Callable[[tuple], bool]:
     blocks = _blocks(spec)
     cuts = [cut for (name, _, _), cut in zip(blocks, _cuts(blocks))
             if name in PREDICATES[spec.predicate].invertible]
+    getters = list(map(_row_getter, cuts))
     decide = lru_cache(maxsize=None)(lambda rows: is_invertible(Matrix._trusted(spec.field, rows)))
-    return lambda flat: all(decide(tuple(map(flat.__getitem__, cut))) for cut in cuts)
+    return lambda flat: all(decide(rows(flat)) for rows in getters)
 
 
 def _first_rejected(spec: SearchSpec, flats: List[tuple]) -> Optional[int]:
@@ -286,16 +298,22 @@ def _first_rejected(spec: SearchSpec, flats: List[tuple]) -> Optional[int]:
     tuples) on which lhs = rhs fails mod p, or None: one evaluation of the
     raw sides on the blocks whose entry lanes are the candidates' entries.
     The first is the least bad lane over every coordinate, not the first bad
-    lane of the first bad coordinate.  A coordinate that is a plain constant,
-    the same on every lane, is tested once, and a nonzero one rejects lane 0;
-    a lane list is cut to the lanes before the least bad one only once a bad
-    lane has been found."""
+    lane of the first bad coordinate.  A coordinate whose raw sides are
+    already equal (``l == r``, one comparison of ints or of lane lists in C)
+    is skipped, with no difference built: most coordinates of a block of
+    hits are.  Of the others, a plain constant difference, the same on every
+    lane, is tested once, and a nonzero one rejects lane 0; a lane list is
+    cut to the lanes before the least bad one only once a bad lane has been
+    found."""
     if not flats:
         return None
     p, n = spec.field.p, len(flats)
     first = n
     for lhs, rhs in _sides(spec, tuple(map(_Lanes, zip(*flats)))):
-        for d in map(sub, lhs, rhs):
+        for l, r in zip(lhs, rhs):
+            if l == r:
+                continue
+            d = l - r
             if not isinstance(d, _Lanes):
                 if d % p:
                     return 0

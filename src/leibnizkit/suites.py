@@ -6,11 +6,12 @@ them for the CLI.
 Fifteen suites check one assertion per case, and are rows of ``_CASE_SUITES``.
 A case source takes the ``_L2`` fixture and returns ``(label, *args)`` tuples;
 an assertion takes ``*args`` and returns True when the implication holds.
-``_run_cases`` counts a case as failed when its assertion returns False or
-raises a ``LeibnizKitError``.  Where the cases check different conclusions of
-one transfer (compatible-to-dual-kn, dual-kn-to-mc), each case carries its
-check of the transfer's result.  A new source of instances, an exhaustive one
-say, is one more case source next to an unchanged assertion.
+``_run_cases`` counts a case as passed only when its assertion returns True:
+any other return, or a ``LeibnizKitError`` it raises, fails the case.  Where
+the cases check different conclusions of one transfer (compatible-to-dual-kn,
+dual-kn-to-mc), each case carries its check of the transfer's result.  A new
+source of instances, an exhaustive one say, is one more case source next to an
+unchanged assertion.
 
 Six suites stay functions, since they make several checks per case or one
 over all cases: expected-verdicts, mc-equivalence (three formulations agree),
@@ -67,9 +68,11 @@ class SuiteResult(_Record):
             self.failures.append(label)
 
     def run(self, label: str, fn: Callable):
-        """Count an assertion that passes unless it raises or returns False."""
+        """Count an assertion that returns True.  Any other return value, or
+        a LeibnizKitError it raises, fails the case under its label, so an
+        assertion that forgets its ``return`` cannot pass."""
         try:
-            self.check(fn() is not False, label)
+            self.check(fn() is True, label)
         except LeibnizKitError as exc:
             self.failures.append(f"{label}: {type(exc).__name__}: {exc}")
 

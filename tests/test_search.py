@@ -1314,3 +1314,147 @@ def test_a_module_of_dimension_zero_has_its_one_empty_hit(l2_f2):
     spec = SearchSpec(F2, (2, 0), "kupershmidt", rep=Representation.zero(l2_f2, 0))
     assert enumerate_operators(spec) == [Matrix.zeros(F2, 2, 0)]
     assert search._first_rejected(spec, [()]) is None
+
+
+def _shown(hits):
+    """Each hit as (rows, cols, entries), or a list of those for a tuple of blocks."""
+    return [[_shown_one(m) for m in hit] if isinstance(hit, tuple) else _shown_one(hit)
+            for hit in hits]
+
+
+def _shown_one(m):
+    return m.rows, m.cols, m.entries
+
+
+_ZERO_DIM = LeibnizAlgebra(F3, [])
+_ONE_DIM = LeibnizAlgebra(F3, [[[0]]])
+
+
+@pytest.mark.parametrize("spec, hits", [
+    (SearchSpec(F3, (0, 0), "nijenhuis", algebra=_ZERO_DIM), [(0, 0, ())]),
+    (SearchSpec(F3, (0, 0), "rota_baxter", algebra=_ZERO_DIM), [(0, 0, ())]),
+    (SearchSpec(F3, (1, 0), "kupershmidt", rep=Representation.zero(_ONE_DIM, 0)),
+     [(1, 0, ((),))]),
+    (SearchSpec(F3, (1, 1), "nijenhuis", algebra=_ONE_DIM),
+     [(1, 1, ((0,),)), (1, 1, ((1,),)), (1, 1, ((2,),))]),
+    (SearchSpec(F3, (1, 1), "bn_pair", algebra=_ONE_DIM),
+     [[(1, 1, ((b,),)), (1, 1, ((n,),))] for b in (1, 2) for n in range(3)]),
+    (SearchSpec(F3, (0, 0), "bn_pair", algebra=_ZERO_DIM), [[(0, 0, ()), (0, 0, ())]]),
+    (SearchSpec(F2, (2, 2), "bn_pair", algebra=LeibnizAlgebra.from_brackets(
+        F2, 2, {(1, 0): [1, 0], (1, 1): [1, 0]})),
+     [[(2, 2, b), (2, 2, n)] for b in (((0, 1), (1, 0)), ((0, 1), (1, 1)))
+      for n in (((0, 0), (0, 0)), ((0, 1), (0, 0)), ((1, 0), (0, 1)), ((1, 1), (0, 1)))]),
+], ids=["nijenhuis-0x0", "rota_baxter-0x0", "kupershmidt-1x0", "nijenhuis-1x1",
+        "bn_pair-1x1", "bn_pair-0x0", "bn_pair-2x2"])
+def test_blocks_of_no_row_or_one_row_give_their_hits(spec, hits):
+    """Searches whose blocks have no row, one row or several give these
+    hits, each block's rows, cols and entries pinned: the one empty hit of
+    the 0-dimensional algebra (a 0 x 0 form counts as invertible), the 1 x 0
+    Kupershmidt operator into a zero module, and one- and two-block searches
+    on a 1-dimensional and a 2-dimensional algebra."""
+    assert _shown(enumerate_operators(spec)) == hits
+
+
+def _per_hit_rows(flat, cut):
+    """A flat candidate's rows at the slices ``cut``, one slice at a time:
+    the split the search made for each hit before its rows were taken by
+    one ``itemgetter``."""
+    return tuple(map(flat.__getitem__, cut))
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.sampled_from((2, 3, 5, 7)),
+       shapes=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=2),
+       data=st.data())
+def test_block_rows_are_the_per_hit_split(p, shapes, data):
+    """For one or two blocks of 0-3 rows and 0-3 columns, ``_block_matrices``
+    builds from random flat candidates the matrices that the per-hit split
+    gives: the same rows, cols and row tuples."""
+    f = prime_field(p)
+    blocks = [(f"b{i}", rows, cols) for i, (rows, cols) in enumerate(shapes)]
+    k = sum(rows * cols for _, rows, cols in blocks)
+    flats = data.draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * k), max_size=5))
+    cuts = search._cuts(blocks)
+    expected = [[_shown_one(Matrix._trusted(f, _per_hit_rows(flat, cut))) for flat in flats]
+                for cut in cuts]
+    assert [list(map(_shown_one, ms)) for ms in search._block_matrices(f, cuts, flats)] == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.sampled_from((2, 3, 5, 7)), n=st.integers(0, 3),
+       invertible=st.sampled_from((("form",), ("operator",), ("form", "operator"))),
+       data=st.data())
+def test_invertible_blocks_are_decided_on_the_per_hit_split(p, n, invertible, data):
+    """On the two n x n blocks of a bn_pair search over an n-dimensional
+    algebra (n = 0-3), with one or both blocks required invertible,
+    ``_invertible`` decides each random flat candidate as ``is_invertible``
+    does on the blocks that the per-hit split gives."""
+    f = prime_field(p)
+    alg = LeibnizAlgebra(f, [[[0] * n for _ in range(n)] for _ in range(n)])
+    row = search.PREDICATES["bn_pair"]._replace(invertible=invertible)
+    with patch.dict(search.PREDICATES, {"bn_pair": row}):
+        spec = SearchSpec(f, (n, n), "bn_pair", algebra=alg)
+        decide = search._invertible(spec)
+        entry = st.one_of(st.integers(0, 1), st.integers(0, p - 1))  # many singular blocks too
+        flats = data.draw(st.lists(st.tuples(*[entry] * (2 * n * n)), min_size=1, max_size=6))
+        cuts = dict(zip(("form", "operator"), search._cuts(search._blocks(spec))))
+        for flat in flats:
+            blocks = [Matrix._trusted(f, _per_hit_rows(flat, cuts[name])) for name in invertible]
+            assert decide(flat) == all(map(is_invertible, blocks))
+
+
+def _per_coordinate_first_rejected(p, n, sides):
+    """What ``search._first_rejected`` returned before it skipped equal sides:
+    the difference of every coordinate, tested in turn."""
+    first = n
+    for lhs, rhs in sides:
+        for d in map(operator.sub, lhs, rhs):
+            if not isinstance(d, search._Lanes):
+                if d % p:
+                    return 0
+            elif any(v % p for v in (d if first == n else d[:first])):
+                first = next(i for i, v in enumerate(d) if v % p)
+    return first if first < n else None
+
+
+@st.composite
+def _stub_sides(draw, p, n):
+    """Raw sides over F_p on n lanes: lists of (lhs, rhs) coordinates mixing
+    ints and ``_Lanes``, multiples of p, equal and unequal pairs."""
+    value = st.one_of(st.integers(-3, 3).map(lambda k: k * p), st.integers(-20, 20))
+
+    def side_value():
+        if draw(st.booleans()):
+            return search._Lanes(draw(st.lists(value, min_size=n, max_size=n)))
+        return draw(value)
+
+    sides = []
+    for _ in range(draw(st.integers(1, 3))):
+        lhs, rhs = [], []
+        for _ in range(draw(st.integers(0, 5))):
+            left = side_value()
+            right = draw(st.sampled_from(("equal", "copy", "other")))
+            if right == "copy":
+                right = search._Lanes(left) if isinstance(left, search._Lanes) else left + 0
+            elif right == "equal":
+                right = left
+            else:
+                right = side_value()
+            lhs.append(left)
+            rhs.append(right)
+        sides.append((lhs, rhs))
+    return sides
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from((2, 3, 5, 7)), n=st.integers(1, 6), data=st.data())
+def test_first_rejected_skips_equal_sides_without_changing_its_answer(p, n, data):
+    """With stubbed raw sides over F2, F3, F5 and F7, the block confirmation
+    names what testing the difference of every coordinate names: the least
+    bad lane over every coordinate, lane 0 for a bad constant coordinate,
+    or None."""
+    sides = data.draw(_stub_sides(p, n))
+    spec = SearchSpec(prime_field(p), (1, 1), "nijenhuis")
+    expected = _per_coordinate_first_rejected(p, n, sides)
+    with patch.object(search, "_sides", lambda spec, X: sides):
+        assert search._first_rejected(spec, [(0,)] * n) == expected

@@ -73,3 +73,13 @@ def test_case_runner_lets_other_exceptions_through():
     with pytest.raises(ValueError, match="not a library error"):
         suites._run_cases("demo", lambda l2: [("a", True), ("b", "value")], _holds,
                           load_catalog())
+
+
+def test_case_runner_counts_only_an_assertion_that_returns_true():
+    """An assertion that returns None or 1 fails its case under its label,
+    as one that returns False does; one that raises a LeibnizKitError still
+    fails with the label, the error's type and its message."""
+    cases = [("none", None), ("one", 1), ("true", True), ("false", False), ("raised", "singular")]
+    result = suites._run_cases("demo", lambda l2: cases, _holds, load_catalog())
+    assert result.passed == 1
+    assert result.failures == ["none", "one", "false", "raised: Singular: K is not invertible"]

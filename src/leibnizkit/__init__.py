@@ -36,7 +36,7 @@ _EXPORTS = {
         "LinearOperator", "LinearSolution", "Matrix", "mat_inverse", "mat_mul", "solve_linear",
     ), "linalg"),
     **dict.fromkeys((
-        "DendriformPair", "as_operator", "check_compatible",
+        "as_operator", "check_compatible",
         "check_kupershmidt", "check_nijenhuis", "check_nk_condition", "check_rota_baxter",
         "deformed_bracket", "nijenhuis_from_compatible", "subadjacent_algebra",
     ), "operators"),
@@ -50,8 +50,8 @@ _EXPORTS = {
     ), "pairs"),
     **dict.fromkeys(("CheckReport", "Violation"), "reports"),
     **dict.fromkeys((
-        "SearchSpec", "enumerate_bn_pairs", "enumerate_operators",
-        "mc_solutions_from_linear_layer", "random_instance", "solve_mc_linear_layer",
+        "SearchSpec", "closed_symmetric_forms", "enumerate_operators", "invariant_skew_forms",
+        "mc_solutions_from_linear_layer", "solve_mc_linear_layer",
     ), "search"),
     **dict.fromkeys((
         "TwilledContext", "check_matched_pair", "induced_representation", "lifted_algebra",

@@ -109,8 +109,7 @@ def cmd_construct(args) -> int:
         elif cons == "subadjacent":
             K = spec.build(need("K"), "operator")
             rep = _resolve_rep(spec, args.rep, K)
-            _, alg = subadjacent_algebra(K, rep)
-            out_objects["subadjacent"] = algebra_doc(f, alg)
+            out_objects["subadjacent"] = algebra_doc(f, subadjacent_algebra(K, rep))
         elif cons == "lifted":
             K = spec.build(need("K"), "operator")
             rep = _resolve_rep(spec, args.rep, K)
@@ -162,8 +161,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_search(args) -> int:
-    from .search import (DEFAULT_BUDGET, PREDICATES, SearchSpec, _structure_shape,
-                         enumerate_operators)
+    from .search import DEFAULT_BUDGET, PREDICATES, SearchSpec, enumerate_operators
 
     predicate = args.predicate.replace("-", "_")
     row = PREDICATES[predicate]
@@ -188,13 +186,12 @@ def cmd_search(args) -> int:
         if args.ctx:
             built = spec.build(args.ctx, "twilled")
             ctx = TwilledContext(LeibnizAlgebra(fieldspec, built.total.c), built.n1, built.n2)
-        # the structure the predicate needs gives the shape (None without
-        # it, and the search then fails naming it)
-        shape = _structure_shape(predicate, algebra, rep, ctx)
         if args.budget is not None and args.budget < 0:
             raise ParseError(f"--budget must be nonnegative, got {args.budget}")
         budget = DEFAULT_BUDGET if args.budget is None else args.budget
-        sspec = SearchSpec(fieldspec, shape, predicate, algebra=algebra, rep=rep,
+        # the structure the predicate needs gives the shape; without it the
+        # search fails naming it
+        sspec = SearchSpec(fieldspec, None, predicate, algebra=algebra, rep=rep,
                            ctx=ctx, budget=budget)
         hits = enumerate_operators(sspec)
         doc = lambda m: [[fieldspec.format(v) for v in r] for r in m.entries]

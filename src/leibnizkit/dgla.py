@@ -79,6 +79,7 @@ from .reports import CheckReport, _sides_violations
 from .twilled import (
     TwilledContext,
     _lift,
+    _sum_bracket,
     check_matched_pair,
     induced_action,
     induced_representation,
@@ -358,6 +359,7 @@ def check_maurer_cartan(
     linear equivariance part theta[x, y] = rho1(x, y) must hold on its own."""
     if theta.rows != ctx.n2 or theta.cols != ctx.n1:
         raise ShapeMismatch(f"theta must be {ctx.n2}x{ctx.n1}")
+    ctx._require_map(theta)  # the field
     f, n1 = ctx.field, ctx.n1
     whole, linear = _mc_sides(ctx, theta)
     violations = _sides_violations("maurer-cartan", f, *whole, n1)
@@ -464,8 +466,11 @@ def _mc_terms(ctx: TwilledContext) -> tuple:
     polynomial as it is.  Reducing mod p once theta is substituted is exact,
     since Z -> F_p is a ring map and q has no division.  What is returned
     holds plain numbers only, nothing that refers to the context."""
-    n1, n2, n = ctx.n1, ctx.n2, ctx.total.dim
-    mu1, mu2 = (Cochain.from_tensor(RATIONALS, mu) for mu in ctx._lift_pair())
+    f, n1, n2, n = ctx.field, ctx.n1, ctx.n2, ctx.total.dim
+    zero1, zero2 = (LeibnizAlgebra.abelian(f, k).c for k in (n1, n2))
+    mu1, mu2 = (Cochain.from_tensor(RATIONALS, mu) for mu in (
+        _sum_bracket(f, ctx.algebra1.c, zero2, ctx.rho1, None),
+        _sum_bracket(f, zero1, ctx.algebra2.c, None, ctx.rho2)))
     th = Cochain._trusted(RATIONALS, n, 1, tuple(
         (0,) * n1 + tuple(_Poly({(a * n1 + i,): 1}) for a in range(n2)) for i in range(n1)
     ) + ((0,) * n,) * n2)

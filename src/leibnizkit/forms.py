@@ -35,6 +35,7 @@ from .algebras import (
 )
 from .errors import (
     Degenerate,
+    FieldMismatch,
     HypothesisFailed,
     NotNijenhuis,
     NotRMatrix,
@@ -67,6 +68,8 @@ class Tensor2(_Record):
         n = algebra.dim
         if matrix.rows != n or matrix.cols != n:
             raise ShapeMismatch("tensor matrix must be dim x dim")
+        if matrix.field != algebra.field:
+            raise FieldMismatch("tensor matrix must share the algebra's field")
         self.algebra = algebra
         self.matrix = matrix
 
@@ -85,6 +88,8 @@ class BilinearForm(_Record):
         n = algebra.dim
         if matrix.rows != n or matrix.cols != n:
             raise ShapeMismatch("form matrix must be dim x dim")
+        if matrix.field != algebra.field:
+            raise FieldMismatch("form matrix must share the algebra's field")
         if symmetry not in ("symmetric", "skew"):
             raise ShapeMismatch(f"unknown symmetry tag {symmetry!r}")
         self.algebra = algebra
@@ -98,6 +103,12 @@ class BilinearForm(_Record):
     @property
     def nondegenerate(self) -> bool:
         return is_invertible(self.matrix)
+
+
+def _require_on(alg: LeibnizAlgebra, x, what: str) -> None:
+    """Raise ShapeMismatch unless the tensor or form ``x`` is on ``alg``."""
+    if x.algebra is not alg and x.algebra != alg:
+        raise ShapeMismatch(f"{what} belongs to a different algebra")
 
 
 def check_ybe(alg: LeibnizAlgebra, pi: Tensor2) -> CheckReport:
@@ -117,8 +128,7 @@ def check_ybe(alg: LeibnizAlgebra, pi: Tensor2) -> CheckReport:
     suite; a plain one-order-per-slot reading breaks it).
     """
     alg.require_leibniz()
-    if pi.algebra != alg:
-        raise ShapeMismatch("tensor belongs to a different algebra")
+    _require_on(alg, pi, "tensor")
     f, n = alg.field, alg.dim
     legs = [[(i, a) for i, a in enumerate(row) if a] for row in pi.matrix.entries]
     acc = [0] * n ** 3  # coordinate (i, j, k) at (i * n + j) * n + k
@@ -224,6 +234,7 @@ def check_quadratic(
     On success the inverse sharp map is verified to intertwine the regular
     representation with its contragredient."""
     alg.require_leibniz()
+    _require_on(alg, q, "form")
     if q.symmetry != "skew" or not q.matches_symmetry():
         raise NotSkew("quadratic algebras need a skew-symmetric form")
     if not q.nondegenerate:
@@ -296,6 +307,7 @@ def check_bn_structure(
     from .pairs import KNStructure, OperatorPair, check_kn_structure
 
     alg.require_leibniz()
+    _require_on(alg, B, "form")
     N = as_operator(N)
     if B.symmetry != "symmetric" or not B.matches_symmetry():
         raise NotSymmetric("BN-structure needs a symmetric form")

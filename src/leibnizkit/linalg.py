@@ -10,8 +10,10 @@ The public constructor ``Matrix(field, entries)`` normalizes every entry.
 ``Matrix._trusted`` skips that and is reserved for producers inside the
 package whose values are already normalized: each result entry is computed
 from normalized entries and normalized once, and nothing else is stored.
-The one exception is ``search``'s matrix of polynomial unknowns, which it
-passes only to the raw-sides kernels and never returns.
+The two exceptions are ``search``'s: its matrices of polynomial unknowns
+(``dgla._Poly``), and the matrices of hit lanes that confirm a block of
+hits (``search._Lanes``, in ``_first_rejected``).  It passes both only to
+the raw-sides kernels and returns neither.
 
 ``LinearOperator`` is a matrix tagged with its domain and codomain.  It lives
 here, beside ``Matrix``, so that reading a file's operators and resolving a

@@ -42,17 +42,18 @@ matrix of unknowns and takes lhs - rhs as the residues of its predicates.
 
 ``_module_bracket`` is the one home of the induced module bracket of a
 matrix, ``module_bracket_tensor`` its tensor; its kernel ``_dendriform``
-builds both halves in one pass over the cached action entries of the
-representation.  ``_kupershmidt_sides`` calls the kernel itself, since it
-also runs over polynomial entries.
+sums both action families, rhoL(Tu) v and rhoR(Tv) u, into one accumulator
+in one pass over the cached action entries of the representation.
+``_kupershmidt_sides`` calls the kernel itself, since it also runs over
+polynomial entries.
 
 What a check derives from (K, rep) is built once and kept on ``rep`` (see
 ``Representation._derived``), after the preconditions of each call have
-run: the module bracket of a map and its halves (``_module_bracket``), the
-Kupershmidt violations with them (``_kupershmidt_core``), the sub-adjacent
-algebra and the compatibility verdict of (K1, K2).  The Nijenhuis and
-Rota-Baxter violations of an operator are kept on the algebra it is checked
-on (``LeibnizAlgebra._derived``).  Each check builds a fresh report from the
+run: the module bracket of a map (``_module_bracket``), the Kupershmidt
+violations with it (``_kupershmidt_core``), the sub-adjacent algebra and
+the compatibility verdict of (K1, K2).  The Nijenhuis and Rota-Baxter
+violations of an operator are kept on the algebra it is checked on
+(``LeibnizAlgebra._derived``).  Each check builds a fresh report from the
 kept tuple.  What is kept is tuples and shared objects, which no caller
 changes, and none refers to ``rep`` or an algebra, which may keep the
 table.  The raw-sides functions keep nothing, since ``search`` runs them
@@ -62,7 +63,6 @@ on polynomial entries.
 from __future__ import annotations
 
 from operator import add
-from typing import Tuple
 
 from .algebras import LeibnizAlgebra, Representation, _nonzero_entries
 from .errors import (
@@ -74,25 +74,14 @@ from .errors import (
     Singular,
 )
 from .fields import FieldSpec
-from .linalg import LinearOperator, Matrix, Vector, is_invertible, mat_inverse
-from .reports import CheckReport, Violation, _Record, _sides_violations
+from .linalg import LinearOperator, Matrix, is_invertible, mat_inverse
+from .reports import CheckReport, Violation, _sides_violations
 
 
 def as_operator(m, domain: str = "", codomain: str = "") -> LinearOperator:
     if isinstance(m, LinearOperator):
         return m
     return LinearOperator(m, domain, codomain)
-
-
-class DendriformPair(_Record):
-    """The two half-products on the module whose sum is the sub-adjacent
-    bracket; immutable."""
-
-    __slots__ = ("lhd", "rhd")
-
-    def __init__(self, lhd: Tuple[Tuple[Vector, ...], ...], rhd: Tuple[Tuple[Vector, ...], ...]):
-        self.lhd = lhd  # u <| v = rhoL(Ku) v
-        self.rhd = rhd  # u |> v = rhoR(Kv) u
 
 
 def _require_module_map(K: LinearOperator, rep: Representation):
@@ -105,36 +94,33 @@ def _require_module_map(K: LinearOperator, rep: Representation):
         raise ShapeMismatch("operator and representation fields differ")
 
 
-def _dendriform(T: Matrix, rep: Representation) -> Tuple[list, list]:
-    """The halves u <| v = rhoL(Tu) v and u |> v = rhoR(Tv) u on module basis
-    pairs as two flat raw accumulators, coordinate r of pair (a, b) at
-    (a * m + b) * m + r, from the action entries: entry (k, r, c, v) adds
-    T[k][u] v to coordinate r of e_u <| e_c when it is rhoL's, and of
-    e_c |> e_u when it is rhoR's."""
+def _dendriform(T: Matrix, rep: Representation) -> list:
+    """The bracket [u,v]^T = rhoL(Tu) v + rhoR(Tv) u on module basis pairs as
+    one flat raw accumulator, coordinate r of pair (a, b) at (a * m + b) * m
+    + r, from the action entries: entry (k, r, c, v) adds T[k][u] v to
+    coordinate r of [e_u, e_c]^T when it is rhoL's, and of [e_c, e_u]^T when
+    it is rhoR's."""
     m, rows = rep.mdim, T.entries
-    halves = ([0] * m ** 3, [0] * m ** 3)
-    for acc, (u_step, c_step), entries in zip(halves, ((m * m, m), (m, m * m)), rep._entries()):
+    acc = [0] * m ** 3
+    for (u_step, c_step), entries in zip(((m * m, m), (m, m * m)), rep._entries()):
         for k, r, c, v in entries:
             at = c * c_step + r
             for u, t in enumerate(rows[k]):
                 if t:
                     acc[u * u_step + at] += t * v
-    return halves
+    return acc
 
 
-def _module_bracket(T: Matrix, rep: Representation):
-    """The bracket [u,v]^T and its halves (lhd, rhd) of ``_dendriform``, as
-    flat raw tuples, built once per (T, rep) and kept on ``rep``."""
-    def make():
-        halves = _dendriform(T, rep)
-        return tuple(map(add, *halves)), tuple(map(tuple, halves))
-    return rep._derived(("bracket", T), make)
+def _module_bracket(T: Matrix, rep: Representation) -> tuple:
+    """The bracket [u,v]^T of ``_dendriform`` as a flat raw tuple, built once
+    per (T, rep) and kept on ``rep``."""
+    return rep._derived(("bracket", T), lambda: tuple(_dendriform(T, rep)))
 
 
 def module_bracket_tensor(T: Matrix, rep: Representation):
     """Bracket [u,v]^T = rhoL(Tu) v + rhoR(Tv) u on the module, for any linear
     T: module -> algebra; the sub-adjacent bracket when T is Kupershmidt."""
-    return _tensor(rep.algebra.field, _module_bracket(T, rep)[0], rep.mdim)
+    return _tensor(rep.algebra.field, _module_bracket(T, rep), rep.mdim)
 
 
 def twisted_tensor(c, T: Matrix, f: FieldSpec):
@@ -261,7 +247,7 @@ def _twist_sides(alg: LeibnizAlgebra, T: Matrix, weight: bool = True):
 def _kupershmidt_sides(K: Matrix, rep: Representation):
     """The raw sides of the Kupershmidt identity on module basis pairs,
     [Ku, Kv] and K(rhoL(Ku) v + rhoR(Kv) u)."""
-    return _image_sides(rep.algebra, K, list(map(add, *_dendriform(K, rep))))
+    return _image_sides(rep.algebra, K, _dendriform(K, rep))
 
 
 def _module_map(K: LinearOperator, rep: Representation) -> LinearOperator:
@@ -274,25 +260,24 @@ def _module_map(K: LinearOperator, rep: Representation) -> LinearOperator:
 
 
 def _kupershmidt_core(K: LinearOperator, rep: Representation):
-    """The violations of the Kupershmidt identity, the bracket [u,v]^K and
-    its halves (lhd, rhd), as flat raw tuples, after the preconditions of
-    ``check_kupershmidt``; kept on ``rep`` per K."""
+    """The violations of the Kupershmidt identity and the bracket [u,v]^K,
+    as flat raw tuples, after the preconditions of ``check_kupershmidt``;
+    kept on ``rep`` per K."""
     T = _module_map(K, rep).matrix
 
     def make():
-        summed, halves = _module_bracket(T, rep)
-        sides = _image_sides(rep.algebra, T, summed)
-        return tuple(_image_violations("kupershmidt", T, sides)), summed, halves
+        bracket = _module_bracket(T, rep)
+        sides = _image_sides(rep.algebra, T, bracket)
+        return tuple(_image_violations("kupershmidt", T, sides)), bracket
     return rep._derived(("kupershmidt", T), make)
 
 
-def _require_kupershmidt(K: LinearOperator, rep: Representation):
-    """The flat raw [u,v]^K and its halves, raising NotKupershmidt unless K
-    is Kupershmidt."""
-    violations, summed, halves = _kupershmidt_core(K, rep)
+def _require_kupershmidt(K: LinearOperator, rep: Representation) -> tuple:
+    """The flat raw [u,v]^K, raising NotKupershmidt unless K is Kupershmidt."""
+    violations, bracket = _kupershmidt_core(K, rep)
     if violations:
         raise NotKupershmidt(CheckReport.build(violations).summary())
-    return summed, halves
+    return bracket
 
 
 def check_kupershmidt(K: LinearOperator, rep: Representation) -> CheckReport:
@@ -300,18 +285,16 @@ def check_kupershmidt(K: LinearOperator, rep: Representation) -> CheckReport:
     return CheckReport.build(_kupershmidt_core(K, rep)[0])
 
 
-def subadjacent_algebra(
-    K: LinearOperator, rep: Representation
-) -> Tuple[DendriformPair, LeibnizAlgebra]:
-    """The dendriform halves and the sub-adjacent algebra of a Kupershmidt
-    K; kept on ``rep`` per K."""
-    summed, (lhd, rhd) = _require_kupershmidt(K, rep)
+def subadjacent_algebra(K: LinearOperator, rep: Representation) -> LeibnizAlgebra:
+    """The sub-adjacent algebra of a Kupershmidt K, the module with the
+    bracket [u,v]^K; kept on ``rep`` per K."""
+    bracket = _require_kupershmidt(K, rep)
 
     def make():
-        f, m = rep.algebra.field, rep.mdim
-        alg = LeibnizAlgebra(f, _tensor(f, summed, m))
+        f = rep.algebra.field
+        alg = LeibnizAlgebra(f, _tensor(f, bracket, rep.mdim))
         alg.require_leibniz()
-        return DendriformPair(_tensor(f, lhd, m), _tensor(f, rhd, m)), alg
+        return alg
     return rep._derived(("subadjacent", as_operator(K).matrix), make)
 
 
@@ -378,8 +361,8 @@ def check_compatible(
     notes are kept on ``rep`` per (K1, K2).
     """
     K1, K2 = as_operator(K1), as_operator(K2)
-    sub1, _ = _require_kupershmidt(K1, rep)
-    sub2, _ = _require_kupershmidt(K2, rep)
+    sub1 = _require_kupershmidt(K1, rep)
+    sub2 = _require_kupershmidt(K2, rep)
     A, B = K1.matrix, K2.matrix
 
     def make():
@@ -420,11 +403,11 @@ def check_nk_condition(
     nij = check_nijenhuis(N, alg)
     if not nij.ok:
         raise NotNijenhuis(nij.summary())
-    sub_K, _ = _require_kupershmidt(K, rep)
+    sub_K = _require_kupershmidt(K, rep)
     Nm, Km = N.matrix, K.matrix
     NK = Nm * Km
     composite = LinearOperator(NK, K.domain, K.codomain)
-    direct_violations, sub_NK, _ = _kupershmidt_core(composite, rep)
+    direct_violations, sub_NK = _kupershmidt_core(composite, rep)
     lhs = _applied(Nm, list(map(add, _images(alg, NK, Km), _images(alg, Km, NK))))
     rhs = list(map(add, _applied(NK, sub_NK), _applied(Nm * NK, sub_K)))
     report = CheckReport.build(_sides_violations("nk-condition", alg.field, lhs, rhs, rep.mdim))

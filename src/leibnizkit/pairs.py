@@ -387,8 +387,8 @@ def _kn_core(tag: str, T: Matrix, N: Matrix, S: Matrix, rep: Representation):
     NT, TS = N * T, T * S
     f = rep.algebra.field
     violations = _sides_violations(f"{tag}-commute", f, _flat(NT), _flat(TS), 1, arity=0)
-    rhs = twisted_tensor(_tensor(f, _module_bracket(T, rep)[0], rep.mdim), S, f)
-    violations += _sides_violations(f"{tag}-bracket", f, _module_bracket(NT, rep)[0],
+    rhs = twisted_tensor(_tensor(f, _module_bracket(T, rep), rep.mdim), S, f)
+    violations += _sides_violations(f"{tag}-bracket", f, _module_bracket(NT, rep),
                                     _flat3(rhs), rep.mdim)
     return violations, rhs
 
@@ -434,8 +434,8 @@ def check_kn_structure(
     extra = []
     for name, action in (("hat", hat), ("tilde", tilde)):
         extra += _sides_violations(f"bracket-agreement-{name}", f, s_flat,
-                                   _module_bracket(K, action)[0], m)
-    subalg = subadjacent_algebra(kn.K, rep)[1]
+                                   _module_bracket(K, action), m)
+    subalg = subadjacent_algebra(kn.K, rep)
     extra += check_nijenhuis(kn.pair.S, subalg).prefixed("subadjacent-nijenhuis").violations
     # K and NK have the shape of a module map of rep, and so of the deformed
     # action too; both Kupershmidt verdicts reuse the brackets built above.

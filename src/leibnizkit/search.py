@@ -1,5 +1,5 @@
-"""Exhaustive finite-field enumeration, linear-layer solving for structure
-maps, and seeded random instance generation.
+"""Exhaustive finite-field enumeration, and linear-layer solving for
+structure maps and forms.
 
 ``PREDICATES`` is the one table of search predicates.  A row names the spec
 field of the structure it needs (whose field must be the search's), its
@@ -29,9 +29,11 @@ two sides are equal is skipped, and a plain constant coordinate of lhs - rhs
 is tested once.  No ``_Poly`` or ``_Lanes`` operation changes an operand,
 so one with the constant 0 (for + and -) or 1 or -1 (for *) returns its
 operand, or its negation, instead of a copy; nearly half the operations of
-the check kernels are of that kind.  The linear layers (the linear
-Maurer-Cartan equations, invariant skew and closed symmetric forms) are
-solved exactly, over any field, from the same kind of residues.
+the check kernels are of that kind.  The linear layers are solved
+exactly, over any field, from the same kind of residues: the linear
+Maurer-Cartan equations, and the invariant skew and closed symmetric forms
+(``invariant_skew_forms``, ``closed_symmetric_forms``), the forms that
+``check_quadratic`` and ``check_bn_structure`` take.
 """
 
 from __future__ import annotations
@@ -40,18 +42,12 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import islice, product, repeat
 from operator import add, itemgetter, mod, mul, neg, sub
-from random import Random
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from .algebras import (
-    LeibnizAlgebra,
-    Representation,
-    check_leibniz,
-)
+from .algebras import LeibnizAlgebra, Representation
 from .dgla import _Poly, _mc_sides, check_maurer_cartan
 from .errors import (
     BudgetExceeded,
-    NotFound,
     SearchMismatch,
     ShapeMismatch,
     UnknownIdentity,
@@ -64,7 +60,6 @@ from .operators import (
     _equivariance_sides,
     _kupershmidt_sides,
     _twist_sides,
-    as_operator,
     check_kupershmidt,
     check_nijenhuis,
     check_rota_baxter,
@@ -132,10 +127,11 @@ def _structure_shape(predicate: str, algebra, rep, ctx) -> Optional[Tuple[int, i
 class SearchSpec(_Record):
     """What to enumerate: a predicate name, the shape of its first block, the
     field, and the context objects the predicate needs; immutable.  The
-    structure the predicate needs gives every block its shape, so a shape
-    other than the one it gives the first block is a ShapeMismatch, for
-    every predicate; without that structure the search raises, naming it.
-    A negative budget is a ValueError."""
+    structure the predicate needs gives every block its shape: a shape of
+    None takes the one it gives the first block, another shape is a
+    ShapeMismatch, for every predicate, and a given shape is kept as a
+    tuple.  Without that structure the search raises, naming it.  A negative
+    budget is a ValueError."""
 
     __slots__ = ("field", "shape", "predicate", "algebra", "rep", "ctx", "budget")
 
@@ -144,12 +140,12 @@ class SearchSpec(_Record):
                  ctx: Optional[TwilledContext] = None, budget: int = DEFAULT_BUDGET):
         if budget < 0:
             raise ValueError(f"search budget must be nonnegative, got {budget}")
-        fixed = predicate in PREDICATES and _structure_shape(predicate, algebra, rep, ctx)
-        if fixed and tuple(shape) != fixed:
+        fixed = _structure_shape(predicate, algebra, rep, ctx) if predicate in PREDICATES else None
+        if shape is not None and fixed and tuple(shape) != fixed:
             raise ShapeMismatch(f"{predicate} searches {fixed[0]}x{fixed[1]} matrices, "
                                 f"got shape {shape!r}")
         self.field = field
-        self.shape = shape
+        self.shape = fixed if shape is None else tuple(shape)
         self.predicate = predicate
         self.algebra = algebra
         self.rep = rep
@@ -271,15 +267,6 @@ def enumerate_operators(spec: SearchSpec, workers: int = 1) -> List:
         hits += group
     found = _block_matrices(f, cuts, hits)
     return found[0] if len(cuts) == 1 else list(zip(*found))
-
-
-def enumerate_bn_pairs(spec: SearchSpec) -> List[Tuple[Matrix, Matrix]]:
-    """The hits of ``enumerate_operators`` on a ``bn_pair`` spec: the (form,
-    operator) pairs over F_p that form a BN-structure, in lexicographic
-    order of the form's then the operator's entries."""
-    if spec.predicate != "bn_pair":
-        raise ShapeMismatch(f"enumerate_bn_pairs needs a bn_pair search, got {spec.predicate!r}")
-    return enumerate_operators(spec)
 
 
 def _invertible(spec: SearchSpec) -> Callable[[tuple], bool]:
@@ -483,48 +470,6 @@ def mc_solutions_from_linear_layer(ctx: TwilledContext) -> List[Matrix]:
         if check_maurer_cartan(ctx, theta).ok:
             out.append(theta)
     return out
-
-
-# The ``dims`` random_instance takes for a one-block predicate, by what it needs.
-_DIMS = {"algebra": (LeibnizAlgebra, "pass the algebra as `dims` for operator kinds"),
-         "rep": (Representation, "pass the representation as `dims`")}
-
-
-def random_instance(kind: str, dims, fieldspec: FieldSpec, seed: int, height: int = 2,
-                    attempts: int = 4000):
-    """Rejection-sample small random tensors/matrices until the named check
-    passes; deterministic given the seed.  Raises NotFound when the attempt
-    budget runs out.  Dense random Leibniz tensors are found at dim <= 2
-    (though a seed can run out at dim 2); at dim 3 the default attempts find
-    none."""
-    rng = Random(seed)
-    f = fieldspec
-
-    def rand_scalar():
-        if f.is_prime_field:
-            return rng.randrange(f.p) if height else 0
-        return rng.randint(-height, height)
-
-    if kind == "leibniz":
-        n = dims if isinstance(dims, int) else dims[0]
-        for _ in range(attempts):
-            c = [[[rand_scalar() for _ in range(n)] for _ in range(n)] for _ in range(n)]
-            alg = LeibnizAlgebra(f, c)
-            if check_leibniz(alg).ok:
-                return alg
-        raise NotFound(f"no Leibniz tensor found in {attempts} attempts")
-    row = PREDICATES.get(kind)
-    if row is None or len(row.blocks) > 1 or row.needs not in _DIMS:
-        raise UnknownIdentity(f"unknown instance kind {kind!r}")
-    cls, message = _DIMS[row.needs]
-    if not isinstance(dims, cls):
-        raise ShapeMismatch(message)
-    rows, cols = row.blocks[0][1](dims)
-    for _ in range(attempts):
-        op = as_operator(Matrix(f, [[rand_scalar() for _ in range(cols)] for _ in range(rows)]))
-        if row.check(op, dims).ok:
-            return op
-    raise NotFound(f"no {kind} operator found in {attempts} attempts")
 
 
 def _form_residues(alg: LeibnizAlgebra, sign: int, sides: Callable) -> List[dict]:

@@ -3,8 +3,11 @@ sum g1 (+) g2 from two brackets and two mutual actions, the semidirect sum
 of a representation, matched pairs, the lift of a Kupershmidt operator (its
 induced representation and the lifted sum, through which an operator
 extends its algebra by the module), and the twilled context: a sum algebra
-split into two subalgebras, each acting on the other, with the two
-structure lifts used by the Maurer-Cartan machinery.
+split into two subalgebras, each acting on the other.  The Maurer-Cartan
+machinery of ``dgla`` builds the two structure lifts of a context (each
+subalgebra's bracket with its action on the other block) by
+``_sum_bracket``, once, when it compiles the context's defects, and keeps
+only what it compiled (``_mc_terms``).
 
 Block convention: the first ``n1`` coordinates are g1, the rest g2.  ``rho1``
 is the action of g1 on g2's space, ``rho2`` the action of g2 on g1's space
@@ -25,11 +28,9 @@ from typing import Optional, Tuple
 from .algebras import LeibnizAlgebra, Representation, check_leibniz
 from .errors import FieldMismatch, NotKupershmidt, NotLeibniz, ShapeMismatch
 from .fields import FieldSpec
-from .linalg import LinearOperator, Matrix, Vector
+from .linalg import LinearOperator, Matrix
 from .operators import _equivariance_sides, _module_map, subadjacent_algebra
 from .reports import CheckReport, _sides_violations
-
-BilinearTensor = Tuple[Tuple[Vector, ...], ...]
 
 
 def _sum_bracket(f: FieldSpec, c1, c2, act1: Optional[Representation],
@@ -135,7 +136,7 @@ def induced_representation(K: LinearOperator, rep: Representation) -> Representa
     K = _module_map(K, rep)
 
     def make():
-        _, subalg = subadjacent_algebra(K, rep)
+        subalg = subadjacent_algebra(K, rep)
         Kmat = K.matrix
         out = Representation(subalg, *induced_action(Kmat, rep))
         out.require_representation()
@@ -175,7 +176,7 @@ class TwilledContext:
 
     __slots__ = (
         "total", "n1", "n2",
-        "algebra1", "algebra2", "rho1", "rho2", "_lifts", "_mc_terms",
+        "algebra1", "algebra2", "rho1", "rho2", "_mc_terms",
     )
 
     def __init__(self, total: LeibnizAlgebra, n1: int, n2: int):
@@ -224,52 +225,22 @@ class TwilledContext:
         # action axioms of rho1, and with the blocks swapped those of rho2.
         self.rho1 = Representation(self.algebra1, rho1L, rho1R)
         self.rho2 = Representation(self.algebra2, rho2L, rho2R)
-        # both lifts, and the Maurer-Cartan defects once ``dgla`` has compiled them
-        self._lifts = self._mc_terms = None
+        # the Maurer-Cartan defects, once ``dgla`` has compiled them
+        self._mc_terms = None
 
     @property
     def field(self):
         return self.total.field
 
-    def lift1(self) -> BilinearTensor:
-        """The g1-side structure as a bracket on the whole space:
-        g1's bracket plus its two actions on g2 (zero on g2 x g2)."""
-        return self._lift_pair()[0]
-
-    def lift2(self) -> BilinearTensor:
-        """The g2-side structure lift (g2's bracket plus its actions on g1)."""
-        return self._lift_pair()[1]
-
-    def _lift_pair(self) -> Tuple[BilinearTensor, BilinearTensor]:
-        """Both lifts, built on first use and kept."""
-        if self._lifts is None:
-            f = self.field
-            abelian1 = LeibnizAlgebra.abelian(f, self.n1)
-            abelian2 = LeibnizAlgebra.abelian(f, self.n2)
-            self._lifts = (
-                _sum_bracket(f, self.algebra1.c, abelian2.c, self.rho1, None),
-                _sum_bracket(f, abelian1.c, self.algebra2.c, None, self.rho2),
-            )
-        return self._lifts
-
     def _require_map(self, theta: Matrix) -> None:
-        """Raise ShapeMismatch unless theta has the shape of a g1 -> g2 map."""
+        """Raise ShapeMismatch unless theta is a g1 -> g2 map over the
+        context's field."""
         if theta.rows != self.n2 or theta.cols != self.n1:
             raise ShapeMismatch(
                 f"map must be {self.n2}x{self.n1} (g1 -> g2), got {theta.rows}x{theta.cols}"
             )
-
-    def embed_map(self, theta: Matrix) -> Matrix:
-        """Embed a g1 -> g2 map as an endomorphism of the sum (zero elsewhere)."""
-        self._require_map(theta)
-        f = self.field
-        n1, n2 = self.n1, self.n2
-        rows = []
-        for i in range(n1):
-            rows.append([f.zero()] * (n1 + n2))
-        for a in range(n2):
-            rows.append(list(theta.entries[a]) + [f.zero()] * n2)
-        return Matrix(f, rows)
+        if theta.field != self.field:
+            raise ShapeMismatch("map and context fields differ")
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, TwilledContext) and self.total == other.total

@@ -32,7 +32,8 @@ from leibnizkit import (
 )
 from leibnizkit.catalog import load_catalog
 from leibnizkit.dgla import mc_cochain_defects
-from leibnizkit.errors import DivisionByZero, NotLeibniz, NotStrongMC, Singular, SpaceMismatch
+from leibnizkit.errors import (DivisionByZero, NotLeibniz, NotStrongMC, ShapeMismatch, Singular,
+                               SpaceMismatch)
 from leibnizkit.fields import prime_field
 from leibnizkit.forms import BilinearForm, form_sharp_matrix
 from leibnizkit.operators import LinearOperator
@@ -359,3 +360,23 @@ def test_kupershmidt_compose_consequences(l2, l2_dual, l2_regular):
     ktk = LinearOperator(K.matrix * th * K.matrix, K.domain, K.codomain)
     assert check_kupershmidt(ktk, l2_regular).ok
     assert check_compatible(K, ktk, l2_regular).ok
+
+
+def test_maurer_cartan_refuses_a_theta_over_another_field():
+    """Both Maurer-Cartan routes refuse a theta over another field than the
+    context's, as the operator checks refuse an operator: an F3 theta on
+    l2's lift over Q is not read as the rational matrix of its residues.
+    A theta of the wrong shape keeps each route's shape message."""
+    ctx = load_catalog()["l2"].spec.build("tw_lift", "twilled")
+    F3 = prime_field(3)
+    theta = Matrix(F3, [[-1, 0], [0, 0]])
+    for run in (lambda: check_maurer_cartan(ctx, theta),
+                lambda: check_maurer_cartan(ctx, theta, strong=True),
+                lambda: mc_cochain_defects(ctx, theta)):
+        with pytest.raises(ShapeMismatch, match="^map and context fields differ$"):
+            run()
+    wide = Matrix(F3, [[1, 0, 0]])
+    with pytest.raises(ShapeMismatch, match=r"^theta must be 2x2$"):
+        check_maurer_cartan(ctx, wide)
+    with pytest.raises(ShapeMismatch, match=r"^map must be 2x2 \(g1 -> g2\), got 1x3$"):
+        mc_cochain_defects(ctx, wide)

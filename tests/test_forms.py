@@ -23,11 +23,14 @@ from leibnizkit import (
 )
 from leibnizkit.errors import (
     Degenerate,
+    FieldMismatch,
     HypothesisFailed,
     NotNijenhuis,
     NotSkew,
     NotSymmetric,
+    ShapeMismatch,
 )
+from leibnizkit.fields import prime_field
 from leibnizkit.forms import form_sharp_matrix
 from leibnizkit.operators import LinearOperator
 
@@ -241,3 +244,37 @@ def test_transfer_hypothesis_failures(quad4, l2):
     with pytest.raises(HypothesisFailed):
         rbn_rn_transfer(l2, bad_q, as_operator(Matrix.zeros(Q, 2, 2)),
                         as_operator(Matrix.identity(Q, 2)))
+
+
+def test_a_matrix_over_another_field_is_refused(l2):
+    """A 2-tensor or a form whose matrix is over another field than its
+    algebra's is a FieldMismatch, as the action matrices of a
+    representation are: no check then mixes two fields."""
+    m = Matrix(prime_field(3), [[1, 0], [0, 1]])
+    with pytest.raises(FieldMismatch, match="^tensor matrix must share the algebra's field$"):
+        Tensor2(l2, m)
+    with pytest.raises(FieldMismatch, match="^form matrix must share the algebra's field$"):
+        BilinearForm(l2, m)
+    with pytest.raises(FieldMismatch, match="^form matrix must share the algebra's field$"):
+        BilinearForm(l2, Matrix(prime_field(3), [[0, 1], [2, 0]]), "skew")
+
+
+def test_a_form_of_another_algebra_is_refused(quad4):
+    """The form checks read the form on the algebra they are given: a form
+    tagged to another algebra is a ShapeMismatch, as a 2-tensor of another
+    algebra is for check_ybe.  quad4's skew matrix on the abelian algebra is
+    a quadratic form there, not on quad4's algebra."""
+    alg, q = quad4
+    abelian = LeibnizAlgebra.abelian(Q, 4)
+    skew = BilinearForm(abelian, q.matrix, "skew")
+    symmetric = BilinearForm(abelian, Matrix.identity(Q, 4))
+    assert check_quadratic(abelian, skew).ok
+    N, zero = as_operator(Matrix.identity(Q, 4)), as_operator(Matrix.zeros(Q, 4, 4))
+    for run in (lambda: check_quadratic(alg, skew),
+                lambda: check_quadratic(alg, skew, consequences=False),
+                lambda: check_bn_structure(alg, symmetric, N),
+                lambda: rbn_rn_transfer(alg, skew, zero, N)):
+        with pytest.raises(ShapeMismatch, match="^form belongs to a different algebra$"):
+            run()
+    # a form on an equal algebra, built again, is a form on this one
+    assert check_quadratic(alg, BilinearForm(LeibnizAlgebra(Q, alg.c), q.matrix, "skew")).ok

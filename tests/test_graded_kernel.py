@@ -45,7 +45,7 @@ from leibnizkit.errors import DivisionByZero
 from leibnizkit.fields import prime_field
 from leibnizkit.oracles import eval_maurer_cartan
 from leibnizkit.suites import _kupershmidt_cases
-from leibnizkit.twilled import TwilledContext
+from leibnizkit.twilled import TwilledContext, _sum_bracket
 
 from test_twilled import _algebras, _kupershmidt_map, _moved
 
@@ -192,6 +192,29 @@ def test_coboundary_and_dgla_bracket_match_dense_formula(f):
         assert dgla_bracket(mu, phis[1], p1) == ref_bracket(ref_bracket(mu, phis[1]), p1).scale(-1)
 
 
+def lifts(ctx):
+    """The two structure lifts of a twilled context, each a bracket tensor
+    on the whole space: g1's bracket with its action on g2, then g2's with
+    its action on g1."""
+    f = ctx.field
+    zero1, zero2 = (LeibnizAlgebra.abelian(f, k).c for k in (ctx.n1, ctx.n2))
+    return (_sum_bracket(f, ctx.algebra1.c, zero2, ctx.rho1, None),
+            _sum_bracket(f, zero1, ctx.algebra2.c, None, ctx.rho2))
+
+
+def embed_map(ctx, theta: Matrix) -> Matrix:
+    """Embed a g1 -> g2 map as an endomorphism of the sum (zero elsewhere)."""
+    ctx._require_map(theta)
+    f = ctx.field
+    n1, n2 = ctx.n1, ctx.n2
+    rows = []
+    for i in range(n1):
+        rows.append([f.zero()] * (n1 + n2))
+    for a in range(n2):
+        rows.append(list(theta.entries[a]) + [f.zero()] * n2)
+    return Matrix(f, rows)
+
+
 def lifted_contexts(f):
     """Fresh twilled contexts of the l2 Kupershmidt cases carried into f (a
     case with a denominator that vanishes in f left out), and over F2 of the
@@ -218,12 +241,11 @@ def test_integral_mc_half_is_half_the_bracket_square(f):
     rng = random.Random(f"half-{f}")
     half = f.div(f.one(), f.of(2))
     for ctx in lifted_contexts(f):
-        mu1 = Cochain.from_tensor(f, ctx.lift1())
-        mu2 = Cochain.from_tensor(f, ctx.lift2())
+        mu1, mu2 = (Cochain.from_tensor(f, mu) for mu in lifts(ctx))
         for _ in range(3):
             theta = Matrix(f, [[scalar(rng, f, 0.8) for _ in range(ctx.n1)]
                                for _ in range(ctx.n2)])
-            th = Cochain.from_matrix(ctx.embed_map(theta))
+            th = Cochain.from_matrix(embed_map(ctx, theta))
             d, q = mc_cochain_defects(ctx, theta)
             assert d == ref_bracket(mu1, th)
             assert q == ref_bracket(ref_bracket(mu2, th), th).scale(half)
@@ -250,7 +272,7 @@ def test_lifted_cochains_are_built_once_per_context(monkeypatch):
         d, q = mc_cochain_defects(ctx, theta)
         assert (d + q).is_zero() == eval_maurer_cartan(ctx, theta).ok
         assert (d.is_zero() and q.is_zero()) == eval_maurer_cartan(ctx, theta, strong=True).ok
-    assert built == [ctx.lift1(), ctx.lift2()]
+    assert built == list(lifts(ctx))
 
 
 def test_mc_equivalence_checks_each_theta_once(monkeypatch):
@@ -286,8 +308,8 @@ def test_mc_equivalence_checks_each_theta_once(monkeypatch):
 def _kernel_defects(ctx, theta):
     """(d, q) by four kernel calls per theta, in the context's field: the
     route that ``mc_cochain_defects`` compiles once per context."""
-    mu1, mu2 = (Cochain.from_tensor(ctx.field, mu) for mu in ctx._lift_pair())
-    th = Cochain.from_matrix(ctx.embed_map(theta))
+    mu1, mu2 = (Cochain.from_tensor(ctx.field, mu) for mu in lifts(ctx))
+    th = Cochain.from_matrix(embed_map(ctx, theta))
     d = balavoine_bracket(mu1, th)
     first = _insertion_sum([(1, mu2, th, 1)])
     return d, _insertion_sum([(1, first, th, 2)] + _ob(-1, th, _insertion_sum(_ob(1, mu2, th))))

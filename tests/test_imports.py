@@ -28,7 +28,7 @@ EXPORTED = {
               "sharp_map"],
     "linalg": ["LinearOperator", "LinearSolution", "Matrix", "mat_inverse", "mat_mul",
                "solve_linear"],
-    "operators": ["DendriformPair", "as_operator", "check_compatible",
+    "operators": ["as_operator", "check_compatible",
                   "check_kupershmidt", "check_nijenhuis", "check_nk_condition",
                   "check_rota_baxter", "deformed_bracket", "nijenhuis_from_compatible",
                   "subadjacent_algebra"],
@@ -39,8 +39,8 @@ EXPORTED = {
               "hat_tilde_representations", "kn_to_dual_kn", "make_kn", "make_pair",
               "sum_nijenhuis_on_twilled"],
     "reports": ["CheckReport", "Violation"],
-    "search": ["SearchSpec", "enumerate_bn_pairs", "enumerate_operators",
-               "mc_solutions_from_linear_layer", "random_instance", "solve_mc_linear_layer"],
+    "search": ["SearchSpec", "closed_symmetric_forms", "enumerate_operators",
+               "invariant_skew_forms", "mc_solutions_from_linear_layer", "solve_mc_linear_layer"],
     "twilled": ["TwilledContext", "check_matched_pair", "induced_representation",
                 "lifted_algebra", "semidirect_sum"],
 }

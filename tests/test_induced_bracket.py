@@ -30,7 +30,6 @@ from leibnizkit import (
     lifted_algebra,
     mc_from_dual_kn,
     mc_solutions_from_linear_layer,
-    random_instance,
     theta_twist,
 )
 from leibnizkit.catalog import load_catalog
@@ -45,6 +44,8 @@ from leibnizkit.oracles import (
 from leibnizkit import operators
 from leibnizkit.suites import _kupershmidt_cases, suite_mc_equivalence
 from leibnizkit.twilled import TwilledContext
+
+from oracle_helpers import random_instance
 
 SRC = Path(leibnizkit.__file__).resolve().parent
 FIELDS = (prime_field(2), prime_field(3), prime_field(5), Q)

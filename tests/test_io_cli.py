@@ -1205,3 +1205,59 @@ def test_cli_failing_checks_print_pinned_bytes(capsys, argv, expected):
     assert cli.main(["check", _L2, *argv]) == 1
     out = capsys.readouterr()
     assert (out.out, out.err) == (expected, "")
+
+
+def _payload(ok, violations=(), notes=None) -> str:
+    """The JSON report ``check --format json`` prints, from its violations
+    as (identity, index, lhs, rhs) tuples of ints."""
+    return json.dumps({"notes": notes or {}, "ok": ok, "violations": [
+        {"identity": identity, "index": list(index), "lhs": [str(x) for x in lhs],
+         "rhs": [str(x) for x in rhs]} for identity, index, lhs, rhs in violations]},
+        sort_keys=True, indent=2) + "\n"
+
+
+_PERFECT_FAILS = [("perfect-right", (0,), (0, 1, 0, 0), (0, 0, 0, 0)),
+                  ("perfect-right", (1,), (0, 1, 0, 0), (0, 0, 0, 0))]
+_DUAL_FAILS = [("dual-pair-right", (0,), (0, 0, 0, 0), (0, 25, 0, 0)),
+               ("dual-pair-right", (1,), (0, 5, 0, 0), (0, 25, 0, 0))]
+_TRANSFER_NOTES = {"r-matrix-side": "ok", "rota-baxter-side": "ok"}
+
+# (entry, argv after the file, text output, JSON output) of the three check
+# kinds that no catalog verdict records, one passing and one failing case
+# each; an output is (exit code, stdout, stderr).
+_UNRECORDED_KINDS = [
+    ("l2", ["E01", "perfect-pair", "--S", "E01", "--rep", "regular"],
+     (0, "E01: perfect-pair: ok\n", ""), (0, _payload(True), "")),
+    ("l2", ["N05", "perfect-pair", "--S", "R", "--rep", "regular"],
+     (1, "N05: perfect-pair: 2 violation(s): perfect-right@(0,): lhs=(0, 1, 0, 0) "
+         "rhs=(0, 0, 0, 0), perfect-right@(1,): lhs=(0, 1, 0, 0) rhs=(0, 0, 0, 0)\n", ""),
+     (1, _payload(False, _PERFECT_FAILS), "")),
+    ("l2", ["E01", "dual-nijenhuis-pair", "--S", "N11", "--rep", "dual"],
+     (0, "E01: dual-nijenhuis-pair: ok\n", ""), (0, _payload(True), "")),
+    ("l2", ["E01", "dual-nijenhuis-pair", "--S", "N05", "--rep", "regular"],
+     (1, "E01: dual-nijenhuis-pair: 2 violation(s): dual-pair-right@(0,): lhs=(0, 0, 0, 0) "
+         "rhs=(0, 25, 0, 0), dual-pair-right@(1,): lhs=(0, 5, 0, 0) rhs=(0, 25, 0, 0)\n", ""),
+     (1, _payload(False, _DUAL_FAILS), "")),
+    ("quad4", ["q", "transfer", "--R", "R_B", "--N", "N2"],
+     (0, "q: transfer: ok\n  note rota-baxter-side: ok\n  note r-matrix-side: ok\n", ""),
+     (0, _payload(True, notes=_TRANSFER_NOTES), "")),
+    ("quad4", ["q", "transfer", "--R", "N2", "--N", "N2"],
+     (1, "", "precondition failed: HypothesisFailed: induced 2-tensor is not symmetric\n"),
+     (1, "", "precondition failed: HypothesisFailed: induced 2-tensor is not symmetric\n")),
+]
+
+
+@pytest.mark.parametrize("entry,argv,text,as_json", _UNRECORDED_KINDS,
+                         ids=lambda x: x if isinstance(x, str) else None)
+def test_cli_bytes_of_the_kinds_no_verdict_records(capsys, entry, argv, text, as_json):
+    """``perfect-pair``, ``dual-nijenhuis-pair`` and ``transfer`` are the
+    check kinds that no catalog verdict records, so neither the benchmark's
+    CLI verdicts nor ``expected-verdicts`` run them: their exit code, stdout
+    and stderr are pinned here, in text and in JSON."""
+    from leibnizkit import cli
+
+    path = str(CATALOG_DIR / f"{entry}.json")
+    for fmt, expected in (([], text), (["--format", "json"], as_json)):
+        code = cli.main(["check", path, *argv, *fmt])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == expected, (argv, fmt)

@@ -22,7 +22,6 @@ from leibnizkit import (
     lifted_algebra,
     mc_solutions_from_linear_layer,
     prime_field,
-    random_instance,
     regular_representation,
     solve_mc_linear_layer,
 )
@@ -34,6 +33,8 @@ from leibnizkit.oracles import eval_bn_structure, eval_maurer_cartan, eval_quadr
 from leibnizkit.search import _linear_basis, closed_symmetric_forms, invariant_skew_forms
 from leibnizkit.suites import _kupershmidt_cases
 from leibnizkit.twilled import TwilledContext
+
+from oracle_helpers import random_instance
 
 SRC = Path(leibnizkit.__file__).resolve().parent
 

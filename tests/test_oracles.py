@@ -50,11 +50,12 @@ from leibnizkit.oracles import (
     eval_rn_structure,
 )
 from leibnizkit.pairs import check_kn_structure, check_perfect_pair, make_kn, make_pair
-from leibnizkit.search import SearchSpec, enumerate_operators, random_instance
+from leibnizkit.search import SearchSpec, enumerate_operators
 from leibnizkit.checks import run_check
 from leibnizkit.twilled import TwilledContext
 
 from conftest import rb_matrix
+from oracle_helpers import random_instance
 
 
 def same(a, b):

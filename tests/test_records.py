@@ -31,9 +31,9 @@ OWN_METHODS = {
 }
 
 RECORDS = {
-    "BilinearForm", "CatalogEntry", "CheckReport", "DeformationTriple", "DendriformPair",
-    "KNStructure", "LinearOperator", "OperatorPair", "SearchSpec", "SpecFile", "SuiteResult",
-    "Tensor2", "Violation",
+    "BilinearForm", "CatalogEntry", "CheckReport", "DeformationTriple", "KNStructure",
+    "LinearOperator", "OperatorPair", "SearchSpec", "SpecFile", "SuiteResult", "Tensor2",
+    "Violation",
 }
 # the records whose fields change after construction
 UNHASHABLE = {"CatalogEntry", "CheckReport", "DeformationTriple", "SpecFile", "SuiteResult"}

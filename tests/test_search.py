@@ -29,12 +29,10 @@ from leibnizkit import (
     check_quadratic,
     check_rota_baxter,
     dual_representation,
-    enumerate_bn_pairs,
     enumerate_operators,
     lifted_algebra,
     mc_solutions_from_linear_layer,
     prime_field,
-    random_instance,
     regular_representation,
     solve_mc_linear_layer,
 )
@@ -73,6 +71,7 @@ from leibnizkit.twilled import TwilledContext
 from leibnizkit.linalg import LinearSolution, _flat, is_invertible
 
 from conftest import rb_matrix
+from oracle_helpers import random_instance
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -184,6 +183,21 @@ def test_search_spec_takes_every_shape_from_the_structure(l2_f2, predicate):
             run()
     with pytest.raises(ShapeMismatch, match="^exhaustive enumeration needs a prime field$"):
         SearchSpec(Q, None, predicate).space_size()
+
+
+@pytest.mark.parametrize("predicate", sorted(search.PREDICATES))
+def test_search_spec_without_a_shape_takes_the_structures(l2_f2, predicate):
+    """A shape of None takes the one the structure gives, and a given shape
+    is kept as a tuple, so that a list shape makes an equal, hashable
+    spec: both search what the structure's shape searches."""
+    keyword, structure = _structures(l2_f2)[predicate]
+    shape = {"rep": (2, 1), "ctx": (1, 2)}.get(keyword, (2, 2))
+    spec = SearchSpec(F2, None, predicate, **{keyword: structure})
+    listed = SearchSpec(F2, list(shape), predicate, **{keyword: structure})
+    assert spec.shape == listed.shape == shape
+    assert spec == listed and hash(spec) == hash(listed)
+    given = SearchSpec(F2, shape, predicate, **{keyword: structure})
+    assert enumerate_operators(spec) == enumerate_operators(given)
 
 
 def test_space_size_too_large_to_print_is_p_to_the_k():
@@ -303,7 +317,7 @@ def test_kernels_that_accept_every_candidate_raise_search_mismatch(monkeypatch, 
     b, n = next((b, n) for b in space if is_invertible(b) for n in space
                 if not _bn_confirmed(l2_f2, b, n))
     with pytest.raises(SearchMismatch) as raised:
-        enumerate_bn_pairs(SearchSpec(F2, (2, 2), "bn_pair", algebra=l2_f2))
+        enumerate_operators(SearchSpec(F2, (2, 2), "bn_pair", algebra=l2_f2))
     assert str(raised.value) == (f"compiled bn_pair kernel accepts {b!r}, {n!r}, "
                                  "the check rejects it")
 
@@ -319,18 +333,13 @@ def _bn_confirmed(alg, b, n):
         return False
 
 
-def test_bn_pair_enumeration_needs_a_bn_pair_spec(l2_f2):
-    with pytest.raises(ShapeMismatch, match="needs a bn_pair search, got 'nijenhuis'"):
-        enumerate_bn_pairs(SearchSpec(F2, (2, 2), "nijenhuis", algebra=l2_f2))
-
-
 def test_bn_pair_enumeration(l2_f2):
-    pairs = enumerate_bn_pairs(SearchSpec(F2, (2, 2), "bn_pair", algebra=l2_f2))
+    pairs = enumerate_operators(SearchSpec(F2, (2, 2), "bn_pair", algebra=l2_f2))
     assert pairs
     for b, n in pairs:
         form = BilinearForm(l2_f2, b, "symmetric")
         assert check_bn_structure(l2_f2, form, as_operator(n), consequences=False).ok
-    again = enumerate_bn_pairs(SearchSpec(F2, (2, 2), "bn_pair", algebra=l2_f2))
+    again = enumerate_operators(SearchSpec(F2, (2, 2), "bn_pair", algebra=l2_f2))
     assert again == pairs
     # naive recount: all 256 (form, operator) combinations
     count = 0
@@ -452,7 +461,7 @@ def test_compiled_kernels_match_checks_and_oracles(p, n, seed):
                 checked.append((b, m))
             if eval_bn_structure(alg, form, m).ok:
                 oracled.append((b, m))
-    assert enumerate_bn_pairs(SearchSpec(f, (n, n), "bn_pair", algebra=alg)) == checked
+    assert enumerate_operators(SearchSpec(f, (n, n), "bn_pair", algebra=alg)) == checked
     assert checked == oracled
 
 
@@ -724,7 +733,7 @@ def test_a_bn_pair_search_builds_no_bilinear_form(monkeypatch):
     tracer.install()
     try:
         tracer.active = True
-        pairs = enumerate_bn_pairs(spec)
+        pairs = enumerate_operators(spec)
     finally:
         tracer.active = False
         tracer.uninstall()
@@ -828,7 +837,7 @@ def f(spec):
     if spec.predicate == "nijenhuis":
         return "bn-pair"
     return f"a bn_pair {spec}"
-def enumerate_bn_pairs(spec):
+def guard(spec):
     if spec.predicate != "bn_pair":
         raise ValueError
 """
@@ -836,16 +845,13 @@ def enumerate_bn_pairs(spec):
 
 def test_no_predicate_name_is_tested_outside_the_table():
     """Search and the CLI read what a predicate needs from ``PREDICATES``:
-    no string literal names a predicate in ``search.py`` outside the table
-    and the guard of ``enumerate_bn_pairs``, nor in ``commands.py`` or
-    ``cli.py``."""
+    no string literal names a predicate in ``search.py`` outside the table,
+    nor in ``commands.py`` or ``cli.py``."""
     names = set(search.PREDICATES)
     assert _predicate_literals(ast.parse(_PREDICATE_SNIPPET), names) == [
         (None, "nijenhuis"), (None, "rota-baxter"), ("f", "nijenhuis"), ("f", "bn-pair"),
-        ("enumerate_bn_pairs", "bn_pair")]
-    assert _predicate_literals(ast.parse((SRC / "search.py").read_text()), names) == [
-        ("enumerate_bn_pairs", "bn_pair")]
-    for module in ("commands.py", "cli.py"):
+        ("guard", "bn_pair")]
+    for module in ("search.py", "commands.py", "cli.py"):
         assert _predicate_literals(ast.parse((SRC / module).read_text()), names) == [], module
 
 

@@ -20,7 +20,8 @@ from leibnizkit.errors import DivisionByZero, NotFound
 from leibnizkit.fields import prime_field
 from leibnizkit.operators import twisted_tensor
 from leibnizkit.oracles import eval_leibniz, eval_nijenhuis, eval_rota_baxter
-from leibnizkit.search import random_instance
+
+from oracle_helpers import random_instance
 
 FIELDS = (prime_field(2), prime_field(3), prime_field(5), Q)
 

@@ -24,7 +24,6 @@ from leibnizkit import (
     dual_representation,
     enumerate_operators,
     lifted_algebra,
-    random_instance,
     regular_representation,
     semidirect_sum,
 )
@@ -34,7 +33,7 @@ from leibnizkit.fields import prime_field
 from leibnizkit.linalg import mat_inverse
 from leibnizkit.twilled import TwilledContext
 
-from oracle_helpers import invertible
+from oracle_helpers import invertible, random_instance
 
 FIELDS = (prime_field(2), prime_field(3), prime_field(5), Q)
 SEARCH_LIMIT = 20_000  # largest Kupershmidt search space enumerated here

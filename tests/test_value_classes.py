@@ -10,7 +10,7 @@ from leibnizkit.fields import RATIONALS, FieldSpec, prime_field
 from leibnizkit.forms import BilinearForm, Tensor2
 from leibnizkit.io import SpecFile
 from leibnizkit.linalg import Matrix
-from leibnizkit.operators import DendriformPair, LinearOperator
+from leibnizkit.operators import LinearOperator
 from leibnizkit.pairs import DeformationTriple, KNStructure, OperatorPair, make_kn
 from leibnizkit.reports import CheckReport, Violation
 from leibnizkit.search import SearchSpec
@@ -53,9 +53,6 @@ def test_frozen_classes_hash_by_fields():
     assert hash(pair) == hash(OperatorPair(LinearOperator(M), LinearOperator(M)))
     assert kn == make_kn(M, M, M) and hash(kn) == hash(make_kn(M, M, M))
     assert kn != make_kn(M, M, M, "dual-kn")
-    halves = DendriformPair(((1,),), ((2,),))
-    assert halves == DendriformPair(((1,),), ((2,),)) and hash(halves) == hash(
-        DendriformPair(((1,),), ((2,),)))
     assert Tensor2(ALG, M) == Tensor2(ALG, M) and hash(Tensor2(ALG, M)) == hash(Tensor2(ALG, M))
     assert BilinearForm(ALG, M) != BilinearForm(ALG, M, "skew")
     assert hash(BilinearForm(ALG, M)) == hash(BilinearForm(ALG, M, "symmetric"))
@@ -133,7 +130,6 @@ def test_reprs():
         (v, vs),
         (CheckReport((v,), {"a": "b"}), f"CheckReport(violations=({vs},), notes={{'a': 'b'}})"),
         (K, Ks),
-        (DendriformPair(((1,),), ((2,),)), "DendriformPair(lhd=((1,),), rhd=((2,),))"),
         (spec, specs),
         (CatalogEntry("x", spec), f"CatalogEntry(name='x', spec={specs})"),
         (pair, pairs),

@@ -102,24 +102,23 @@ def _resolve_algebra(spec: SpecFile, op: LinearOperator, args: Dict) -> LeibnizA
     raise ParseError("ambiguous algebra; pass --algebra")
 
 
-def _resolve_rep(spec: SpecFile, name: Optional[str],
-                 op: Optional[LinearOperator]) -> Representation:
+def _resolve_rep(spec: SpecFile, name: Optional[str], op: LinearOperator) -> Representation:
     """The representation named ``name``; else the one the operator's tags
     imply: a ``module:R`` domain is R, a ``dual:A`` domain the dual of A's
     regular representation, an ``algebra:A`` codomain or domain A's regular
-    representation; else the file's only representation."""
+    representation; else the file's only representation.  A pair check
+    passes S, the module endomorphism, as the operator checks pass K."""
     if name:
         return spec.rep_for(name)
-    if op is not None:
-        tag = op.domain
-        if tag.startswith("module:"):
-            return spec.rep_for(tag.split(":", 1)[1])
-        if tag.startswith("dual:"):
-            alg = spec.build(tag.split(":", 1)[1], "algebra")
-            return dual_representation(regular_representation(alg))
-        for t in (op.codomain, op.domain):
-            if t.startswith("algebra:"):
-                return regular_representation(spec.build(t.split(":", 1)[1], "algebra"))
+    tag = op.domain
+    if tag.startswith("module:"):
+        return spec.rep_for(tag.split(":", 1)[1])
+    if tag.startswith("dual:"):
+        alg = spec.build(tag.split(":", 1)[1], "algebra")
+        return dual_representation(regular_representation(alg))
+    for t in (op.codomain, op.domain):
+        if t.startswith("algebra:"):
+            return regular_representation(spec.build(t.split(":", 1)[1], "algebra"))
     names = spec.names_of("representation")
     if len(names) == 1:
         return spec.rep_for(names[0])
@@ -180,7 +179,7 @@ def run_check(spec: SpecFile, object_name: str, check: str, args: Optional[Dict]
 
         N = spec.build(object_name, "operator")
         S = spec.build(_flag(args, "S", check), "operator")
-        rep = _resolve_rep(spec, args.get("rep"), None)
+        rep = _resolve_rep(spec, args.get("rep"), S)
         pair = OperatorPair(N, S)
         fn = {
             "nijenhuis-pair": check_nijenhuis_pair,

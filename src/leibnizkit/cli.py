@@ -2,8 +2,19 @@
 
 Exit codes: 0 = all checks clean, 1 = a mathematical check failed,
 2 = usage or file-format error, 130 = interrupted, 141 = standard output
-closed before the output was written.  Neither of the last two prints a
-traceback.
+closed before the output was written (a reader gone, or fd 1 closed when the
+process started).  Neither of the last two prints a traceback.
+
+How a process ends: ``python -m leibnizkit`` and the installed
+``leibnizkit`` script call ``run``, which flushes standard output and
+standard error after ``main`` and then ends the process with ``os._exit``.
+``atexit`` hooks and the interpreter's teardown (the final cyclic
+collection, the teardown of every loaded module) are skipped on that path;
+the CLI leaves nothing for them to do.  Under a tracer or a profiler
+(coverage, cProfile, pdb while it traces) ``run`` exits through
+``sys.exit``, so their end-of-run output still appears, and ``python -m
+leibnizkit.cli`` keeps that normal exit too.  ``main`` is the in-process
+function.
 """
 
 from __future__ import annotations
@@ -12,7 +23,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from .checks import CHECK_NAMES, CONSTRUCT_FLAGS, CONSTRUCTIONS, OBJECT_FLAGS, run_check
 from .errors import (BROKEN_PIPE, CHECK_FAILED, INTERRUPTED, USAGE_ERROR, LeibnizKitError,
@@ -132,21 +143,28 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser(_command(argv))
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits with 2 on usage errors already
-        return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    try:
-        if args.command == "check":
-            code = cmd_check(args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits with 2 on usage errors already, and with 0 after
+            # printing help, which is flushed below like any output
+            code = exc.code if isinstance(exc.code, int) else USAGE_ERROR
         else:
-            from . import commands
+            if args.command == "check":
+                code = cmd_check(args)
+            else:
+                from . import commands
 
-            code = getattr(commands, f"cmd_{args.command}")(args)
-        sys.stdout.flush()  # a closed pipe fails here, not at exit
+                code = getattr(commands, f"cmd_{args.command}")(args)
+            if sys.stdout is None:
+                # fd 1 was closed at start-up, so Python set no stdout and
+                # ``print`` wrote nothing
+                return BROKEN_PIPE
+        if sys.stdout is not None:
+            sys.stdout.flush()  # a closed pipe fails here, not at exit
     except BrokenPipeError:
         # the reader is gone: what is still buffered goes to the null device,
-        # so the flush at exit does not fail again
+        # so a later flush does not fail again
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
@@ -154,6 +172,21 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         return INTERRUPTED
     return code
+
+
+def run() -> NoReturn:
+    """The process entry of ``python -m leibnizkit`` and of the installed
+    ``leibnizkit`` script: ``main`` on ``sys.argv``, then a flush of
+    standard output and error, then ``os._exit`` with main's code.  Under a
+    tracer or a profiler it exits through ``sys.exit``, so that they report
+    at exit."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    if sys.gettrace() is None and sys.getprofile() is None:
+        os._exit(code)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -156,7 +156,7 @@ def cmd_construct(args) -> int:
         print(f"construction failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return CHECK_FAILED
     out = SpecFile(f, out_objects)
-    sys.stdout.write(serialize_spec(out))
+    print(serialize_spec(out), end="")
     return 0
 
 

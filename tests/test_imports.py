@@ -409,3 +409,32 @@ def test_no_module_writes_or_reads_bytecode():
     found = [f"{path.name}:{line}:{name}" for path in sorted(SRC.rglob("*.py"))
              for line, name in _bytecode_uses(path.read_text())]
     assert found == []
+
+
+def _exit_uses(tree, fn=None) -> list:
+    """The innermost function that holds each use of ``_exit`` (a name, an
+    attribute or an import), in source order; None at module level."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += _exit_uses(node, node.name)
+            continue
+        name = (node.id if isinstance(node, ast.Name) else node.attr
+                if isinstance(node, ast.Attribute) else node.name
+                if isinstance(node, ast.alias) else None)
+        if name == "_exit":
+            found.append(fn)
+        found += _exit_uses(node, fn)
+    return found
+
+
+def test_only_cli_run_ends_the_process_without_teardown():
+    """``os._exit`` skips ``atexit`` hooks and unflushed buffers, so the
+    package calls it in one place: ``cli.run``, after it flushes."""
+    snippet = ("from os import _exit as now\nos._exit(0)\n"
+               "def f():\n    def g():\n        posix._exit(1)\n    return os._exit\n"
+               "def h(code):\n    sys.exit(code)\n")
+    assert _exit_uses(ast.parse(snippet)) == [None, None, "g", "f"]
+    found = {path.name: _exit_uses(ast.parse(path.read_text()))
+             for path in sorted(SRC.rglob("*.py"))}
+    assert {name: uses for name, uses in found.items() if uses} == {"cli.py": ["run"]}

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ from leibnizkit.checks import _resolve_rep, run_check
 from leibnizkit.cli import CONSTRUCTIONS
 from leibnizkit.errors import BROKEN_PIPE, INTERRUPTED, ParseError
 from leibnizkit.io import load_spec, parse_spec, serialize_spec
+from leibnizkit.linalg import LinearOperator
 from leibnizkit.operators import deformed_bracket
 from leibnizkit.pairs import dual_kn_from_compatible
 from leibnizkit.twilled import check_matched_pair, lifted_algebra, semidirect_sum
@@ -431,7 +433,7 @@ def test_check_and_construct_resolve_representations_alike():
         assert actions(_resolve_rep(spec, None, spec.build(op))) == actions(rep)
     assert actions(_resolve_rep(spec, "dual", spec.build("R"))) == actions(dual)
     with pytest.raises(ParseError, match="ambiguous representation"):
-        _resolve_rep(spec, None, None)
+        _resolve_rep(spec, None, LinearOperator(spec.build("R").matrix))
     for op in ("R", "ident"):
         tagged = run_check(spec, op, "kupershmidt")
         named = run_check(spec, op, "kupershmidt", {"rep": "regular"})
@@ -810,6 +812,86 @@ def test_cli_interrupt_ends_without_a_traceback(monkeypatch, capsys):
     assert cli.main(["check", _L2, "alg", "leibniz"]) == INTERRUPTED
     assert cli.main(["suite", "--all"]) == INTERRUPTED
     assert capsys.readouterr() == ("", "")
+
+
+_COMMANDS = [
+    ["check", _L2, "R", "kupershmidt"],
+    ["construct", _L2, "semidirect", "--rep", "regular"],
+    ["search", _L2, "--predicate", "nijenhuis", "--field", "F2"],
+    ["suite", "--all"],
+]
+
+
+def _buffered_env() -> dict:
+    """The environment of a child whose standard output is block-buffered
+    when it is a pipe, as it is by default."""
+    return {key: val for key, val in os.environ.items() if key != "PYTHONUNBUFFERED"}
+
+
+@pytest.mark.parametrize("argv", _COMMANDS, ids=lambda argv: argv[0])
+def test_cli_closed_stdout_descriptor_ends_without_a_traceback(argv):
+    """A process started with fd 1 closed has no ``sys.stdout``: each
+    command exits 141 with nothing on stderr, as for a reader that is gone."""
+    out = subprocess.run(["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m", "leibnizkit",
+                          *argv], capture_output=True, text=True)
+    assert (out.returncode, out.stderr) == (BROKEN_PIPE, "")
+
+
+def test_cli_help_into_a_closed_pipe_ends_without_a_message():
+    """Help that cannot be written, because the pipe's reader is gone before
+    it starts, is flushed by ``main`` like any output: exit 141 and nothing
+    on stderr, not the interpreter's "Exception ignored" at exit."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        out = subprocess.run([sys.executable, "-m", "leibnizkit", "--help"], stdout=write,
+                             stderr=subprocess.PIPE, text=True, env=_buffered_env())
+    finally:
+        os.close(write)
+    assert (out.returncode, out.stderr) == (BROKEN_PIPE, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", str(CATALOG_DIR / "heis3.json"), "--predicate", "nijenhuis", "--field", "F3"],
+    ["suite", "--all", "--format", "json"],
+], ids=["search", "suite"])
+def test_cli_process_writes_every_byte_before_it_ends(capsys, argv):
+    """A process ends with ``os._exit`` once its output is flushed: its
+    block-buffered output read through a pipe (891 search hits, about 200 kB;
+    every suite in JSON) is byte for byte what ``cli.main`` prints in
+    process."""
+    from leibnizkit import cli
+
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr()
+    out = subprocess.run([sys.executable, "-m", "leibnizkit", *argv], capture_output=True,
+                         text=True, env=_buffered_env())
+    assert (out.returncode, out.stdout, out.stderr) == (0, expected.out, expected.err)
+
+
+def test_cli_under_cprofile_prints_the_profile():
+    """Under a profiler the process exits normally, so cProfile reports."""
+    out = subprocess.run([sys.executable, "-m", "cProfile", "-m", "leibnizkit", *_COMMANDS[0]],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("R: kupershmidt: ok\n")
+    assert "function calls" in out.stdout
+
+
+@pytest.mark.parametrize("tracer, hook_runs", [
+    (None, False), ("settrace", True), ("setprofile", True)])
+def test_cli_process_skips_atexit_hooks_unless_traced(tracer, hook_runs):
+    """``python -m leibnizkit`` ends without the interpreter's teardown, so
+    an ``atexit`` hook does not run; with a tracer or a profiler set it
+    exits normally, and the hook runs."""
+    code = ("import atexit, runpy, sys\n"
+            "atexit.register(print, 'atexit hook', file=sys.stderr)\n"
+            f"sys.argv = ['leibnizkit', *{_COMMANDS[0]!r}]\n"
+            + (f"sys.{tracer}(lambda *args: None)\n" if tracer else "")
+            + "runpy.run_module('leibnizkit', run_name='__main__')\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (out.returncode, out.stdout, out.stderr) == (
+        0, "R: kupershmidt: ok\n", "atexit hook\n" if hook_runs else "")
 
 
 def test_cli_one_block_search_takes_the_shape_of_the_structure_it_needs(tmp_path, capsys):
@@ -1261,3 +1343,23 @@ def test_cli_bytes_of_the_kinds_no_verdict_records(capsys, entry, argv, text, as
         code = cli.main(["check", path, *argv, *fmt])
         out, err = capsys.readouterr()
         assert (code, out, err) == expected, (argv, fmt)
+
+
+@pytest.mark.parametrize("check", ["nijenhuis-pair", "dual-nijenhuis-pair", "perfect-pair"])
+@pytest.mark.parametrize("entry, N, S", [
+    ("quad4", "N2", "N2"), ("quad4", "R_B", "R_B"), ("l2", "E01", "E01"), ("l2", "N05", "R")])
+def test_pair_checks_without_rep_act_through_the_representation_of_S(check, entry, N, S):
+    """With no --rep, a pair check takes the representation that the tags of
+    S, the module endomorphism, imply, as ``kupershmidt`` takes K's: here
+    S is ``algebra:alg`` on both sides, so the regular one.  quad4 has no
+    representation of its own, and l2 has two.  (R_B, R_B) and (N05, R)
+    fail the dual and perfect checks."""
+    from leibnizkit import pairs
+
+    spec = load_catalog()[entry].spec
+    fn = {"nijenhuis-pair": pairs.check_nijenhuis_pair,
+          "dual-nijenhuis-pair": pairs.check_dual_nijenhuis_pair,
+          "perfect-pair": pairs.check_perfect_pair}[check]
+    expected = fn(pairs.OperatorPair(spec.build(N, "operator"), spec.build(S, "operator")),
+                  regular_representation(spec.build("alg", "algebra")))
+    assert run_check(spec, N, check, {"S": S}) == expected

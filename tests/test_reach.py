@@ -1,14 +1,14 @@
 """Every function of the package runs on a path a user takes, or is listed.
 
 A fresh interpreter runs, under ``sys.setprofile``, the argv of ``ARGV``
-through ``cli.main`` and every operation of the benchmark's workloads
-(``bench/workloads.py``, with the ``cli-check`` verdicts in process), and
-reports the functions of the package that ran.  Every ``def`` in
-``src/leibnizkit`` outside ``oracles.py``, the independent second
-implementation, must be among them, unless it is a dunder or ``LISTED``
-names it with the reason it is kept.  The trace runs in its own interpreter
-so that what other tests warmed cannot hide a function: ``dgla._shuffles``
-is an ``lru_cache``.
+through ``cli.main`` (the last one through ``cli.run`` too) and every
+operation of the benchmark's workloads (``bench/workloads.py``, with the
+``cli-check`` verdicts in process), and reports the functions of the
+package that ran.  Every ``def`` in ``src/leibnizkit`` outside
+``oracles.py``, the independent second implementation, must be among them,
+unless it is a dunder or ``LISTED`` names it with the reason it is kept.
+The trace runs in its own interpreter so that what other tests warmed
+cannot hide a function: ``dgla._shuffles`` is an ``lru_cache``.
 
 Run as a script (``PYTHONPATH=src python tests/test_reach.py``), this file
 prints what the traced paths ran, one ``file:line:name`` per line.
@@ -94,7 +94,7 @@ def _trace() -> list:
     and return (file name, first line, name) of each function of the
     package that ran."""
     import io
-    from contextlib import redirect_stderr, redirect_stdout
+    from contextlib import redirect_stderr, redirect_stdout, suppress
 
     sys.path.insert(0, str(BENCH))
     ran = set()
@@ -111,6 +111,11 @@ def _trace() -> list:
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             for argv in ARGV:
                 cli.main(argv)
+            # the process entry, once: under this profiler it exits through
+            # sys.exit rather than ending the interpreter
+            sys.argv = ["leibnizkit", *ARGV[-1]]
+            with suppress(SystemExit):
+                cli.run()
             reference = workloads.load_reference()
             for name in workloads.WORKLOADS:
                 workload = workloads.build(name, SEED, reference)
